@@ -88,6 +88,12 @@ def _check(checks: list, name: str, value: float, tol: float,
     return ok
 
 
+def _skip(skipped: list, name: str, reason: str) -> None:
+    """Record and print a check that cannot run, with its reason."""
+    skipped.append({"name": name, "reason": reason})
+    print(f"SKIP {name}: {reason}")
+
+
 def _residual_tol(c: Chart, tol: float) -> float:
     """Scale-aware threshold for O(h^2) residuals.
 
@@ -147,25 +153,26 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         if cfg.get("lambda_samples") else list(harmonic.DEFAULT_LAMBDAS)
 
     checks = []
+    skipped = []
     levels = []
     chart = c
     field = raw
-    for level in range(max(2, int(cfg["refine"]))):
+    # external data has no generator to refine, so it gets one level
+    nlevels = max(2, int(cfg["refine"])) if spec is not None else 1
+    for level in range(nlevels):
         if level > 0:
             chart = chart.refine(2)
-            if spec is not None:
-                field = zoo.generate(spec, chart)
-            else:
-                break           # no generator to refine external data
+            field = zoo.generate(spec, chart)
         S = surface.build_surface_data(field, chart)
         M = gauss_frame.maurer_cartan(gauss_frame.build_frame(S))
+        K = harmonic.loop_curvature(M)
         mask = chart.interior_mask(DEFAULT_MARGIN)
         entry = {
             "h": chart.h,
             "flatness": [{"lambda": str(r["lambda"]), "sup": r["sup"]}
-                         for r in harmonic.flatness_sweep(M, lambdas)],
+                         for r in harmonic.flatness_sweep(K, lambdas)],
             "harmonic": {k: v["sup"]
-                         for k, v in harmonic.harmonic_residuals(M).items()},
+                         for k, v in harmonic.harmonic_residuals(K).items()},
             "strong_conformality":
                 harmonic.strong_conformal_check(M.B1, mask)["sup"],
         }
@@ -188,10 +195,15 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
             if hi > 1e-12:
                 orders[key] = float(np.log(hi / max(lo, 1e-15)) / ratio)
         levels[-1]["observed_orders"] = orders
+    else:
+        _skip(skipped, "convergence_order",
+              "external input has no generator to refine")
 
     report = {"config": cfg, "invariants": {}, "residuals": {
         "levels": levels}, "classification": {}, "roundtrip": {},
         "checks": checks}
+    if skipped:
+        report["skipped"] = skipped
     code = 0 if all(ch["pass"] for ch in checks) else 2
     return report, code
 

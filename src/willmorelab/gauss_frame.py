@@ -91,16 +91,22 @@ class MCBlocks:
         bot = np.concatenate([self.B2, self.A2], axis=-1)
         return np.concatenate([top, bot], axis=-2)
 
+    def _zeros(self) -> np.ndarray:
+        """Zero (n+4)x(n+4) field of the blocks' grid shape and dtype."""
+        dim = self.n + 4
+        dtype = np.result_type(self.A1, self.A2, self.B1, self.B2)
+        return np.zeros(self.A1.shape[:-2] + (dim, dim), dtype=dtype)
+
     def k_part(self) -> np.ndarray:
         """Block-diagonal part (A1, A2) embedded in the full matrix."""
-        out = np.zeros_like(self.full())
+        out = self._zeros()
         out[..., :4, :4] = self.A1
         out[..., 4:, 4:] = self.A2
         return out
 
     def p_part(self) -> np.ndarray:
         """Off-diagonal part (B1, B2) embedded in the full matrix."""
-        out = np.zeros_like(self.full())
+        out = self._zeros()
         out[..., :4, 4:] = self.B1
         out[..., 4:, :4] = self.B2
         return out

@@ -1,11 +1,19 @@
 """Independent oracles computed by classical surface geometry.
 
-Everything here works directly on embedding samples with its own finite
-differences (np.roll on periodic grids), deliberately sharing no code
-with the package under test.
+The geometric oracles work directly on embedding samples with their own
+finite differences (np.roll on periodic grids), deliberately sharing no
+code with the package under test.  The loop-curvature oracle at the end
+shares only the package's stencils and norms: it assembles the full
+(n+4)x(n+4) coefficients of alpha_lambda and differentiates them, where
+`harmonic.flatness_sweep` works on Laurent coefficients in blocks.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_z, d_zbar, l2_norm,
+                               sup_norm)
 
 
 def _roll_diff(f, axis, h):
@@ -84,3 +92,32 @@ def holomorphic_sphere_frame(g, gz, eps=0.0):
     if np.linalg.det(R.reshape(-1, 3, 3)[0]) < 0:
         R[..., 1] = -R[..., 1]
     return R
+
+
+@dataclass
+class ExtendedForm:
+    """Coefficients (P, Q) of alpha_lambda = P dz + Q dzbar."""
+    P: np.ndarray
+    Q: np.ndarray
+    lam: complex
+    chart: Chart
+
+
+def extend(M, lam: complex) -> ExtendedForm:
+    """Insert the loop parameter into the Maurer-Cartan blocks M."""
+    if abs(abs(lam) - 1.0) > 1e-12:
+        raise ValueError(f"lambda must be unimodular, got |lambda|={abs(lam)}")
+    k = M.k_part()
+    p = M.p_part()
+    P = k + p / lam
+    Q = np.conj(k) + lam * np.conj(p)
+    return ExtendedForm(P=P, Q=Q, lam=complex(lam), chart=M.chart)
+
+
+def flatness_residual(E: ExtendedForm, margin: int = DEFAULT_MARGIN) -> dict:
+    """Norms of the curvature d_z Q - d_zbar P + [P, Q] of alpha_lambda."""
+    c = E.chart
+    R = d_z(E.Q, c) - d_zbar(E.P, c) + (E.P @ E.Q - E.Q @ E.P)
+    mask = c.interior_mask(margin)
+    return {"lambda": E.lam, "sup": sup_norm(R, mask),
+            "l2": l2_norm(R, c, mask)}

@@ -54,9 +54,33 @@ def test_verify_harmonic_with_lambda_samples(tmp_path):
                "--refine", "2", "--out", str(out))
     assert code == 0
     rep = json.loads(out.read_text())
+    assert set(rep) == {"config", "invariants", "residuals",
+                        "classification", "roundtrip", "checks"}
     levels = rep["residuals"]["levels"]
     assert len(levels) == 2
     assert len(levels[0]["flatness"]) == 3
+    assert "observed_orders" in levels[-1]
+
+
+def test_verify_harmonic_external_input_skips_convergence_order(
+        tmp_path, capsys):
+    """External data has no generator: one level and an explicit SKIP."""
+    c = cli._parse_chart(CLIFF_CHART)
+    lift = tmp_path / "lift.csv"
+    zoo.save(str(lift), zoo.generate(zoo.SurfaceSpec("clifford_torus"), c),
+             c, fmt="csv")
+    out = tmp_path / "vh.json"
+    code = run("verify-harmonic", "--input", str(lift),
+               "--chart", CLIFF_CHART, "--refine", "3", "--out", str(out))
+    assert code == 0
+    assert ("SKIP convergence_order: external input has no generator to "
+            "refine") in capsys.readouterr().out.splitlines()
+    rep = json.loads(out.read_text())
+    assert rep["skipped"] == [{"name": "convergence_order", "reason":
+                               "external input has no generator to refine"}]
+    levels = rep["residuals"]["levels"]
+    assert len(levels) == 1 and "observed_orders" not in levels[0]
+    assert levels[0]["h"] == pytest.approx(c.h)
 
 
 def test_reconstruct_clifford_exports_surface(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from willmorelab import harmonic
 from willmorelab.lorentz import metric
 
 import helpers
+import oracles
 
 
 def test_default_lambda_samples_on_unit_circle():
@@ -13,17 +16,85 @@ def test_default_lambda_samples_on_unit_circle():
     assert len(harmonic.DEFAULT_LAMBDAS) == 4
 
 
-def test_extend_rejects_off_circle_lambda(pipe):
+def test_flatness_sweep_rejects_off_circle_lambda(pipe):
     _, _, _, M = pipe("clifford_torus")
     with pytest.raises(ValueError):
-        harmonic.extend(M, 0.5)
+        harmonic.flatness_sweep(M, (0.5,))
 
 
 def test_extend_at_lambda_one_is_alpha(pipe):
+    """The full-matrix oracle's alpha_lambda is alpha itself at lambda = 1."""
     _, _, _, M = pipe("clifford_torus")
-    E = harmonic.extend(M, 1.0)
+    E = oracles.extend(M, 1.0)
     assert np.allclose(E.P, M.full())
     assert np.allclose(E.Q, np.conj(M.full()))
+    with pytest.raises(ValueError):
+        oracles.extend(M, 0.5)
+
+
+ORACLE_LAMBDAS = harmonic.DEFAULT_LAMBDAS + (np.exp(0.3j), np.exp(2.5j), -1j)
+ORACLE_SURFACES = (("enneper", None), ("clifford_torus", None),
+                   ("veronese_s4", None), ("torus_of_revolution", 3.0))
+
+
+def _oracle_sweep(M):
+    return [oracles.flatness_residual(oracles.extend(M, lam))
+            for lam in ORACLE_LAMBDAS]
+
+
+def _miss(sweep, ref):
+    """Largest absolute distance of sup and l2 from the oracle's."""
+    return max(abs(a[k] - b[k]) for a, b in zip(sweep, ref)
+               for k in ("sup", "l2"))
+
+
+@pytest.mark.parametrize("kind,param", ORACLE_SURFACES)
+def test_flatness_sweep_matches_full_matrix_oracle(pipe, kind, param):
+    """The Laurent-coefficient sweep equals the full-matrix curvature.
+
+    Open (enneper), periodic-both (clifford_torus), codimension 2
+    (veronese_s4) and the non-Willmore control, where R+ is O(1); the
+    lambda samples include ones with no symmetry under conjugation.
+    """
+    _, _, _, M = pipe(kind, 48, param)
+    got = harmonic.flatness_sweep(M, ORACLE_LAMBDAS)
+    ref = _oracle_sweep(M)
+    assert [r["lambda"] for r in got] == [complex(lam)
+                                          for lam in ORACLE_LAMBDAS]
+    assert _miss(got, ref) <= 1e-12, kind
+
+
+def test_flatness_oracle_rejects_broken_curvatures(pipe):
+    """A wrong sign on R- or a dropped [p, conj p] misses by O(1).
+
+    On the control torus at N=48 the two mutants miss the oracle by
+    13.7 and 5.9 in sup or l2, against 2.2e-16 for the sweep.
+    """
+    _, _, _, M = pipe("torus_of_revolution", 48, 3.0)
+    K = harmonic.loop_curvature(M)
+    ref = _oracle_sweep(M)
+    assert _miss(harmonic.flatness_sweep(K, ORACLE_LAMBDAS), ref) <= 1e-12
+    # R- = +conj(R+) turns 2i Im(lam R+) into 2 Re(lam R+) = 2 Im(lam iR+)
+    wrong_sign = replace(K, plus=tuple(1j * b for b in K.plus))
+    # without [p, conj p], W loses conj(B1) B2 and conj(B2) B1
+    W1, W2 = K.W
+    no_pp = replace(K, W=(W1 - np.imag(np.conj(M.B1) @ M.B2),
+                          W2 - np.imag(np.conj(M.B2) @ M.B1)))
+    for mutant in (wrong_sign, no_pp):
+        assert _miss(harmonic.flatness_sweep(mutant, ORACLE_LAMBDAS),
+                     ref) > 0.1
+
+
+def test_harmonic_lines_share_the_curvature_blocks(pipe):
+    """B1_line is conj of R+'s B1 block; A1/A2 lines differ from R0 by
+    the O(h^2) so-defect of B2."""
+    c, _, _, M = pipe("enneper")
+    K = harmonic.loop_curvature(M)
+    assert np.array_equal(K.lines["B1_line"], np.conj(K.plus[0]))
+    assert harmonic.harmonic_residuals(K) == harmonic.harmonic_residuals(M)
+    gap = max(np.max(np.abs(K.lines["A1_line"] - K.W[0])),
+              np.max(np.abs(K.lines["A2_line"] - K.W[1])))
+    assert gap <= 10 * M.b2_residual * np.max(np.abs(M.B1)) + 1e-14
 
 
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper"])
