@@ -111,6 +111,13 @@ class MCBlocks:
         out[..., 4:, :4] = self.B2
         return out
 
+    def conjugate(self) -> "MCBlocks":
+        """Entrywise conjugate blocks: the same form in the conjugate
+        holomorphic coordinate."""
+        return MCBlocks(A1=np.conj(self.A1), A2=np.conj(self.A2),
+                        B1=np.conj(self.B1), B2=np.conj(self.B2),
+                        chart=self.chart, b2_residual=self.b2_residual)
+
     def a(self, i: int, j: int) -> np.ndarray:
         """Named A1 entry a_ij (1-based, i<j), e.g. a(1,3) = A1[0,2]."""
         return self.A1[..., i - 1, j - 1]
@@ -205,32 +212,3 @@ def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,
         mrank = int(np.max(rank))
     return rank, mrank
 
-
-def _projector(S: SurfaceData) -> np.ndarray:
-    """Minkowski-orthogonal projector onto span{Y, N, Y_u, Y_v}."""
-    c = S.chart
-    phi1 = (S.Y + S.N) / SQRT2
-    phi2 = (-S.Y + S.N) / SQRT2
-    phi3 = d_u(S.Y, c)
-    phi4 = d_v(S.Y, c)
-    I = metric(S.Y.shape[-1])
-    P = -np.einsum("...i,...j->...ij", phi1, phi1 @ I)
-    for phi in (phi2, phi3, phi4):
-        P += np.einsum("...i,...j->...ij", phi, phi @ I)
-    return P
-
-
-def conformal_gauss_metric(S: SurfaceData) -> dict:
-    """Induced metric of the sphere congruence, as coefficient fields.
-
-    Computed from the projector field P onto the central sphere bundle
-    as g_ab = (1/8) tr(d_a P d_b P); for a conformal Gauss map this
-    equals <kappa, conj kappa> (du^2 + dv^2) up to discretization error.
-    """
-    P = _projector(S)
-    Pu = d_u(P, S.chart)
-    Pv = d_v(P, S.chart)
-    guu = np.einsum("...ij,...ji->...", Pu, Pu) / 8.0
-    gvv = np.einsum("...ij,...ji->...", Pv, Pv) / 8.0
-    guv = np.einsum("...ij,...ji->...", Pu, Pv) / 8.0
-    return {"guu": guu, "gvv": gvv, "guv": guv}

@@ -20,7 +20,6 @@ __all__ = [
     "validate_group",
     "validate_algebra",
     "cartan_split",
-    "bracket",
     "involution_matrix",
     "boost",
 ]
@@ -76,10 +75,17 @@ def validate_group(M: np.ndarray, tol: float = 1e-9):
 
 
 def lorentz_inverse(M: np.ndarray) -> np.ndarray:
-    """Exact inverse I M^T I for M in O(1, d-1); cheaper than LU."""
+    """Exact inverse I M^T I for M in O(1, d-1); cheaper than LU.
+
+    The diagonal metric only flips signs, so I M^T I is the transpose
+    with entries (i, j) scaled by s_i s_j, s = diag(I).  The result is a
+    new C-contiguous array (matmuls on a strided transpose are slower).
+    """
     M = np.asarray(M)
-    I = metric(M.shape[-1])
-    return I @ np.swapaxes(M, -1, -2) @ I
+    s = np.diag(metric(M.shape[-1]))
+    out = np.swapaxes(M, -1, -2).copy()
+    out *= np.outer(s, s)
+    return out
 
 
 def validate_algebra(X: np.ndarray, tol: float = 1e-9):
@@ -116,11 +122,6 @@ def cartan_split(X: np.ndarray, tol: float = 1e-9):
     p[..., :4, 4:] = X[..., :4, 4:]
     p[..., 4:, :4] = X[..., 4:, :4]
     return k, p
-
-
-def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix commutator XY - YX."""
-    return X @ Y - Y @ X
 
 
 def boost(t: float, dim: int, axis: int = 1) -> np.ndarray:

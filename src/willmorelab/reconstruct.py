@@ -130,15 +130,29 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
     Mh = maurer_cartan(FrameField(F=Fh, chart=c,
                                   group_residual=Ff.group_residual))
     if orient == "conjugate":
-        Mh = MCBlocks(A1=np.conj(Mh.A1), A2=np.conj(Mh.A2),
-                      B1=np.conj(Mh.B1), B2=np.conj(Mh.B2),
-                      chart=c, b2_residual=Mh.b2_residual)
+        Mh = Mh.conjugate()
     shape_res = spinor.canonical_shape_residual(Mh.B1)
     null_res = float(np.max(np.abs(
         np.swapaxes(Mh.B1, -1, -2) @ I13 @ Mh.B1)))
     return NormalizedFrame(F=Fh, blocks=Mh, orientation=orient, gauge=A,
                            chart=c, shape_residual=shape_res,
                            null_residual=null_res)
+
+
+def _rejection_operator(F: np.ndarray) -> np.ndarray:
+    """Grid mean of C^T C, C = Id - P the rejection from the bundle.
+
+    P = sum_k eps_k f_k f_k^T I projects Minkowski-orthogonally onto the
+    span of the first four columns f_k of F (eps = diag(-1, 1, 1, 1)).
+    The diagonal metrics are exact sign flips, and the grid mean of
+    C^T C is one product of the stacked rejections.
+    """
+    dim = F.shape[-1]
+    F4 = F[..., :, :4]
+    P = ((F4 * np.array([-1.0, 1.0, 1.0, 1.0])) @ np.swapaxes(F4, -1, -2)) \
+        * np.diag(metric(dim))
+    C = (np.eye(dim) - P).reshape(-1, dim)
+    return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
 def constant_lightlike_vector(F: np.ndarray, c: Chart,
@@ -155,14 +169,7 @@ def constant_lightlike_vector(F: np.ndarray, c: Chart,
     Returns (L, diagnostics); L is None if the kernel holds no null
     vector within null_tol (relative to the unit Euclidean norm).
     """
-    dim = F.shape[-1]
-    I = metric(dim)
-    eps = np.array([-1.0, 1.0, 1.0, 1.0])
-    P = np.einsum("...ik,k,...jk,jl->...il", F[..., :, :4], eps,
-                  F[..., :, :4], I)
-    C = np.eye(dim) - P
-    M = np.mean(np.einsum("...ki,...kj->...ij", C, C), axis=(0, 1))
-    w, V = np.linalg.eigh(M)
+    w, V = np.linalg.eigh(_rejection_operator(F))
     kdim = int(np.sum(w < rel_gap * w[-1]))
     diag = {"eigenvalues": w[:3].tolist(), "kernel_dim": kdim}
 
@@ -442,8 +449,12 @@ def classify(NF: NormalizedFrame, tol: float = 1e-6,
             "no Willmore surface: degenerate with rank 2, not the "
             "conformal Gauss map of any surface", details)
 
-    # degenerate rank-1: renormalize so the constant vector is [e0-e0hat]
-    NFc = normalize(FrameField(F=NF.F, chart=c), orientation="conjugate")
+    # degenerate rank-1: renormalize so the constant vector is [e0-e0hat];
+    # NF.blocks are maurer_cartan(NF.F), conjugated with the orientation
+    M0 = NF.blocks.conjugate() if NF.orientation == "conjugate" \
+        else NF.blocks
+    NFc = normalize(FrameField(F=NF.F, chart=c), M0,
+                    orientation="conjugate")
     y0c = to_sphere_map(NFc.Y0, c).values
     im = c.interior_mask(DEFAULT_MARGIN)
     drift = float(np.max(np.sqrt(np.sum(

@@ -168,10 +168,10 @@ def save(path: str, field: np.ndarray, c: Chart, fmt: str = "csv") -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["u", "v"] + [f"Y{i}" for i in range(dim)])
+        # csv writes floats with repr; one grid row at a time bounds
+        # the list of Python floats
         for i in range(c.Nu):
-            for j in range(c.Nv):
-                w.writerow([repr(float(U[i, j])), repr(float(V[i, j]))]
-                           + [repr(float(x)) for x in field[i, j]])
+            w.writerows(np.column_stack([U[i], V[i], field[i]]).tolist())
 
 
 def load(path: str, c: Chart, tol: float = 1e-9) -> np.ndarray:

@@ -2,18 +2,23 @@
 
 The geometric oracles work directly on embedding samples with their own
 finite differences (np.roll on periodic grids), deliberately sharing no
-code with the package under test.  The loop-curvature oracle at the end
-shares only the package's stencils and norms: it assembles the full
+code with the package under test.  The loop-curvature oracle shares
+only the package's stencils and norms: it assembles the full
 (n+4)x(n+4) coefficients of alpha_lambda and differentiates them, where
-`harmonic.flatness_sweep` works on Laurent coefficients in blocks.
+`harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
+oracles after it are the reference forms of package code written
+otherwise (per-point einsums, per-point CSV rows) and helpers that no
+package path calls.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_z, d_zbar, l2_norm,
-                               sup_norm)
+from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
+                               l2_norm, sup_norm)
+from willmorelab.lorentz import metric
 
 
 def _roll_diff(f, axis, h):
@@ -121,3 +126,68 @@ def flatness_residual(E: ExtendedForm, margin: int = DEFAULT_MARGIN) -> dict:
     mask = c.interior_mask(margin)
     return {"lambda": E.lam, "sup": sup_norm(R, mask),
             "l2": l2_norm(R, c, mask)}
+
+
+def bracket(X, Y):
+    """Matrix commutator XY - YX."""
+    return X @ Y - Y @ X
+
+
+def sphere_bundle_projector(S):
+    """Minkowski-orthogonal projector onto span{Y, N, Y_u, Y_v}."""
+    c = S.chart
+    phi1 = (S.Y + S.N) / np.sqrt(2.0)
+    phi2 = (-S.Y + S.N) / np.sqrt(2.0)
+    phi3 = d_u(S.Y, c)
+    phi4 = d_v(S.Y, c)
+    I = metric(S.Y.shape[-1])
+    P = -np.einsum("...i,...j->...ij", phi1, phi1 @ I)
+    for phi in (phi2, phi3, phi4):
+        P += np.einsum("...i,...j->...ij", phi, phi @ I)
+    return P
+
+
+def conformal_gauss_metric(S):
+    """Induced metric of the sphere congruence, as coefficient fields.
+
+    Computed from the projector field P onto the central sphere bundle
+    as g_ab = (1/8) tr(d_a P d_b P); for a conformal Gauss map this
+    equals <kappa, conj kappa> (du^2 + dv^2) up to discretization error.
+    """
+    P = sphere_bundle_projector(S)
+    Pu = d_u(P, S.chart)
+    Pv = d_v(P, S.chart)
+    guu = np.einsum("...ij,...ji->...", Pu, Pu) / 8.0
+    gvv = np.einsum("...ij,...ji->...", Pv, Pv) / 8.0
+    guv = np.einsum("...ij,...ji->...", Pu, Pv) / 8.0
+    return {"guu": guu, "gvv": gvv, "guv": guv}
+
+
+def rejection_operator(F, eps=(-1.0, 1.0, 1.0, 1.0), I=None):
+    """Grid mean of C^T C, C = Id - P, P the projector onto the first
+    four columns of F: per-point einsums, as `constant_lightlike_vector`
+    computed it before its single product.
+
+    `eps` (the metric on the four columns) and `I` (the ambient metric)
+    are exposed so tests can build deliberately broken operators.
+    """
+    dim = F.shape[-1]
+    if I is None:
+        I = metric(dim)
+    P = np.einsum("...ik,k,...jk,jl->...il", F[..., :, :4], np.asarray(eps),
+                  F[..., :, :4], I)
+    C = np.eye(dim) - P
+    return np.mean(np.einsum("...ki,...kj->...ij", C, C), axis=(0, 1))
+
+
+def save_csv_per_point(path, field, c):
+    """CSV lift export one grid point at a time, each float by repr."""
+    U, V = c.grid()
+    dim = field.shape[-1]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["u", "v"] + [f"Y{i}" for i in range(dim)])
+        for i in range(c.Nu):
+            for j in range(c.Nv):
+                w.writerow([repr(float(U[i, j])), repr(float(V[i, j]))]
+                           + [repr(float(x)) for x in field[i, j]])

@@ -102,7 +102,7 @@ def test_b_operator_exchanges_bundles(pipe):
 
 def test_conformal_gauss_metric_is_round(pipe):
     c, S, _, _ = pipe("clifford_torus")
-    g = gauss_frame.conformal_gauss_metric(S)
+    g = oracles.conformal_gauss_metric(S)
     k2 = S.k2
     m = S.residual_mask()
     assert sup_norm(g["guu"] - k2, m) < 100 * c.h**2

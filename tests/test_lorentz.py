@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from willmorelab import lorentz
 
+import oracles
+
 
 def vec_strategy(dim=5):
     return st.lists(st.floats(-10, 10, allow_nan=False), min_size=dim,
@@ -75,6 +77,24 @@ def test_lorentz_inverse_on_fields(rng):
     assert np.allclose(Fi @ F, np.eye(5), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [5, 6])
+def test_lorentz_inverse_is_the_metric_transpose(rng, dim):
+    """Sign flips give I M^T I bit for bit, as a fresh C-contiguous array
+    (maurer_cartan multiplies with it)."""
+    I = lorentz.metric(dim)
+    M = rng.normal(size=(3, 7, dim, dim))
+    got = lorentz.lorentz_inverse(M)
+    assert np.array_equal(got, I @ np.swapaxes(M, -1, -2) @ I)
+    assert got.flags["C_CONTIGUOUS"]
+    # a transposed view must not come back as the caller's own buffer
+    X = rng.normal(size=(dim, dim))
+    Xt = X.T
+    keep = X.copy()
+    got = lorentz.lorentz_inverse(Xt)
+    assert np.array_equal(got, I @ X @ I)
+    assert np.array_equal(X, keep) and not np.shares_memory(got, X)
+
+
 def test_algebra_membership():
     X = np.zeros((5, 5))
     X[0, 1] = X[1, 0] = 1.0      # boost generator
@@ -108,9 +128,9 @@ def test_cartan_bracket_relations(rng):
 
     k1, p1 = lorentz.cartan_split(rand_so())
     k2, p2 = lorentz.cartan_split(rand_so())
-    for Z, part in ((lorentz.bracket(k1, k2), 0),
-                    (lorentz.bracket(k1, p2), 1),
-                    (lorentz.bracket(p1, p2), 0)):
+    for Z, part in ((oracles.bracket(k1, k2), 0),
+                    (oracles.bracket(k1, p2), 1),
+                    (oracles.bracket(p1, p2), 0)):
         zk, zp = lorentz.cartan_split(Z)
         other = zp if part == 0 else zk
         assert np.max(np.abs(other)) < 1e-12 * (np.max(np.abs(Z)) + 1)

@@ -7,6 +7,7 @@ from willmorelab.gauss_frame import FrameField, maurer_cartan
 from willmorelab.lorentz import inner, validate_group
 
 import helpers
+import oracles
 
 
 def normalized(pipe, kind, N=48, param=None, **kw):
@@ -65,6 +66,67 @@ def test_constant_vector_found_for_reduced_frame():
     err = min(np.max(np.abs(L[1:] - s * np.array([1 / np.sqrt(2), 0, 0, 0])))
               for s in (1.0, -1.0))
     assert abs(L[0] - 1 / np.sqrt(2)) < 1e-6 and err < 1e-6
+
+
+def _lightlike_cases(pipe):
+    """(frame, chart) pairs for the lightlike-vector search: normalized
+    zoo frames without (clifford, veronese) and with (enneper, catenoid)
+    a constant lightlike vector, and the reduced degenerate frame."""
+    for kind in ("clifford_torus", "veronese_s4", "enneper", "catenoid"):
+        c, _, NF = normalized(pipe, kind)
+        yield kind, NF.F, c
+    c = Chart(-1, 1, -1, 1, 32, 32, "open")
+    yield "reduced", helpers.reduced_frame_field(c), c
+
+
+def test_constant_vector_search_matches_einsum_oracle(pipe, monkeypatch):
+    """The one-product rejection operator equals the per-point einsum
+    form, and the search reads the same kernel and vector off either."""
+    for name, F, c in _lightlike_cases(pipe):
+        want = oracles.rejection_operator(F)
+        got = reconstruct._rejection_operator(F)
+        assert np.max(np.abs(got - want)) <= 1e-12, name
+        L, diag = reconstruct.constant_lightlike_vector(F, c)
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct, "_rejection_operator",
+                      oracles.rejection_operator)
+            L_ref, diag_ref = reconstruct.constant_lightlike_vector(F, c)
+        assert diag["kernel_dim"] == diag_ref["kernel_dim"], name
+        assert (L is None) == (L_ref is None), name
+        if L is not None:
+            assert np.max(np.abs(L - L_ref)) <= 1e-12, name
+
+
+def test_rejection_oracle_rejects_broken_operators(pipe):
+    """Dropping the timelike sign of column 0, or the ambient metric,
+    misses the oracle by O(1) (4 to 14 at N=48) on every case."""
+    for name, F, _ in _lightlike_cases(pipe):
+        want = oracles.rejection_operator(F)
+        no_eps = oracles.rejection_operator(F, eps=(1.0, 1.0, 1.0, 1.0))
+        no_metric = oracles.rejection_operator(F, I=np.eye(F.shape[-1]))
+        for mutant in (no_eps, no_metric):
+            assert np.max(np.abs(mutant - want)) > 1.0, name
+
+
+@pytest.mark.parametrize("kind", ["enneper", "catenoid"])
+@pytest.mark.parametrize("orientation", ["same", "conjugate"])
+def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
+    """The conjugate renormalization in classify starts from NF.blocks
+    and matches a renormalization that recomputes maurer_cartan."""
+    c, _, Ff, M = pipe(kind)
+    NF = reconstruct.normalize(Ff, M, orientation=orientation)
+    assert NF.orientation == orientation
+    M0 = NF.blocks.conjugate() if orientation == "conjugate" else NF.blocks
+    ref = reconstruct.normalize(FrameField(F=NF.F, chart=c),
+                                orientation="conjugate")
+    got = reconstruct.normalize(FrameField(F=NF.F, chart=c), M0,
+                                orientation="conjugate")
+    in_classify = reconstruct.classify(NF).details["normalized_conjugate"]
+    for NFc in (got, in_classify):
+        assert np.array_equal(NFc.F, ref.F)
+        for b in ("A1", "A2", "B1", "B2"):
+            assert np.array_equal(getattr(NFc.blocks, b),
+                                  getattr(ref.blocks, b)), b
 
 
 def test_sphere_map_representatives(pipe):

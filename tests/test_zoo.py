@@ -5,6 +5,8 @@ from willmorelab import surface, zoo
 from willmorelab.chart import Chart
 from willmorelab.lorentz import is_forward_lightlike
 
+import oracles
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -64,6 +66,20 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
     zoo.save(str(p), raw, c)
     back = zoo.load(str(p), c)
     assert np.array_equal(back, raw)          # repr() round-trips floats
+
+
+@pytest.mark.parametrize("kind", ["enneper", "clifford_torus"])
+def test_csv_bytes_match_per_point_writer(tmp_path, kind):
+    """Row-at-a-time export writes the bytes of the per-point repr writer,
+    on an open and on a periodic chart."""
+    spec = zoo.SurfaceSpec(kind)
+    c = zoo.default_chart(spec, 12)
+    raw = zoo.generate(spec, c)
+    zoo.save(str(tmp_path / "got.csv"), raw, c)
+    oracles.save_csv_per_point(str(tmp_path / "want.csv"), raw, c)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert len(want) > 0
+    assert (tmp_path / "got.csv").read_bytes() == want
 
 
 def test_json_roundtrip(tmp_path):
