@@ -122,14 +122,29 @@ def d_v(f: np.ndarray, c: Chart) -> np.ndarray:
     return _diff_axis(f, c.hv, 1, c.periodic_v)
 
 
+def wirtinger(fu: np.ndarray, fv: np.ndarray, sign: int) -> np.ndarray:
+    """0.5*(fu + sign*i*fv) from the two partials, sign = -1 (d_z) or +1.
+
+    For real partials the halves are written straight into the real and
+    imaginary parts of one complex array, with no complex temporaries;
+    the result equals the complex formula bit for bit.
+    """
+    if np.iscomplexobj(fu) or np.iscomplexobj(fv):
+        return 0.5 * (fu + 1j * fv) if sign > 0 else 0.5 * (fu - 1j * fv)
+    out = np.empty(fu.shape, dtype=complex)
+    np.multiply(fu, 0.5, out=out.real)
+    np.multiply(fv, 0.5 * sign, out=out.imag)
+    return out
+
+
 def d_z(f: np.ndarray, c: Chart) -> np.ndarray:
     """Wirtinger derivative 0.5*(d_u - i d_v)."""
-    return 0.5 * (d_u(f, c) - 1j * d_v(f, c))
+    return wirtinger(d_u(f, c), d_v(f, c), -1)
 
 
 def d_zbar(f: np.ndarray, c: Chart) -> np.ndarray:
     """Wirtinger derivative 0.5*(d_u + i d_v)."""
-    return 0.5 * (d_u(f, c) + 1j * d_v(f, c))
+    return wirtinger(d_u(f, c), d_v(f, c), 1)
 
 
 def integrate(f: np.ndarray, c: Chart):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import Chart, d_u, d_v, d_z, integrate, sup_norm
+from .chart import Chart, d_u, d_v, integrate, wirtinger
 from .lorentz import inner, lorentz_inverse, metric, validate_group
 from .surface import SurfaceData, normal_derivative_components
 
@@ -126,7 +126,8 @@ class MCBlocks:
 def maurer_cartan(Ff: FrameField, c: Chart | None = None) -> MCBlocks:
     """alpha(d_z) = F^{-1} d_z F split into (A1, A2, B1, B2)."""
     c = c or Ff.chart
-    alpha = Ff.inverse().astype(complex) @ d_z(Ff.F, c)
+    inv = Ff.inverse()
+    alpha = wirtinger(inv @ d_u(Ff.F, c), inv @ d_v(Ff.F, c), -1)
     A1 = alpha[..., :4, :4]
     A2 = alpha[..., 4:, 4:]
     B1 = alpha[..., :4, 4:]
@@ -179,19 +180,6 @@ def willmore_residual(S: SurfaceData) -> np.ndarray:
     """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa."""
     eta = normal_derivative_components(S, S.beta, zbar=True)
     return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
-
-
-def b_operator(Ff: FrameField, M: MCBlocks) -> np.ndarray:
-    """The sphere-congruence derivative operator F alpha_p(d_z) F^{-1}.
-
-    Conjugating the off-diagonal Maurer-Cartan part back to the ambient
-    space makes the operator frame-independent; it exchanges the bundle
-    spanned by (Y, N, Y_u, Y_v) with its normal complement and is
-    nilpotent on the complement exactly when the underlying map is a
-    conformal Gauss map.
-    """
-    Fi = Ff.inverse().astype(complex)
-    return Ff.F.astype(complex) @ M.p_part() @ Fi
 
 
 def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,

@@ -18,10 +18,6 @@ __all__ = [
     "norm2",
     "is_forward_lightlike",
     "validate_group",
-    "validate_algebra",
-    "cartan_split",
-    "involution_matrix",
-    "boost",
 ]
 
 
@@ -86,47 +82,3 @@ def lorentz_inverse(M: np.ndarray) -> np.ndarray:
     out = np.swapaxes(M, -1, -2).copy()
     out *= np.outer(s, s)
     return out
-
-
-def validate_algebra(X: np.ndarray, tol: float = 1e-9):
-    """Membership test for so(1, d-1): X^T I + I X = 0."""
-    X = np.asarray(X)
-    I = metric(X.shape[-1])
-    res = np.max(np.abs(np.swapaxes(X, -1, -2) @ I + I @ X), axis=(-1, -2))
-    return res <= tol, res
-
-
-def involution_matrix(n: int) -> np.ndarray:
-    """diag(-I4, In), the involution defining the symmetric-space split."""
-    D = np.eye(n + 4)
-    D[:4, :4] *= -1.0
-    return D
-
-
-def cartan_split(X: np.ndarray, tol: float = 1e-9):
-    """Split X in so(1, n+3) into block-diagonal k-part and off-diagonal p-part.
-
-    The k-part keeps the 4x4 and nxn diagonal blocks, the p-part the 4xn
-    and nx4 off-diagonal blocks.  Raises ValueError if X is not in the
-    algebra beyond tol (relative to |X|).
-    """
-    X = np.asarray(X)
-    scale = np.max(np.abs(X)) + 1e-300
-    ok, res = validate_algebra(X, tol * scale)
-    if not np.all(ok):
-        raise ValueError(f"input not in so(1,n+3): residual {np.max(res):.3e}")
-    k = np.zeros_like(X)
-    p = np.zeros_like(X)
-    k[..., :4, :4] = X[..., :4, :4]
-    k[..., 4:, 4:] = X[..., 4:, 4:]
-    p[..., :4, 4:] = X[..., :4, 4:]
-    p[..., 4:, :4] = X[..., 4:, :4]
-    return k, p
-
-
-def boost(t: float, dim: int, axis: int = 1) -> np.ndarray:
-    """Boost by rapidity t in the (0, axis) plane of R^dim."""
-    B = np.eye(dim)
-    B[0, 0] = B[axis, axis] = np.cosh(t)
-    B[0, axis] = B[axis, 0] = np.sinh(t)
-    return B

@@ -14,18 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    sup_norm, l2_norm, umbilic_mask)
-from .lorentz import inner
+                    sup_norm, l2_norm, umbilic_mask, wirtinger)
+from .lorentz import inner, metric
 
 
 class DegenerateImmersionError(ValueError):
     pass
-
-
-def conformality_residual(Y: np.ndarray, c: Chart) -> float:
-    """sup |<Y_z, Y_z>| (zero for a conformal immersion)."""
-    Yz = d_z(Y, c)
-    return float(np.max(np.abs(inner(Yz, Yz))))
 
 
 def canonical_lift(raw: np.ndarray, c: Chart, tol: float = 1e-8) -> np.ndarray:
@@ -64,15 +58,16 @@ def frame_N(Y: np.ndarray, c: Chart) -> np.ndarray:
     return a[..., None] * W + coef[..., None] * Y
 
 
-def _project_out_span(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Minkowski-orthogonal projection of w onto the complement of span(basis).
+def _complement_solver(B: np.ndarray) -> np.ndarray:
+    """Q = G^{-1} B s for the rows B (..., m, dim), G = (B s) B^T their
+    Lorentz Gram matrix and s = diag(I) the metric signs.
 
-    basis has shape (..., m, dim) with a nondegenerate Gram matrix.
+    The Minkowski-orthogonal projection of w onto the complement of the
+    span of the rows is then w - B^T (Q w).
     """
-    G = inner(basis[..., :, None, :], basis[..., None, :, :])
-    rhs = inner(basis, w[..., None, :])
-    coef = np.linalg.solve(G, rhs[..., None])[..., 0]
-    return w - np.sum(coef[..., None] * basis, axis=-2)
+    Bs = B * np.diag(metric(B.shape[-1]))
+    G = Bs @ np.swapaxes(B, -1, -2)
+    return np.linalg.solve(G, Bs)
 
 
 def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
@@ -88,25 +83,25 @@ def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_frame(Y: np.ndarray, N: np.ndarray, c: Chart) -> np.ndarray:
+def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Oriented orthonormal frame psi of the normal bundle, shape (Nu,Nv,n,dim).
 
-    Seeded by Gram-Schmidt of the ambient basis at (0,0) and propagated by
+    B = stack(Y, N, Y_u, Y_v) of shape (Nu, Nv, 4, dim) spans the mean
+    curvature sphere bundle and Q = `_complement_solver(B)`, so rows w
+    project onto the normal bundle as w - (w Q^T) B.  Seeded by
+    Gram-Schmidt of the ambient basis at (0,0) and propagated by
     nearest-frame alignment: each point projects its neighbour's frame
     onto its own normal space and re-orthonormalizes.  Row 0 is swept
     sequentially, every later row follows its predecessor in one
     vectorized step, so the result is deterministic.
     """
-    dim = Y.shape[-1]
+    dim = B.shape[-1]
     n = dim - 4
-    basis = np.stack([Y, N, d_u(Y, c), d_v(Y, c)], axis=-2)
+    QT = np.swapaxes(Q, -1, -2)
 
-    # seed frame at (0, 0)
+    # seed frame at (0, 0): projected ambient basis vectors e_i
     seed = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        w = _project_out_span(e, basis[0, 0])
+    for w in np.eye(dim) - QT[0, 0] @ B[0, 0]:
         for prev in seed:
             w = w - inner(w, prev) * prev
         nrm = inner(w, w)
@@ -118,20 +113,20 @@ def normal_frame(Y: np.ndarray, N: np.ndarray, c: Chart) -> np.ndarray:
         raise RuntimeError("could not seed the normal frame")
 
     # orient the seed so that (phi1..phi4, psi) is positively oriented
+    Y, N, Yu, Yv = B[0, 0]
     r2 = np.sqrt(2.0)
-    F0 = np.stack([(Y[0, 0] + N[0, 0]) / r2, (-Y[0, 0] + N[0, 0]) / r2,
-                   basis[0, 0, 2], basis[0, 0, 3]] + seed, axis=-1)
+    F0 = np.stack([(Y + N) / r2, (-Y + N) / r2, Yu, Yv] + seed, axis=-1)
     if np.linalg.det(F0) < 0:
         seed[-1] = -seed[-1]
 
-    psi = np.empty(Y.shape[:2] + (n, dim))
+    psi = np.empty(B.shape[:2] + (n, dim))
     psi[0, 0] = np.stack(seed)
-    for j in range(1, Y.shape[1]):
-        cand = _project_out_span(psi[0, j - 1], basis[0, j][None, :, :])
-        psi[0, j] = _orthonormalize(cand)
-    for i in range(1, Y.shape[0]):
-        cand = _project_out_span(psi[i - 1], basis[i][:, None, :, :])
-        psi[i] = _orthonormalize(cand)
+    for j in range(1, B.shape[1]):
+        w = psi[0, j - 1]
+        psi[0, j] = _orthonormalize(w - (w @ QT[0, j]) @ B[0, j])
+    for i in range(1, B.shape[0]):
+        w = psi[i - 1]
+        psi[i] = _orthonormalize(w - (w @ QT[i]) @ B[i])
     return psi
 
 
@@ -171,17 +166,27 @@ class SurfaceData:
 
 def invariants(Y: np.ndarray, N: np.ndarray, c: Chart) -> SurfaceData:
     """Compute kappa, s, psi, b, beta from canonical data."""
-    Yz = d_z(Y, c)
+    Yu, Yv = d_u(Y, c), d_v(Y, c)
+    Yz = wirtinger(Yu, Yv, -1)
     Yzz = d_z(Yz, c)
     s = 2.0 * inner(Yzz, N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
 
-    basisC = np.stack([Y, N, Yz, np.conj(Yz)], axis=-2).astype(complex)
-    kap = _project_out_span(kap_raw, basisC)
-    kproj_res = float(np.max(np.abs(kap - kap_raw)))
+    # span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u, Y_v) over C on the grid
+    # (d_z is the same linear stencil), so one real solver gives both
+    # kappa's part in the bundle and the normal frame of its complement
+    B = np.stack([Y, N, Yu, Yv], axis=-2)
+    Q = _complement_solver(B)
+    # real and imaginary parts apart, so Q is never cast to complex
+    QT = np.swapaxes(Q, -1, -2)
+    re, im = ((w[..., None, :] @ QT) @ B
+              for w in (kap_raw.real, kap_raw.imag))
+    kproj_res = float(np.max(np.hypot(re, im)))
 
-    psi = normal_frame(Y, N, c)
-    k = inner(kap[..., None, :], psi)                       # (Nu, Nv, n)
+    psi = normal_frame(B, Q)
+    del B, Q, QT, re, im    # not needed by the stencils below; lowers the peak
+    # psi lies in the complement, so kappa's part in the bundle drops out
+    k = inner(kap_raw[..., None, :], psi)                   # (Nu, Nv, n)
 
     b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
     b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))

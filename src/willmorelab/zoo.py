@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,27 @@ def save(path: str, field: np.ndarray, c: Chart, fmt: str = "csv") -> None:
             w.writerows(np.column_stack([U[i], V[i], field[i]]).tolist())
 
 
+def _read_csv(path: str) -> np.ndarray:
+    """The Y columns of a lift CSV, one row per grid point.
+
+    numpy's parser rounds each float correctly, so a file written by
+    `save` reads back bit for bit.  Short, long and malformed rows raise
+    ValueError.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[:2] != ["u", "v"]:
+            raise ValueError("expected header u,v,Y0,...")
+        with warnings.catch_warnings():
+            # a file without rows is reported as a grid mismatch
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if len(table) and table.shape[1] != len(header):
+        raise ValueError(f"rows have {table.shape[1]} columns, "
+                         f"header has {len(header)}")
+    return np.ascontiguousarray(table[:, 2:])
+
+
 def load(path: str, c: Chart, tol: float = 1e-9) -> np.ndarray:
     """Read a lift field and validate it against the chart.
 
@@ -188,18 +210,12 @@ def load(path: str, c: Chart, tol: float = 1e-9) -> np.ndarray:
             raise ValueError("chart in file does not match requested chart")
         field = np.asarray(data["values"], dtype=float)
     else:
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header[:2] != ["u", "v"]:
-                raise ValueError("expected header u,v,Y0,...")
-            dim = len(header) - 2
-            rows = [[float(x) for x in row[2:]] for row in r]
+        rows = _read_csv(path)
         if len(rows) != c.Nu * c.Nv:
             raise ValueError(
                 f"grid mismatch: file has {len(rows)} points, "
                 f"chart wants {c.Nu * c.Nv}")
-        field = np.asarray(rows, dtype=float).reshape(c.Nu, c.Nv, dim)
+        field = rows.reshape(c.Nu, c.Nv, -1)
     ok = is_forward_lightlike(field, tol)
     if not np.all(ok):
         i, j = np.argwhere(~ok)[0]

@@ -7,8 +7,9 @@ only the package's stencils and norms: it assembles the full
 (n+4)x(n+4) coefficients of alpha_lambda and differentiates them, where
 `harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
 oracles after it are the reference forms of package code written
-otherwise (per-point einsums, per-point CSV rows) and helpers that no
-package path calls.
+otherwise (per-point einsums, per-point CSV rows, per-call span
+projections, complex products, the csv module's float reader) and
+helpers that no package path calls.
 """
 
 import csv
@@ -18,7 +19,7 @@ import numpy as np
 
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                l2_norm, sup_norm)
-from willmorelab.lorentz import metric
+from willmorelab.lorentz import inner, metric
 
 
 def _roll_diff(f, axis, h):
@@ -191,3 +192,157 @@ def save_csv_per_point(path, field, c):
             for j in range(c.Nv):
                 w.writerow([repr(float(U[i, j])), repr(float(V[i, j]))]
                            + [repr(float(x)) for x in field[i, j]])
+
+
+def read_csv_per_float(path):
+    """The Y columns of a lift CSV through the csv module and float()."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(r)
+        return np.asarray([[float(x) for x in row[2:]] for row in r],
+                          dtype=float)
+
+
+def conformality_residual(Y, c):
+    """sup |<Y_z, Y_z>| (zero for a conformal immersion)."""
+    Yz = d_z(Y, c)
+    return float(np.max(np.abs(inner(Yz, Yz))))
+
+
+def b_operator(Ff, M):
+    """The sphere-congruence derivative operator F alpha_p(d_z) F^{-1}.
+
+    Conjugating the off-diagonal Maurer-Cartan part back to the ambient
+    space makes the operator frame-independent; it exchanges the bundle
+    spanned by (Y, N, Y_u, Y_v) with its normal complement and is
+    nilpotent on the complement exactly when the underlying map is a
+    conformal Gauss map.
+    """
+    Fi = Ff.inverse().astype(complex)
+    return Ff.F.astype(complex) @ M.p_part() @ Fi
+
+
+def maurer_cartan_complex(Ff):
+    """F^{-1} d_z F as one complex product, d_z by the complex formula."""
+    c = Ff.chart
+    Fz = 0.5 * (d_u(Ff.F, c) - 1j * d_v(Ff.F, c))
+    return Ff.inverse().astype(complex) @ Fz
+
+
+def validate_algebra(X, tol=1e-9):
+    """Membership test for so(1, d-1): X^T I + I X = 0."""
+    X = np.asarray(X)
+    I = metric(X.shape[-1])
+    res = np.max(np.abs(np.swapaxes(X, -1, -2) @ I + I @ X), axis=(-1, -2))
+    return res <= tol, res
+
+
+def involution_matrix(n):
+    """diag(-I4, In), the involution defining the symmetric-space split."""
+    D = np.eye(n + 4)
+    D[:4, :4] *= -1.0
+    return D
+
+
+def cartan_split(X, tol=1e-9):
+    """Split X in so(1, n+3) into block-diagonal k-part and off-diagonal p-part.
+
+    The k-part keeps the 4x4 and nxn diagonal blocks, the p-part the 4xn
+    and nx4 off-diagonal blocks.  Raises ValueError if X is not in the
+    algebra beyond tol (relative to |X|).
+    """
+    X = np.asarray(X)
+    scale = np.max(np.abs(X)) + 1e-300
+    ok, res = validate_algebra(X, tol * scale)
+    if not np.all(ok):
+        raise ValueError(f"input not in so(1,n+3): residual {np.max(res):.3e}")
+    k = np.zeros_like(X)
+    p = np.zeros_like(X)
+    k[..., :4, :4] = X[..., :4, :4]
+    k[..., 4:, 4:] = X[..., 4:, 4:]
+    p[..., :4, 4:] = X[..., :4, 4:]
+    p[..., 4:, :4] = X[..., 4:, :4]
+    return k, p
+
+
+def boost(t, dim, axis=1):
+    """Boost by rapidity t in the (0, axis) plane of R^dim."""
+    B = np.eye(dim)
+    B[0, 0] = B[axis, axis] = np.cosh(t)
+    B[0, axis] = B[axis, 0] = np.sinh(t)
+    return B
+
+
+def project_out_span(w, basis):
+    """Minkowski-orthogonal projection of w onto the complement of
+    span(basis), by a Gram solve per call.
+
+    basis has shape (..., m, dim) with a nondegenerate Gram matrix.
+    """
+    G = inner(basis[..., :, None, :], basis[..., None, :, :])
+    rhs = inner(basis, w[..., None, :])
+    coef = np.linalg.solve(G, rhs[..., None])[..., 0]
+    return w - np.sum(coef[..., None] * basis, axis=-2)
+
+
+def _gram_schmidt(vecs):
+    """Modified Gram-Schmidt on (..., n, dim) spacelike vectors."""
+    out = np.array(vecs, dtype=float)
+    for j in range(out.shape[-2]):
+        for i in range(j):
+            out[..., j, :] -= inner(out[..., j, :], out[..., i, :])[..., None] \
+                * out[..., i, :]
+        nrm = np.sqrt(inner(out[..., j, :], out[..., j, :]))
+        out[..., j, :] /= nrm[..., None]
+    return out
+
+
+def normal_frame_per_row(Y, N, c):
+    """The normal frame psi swept as `surface.normal_frame` does, each
+    step projecting with its own Gram solve on the basis (Y, N, Y_u, Y_v)."""
+    dim = Y.shape[-1]
+    n = dim - 4
+    basis = np.stack([Y, N, d_u(Y, c), d_v(Y, c)], axis=-2)
+    seed = []
+    for e in np.eye(dim):
+        w = project_out_span(e, basis[0, 0])
+        for prev in seed:
+            w = w - inner(w, prev) * prev
+        nrm = inner(w, w)
+        if nrm > 1e-6:
+            seed.append(w / np.sqrt(nrm))
+        if len(seed) == n:
+            break
+    r2 = np.sqrt(2.0)
+    F0 = np.stack([(Y[0, 0] + N[0, 0]) / r2, (-Y[0, 0] + N[0, 0]) / r2,
+                   basis[0, 0, 2], basis[0, 0, 3]] + seed, axis=-1)
+    if np.linalg.det(F0) < 0:
+        seed[-1] = -seed[-1]
+    psi = np.empty(Y.shape[:2] + (n, dim))
+    psi[0, 0] = np.stack(seed)
+    for j in range(1, Y.shape[1]):
+        cand = project_out_span(psi[0, j - 1], basis[0, j][None, :, :])
+        psi[0, j] = _gram_schmidt(cand)
+    for i in range(1, Y.shape[0]):
+        cand = project_out_span(psi[i - 1], basis[i][:, None, :, :])
+        psi[i] = _gram_schmidt(cand)
+    return psi
+
+
+def invariants_by_span_projection(Y, N, c):
+    """kappa, psi, b, beta and the size of the part of kappa projected
+    off the complex basis (Y, N, Y_z, Y_zbar); psi from
+    `normal_frame_per_row`."""
+    Yz = d_z(Y, c)
+    Yzz = d_z(Yz, c)
+    s = 2.0 * inner(Yzz, N)
+    kap_raw = Yzz + 0.5 * s[..., None] * Y
+    basis = np.stack([Y, N, Yz, np.conj(Yz)], axis=-2).astype(complex)
+    kap = project_out_span(kap_raw, basis)
+    psi = normal_frame_per_row(Y, N, c)
+    k = inner(kap[..., None, :], psi)
+    b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
+    b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))
+    beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
+    return {"kappa": k, "psi": psi, "b": b, "beta": beta,
+            "kappa_proj_residual": float(np.max(np.abs(kap - kap_raw)))}

@@ -46,6 +46,20 @@ def test_wirtinger_on_holomorphic():
     assert np.allclose(d_zbar(f, c), 0, atol=1e-12)
 
 
+@pytest.mark.parametrize("chart", [open_chart(17), periodic_chart(16)],
+                         ids=["open", "periodic"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_wirtinger_is_the_complex_formula_bit_for_bit(rng, chart, dtype):
+    """Real fields get their halves written into one complex array;
+    the result is the complex formula 0.5*(d_u -+ i d_v) bit for bit."""
+    f = rng.normal(size=chart.shape + (3, 2))
+    if dtype is complex:
+        f = f + 1j * rng.normal(size=f.shape)
+    fu, fv = d_u(f, chart), d_v(f, chart)
+    assert np.array_equal(d_z(f, chart), 0.5 * (fu - 1j * fv))
+    assert np.array_equal(d_zbar(f, chart), 0.5 * (fu + 1j * fv))
+
+
 def test_second_order_convergence_on_trig():
     errs = []
     for N in (17, 33, 65):

@@ -92,12 +92,19 @@ def test_s_willmore_rank(pipe):
 def test_b_operator_exchanges_bundles(pipe):
     """F alpha_p F^{-1} maps the normal bundle into the sphere bundle."""
     c, S, Ff, M = pipe("clifford_torus")
-    B = gauss_frame.b_operator(Ff, M)
+    B = oracles.b_operator(Ff, M)
     img = np.einsum("...ij,...kj->...ki", B, S.psi.astype(complex))
     # the image must be Minkowski-orthogonal to every normal direction
     from willmorelab.lorentz import inner
     ip = inner(img[..., :, None, :], S.psi[..., None, :, :])
     assert np.max(np.abs(ip)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
+def test_maurer_cartan_is_the_complex_product(pipe, kind):
+    """Two real products combined into d_z give F^{-1} d_z F bit for bit."""
+    _, _, Ff, M = pipe(kind)
+    assert np.array_equal(M.full(), oracles.maurer_cartan_complex(Ff))
 
 
 def test_conformal_gauss_metric_is_round(pipe):

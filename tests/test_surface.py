@@ -3,7 +3,7 @@ import pytest
 
 from willmorelab import surface, zoo
 from willmorelab.chart import Chart, d_z, d_zbar
-from willmorelab.lorentz import inner
+from willmorelab.lorentz import inner, metric
 
 import oracles
 
@@ -110,11 +110,75 @@ def test_conformality_residual_flags_shear():
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 32, 32, "periodic-both")
     spec = zoo.SurfaceSpec("clifford_torus")
     raw = zoo.generate(spec, c)
-    assert surface.conformality_residual(raw, c) < 1e-10
+    assert oracles.conformality_residual(raw, c) < 1e-10
     # stretch one direction: no longer conformal
     cs = Chart(0, 2 * np.pi, 0, 4 * np.pi, 32, 32, "periodic-both")
     U, V = cs.grid()
     y = np.stack([np.cos(U), np.sin(U), np.cos(V / 2), np.sin(V / 2)],
                  axis=-1) / np.sqrt(2)
     raw2 = np.concatenate([np.ones(cs.shape + (1,)), y], axis=-1)
-    assert surface.conformality_residual(raw2, cs) > 0.05
+    assert oracles.conformality_residual(raw2, cs) > 0.05
+
+
+def hexagonal_torus_patch(N=48):
+    """Flat hexagonal torus in S^5 (n = 3), minimal and so Willmore, on an
+    open sub-chart of its period rectangle [0, 4pi] x [0, 4pi/sqrt3]."""
+    c = Chart(0.0, 2.0, 0.0, 2.0, N, N, "open")
+    U, V = c.grid()
+    r3 = np.sqrt(3.0)
+    angles = (U, -U / 2 + r3 * V / 2, -U / 2 - r3 * V / 2)
+    y = np.stack([f(a) for a in angles for f in (np.cos, np.sin)],
+                 axis=-1) / r3
+    return np.concatenate([np.ones(c.shape + (1,)), y], axis=-1), c
+
+
+def _span_oracle_case(pipe, case):
+    if case == "hexagonal_torus_s5":
+        raw, c = hexagonal_torus_patch()
+        S = surface.build_surface_data(raw, c)
+    else:
+        kind, _, param = case.partition(":")
+        c, S, _, _ = pipe(kind, 48, float(param) if param else None)
+    return S, oracles.invariants_by_span_projection(S.Y, S.N, c)
+
+
+@pytest.mark.parametrize("case", ["enneper", "catenoid", "clifford_torus",
+                                  "torus_of_revolution:3", "veronese_s4",
+                                  "hexagonal_torus_s5"])
+def test_invariants_match_span_projection_oracle(pipe, case):
+    """One real complement solver per grid gives the invariants of the
+    per-call projections: kappa off the complex basis (Y, N, Y_z, Y_zbar),
+    psi swept with a Gram solve per row."""
+    S, want = _span_oracle_case(pipe, case)
+    assert S.n == want["psi"].shape[-2]
+    for name in ("kappa", "psi", "b", "beta", "kappa_proj_residual"):
+        err = np.max(np.abs(getattr(S, name) - want[name]))
+        assert err <= 1e-12, (case, name, err)
+
+
+def _gram_without_metric(B):
+    return np.linalg.solve(B @ np.swapaxes(B, -1, -2),
+                           B * np.diag(metric(B.shape[-1])))
+
+
+def _three_rows_only(B, solve=surface._complement_solver):
+    Q = np.zeros_like(B)
+    Q[..., :3, :] = solve(B[..., :3, :])
+    return Q
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@pytest.mark.parametrize("broken", [_gram_without_metric, _three_rows_only])
+def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, broken):
+    """The oracle tells solvers apart: a Gram without the metric signs, or
+    a solver that leaves out Y_v, misses it by far more than 1e-12.
+
+    The metric-free Gram leaves most of the swept frame timelike (NaN
+    after normalization), so the miss is taken over the finite entries.
+    """
+    raw, c = hexagonal_torus_patch(24)
+    monkeypatch.setattr(surface, "_complement_solver", broken)
+    S = surface.build_surface_data(raw, c)
+    want = oracles.invariants_by_span_projection(S.Y, S.N, c)
+    for name in ("kappa", "psi"):
+        assert np.nanmax(np.abs(getattr(S, name) - want[name])) > 0.1, name

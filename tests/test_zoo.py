@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from willmorelab import surface, zoo
+from willmorelab import cli, surface, zoo
 from willmorelab.chart import Chart
 from willmorelab.lorentz import is_forward_lightlike
 
@@ -37,7 +37,7 @@ def test_generated_lifts_are_conformal(kind, param):
     c = zoo.default_chart(spec, 32)
     raw = zoo.generate(spec, c)
     Y = surface.canonical_lift(raw, c)
-    assert surface.conformality_residual(Y, c) < 50 * c.h**2
+    assert oracles.conformality_residual(Y, c) < 50 * c.h**2
 
 
 def test_periodicity_enforced():
@@ -96,8 +96,59 @@ def test_load_rejects_grid_mismatch(tmp_path):
     c = zoo.default_chart(spec, 12)
     zoo.save(str(tmp_path / "f.csv"), zoo.generate(spec, c), c)
     wrong = zoo.default_chart(spec, 16)
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match="^grid mismatch: file has 144 "
+                       "points, chart wants 256$"):
         zoo.load(str(tmp_path / "f.csv"), wrong)
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_header_only_is_a_grid_mismatch(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("u,v,Y0,Y1,Y2,Y3,Y4\r\n")
+    c = zoo.default_chart(zoo.SurfaceSpec("round_sphere"), 12)
+    with pytest.raises(ValueError, match="^grid mismatch: file has 0 "):
+        zoo.load(str(p), c)
+
+
+def test_csv_reader_matches_float_reader(tmp_path, rng):
+    """numpy's parser gives the csv module's float() values bit for bit:
+    on an exported lift and on repr floats spanning 1e-300 to 1e300."""
+    spec = zoo.SurfaceSpec("enneper")
+    c = zoo.default_chart(spec, 64)
+    p = tmp_path / "enneper.csv"
+    zoo.save(str(p), zoo.generate(spec, c), c)
+    assert np.array_equal(zoo._read_csv(str(p)),
+                          oracles.read_csv_per_float(str(p)))
+    x = rng.uniform(1, 10, size=(4000, 7)) * rng.choice([-1, 1], (4000, 7)) \
+        * 10.0 ** rng.integers(-300, 300, size=(4000, 7))
+    p = tmp_path / "random.csv"
+    p.write_text("u,v,Y0,Y1,Y2,Y3,Y4\r\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\r\n" for row in x))
+    got = zoo._read_csv(str(p))
+    assert np.array_equal(got, x[:, 2:])
+    assert np.array_equal(got, oracles.read_csv_per_float(str(p)))
+
+
+@pytest.mark.parametrize("line,text", [
+    (5, "0,0,1,1"), (5, "0,0,1,1,0,0,x"), (5, "0,0,1,1,0,0,"),
+    (5, "0,0,1,1,0,0,0,0"), (0, "u,v,Y0,Y1,Y2,Y3")],
+    ids=["short", "word", "empty", "long", "narrow_header"])
+def test_load_rejects_malformed_row(tmp_path, capsys, line, text):
+    """A bad row, or rows wider than the header, raise ValueError, which
+    the CLI turns into exit 3."""
+    spec = zoo.SurfaceSpec("round_sphere")
+    c = zoo.default_chart(spec, 12)
+    p = tmp_path / "f.csv"
+    zoo.save(str(p), zoo.generate(spec, c), c)
+    lines = p.read_text().splitlines()
+    lines[line] = text
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        zoo.load(str(p), c)
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    assert cli.main(["analyze", "--input", str(p), "--chart", chart]) == 3
+    assert "error" in capsys.readouterr().err
 
 
 def test_load_rejects_spacelike_row_with_index(tmp_path):
