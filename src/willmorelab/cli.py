@@ -240,7 +240,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
                1e-6 + 100.0 * c.h**2)
         if cl.case == "a2":
             md = reconstruct.dual_mu(NF)
-            ds = reconstruct.dual_surface(NF, md["mu"])
+            ds = reconstruct.dual_surface(NF, md["mu"], cl.max_rank)
             vg = reconstruct.verify_gauss_match(ds["map"], NF)
             roundtrip["dual_duality_residual"] = ds["duality_residual"]
             roundtrip["dual_orientation"] = vg["orientation"]

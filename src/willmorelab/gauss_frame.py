@@ -44,6 +44,12 @@ class FrameField:
         return self.F[..., :, i]
 
 
+def sphere_columns(Y: np.ndarray, N: np.ndarray, c: Chart) -> list:
+    """The frame columns (Y+N)/sqrt2, (-Y+N)/sqrt2, Y_u, Y_v spanning the
+    central sphere bundle of the canonical lift Y with its section N."""
+    return [(Y + N) / SQRT2, (-Y + N) / SQRT2, d_u(Y, c), d_v(Y, c)]
+
+
 def build_frame(S: SurfaceData, tol: float | None = None) -> FrameField:
     """Assemble the conformal Gauss frame from canonical surface data.
 
@@ -54,11 +60,8 @@ def build_frame(S: SurfaceData, tol: float | None = None) -> FrameField:
     c = S.chart
     if tol is None:
         tol = max(1e-8, 500.0 * c.h**2)
-    phi1 = (S.Y + S.N) / SQRT2
-    phi2 = (-S.Y + S.N) / SQRT2
-    phi3 = d_u(S.Y, c)
-    phi4 = d_v(S.Y, c)
-    cols = [phi1, phi2, phi3, phi4] + [S.psi[..., j, :] for j in range(S.n)]
+    cols = sphere_columns(S.Y, S.N, c) + [S.psi[..., j, :]
+                                          for j in range(S.n)]
     F = np.stack(cols, axis=-1)
     ok, res = validate_group(F, tol)
     residual = float(np.max(res))

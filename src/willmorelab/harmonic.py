@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import Chart, DEFAULT_MARGIN, d_zbar, integrate, l2_norm, sup_norm
-from .gauss_frame import FrameField, I13, MCBlocks, maurer_cartan
-from .lorentz import metric
+from .gauss_frame import I13, MCBlocks
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
 
@@ -138,31 +137,6 @@ def strong_conformal_check(B1: np.ndarray,
     tr = np.trace(G, axis1=-2, axis2=-1)
     return {"sup": sup_norm(G, mask),
             "trace_sup": sup_norm(tr, mask)}
-
-
-def gauge(M: MCBlocks, Ff: FrameField, G: np.ndarray,
-          tol: float = 1e-8) -> tuple[FrameField, MCBlocks]:
-    """Apply a pointwise gauge F -> F G with G in SO+(1,3) x SO(n).
-
-    G is (.., n+4, n+4) (constant matrices broadcast); must be
-    block-diagonal and Lorentz-orthogonal.  Blocks are recomputed from
-    the gauged frame, so the transformation law A-hat, B-hat carries all
-    stencil consistency with it.
-    """
-    G = np.asarray(G, dtype=float)
-    dim = Ff.F.shape[-1]
-    if G.shape[-1] != dim:
-        raise ValueError("gauge has wrong dimension")
-    if np.max(np.abs(G[..., :4, 4:])) > tol or \
-            np.max(np.abs(G[..., 4:, :4])) > tol:
-        raise ValueError("gauge is not block-diagonal")
-    I = metric(dim)
-    res = np.max(np.abs(np.swapaxes(G, -1, -2) @ I @ G - I))
-    if res > tol:
-        raise ValueError(f"gauge not in the group: residual {res:.3e}")
-    Fh = Ff.F @ G
-    Ffh = FrameField(F=Fh, chart=Ff.chart, group_residual=Ff.group_residual)
-    return Ffh, maurer_cartan(Ffh)
 
 
 def flatness_sweep(M: MCBlocks | LoopCurvature, lambdas=DEFAULT_LAMBDAS,

@@ -18,8 +18,9 @@ from . import spinor
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                     sup_norm)
 from .gauss_frame import FrameField, I13, MCBlocks, maurer_cartan, \
-    s_willmore_rank
+    s_willmore_rank, sphere_columns
 from .lorentz import inner, lorentz_inverse, metric
+from .surface import canonical_lift, frame_N
 
 SQRT2 = np.sqrt(2.0)
 
@@ -317,19 +318,19 @@ def build_Y_mu(NF: NormalizedFrame, mu: np.ndarray) -> dict:
             "mixed_pairing": np.real(inner(Yd, np.conj(Yd)))}
 
 
-def dual_surface(NF: NormalizedFrame, mu: np.ndarray,
+def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int,
                  margin: int = DEFAULT_MARGIN) -> dict:
     """Dual-surface representative for a rank-1 (duality) frame.
 
     Same algebraic field as build_Y_mu; additionally verifies that the
     holomorphic derivative of the dual stays inside the four-column
     bundle (the duality condition), and returns the sphere map.
+    `max_rank` is the maximal rank of NF.blocks.B1 that `classify`
+    reports.
     """
-    c0 = NF.chart
-    _, maxrank = s_willmore_rank(NF.blocks.B1, tol=max(1e-6, 50 * c0.h**2),
-                                 mask=c0.interior_mask(margin))
-    if maxrank > 1:
-        raise ValueError("dual surface needs max rank 1, got rank 2")
+    if max_rank > 1:
+        raise ValueError("dual surface needs max rank 1, got rank "
+                         f"{max_rank}")
     data = build_Y_mu(NF, mu)
     Ymu = data["Ymu"]
     c = NF.chart
@@ -492,11 +493,10 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame,
     Reports the sup principal-angle distance between the two subspace
     fields and the orientation sign of the change of basis.
     """
-    from .surface import build_surface_data
     c = NF.chart
-    S = build_surface_data(y.lift(), c)
-    phi = np.stack([(S.Y + S.N) / SQRT2, (-S.Y + S.N) / SQRT2,
-                    d_u(S.Y, c), d_v(S.Y, c)], axis=-2)   # (.., 4, dim)
+    Y = canonical_lift(y.lift(), c)
+    N = frame_N(Y, c)
+    phi = np.stack(sphere_columns(Y, N, c), axis=-2)    # (.., 4, dim)
     f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
 
     # Euclidean orthonormal projectors for the subspace distance
@@ -506,9 +506,11 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame,
     mask = c.interior_mask(margin)
     dist = sup_norm(D, mask)
 
-    # change of basis in the Minkowski metric and its orientation
-    G = inner(phi[..., :, None, :], phi[..., None, :, :])
-    M = inner(phi[..., :, None, :], f[..., None, :, :])
+    # change of basis in the Minkowski metric and its orientation; the
+    # diagonal metric only flips the sign of coordinate 0
+    phis = phi * np.diag(metric(phi.shape[-1]))
+    G = phis @ np.swapaxes(phi, -1, -2)
+    M = phis @ np.swapaxes(f, -1, -2)
     Cmat = np.linalg.solve(G, M)
     sgn = np.sign(np.linalg.det(Cmat))
     votes = np.mean(sgn[mask])

@@ -130,26 +130,6 @@ def _smooth_gauge(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def normalize_null_column(b: np.ndarray, c: Chart, tol: float = 1e-8):
-    """Gauge a nowhere-vanishing null C^4 field into the (p, -p, q, iq) plane.
-
-    Returns (g, canonical) where g is an SL(2,C) field, continuous along
-    the sweep order, and canonical = sl2_to_so13(g) @ b has the shape
-    (p, -p, q, iq) pointwise.
-    """
-    b = np.asarray(b, dtype=complex)
-    scale = np.sum(np.abs(b) ** 2, axis=-1)
-    if np.min(scale) <= tol * np.max(scale):
-        raise ValueError("null field vanishes at a grid point")
-    X = vec_to_mat(b)
-    if np.max(np.abs(np.linalg.det(X))) > tol * np.max(scale):
-        raise ValueError("field is not null within tolerance")
-    g = _smooth_gauge(_gauge_from_w(_rank1_row_direction(X)))
-    A = sl2_to_so13(g)
-    canonical = np.einsum("...ij,...j->...i", A, b)
-    return g, canonical
-
-
 def canonical_shape_residual(B: np.ndarray) -> float:
     """Sup deviation of a 4xn field from rows (r, -r, q, iq), relative."""
     r12 = B[..., 0, :] + B[..., 1, :]

@@ -8,7 +8,6 @@ example through the structure equations.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -166,13 +165,23 @@ def save(path: str, field: np.ndarray, c: Chart, fmt: str = "csv") -> None:
         return
     U, V = c.grid()
     dim = field.shape[-1]
+    table = np.concatenate([U[..., None], V[..., None], field], axis=-1,
+                           dtype=float)
+    # The bytes of the csv module's writer (repr of each float, \r\n
+    # line ends).  The grid columns and the lifts repeat values, so each
+    # distinct float is formatted once; distinct by bit pattern, since
+    # by value -0.0 would merge into 0.0.
+    bits, idx = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    idx = idx.reshape(table.shape)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "v"] + [f"Y{i}" for i in range(dim)])
-        # csv writes floats with repr; one grid row at a time bounds
-        # the list of Python floats
+        fh.write(",".join(["u", "v"] + [f"Y{i}" for i in range(dim)])
+                 + "\r\n")
+        # one grid row at a time bounds the strings held at once
         for i in range(c.Nu):
-            w.writerows(np.column_stack([U[i], V[i], field[i]]).tolist())
+            fh.write("\r\n".join(map(",".join, text[idx[i]].tolist()))
+                     + "\r\n")
 
 
 def _read_csv(path: str) -> np.ndarray:

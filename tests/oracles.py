@@ -8,8 +8,9 @@ only the package's stencils and norms: it assembles the full
 `harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
 oracles after it are the reference forms of package code written
 otherwise (per-point einsums, per-point CSV rows, per-call span
-projections, complex products, the csv module's float reader) and
-helpers that no package path calls.
+projections, complex products, the csv module's float reader, the
+Gauss-bundle match through full surface data) and helpers that no
+package path calls.
 """
 
 import csv
@@ -17,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                l2_norm, sup_norm)
+from willmorelab.gauss_frame import FrameField, maurer_cartan
 from willmorelab.lorentz import inner, metric
+from willmorelab.surface import build_surface_data
 
 
 def _roll_diff(f, axis, h):
@@ -346,3 +350,79 @@ def invariants_by_span_projection(Y, N, c):
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
     return {"kappa": k, "psi": psi, "b": b, "beta": beta,
             "kappa_proj_residual": float(np.max(np.abs(kap - kap_raw)))}
+
+
+def gauss_match_by_surface_data(y, NF, margin=DEFAULT_MARGIN,
+                                gram_metric=True):
+    """`reconstruct.verify_gauss_match` through the full surface data of
+    y and `inner` broadcasts over (..., 4, 4, dim).
+
+    gram_metric=False builds the Gram matrix of phi without the metric
+    signs (M keeps them), a deliberately broken variant for the tests.
+    """
+    c = NF.chart
+    S = build_surface_data(y.lift(), c)
+    r2 = np.sqrt(2.0)
+    phi = np.stack([(S.Y + S.N) / r2, (-S.Y + S.N) / r2,
+                    d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
+    f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
+    Qp = np.linalg.qr(np.swapaxes(phi, -1, -2))[0]
+    Qf = np.linalg.qr(np.swapaxes(f, -1, -2))[0]
+    D = Qp @ np.swapaxes(Qp, -1, -2) - Qf @ np.swapaxes(Qf, -1, -2)
+    mask = c.interior_mask(margin)
+    dist = sup_norm(D, mask)
+    if gram_metric:
+        G = inner(phi[..., :, None, :], phi[..., None, :, :])
+    else:
+        G = np.sum(phi[..., :, None, :] * phi[..., None, :, :], axis=-1)
+    M = inner(phi[..., :, None, :], f[..., None, :, :])
+    sgn = np.sign(np.linalg.det(np.linalg.solve(G, M)))
+    votes = np.mean(sgn[mask])
+    return {"subspace_distance": dist,
+            "orientation": "same" if votes > 0 else "opposite",
+            "orientation_votes": float(votes)}
+
+
+def gauge(M, Ff, G, tol=1e-8):
+    """Apply a pointwise gauge F -> F G with G in SO+(1,3) x SO(n).
+
+    G is (.., n+4, n+4) (constant matrices broadcast); must be
+    block-diagonal and Lorentz-orthogonal.  Blocks are recomputed from
+    the gauged frame, so the transformation law A-hat, B-hat carries all
+    stencil consistency with it.
+    """
+    G = np.asarray(G, dtype=float)
+    dim = Ff.F.shape[-1]
+    if G.shape[-1] != dim:
+        raise ValueError("gauge has wrong dimension")
+    if np.max(np.abs(G[..., :4, 4:])) > tol or \
+            np.max(np.abs(G[..., 4:, :4])) > tol:
+        raise ValueError("gauge is not block-diagonal")
+    I = metric(dim)
+    res = np.max(np.abs(np.swapaxes(G, -1, -2) @ I @ G - I))
+    if res > tol:
+        raise ValueError(f"gauge not in the group: residual {res:.3e}")
+    Ffh = FrameField(F=Ff.F @ G, chart=Ff.chart,
+                     group_residual=Ff.group_residual)
+    return Ffh, maurer_cartan(Ffh)
+
+
+def normalize_null_column(b, c, tol=1e-8):
+    """Gauge a nowhere-vanishing null C^4 field into the (p, -p, q, iq) plane.
+
+    Returns (g, canonical) where g is an SL(2,C) field, continuous along
+    the sweep order, and canonical = sl2_to_so13(g) @ b has the shape
+    (p, -p, q, iq) pointwise.
+    """
+    b = np.asarray(b, dtype=complex)
+    scale = np.sum(np.abs(b) ** 2, axis=-1)
+    if np.min(scale) <= tol * np.max(scale):
+        raise ValueError("null field vanishes at a grid point")
+    X = spinor.vec_to_mat(b)
+    if np.max(np.abs(np.linalg.det(X))) > tol * np.max(scale):
+        raise ValueError("field is not null within tolerance")
+    g = spinor._smooth_gauge(spinor._gauge_from_w(
+        spinor._rank1_row_direction(X)))
+    A = spinor.sl2_to_so13(g)
+    canonical = np.einsum("...ij,...j->...i", A, b)
+    return g, canonical

@@ -274,13 +274,14 @@ def test_criterion_8_surface_roundtrip_and_dual():
         m = c.interior_mask(DEFAULT_MARGIN)
         d = np.sqrt(np.sum((out["map"].values - yin.values)**2, axis=-1))
         dist = float(np.max(d[m]))
+        cl = reconstruct.classify(NF)
         md = reconstruct.dual_mu(NF)
-        ds = reconstruct.dual_surface(NF, md["mu"])
+        ds = reconstruct.dual_surface(NF, md["mu"], cl.max_rank)
         vg = reconstruct.verify_gauss_match(ds["map"], NF)
         tol = 1e-6 + 100 * c.h**2
         ok &= dist <= tol and vg["orientation"] == "opposite" \
             and ds["duality_residual"] <= tol
-        details.append(f"{kind}: roundtrip {dist:.1e} / dual "
+        details.append(f"{kind}: case {cl.case}, roundtrip {dist:.1e} / dual "
                        f"{ds['duality_residual']:.1e} (tol {tol:.1e}), "
                        f"dual orientation {vg['orientation']}")
     verdict(8, "sphere-congruence roundtrip and dual surface", ok,

@@ -144,7 +144,7 @@ def test_gauge_preserves_harmonicity(pipe, rng):
     G = np.zeros(c.shape + (5, 5))
     G[..., :4, :4] = helpers.random_so13_gauge(c, rng, amp=0.2)
     G[..., 4, 4] = 1.0
-    Fh, Mh = harmonic.gauge(M, Ff, G)
+    Fh, Mh = oracles.gauge(M, Ff, G)
     res = harmonic.harmonic_residuals(Mh)
     for name, norms in res.items():
         assert norms["sup"] < 200 * c.h**2, name
@@ -157,4 +157,4 @@ def test_gauge_rejects_off_block_matrices(pipe):
     G = np.zeros(c.shape + (5, 5)) + np.eye(5)
     G[..., 0, 4] = 0.3                      # mixes the two factors
     with pytest.raises(ValueError):
-        harmonic.gauge(M, Ff, G)
+        oracles.gauge(M, Ff, G)

@@ -179,9 +179,11 @@ def test_scrambled_veronese_roundtrip_converges(pipe):
 
 def test_clifford_dual_surface(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
+    cl = reconstruct.classify(NF)
+    assert (cl.case, cl.max_rank) == ("a2", 1)
     md = reconstruct.dual_mu(NF)
     assert md["scatter_sup"] < 1e-8
-    ds = reconstruct.dual_surface(NF, md["mu"])
+    ds = reconstruct.dual_surface(NF, md["mu"], cl.max_rank)
     assert ds["duality_residual"] < 1e-10
     vg = reconstruct.verify_gauss_match(ds["map"], NF)
     assert vg["orientation"] == "opposite"
@@ -190,6 +192,54 @@ def test_clifford_dual_surface(pipe):
     # distinct from the original
     yin = reconstruct.to_sphere_map(S.Y, c)
     assert ds["map"].distance(yin) > 0.5
+
+
+def test_dual_surface_rejects_rank_two(pipe):
+    _, _, NF = normalized(pipe, "clifford_torus")
+    mu = reconstruct.dual_mu(NF)["mu"]
+    with pytest.raises(ValueError, match="max rank 1, got rank 2"):
+        reconstruct.dual_surface(NF, mu, 2)
+
+
+def _gauss_match_cases(pipe):
+    """(name, sphere map, normalized frame) for the Gauss-bundle match:
+    the duals of clifford_torus and veronese_s4 and the direct surface."""
+    for kind in ("clifford_torus", "veronese_s4"):
+        c, S, NF = normalized(pipe, kind)
+        md = reconstruct.dual_mu(NF)
+        ds = reconstruct.dual_surface(NF, md["mu"],
+                                      reconstruct.classify(NF).max_rank)
+        yield f"{kind}:dual", ds["map"], NF
+    c, S, NF = normalized(pipe, "clifford_torus")
+    yield "clifford_torus:direct", reconstruct.to_sphere_map(S.Y, c), NF
+
+
+def test_gauss_match_matches_surface_data_oracle(pipe):
+    """Built from (Y, N, Y_u, Y_v) alone, the match gives the orientation
+    and votes of the full-surface-data form, and its distance to 1e-12."""
+    want_orient = {"clifford_torus:dual": "opposite",
+                   "veronese_s4:dual": "opposite",
+                   "clifford_torus:direct": "same"}
+    for name, y, NF in _gauss_match_cases(pipe):
+        got = reconstruct.verify_gauss_match(y, NF)
+        want = oracles.gauss_match_by_surface_data(y, NF)
+        assert got["orientation"] == want["orientation"] \
+            == want_orient[name], name
+        assert got["orientation_votes"] == want["orientation_votes"], name
+        assert abs(got["subspace_distance"]
+                   - want["subspace_distance"]) <= 1e-12, name
+
+
+def test_gauss_match_oracle_rejects_metric_free_gram(pipe):
+    """A Gram matrix without the metric signs flips the sign of det G,
+    so it reports the opposite orientation with every vote reversed."""
+    for name, y, NF in _gauss_match_cases(pipe):
+        want = oracles.gauss_match_by_surface_data(y, NF)
+        broken = oracles.gauss_match_by_surface_data(y, NF,
+                                                     gram_metric=False)
+        assert broken["orientation"] != want["orientation"], name
+        assert broken["orientation_votes"] == -want["orientation_votes"], \
+            name
 
 
 def test_direct_surface_gauss_match_is_same_oriented(pipe):

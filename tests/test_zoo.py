@@ -82,6 +82,26 @@ def test_csv_bytes_match_per_point_writer(tmp_path, kind):
     assert (tmp_path / "got.csv").read_bytes() == want
 
 
+def test_csv_bytes_match_per_point_writer_on_special_values(tmp_path):
+    """Each distinct float is formatted once, distinct by bit pattern:
+    -0.0 next to 0.0, nan, +-inf, the smallest subnormal, values where
+    repr switches notation, and values repeated across columns all come
+    out as the per-point repr writer writes them."""
+    c = Chart(0.0, 1.0, 0.0, 1.0, 5, 5, "open")
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16,
+               1e-5, 1e-4, 0.1 + 0.2, 0.3, 1.0, 0.25, -1.0]
+    field = np.resize(np.array(special), c.shape + (7,))
+    field[..., 3] = field[..., 0]          # a column repeated
+    field[2, :, 5] = 0.25                  # a value of the u/v grid
+    zoo.save(str(tmp_path / "got.csv"), field, c)
+    oracles.save_csv_per_point(str(tmp_path / "want.csv"), field, c)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    for text in (b",-0.0,", b",0.0,", b"nan", b"-inf", b"5e-324", b"1e+16",
+                 b"1e-05", b"0.30000000000000004"):
+        assert text in got, text
+
+
 def test_json_roundtrip(tmp_path):
     spec = zoo.SurfaceSpec("round_sphere")
     c = zoo.default_chart(spec, 12)
