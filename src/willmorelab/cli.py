@@ -63,6 +63,10 @@ def build_config(args) -> dict:
     cfg.setdefault("format", "json")
     if not cfg.get("surface") and not cfg.get("input"):
         raise ValueError("one of --surface / --input is required")
+    if cfg["format"] == "csv" and cfg.get("out") \
+            and args.command != "reconstruct":
+        raise ValueError(f"{args.command} writes no CSV export; "
+                         "--format csv is for reconstruct")
     return cfg
 
 
@@ -263,8 +267,13 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
                             "normalization_null": NF.null_residual},
               "classification": classification, "roundtrip": roundtrip,
               "checks": checks}
-    if out_map is not None and cfg.get("out") and cfg["format"] == "csv":
-        zoo.save(cfg["out"], out_map.lift(), c, fmt="csv")
+    if cfg.get("out") and cfg["format"] == "csv":
+        if out_map is None:
+            report["skipped"] = []
+            _skip(report["skipped"], "export",
+                  f"case {cl.case} has no surface to export")
+        else:
+            zoo.save(cfg["out"], out_map.lift(), c, fmt="csv")
     code = 0 if all(ch["pass"] for ch in checks) else 2
     return report, code
 

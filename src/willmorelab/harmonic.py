@@ -41,6 +41,7 @@ import numpy as np
 
 from .chart import Chart, DEFAULT_MARGIN, d_zbar, integrate, l2_norm, sup_norm
 from .gauss_frame import I13, MCBlocks
+from .lorentz import gram
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
 
@@ -108,8 +109,7 @@ def _unit(lam) -> complex:
     return lam
 
 
-def harmonic_residuals(M: MCBlocks | LoopCurvature,
-                       margin: int = DEFAULT_MARGIN) -> dict:
+def harmonic_residuals(M: MCBlocks | LoopCurvature) -> dict:
     """The three block equations equivalent to harmonicity.
 
     Line 1: Im(A1_zbar + conj(A1) A1 - conj(B1) B1^T I13) = 0
@@ -121,7 +121,7 @@ def harmonic_residuals(M: MCBlocks | LoopCurvature,
     """
     K = _curvature(M)
     c = K.chart
-    mask = c.interior_mask(margin)
+    mask = c.interior_mask(DEFAULT_MARGIN)
     return {name: {"sup": sup_norm(r, mask), "l2": l2_norm(r, c, mask)}
             for name, r in K.lines.items()}
 
@@ -133,14 +133,14 @@ def strong_conformal_check(B1: np.ndarray,
     Also reports the conformality scalar tr(B1^T I13 B1) separately
     (its vanishing alone is ordinary conformality of the harmonic map).
     """
-    G = np.swapaxes(B1, -1, -2) @ I13 @ B1
+    G = gram(B1)
     tr = np.trace(G, axis1=-2, axis2=-1)
     return {"sup": sup_norm(G, mask),
             "trace_sup": sup_norm(tr, mask)}
 
 
-def flatness_sweep(M: MCBlocks | LoopCurvature, lambdas=DEFAULT_LAMBDAS,
-                   margin: int = DEFAULT_MARGIN) -> list[dict]:
+def flatness_sweep(M: MCBlocks | LoopCurvature,
+                   lambdas=DEFAULT_LAMBDAS) -> list[dict]:
     """Norms of the curvature of alpha_lambda at each unit lambda sample.
 
     M is the blocks, or their `loop_curvature` when the caller also runs
@@ -149,7 +149,7 @@ def flatness_sweep(M: MCBlocks | LoopCurvature, lambdas=DEFAULT_LAMBDAS,
     lambdas = [_unit(lam) for lam in lambdas]
     K = _curvature(M)
     c = K.chart
-    mask = c.interior_mask(margin)
+    mask = c.interior_mask(DEFAULT_MARGIN)
     out = []
     for lam in lambdas:
         # R(lam) = R0 + 2i Im(lam R+); Im(lam R+) is a real axpy

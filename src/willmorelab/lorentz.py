@@ -16,6 +16,7 @@ __all__ = [
     "metric",
     "inner",
     "norm2",
+    "gram",
     "is_forward_lightlike",
     "validate_group",
 ]
@@ -44,6 +45,11 @@ def norm2(x: np.ndarray) -> np.ndarray:
     return inner(x, x)
 
 
+def gram(X: np.ndarray) -> np.ndarray:
+    """X^T I X: the pairings <x_i, x_j> of the columns of X (..., d, m)."""
+    return np.swapaxes(X, -1, -2) @ metric(X.shape[-2]) @ X
+
+
 def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """True where <x,x> ~ 0 (relative to |x|^2) and x0 > 0."""
     x = np.asarray(x)
@@ -61,9 +67,7 @@ def validate_group(M: np.ndarray, tol: float = 1e-9):
     """
     M = np.asarray(M)
     d = M.shape[-1]
-    I = metric(d)
-    G = np.swapaxes(M, -1, -2) @ I @ M
-    res_orth = np.max(np.abs(G - I), axis=(-1, -2))
+    res_orth = np.max(np.abs(gram(M) - metric(d)), axis=(-1, -2))
     res_det = np.abs(np.linalg.det(M) - 1.0)
     residual = np.maximum(res_orth, res_det)
     ok = (residual <= tol) & (np.real(M[..., 0, 0]) > 0)

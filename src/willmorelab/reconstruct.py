@@ -17,10 +17,10 @@ import numpy as np
 from . import spinor
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                     sup_norm)
-from .gauss_frame import FrameField, I13, MCBlocks, maurer_cartan, \
-    s_willmore_rank, sphere_columns
-from .lorentz import inner, lorentz_inverse, metric
-from .surface import canonical_lift, frame_N
+from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
+    s_willmore_rank
+from .lorentz import gram, inner, lorentz_inverse, metric
+from .surface import canonical_lift, frame_N, sphere_columns
 
 SQRT2 = np.sqrt(2.0)
 
@@ -41,10 +41,6 @@ class NormalizedFrame:
     chart: Chart
     shape_residual: float = 0.0
     null_residual: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return self.F.shape[-1] - 4
 
     def col(self, i: int) -> np.ndarray:
         return self.F[..., :, i]
@@ -74,10 +70,6 @@ class NormalizedFrame:
         return (self.e0 + self.e0hat) / SQRT2
 
     @property
-    def P(self) -> np.ndarray:
-        return 0.5 * (self.e1 - 1j * self.e2)
-
-    @property
     def h(self) -> np.ndarray:
         """a13 + a23; its zero set is the branch locus of [e0 - e0hat]."""
         return self.blocks.a(1, 3) + self.blocks.a(2, 3)
@@ -88,23 +80,20 @@ class NormalizedFrame:
             return d_zbar(f, self.chart)
         return d_z(f, self.chart)
 
-    def d_antihol(self, f: np.ndarray) -> np.ndarray:
-        if self.orientation == "conjugate":
-            return d_z(f, self.chart)
-        return d_zbar(f, self.chart)
-
-    def speccond_residual(self, margin: int = DEFAULT_MARGIN) -> float:
+    def speccond_residual(self) -> float:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
         r = self.blocks.a(1, 3) + self.blocks.a(2, 3) \
             - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
-        return sup_norm(r, self.chart.interior_mask(margin))
+        return sup_norm(r, self.chart.interior_mask(DEFAULT_MARGIN))
 
     def canonical_beta_k(self):
         """(beta, k) fields read off the canonical B1 rows."""
-        B1 = self.blocks.B1
-        beta = B1[..., 0, :] / SQRT2
-        k = -B1[..., 2, :]
-        return beta, k
+        return _beta_k(self.blocks.B1)
+
+
+def _beta_k(B1: np.ndarray):
+    """(beta, k) from canonical rows (sqrt2 beta, -sqrt2 beta, -k, -ik)."""
+    return B1[..., 0, :] / SQRT2, -B1[..., 2, :]
 
 
 def normalize(Ff: FrameField, M: MCBlocks | None = None,
@@ -122,6 +111,7 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
         M = maurer_cartan(Ff)
     A, _, orient = spinor.canonicalize_B1(M.B1, c, tol=tol,
                                           orientation=orientation)
+    del M               # the blocks are recomputed below; lowers the peak
     dim = Ff.F.shape[-1]
     G = np.zeros(A.shape[:-2] + (dim, dim))
     G[..., :4, :4] = lorentz_inverse(A)
@@ -133,8 +123,7 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
     if orient == "conjugate":
         Mh = Mh.conjugate()
     shape_res = spinor.canonical_shape_residual(Mh.B1)
-    null_res = float(np.max(np.abs(
-        np.swapaxes(Mh.B1, -1, -2) @ I13 @ Mh.B1)))
+    null_res = float(np.max(np.abs(gram(Mh.B1))))
     return NormalizedFrame(F=Fh, blocks=Mh, orientation=orient, gauge=A,
                            chart=c, shape_residual=shape_res,
                            null_residual=null_res)
@@ -156,22 +145,20 @@ def _rejection_operator(F: np.ndarray) -> np.ndarray:
     return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
-def constant_lightlike_vector(F: np.ndarray, c: Chart,
-                              rel_gap: float = 1e-2,
-                              null_tol: float = 5e-2):
+def constant_lightlike_vector(F: np.ndarray, c: Chart):
     """Search the bundle spanned by the first four columns of F for a
     constant lightlike vector.
 
     A constant vector of the bundle is a (near-)kernel vector of the
-    grid-averaged squared rejection operator; eigenvalues below rel_gap
+    grid-averaged squared rejection operator; eigenvalues below 1e-2
     times the largest one count as kernel.  A sphere-minimal surface
     contributes a constant *timelike* vector, so within a kernel of
     dimension up to two the lightlike direction is solved for exactly.
     Returns (L, diagnostics); L is None if the kernel holds no null
-    vector within null_tol (relative to the unit Euclidean norm).
+    vector within 5e-2 (relative to the unit Euclidean norm).
     """
     w, V = np.linalg.eigh(_rejection_operator(F))
-    kdim = int(np.sum(w < rel_gap * w[-1]))
+    kdim = int(np.sum(w < 1e-2 * w[-1]))
     diag = {"eigenvalues": w[:3].tolist(), "kernel_dim": kdim}
 
     candidates = []
@@ -198,7 +185,7 @@ def constant_lightlike_vector(F: np.ndarray, c: Chart,
         if res < best_res:
             best, best_res = L, res
     diag["null_residual"] = float(best_res)
-    if best is not None and best_res < null_tol:
+    if best is not None and best_res < 5e-2:
         if best[0] < 0:
             best = -best
         # snap onto the forward null cone (removes the off-cone component
@@ -217,10 +204,6 @@ class SphereMap:
     light-cone points with the first coordinate scaled to 1."""
     values: np.ndarray     # (Nu, Nv, n+3)
     chart: Chart
-
-    def unit_residual(self) -> float:
-        return float(np.max(np.abs(
-            np.sum(self.values**2, axis=-1) - 1.0)))
 
     def distance(self, other: "SphereMap") -> float:
         return float(np.max(np.sqrt(np.sum(
@@ -243,41 +226,32 @@ def to_sphere_map(Y: np.ndarray, c: Chart) -> SphereMap:
 
 
 def project_y0(NF: NormalizedFrame, tol: float = 1e-6) -> dict:
-    """The candidate surface [e0 - e0hat] with its diagnostics.
+    """The candidate surface [e0 - e0hat] as a sphere map ("map").
 
     Only meaningful on the non-degenerate branch; the immersion fails
-    exactly on the zero set of h, which is reported as a mask.
+    exactly on the zero set of h, which is reported as the mask "U0".
     """
     c = NF.chart
-    y = to_sphere_map(NF.Y0, c)
-    h = NF.h
     scale = np.max(np.abs(NF.blocks.A1)) + c.h
-    U0 = np.abs(h) < tol * scale
-    Y0d = NF.d_hol(NF.Y0)
-    conf = inner(Y0d, Y0d)
-    # off U0 the derivative must have rank 2: |<Y0_hol, Y0_antihol>| > 0
-    imm = np.real(inner(Y0d, np.conj(Y0d)))
-    return {"map": y, "U0": U0, "conformality": conf,
-            "immersion_density": imm}
+    return {"map": to_sphere_map(NF.Y0, c),
+            "U0": np.abs(NF.h) < tol * scale}
 
 
-def dual_mu(NF: NormalizedFrame, eps_rel: float = 1e-6) -> dict:
+def dual_mu(NF: NormalizedFrame) -> dict:
     """The Moebius-coordinate field mu of the dual construction.
 
     Solves beta_j = -(conj(mu)/2) k_j in the modulus-weighted least-squares
     sense per point; at isolated common zeros of the canonical block the
-    shared monomial factor is divided out first.  Where k vanishes but
-    beta does not, the reciprocal representation nu = 1/mu is valid and
-    returned alongside.
+    shared monomial factor is divided out first.  Returns "mu" (0 where
+    beta vanishes, not finite where k does) and "scatter_sup", the worst
+    relative residual of the defining relation off the poles of mu.
     """
-    _, k = NF.canonical_beta_k()
-    kmag = np.sqrt(np.sum(np.abs(k)**2, axis=-1))
+    eps_rel = 1e-6
     B1 = NF.blocks.B1
     if np.min(np.sqrt(np.sum(np.abs(B1)**2, axis=(-2, -1)))) \
             <= eps_rel * np.max(np.abs(B1)):
         _, B1 = spinor.common_factor(B1, NF.chart, eps_rel)
-    beta = B1[..., 0, :] / SQRT2
-    k = -B1[..., 2, :]
+    beta, k = _beta_k(B1)
     k2 = np.sum(np.abs(k)**2, axis=-1)
     b2 = np.sum(np.abs(beta)**2, axis=-1)
     scale2 = np.max(k2 + b2) + 1e-300
@@ -286,40 +260,33 @@ def dual_mu(NF: NormalizedFrame, eps_rel: float = 1e-6) -> dict:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         mubar = -2.0 * np.sum(np.conj(k) * beta, axis=-1) / k2
-        nubar = np.where(b2 > 0, -0.5 * np.sum(np.conj(beta) * k, axis=-1)
-                         / (b2 + 1e-300), 0.0)
-    mu = np.conj(mubar)
-    mu = np.where(zero, 0.0, mu)
-    nu = np.conj(nubar)
+    mu = np.where(zero, 0.0, np.conj(mubar))
 
     # rank-1 consistency: residual of the defining relation, worst column
     resid = beta + 0.5 * mubar[..., None] * k
     scatter = np.where(pole, 0.0,
                        np.max(np.abs(resid), axis=-1) / np.sqrt(scale2))
-    return {"mu": mu, "nu": nu, "pole_mask": pole, "zero_mask": zero,
-            "scatter_sup": float(np.max(scatter))}
+    return {"mu": mu, "scatter_sup": float(np.max(scatter))}
 
 
 def build_Y_mu(NF: NormalizedFrame, mu: np.ndarray) -> dict:
     """The field Y_mu = N0 + mu1 e1 - mu2 e2 + (|mu|^2/2) Y0.
 
-    Lightlike by construction; the reported pairings of its holomorphic
-    derivative decide between the surface case (positive mixed pairing)
-    and the further-reduced case.
+    Lightlike by construction.  Returns it with its holomorphic
+    derivative "Yd" and the mixed pairing <Yd, conj Yd>, whose sign
+    decides between the surface case (positive) and the further-reduced
+    case.
     """
     mu1 = np.real(mu)
     mu2 = np.imag(mu)
     Ymu = NF.N0 + mu1[..., None] * NF.e1 - mu2[..., None] * NF.e2 \
         + 0.5 * (np.abs(mu)**2)[..., None] * NF.Y0
     Yd = NF.d_hol(Ymu)
-    return {"Ymu": Ymu,
-            "null_residual": float(np.max(np.abs(inner(Ymu, Ymu)))),
-            "hol_pairing": inner(Yd, Yd),
+    return {"Ymu": Ymu, "Yd": Yd,
             "mixed_pairing": np.real(inner(Yd, np.conj(Yd)))}
 
 
-def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int,
-                 margin: int = DEFAULT_MARGIN) -> dict:
+def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
     """Dual-surface representative for a rank-1 (duality) frame.
 
     Same algebraic field as build_Y_mu; additionally verifies that the
@@ -332,21 +299,19 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int,
         raise ValueError("dual surface needs max rank 1, got rank "
                          f"{max_rank}")
     data = build_Y_mu(NF, mu)
-    Ymu = data["Ymu"]
+    Ymu, Yd = data["Ymu"], data["Yd"]
     c = NF.chart
-    Yd = NF.d_hol(Ymu)
     basis = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
     coef = np.einsum("...kd,...d->...k", basis @ metric(NF.F.shape[-1]),
                      Yd) * np.array([-1.0, 1.0, 1.0, 1.0])
     rej = Yd - np.sum(coef[..., None] * basis, axis=-2)
-    mask = c.interior_mask(margin)
+    mask = c.interior_mask(DEFAULT_MARGIN)
     data["duality_residual"] = sup_norm(rej, mask)
     data["map"] = to_sphere_map(Ymu, c)
     return data
 
 
-def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart,
-                  margin: int = DEFAULT_MARGIN) -> dict:
+def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
     """Affine coordinates of [Y_mu] in the chart complementary to the
     constant lightlike vector Y0c, with minimality diagnostics.
 
@@ -386,7 +351,7 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart,
     Gcoef = np.sum(xv * xv, axis=-1)
     Fcoef = np.sum(xu * xv, axis=-1)
     lap = d_u(xu, c) + d_v(xv, c)
-    mask = c.interior_mask(margin)
+    mask = c.interior_mask(DEFAULT_MARGIN)
     scale = float(np.max(Ecoef + Gcoef)) + 1e-300
     return {"x": x,
             "conformal_residual": float(max(
@@ -410,8 +375,7 @@ class Classification:
         return self.case in ("a1", "a2", "b2i")
 
 
-def classify(NF: NormalizedFrame, tol: float = 1e-6,
-             tol_h: float = 1e-6) -> Classification:
+def classify(NF: NormalizedFrame) -> Classification:
     """Case analysis of a normalized strongly conformally harmonic frame.
 
     Non-degenerate branch (no constant lightlike vector in the bundle):
@@ -422,16 +386,17 @@ def classify(NF: NormalizedFrame, tol: float = 1e-6,
     reduction.
     """
     c = NF.chart
+    tol = 1e-6
+    mask = c.interior_mask(DEFAULT_MARGIN)
     _, maxrank = s_willmore_rank(NF.blocks.B1, tol=max(tol, 50 * c.h**2),
-                                 mask=c.interior_mask(DEFAULT_MARGIN))
-    L, cdiag = constant_lightlike_vector(NF.F, c)
+                                 mask=mask)
+    L, _ = constant_lightlike_vector(NF.F, c)
     h_scale = float(np.max(np.abs(NF.blocks.A1))) + c.h
     h_sup = float(np.max(np.abs(NF.h)))
-    details = {"constant_vector_diag": cdiag,
-               "speccond_residual": NF.speccond_residual()}
+    details = {"speccond_residual": NF.speccond_residual()}
 
     if L is None:
-        if h_sup < tol_h * h_scale:
+        if h_sup < tol * h_scale:
             # no constant vector yet h vanishes identically: borderline
             return Classification("ambiguous", maxrank, h_sup, h_scale,
                                   None, "borderline data: h vanishes but "
@@ -456,23 +421,11 @@ def classify(NF: NormalizedFrame, tol: float = 1e-6,
         else NF.blocks
     NFc = normalize(FrameField(F=NF.F, chart=c), M0,
                     orientation="conjugate")
-    y0c = to_sphere_map(NFc.Y0, c).values
-    im = c.interior_mask(DEFAULT_MARGIN)
-    drift = float(np.max(np.sqrt(np.sum(
-        (y0c - np.mean(y0c[im], axis=0))**2, axis=-1))[im]))
-    details["y0_constant_drift"] = drift
-    md = dual_mu(NFc)
-    data = build_Y_mu(NFc, md["mu"])
-    details["mu_scatter"] = md["scatter_sup"]
-    details["Ymu_hol_pairing_sup"] = float(np.max(np.abs(
-        data["hol_pairing"])))
+    mu = dual_mu(NFc)["mu"]
+    data = build_Y_mu(NFc, mu)
     mixed = data["mixed_pairing"]
-    mask = c.interior_mask(DEFAULT_MARGIN)
     pos_frac = float(np.mean(mixed[mask] > tol * np.max(np.abs(mixed))))
-    details["mixed_positive_fraction"] = pos_frac
-    details["normalized_conjugate"] = NFc
-    details["Ymu"] = data["Ymu"]
-    details["mu"] = md["mu"]
+    details.update(normalized_conjugate=NFc, Ymu=data["Ymu"], mu=mu)
 
     if pos_frac > 0.5:
         return Classification(
@@ -485,26 +438,19 @@ def classify(NF: NormalizedFrame, tol: float = 1e-6,
         "conformal Gauss map", details)
 
 
-def verify_gauss_match(y: SphereMap, NF: NormalizedFrame,
-                       margin: int = DEFAULT_MARGIN) -> dict:
-    """Compare the four-column bundle of NF with the central-sphere
-    bundle rebuilt from the candidate surface y.
+def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
+    """Orientation of the four-column bundle of NF against the
+    central-sphere bundle rebuilt from the candidate surface y.
 
-    Reports the sup principal-angle distance between the two subspace
-    fields and the orientation sign of the change of basis.
+    Returns "orientation" ("same" or "opposite"), the majority sign of
+    the determinant of the change of basis over the interior, and
+    "orientation_votes", the mean of those signs.
     """
     c = NF.chart
     Y = canonical_lift(y.lift(), c)
-    N = frame_N(Y, c)
-    phi = np.stack(sphere_columns(Y, N, c), axis=-2)    # (.., 4, dim)
+    phi = np.stack(sphere_columns(Y, frame_N(Y, c), d_u(Y, c), d_v(Y, c)),
+                   axis=-2)                              # (.., 4, dim)
     f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
-
-    # Euclidean orthonormal projectors for the subspace distance
-    Qp = np.linalg.qr(np.swapaxes(phi, -1, -2))[0]
-    Qf = np.linalg.qr(np.swapaxes(f, -1, -2))[0]
-    D = Qp @ np.swapaxes(Qp, -1, -2) - Qf @ np.swapaxes(Qf, -1, -2)
-    mask = c.interior_mask(margin)
-    dist = sup_norm(D, mask)
 
     # change of basis in the Minkowski metric and its orientation; the
     # diagonal metric only flips the sign of coordinate 0
@@ -513,7 +459,6 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame,
     M = phis @ np.swapaxes(f, -1, -2)
     Cmat = np.linalg.solve(G, M)
     sgn = np.sign(np.linalg.det(Cmat))
-    votes = np.mean(sgn[mask])
-    orientation = "same" if votes > 0 else "opposite"
-    return {"subspace_distance": dist, "orientation": orientation,
+    votes = np.mean(sgn[c.interior_mask(DEFAULT_MARGIN)])
+    return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

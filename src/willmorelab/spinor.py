@@ -171,8 +171,7 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
     if scale < 1e-14:
         raise TotallyUmbilicError("B1 vanishes identically (round sphere)")
     thresh = max(tol, 50 * c.h**2)
-    null_res = np.max(np.abs(
-        np.swapaxes(B1, -1, -2) @ lorentz.metric(4) @ B1)) / scale**2
+    null_res = np.max(np.abs(lorentz.gram(B1))) / scale**2
     if null_res > thresh:
         raise ValueError(f"B1^t I B1 != 0 (residual {null_res:.3e})")
 

@@ -22,13 +22,14 @@ class DegenerateImmersionError(ValueError):
     pass
 
 
-def canonical_lift(raw: np.ndarray, c: Chart, tol: float = 1e-8) -> np.ndarray:
+def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
     """Rescale a forward-lightlike lift so that <Y_z, Y_zbar> = 1/2.
 
     The scale rho = sqrt(2 <raw_z, raw_zbar>) is insensitive to the input
-    scaling because the lift is null.  Raises for non-null input or where
-    the immersion degenerates.
+    scaling because the lift is null.  Raises for non-null input (relative
+    defect above 1e-8) or where the immersion degenerates.
     """
+    tol = 1e-8
     raw = np.asarray(raw, dtype=float)
     scale = np.sum(raw**2, axis=-1)
     if np.max(np.abs(inner(raw, raw))) > tol * np.max(scale):
@@ -56,6 +57,14 @@ def frame_N(Y: np.ndarray, c: Chart) -> np.ndarray:
     a = -1.0 / B
     coef = -a * A / (2.0 * B)
     return a[..., None] * W + coef[..., None] * Y
+
+
+def sphere_columns(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
+                   Yv: np.ndarray) -> list:
+    """The frame columns (Y+N)/sqrt2, (-Y+N)/sqrt2, Y_u, Y_v spanning the
+    central sphere bundle of the canonical lift Y with its section N."""
+    r2 = np.sqrt(2.0)
+    return [(Y + N) / r2, (-Y + N) / r2, Yu, Yv]
 
 
 def _complement_solver(B: np.ndarray) -> np.ndarray:
@@ -113,10 +122,7 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise RuntimeError("could not seed the normal frame")
 
     # orient the seed so that (phi1..phi4, psi) is positively oriented
-    Y, N, Yu, Yv = B[0, 0]
-    r2 = np.sqrt(2.0)
-    F0 = np.stack([(Y + N) / r2, (-Y + N) / r2, Yu, Yv] + seed, axis=-1)
-    if np.linalg.det(F0) < 0:
+    if np.linalg.det(np.stack(sphere_columns(*B[0, 0]) + seed, axis=-1)) < 0:
         seed[-1] = -seed[-1]
 
     psi = np.empty(B.shape[:2] + (n, dim))
@@ -141,7 +147,6 @@ class SurfaceData:
     schwarzian: np.ndarray  # (Nu, Nv) complex s
     b: np.ndarray          # (Nu, Nv, n, n) normal connection, antisymmetric
     beta: np.ndarray       # (Nu, Nv, n) components of D_zbar kappa
-    kappa_proj_residual: float = 0.0
     b_asym_residual: float = 0.0
 
     @property
@@ -159,9 +164,9 @@ class SurfaceData:
     def umbilic_mask(self, eps_rel: float = 1e-8) -> np.ndarray:
         return umbilic_mask(self.kappa, eps_rel)
 
-    def residual_mask(self, margin: int = DEFAULT_MARGIN) -> np.ndarray:
+    def residual_mask(self) -> np.ndarray:
         """Region used for residual norms; trims open-chart boundaries."""
-        return self.chart.interior_mask(margin)
+        return self.chart.interior_mask(DEFAULT_MARGIN)
 
 
 def invariants(Y: np.ndarray, N: np.ndarray, c: Chart) -> SurfaceData:
@@ -172,20 +177,12 @@ def invariants(Y: np.ndarray, N: np.ndarray, c: Chart) -> SurfaceData:
     s = 2.0 * inner(Yzz, N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
 
-    # span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u, Y_v) over C on the grid
-    # (d_z is the same linear stencil), so one real solver gives both
-    # kappa's part in the bundle and the normal frame of its complement
     B = np.stack([Y, N, Yu, Yv], axis=-2)
-    Q = _complement_solver(B)
-    # real and imaginary parts apart, so Q is never cast to complex
-    QT = np.swapaxes(Q, -1, -2)
-    re, im = ((w[..., None, :] @ QT) @ B
-              for w in (kap_raw.real, kap_raw.imag))
-    kproj_res = float(np.max(np.hypot(re, im)))
-
-    psi = normal_frame(B, Q)
-    del B, Q, QT, re, im    # not needed by the stencils below; lowers the peak
-    # psi lies in the complement, so kappa's part in the bundle drops out
+    psi = normal_frame(B, _complement_solver(B))
+    del B               # not needed by the stencils below; lowers the peak
+    # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
+    # Y_v) (d_z is the same linear stencil), so kappa's part in that
+    # bundle drops out of the pairing
     k = inner(kap_raw[..., None, :], psi)                   # (Nu, Nv, n)
 
     b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
@@ -194,8 +191,7 @@ def invariants(Y: np.ndarray, N: np.ndarray, c: Chart) -> SurfaceData:
 
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
     return SurfaceData(chart=c, Y=Y, N=N, psi=psi, kappa=k, schwarzian=s,
-                       b=b, beta=beta, kappa_proj_residual=kproj_res,
-                       b_asym_residual=b_res)
+                       b=b, beta=beta, b_asym_residual=b_res)
 
 
 def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
@@ -222,7 +218,7 @@ def _norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:
     return out
 
 
-def structure_residuals(S: SurfaceData, margin: int = DEFAULT_MARGIN) -> dict:
+def structure_residuals(S: SurfaceData) -> dict:
     """Residual norms of the four moving-frame structure equations."""
     c = S.chart
     Yz = d_z(S.Y, c)
@@ -241,12 +237,12 @@ def structure_residuals(S: SurfaceData, margin: int = DEFAULT_MARGIN) -> dict:
         - 2 * S.beta[..., None] * S.Y[..., None, :] \
         + 2 * S.kappa[..., None] * np.conj(Yz)[..., None, :]
 
-    mask = S.residual_mask(margin)
+    mask = S.residual_mask()
     return _norms({"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4},
                   c, mask)
 
 
-def integrability_residuals(S: SurfaceData, margin: int = DEFAULT_MARGIN) -> dict:
+def integrability_residuals(S: SurfaceData) -> dict:
     """Residual norms of the conformal Gauss, Codazzi and Ricci equations."""
     c = S.chart
     k, b, beta, s = S.kappa, S.b, S.beta, S.schwarzian
@@ -263,6 +259,6 @@ def integrability_residuals(S: SurfaceData, margin: int = DEFAULT_MARGIN) -> dic
                - np.conj(k)[..., :, None] * k[..., None, :])
     ricci = curv - rhs
 
-    mask = S.residual_mask(margin)
+    mask = S.residual_mask()
     return _norms({"gauss": gauss, "codazzi": codazzi, "ricci": ricci},
                   c, mask)

@@ -205,11 +205,12 @@ def _read_csv(path: str) -> np.ndarray:
     return np.ascontiguousarray(table[:, 2:])
 
 
-def load(path: str, c: Chart, tol: float = 1e-9) -> np.ndarray:
+def load(path: str, c: Chart) -> np.ndarray:
     """Read a lift field and validate it against the chart.
 
     Rejects grids of the wrong size and rows that are not forward
-    lightlike (reported by row index).
+    lightlike within a relative null defect of 1e-9 (reported by row
+    index).
     """
     if path.endswith(".json"):
         with open(path) as fh:
@@ -218,6 +219,10 @@ def load(path: str, c: Chart, tol: float = 1e-9) -> np.ndarray:
         if chart_to_dict(cf) != chart_to_dict(c):
             raise ValueError("chart in file does not match requested chart")
         field = np.asarray(data["values"], dtype=float)
+        if field.ndim != 3 or field.shape[:2] != c.shape:
+            raise ValueError(
+                f"grid mismatch: values have shape {field.shape}, "
+                f"chart wants ({c.Nu}, {c.Nv}, dim)")
     else:
         rows = _read_csv(path)
         if len(rows) != c.Nu * c.Nv:
@@ -225,7 +230,7 @@ def load(path: str, c: Chart, tol: float = 1e-9) -> np.ndarray:
                 f"grid mismatch: file has {len(rows)} points, "
                 f"chart wants {c.Nu * c.Nv}")
         field = rows.reshape(c.Nu, c.Nv, -1)
-    ok = is_forward_lightlike(field, tol)
+    ok = is_forward_lightlike(field, 1e-9)
     if not np.all(ok):
         i, j = np.argwhere(~ok)[0]
         raise ValueError(

@@ -21,7 +21,7 @@ import numpy as np
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                l2_norm, sup_norm)
-from willmorelab.gauss_frame import FrameField, maurer_cartan
+from willmorelab.gauss_frame import FrameField, I13, MCBlocks, maurer_cartan
 from willmorelab.lorentz import inner, metric
 from willmorelab.surface import build_surface_data
 
@@ -334,9 +334,8 @@ def normal_frame_per_row(Y, N, c):
 
 
 def invariants_by_span_projection(Y, N, c):
-    """kappa, psi, b, beta and the size of the part of kappa projected
-    off the complex basis (Y, N, Y_z, Y_zbar); psi from
-    `normal_frame_per_row`."""
+    """kappa, psi, b and beta, with kappa projected off the complex basis
+    (Y, N, Y_z, Y_zbar) and psi from `normal_frame_per_row`."""
     Yz = d_z(Y, c)
     Yzz = d_z(Yz, c)
     s = 2.0 * inner(Yzz, N)
@@ -348,14 +347,14 @@ def invariants_by_span_projection(Y, N, c):
     b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
     b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
-    return {"kappa": k, "psi": psi, "b": b, "beta": beta,
-            "kappa_proj_residual": float(np.max(np.abs(kap - kap_raw)))}
+    return {"kappa": k, "psi": psi, "b": b, "beta": beta}
 
 
 def gauss_match_by_surface_data(y, NF, margin=DEFAULT_MARGIN,
                                 gram_metric=True):
     """`reconstruct.verify_gauss_match` through the full surface data of
-    y and `inner` broadcasts over (..., 4, 4, dim).
+    y and `inner` broadcasts over (..., 4, 4, dim), with the sup
+    principal-angle distance between the two subspace fields.
 
     gram_metric=False builds the Gram matrix of phi without the metric
     signs (M keeps them), a deliberately broken variant for the tests.
@@ -381,6 +380,35 @@ def gauss_match_by_surface_data(y, NF, margin=DEFAULT_MARGIN,
     return {"subspace_distance": dist,
             "orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}
+
+
+def surface_gauge_blocks(S):
+    """Predicted Maurer-Cartan blocks of the conformal Gauss frame.
+
+    Closed-form in the invariants: A1 from the Schwarzian and
+    k^2 = <kappa, conj kappa>, B1 columns (sqrt2 beta_j, -sqrt2 beta_j,
+    -k_j, -i k_j), A2 the normal connection.  The oracle for
+    `maurer_cartan` on frames built by `build_frame`.
+    """
+    r2 = np.sqrt(2.0)
+    s = S.schwarzian
+    k2 = S.k2
+    s1 = (1 - s - 2 * k2) / (2 * r2)
+    s2 = -1j * (1 + s - 2 * k2) / (2 * r2)
+    s3 = (1 + s + 2 * k2) / (2 * r2)
+    s4 = -1j * (1 - s + 2 * k2) / (2 * r2)
+    M = MCBlocks(np.zeros(s.shape + (S.n + 4, S.n + 4), dtype=complex),
+                 S.chart)
+    A1 = M.A1
+    A1[..., 0, 2], A1[..., 0, 3] = s1, s2
+    A1[..., 1, 2], A1[..., 1, 3] = s3, s4
+    A1[..., 2, 0], A1[..., 2, 1] = s1, -s3
+    A1[..., 3, 0], A1[..., 3, 1] = s2, -s4
+    M.B1[...] = np.stack([r2 * S.beta, -r2 * S.beta,
+                          -S.kappa, -1j * S.kappa], axis=-2)
+    M.B2[...] = -np.swapaxes(M.B1, -1, -2) @ I13
+    M.A2[...] = np.swapaxes(S.b, -1, -2)
+    return M
 
 
 def gauge(M, Ff, G, tol=1e-8):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from willmorelab import cli, zoo
+from willmorelab import cli, reconstruct, zoo
 
 CLIFF_CHART = "32,32,0,6.283185307179586,0,6.283185307179586,periodic-both"
 
@@ -92,6 +93,39 @@ def test_reconstruct_clifford_exports_surface(tmp_path):
     c = cli._parse_chart(CLIFF_CHART)
     back = zoo.load(str(out), c)        # valid lift samples round-trip
     assert back.shape == (32, 32, 5)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-harmonic"])
+def test_csv_export_without_a_surface_is_rejected(tmp_path, capsys, command):
+    """Only reconstruct exports CSV; elsewhere --format csv --out would
+    write nothing, so it is a configuration error (exit 3)."""
+    out = tmp_path / "f.csv"
+    assert run(command, "--surface", "clifford_torus", "--chart",
+               CLIFF_CHART, "--format", "csv", "--out", str(out)) == 3
+    assert "--format csv is for reconstruct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["b1", "b2ii", "ambiguous"])
+def test_reconstruct_skips_export_without_a_surface(tmp_path, capsys,
+                                                    monkeypatch, case):
+    """A case with no surface prints and reports a SKIP for the requested
+    export instead of silently writing nothing."""
+    classify = reconstruct.classify
+    monkeypatch.setattr(reconstruct, "classify",
+                        lambda NF: dataclasses.replace(classify(NF),
+                                                       case=case))
+    out = tmp_path / "f.csv"
+    argv = ["--surface", "clifford_torus", "--chart", CLIFF_CHART,
+            "--format", "csv", "--out", str(out)]
+    assert run("reconstruct", *argv) == 0
+    line = f"SKIP export: case {case} has no surface to export"
+    assert line in capsys.readouterr().out.splitlines()
+    assert not out.exists()
+    report, _ = cli.cmd_reconstruct(cli.build_config(
+        cli.make_parser().parse_args(["reconstruct"] + argv)))
+    assert report["skipped"] == [{"name": "export", "reason":
+                                  f"case {case} has no surface to export"}]
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -30,7 +30,7 @@ def test_frame_inverse(pipe):
 def test_maurer_cartan_matches_block_formulas(pipe, kind):
     """Numerical F^{-1} d_z F against the closed-form invariant blocks."""
     c, S, _, M = pipe(kind)
-    P = gauss_frame.surface_gauge_blocks(S)
+    P = oracles.surface_gauge_blocks(S)
     mask = S.residual_mask()
     scale = np.max(np.abs(M.full()))
     for got, want in ((M.A1, P.A1), (M.A2, P.A2),
@@ -51,6 +51,29 @@ def test_block_assembly_roundtrip(pipe):
     assert np.allclose(full, M.k_part() + M.p_part())
     assert np.allclose(full[..., :4, :4], M.A1)
     assert np.allclose(M.a(1, 3), M.A1[..., 0, 2])
+
+
+def test_mc_blocks_are_views_of_one_array(pipe, rng):
+    """Block writes reach alpha, conjugate() is the blockwise conjugate
+    and k_part() + p_part() rebuilds full() exactly."""
+    c, _, _, M0 = pipe("veronese_s4")
+    M = gauss_frame.MCBlocks(M0.full().copy(), c)
+    assert M.full() is M.alpha
+    for name, rows, cols in (("A1", slice(0, 4), slice(0, 4)),
+                             ("A2", slice(4, 6), slice(4, 6)),
+                             ("B1", slice(0, 4), slice(4, 6)),
+                             ("B2", slice(4, 6), slice(0, 4))):
+        block = getattr(M, name)
+        new = rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)
+        block[...] = new
+        assert np.array_equal(M.alpha[..., rows, cols], new), name
+    Mc = M.conjugate()
+    for name in ("A1", "A2", "B1", "B2"):
+        assert np.array_equal(getattr(Mc, name), np.conj(getattr(M, name)))
+    k, p = M.k_part(), M.p_part()
+    assert np.array_equal(k + p, M.full())
+    assert not np.any(k[..., :4, 4:]) and not np.any(k[..., 4:, :4])
+    assert not np.any(p[..., :4, :4]) and not np.any(p[..., 4:, 4:])
 
 
 def test_willmore_energy_clifford_vs_quadrature_oracle(pipe):

@@ -32,6 +32,24 @@ def test_inner_broadcasts():
     assert np.allclose(lorentz.inner(x, y), 3.0)   # -1 + 4
 
 
+def _gram_miss(gram, X):
+    """Largest miss of gram(X) against the pairwise `inner` of the
+    columns of X."""
+    want = lorentz.inner(np.swapaxes(X, -1, -2)[..., :, None, :],
+                         np.swapaxes(X, -1, -2)[..., None, :, :])
+    return float(np.max(np.abs(gram(X) - want)))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 5, 4, 1), (2, 6, 3)])
+def test_gram_is_the_pairwise_inner_of_the_columns(rng, shape):
+    """gram(X) = X^T I X on complex blocks; a mutant without the metric
+    signs (plain X^T X) misses by far more than roundoff."""
+    X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert lorentz.gram(X).shape == shape[:-2] + (shape[-1], shape[-1])
+    assert _gram_miss(lorentz.gram, X) <= 1e-12
+    assert _gram_miss(lambda X: np.swapaxes(X, -1, -2) @ X, X) > 0.1
+
+
 def test_inner_is_complex_bilinear():
     # bilinear, not sesquilinear: <ix, ix> = -<x, x>
     x = np.array([1.0, 2.0, 0.5, 0.0, 1.0], dtype=complex)

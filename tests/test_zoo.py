@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,28 @@ def test_load_json_chart_mismatch(tmp_path):
     zoo.save(str(tmp_path / "f.json"), zoo.generate(spec, c), c, fmt="json")
     with pytest.raises(ValueError, match="chart"):
         zoo.load(str(tmp_path / "f.json"), c.refine(2))
+
+
+@pytest.mark.parametrize("reshape", [lambda v: v.reshape(-1).tolist(),
+                                     lambda v: v[:, :20].tolist()],
+                         ids=["flat_list", "24x20"])
+def test_load_json_rejects_values_off_the_chart_grid(tmp_path, capsys,
+                                                     reshape):
+    """JSON values that are not (Nu, Nv, dim) raise a grid mismatch, which
+    the CLI turns into exit 3 (not a degenerate immersion, not an
+    IndexError)."""
+    spec = zoo.SurfaceSpec("enneper")
+    c = zoo.default_chart(spec, 24)
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({"chart": zoo.chart_to_dict(c),
+                             "values": reshape(zoo.generate(spec, c))}))
+    with pytest.raises(ValueError, match=r"^grid mismatch: values have "
+                       r"shape \(.*\), chart wants \(24, 24, dim\)$"):
+        zoo.load(str(p), c)
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    assert cli.main(["analyze", "--input", str(p), "--chart", chart]) == 3
+    assert "error: grid mismatch" in capsys.readouterr().err
 
 
 def test_external_minimal_surface_data_runs(tmp_path):
