@@ -8,8 +8,8 @@ is pointwise in SO+(1, n+3).  Its Maurer-Cartan form splits into blocks
 
     alpha(d_z) = [[A1, B1], [B2, A2]],   B2 = -B1^T I_{1,3},
 
-from which the Willmore residual, the associated sphere-congruence
-operator, and the rank test for duality all derive.
+from which the rank test for duality derives.  The Willmore residual
+lives in `surface`, next to the normal derivatives it is built from.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .chart import Chart, d_u, d_v, integrate, wirtinger
 from .lorentz import lorentz_inverse, metric, validate_group
-from .surface import SurfaceData, normal_derivative_components, sphere_columns
+from .surface import SurfaceData, sphere_columns
 
 I13 = metric(4)
 
@@ -131,12 +131,6 @@ def willmore_energy(S: SurfaceData) -> dict:
     value = float(4.0 * integrate(S.k2, c))
     closed = c.periodic_u and c.periodic_v
     return {"value": value, "chart_local": not closed}
-
-
-def willmore_residual(S: SurfaceData) -> np.ndarray:
-    """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa."""
-    eta = normal_derivative_components(S, S.beta, zbar=True)
-    return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
 
 
 def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,

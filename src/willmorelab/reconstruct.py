@@ -10,7 +10,7 @@ surface seen through stereographic projection from that vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
 from .lorentz import gram, inner, lorentz_inverse, metric
-from .surface import canonical_lift, frame_N, sphere_columns
+from .surface import canonical_lift, complement_basis, frame_N, \
+    sphere_columns
 
 SQRT2 = np.sqrt(2.0)
 
@@ -37,29 +38,15 @@ class NormalizedFrame:
     F: np.ndarray          # (Nu, Nv, dim, dim), real
     blocks: MCBlocks       # w.r.t. the orientation's holomorphic coordinate
     orientation: str
-    gauge: np.ndarray      # SO+(1,3) field applied on the left of B1
     chart: Chart
     shape_residual: float = 0.0
     null_residual: float = 0.0
 
-    def col(self, i: int) -> np.ndarray:
-        return self.F[..., :, i]
-
-    @property
-    def e0(self) -> np.ndarray:
-        return self.col(0)
-
-    @property
-    def e0hat(self) -> np.ndarray:
-        return self.col(1)
-
-    @property
-    def e1(self) -> np.ndarray:
-        return self.col(2)
-
-    @property
-    def e2(self) -> np.ndarray:
-        return self.col(3)
+    # the frame columns (e0, e0hat, e1, e2) of the four-column bundle
+    e0 = property(lambda self: self.F[..., :, 0])
+    e0hat = property(lambda self: self.F[..., :, 1])
+    e1 = property(lambda self: self.F[..., :, 2])
+    e2 = property(lambda self: self.F[..., :, 3])
 
     @property
     def Y0(self) -> np.ndarray:
@@ -86,10 +73,6 @@ class NormalizedFrame:
             - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
         return sup_norm(r, self.chart.interior_mask(DEFAULT_MARGIN))
 
-    def canonical_beta_k(self):
-        """(beta, k) fields read off the canonical B1 rows."""
-        return _beta_k(self.blocks.B1)
-
 
 def _beta_k(B1: np.ndarray):
     """(beta, k) from canonical rows (sqrt2 beta, -sqrt2 beta, -k, -ik)."""
@@ -101,47 +84,57 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
               orientation: str | None = None) -> NormalizedFrame:
     """Gauge a frame so that its B1 block takes the canonical row shape.
 
-    The SO+(1,3) gauge comes from the pointwise rank-1 factorization of
-    the columns in the 2x2-matrix model plus a continuation sweep, so it
-    is smooth wherever B1 is; the frame and all blocks are recomputed in
-    the new gauge.
+    M, if given, must be maurer_cartan(Ff).  When B1 already has the
+    canonical shape, the frame is Ff.F and the blocks are M (conjugated
+    for orientation "conjugate"): the arrays are shared, not copied.
+    Otherwise the SO+(1,3) gauge comes from the pointwise rank-1
+    factorization of the columns in the 2x2-matrix model plus a
+    continuation sweep, so it is smooth wherever B1 is, and the frame and
+    all blocks are recomputed in the new gauge.
     """
     c = Ff.chart
     if M is None:
         M = maurer_cartan(Ff)
     A, _, orient = spinor.canonicalize_B1(M.B1, c, tol=tol,
                                           orientation=orientation)
-    del M               # the blocks are recomputed below; lowers the peak
-    dim = Ff.F.shape[-1]
-    G = np.zeros(A.shape[:-2] + (dim, dim))
-    G[..., :4, :4] = lorentz_inverse(A)
-    idx = np.arange(4, dim)
-    G[..., idx, idx] = 1.0
-    Fh = Ff.F @ G
-    Mh = maurer_cartan(FrameField(F=Fh, chart=c,
-                                  group_residual=Ff.group_residual))
+    F = Ff.F
+    if A is not None:
+        del M           # the blocks are recomputed below; lowers the peak
+        F = F.copy()    # the gauge acts on the four-column bundle only
+        F[..., :, :4] = F[..., :, :4] @ lorentz_inverse(A)
+        M = maurer_cartan(FrameField(F=F, chart=c,
+                                     group_residual=Ff.group_residual))
     if orient == "conjugate":
-        Mh = Mh.conjugate()
-    shape_res = spinor.canonical_shape_residual(Mh.B1)
-    null_res = float(np.max(np.abs(gram(Mh.B1))))
-    return NormalizedFrame(F=Fh, blocks=Mh, orientation=orient, gauge=A,
-                           chart=c, shape_residual=shape_res,
-                           null_residual=null_res)
+        M = M.conjugate()
+    return NormalizedFrame(
+        F=F, blocks=M, orientation=orient, chart=c,
+        shape_residual=spinor.canonical_shape_residual(M.B1),
+        null_residual=float(np.max(np.abs(gram(M.B1)))))
+
+
+def _bundle_projector(F: np.ndarray) -> np.ndarray:
+    """P = sum_k eps_k f_k f_k^T I, the Minkowski-orthogonal projection
+    onto the span of the first four columns f_k of F.
+
+    eps = diag(-1, 1, 1, 1) is the Gram inverse of the orthonormal
+    columns and I the ambient metric; both are diagonal, so they act as
+    sign flips.  For a group-valued F the general Gram solve of
+    `surface._complement_solver` gives the same P, but its batched 4x4
+    solve costs about 0.08 s more per call at N=256 (measured on a
+    2-CPU Xeon with one BLAS thread), on each constant-vector search and
+    duality check.
+    """
+    F4 = F[..., :, :4]
+    return ((F4 * np.array([-1.0, 1.0, 1.0, 1.0])) @ np.swapaxes(F4, -1, -2)) \
+        * np.diag(metric(F.shape[-1]))
 
 
 def _rejection_operator(F: np.ndarray) -> np.ndarray:
-    """Grid mean of C^T C, C = Id - P the rejection from the bundle.
-
-    P = sum_k eps_k f_k f_k^T I projects Minkowski-orthogonally onto the
-    span of the first four columns f_k of F (eps = diag(-1, 1, 1, 1)).
-    The diagonal metrics are exact sign flips, and the grid mean of
-    C^T C is one product of the stacked rejections.
-    """
+    """Grid mean of C^T C, C = Id - P the rejection from the bundle
+    (P = `_bundle_projector(F)`), as one product of the stacked
+    rejections."""
     dim = F.shape[-1]
-    F4 = F[..., :, :4]
-    P = ((F4 * np.array([-1.0, 1.0, 1.0, 1.0])) @ np.swapaxes(F4, -1, -2)) \
-        * np.diag(metric(dim))
-    C = (np.eye(dim) - P).reshape(-1, dim)
+    C = (np.eye(dim) - _bundle_projector(F)).reshape(-1, dim)
     return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
@@ -154,12 +147,11 @@ def constant_lightlike_vector(F: np.ndarray, c: Chart):
     times the largest one count as kernel.  A sphere-minimal surface
     contributes a constant *timelike* vector, so within a kernel of
     dimension up to two the lightlike direction is solved for exactly.
-    Returns (L, diagnostics); L is None if the kernel holds no null
-    vector within 5e-2 (relative to the unit Euclidean norm).
+    Returns L, a unit Euclidean vector on the forward null cone, or None
+    if the kernel holds no null vector within 5e-2.
     """
     w, V = np.linalg.eigh(_rejection_operator(F))
     kdim = int(np.sum(w < 1e-2 * w[-1]))
-    diag = {"eigenvalues": w[:3].tolist(), "kernel_dim": kdim}
 
     candidates = []
     if kdim >= 1:
@@ -178,14 +170,9 @@ def constant_lightlike_vector(F: np.ndarray, c: Chart):
             else:
                 candidates.append(v1)
 
-    best = None
-    best_res = np.inf
-    for L in candidates:
-        res = abs(inner(L, L))        # unit Euclidean norm
-        if res < best_res:
-            best, best_res = L, res
-    diag["null_residual"] = float(best_res)
-    if best is not None and best_res < 5e-2:
+    # the candidate closest to the cone (each has unit Euclidean norm)
+    best = min(candidates, key=lambda v: abs(inner(v, v)), default=None)
+    if best is not None and abs(inner(best, best)) < 5e-2:
         if best[0] < 0:
             best = -best
         # snap onto the forward null cone (removes the off-cone component
@@ -193,9 +180,8 @@ def constant_lightlike_vector(F: np.ndarray, c: Chart):
         ls = best[1:]
         t = 0.5 * (best[0] + np.linalg.norm(ls))
         best = t * np.concatenate([[1.0], ls / np.linalg.norm(ls)])
-        best = best / np.linalg.norm(best)
-        return best, diag
-    return None, diag
+        return best / np.linalg.norm(best)
+    return None
 
 
 @dataclass
@@ -225,26 +211,13 @@ def to_sphere_map(Y: np.ndarray, c: Chart) -> SphereMap:
     return SphereMap(values=vals / nrm[..., None], chart=c)
 
 
-def project_y0(NF: NormalizedFrame, tol: float = 1e-6) -> dict:
-    """The candidate surface [e0 - e0hat] as a sphere map ("map").
-
-    Only meaningful on the non-degenerate branch; the immersion fails
-    exactly on the zero set of h, which is reported as the mask "U0".
-    """
-    c = NF.chart
-    scale = np.max(np.abs(NF.blocks.A1)) + c.h
-    return {"map": to_sphere_map(NF.Y0, c),
-            "U0": np.abs(NF.h) < tol * scale}
-
-
-def dual_mu(NF: NormalizedFrame) -> dict:
+def dual_mu(NF: NormalizedFrame) -> np.ndarray:
     """The Moebius-coordinate field mu of the dual construction.
 
     Solves beta_j = -(conj(mu)/2) k_j in the modulus-weighted least-squares
     sense per point; at isolated common zeros of the canonical block the
-    shared monomial factor is divided out first.  Returns "mu" (0 where
-    beta vanishes, not finite where k does) and "scatter_sup", the worst
-    relative residual of the defining relation off the poles of mu.
+    shared monomial factor is divided out first.  mu is 0 where beta
+    vanishes and not finite where k does.
     """
     eps_rel = 1e-6
     B1 = NF.blocks.B1
@@ -255,60 +228,41 @@ def dual_mu(NF: NormalizedFrame) -> dict:
     k2 = np.sum(np.abs(k)**2, axis=-1)
     b2 = np.sum(np.abs(beta)**2, axis=-1)
     scale2 = np.max(k2 + b2) + 1e-300
-    pole = k2 <= eps_rel**2 * scale2          # k = 0, mu = infinity
     zero = b2 <= eps_rel**2 * scale2          # beta = 0, mu = 0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         mubar = -2.0 * np.sum(np.conj(k) * beta, axis=-1) / k2
-    mu = np.where(zero, 0.0, np.conj(mubar))
-
-    # rank-1 consistency: residual of the defining relation, worst column
-    resid = beta + 0.5 * mubar[..., None] * k
-    scatter = np.where(pole, 0.0,
-                       np.max(np.abs(resid), axis=-1) / np.sqrt(scale2))
-    return {"mu": mu, "scatter_sup": float(np.max(scatter))}
+    return np.where(zero, 0.0, np.conj(mubar))
 
 
-def build_Y_mu(NF: NormalizedFrame, mu: np.ndarray) -> dict:
-    """The field Y_mu = N0 + mu1 e1 - mu2 e2 + (|mu|^2/2) Y0.
-
-    Lightlike by construction.  Returns it with its holomorphic
-    derivative "Yd" and the mixed pairing <Yd, conj Yd>, whose sign
-    decides between the surface case (positive) and the further-reduced
-    case.
-    """
+def build_Y_mu(NF: NormalizedFrame, mu: np.ndarray):
+    """The field Y_mu = N0 + mu1 e1 - mu2 e2 + (|mu|^2/2) Y0, lightlike
+    by construction, and its holomorphic derivative: (Y_mu, Y_mu')."""
     mu1 = np.real(mu)
     mu2 = np.imag(mu)
     Ymu = NF.N0 + mu1[..., None] * NF.e1 - mu2[..., None] * NF.e2 \
         + 0.5 * (np.abs(mu)**2)[..., None] * NF.Y0
-    Yd = NF.d_hol(Ymu)
-    return {"Ymu": Ymu, "Yd": Yd,
-            "mixed_pairing": np.real(inner(Yd, np.conj(Yd)))}
+    return Ymu, NF.d_hol(Ymu)
 
 
 def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
     """Dual-surface representative for a rank-1 (duality) frame.
 
-    Same algebraic field as build_Y_mu; additionally verifies that the
-    holomorphic derivative of the dual stays inside the four-column
-    bundle (the duality condition), and returns the sphere map.
+    The sphere map ("map") of build_Y_mu's Y_mu, and the sup over the
+    interior of the rejection of Y_mu' from the four-column bundle
+    ("duality_residual"), which the duality condition forces to vanish.
     `max_rank` is the maximal rank of NF.blocks.B1 that `classify`
     reports.
     """
     if max_rank > 1:
         raise ValueError("dual surface needs max rank 1, got rank "
                          f"{max_rank}")
-    data = build_Y_mu(NF, mu)
-    Ymu, Yd = data["Ymu"], data["Yd"]
+    Ymu, Yd = build_Y_mu(NF, mu)
+    rej = Yd - np.einsum("...ij,...j->...i", _bundle_projector(NF.F), Yd)
     c = NF.chart
-    basis = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
-    coef = np.einsum("...kd,...d->...k", basis @ metric(NF.F.shape[-1]),
-                     Yd) * np.array([-1.0, 1.0, 1.0, 1.0])
-    rej = Yd - np.sum(coef[..., None] * basis, axis=-2)
-    mask = c.interior_mask(DEFAULT_MARGIN)
-    data["duality_residual"] = sup_norm(rej, mask)
-    data["map"] = to_sphere_map(Ymu, c)
-    return data
+    return {"duality_residual": sup_norm(rej,
+                                         c.interior_mask(DEFAULT_MARGIN)),
+            "map": to_sphere_map(Ymu, c)}
 
 
 def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
@@ -320,7 +274,6 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
     Z is the time-reflected null partner of Y0c.  For the degenerate
     harmonic branch the result is conformal with harmonic components.
     """
-    dim = Y0c.shape[-1]
     L = Y0c / Y0c[..., 0]                   # first coordinate 1
     Z = np.concatenate([[L[0]], -L[1:]])
     Z = Z / 2.0                              # <L, Z> = -1, null
@@ -329,21 +282,7 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
         raise ValueError("representative meets the projection center")
     rep = Ymu / den[..., None]
 
-    # orthonormal spacelike basis of the complement of span{L, Z}
-    basis = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        w = e + inner(e, Z) * L + inner(e, L) * Z
-        for prev in basis:
-            w = w - inner(w, prev) * prev
-        nrm = inner(w, w)
-        if nrm > 1e-8:
-            basis.append(w / np.sqrt(nrm))
-        if len(basis) == dim - 2:
-            break
-    E = np.stack(basis, axis=0)              # (dim-2, dim)
-    x = inner(rep[..., None, :], E)
+    x = inner(rep[..., None, :], complement_basis(np.stack([L, Z])))
 
     xu = d_u(x, c)
     xv = d_v(x, c)
@@ -365,10 +304,10 @@ class Classification:
     case: str              # a1 | a2 | b1 | b2i | b2ii | ambiguous
     max_rank: int
     h_sup: float
-    h_scale: float
     constant_vector: np.ndarray | None
     verdict: str
-    details: dict = field(default_factory=dict)
+    speccond_residual: float
+    Ymu: np.ndarray | None = None   # Y_mu of the conjugate renormalization
 
     @property
     def has_willmore_surface(self) -> bool:
@@ -382,38 +321,36 @@ def classify(NF: NormalizedFrame) -> Classification:
     the surface is [e0 - e0hat]; rank 1 means it has a dual.  Degenerate
     branch: rank 2 admits no surface at all; rank 1 leads, through the
     conjugate-orientation renormalization, either to a minimal surface
-    in flat space (positive mixed pairing of Y_mu) or to a further
-    reduction.
+    in flat space (positive mixed pairing <Y_mu', conj Y_mu'>) or to a
+    further reduction.  The Y_mu of that renormalization is kept as
+    `Ymu`, the field the minimal surface is read off.
     """
     c = NF.chart
     tol = 1e-6
     mask = c.interior_mask(DEFAULT_MARGIN)
     _, maxrank = s_willmore_rank(NF.blocks.B1, tol=max(tol, 50 * c.h**2),
                                  mask=mask)
-    L, _ = constant_lightlike_vector(NF.F, c)
-    h_scale = float(np.max(np.abs(NF.blocks.A1))) + c.h
+    L = constant_lightlike_vector(NF.F, c)
     h_sup = float(np.max(np.abs(NF.h)))
-    details = {"speccond_residual": NF.speccond_residual()}
+    speccond = NF.speccond_residual()
 
     if L is None:
-        if h_sup < tol * h_scale:
+        if h_sup < tol * (float(np.max(np.abs(NF.blocks.A1))) + c.h):
             # no constant vector yet h vanishes identically: borderline
-            return Classification("ambiguous", maxrank, h_sup, h_scale,
-                                  None, "borderline data: h vanishes but "
-                                  "no constant lightlike vector found",
-                                  details)
+            return Classification("ambiguous", maxrank, h_sup, None,
+                                  "borderline data: h vanishes but no "
+                                  "constant lightlike vector found",
+                                  speccond)
         case = "a1" if maxrank >= 2 else "a2"
         verdict = "willmore surface [e0 - e0hat]" + \
             ("" if maxrank >= 2 else " (has a dual)")
-        return Classification(case, maxrank, h_sup, h_scale, None,
-                              verdict, details)
+        return Classification(case, maxrank, h_sup, None, verdict, speccond)
 
-    details["constant_vector"] = L
     if maxrank >= 2:
         return Classification(
-            "b1", maxrank, h_sup, h_scale, L,
+            "b1", maxrank, h_sup, L,
             "no Willmore surface: degenerate with rank 2, not the "
-            "conformal Gauss map of any surface", details)
+            "conformal Gauss map of any surface", speccond)
 
     # degenerate rank-1: renormalize so the constant vector is [e0-e0hat];
     # NF.blocks are maurer_cartan(NF.F), conjugated with the orientation
@@ -421,21 +358,19 @@ def classify(NF: NormalizedFrame) -> Classification:
         else NF.blocks
     NFc = normalize(FrameField(F=NF.F, chart=c), M0,
                     orientation="conjugate")
-    mu = dual_mu(NFc)["mu"]
-    data = build_Y_mu(NFc, mu)
-    mixed = data["mixed_pairing"]
+    Ymu, Yd = build_Y_mu(NFc, dual_mu(NFc))
+    mixed = np.real(inner(Yd, np.conj(Yd)))
     pos_frac = float(np.mean(mixed[mask] > tol * np.max(np.abs(mixed))))
-    details.update(normalized_conjugate=NFc, Ymu=data["Ymu"], mu=mu)
 
     if pos_frac > 0.5:
         return Classification(
-            "b2i", maxrank, h_sup, h_scale, L,
+            "b2i", maxrank, h_sup, L,
             "minimal surface in flat space via stereographic projection",
-            details)
+            speccond, Ymu)
     return Classification(
-        "b2ii", maxrank, h_sup, h_scale, L,
+        "b2ii", maxrank, h_sup, L,
         "no Willmore surface: reduced degenerate harmonic map, not a "
-        "conformal Gauss map", details)
+        "conformal Gauss map", speccond, Ymu)
 
 
 def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:

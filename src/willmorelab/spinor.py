@@ -157,11 +157,13 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
                     orientation: str | None = None):
     """Gauge a null 4xn block field to the canonical row pattern.
 
-    Returns (A, Bhat, orientation) with A an SO+(1,3) field and either
-    A @ B1 (orientation "same") or A @ conj(B1) (orientation "conjugate")
-    of the shape with rows (sqrt2*beta, -sqrt2*beta, -k, -ik).  Passing
-    orientation restricts the attempt to that branch (a rank-1 field
-    admits both, and they normalize different things).
+    Returns (A, Bhat, orientation) with A an SO+(1,3) field and Bhat
+    either A @ B1 (orientation "same") or A @ conj(B1) (orientation
+    "conjugate") of the shape with rows (sqrt2*beta, -sqrt2*beta, -k,
+    -ik).  When B1 (or conj(B1)) already has that shape, A is None and
+    Bhat is B1 (or conj(B1)) itself.  Passing orientation restricts the
+    attempt to that branch (a rank-1 field admits both, and they
+    normalize different things).
 
     Raises TotallyUmbilicError for identically vanishing B1 and ValueError
     when the nullity precondition fails.
@@ -179,14 +181,12 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
     results = []
     for orient in branches:
         B = B1 if orient == "same" else np.conj(B1)
-        # already canonical (up to discretization): the identity gauge is
-        # the answer, and re-deriving one pointwise would only add grid
-        # noise whose derivative pollutes the Maurer-Cartan blocks
-        res0 = canonical_shape_residual(B)
-        if res0 <= min(thresh, 0.1):
-            eye = np.broadcast_to(np.eye(4), B.shape[:-2] + (4, 4)).copy()
-            return eye, B.copy(), orient
-        A, g = _attempt_canonical_gauge(B, thresh)
+        # already canonical (up to discretization): no gauge is needed,
+        # and re-deriving one pointwise would only add grid noise whose
+        # derivative pollutes the Maurer-Cartan blocks
+        if canonical_shape_residual(B) <= min(thresh, 0.1):
+            return None, B, orient
+        A = _attempt_canonical_gauge(B, thresh)
         if A is None:
             continue
         Bhat = A @ B
@@ -212,16 +212,15 @@ def _attempt_canonical_gauge(B: np.ndarray, thresh: float = 1e-6):
     The columns, viewed as rank-1 matrices m(b_j) = v_j w_j^T, admit a
     same-orientation gauge exactly when the w_j are pointwise parallel;
     then any g with conj(g) w ~ e1 sends every column into the vanishing
-    second-column plane.  Returns (A, g) or (None, None).
+    second-column plane.  Returns the SO+(1,3) gauge A, or None.
     """
     mats = vec_to_mat(np.moveaxis(B, -1, 0))          # (n, Nu, Nv, 2, 2)
     weights = np.moveaxis(np.sum(np.abs(mats) ** 2, axis=(-1, -2)), 0, -1)
     wdirs = np.moveaxis(_rank1_row_direction(mats), 0, -2)   # (Nu, Nv, n, 2)
     ref, mis = _direction_consistency(wdirs, weights)
     if mis > thresh:
-        return None, None
-    g = _smooth_gauge(_gauge_from_w(ref))
-    return sl2_to_so13(g), g
+        return None
+    return sl2_to_so13(_smooth_gauge(_gauge_from_w(ref)))
 
 
 def common_factor(B1: np.ndarray, c: Chart, eps_rel: float = 1e-6):

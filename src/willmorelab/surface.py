@@ -79,6 +79,29 @@ def _complement_solver(B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, Bs)
 
 
+def complement_basis(B: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (dim - m, dim) of the Minkowski complement of
+    the rows of one point's B (m, dim), which must be spacelike.
+
+    Gram-Schmidt on the standard basis vectors, each first projected
+    onto the complement (`_complement_solver`); a candidate whose
+    remainder has squared norm below 1e-8 lies in the span already kept
+    and is skipped.
+    """
+    m, dim = B.shape
+    basis = []
+    for w in np.eye(dim) - _complement_solver(B).T @ B:
+        for prev in basis:
+            w = w - inner(w, prev) * prev
+        nrm = inner(w, w)
+        if nrm > 1e-8:
+            basis.append(w / np.sqrt(nrm))
+        if len(basis) == dim - m:
+            return np.stack(basis)
+    raise RuntimeError("the rows leave no spacelike complement of "
+                       f"dimension {dim - m}")
+
+
 def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt on (..., n, dim) spacelike vectors."""
     out = np.array(vecs, dtype=float)
@@ -98,35 +121,21 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     B = stack(Y, N, Y_u, Y_v) of shape (Nu, Nv, 4, dim) spans the mean
     curvature sphere bundle and Q = `_complement_solver(B)`, so rows w
     project onto the normal bundle as w - (w Q^T) B.  Seeded by
-    Gram-Schmidt of the ambient basis at (0,0) and propagated by
-    nearest-frame alignment: each point projects its neighbour's frame
-    onto its own normal space and re-orthonormalizes.  Row 0 is swept
-    sequentially, every later row follows its predecessor in one
-    vectorized step, so the result is deterministic.
+    `complement_basis` at (0,0) and propagated by nearest-frame
+    alignment: each point projects its neighbour's frame onto its own
+    normal space and re-orthonormalizes.  Row 0 is swept sequentially,
+    every later row follows its predecessor in one vectorized step, so
+    the result is deterministic.
     """
-    dim = B.shape[-1]
-    n = dim - 4
     QT = np.swapaxes(Q, -1, -2)
-
-    # seed frame at (0, 0): projected ambient basis vectors e_i
-    seed = []
-    for w in np.eye(dim) - QT[0, 0] @ B[0, 0]:
-        for prev in seed:
-            w = w - inner(w, prev) * prev
-        nrm = inner(w, w)
-        if nrm > 1e-6:
-            seed.append(w / np.sqrt(nrm))
-        if len(seed) == n:
-            break
-    if len(seed) < n:
-        raise RuntimeError("could not seed the normal frame")
-
+    seed = complement_basis(B[0, 0])
     # orient the seed so that (phi1..phi4, psi) is positively oriented
-    if np.linalg.det(np.stack(sphere_columns(*B[0, 0]) + seed, axis=-1)) < 0:
+    if np.linalg.det(np.stack(sphere_columns(*B[0, 0]) + list(seed),
+                              axis=-1)) < 0:
         seed[-1] = -seed[-1]
 
-    psi = np.empty(B.shape[:2] + (n, dim))
-    psi[0, 0] = np.stack(seed)
+    psi = np.empty(B.shape[:2] + seed.shape)
+    psi[0, 0] = seed
     for j in range(1, B.shape[1]):
         w = psi[0, j - 1]
         psi[0, j] = _orthonormalize(w - (w @ QT[0, j]) @ B[0, j])
@@ -211,6 +220,12 @@ def normal_derivative_components(S: SurfaceData, comps: np.ndarray,
     return d_z(comps, c) - np.einsum("...lj,...j->...l", S.b, comps)
 
 
+def willmore_residual(S: SurfaceData) -> np.ndarray:
+    """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa."""
+    eta = normal_derivative_components(S, S.beta, zbar=True)
+    return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
+
+
 def _norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:
     out = {}
     for name, f in fields.items():
@@ -247,12 +262,11 @@ def integrability_residuals(S: SurfaceData) -> dict:
     c = S.chart
     k, b, beta, s = S.kappa, S.b, S.beta, S.schwarzian
     gamma = normal_derivative_components(S, k, zbar=False)     # D_z kappa
-    eta = normal_derivative_components(S, beta, zbar=True)     # D_zbar^2 kappa
 
     gauss = 0.5 * d_zbar(s, c) \
         - 3 * np.sum(k * np.conj(beta), axis=-1) \
         - np.sum(gamma * np.conj(k), axis=-1)
-    codazzi = np.imag(eta + 0.5 * np.conj(s)[..., None] * k)
+    codazzi = np.imag(willmore_residual(S))
     curv = d_zbar(b, c) - d_z(np.conj(b), c) \
         + b @ np.conj(b) - np.conj(b) @ b
     rhs = 2 * (k[..., :, None] * np.conj(k)[..., None, :]

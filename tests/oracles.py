@@ -8,9 +8,9 @@ only the package's stencils and norms: it assembles the full
 `harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
 oracles after it are the reference forms of package code written
 otherwise (per-point einsums, per-point CSV rows, per-call span
-projections, complex products, the csv module's float reader, the
-Gauss-bundle match through full surface data) and helpers that no
-package path calls.
+projections, the explicit complement of a null pair, complex products,
+the csv module's float reader, the Gauss-bundle match through full
+surface data) and helpers that no package path calls.
 """
 
 import csv
@@ -287,6 +287,24 @@ def project_out_span(w, basis):
     rhs = inner(basis, w[..., None, :])
     coef = np.linalg.solve(G, rhs[..., None])[..., 0]
     return w - np.sum(coef[..., None] * basis, axis=-2)
+
+
+def null_pair_complement_basis(L, Z):
+    """Orthonormal basis of span{L, Z}^perp for null L, Z with
+    <L, Z> = -1: Gram-Schmidt on the standard basis vectors e projected
+    by the explicit formula e + <e, Z> L + <e, L> Z, no Gram solve."""
+    dim = L.shape[-1]
+    basis = []
+    for e in np.eye(dim):
+        w = e + inner(e, Z) * L + inner(e, L) * Z
+        for prev in basis:
+            w = w - inner(w, prev) * prev
+        nrm = inner(w, w)
+        if nrm > 1e-8:
+            basis.append(w / np.sqrt(nrm))
+        if len(basis) == dim - 2:
+            break
+    return np.stack(basis)
 
 
 def _gram_schmidt(vecs):

@@ -124,7 +124,7 @@ def test_criterion_3_willmore_residual_separates_zoo_from_control():
         vals = {}
         for N in (48, 96):
             c, S, _, _ = pipeline(kind, N)
-            vals[N] = (c.h, sup_norm(gauss_frame.willmore_residual(S),
+            vals[N] = (c.h, sup_norm(surface.willmore_residual(S),
                                      S.residual_mask()))
         h96, r96 = vals[96]
         worst_C = max(worst_C, r96 / h96**2)
@@ -136,7 +136,7 @@ def test_criterion_3_willmore_residual_separates_zoo_from_control():
     ctrl = {}
     for N in (48, 96):
         c, S, _, _ = pipeline("torus_of_revolution", N, 3.0)
-        ctrl[N] = sup_norm(gauss_frame.willmore_residual(S),
+        ctrl[N] = sup_norm(surface.willmore_residual(S),
                            S.residual_mask())
     ctrl_floor = min(ctrl.values())
     ctrl_ratio = ctrl[48] / ctrl[96]
@@ -269,14 +269,14 @@ def test_criterion_8_surface_roundtrip_and_dual():
     for kind in ("clifford_torus", "veronese_s4"):
         c, S, Ff, M = pipeline(kind, 48)
         NF = reconstruct.normalize(Ff, M)
-        out = reconstruct.project_y0(NF)
+        y0 = reconstruct.to_sphere_map(NF.Y0, c)
         yin = reconstruct.to_sphere_map(S.Y, c)
         m = c.interior_mask(DEFAULT_MARGIN)
-        d = np.sqrt(np.sum((out["map"].values - yin.values)**2, axis=-1))
+        d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
         dist = float(np.max(d[m]))
         cl = reconstruct.classify(NF)
-        md = reconstruct.dual_mu(NF)
-        ds = reconstruct.dual_surface(NF, md["mu"], cl.max_rank)
+        ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
+                                      cl.max_rank)
         vg = reconstruct.verify_gauss_match(ds["map"], NF)
         tol = 1e-6 + 100 * c.h**2
         ok &= dist <= tol and vg["orientation"] == "opposite" \
@@ -294,8 +294,7 @@ def test_criterion_9_degenerate_cases():
         c, _, Ff, M = pipeline(kind, 48)
         NF = reconstruct.normalize(Ff, M)
         cl = reconstruct.classify(NF)
-        st = reconstruct.stereographic(cl.details["Ymu"],
-                                       cl.constant_vector, c)
+        st = reconstruct.stereographic(cl.Ymu, cl.constant_vector, c)
         res = max(st["conformal_residual"], st["harmonic_residual"])
         ok &= (cl.case == "b2i" and cl.has_willmore_surface
                and res <= 100 * c.h**2)
@@ -304,9 +303,8 @@ def test_criterion_9_degenerate_cases():
 
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 96, 96, "periodic-both")
     F = helpers.rank2_degenerate_frame(c)
-    eye = np.broadcast_to(np.eye(4), c.shape + (4, 4)).copy()
     NF = reconstruct.NormalizedFrame(F=F, blocks=maurer_cartan(
-        FrameField(F=F, chart=c)), orientation="same", gauge=eye, chart=c)
+        FrameField(F=F, chart=c)), orientation="same", chart=c)
     cl = reconstruct.classify(NF)
     ok &= (cl.case == "b1" and not cl.has_willmore_surface
            and "no Willmore surface" in cl.verdict)

@@ -141,6 +141,41 @@ def test_config_file_and_flag_override(tmp_path):
     assert rep["config"]["surface"] == "clifford_torus"
 
 
+@pytest.mark.parametrize("flags", [["--format", "xml"], ["--refine", "x"]])
+def test_bad_flag_value_exits_3(capsys, flags):
+    """A bad flag is a configuration error (3), not argparse's 2, which
+    would read as a verification failure."""
+    assert run("analyze", "--surface", "clifford_torus", *flags) == 3
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_config_file_values_are_read_like_flags(tmp_path):
+    """A config value is the flag's text, so "1e-6" is the tolerance the
+    flag --tol 1e-6 would set."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"surface": "clifford_torus",
+                               "chart": CLIFF_CHART, "tol": "1e-6"}))
+    out = tmp_path / "rep.json"
+    assert run("analyze", "--config", str(cfg), "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("command, entry, message", [
+    ("verify-harmonic", {"lambda_samples": [1, 2]}, "string or number"),
+    ("reconstruct", {"format": "xml"}, "invalid choice"),
+    ("analyze", {"surfac": "enneper"}, "unknown config key 'surfac'"),
+])
+def test_bad_config_file_entry_exits_3(tmp_path, capsys, command, entry,
+                                       message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"chart": CLIFF_CHART, **entry}))
+    out = tmp_path / "out.csv"
+    assert run(command, "--config", str(cfg), "--surface", "clifford_torus",
+               "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_exit_codes(capsys):
     assert run("analyze") == 3                         # nothing to run
     assert run("analyze", "--surface", "klein") == 3   # unknown kind

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from willmorelab import gauss_frame, zoo
+from willmorelab import gauss_frame, surface, zoo
 from willmorelab.chart import sup_norm
 from willmorelab.lorentz import validate_group
 
@@ -94,10 +94,10 @@ def test_willmore_energy_open_chart_is_flagged(pipe):
 
 def test_willmore_residual_zoo_vs_control(pipe):
     c, S, _, _ = pipe("clifford_torus")
-    r = sup_norm(gauss_frame.willmore_residual(S), S.residual_mask())
+    r = sup_norm(surface.willmore_residual(S), S.residual_mask())
     assert r < 1e-10
     ct, St, _, _ = pipe("torus_of_revolution", 48, 3.0)
-    rt = sup_norm(gauss_frame.willmore_residual(St), St.residual_mask())
+    rt = sup_norm(surface.willmore_residual(St), St.residual_mask())
     assert rt > 0.1
 
 

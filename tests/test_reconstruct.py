@@ -4,7 +4,7 @@ import pytest
 from willmorelab import reconstruct, spinor
 from willmorelab.chart import Chart, DEFAULT_MARGIN
 from willmorelab.gauss_frame import FrameField, maurer_cartan
-from willmorelab.lorentz import inner, validate_group
+from willmorelab.lorentz import inner, metric
 
 import helpers
 import oracles
@@ -19,18 +19,32 @@ def test_normalize_reaches_canonical_shape(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
     assert NF.shape_residual < 1e-10
     assert NF.orientation == "same"
-    ok, _ = validate_group(NF.gauge, 1e-8)
-    assert np.all(ok)
     # the four-column bundle is untouched: Y0 still the input surface
     y0 = reconstruct.to_sphere_map(NF.Y0, c)
     yin = reconstruct.to_sphere_map(S.Y, c)
     assert y0.distance(yin) < 1e-10
 
 
+def test_normalize_keeps_an_already_canonical_frame(pipe, monkeypatch):
+    """A zoo Gauss frame already has the canonical B1 shape: normalize
+    runs maurer_cartan once and returns the input frame and its blocks."""
+    _, _, Ff, _ = pipe("clifford_torus")
+    made = []
+
+    def counting(Ff):
+        made.append(maurer_cartan(Ff))
+        return made[-1]
+
+    monkeypatch.setattr(reconstruct, "maurer_cartan", counting)
+    NF = reconstruct.normalize(Ff)
+    assert len(made) == 1
+    assert NF.F is Ff.F and NF.blocks is made[0]
+
+
 def test_normalized_beta_k_match_invariants(pipe):
     """Reading (beta, k) off the canonical block recovers the surface data."""
     c, S, NF = normalized(pipe, "clifford_torus")
-    beta, k = NF.canonical_beta_k()
+    beta, k = reconstruct._beta_k(NF.blocks.B1)
     # the canonical gauge can differ from the surface gauge by a rotation
     # of the normal frame, so compare the invariant |k|^2 and beta*conj(k)
     assert np.max(np.abs(np.sum(np.abs(k)**2, axis=-1) - S.k2)) < 1e-8
@@ -52,14 +66,13 @@ def test_h_is_constant_for_direct_gauss_frames(pipe):
 
 def test_constant_vector_absent_for_clifford(pipe):
     c, _, NF = normalized(pipe, "clifford_torus")
-    L, diag = reconstruct.constant_lightlike_vector(NF.F, c)
-    assert L is None
+    assert reconstruct.constant_lightlike_vector(NF.F, c) is None
 
 
 def test_constant_vector_found_for_reduced_frame():
     c = Chart(-1, 1, -1, 1, 32, 32, "open")
     F = helpers.reduced_frame_field(c)
-    L, diag = reconstruct.constant_lightlike_vector(F, c)
+    L = reconstruct.constant_lightlike_vector(F, c)
     assert L is not None
     assert abs(inner(L, L)) < 1e-10           # snapped onto the cone
     # the bundle holds e0 and e1, so L is (e0 +- e1)/sqrt2
@@ -86,12 +99,11 @@ def test_constant_vector_search_matches_einsum_oracle(pipe, monkeypatch):
         want = oracles.rejection_operator(F)
         got = reconstruct._rejection_operator(F)
         assert np.max(np.abs(got - want)) <= 1e-12, name
-        L, diag = reconstruct.constant_lightlike_vector(F, c)
+        L = reconstruct.constant_lightlike_vector(F, c)
         with monkeypatch.context() as m:
             m.setattr(reconstruct, "_rejection_operator",
                       oracles.rejection_operator)
-            L_ref, diag_ref = reconstruct.constant_lightlike_vector(F, c)
-        assert diag["kernel_dim"] == diag_ref["kernel_dim"], name
+            L_ref = reconstruct.constant_lightlike_vector(F, c)
         assert (L is None) == (L_ref is None), name
         if L is not None:
             assert np.max(np.abs(L - L_ref)) <= 1e-12, name
@@ -108,11 +120,44 @@ def test_rejection_oracle_rejects_broken_operators(pipe):
             assert np.max(np.abs(mutant - want)) > 1.0, name
 
 
+def _projector_defect(P, F):
+    """Worst of |P^2 - P|, |P f_k - f_k| on the four bundle columns and
+    |P psi| on the others."""
+    PF = P @ F
+    return max(np.max(np.abs(P @ P - P)),
+               np.max(np.abs(PF[..., :, :4] - F[..., :, :4])),
+               np.max(np.abs(PF[..., :, 4:])))
+
+
+def _projector_frames(pipe):
+    """Frame fields that are exact group elements: the Clifford torus's
+    normalized Gauss frame and the two synthetic degenerate frames."""
+    _, _, NF = normalized(pipe, "clifford_torus")
+    yield "clifford_torus", NF.F
+    yield "rank2", helpers.rank2_degenerate_frame(
+        Chart(0, 2 * np.pi, 0, 2 * np.pi, 32, 32, "periodic-both"))
+    yield "reduced", helpers.reduced_frame_field(
+        Chart(-1, 1, -1, 1, 32, 32, "open"))
+
+
+def test_bundle_projector_is_the_projection_onto_the_bundle(pipe):
+    """P is idempotent, fixes the four bundle columns and kills the
+    normal columns; without the timelike sign eps_0 = -1 it is not."""
+    for name, F in _projector_frames(pipe):
+        assert _projector_defect(reconstruct._bundle_projector(F), F) \
+            < 1e-10, name
+        F4 = F[..., :, :4]
+        no_eps = (F4 @ np.swapaxes(F4, -1, -2)) * np.diag(
+            metric(F.shape[-1]))
+        assert _projector_defect(no_eps, F) > 1.0, name
+
+
 @pytest.mark.parametrize("kind", ["enneper", "catenoid"])
 @pytest.mark.parametrize("orientation", ["same", "conjugate"])
 def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
     """The conjugate renormalization in classify starts from NF.blocks
-    and matches a renormalization that recomputes maurer_cartan."""
+    and matches a renormalization that recomputes maurer_cartan: same
+    frame and blocks, and bit for bit the same Y_mu in classify."""
     c, _, Ff, M = pipe(kind)
     NF = reconstruct.normalize(Ff, M, orientation=orientation)
     assert NF.orientation == orientation
@@ -121,12 +166,12 @@ def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
                                 orientation="conjugate")
     got = reconstruct.normalize(FrameField(F=NF.F, chart=c), M0,
                                 orientation="conjugate")
-    in_classify = reconstruct.classify(NF).details["normalized_conjugate"]
-    for NFc in (got, in_classify):
-        assert np.array_equal(NFc.F, ref.F)
-        for b in ("A1", "A2", "B1", "B2"):
-            assert np.array_equal(getattr(NFc.blocks, b),
-                                  getattr(ref.blocks, b)), b
+    assert np.array_equal(got.F, ref.F)
+    for b in ("A1", "A2", "B1", "B2"):
+        assert np.array_equal(getattr(got.blocks, b),
+                              getattr(ref.blocks, b)), b
+    Ymu, _ = reconstruct.build_Y_mu(ref, reconstruct.dual_mu(ref))
+    assert np.array_equal(reconstruct.classify(NF).Ymu, Ymu)
 
 
 def test_sphere_map_representatives(pipe):
@@ -139,10 +184,12 @@ def test_sphere_map_representatives(pipe):
 
 def test_clifford_roundtrip_machine_exact(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
-    out = reconstruct.project_y0(NF)
+    y0 = reconstruct.to_sphere_map(NF.Y0, c)
     yin = reconstruct.to_sphere_map(S.Y, c)
-    assert out["map"].distance(yin) < 1e-12
-    assert not np.any(out["U0"])              # h never vanishes
+    assert y0.distance(yin) < 1e-12
+    # h never vanishes: [e0 - e0hat] immerses everywhere
+    scale = np.max(np.abs(NF.blocks.A1)) + c.h
+    assert not np.any(np.abs(NF.h) < 1e-6 * scale)
 
 
 def test_veronese_roundtrip(pipe):
@@ -150,10 +197,10 @@ def test_veronese_roundtrip(pipe):
     # normalization is the identity gauge and projection returns the
     # input surface on the nose
     c, S, NF = normalized(pipe, "veronese_s4", 48)
-    out = reconstruct.project_y0(NF)
+    y0 = reconstruct.to_sphere_map(NF.Y0, c)
     yin = reconstruct.to_sphere_map(S.Y, c)
     m = c.interior_mask(DEFAULT_MARGIN)
-    d = np.sqrt(np.sum((out["map"].values - yin.values)**2, axis=-1))
+    d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
     assert np.max(d[m]) < 1e-10
 
 
@@ -168,10 +215,10 @@ def test_scrambled_veronese_roundtrip_converges(pipe):
         G[..., 4, 4] = G[..., 5, 5] = 1.0
         Fs = FrameField(F=Ff.F @ np.linalg.inv(G), chart=c)
         NF = reconstruct.normalize(Fs)
-        out = reconstruct.project_y0(NF)
+        y0 = reconstruct.to_sphere_map(NF.Y0, c)
         yin = reconstruct.to_sphere_map(S.Y, c)
         m = c.interior_mask(DEFAULT_MARGIN)
-        d = np.sqrt(np.sum((out["map"].values - yin.values)**2, axis=-1))
+        d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
         dists.append(float(np.max(d[m])))
     assert dists[0] < 0.5
     assert dists[0] / dists[1] > 2.5          # at least O(h^2)
@@ -181,9 +228,13 @@ def test_clifford_dual_surface(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
     cl = reconstruct.classify(NF)
     assert (cl.case, cl.max_rank) == ("a2", 1)
-    md = reconstruct.dual_mu(NF)
-    assert md["scatter_sup"] < 1e-8
-    ds = reconstruct.dual_surface(NF, md["mu"], cl.max_rank)
+    mu = reconstruct.dual_mu(NF)
+    # rank-1 consistency: mu solves beta = -(conj(mu)/2) k
+    beta, k = reconstruct._beta_k(NF.blocks.B1)
+    scale = np.sqrt(np.max(np.sum(np.abs(beta)**2 + np.abs(k)**2, axis=-1)))
+    assert np.max(np.abs(beta + 0.5 * np.conj(mu)[..., None] * k)) \
+        < 1e-8 * scale
+    ds = reconstruct.dual_surface(NF, mu, cl.max_rank)
     assert ds["duality_residual"] < 1e-10
     vg = reconstruct.verify_gauss_match(ds["map"], NF)
     assert vg["orientation"] == "opposite"
@@ -197,7 +248,7 @@ def test_clifford_dual_surface(pipe):
 
 def test_dual_surface_rejects_rank_two(pipe):
     _, _, NF = normalized(pipe, "clifford_torus")
-    mu = reconstruct.dual_mu(NF)["mu"]
+    mu = reconstruct.dual_mu(NF)
     with pytest.raises(ValueError, match="max rank 1, got rank 2"):
         reconstruct.dual_surface(NF, mu, 2)
 
@@ -207,8 +258,7 @@ def _gauss_match_cases(pipe):
     the duals of clifford_torus and veronese_s4 and the direct surface."""
     for kind in ("clifford_torus", "veronese_s4"):
         c, S, NF = normalized(pipe, kind)
-        md = reconstruct.dual_mu(NF)
-        ds = reconstruct.dual_surface(NF, md["mu"],
+        ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
                                       reconstruct.classify(NF).max_rank)
         yield f"{kind}:dual", ds["map"], NF
     c, S, NF = normalized(pipe, "clifford_torus")
@@ -262,7 +312,7 @@ def test_minimal_surfaces_classify_b2i(pipe, kind):
 def test_enneper_recovers_a_minimal_immersion(pipe):
     c, _, NF = normalized(pipe, "enneper")
     cl = reconstruct.classify(NF)
-    st = reconstruct.stereographic(cl.details["Ymu"], cl.constant_vector, c)
+    st = reconstruct.stereographic(cl.Ymu, cl.constant_vector, c)
     assert st["conformal_residual"] < 100 * c.h**2
     assert st["harmonic_residual"] < 100 * c.h**2
 
@@ -271,9 +321,8 @@ def test_rank2_degenerate_classifies_b1():
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 96, 96, "periodic-both")
     F = helpers.rank2_degenerate_frame(c)
     M = maurer_cartan(FrameField(F=F, chart=c))
-    eye = np.broadcast_to(np.eye(4), c.shape + (4, 4)).copy()
     NF = reconstruct.NormalizedFrame(F=F, blocks=M, orientation="same",
-                                     gauge=eye, chart=c)
+                                     chart=c)
     cl = reconstruct.classify(NF)
     assert cl.case == "b1"
     assert not cl.has_willmore_surface

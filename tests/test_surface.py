@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab import surface, zoo
-from willmorelab.chart import Chart, d_z, d_zbar
+from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
 from willmorelab.lorentz import inner, metric
 
 import oracles
@@ -182,3 +182,41 @@ def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, broken):
     want = oracles.invariants_by_span_projection(S.Y, S.N, c)
     for name in ("kappa", "psi"):
         assert np.nanmax(np.abs(getattr(S, name) - want[name])) > 0.1, name
+
+
+def _complement_cases(pipe):
+    """(name, rows) for `complement_basis`: the mean curvature sphere
+    rows (Y, N, Y_u, Y_v) at a few points of zoo surfaces in S^3 and S^4."""
+    for kind in ("clifford_torus", "enneper", "veronese_s4"):
+        c, S, _, _ = pipe(kind)
+        Yu, Yv = d_u(S.Y, c), d_v(S.Y, c)
+        for i, j in ((0, 0), (c.Nu // 2, c.Nv // 3), (-1, -1)):
+            yield f"{kind}[{i},{j}]", np.stack([S.Y[i, j], S.N[i, j],
+                                                Yu[i, j], Yv[i, j]])
+
+
+def test_complement_basis_is_orthonormal_and_orthogonal_to_the_rows(pipe):
+    for name, B in _complement_cases(pipe):
+        E = surface.complement_basis(B)
+        dim = B.shape[-1]
+        assert E.shape == (dim - 4, dim), name
+        G = inner(E[:, None, :], E[None, :, :])
+        assert np.max(np.abs(G - np.eye(dim - 4))) < 1e-12, name
+        # a kept candidate may have lost up to four digits to the
+        # projection (squared norm down to 1e-8 before normalizing)
+        assert np.max(np.abs(inner(E[:, None, :], B[None, :, :]))) < 1e-10, \
+            name
+
+
+def test_complement_basis_of_a_null_pair_matches_the_explicit_formula(rng):
+    """For null L, Z with <L, Z> = -1 the general projection is the
+    explicit e + <e, Z> L + <e, L> Z, and the same candidates are kept."""
+    for dim in (5, 6, 7):
+        for _ in range(4):
+            ls = rng.normal(size=dim - 1)
+            L = np.concatenate([[1.0], ls / np.linalg.norm(ls)])
+            Z = np.concatenate([[L[0]], -L[1:]]) / 2.0
+            got = surface.complement_basis(np.stack([L, Z]))
+            want = oracles.null_pair_complement_basis(L, Z)
+            assert got.shape == want.shape == (dim - 2, dim)
+            assert np.max(np.abs(got - want)) < 1e-14
