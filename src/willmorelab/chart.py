@@ -96,10 +96,13 @@ class Chart:
 
 
 def _diff_axis(f: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    """Second-order first derivative along axis."""
+    """Second-order first derivative along axis.
+
+    The stencil numerators are written into one output array, which is
+    then divided by 2h in place; a periodic axis takes its two wrap rows
+    from the edge slices.
+    """
     f = np.asarray(f)
-    if periodic:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
     df = np.empty_like(f, dtype=np.result_type(f.dtype, float))
     sl = [slice(None)] * f.ndim
 
@@ -108,9 +111,15 @@ def _diff_axis(f: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray
         s[axis] = i
         return tuple(s)
 
-    df[at(slice(1, -1))] = (f[at(slice(2, None))] - f[at(slice(0, -2))]) / (2 * h)
-    df[at(0)] = (-3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]) / (2 * h)
-    df[at(-1)] = (3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]) / (2 * h)
+    np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))],
+                out=df[at(slice(1, -1))])
+    if periodic:
+        np.subtract(f[at(1)], f[at(-1)], out=df[at(0)])
+        np.subtract(f[at(0)], f[at(-2)], out=df[at(-1)])
+    else:
+        df[at(0)] = -3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]
+        df[at(-1)] = 3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]
+    df /= 2 * h
     return df
 
 
@@ -173,13 +182,7 @@ def umbilic_mask(kappa: np.ndarray, eps_rel: float = 1e-8) -> np.ndarray:
     return k < eps_rel * (np.max(k) + 1e-300)
 
 
-def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Pointwise-magnitude sup over the (unmasked) grid.
-
-    Trailing value axes are reduced with max |.|; mask has shape (Nu, Nv)
-    and True means "keep".
-    """
-    a = np.abs(np.asarray(f))
+def _sup_of_abs(a: np.ndarray, mask: np.ndarray | None) -> float:
     while a.ndim > 2:
         a = np.max(a, axis=-1)
     if mask is not None:
@@ -187,11 +190,34 @@ def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
     return float(np.max(a))
 
 
-def l2_norm(f: np.ndarray, c: Chart, mask: np.ndarray | None = None) -> float:
-    """Grid L2 norm sqrt(integral |f|^2 du dv), mask zeroing excluded points."""
-    a = np.abs(np.asarray(f)) ** 2
+def _l2_of_abs(a: np.ndarray, c: Chart, mask: np.ndarray | None) -> float:
+    a = a ** 2
     while a.ndim > 2:
         a = np.sum(a, axis=-1)
     if mask is not None:
         a = np.where(mask, a, 0.0)
     return float(np.sqrt(integrate(a, c)))
+
+
+def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
+    """Pointwise-magnitude sup over the (unmasked) grid.
+
+    Trailing value axes are reduced with max |.|; mask has shape (Nu, Nv)
+    and True means "keep".
+    """
+    return _sup_of_abs(np.abs(np.asarray(f)), mask)
+
+
+def l2_norm(f: np.ndarray, c: Chart, mask: np.ndarray | None = None) -> float:
+    """Grid L2 norm sqrt(integral |f|^2 du dv), mask zeroing excluded points."""
+    return _l2_of_abs(np.abs(np.asarray(f)), c, mask)
+
+
+def residual_norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:
+    """{name: {"sup", "l2"}} of each field, both norms from one |f|."""
+    out = {}
+    for name, f in fields.items():
+        a = np.abs(np.asarray(f))
+        out[name] = {"sup": _sup_of_abs(a, mask),
+                     "l2": _l2_of_abs(a, c, mask)}
+    return out

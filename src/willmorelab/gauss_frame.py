@@ -141,8 +141,15 @@ def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,
     value on the chart (global scale, so an O(h^2)-noisy zero block does
     not register).  Max rank 1 characterizes duality (S-type Willmore
     surfaces); rank 0 means totally umbilic.
+
+    The singular values are sqrt(max(lam, 0)) for the eigenvalues lam of
+    the n x n Hermitian Gram B1^H B1.  lam is accurate to about
+    4 eps max(lam), so for tol >= 1e-6 a rank can differ from the SVD's
+    only where a singular value lies within about 5e-4 (relative) of the
+    threshold.
     """
-    sv = np.linalg.svd(B1, compute_uv=False)
+    lam = np.linalg.eigvalsh(np.swapaxes(B1.conj(), -1, -2) @ B1)
+    sv = np.sqrt(np.maximum(lam, 0.0))
     scale = np.max(sv)
     rank = np.sum(sv > tol * (scale + 1e-300), axis=-1)
     if mask is not None:

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import Chart, DEFAULT_MARGIN, d_zbar, integrate, l2_norm, sup_norm
+from .chart import (Chart, DEFAULT_MARGIN, d_zbar, integrate, residual_norms,
+                    sup_norm)
 from .gauss_frame import I13, MCBlocks
 from .lorentz import gram
 
@@ -122,8 +123,7 @@ def harmonic_residuals(M: MCBlocks | LoopCurvature) -> dict:
     K = _curvature(M)
     c = K.chart
     mask = c.interior_mask(DEFAULT_MARGIN)
-    return {name: {"sup": sup_norm(r, mask), "l2": l2_norm(r, c, mask)}
-            for name, r in K.lines.items()}
+    return residual_norms(K.lines, c, mask)
 
 
 def strong_conformal_check(B1: np.ndarray,

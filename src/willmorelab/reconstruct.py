@@ -138,7 +138,7 @@ def _rejection_operator(F: np.ndarray) -> np.ndarray:
     return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
-def constant_lightlike_vector(F: np.ndarray, c: Chart):
+def constant_lightlike_vector(F: np.ndarray):
     """Search the bundle spanned by the first four columns of F for a
     constant lightlike vector.
 
@@ -330,7 +330,7 @@ def classify(NF: NormalizedFrame) -> Classification:
     mask = c.interior_mask(DEFAULT_MARGIN)
     _, maxrank = s_willmore_rank(NF.blocks.B1, tol=max(tol, 50 * c.h**2),
                                  mask=mask)
-    L = constant_lightlike_vector(NF.F, c)
+    L = constant_lightlike_vector(NF.F)
     h_sup = float(np.max(np.abs(NF.h)))
     speccond = NF.speccond_residual()
 

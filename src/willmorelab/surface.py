@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    sup_norm, l2_norm, umbilic_mask, wirtinger)
+                    residual_norms, umbilic_mask, wirtinger)
 from .lorentz import inner, metric
 
 
@@ -226,13 +226,6 @@ def willmore_residual(S: SurfaceData) -> np.ndarray:
     return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
 
 
-def _norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:
-    out = {}
-    for name, f in fields.items():
-        out[name] = {"sup": sup_norm(f, mask), "l2": l2_norm(f, c, mask)}
-    return out
-
-
 def structure_residuals(S: SurfaceData) -> dict:
     """Residual norms of the four moving-frame structure equations."""
     c = S.chart
@@ -253,8 +246,8 @@ def structure_residuals(S: SurfaceData) -> dict:
         + 2 * S.kappa[..., None] * np.conj(Yz)[..., None, :]
 
     mask = S.residual_mask()
-    return _norms({"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4},
-                  c, mask)
+    return residual_norms(
+        {"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4}, c, mask)
 
 
 def integrability_residuals(S: SurfaceData) -> dict:
@@ -274,5 +267,5 @@ def integrability_residuals(S: SurfaceData) -> dict:
     ricci = curv - rhs
 
     mask = S.residual_mask()
-    return _norms({"gauss": gauss, "codazzi": codazzi, "ricci": ricci},
-                  c, mask)
+    return residual_norms(
+        {"gauss": gauss, "codazzi": codazzi, "ricci": ricci}, c, mask)

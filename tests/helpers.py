@@ -128,6 +128,19 @@ def rank2_degenerate_frame(c: Chart, amp=0.5):
     return expm_field(C)
 
 
+def hexagonal_torus_patch(N=48):
+    """Raw lift of the flat hexagonal torus in S^5 (n = 3), minimal and
+    so Willmore, on an open sub-chart of its period rectangle
+    [0, 4pi] x [0, 4pi/sqrt3]."""
+    c = Chart(0.0, 2.0, 0.0, 2.0, N, N, "open")
+    U, V = c.grid()
+    r3 = np.sqrt(3.0)
+    angles = (U, -U / 2 + r3 * V / 2, -U / 2 - r3 * V / 2)
+    y = np.stack([f(a) for a in angles for f in (np.cos, np.sin)],
+                 axis=-1) / r3
+    return np.concatenate([np.ones(c.shape + (1,)), y], axis=-1), c
+
+
 def reduced_frame_field(c: Chart):
     """SO+(1,4) frame field that never moves e0, e1: the degenerate
     harmonic maps reduced to the rotation subgroup.

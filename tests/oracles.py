@@ -6,11 +6,13 @@ code with the package under test.  The loop-curvature oracle shares
 only the package's stencils and norms: it assembles the full
 (n+4)x(n+4) coefficients of alpha_lambda and differentiates them, where
 `harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
-oracles after it are the reference forms of package code written
-otherwise (per-point einsums, per-point CSV rows, per-call span
-projections, the explicit complement of a null pair, complex products,
-the csv module's float reader, the Gauss-bundle match through full
-surface data) and helpers that no package path calls.
+oracles after it, and `roll_diff_axis` beside the rolled difference it
+extends, are the reference forms of package code written otherwise
+(rolled stencil copies, per-point einsums, per-point CSV rows, per-call
+span projections, the explicit complement of a null pair, complex
+products, the csv module's float reader, the Gauss-bundle match through
+full surface data, one SVD per grid point) and helpers that no package
+path calls.
 """
 
 import csv
@@ -29,6 +31,27 @@ from willmorelab.surface import build_surface_data
 def _roll_diff(f, axis, h):
     """Central difference on a periodic axis."""
     return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
+
+
+def roll_diff_axis(f, h, axis, periodic):
+    """`chart._diff_axis` with two rolled copies on a periodic axis and
+    each stencil expression divided by 2h on its own."""
+    f = np.asarray(f)
+    if periodic:
+        return _roll_diff(f, axis, h)
+    df = np.empty_like(f, dtype=np.result_type(f.dtype, float))
+    sl = [slice(None)] * f.ndim
+
+    def at(i):
+        s = list(sl)
+        s[axis] = i
+        return tuple(s)
+
+    df[at(slice(1, -1))] = \
+        (f[at(slice(2, None))] - f[at(slice(0, -2))]) / (2 * h)
+    df[at(0)] = (-3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]) / (2 * h)
+    df[at(-1)] = (3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]) / (2 * h)
+    return df
 
 
 def classical_willmore_energy_s3(y, hu, hv):
@@ -472,3 +495,16 @@ def normalize_null_column(b, c, tol=1e-8):
     A = spinor.sl2_to_so13(g)
     canonical = np.einsum("...ij,...j->...i", A, b)
     return g, canonical
+
+
+def svd_rank(B1, tol=1e-6, mask=None):
+    """`gauss_frame.s_willmore_rank` by one LAPACK SVD per grid point:
+    singular values above tol times the chart-wide largest one."""
+    sv = np.linalg.svd(B1, compute_uv=False)
+    scale = np.max(sv)
+    rank = np.sum(sv > tol * (scale + 1e-300), axis=-1)
+    if mask is not None:
+        mrank = int(np.max(rank[mask])) if np.any(mask) else 0
+    else:
+        mrank = int(np.max(rank))
+    return rank, mrank

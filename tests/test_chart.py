@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from willmorelab.chart import (Chart, d_u, d_v, d_z, d_zbar, integrate,
-                               l2_norm, sup_norm, umbilic_mask)
+from willmorelab.chart import (TOPOLOGIES, Chart, d_u, d_v, d_z, d_zbar,
+                               integrate, l2_norm, sup_norm, umbilic_mask,
+                               wirtinger)
+
+import oracles
 
 
 def open_chart(N=33):
@@ -58,6 +61,28 @@ def test_wirtinger_is_the_complex_formula_bit_for_bit(rng, chart, dtype):
     fu, fv = d_u(f, chart), d_v(f, chart)
     assert np.array_equal(d_z(f, chart), 0.5 * (fu - 1j * fv))
     assert np.array_equal(d_zbar(f, chart), 0.5 * (fu + 1j * fv))
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("tail", [(), (5,), (4, 3)])
+def test_stencils_match_roll_oracle(rng, topology, dtype, tail):
+    """The one-output stencils equal the rolled-copy form value for value.
+
+    The steps are not powers of two, so dividing by 2h and multiplying
+    by 1/(2h) round differently."""
+    c = Chart(0.0, 1.3, -0.7, 2.1, 16, 16, topology)
+    f = rng.normal(size=c.shape + tail)
+    if dtype is complex:
+        f = f + 1j * rng.normal(size=f.shape)
+    f[rng.random(f.shape) < 0.2] = 0.0
+    fu = oracles.roll_diff_axis(f, c.hu, 0, c.periodic_u)
+    fv = oracles.roll_diff_axis(f, c.hv, 1, c.periodic_v)
+    for got, want in ((d_u(f, c), fu), (d_v(f, c), fv),
+                      (d_z(f, c), wirtinger(fu, fv, -1)),
+                      (d_zbar(f, c), wirtinger(fu, fv, 1))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_second_order_convergence_on_trig():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from willmorelab import gauss_frame, surface, zoo
-from willmorelab.chart import sup_norm
+from willmorelab.chart import DEFAULT_MARGIN, sup_norm
 from willmorelab.lorentz import validate_group
 
+import helpers
 import oracles
 
 
@@ -110,6 +111,58 @@ def test_s_willmore_rank(pipe):
     _, mr0 = gauss_frame.s_willmore_rank(
         M2.B1, tol=max(1e-6, 50 * c2.h**2), mask=S2.residual_mask())
     assert mr0 == 0
+
+
+def _threshold_B1(rng, n, factor, tol, shape=(6, 7)):
+    """B1 field with singular values (1, factor * tol, 0...) at every
+    point, in random unitary bases."""
+    def unitary(k):
+        z = rng.normal(size=shape + (k, k)) + 1j * rng.normal(
+            size=shape + (k, k))
+        return np.linalg.qr(z)[0]
+
+    s = np.zeros(n)
+    s[:2] = 1.0, factor * tol
+    return (unitary(4)[..., :, :n] * s) @ unitary(n)
+
+
+def _rank_cases(pipe, rng, case):
+    """(B1, [(tol, mask, expected max rank or None)]) for one case."""
+    if case.startswith("threshold"):
+        _, n, factor = case.split(":")
+        tol = 1e-6
+        B1 = _threshold_B1(rng, int(n), float(factor), tol)
+        return B1, [(tol, None, 2 if float(factor) > 1 else 1)]
+    if case == "hexagonal_torus_s5":
+        raw, c = helpers.hexagonal_torus_patch(48)
+        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
+            surface.build_surface_data(raw, c)))
+    else:
+        kind, N = case.split(":")
+        param = 3.0 if kind == "torus_of_revolution" else None
+        c, _, _, M = pipe(kind, int(N), param)
+    mask = c.interior_mask(DEFAULT_MARGIN)
+    return M.B1, [(tol, m, None) for tol in (1e-6, max(1e-6, 50 * c.h**2))
+                  for m in (None, mask)]
+
+
+@pytest.mark.parametrize(
+    "case", [f"{k}:{N}" for k in zoo.KINDS for N in (24, 48)]
+    + ["hexagonal_torus_s5"]
+    + [f"threshold:{n}:{x}" for n in (2, 3) for x in (1.01, 0.99)])
+def test_rank_matches_svd_oracle(pipe, rng, case):
+    """The rank from the eigenvalues of B1^H B1 is the per-point SVD's:
+    the same rank field and maximal rank, on the zoo at N=24 and 48 with
+    the analyze and classify tolerances, on a surface in S^5 (n = 3),
+    and where a second singular value sits 1% off the threshold."""
+    B1, checks = _rank_cases(pipe, rng, case)
+    for tol, mask, expected in checks:
+        rank, mrank = gauss_frame.s_willmore_rank(B1, tol=tol, mask=mask)
+        want, wmrank = oracles.svd_rank(B1, tol=tol, mask=mask)
+        assert np.array_equal(rank, want), (tol, mask is None)
+        assert mrank == wmrank, (tol, mask is None)
+        if expected is not None:
+            assert mrank == expected and np.all(rank == expected)
 
 
 def test_b_operator_exchanges_bundles(pipe):

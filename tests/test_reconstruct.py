@@ -65,14 +65,14 @@ def test_h_is_constant_for_direct_gauss_frames(pipe):
 
 
 def test_constant_vector_absent_for_clifford(pipe):
-    c, _, NF = normalized(pipe, "clifford_torus")
-    assert reconstruct.constant_lightlike_vector(NF.F, c) is None
+    _, _, NF = normalized(pipe, "clifford_torus")
+    assert reconstruct.constant_lightlike_vector(NF.F) is None
 
 
 def test_constant_vector_found_for_reduced_frame():
     c = Chart(-1, 1, -1, 1, 32, 32, "open")
     F = helpers.reduced_frame_field(c)
-    L = reconstruct.constant_lightlike_vector(F, c)
+    L = reconstruct.constant_lightlike_vector(F)
     assert L is not None
     assert abs(inner(L, L)) < 1e-10           # snapped onto the cone
     # the bundle holds e0 and e1, so L is (e0 +- e1)/sqrt2
@@ -82,28 +82,28 @@ def test_constant_vector_found_for_reduced_frame():
 
 
 def _lightlike_cases(pipe):
-    """(frame, chart) pairs for the lightlike-vector search: normalized
+    """(name, frame) pairs for the lightlike-vector search: normalized
     zoo frames without (clifford, veronese) and with (enneper, catenoid)
     a constant lightlike vector, and the reduced degenerate frame."""
     for kind in ("clifford_torus", "veronese_s4", "enneper", "catenoid"):
-        c, _, NF = normalized(pipe, kind)
-        yield kind, NF.F, c
+        _, _, NF = normalized(pipe, kind)
+        yield kind, NF.F
     c = Chart(-1, 1, -1, 1, 32, 32, "open")
-    yield "reduced", helpers.reduced_frame_field(c), c
+    yield "reduced", helpers.reduced_frame_field(c)
 
 
 def test_constant_vector_search_matches_einsum_oracle(pipe, monkeypatch):
     """The one-product rejection operator equals the per-point einsum
     form, and the search reads the same kernel and vector off either."""
-    for name, F, c in _lightlike_cases(pipe):
+    for name, F in _lightlike_cases(pipe):
         want = oracles.rejection_operator(F)
         got = reconstruct._rejection_operator(F)
         assert np.max(np.abs(got - want)) <= 1e-12, name
-        L = reconstruct.constant_lightlike_vector(F, c)
+        L = reconstruct.constant_lightlike_vector(F)
         with monkeypatch.context() as m:
             m.setattr(reconstruct, "_rejection_operator",
                       oracles.rejection_operator)
-            L_ref = reconstruct.constant_lightlike_vector(F, c)
+            L_ref = reconstruct.constant_lightlike_vector(F)
         assert (L is None) == (L_ref is None), name
         if L is not None:
             assert np.max(np.abs(L - L_ref)) <= 1e-12, name
@@ -112,7 +112,7 @@ def test_constant_vector_search_matches_einsum_oracle(pipe, monkeypatch):
 def test_rejection_oracle_rejects_broken_operators(pipe):
     """Dropping the timelike sign of column 0, or the ambient metric,
     misses the oracle by O(1) (4 to 14 at N=48) on every case."""
-    for name, F, _ in _lightlike_cases(pipe):
+    for name, F in _lightlike_cases(pipe):
         want = oracles.rejection_operator(F)
         no_eps = oracles.rejection_operator(F, eps=(1.0, 1.0, 1.0, 1.0))
         no_metric = oracles.rejection_operator(F, I=np.eye(F.shape[-1]))

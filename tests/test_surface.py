@@ -5,6 +5,7 @@ from willmorelab import surface, zoo
 from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
 from willmorelab.lorentz import inner, metric
 
+import helpers
 import oracles
 
 
@@ -120,21 +121,9 @@ def test_conformality_residual_flags_shear():
     assert oracles.conformality_residual(raw2, cs) > 0.05
 
 
-def hexagonal_torus_patch(N=48):
-    """Flat hexagonal torus in S^5 (n = 3), minimal and so Willmore, on an
-    open sub-chart of its period rectangle [0, 4pi] x [0, 4pi/sqrt3]."""
-    c = Chart(0.0, 2.0, 0.0, 2.0, N, N, "open")
-    U, V = c.grid()
-    r3 = np.sqrt(3.0)
-    angles = (U, -U / 2 + r3 * V / 2, -U / 2 - r3 * V / 2)
-    y = np.stack([f(a) for a in angles for f in (np.cos, np.sin)],
-                 axis=-1) / r3
-    return np.concatenate([np.ones(c.shape + (1,)), y], axis=-1), c
-
-
 def _span_oracle_case(pipe, case):
     if case == "hexagonal_torus_s5":
-        raw, c = hexagonal_torus_patch()
+        raw, c = helpers.hexagonal_torus_patch()
         S = surface.build_surface_data(raw, c)
     else:
         kind, _, param = case.partition(":")
@@ -176,7 +165,7 @@ def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, broken):
     The metric-free Gram leaves most of the swept frame timelike (NaN
     after normalization), so the miss is taken over the finite entries.
     """
-    raw, c = hexagonal_torus_patch(24)
+    raw, c = helpers.hexagonal_torus_patch(24)
     monkeypatch.setattr(surface, "_complement_solver", broken)
     S = surface.build_surface_data(raw, c)
     want = oracles.invariants_by_span_projection(S.Y, S.N, c)
