@@ -139,10 +139,11 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     sr = surface.structure_residuals(S)
     for name, norms in sr.items():
         _check(checks, f"structure.{name}", norms["sup"], rtol)
-    ir = surface.integrability_residuals(S)
+    W = surface.willmore_residual(S)
+    ir = surface.integrability_residuals(S, W)
     for name, norms in ir.items():
         _check(checks, f"integrability.{name}", norms["sup"], rtol)
-    wres = sup_norm(surface.willmore_residual(S), mask)
+    wres = sup_norm(W, mask)
     _check(checks, "willmore_residual", wres, rtol)
     energy = gauss_frame.willmore_energy(S)
     rank_field, max_rank = gauss_frame.s_willmore_rank(M.B1, mask=mask)

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart, d_u, d_v, integrate, wirtinger
-from .lorentz import lorentz_inverse, metric, validate_group
+from .lorentz import lorentz_inverse, metric_signs, validate_group
 from .surface import SurfaceData, sphere_columns
 
-I13 = metric(4)
+# the diagonal of I13 = diag(-1, 1, 1, 1): X I13 is X * S13, bit for bit
+S13 = metric_signs(4)
 
 
 @dataclass
@@ -117,7 +118,7 @@ def maurer_cartan(Ff: FrameField) -> MCBlocks:
     inv = Ff.inverse()
     M = MCBlocks(wirtinger(inv @ d_u(Ff.F, c), inv @ d_v(Ff.F, c), -1), c)
     M.b2_residual = float(np.max(np.abs(
-        M.B2 + np.swapaxes(M.B1, -1, -2) @ I13)))
+        M.B2 + np.swapaxes(M.B1, -1, -2) * S13)))
     return M
 
 

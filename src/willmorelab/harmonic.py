@@ -41,7 +41,7 @@ import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_zbar, integrate, residual_norms,
                     sup_norm)
-from .gauss_frame import I13, MCBlocks
+from .gauss_frame import S13, MCBlocks
 from .lorentz import gram
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
@@ -86,7 +86,7 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     c = M.chart
     A1, A2, B1, B2 = M.A1, M.A2, M.B1, M.B2
     cA1, cA2, cB1 = np.conj(A1), np.conj(A2), np.conj(B1)
-    B1tI = np.swapaxes(B1, -1, -2) @ I13          # -B2 up to the so-defect
+    B1tI = np.swapaxes(B1, -1, -2) * S13          # -B2 up to the so-defect
     T1 = d_zbar(A1, c) + cA1 @ A1
     T2 = d_zbar(A2, c) + cA2 @ A2
     Z1 = d_zbar(B1, c) + cA1 @ B1 - B1 @ cA2      # conj of R+ B1 block

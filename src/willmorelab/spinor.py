@@ -39,35 +39,47 @@ def vec_to_mat(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def mat_to_vec(m: np.ndarray) -> np.ndarray:
-    """Inverse of vec_to_mat."""
-    m = np.asarray(m, dtype=complex)
-    x = np.empty(m.shape[:-2] + (4,), dtype=complex)
-    x[..., 0] = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    x[..., 1] = 0.5 * (m[..., 1, 1] - m[..., 0, 0])
-    x[..., 2] = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
-    x[..., 3] = 0.5 * (m[..., 0, 1] - m[..., 1, 0]) / 1j
-    return x
-
-
 def sl2_to_so13(g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """The Lorentz transform A with m(Ax) = g m(x) conj(g)^T for all x.
 
     g must have det 1 (pointwise).  The result is real, orthochronous and
     of determinant +1; the kernel of the covering is {+-I}.
+
+    Column j of A is m^{-1}(g m(e_j) g^H), written out entry by entry in
+    the entries a, b (row 0) and c, d (row 1) of g, so that a grid of g
+    costs a few elementwise passes and no 2x2 product per point.
     """
     g = np.asarray(g, dtype=complex)
-    if np.max(np.abs(np.linalg.det(g) - 1.0)) > tol:
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    if np.max(np.abs(a * d - b * c - 1.0)) > tol:
         raise ValueError("det g != 1")
-    gh = np.conj(np.swapaxes(g, -1, -2))
-    cols = []
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        X = vec_to_mat(e)
-        cols.append(mat_to_vec(g @ X @ gh))
-    A = np.stack(cols, axis=-1)
-    return np.real(A)
+    na, nb, nc, nd = (x.real**2 + x.imag**2 for x in (a, b, c, d))
+    ab, cd = a * np.conj(b), c * np.conj(d)
+    # the (0, 1) entries of g m(e_j) g^H (times -i for e3); the diagonal
+    # entries are sums of na..nd and of the real or imaginary parts of
+    # ab and cd
+    p0 = a * np.conj(c) + b * np.conj(d)
+    p1 = b * np.conj(d) - a * np.conj(c)
+    p2 = a * np.conj(d) + b * np.conj(c)
+    p3 = a * np.conj(d) - b * np.conj(c)
+    A = np.empty(g.shape[:-2] + (4, 4))
+    A[..., 0, 0] = 0.5 * (na + nb + nc + nd)
+    A[..., 1, 0] = 0.5 * (nc + nd - na - nb)
+    A[..., 2, 0] = p0.real
+    A[..., 3, 0] = p0.imag
+    A[..., 0, 1] = 0.5 * (nb - na + nd - nc)
+    A[..., 1, 1] = 0.5 * (nd - nc - nb + na)
+    A[..., 2, 1] = p1.real
+    A[..., 3, 1] = p1.imag
+    A[..., 0, 2] = ab.real + cd.real
+    A[..., 1, 2] = cd.real - ab.real
+    A[..., 2, 2] = p2.real
+    A[..., 3, 2] = p2.imag
+    A[..., 0, 3] = -ab.imag - cd.imag
+    A[..., 1, 3] = ab.imag - cd.imag
+    A[..., 2, 3] = -p3.imag
+    A[..., 3, 3] = p3.real
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                     residual_norms, umbilic_mask, wirtinger)
-from .lorentz import inner, metric
+from .lorentz import inner, metric_signs
 
 
 class DegenerateImmersionError(ValueError):
@@ -67,16 +67,73 @@ def sphere_columns(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
     return [(Y + N) / r2, (-Y + N) / r2, Yu, Yv]
 
 
+def _matmul_planes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y for small matrices of fields stored as planes, X (a, b, ...)
+    and Y (b, c, ...): one elementwise pass per entry, not one matmul
+    per grid point."""
+    return np.einsum("ij...,jk...->ik...", X, Y)
+
+
+def _small_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverse of a 1x1 or 2x2 matrix field M (k, k, ...) by its adjugate.
+
+    Raises np.linalg.LinAlgError where the determinant is zero or not
+    finite.
+    """
+    if len(M) == 1:
+        det, adj = M[0, 0], np.ones_like(M)
+    else:
+        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
+    if not np.all(np.isfinite(det) & (det != 0)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det
+
+
+def _gram_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric m x m matrix field G (m, m, ...), m <= 4.
+
+    Block form G = [[A, C], [C^T, D]] with A the leading (at most) 2x2
+    block: X = A^{-1} C, the Schur complement S = D - C^T X, Z = X S^{-1},
+    and G^{-1} = [[A^{-1} + Z X^T, -Z], [-Z^T, S^{-1}]].  There is no
+    pivoting, so A must be invertible; in every caller it is the Gram
+    matrix of (Y, N), of a null pair with <L, Z> = -1 or of
+    (Y+N)/sqrt2, (-Y+N)/sqrt2, that is [[0, -1], [-1, 0]] or diag(-1, 1).
+    Raises np.linalg.LinAlgError where G is not finite or A or S is
+    singular.
+    """
+    if not np.all(np.isfinite(G)):
+        raise np.linalg.LinAlgError("Gram matrix is not finite")
+    k = min(len(G), 2)
+    Ai = _small_inverse(G[:k, :k])
+    if len(G) == k:
+        return Ai
+    C = G[:k, k:]
+    X = _matmul_planes(Ai, C)
+    Si = _small_inverse(G[k:, k:] - _matmul_planes(np.swapaxes(C, 0, 1), X))
+    Z = _matmul_planes(X, Si)
+    upper = np.concatenate(
+        [Ai + _matmul_planes(Z, np.swapaxes(X, 0, 1)), -Z], axis=1)
+    lower = np.concatenate([-np.swapaxes(Z, 0, 1), Si], axis=1)
+    return np.concatenate([upper, lower], axis=0)
+
+
 def _complement_solver(B: np.ndarray) -> np.ndarray:
-    """Q = G^{-1} B s for the rows B (..., m, dim), G = (B s) B^T their
-    Lorentz Gram matrix and s = diag(I) the metric signs.
+    """Q = G^{-1} B s for the rows B (..., m, dim), m <= 4, G = (B s) B^T
+    their Lorentz Gram matrix and s the metric signs.
 
     The Minkowski-orthogonal projection of w onto the complement of the
-    span of the rows is then w - B^T (Q w).
+    span of the rows is then w - B^T (Q w).  The rows are first laid out
+    as contiguous planes (m, dim, ...), so that the Gram matrix, its
+    closed-form inverse (`_gram_inverse`) and the product with B s are
+    entry-by-entry passes over the grid, not a LAPACK solve per point.
+    Raises np.linalg.LinAlgError for a singular or non-finite G.
     """
-    Bs = B * np.diag(metric(B.shape[-1]))
-    G = Bs @ np.swapaxes(B, -1, -2)
-    return np.linalg.solve(G, Bs)
+    P = np.ascontiguousarray(np.moveaxis(B, (-2, -1), (0, 1)))
+    Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
+    G = np.einsum("ik...,jk...->ij...", Ps, P)
+    Q = _matmul_planes(_gram_inverse(G), Ps)
+    return np.ascontiguousarray(np.moveaxis(Q, (0, 1), (-2, -1)))
 
 
 def complement_basis(B: np.ndarray) -> np.ndarray:
@@ -250,8 +307,12 @@ def structure_residuals(S: SurfaceData) -> dict:
         {"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4}, c, mask)
 
 
-def integrability_residuals(S: SurfaceData) -> dict:
-    """Residual norms of the conformal Gauss, Codazzi and Ricci equations."""
+def integrability_residuals(S: SurfaceData, W: np.ndarray) -> dict:
+    """Residual norms of the conformal Gauss, Codazzi and Ricci equations.
+
+    W is `willmore_residual(S)`, whose imaginary part is the Codazzi
+    residual; callers that report W itself build it once for both.
+    """
     c = S.chart
     k, b, beta, s = S.kappa, S.b, S.beta, S.schwarzian
     gamma = normal_derivative_components(S, k, zbar=False)     # D_z kappa
@@ -259,7 +320,7 @@ def integrability_residuals(S: SurfaceData) -> dict:
     gauss = 0.5 * d_zbar(s, c) \
         - 3 * np.sum(k * np.conj(beta), axis=-1) \
         - np.sum(gamma * np.conj(k), axis=-1)
-    codazzi = np.imag(willmore_residual(S))
+    codazzi = np.imag(W)
     curv = d_zbar(b, c) - d_z(np.conj(b), c) \
         + b @ np.conj(b) - np.conj(b) @ b
     rhs = 2 * (k[..., :, None] * np.conj(k)[..., None, :]

@@ -11,8 +11,9 @@ extends, are the reference forms of package code written otherwise
 (rolled stencil copies, per-point einsums, per-point CSV rows, per-call
 span projections, the explicit complement of a null pair, complex
 products, the csv module's float reader, the Gauss-bundle match through
-full surface data, one SVD per grid point) and helpers that no package
-path calls.
+full surface data, one SVD per grid point, one LAPACK solve per grid
+point, stacked 2x2 products for the spin cover) and helpers that no
+package path calls.
 """
 
 import csv
@@ -23,7 +24,7 @@ import numpy as np
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                l2_norm, sup_norm)
-from willmorelab.gauss_frame import FrameField, I13, MCBlocks, maurer_cartan
+from willmorelab.gauss_frame import FrameField, MCBlocks, maurer_cartan
 from willmorelab.lorentz import inner, metric
 from willmorelab.surface import build_surface_data
 
@@ -312,6 +313,33 @@ def project_out_span(w, basis):
     return w - np.sum(coef[..., None] * basis, axis=-2)
 
 
+def lapack_complement_solver(B):
+    """`surface._complement_solver` as one LAPACK solve G Q = B s per
+    grid point, G = (B s) B^T."""
+    Bs = B * np.diag(metric(B.shape[-1]))
+    return np.linalg.solve(Bs @ np.swapaxes(B, -1, -2), Bs)
+
+
+def mat_to_vec(m):
+    """Inverse of `spinor.vec_to_mat`."""
+    m = np.asarray(m, dtype=complex)
+    x = np.empty(m.shape[:-2] + (4,), dtype=complex)
+    x[..., 0] = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    x[..., 1] = 0.5 * (m[..., 1, 1] - m[..., 0, 0])
+    x[..., 2] = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
+    x[..., 3] = 0.5 * (m[..., 0, 1] - m[..., 1, 0]) / 1j
+    return x
+
+
+def sl2_to_so13_by_matmul(g):
+    """`spinor.sl2_to_so13` as the stacked products g m(e_j) g^H of the
+    2x2-matrix model, mapped back to columns by `mat_to_vec`."""
+    g = np.asarray(g, dtype=complex)
+    gh = np.conj(np.swapaxes(g, -1, -2))
+    cols = [mat_to_vec(g @ spinor.vec_to_mat(e) @ gh) for e in np.eye(4)]
+    return np.real(np.stack(cols, axis=-1))
+
+
 def null_pair_complement_basis(L, Z):
     """Orthonormal basis of span{L, Z}^perp for null L, Z with
     <L, Z> = -1: Gram-Schmidt on the standard basis vectors e projected
@@ -447,7 +475,7 @@ def surface_gauge_blocks(S):
     A1[..., 3, 0], A1[..., 3, 1] = s2, -s4
     M.B1[...] = np.stack([r2 * S.beta, -r2 * S.beta,
                           -S.kappa, -1j * S.kappa], axis=-2)
-    M.B2[...] = -np.swapaxes(M.B1, -1, -2) @ I13
+    M.B2[...] = -np.swapaxes(M.B1, -1, -2) @ metric(4)
     M.A2[...] = np.swapaxes(S.b, -1, -2)
     return M
 

@@ -97,7 +97,8 @@ def test_criterion_2_structure_residuals_second_order():
             r = {("st." + k): v["sup"]
                  for k, v in surface.structure_residuals(S).items()}
             r.update({("in." + k): v["sup"]
-                      for k, v in surface.integrability_residuals(S).items()})
+                      for k, v in surface.integrability_residuals(
+                          S, surface.willmore_residual(S)).items()})
             sups[N] = (c.h, r)
         elapsed = time.time() - t0
         per_surface.append((kind, elapsed))

@@ -3,7 +3,7 @@ import pytest
 
 from willmorelab import gauss_frame, surface, zoo
 from willmorelab.chart import DEFAULT_MARGIN, sup_norm
-from willmorelab.lorentz import validate_group
+from willmorelab.lorentz import metric, validate_group
 
 import helpers
 import oracles
@@ -42,7 +42,7 @@ def test_maurer_cartan_matches_block_formulas(pipe, kind):
 def test_b2_block_relation(pipe):
     _, _, _, M = pipe("veronese_s4")
     assert M.b2_residual < 1e-1
-    want = -np.swapaxes(M.B1, -1, -2) @ gauss_frame.I13
+    want = -np.swapaxes(M.B1, -1, -2) @ metric(4)
     assert np.max(np.abs(M.B2 - want)) == pytest.approx(M.b2_residual)
 
 

@@ -50,6 +50,18 @@ def test_gram_is_the_pairwise_inner_of_the_columns(rng, shape):
     assert _gram_miss(lambda X: np.swapaxes(X, -1, -2) @ X, X) > 0.1
 
 
+@pytest.mark.parametrize("dim", [5, 6, 7])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gram_equals_the_product_with_the_metric(rng, dim, dtype):
+    """The sign-flip form (X s)^T X is bit for bit X^T I X."""
+    for shape in ((dim, 1), (6, 5, dim, 2), (32, 32, dim, 3)):
+        X = rng.normal(size=shape).astype(dtype)
+        if dtype is complex:
+            X += 1j * rng.normal(size=shape)
+        want = np.swapaxes(X, -1, -2) @ lorentz.metric(dim) @ X
+        assert np.array_equal(lorentz.gram(X), want)
+
+
 def test_inner_is_complex_bilinear():
     # bilinear, not sesquilinear: <ix, ix> = -<x, x>
     x = np.array([1.0, 2.0, 0.5, 0.0, 1.0], dtype=complex)

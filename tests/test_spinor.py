@@ -16,7 +16,7 @@ def random_sl2(rng, size=()):
 
 def test_vec_mat_roundtrip(rng):
     x = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
-    assert np.allclose(spinor.mat_to_vec(spinor.vec_to_mat(x)), x)
+    assert np.allclose(oracles.mat_to_vec(spinor.vec_to_mat(x)), x)
 
 
 def test_det_is_minus_norm(rng):
@@ -59,6 +59,26 @@ def test_kernel_is_plus_minus_identity(rng):
 def test_sl2_det_validation(rng):
     with pytest.raises(ValueError):
         spinor.sl2_to_so13(2.0 * np.eye(2))
+    # one grid point off the group is enough
+    g = random_sl2(rng, (8, 8))
+    g[3, 5] *= 1.001
+    with pytest.raises(ValueError):
+        spinor.sl2_to_so13(g)
+
+
+@pytest.mark.parametrize("boost", [0.0, 1.0, 3.0])
+def test_sl2_to_so13_matches_the_matmul_oracle(rng, boost):
+    """The entrywise cover equals the stacked products g m(e_j) g^H to
+    1e-13 relative to the largest entry of each A; boost scales g by
+    diag(e^t, e^-t), so entries of A reach about e^(2t)."""
+    t = boost * rng.uniform(-1, 1, size=(24, 24))
+    diag = np.zeros((24, 24, 2, 2), dtype=complex)
+    diag[..., 0, 0], diag[..., 1, 1] = np.exp(t), np.exp(-t)
+    g = diag @ random_sl2(rng, (24, 24))
+    A = spinor.sl2_to_so13(g)
+    want = oracles.sl2_to_so13_by_matmul(g)
+    scale = np.max(np.abs(want), axis=(-1, -2))
+    assert np.max(np.max(np.abs(A - want), axis=(-1, -2)) / scale) <= 1e-13
 
 
 def chart():

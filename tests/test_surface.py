@@ -102,7 +102,7 @@ def test_structure_residuals_converge(pipe):
 @pytest.mark.parametrize("kind", ["clifford_torus", "catenoid"])
 def test_integrability_residuals_small(pipe, kind):
     c, S, _, _ = pipe(kind)
-    res = surface.integrability_residuals(S)
+    res = surface.integrability_residuals(S, surface.willmore_residual(S))
     for name, norms in res.items():
         assert norms["sup"] < 100 * c.h**2, (kind, name, norms)
 
@@ -209,3 +209,74 @@ def test_complement_basis_of_a_null_pair_matches_the_explicit_formula(rng):
             want = oracles.null_pair_complement_basis(L, Z)
             assert got.shape == want.shape == (dim - 2, dim)
             assert np.max(np.abs(got - want)) < 1e-14
+
+
+def _sphere_rows(pipe, kind):
+    """The rows (Y, N, Y_u, Y_v) that `invariants` hands the solver."""
+    c, S, _, _ = pipe(kind)
+    return np.stack([S.Y, S.N, d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
+
+
+def _solver_miss(B):
+    """Per grid point, the largest miss of `_complement_solver(B)` against
+    the LAPACK solve, relative to the largest entry of LAPACK's Q there."""
+    want = oracles.lapack_complement_solver(B)
+    miss = np.abs(surface._complement_solver(B) - want)
+    return np.max(miss, axis=(-1, -2)) / np.max(np.abs(want), axis=(-1, -2))
+
+
+@pytest.mark.parametrize("m", [4, 3])
+@pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "veronese_s4"])
+def test_complement_solver_matches_lapack_on_sphere_rows(pipe, kind, m):
+    """The closed-form Gram inverse gives LAPACK's Q on the whole grid:
+    m=4 as `invariants` calls it, m=3 on the rows (Y, N, Y_u) of the
+    `_three_rows_only` mutant.  On enneper and veronese_s4 the cross block
+    Gram(Y, N; Y_u, Y_v) is O(h^2), not roundoff as on clifford_torus, so
+    an error in the Schur term of the upper-left block shows there."""
+    B = _sphere_rows(pipe, kind)
+    if kind != "clifford_torus":
+        cross = inner(B[..., :2, None, :], B[..., None, 2:, :])
+        assert np.max(np.abs(cross)) > 1e-3
+    assert np.max(_solver_miss(B[..., :m, :])) <= 1e-13
+
+
+def test_complement_solver_matches_lapack_on_null_pairs(rng):
+    """m=2, the null pair (L, Z) with <L, Z> = -1 of `complement_basis`."""
+    for dim in (5, 6, 7):
+        ls = rng.normal(size=(8, 8, dim - 1))
+        L = np.concatenate([np.ones((8, 8, 1)),
+                            ls / np.linalg.norm(ls, axis=-1, keepdims=True)],
+                           axis=-1)
+        Z = np.concatenate([L[..., :1], -L[..., 1:]], axis=-1) / 2.0
+        assert np.max(_solver_miss(np.stack([L, Z], axis=-2))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
+    """Random rows with a timelike first row, so that every Gram matrix is
+    symmetric indefinite.  Both solvers lose digits in proportion to the
+    condition number of G, so the 1e-13 bound is scaled by cond(G)/1e3
+    where that exceeds 1 (at most 6% of the samples, cond(G) up to 3e4)."""
+    for dim in (5, 6, 7):
+        B = rng.normal(size=(16, 16, m, dim))
+        B[..., 0, 0] = 3 * np.linalg.norm(B[..., 0, 1:], axis=-1)
+        G = (B * np.diag(metric(dim))) @ np.swapaxes(B, -1, -2)
+        lam = np.linalg.eigvalsh(G)
+        assert np.all((lam[..., 0] < 0) & (lam[..., -1] > 0))
+        bound = 1e-13 * np.maximum(1.0, np.linalg.cond(G) / 1e3)
+        assert np.all(_solver_miss(B) <= bound), (m, dim)
+
+
+@pytest.mark.parametrize("defect", ["repeated_row", "zero_row", "nan"])
+def test_complement_solver_raises_on_a_singular_gram(pipe, defect):
+    """One bad grid point is enough: a repeated row makes the leading
+    block singular, a zero row the Schur complement, a NaN the Gram."""
+    B = _sphere_rows(pipe, "veronese_s4").copy()
+    if defect == "repeated_row":
+        B[5, 7, 1] = B[5, 7, 0]
+    elif defect == "zero_row":
+        B[5, 7, 3] = 0.0
+    else:
+        B[5, 7, 2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        surface._complement_solver(B)
