@@ -36,6 +36,19 @@ def _parse_lambdas(text: str):
     return [complex(tok.strip().replace("i", "j")) for tok in text.split(",")]
 
 
+def _refine_levels(text: str) -> int:
+    """--refine: an integer count of levels, at least 2, so that the
+    convergence order has two levels to compare."""
+    try:
+        levels = int(text)
+    except ValueError:
+        levels = 0
+    if levels < 2:
+        raise argparse.ArgumentTypeError(
+            f"invalid level count {text!r}: needs an integer >= 2")
+    return levels
+
+
 def _parse_surface(text: str) -> zoo.SurfaceSpec:
     """Name, optionally with a parameter: e.g. torus_of_revolution:3."""
     if ":" in text:
@@ -182,7 +195,7 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
     chart = c
     field = raw
     # external data has no generator to refine, so it gets one level
-    nlevels = max(2, int(cfg["refine"])) if spec is not None else 1
+    nlevels = cfg["refine"] if spec is not None else 1
     for level in range(nlevels):
         if level > 0:
             chart = chart.refine(2)
@@ -317,7 +330,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--lambda-samples", dest="lambda_samples",
                    help="comma list of unit complex numbers, e.g. 1,i,-1")
-    p.add_argument("--refine", type=int, help="refinement levels (>= 2)")
+    p.add_argument("--refine", type=_refine_levels,
+                   help="refinement levels (>= 2)")
     p.add_argument("--out", help="report/export path")
     p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--config", help="JSON file mirroring the flags")

@@ -6,31 +6,46 @@ the family
 
     alpha_lambda = (k + lambda^{-1} p) dz + (conj(k) + lambda conj(p)) dzbar
 
-is flat for every unit lambda exactly when the map is harmonic; the
+is flat for every unit lambda exactly when the map is harmonic (the
+loop-group criterion of Uhlenbeck and of Dorfmeister-Pedit-Wu); the
 flatness defect at non-trivial lambda is therefore a harmonicity meter.
 
-The curvature d_z Q - d_zbar P + [P, Q] of alpha_lambda = P dz + Q dzbar
-is a Laurent polynomial in lambda:
+The curvature of alpha_lambda is a Laurent polynomial in lambda,
+R(lambda) = R0 + lambda R+ + lambda^{-1} R-, and R- = -conj(R+) holds
+exactly on the grid, because the stencils have real coefficients.  So on
+|lambda| = 1
 
-    R(lambda) = R0 + lambda R+ + lambda^{-1} R-
-    R0 = d_z conj(k) - d_zbar k + [k, conj k] + [p, conj p]   (A1, A2 blocks)
-    R+ = d_z conj(p) + [k, conj p]                             (B1, B2 blocks)
-    R- = -d_zbar p + [p, conj k] = -conj(R+)
+    R(lambda) = R0 + lambda R+ - conj(lambda R+) = R0 + 2i Im(lambda R+).
 
-The last identity is exact on the grid, because the stencils have real
-coefficients: d_z conj(f) = conj(d_zbar f).  So on |lambda| = 1
+The frame is real, so alpha = (P - iQ)/2 with P = F^{-1} F_u = 2 Re(alpha)
+and Q = F^{-1} F_v = -2 Im(alpha), bit for bit, and the coefficients
+split into two real fields:
 
-    R(lambda) = R0 + lambda R+ - conj(lambda R+) = R0 + 2i Im(lambda R+),
+    K = Q_u - P_v + [P, Q]                  the Maurer-Cartan defect of F
+    H = P_u + Q_v + [P_k, P] + [Q_k, Q]     its p-part H_p is the tension
 
-and R0 = -2i Im(W) is purely imaginary, with W1 = A1_zbar + conj(A1) A1
-+ conj(B1) B2 and W2 = A2_zbar + conj(A2) A2 + conj(B2) B1.
-`loop_curvature` computes the coefficients once, in blocks, from one
-d_zbar stencil per block; each lambda sample then costs a real axpy on
-the off-diagonal blocks and a reduction.  The harmonicity lines of
-`harmonic_residuals` come from the same stencils and products: B1_line
-is conj of the B1 block of R+, and A1_line, A2_line are Im(W1), Im(W2)
-with B2 written as -B1^T I13 (they differ from R0 by the O(h^2) defect
-of that identity, `MCBlocks.b2_residual`).
+K is O(h^2) for every frame, harmonic or not; H_p = 0 is the harmonic
+map equation.  In these terms
+
+    R0 = -2i diag(W1, W2),   W = -K_k / 4,
+    R+ = (H_p + i K_p) / 4,  Im(lambda R+) = (Re(lambda) K_p
+                                              + Im(lambda) H_p) / 4,
+
+so lambda = +-1 measures only the discretization floor K, and lambda = i
+adds the tension H_p.  The harmonicity lines of `harmonic_residuals`
+come from the same fields: B1_line = (H - iK)/4 on the B1 block (the
+conjugate of R+ there), and A1_line, A2_line are W1, W2 with B2 written
+as -B1^T I13.  They differ from W by terms linear in the O(h^2) defect
+D = B2 + B1^T I13 of P and of Q (`MCBlocks.b2_residual`).
+
+The arithmetic is real because a stacked product of small complex
+matrices costs several times its real counterpart: at N=256 on a 2-CPU
+Xeon with one BLAS thread, an (N, N, 4, 4) complex matmul takes about
+17 ms against 2.4 ms for the real one.  `loop_curvature` takes one real
+stencil per partial of K, stencils H only on the off-diagonal blocks,
+where R+ and B1_line read it, and accumulates both in place; each lambda
+sample then costs a real axpy on the off-diagonal entries and a
+reduction.
 """
 
 from __future__ import annotations
@@ -39,8 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import (Chart, DEFAULT_MARGIN, d_zbar, integrate, residual_norms,
-                    sup_norm)
+from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, integrate,
+                    residual_norms, sup_norm)
 from .gauss_frame import S13, MCBlocks
 from .lorentz import gram
 
@@ -49,21 +64,22 @@ DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
 
 @dataclass
 class LoopCurvature:
-    """Laurent coefficients of the curvature of alpha_lambda, in blocks.
+    """Laurent coefficients of the curvature of alpha_lambda, as real fields.
 
-    R0 = -2i diag(W1, W2); R+ has the off-diagonal blocks `plus` =
-    (B1 block, B2 block); R- = -conj(R+).  `lines` holds the three
-    harmonicity fields of `harmonic_residuals`.  The lambda-independent
-    part of the flatness norms is reduced once, at construction.
+    R0 = -2i diag(W1, W2); R+ = `plus_re` + i `plus_im`, its off-diagonal
+    entries (the B1 block, then the B2 block, each row by row) with
+    `plus_re` = H_p/4 and `plus_im` = K_p/4; R- = -conj(R+).  `lines`
+    holds the three harmonicity fields of `harmonic_residuals`.  The
+    lambda-independent part of the flatness norms is reduced once, at
+    construction.
     """
     W: tuple               # (W1, W2): (Nu, Nv, 4, 4), (Nu, Nv, n, n) real
-    plus: tuple            # (Nu, Nv, 4, n), (Nu, Nv, n, 4) complex
+    plus_re: np.ndarray    # (Nu, Nv, 8n) real
+    plus_im: np.ndarray    # (Nu, Nv, 8n) real
     lines: dict
     chart: Chart
     r0_max: np.ndarray = field(init=False, repr=False)   # per-point max |R0|
     r0_sq: np.ndarray = field(init=False, repr=False)    # per-point sum |R0|^2
-    plus_re: np.ndarray = field(init=False, repr=False)  # R+ entries, flat
-    plus_im: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         W1, W2 = self.W
@@ -71,32 +87,50 @@ class LoopCurvature:
                                        np.max(np.abs(W2), axis=(-2, -1)))
         self.r0_sq = 4.0 * (np.einsum("...ij,...ij->...", W1, W1)
                             + np.einsum("...ij,...ij->...", W2, W2))
-        off = np.concatenate([b.reshape(self.chart.shape + (-1,))
-                              for b in self.plus], axis=-1)
-        self.plus_re = np.ascontiguousarray(off.real)
-        self.plus_im = np.ascontiguousarray(off.imag)
 
 
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
     """Laurent coefficients of the curvature of alpha_lambda.
 
-    One d_zbar stencil per block; d_z conj(f) = conj(d_zbar f) gives the
-    d_z terms, and conj(X) Y gives the products with conjugated factors.
+    K on every block, from one stencil of Q and one of P; H on the B1
+    and B2 blocks only, where [P_k, P] = P_k P_p - P_p P_k.
     """
     c = M.chart
-    A1, A2, B1, B2 = M.A1, M.A2, M.B1, M.B2
-    cA1, cA2, cB1 = np.conj(A1), np.conj(A2), np.conj(B1)
-    B1tI = np.swapaxes(B1, -1, -2) * S13          # -B2 up to the so-defect
-    T1 = d_zbar(A1, c) + cA1 @ A1
-    T2 = d_zbar(A2, c) + cA2 @ A2
-    Z1 = d_zbar(B1, c) + cA1 @ B1 - B1 @ cA2      # conj of R+ B1 block
-    Z2 = d_zbar(B2, c) + cA2 @ B2 - B2 @ cA1      # conj of R+ B2 block
-    lines = {"A1_line": np.imag(T1 - cB1 @ B1tI),
-             "A2_line": np.imag(T2 - np.conj(B1tI) @ B1),
-             "B1_line": Z1}
-    W = (np.imag(T1 + cB1 @ B2), np.imag(T2 + np.conj(B2) @ B1))
-    return LoopCurvature(W=W, plus=(np.conj(Z1), np.conj(Z2)), lines=lines,
-                         chart=c)
+    P = 2.0 * M.alpha.real
+    Q = -2.0 * M.alpha.imag
+    # K = Q_u - P_v + [P, Q], accumulated in place
+    K = d_u(Q, c)
+    K -= d_v(P, c)
+    PQ = np.matmul(P, Q)
+    K += PQ
+    K -= np.matmul(Q, P, out=PQ)
+    # R+ = (H_p + i K_p)/4: the B1 block's entries, then the B2 block's,
+    # written into the flat arrays through block-shaped views (splitting
+    # the unit-stride last axis is always a view)
+    a, b = slice(None, 4), slice(4, None)
+    m = 4 * (P.shape[-1] - 4)
+    plus_re = np.empty(c.shape + (2 * m,))
+    plus_im = np.empty_like(plus_re)
+    for i, j, k in ((a, b, slice(None, m)), (b, a, slice(m, None))):
+        shape = P[..., i, j].shape
+        H = plus_re[..., k].reshape(shape)
+        np.add(d_u(P[..., i, j], c), d_v(Q[..., i, j], c), out=H)
+        for X in (P, Q):
+            H += X[..., i, i] @ X[..., i, j]
+            H -= X[..., i, j] @ X[..., j, j]
+        np.multiply(K[..., i, j], 0.25, out=plus_im[..., k].reshape(shape))
+    plus_re *= 0.25
+    W = (-0.25 * K[..., a, a], -0.25 * K[..., b, b])
+    # the so-defects B2 + B1^T I13 of P and of Q
+    P1, Q1 = P[..., a, b], Q[..., a, b]
+    DP = P[..., b, a] + np.swapaxes(P1, -1, -2) * S13
+    DQ = Q[..., b, a] + np.swapaxes(Q1, -1, -2) * S13
+    lines = {"A1_line": W[0] + 0.25 * (P1 @ DQ - Q1 @ DP),
+             "A2_line": W[1] + 0.25 * (DP @ Q1 - DQ @ P1),
+             "B1_line": (plus_re[..., :m] - 1j * plus_im[..., :m]).reshape(
+                 P1.shape)}
+    return LoopCurvature(W=W, plus_re=plus_re, plus_im=plus_im,
+                         lines=lines, chart=c)
 
 
 def _curvature(M: MCBlocks | LoopCurvature) -> LoopCurvature:

@@ -8,12 +8,12 @@ only the package's stencils and norms: it assembles the full
 `harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
 oracles after it, and `roll_diff_axis` beside the rolled difference it
 extends, are the reference forms of package code written otherwise
-(rolled stencil copies, per-point einsums, per-point CSV rows, per-call
-span projections, the explicit complement of a null pair, complex
-products, the csv module's float reader, the Gauss-bundle match through
-full surface data, one SVD per grid point, one LAPACK solve per grid
-point, stacked 2x2 products for the spin cover) and helpers that no
-package path calls.
+(rolled stencil copies, the loop curvature in complex blocks, per-point
+einsums, per-point CSV rows, per-call span projections, the explicit
+complement of a null pair, complex products, the csv module's float
+reader, the Gauss-bundle match through full surface data, one SVD per
+grid point, one LAPACK solve per grid point, stacked 2x2 products for
+the spin cover) and helpers that no package path calls.
 """
 
 import csv
@@ -24,7 +24,8 @@ import numpy as np
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                l2_norm, sup_norm)
-from willmorelab.gauss_frame import FrameField, MCBlocks, maurer_cartan
+from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
+                                     maurer_cartan)
 from willmorelab.lorentz import inner, metric
 from willmorelab.surface import build_surface_data
 
@@ -155,6 +156,28 @@ def flatness_residual(E: ExtendedForm, margin: int = DEFAULT_MARGIN) -> dict:
     mask = c.interior_mask(margin)
     return {"lambda": E.lam, "sup": sup_norm(R, mask),
             "l2": l2_norm(R, c, mask)}
+
+
+def loop_curvature_complex(M):
+    """`harmonic.loop_curvature` in complex blocks: (W, plus, lines).
+
+    W = (W1, W2), plus = the (B1, B2) blocks of R+ and lines the three
+    harmonicity fields, from one d_zbar stencil per block of alpha;
+    d_z conj(f) = conj(d_zbar f) gives the d_z terms.
+    """
+    c = M.chart
+    A1, A2, B1, B2 = M.A1, M.A2, M.B1, M.B2
+    cA1, cA2, cB1 = np.conj(A1), np.conj(A2), np.conj(B1)
+    B1tI = np.swapaxes(B1, -1, -2) * S13          # -B2 up to the so-defect
+    T1 = d_zbar(A1, c) + cA1 @ A1
+    T2 = d_zbar(A2, c) + cA2 @ A2
+    Z1 = d_zbar(B1, c) + cA1 @ B1 - B1 @ cA2      # conj of R+ B1 block
+    Z2 = d_zbar(B2, c) + cA2 @ B2 - B2 @ cA1      # conj of R+ B2 block
+    lines = {"A1_line": np.imag(T1 - cB1 @ B1tI),
+             "A2_line": np.imag(T2 - np.conj(B1tI) @ B1),
+             "B1_line": Z1}
+    W = (np.imag(T1 + cB1 @ B2), np.imag(T2 + np.conj(B2) @ B1))
+    return W, (np.conj(Z1), np.conj(Z2)), lines
 
 
 def bracket(X, Y):

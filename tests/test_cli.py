@@ -141,12 +141,16 @@ def test_config_file_and_flag_override(tmp_path):
     assert rep["config"]["surface"] == "clifford_torus"
 
 
-@pytest.mark.parametrize("flags", [["--format", "xml"], ["--refine", "x"]])
+@pytest.mark.parametrize("flags", [["--format", "xml"], ["--refine", "x"],
+                                   ["--refine", "1"], ["--refine", "0"],
+                                   ["--refine", "-3"]])
 def test_bad_flag_value_exits_3(capsys, flags):
     """A bad flag is a configuration error (3), not argparse's 2, which
-    would read as a verification failure."""
+    would read as a verification failure; fewer than two refinement
+    levels would leave no convergence order to observe."""
     assert run("analyze", "--surface", "clifford_torus", *flags) == 3
-    assert "invalid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid" in err and flags[0] in err
 
 
 def test_config_file_values_are_read_like_flags(tmp_path):

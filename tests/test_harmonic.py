@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from willmorelab import harmonic
+from willmorelab import gauss_frame, harmonic, surface
 from willmorelab.lorentz import metric
 
 import helpers
@@ -64,6 +64,47 @@ def test_flatness_sweep_matches_full_matrix_oracle(pipe, kind, param):
     assert _miss(got, ref) <= 1e-12, kind
 
 
+def _plus_blocks(K, M):
+    """R+ as its (B1, B2) complex blocks, from the flat real entries."""
+    n = M.alpha.shape[-1] - 4
+    plus = K.plus_re + 1j * K.plus_im
+    return (plus[..., :4 * n].reshape(M.chart.shape + (4, n)),
+            plus[..., 4 * n:].reshape(M.chart.shape + (n, 4)))
+
+
+def _oracle_case(pipe, case):
+    if case == "hexagonal_torus_s5":
+        raw, c = helpers.hexagonal_torus_patch(48)
+        return gauss_frame.maurer_cartan(gauss_frame.build_frame(
+            surface.build_surface_data(raw, c)))
+    kind, _, param = case.partition(":")
+    return pipe(kind, 48, float(param) if param else None)[3]
+
+
+@pytest.mark.parametrize("case", ["enneper", "clifford_torus", "veronese_s4",
+                                  "torus_of_revolution:3",
+                                  "hexagonal_torus_s5"])
+def test_real_curvature_matches_complex_block_oracle(pipe, case):
+    """W, both blocks of R+ and the three lines from (K, H) equal the
+    complex-block form, n = 1 (open, periodic, control), 2 and 3.
+
+    The tolerance is 1e-13 times the field's max, or times max |alpha|^2
+    where that is larger: clifford_torus's fields are 1e-14 cancellations
+    of O(1) products, and both forms round them differently.
+    """
+    M = _oracle_case(pipe, case)
+    K = harmonic.loop_curvature(M)
+    W, plus, lines = oracles.loop_curvature_complex(M)
+    a2 = np.max(np.abs(M.alpha)) ** 2
+    pairs = list(zip(K.W, W)) + list(zip(_plus_blocks(K, M), plus)) \
+        + [(K.lines[name], lines[name]) for name in lines]
+    assert sorted(K.lines) == sorted(lines)
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        scale = max(np.max(np.abs(ref)), a2)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale, case
+
+
 def test_flatness_oracle_rejects_broken_curvatures(pipe):
     """A wrong sign on R- or a dropped [p, conj p] misses by O(1).
 
@@ -74,15 +115,35 @@ def test_flatness_oracle_rejects_broken_curvatures(pipe):
     K = harmonic.loop_curvature(M)
     ref = _oracle_sweep(M)
     assert _miss(harmonic.flatness_sweep(K, ORACLE_LAMBDAS), ref) <= 1e-12
-    # R- = +conj(R+) turns 2i Im(lam R+) into 2 Re(lam R+) = 2 Im(lam iR+)
-    wrong_sign = replace(K, plus=tuple(1j * b for b in K.plus))
-    # without [p, conj p], W loses conj(B1) B2 and conj(B2) B1
+    # R- = +conj(R+) turns 2i Im(lam R+) into 2 Re(lam R+) = 2 Im(lam iR+):
+    # R+ -> iR+ swaps the roles of H and K
+    wrong_sign = replace(K, plus_re=-K.plus_im, plus_im=K.plus_re)
+    # without the p-p part of [P, Q] in K_k, W = -K_k/4 loses
+    # -(P_B1 Q_B2 - Q_B1 P_B2)/4 and its B2-B1 counterpart
+    P, Q = 2.0 * M.alpha.real, -2.0 * M.alpha.imag    # alpha = (P - iQ)/2
+    P1, P2 = P[..., :4, 4:], P[..., 4:, :4]
+    Q1, Q2 = Q[..., :4, 4:], Q[..., 4:, :4]
     W1, W2 = K.W
-    no_pp = replace(K, W=(W1 - np.imag(np.conj(M.B1) @ M.B2),
-                          W2 - np.imag(np.conj(M.B2) @ M.B1)))
+    no_pp = replace(K, W=(W1 + 0.25 * (P1 @ Q2 - Q1 @ P2),
+                          W2 + 0.25 * (P2 @ Q1 - Q2 @ P1)))
     for mutant in (wrong_sign, no_pp):
         assert _miss(harmonic.flatness_sweep(mutant, ORACLE_LAMBDAS),
                      ref) > 0.1
+
+
+def test_lambda_one_reads_the_maurer_cartan_defect_alone(pipe):
+    """With the tension H zeroed, lambda = +-1 is bit for bit unchanged,
+    and on the control torus lambda = i falls to at most lambda = 1: the
+    flatness(i)/flatness(1) harmonicity meter."""
+    c, _, _, M = pipe("torus_of_revolution", 48, 3.0)
+    K = harmonic.loop_curvature(M)
+    lams = (1.0, -1.0, 1j)
+    full = harmonic.flatness_sweep(K, lams)
+    no_h = harmonic.flatness_sweep(
+        replace(K, plus_re=np.zeros_like(K.plus_re)), lams)
+    assert full[:2] == no_h[:2]
+    assert full[2]["sup"] > 0.1                # the control's tension
+    assert no_h[2]["sup"] <= no_h[0]["sup"] < 100 * c.h**2
 
 
 def test_harmonic_lines_share_the_curvature_blocks(pipe):
@@ -90,7 +151,7 @@ def test_harmonic_lines_share_the_curvature_blocks(pipe):
     the O(h^2) so-defect of B2."""
     c, _, _, M = pipe("enneper")
     K = harmonic.loop_curvature(M)
-    assert np.array_equal(K.lines["B1_line"], np.conj(K.plus[0]))
+    assert np.array_equal(K.lines["B1_line"], np.conj(_plus_blocks(K, M)[0]))
     assert harmonic.harmonic_residuals(K) == harmonic.harmonic_residuals(M)
     gap = max(np.max(np.abs(K.lines["A1_line"] - K.W[0])),
               np.max(np.abs(K.lines["A2_line"] - K.W[1])))
