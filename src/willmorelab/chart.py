@@ -172,16 +172,6 @@ def integrate(f: np.ndarray, c: Chart):
     return np.trapezoid(g, dx=c.hv, axis=0)
 
 
-def umbilic_mask(kappa: np.ndarray, eps_rel: float = 1e-8) -> np.ndarray:
-    """Flag grid points where all Hopf-differential components nearly vanish.
-
-    kappa has shape (Nu, Nv, n); the threshold is eps_rel times the field
-    maximum of sqrt(sum |k_j|^2).
-    """
-    k = np.sqrt(np.sum(np.abs(kappa) ** 2, axis=-1))
-    return k < eps_rel * (np.max(k) + 1e-300)
-
-
 def _sup_of_abs(a: np.ndarray, mask: np.ndarray | None) -> float:
     while a.ndim > 2:
         a = np.max(a, axis=-1)
@@ -190,13 +180,11 @@ def _sup_of_abs(a: np.ndarray, mask: np.ndarray | None) -> float:
     return float(np.max(a))
 
 
-def _l2_of_abs(a: np.ndarray, c: Chart, mask: np.ndarray | None) -> float:
+def _l2_of_abs(a: np.ndarray, c: Chart, mask: np.ndarray) -> float:
     a = a ** 2
     while a.ndim > 2:
         a = np.sum(a, axis=-1)
-    if mask is not None:
-        a = np.where(mask, a, 0.0)
-    return float(np.sqrt(integrate(a, c)))
+    return float(np.sqrt(integrate(np.where(mask, a, 0.0), c)))
 
 
 def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
@@ -206,11 +194,6 @@ def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
     and True means "keep".
     """
     return _sup_of_abs(np.abs(np.asarray(f)), mask)
-
-
-def l2_norm(f: np.ndarray, c: Chart, mask: np.ndarray | None = None) -> float:
-    """Grid L2 norm sqrt(integral |f|^2 du dv), mask zeroing excluded points."""
-    return _l2_of_abs(np.abs(np.asarray(f)), c, mask)
 
 
 def residual_norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:

@@ -143,8 +143,6 @@ def _residual_tol(c: Chart, tol: float) -> float:
 def cmd_analyze(cfg) -> tuple[dict, int]:
     raw, c, spec = _load_field(cfg)
     S = surface.build_surface_data(raw, c)
-    Ff = gauss_frame.build_frame(S)
-    M = gauss_frame.maurer_cartan(Ff)
     mask = S.residual_mask()
 
     checks = []
@@ -159,13 +157,19 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     wres = sup_norm(W, mask)
     _check(checks, "willmore_residual", wres, rtol)
     energy = gauss_frame.willmore_energy(S)
-    rank_field, max_rank = gauss_frame.s_willmore_rank(M.B1, mask=mask)
+    kappa_max = float(np.max(np.abs(S.kappa)))
+    schwarzian_max = float(np.max(np.abs(S.schwarzian)))
+    # the frame is the last reader of S; the blocks are the largest fields
+    Ff = gauss_frame.build_frame(S)
+    del S
+    M = gauss_frame.maurer_cartan(Ff)
+    _, max_rank = gauss_frame.s_willmore_rank(M.B1, mask=mask)
 
     report = {
         "config": cfg,
         "invariants": {
-            "kappa_max": float(np.max(np.abs(S.kappa))),
-            "schwarzian_max": float(np.max(np.abs(S.schwarzian))),
+            "kappa_max": kappa_max,
+            "schwarzian_max": schwarzian_max,
             "willmore_energy": energy["value"],
             "energy_chart_local": energy["chart_local"],
             "s_willmore_max_rank": max_rank,
@@ -200,18 +204,17 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         if level > 0:
             chart = chart.refine(2)
             field = zoo.generate(spec, chart)
-        S = surface.build_surface_data(field, chart)
-        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(S))
+        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
+            surface.build_surface_data(field, chart)))
         K = harmonic.loop_curvature(M)
         mask = chart.interior_mask(DEFAULT_MARGIN)
         entry = {
             "h": chart.h,
             "flatness": [{"lambda": str(r["lambda"]), "sup": r["sup"]}
                          for r in harmonic.flatness_sweep(K, lambdas)],
-            "harmonic": {k: v["sup"]
-                         for k, v in harmonic.harmonic_residuals(K).items()},
+            "harmonic": harmonic.harmonic_residuals(K),
             "strong_conformality":
-                harmonic.strong_conformal_check(M.B1, mask)["sup"],
+                harmonic.strong_conformal_check(M.B1, mask),
         }
         levels.append(entry)
 
@@ -249,6 +252,8 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
     raw, c, spec = _load_field(cfg)
     S = surface.build_surface_data(raw, c)
     Ff = gauss_frame.build_frame(S)
+    Y = S.Y             # the round trip's reference; nothing else of S
+    del S
     NF = reconstruct.normalize(Ff, tol=cfg["tol"])
     cl = reconstruct.classify(NF)
 
@@ -268,7 +273,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
     out_map = None
     if cl.case in ("a1", "a2"):
         out_map = reconstruct.to_sphere_map(NF.Y0, c)
-        yin = reconstruct.to_sphere_map(S.Y, c)
+        yin = reconstruct.to_sphere_map(Y, c)
         dist = out_map.distance(yin)
         roundtrip["projected_vs_input"] = dist
         _check(checks, "roundtrip_distance", dist,

@@ -46,7 +46,7 @@ def build_frame(S: SurfaceData) -> FrameField:
     """
     c = S.chart
     tol = max(1e-8, 500.0 * c.h**2)
-    cols = sphere_columns(S.Y, S.N, d_u(S.Y, c), d_v(S.Y, c)) \
+    cols = sphere_columns(S.Y, S.N, S.Yu, S.Yv) \
         + [S.psi[..., j, :] for j in range(S.n)]
     F = np.stack(cols, axis=-1)
     ok, res = validate_group(F, tol)

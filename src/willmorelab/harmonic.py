@@ -43,9 +43,11 @@ matrices costs several times its real counterpart: at N=256 on a 2-CPU
 Xeon with one BLAS thread, an (N, N, 4, 4) complex matmul takes about
 17 ms against 2.4 ms for the real one.  `loop_curvature` takes one real
 stencil per partial of K, stencils H only on the off-diagonal blocks,
-where R+ and B1_line read it, and accumulates both in place; each lambda
-sample then costs a real axpy on the off-diagonal entries and a
-reduction.
+where R+ and B1_line read it, and accumulates both in place.
+`flatness_sweep` and `harmonic_residuals` both read that one
+`LoopCurvature` and reduce each field to its interior sup, the number a
+report prints; each lambda sample costs a real axpy on the off-diagonal
+entries and a max.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, integrate,
-                    residual_norms, sup_norm)
+from .chart import Chart, DEFAULT_MARGIN, d_u, d_v, sup_norm
 from .gauss_frame import S13, MCBlocks
 from .lorentz import gram
 
@@ -70,8 +71,8 @@ class LoopCurvature:
     entries (the B1 block, then the B2 block, each row by row) with
     `plus_re` = H_p/4 and `plus_im` = K_p/4; R- = -conj(R+).  `lines`
     holds the three harmonicity fields of `harmonic_residuals`.  The
-    lambda-independent part of the flatness norms is reduced once, at
-    construction.
+    per-point max |R0|, the lambda-independent part of each flatness
+    sup, is reduced once, at construction.
     """
     W: tuple               # (W1, W2): (Nu, Nv, 4, 4), (Nu, Nv, n, n) real
     plus_re: np.ndarray    # (Nu, Nv, 8n) real
@@ -79,14 +80,11 @@ class LoopCurvature:
     lines: dict
     chart: Chart
     r0_max: np.ndarray = field(init=False, repr=False)   # per-point max |R0|
-    r0_sq: np.ndarray = field(init=False, repr=False)    # per-point sum |R0|^2
 
     def __post_init__(self):
         W1, W2 = self.W
         self.r0_max = 2.0 * np.maximum(np.max(np.abs(W1), axis=(-2, -1)),
                                        np.max(np.abs(W2), axis=(-2, -1)))
-        self.r0_sq = 4.0 * (np.einsum("...ij,...ij->...", W1, W1)
-                            + np.einsum("...ij,...ij->...", W2, W2))
 
 
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
@@ -133,10 +131,6 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
                          lines=lines, chart=c)
 
 
-def _curvature(M: MCBlocks | LoopCurvature) -> LoopCurvature:
-    return M if isinstance(M, LoopCurvature) else loop_curvature(M)
-
-
 def _unit(lam) -> complex:
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
@@ -144,53 +138,34 @@ def _unit(lam) -> complex:
     return lam
 
 
-def harmonic_residuals(M: MCBlocks | LoopCurvature) -> dict:
-    """The three block equations equivalent to harmonicity.
+def harmonic_residuals(K: LoopCurvature) -> dict:
+    """Interior sup of each of the three block equations equivalent to
+    harmonicity, from the fields of `loop_curvature`:
 
     Line 1: Im(A1_zbar + conj(A1) A1 - conj(B1) B1^T I13) = 0
     Line 2: Im(A2_zbar + conj(A2) A2 - conj(B1)^T I13 B1) = 0
     Line 3: B1_zbar + conj(A1) B1 - B1 conj(A2) = 0
-
-    M is the blocks, or their `loop_curvature` when the caller also runs
-    `flatness_sweep` on the same stencils.
     """
-    K = _curvature(M)
-    c = K.chart
-    mask = c.interior_mask(DEFAULT_MARGIN)
-    return residual_norms(K.lines, c, mask)
+    mask = K.chart.interior_mask(DEFAULT_MARGIN)
+    return {name: sup_norm(f, mask) for name, f in K.lines.items()}
 
 
 def strong_conformal_check(B1: np.ndarray,
-                           mask: np.ndarray | None = None) -> dict:
-    """sup-norm of B1^T I13 B1, the strong-conformal-harmonicity defect.
-
-    Also reports the conformality scalar tr(B1^T I13 B1) separately
-    (its vanishing alone is ordinary conformality of the harmonic map).
-    """
-    G = gram(B1)
-    tr = np.trace(G, axis1=-2, axis2=-1)
-    return {"sup": sup_norm(G, mask),
-            "trace_sup": sup_norm(tr, mask)}
+                           mask: np.ndarray | None = None) -> float:
+    """sup-norm of B1^T I13 B1, the strong-conformal-harmonicity defect."""
+    return sup_norm(gram(B1), mask)
 
 
-def flatness_sweep(M: MCBlocks | LoopCurvature,
+def flatness_sweep(K: LoopCurvature,
                    lambdas=DEFAULT_LAMBDAS) -> list[dict]:
-    """Norms of the curvature of alpha_lambda at each unit lambda sample.
-
-    M is the blocks, or their `loop_curvature` when the caller also runs
-    `harmonic_residuals` on the same stencils.
-    """
+    """Interior sup of the curvature of alpha_lambda at each unit lambda
+    sample, from the Laurent coefficients of `loop_curvature`."""
     lambdas = [_unit(lam) for lam in lambdas]
-    K = _curvature(M)
-    c = K.chart
-    mask = c.interior_mask(DEFAULT_MARGIN)
+    mask = K.chart.interior_mask(DEFAULT_MARGIN)
     out = []
     for lam in lambdas:
         # R(lam) = R0 + 2i Im(lam R+); Im(lam R+) is a real axpy
         X = lam.real * K.plus_im + lam.imag * K.plus_re
         pmax = np.maximum(K.r0_max, 2.0 * np.max(np.abs(X), axis=-1))
-        psq = K.r0_sq + 4.0 * np.einsum("...i,...i->...", X, X)
-        out.append({"lambda": lam, "sup": sup_norm(pmax, mask),
-                    "l2": float(np.sqrt(integrate(np.where(mask, psq, 0.0),
-                                                  c)))})
+        out.append({"lambda": lam, "sup": sup_norm(pmax, mask)})
     return out

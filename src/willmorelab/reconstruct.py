@@ -266,13 +266,14 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
 
 
 def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
-    """Affine coordinates of [Y_mu] in the chart complementary to the
-    constant lightlike vector Y0c, with minimality diagnostics.
+    """Minimality diagnostics of the affine coordinates x of [Y_mu] in
+    the chart complementary to the constant lightlike vector Y0c.
 
     The representative is scaled to <rep, Y0c> = -1; the coordinates are
     Minkowski pairings with an orthonormal basis of {Y0c, Z}^perp, where
     Z is the time-reflected null partner of Y0c.  For the degenerate
-    harmonic branch the result is conformal with harmonic components.
+    harmonic branch x is conformal with harmonic components:
+    "conformal_residual" and "harmonic_residual" measure both.
     """
     L = Y0c / Y0c[..., 0]                   # first coordinate 1
     Z = np.concatenate([[L[0]], -L[1:]])
@@ -292,10 +293,8 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
     lap = d_u(xu, c) + d_v(xv, c)
     mask = c.interior_mask(DEFAULT_MARGIN)
     scale = float(np.max(Ecoef + Gcoef)) + 1e-300
-    return {"x": x,
-            "conformal_residual": float(max(
-                sup_norm(Ecoef - Gcoef, mask), sup_norm(Fcoef, mask))
-                / scale),
+    conformal = max(sup_norm(Ecoef - Gcoef, mask), sup_norm(Fcoef, mask))
+    return {"conformal_residual": float(conformal / scale),
             "harmonic_residual": sup_norm(lap, mask) / np.sqrt(scale)}
 
 
@@ -383,7 +382,8 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
     """
     c = NF.chart
     Y = canonical_lift(y.lift(), c)
-    phi = np.stack(sphere_columns(Y, frame_N(Y, c), d_u(Y, c), d_v(Y, c)),
+    Yu, Yv = d_u(Y, c), d_v(Y, c)
+    phi = np.stack(sphere_columns(Y, frame_N(Y, Yu, Yv, c), Yu, Yv),
                    axis=-2)                              # (.., 4, dim)
     f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
 

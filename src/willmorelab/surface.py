@@ -5,6 +5,11 @@ the second lightlike section N, an orthonormal normal frame psi_j of the
 conformally invariant normal bundle, and the invariant data kappa
 (conformal Hopf differential), s (Schwarzian), b (normal connection) and
 beta (components of D_zbar kappa).
+
+Each field is derived once: the raw lift takes one d_u/d_v pair (for
+the scale of Y), Y takes one (Y_u, Y_v, kept on `SurfaceData`), and N,
+the invariants, the conformal Gauss frame and the structure residuals
+read those partials instead of differentiating Y again.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    residual_norms, umbilic_mask, wirtinger)
+                    residual_norms, wirtinger)
 from .lorentz import inner, metric_signs
 
 
@@ -36,7 +41,8 @@ def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
         raise ValueError("input field is not lightlike")
     if np.min(raw[..., 0]) <= 0:
         raise ValueError("input field is not forward (x0 <= 0 somewhere)")
-    e = np.real(inner(d_z(raw, c), d_zbar(raw, c)))
+    ru, rv = d_u(raw, c), d_v(raw, c)
+    e = np.real(inner(wirtinger(ru, rv, -1), wirtinger(ru, rv, 1)))
     if np.min(e) <= tol * np.max(e):
         raise DegenerateImmersionError(
             f"immersion degenerates: min <raw_z, raw_zbar> = {np.min(e):.3e}")
@@ -44,14 +50,17 @@ def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
     return raw / rho[..., None]
 
 
-def frame_N(Y: np.ndarray, c: Chart) -> np.ndarray:
+def frame_N(Y: np.ndarray, Yu: np.ndarray, Yv: np.ndarray,
+            c: Chart) -> np.ndarray:
     """The section N with <N,Y> = -1, <N,N> = 0, N = 2 Y_zzbar mod Y.
 
-    Both defining pairings are enforced pointwise-algebraically, so they
-    hold at machine precision; the derivative conditions <N, Y_z> = 0 are
+    Yu, Yv are d_u Y and d_v Y, taken once by the caller; Y_zzbar =
+    (Y_uu + Y_vv)/4 takes one more stencil of each.  Both defining
+    pairings are enforced pointwise-algebraically, so they hold at
+    machine precision; the derivative conditions <N, Y_z> = 0 are
     inherited from the stencils at O(h^2).
     """
-    W = 0.25 * (d_u(d_u(Y, c), c) + d_v(d_v(Y, c), c))   # Y_zzbar, real
+    W = 0.25 * (d_u(Yu, c) + d_v(Yv, c))   # Y_zzbar, real
     A = inner(W, W)
     B = inner(W, Y)           # ~ -1/2
     a = -1.0 / B
@@ -204,10 +213,20 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SurfaceData:
-    """Canonical lift and derived conformal invariants on a chart."""
+    """Canonical lift and derived conformal invariants on a chart.
+
+    Keeps only fields a later stage reads.  Y, N, Y_u and Y_v give the
+    sphere columns of the conformal Gauss frame
+    (`gauss_frame.build_frame`), and Y_u, Y_v give Y_z to
+    `structure_residuals`; psi gives the frame's normal columns; kappa,
+    s, b and beta feed the residuals and `gauss_frame.willmore_energy`.
+    A command drops its SurfaceData once the frame is built.
+    """
     chart: Chart
     Y: np.ndarray          # (Nu, Nv, dim) canonical lift
     N: np.ndarray          # (Nu, Nv, dim)
+    Yu: np.ndarray         # (Nu, Nv, dim) d_u Y
+    Yv: np.ndarray         # (Nu, Nv, dim) d_v Y
     psi: np.ndarray        # (Nu, Nv, n, dim) normal frame
     kappa: np.ndarray      # (Nu, Nv, n) components k_j
     schwarzian: np.ndarray  # (Nu, Nv) complex s
@@ -227,17 +246,14 @@ class SurfaceData:
     def kappa_ambient(self) -> np.ndarray:
         return np.sum(self.kappa[..., :, None] * self.psi, axis=-2)
 
-    def umbilic_mask(self, eps_rel: float = 1e-8) -> np.ndarray:
-        return umbilic_mask(self.kappa, eps_rel)
-
     def residual_mask(self) -> np.ndarray:
         """Region used for residual norms; trims open-chart boundaries."""
         return self.chart.interior_mask(DEFAULT_MARGIN)
 
 
-def invariants(Y: np.ndarray, N: np.ndarray, c: Chart) -> SurfaceData:
+def invariants(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
+               Yv: np.ndarray, c: Chart) -> SurfaceData:
     """Compute kappa, s, psi, b, beta from canonical data."""
-    Yu, Yv = d_u(Y, c), d_v(Y, c)
     Yz = wirtinger(Yu, Yv, -1)
     Yzz = d_z(Yz, c)
     s = 2.0 * inner(Yzz, N)
@@ -256,15 +272,15 @@ def invariants(Y: np.ndarray, N: np.ndarray, c: Chart) -> SurfaceData:
     b_res = float(np.max(np.abs(b_raw + np.swapaxes(b_raw, -1, -2)))) / 2
 
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
-    return SurfaceData(chart=c, Y=Y, N=N, psi=psi, kappa=k, schwarzian=s,
-                       b=b, beta=beta, b_asym_residual=b_res)
+    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, psi=psi, kappa=k,
+                       schwarzian=s, b=b, beta=beta, b_asym_residual=b_res)
 
 
 def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
     """Full pipeline raw lift -> SurfaceData."""
     Y = canonical_lift(raw, c)
-    N = frame_N(Y, c)
-    return invariants(Y, N, c)
+    Yu, Yv = d_u(Y, c), d_v(Y, c)
+    return invariants(Y, frame_N(Y, Yu, Yv, c), Yu, Yv, c)
 
 
 def normal_derivative_components(S: SurfaceData, comps: np.ndarray,
@@ -286,9 +302,10 @@ def willmore_residual(S: SurfaceData) -> np.ndarray:
 def structure_residuals(S: SurfaceData) -> dict:
     """Residual norms of the four moving-frame structure equations."""
     c = S.chart
-    Yz = d_z(S.Y, c)
-    Yzz = d_z(Yz, c)
-    Yzzbar = d_zbar(Yz, c)
+    Yz = wirtinger(S.Yu, S.Yv, -1)
+    Yzu, Yzv = d_u(Yz, c), d_v(Yz, c)
+    Yzz, Yzzbar = wirtinger(Yzu, Yzv, -1), wirtinger(Yzu, Yzv, 1)
+    del Yzu, Yzv        # lowers the peak
     kap = S.kappa_ambient()
     k2 = S.k2
     Dzbar_kap = np.sum(S.beta[..., :, None] * S.psi.astype(complex), axis=-2)
@@ -321,8 +338,8 @@ def integrability_residuals(S: SurfaceData, W: np.ndarray) -> dict:
         - 3 * np.sum(k * np.conj(beta), axis=-1) \
         - np.sum(gamma * np.conj(k), axis=-1)
     codazzi = np.imag(W)
-    curv = d_zbar(b, c) - d_z(np.conj(b), c) \
-        + b @ np.conj(b) - np.conj(b) @ b
+    b_zbar = d_zbar(b, c)     # d_z conj(b) = conj(d_zbar b): real stencils
+    curv = b_zbar - np.conj(b_zbar) + b @ np.conj(b) - np.conj(b) @ b
     rhs = 2 * (k[..., :, None] * np.conj(k)[..., None, :]
                - np.conj(k)[..., :, None] * k[..., None, :])
     ricci = curv - rhs

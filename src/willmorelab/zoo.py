@@ -30,8 +30,13 @@ class SurfaceSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown surface kind {self.kind!r}")
         if self.kind == "torus_of_revolution":
-            if self.param is None or self.param <= 1.0:
-                raise ValueError("torus_of_revolution needs ratio param > 1")
+            # NaN fails both comparisons
+            if self.param is None or not 1.0 < self.param < np.inf:
+                raise ValueError("torus_of_revolution needs a finite ratio "
+                                 f"param > 1, got {self.param!r}")
+        elif self.param is not None:
+            raise ValueError(f"{self.kind} takes no parameter, got "
+                             f"param {self.param!r}")
 
     @property
     def n(self) -> int:

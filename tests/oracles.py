@@ -23,7 +23,7 @@ import numpy as np
 
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                               l2_norm, sup_norm)
+                               sup_norm)
 from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
                                      maurer_cartan)
 from willmorelab.lorentz import inner, metric
@@ -150,12 +150,11 @@ def extend(M, lam: complex) -> ExtendedForm:
 
 
 def flatness_residual(E: ExtendedForm, margin: int = DEFAULT_MARGIN) -> dict:
-    """Norms of the curvature d_z Q - d_zbar P + [P, Q] of alpha_lambda."""
+    """Interior sup of the curvature d_z Q - d_zbar P + [P, Q] of
+    alpha_lambda."""
     c = E.chart
     R = d_z(E.Q, c) - d_zbar(E.P, c) + (E.P @ E.Q - E.Q @ E.P)
-    mask = c.interior_mask(margin)
-    return {"lambda": E.lam, "sup": sup_norm(R, mask),
-            "l2": l2_norm(R, c, mask)}
+    return {"lambda": E.lam, "sup": sup_norm(R, c.interior_mask(margin))}
 
 
 def loop_curvature_complex(M):

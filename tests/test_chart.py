@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab.chart import (TOPOLOGIES, Chart, d_u, d_v, d_z, d_zbar,
-                               integrate, l2_norm, sup_norm, umbilic_mask,
+                               integrate, residual_norms, sup_norm,
                                wirtinger)
 
 import oracles
@@ -145,11 +145,5 @@ def test_norms_respect_mask():
     m = c.interior_mask(2)
     assert sup_norm(f) == 100.0
     assert sup_norm(f, m) == 0.0
-    assert l2_norm(f, c, m) == 0.0
-
-
-def test_umbilic_mask_threshold():
-    kappa = np.zeros((8, 8, 2), dtype=complex)
-    kappa[4, 4] = 1.0
-    mask = umbilic_mask(kappa)
-    assert mask[0, 0] and not mask[4, 4]
+    assert residual_norms({"f": f}, c, m)["f"] == {"sup": 0.0, "l2": 0.0}
+    assert residual_norms({"f": f}, c, c.interior_mask())["f"]["l2"] > 0.0

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from willmorelab import cli, reconstruct, zoo
+from willmorelab import cli, gauss_frame, reconstruct, surface, zoo
 
 CLIFF_CHART = "32,32,0,6.283185307179586,0,6.283185307179586,periodic-both"
 
@@ -153,6 +154,19 @@ def test_bad_flag_value_exits_3(capsys, flags):
     assert "invalid" in err and flags[0] in err
 
 
+@pytest.mark.parametrize("spec", ["enneper:7", "clifford_torus:2",
+                                  "torus_of_revolution:nan",
+                                  "torus_of_revolution:inf",
+                                  "torus_of_revolution:1"])
+def test_bad_surface_parameter_exits_3(capsys, spec):
+    """An ignored or invalid surface parameter is a configuration error
+    whose message names the parameter; nothing is analyzed."""
+    assert run("analyze", "--surface", spec) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {spec.split(':')[0]} ") and "param" in err
+
+
 def test_config_file_values_are_read_like_flags(tmp_path):
     """A config value is the flag's text, so "1e-6" is the tolerance the
     flag --tol 1e-6 would set."""
@@ -194,3 +208,32 @@ def test_chart_parser():
     assert (c.Nu, c.Nv) == (16, 24)
     assert c.topology == "periodic-u"
     assert cli._parse_lambdas("1,i,-1") == [1 + 0j, 1j, -1 + 0j]
+
+
+@pytest.mark.parametrize("argv", [["analyze"],
+                                  ["verify-harmonic", "--refine", "2"],
+                                  ["reconstruct"]])
+def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
+    """Each command drops its SurfaceData (on every refinement level)
+    once its last reader has run, before the Maurer-Cartan blocks, the
+    largest fields of an op, are built."""
+    refs, alive = [], []
+    build, blocks = surface.build_surface_data, gauss_frame.maurer_cartan
+
+    def tracked(*args):
+        S = build(*args)
+        refs.append(weakref.ref(S))
+        return S
+
+    def checked(Ff):
+        alive.append([r() is not None for r in refs])
+        return blocks(Ff)
+
+    monkeypatch.setattr(surface, "build_surface_data", tracked)
+    monkeypatch.setattr(gauss_frame, "maurer_cartan", checked)
+    monkeypatch.setattr(reconstruct, "maurer_cartan", checked)
+    assert run(*argv, "--surface", "clifford_torus",
+               "--chart", CLIFF_CHART) == 0
+    levels = 2 if argv[0] == "verify-harmonic" else 1
+    assert len(refs) == levels and len(alive) >= levels
+    assert not any(map(any, alive)), alive

@@ -20,6 +20,18 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("kind,param", [
+    ("enneper", 7.0), ("round_sphere", 0.0), ("clifford_torus", 3.0),
+    ("torus_of_revolution", None), ("torus_of_revolution", 1.0),
+    ("torus_of_revolution", np.nan), ("torus_of_revolution", np.inf)])
+def test_spec_rejects_ignored_or_invalid_parameters(kind, param):
+    """A parameter on a kind that takes none, or a torus ratio that is
+    not a finite number > 1, is rejected by name, not ignored or left
+    to fail inside the pipeline."""
+    with pytest.raises(ValueError, match=f"^{kind} .*param"):
+        zoo.SurfaceSpec(kind, param)
+
+
+@pytest.mark.parametrize("kind,param", [
     ("round_sphere", None), ("clifford_torus", None),
     ("torus_of_revolution", 3.0), ("catenoid", None),
     ("enneper", None), ("veronese_s4", None)])
