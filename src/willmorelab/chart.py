@@ -35,6 +35,16 @@ class Chart:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.Nu < 5 or self.Nv < 5:
             raise ValueError("grids smaller than 5x5 are not supported")
+        for axis in "uv":
+            lo, hi = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+            for name, bound in ((f"{axis}_min", lo), (f"{axis}_max", hi)):
+                if not np.isfinite(bound):
+                    raise ValueError(f"chart bound {name}={bound} is not "
+                                     "finite")
+            if not lo < hi:
+                raise ValueError(f"chart bound {axis}_max={hi} must exceed "
+                                 f"{axis}_min={lo}: the {axis}-interval is "
+                                 "empty or reversed")
 
     @property
     def periodic_u(self) -> bool:
@@ -173,8 +183,10 @@ def integrate(f: np.ndarray, c: Chart):
 
 
 def _sup_of_abs(a: np.ndarray, mask: np.ndarray | None) -> float:
-    while a.ndim > 2:
-        a = np.max(a, axis=-1)
+    """Sup of the magnitudes a = |f|: every trailing value axis in one
+    max over the (Nu, Nv, -1) reshape, then the mask on the (Nu, Nv)
+    result, so no masked copy of the whole field is made."""
+    a = np.max(a.reshape(a.shape[:2] + (-1,)), axis=-1)
     if mask is not None:
         a = a[mask]
     return float(np.max(a))

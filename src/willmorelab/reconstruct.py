@@ -20,8 +20,8 @@ from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
 from .lorentz import gram, inner, lorentz_inverse, metric_signs
-from .surface import _complement_solver, canonical_lift, complement_basis, \
-    frame_N, sphere_columns
+from .surface import _complement_solver, _det4, canonical_lift, \
+    complement_basis, frame_N, sphere_columns
 
 SQRT2 = np.sqrt(2.0)
 
@@ -390,7 +390,7 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
     # change of basis G^{-1} (phi I f^T) in the Minkowski metric, G the
     # Gram matrix of phi, and its orientation
     Cmat = _complement_solver(phi) @ np.swapaxes(f, -1, -2)
-    sgn = np.sign(np.linalg.det(Cmat))
+    sgn = np.sign(_det4(np.moveaxis(Cmat, (-2, -1), (0, 1))))
     votes = np.mean(sgn[c.interior_mask(DEFAULT_MARGIN)])
     return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

@@ -10,11 +10,19 @@ Each field is derived once: the raw lift takes one d_u/d_v pair (for
 the scale of Y), Y takes one (Y_u, Y_v, kept on `SurfaceData`), and N,
 the invariants, the conformal Gauss frame and the structure residuals
 read those partials instead of differentiating Y again.
+
+`build_surface_data` stops at the fields of the conformal Gauss frame
+(Y, N, Y_u, Y_v and psi).  The invariants kappa, s, b and beta are
+computed on first read, by one call of `invariants`, so the commands
+that only read the frame (verify-harmonic, reconstruct) never derive
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +105,20 @@ def _small_inverse(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(det) & (det != 0)):
         raise np.linalg.LinAlgError("Singular matrix")
     return adj / det
+
+
+def _det4(M: np.ndarray) -> np.ndarray:
+    """Determinant of a 4x4 matrix field M (4, 4, ...): the Laplace
+    expansion along the first two rows, in their 2x2 minors times the
+    complementary minors of the last two rows."""
+    def minor(r, i, j):
+        return M[r, i] * M[r + 1, j] - M[r, j] * M[r + 1, i]
+    return (minor(0, 0, 1) * minor(2, 2, 3)
+            - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2)
+            + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2)
+            + minor(0, 2, 3) * minor(2, 0, 1))
 
 
 def _gram_inverse(G: np.ndarray) -> np.ndarray:
@@ -211,16 +233,27 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return psi
 
 
+class Invariants(NamedTuple):
+    """The forward invariants of a `SurfaceData`."""
+    kappa: np.ndarray      # (Nu, Nv, n) components k_j
+    schwarzian: np.ndarray  # (Nu, Nv) complex s
+    b: np.ndarray          # (Nu, Nv, n, n) normal connection, antisymmetric
+    beta: np.ndarray       # (Nu, Nv, n) components of D_zbar kappa
+    b_asym_residual: float  # half the sup of the symmetric part of b
+
+
 @dataclass
 class SurfaceData:
-    """Canonical lift and derived conformal invariants on a chart.
+    """Canonical lift, its normal frame and, on first read, its invariants.
 
-    Keeps only fields a later stage reads.  Y, N, Y_u and Y_v give the
-    sphere columns of the conformal Gauss frame
-    (`gauss_frame.build_frame`), and Y_u, Y_v give Y_z to
-    `structure_residuals`; psi gives the frame's normal columns; kappa,
-    s, b and beta feed the residuals and `gauss_frame.willmore_energy`.
-    A command drops its SurfaceData once the frame is built.
+    The fields are those of the conformal Gauss frame: Y, N, Y_u and Y_v
+    give its sphere columns (`gauss_frame.build_frame`), and Y_u, Y_v
+    give Y_z to `structure_residuals`; psi gives its normal columns.
+    kappa, s, b and beta, which feed the residuals and
+    `gauss_frame.willmore_energy`, come from one `invariants` call on the
+    first read of any of them and are cached on the instance, not as
+    dataclass fields.  A command drops its SurfaceData once the frame is
+    built.
     """
     chart: Chart
     Y: np.ndarray          # (Nu, Nv, dim) canonical lift
@@ -228,11 +261,30 @@ class SurfaceData:
     Yu: np.ndarray         # (Nu, Nv, dim) d_u Y
     Yv: np.ndarray         # (Nu, Nv, dim) d_v Y
     psi: np.ndarray        # (Nu, Nv, n, dim) normal frame
-    kappa: np.ndarray      # (Nu, Nv, n) components k_j
-    schwarzian: np.ndarray  # (Nu, Nv) complex s
-    b: np.ndarray          # (Nu, Nv, n, n) normal connection, antisymmetric
-    beta: np.ndarray       # (Nu, Nv, n) components of D_zbar kappa
-    b_asym_residual: float = 0.0
+
+    @cached_property
+    def _invariants(self) -> Invariants:
+        return invariants(self)
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return self._invariants.kappa
+
+    @property
+    def schwarzian(self) -> np.ndarray:
+        return self._invariants.schwarzian
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._invariants.b
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self._invariants.beta
+
+    @property
+    def b_asym_residual(self) -> float:
+        return self._invariants.b_asym_residual
 
     @property
     def n(self) -> int:
@@ -251,36 +303,36 @@ class SurfaceData:
         return self.chart.interior_mask(DEFAULT_MARGIN)
 
 
-def invariants(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
-               Yv: np.ndarray, c: Chart) -> SurfaceData:
-    """Compute kappa, s, psi, b, beta from canonical data."""
-    Yz = wirtinger(Yu, Yv, -1)
-    Yzz = d_z(Yz, c)
-    s = 2.0 * inner(Yzz, N)
+def invariants(S: SurfaceData) -> Invariants:
+    """Compute kappa, s, b, beta from the canonical data of S."""
+    c, Y, psi = S.chart, S.Y, S.psi
+    Yzz = d_z(wirtinger(S.Yu, S.Yv, -1), c)
+    s = 2.0 * inner(Yzz, S.N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
-
-    B = np.stack([Y, N, Yu, Yv], axis=-2)
-    psi = normal_frame(B, _complement_solver(B))
-    del B               # not needed by the stencils below; lowers the peak
     # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
     # Y_v) (d_z is the same linear stencil), so kappa's part in that
     # bundle drops out of the pairing
     k = inner(kap_raw[..., None, :], psi)                   # (Nu, Nv, n)
+    del Yzz, kap_raw    # lowers the peak
 
     b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
     b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))
     b_res = float(np.max(np.abs(b_raw + np.swapaxes(b_raw, -1, -2)))) / 2
 
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
-    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, psi=psi, kappa=k,
-                       schwarzian=s, b=b, beta=beta, b_asym_residual=b_res)
+    return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
+                      b_asym_residual=b_res)
 
 
 def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
-    """Full pipeline raw lift -> SurfaceData."""
+    """Raw lift -> SurfaceData: the canonical lift Y, its partials, N
+    and the normal frame psi, the fields of the conformal Gauss frame."""
     Y = canonical_lift(raw, c)
     Yu, Yv = d_u(Y, c), d_v(Y, c)
-    return invariants(Y, frame_N(Y, Yu, Yv, c), Yu, Yv, c)
+    N = frame_N(Y, Yu, Yv, c)
+    B = np.stack([Y, N, Yu, Yv], axis=-2)
+    psi = normal_frame(B, _complement_solver(B))
+    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, psi=psi)
 
 
 def normal_derivative_components(S: SurfaceData, comps: np.ndarray,

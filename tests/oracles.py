@@ -9,11 +9,12 @@ only the package's stencils and norms: it assembles the full
 oracles after it, and `roll_diff_axis` beside the rolled difference it
 extends, are the reference forms of package code written otherwise
 (rolled stencil copies, the loop curvature in complex blocks, per-point
-einsums, per-point CSV rows, per-call span projections, the explicit
-complement of a null pair, complex products, the csv module's float
-reader, the Gauss-bundle match through full surface data, one SVD per
-grid point, one LAPACK solve per grid point, stacked 2x2 products for
-the spin cover) and helpers that no package path calls.
+einsums, per-point CSV rows, the sup reduced one trailing axis at a
+time, per-call span projections, the explicit complement of a null
+pair, complex products, the csv module's float reader, the Gauss-bundle
+match through full surface data, one SVD, one LAPACK solve and one
+LAPACK determinant per grid point, stacked 2x2 products for the spin
+cover) and helpers that no package path calls.
 """
 
 import csv
@@ -333,6 +334,22 @@ def project_out_span(w, basis):
     rhs = inner(basis, w[..., None, :])
     coef = np.linalg.solve(G, rhs[..., None])[..., 0]
     return w - np.sum(coef[..., None] * basis, axis=-2)
+
+
+def sup_by_nested_max(a, mask=None):
+    """`chart._sup_of_abs` reducing one trailing axis of a = |f| at a
+    time, then masking."""
+    while a.ndim > 2:
+        a = np.max(a, axis=-1)
+    if mask is not None:
+        a = a[mask]
+    return float(np.max(a))
+
+
+def lapack_det(M):
+    """`surface._det4` as one LAPACK determinant per grid point of the
+    planes M (4, 4, ...)."""
+    return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
 
 
 def lapack_complement_solver(B):

@@ -147,3 +147,21 @@ def test_norms_respect_mask():
     assert sup_norm(f, m) == 0.0
     assert residual_norms({"f": f}, c, m)["f"] == {"sup": 0.0, "l2": 0.0}
     assert residual_norms({"f": f}, c, c.interior_mask())["f"]["l2"] > 0.0
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (4, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_one_pass_sup_equals_nested_reduction(rng, tail, dtype):
+    """All trailing axes in one max, then the mask: equal (==) to one
+    axis at a time, with and without a mask.  A spike in the trimmed
+    band makes the masked and unmasked sups differ."""
+    c = open_chart(21)
+    f = rng.normal(size=c.shape + tail).astype(dtype)
+    if dtype is complex:
+        f += 1j * rng.normal(size=f.shape)
+    f[(0, 0) + (0,) * len(tail)] = 50.0
+    mask = c.interior_mask(3)
+    for m in (None, mask):
+        assert sup_norm(f, m) == oracles.sup_by_nested_max(np.abs(f), m)
+    assert residual_norms({"f": f}, c, mask)["f"]["sup"] \
+        == oracles.sup_by_nested_max(np.abs(f), mask) < 50.0 == sup_norm(f)

@@ -237,3 +237,43 @@ def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
     levels = 2 if argv[0] == "verify-harmonic" else 1
     assert len(refs) == levels and len(alive) >= levels
     assert not any(map(any, alive)), alive
+
+
+@pytest.mark.parametrize("argv, calls", [(["analyze"], 1),
+                                         (["verify-harmonic", "--refine",
+                                           "2"], 0),
+                                         (["reconstruct"], 0)])
+def test_invariants_are_derived_only_where_read(monkeypatch, argv, calls):
+    """`SurfaceData` derives kappa, s, b and beta on first read: analyze
+    calls `surface.invariants` once, while verify-harmonic (on both
+    levels) and reconstruct read only the frame and never call it."""
+    seen = []
+    derive = surface.invariants
+
+    def spy(S):
+        seen.append(S)
+        return derive(S)
+
+    monkeypatch.setattr(surface, "invariants", spy)
+    assert run(*argv, "--surface", "clifford_torus",
+               "--chart", CLIFF_CHART) == 0
+    assert len(seen) == calls
+
+
+TAU = "6.283185307179586"
+
+
+@pytest.mark.parametrize("bounds, name", [
+    (f"{TAU},0,0,{TAU}", "u_max"),        # reversed
+    (f"nan,{TAU},0,{TAU}", "u_min"),      # not a number
+    (f"0,{TAU},0,inf", "v_max"),          # infinite
+    (f"0,{TAU},1,1", "v_max"),            # zero width
+])
+def test_degenerate_chart_exits_3(capsys, bounds, name):
+    """A reversed, NaN, infinite or zero-width interval is a configuration
+    error whose message names the bound; nothing is analyzed."""
+    assert run("analyze", "--surface", "clifford_torus",
+               "--chart", f"32,32,{bounds},periodic-both") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: chart bound {name}=")

@@ -88,6 +88,25 @@ def test_willmore_energy_clifford_vs_quadrature_oracle(pipe):
     assert got["value"] == pytest.approx(2 * np.pi**2, rel=5e-3)
 
 
+@pytest.mark.parametrize("R", [np.sqrt(2), 3.0])
+def test_willmore_energy_torus_of_revolution_vs_closed_form(R):
+    """An oracle that shares no code with the package: the torus of
+    revolution with radius ratio R has energy pi^2 R^2 / sqrt(R^2 - 1)
+    (Willmore 1965; 2 pi^2 at R = sqrt2).  The relative error at
+    N = 32, 64, 128 falls at an observed order in [1.9, 2.1]."""
+    spec = zoo.SurfaceSpec("torus_of_revolution", R)
+    exact = np.pi**2 * R**2 / np.sqrt(R**2 - 1)
+    errs = []
+    for N in (32, 64, 128):
+        c = zoo.default_chart(spec, N)
+        S = surface.build_surface_data(zoo.generate(spec, c), c)
+        errs.append(abs(gauss_frame.willmore_energy(S)["value"] - exact)
+                    / exact)
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert errs[-1] < 1e-3, errs
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), (errs, orders)
+
+
 def test_willmore_energy_open_chart_is_flagged(pipe):
     _, S, _, _ = pipe("catenoid")
     assert gauss_frame.willmore_energy(S)["chart_local"]

@@ -238,7 +238,8 @@ def test_complement_basis_of_a_null_pair_matches_the_explicit_formula(rng):
 
 
 def _sphere_rows(pipe, kind):
-    """The rows (Y, N, Y_u, Y_v) that `invariants` hands the solver."""
+    """The rows (Y, N, Y_u, Y_v) that `build_surface_data` hands the
+    solver."""
     c, S, _, _ = pipe(kind)
     return np.stack([S.Y, S.N, d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
 
@@ -255,8 +256,8 @@ def _solver_miss(B):
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "veronese_s4"])
 def test_complement_solver_matches_lapack_on_sphere_rows(pipe, kind, m):
     """The closed-form Gram inverse gives LAPACK's Q on the whole grid:
-    m=4 as `invariants` calls it, m=3 on the rows (Y, N, Y_u) of the
-    `_three_rows_only` mutant.  On enneper and veronese_s4 the cross block
+    m=4 as `build_surface_data` calls it, m=3 on the rows (Y, N, Y_u) of
+    the `_three_rows_only` mutant.  On enneper and veronese_s4 the cross block
     Gram(Y, N; Y_u, Y_v) is O(h^2), not roundoff as on clifford_torus, so
     an error in the Schur term of the upper-left block shows there."""
     B = _sphere_rows(pipe, kind)
@@ -306,3 +307,17 @@ def test_complement_solver_raises_on_a_singular_gram(pipe, defect):
         B[5, 7, 2, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         surface._complement_solver(B)
+
+
+def test_closed_form_det4_matches_lapack(rng):
+    """The Laplace expansion in 2x2 minors gives LAPACK's determinant on
+    random 4x4 fields, and its sign on matrices one rounding away from
+    singular as well as on well-conditioned ones."""
+    M = rng.normal(size=(4, 4, 16, 16))
+    want = oracles.lapack_det(M)
+    got = surface._det4(M)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+    assert np.array_equal(np.sign(got), np.sign(want))
+    M[3] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
+    assert np.array_equal(np.sign(surface._det4(M)),
+                          np.sign(oracles.lapack_det(M)))
