@@ -96,6 +96,53 @@ def test_reconstruct_clifford_exports_surface(tmp_path):
     assert back.shape == (32, 32, 5)
 
 
+# analyze at N=48 on the default chart: willmore_energy, kappa_max and
+# s_willmore_max_rank (for clifford_torus and veronese_s4 the values that
+# the tier-1 workflow's round trips store)
+ROUND_TRIP_STORED = {
+    "clifford_torus": (19.626724057496666, 0.3525445816247156, 1),
+    "torus_of_revolution:3": (31.22592404312485, 0.7493889070158901, 1),
+    "veronese_s4": (13.896551426476494, 1.0008527821557844, 2)}
+
+
+@pytest.mark.parametrize("surface", [
+    "clifford_torus",
+    pytest.param("torus_of_revolution:3", marks=pytest.mark.xfail(
+        strict=True, reason="the non-Willmore control lies outside the "
+        "reconstruction theorem: reconstruct exits 2 (case a2, dual "
+        "orientation fails) and its export is another surface")),
+    "veronese_s4"])
+def test_csv_export_reads_back_to_the_direct_invariants(tmp_path, surface):
+    """reconstruct --format csv, then analyze --input of the export, at
+    N=48: all three runs exit 0, and the export's Willmore energy and
+    kappa_max agree with those of the surface analyzed directly to 1e-12
+    relative, its S-Willmore rank exactly.  The direct values agree as
+    closely with stored ones, so a defect both runs share still fails."""
+    kind, _, param = surface.partition(":")
+    c = zoo.default_chart(zoo.SurfaceSpec(kind, float(param) if param
+                                          else None), 48)
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    export = tmp_path / "export.csv"
+    assert run("reconstruct", "--surface", surface, "--chart", chart,
+               "--format", "csv", "--out", str(export)) == 0
+    reports = {}
+    for name, source in (("direct", ["--surface", surface]),
+                         ("export", ["--input", str(export)])):
+        out = tmp_path / f"{name}.json"
+        assert run("analyze", *source, "--chart", chart,
+                   "--out", str(out)) == 0
+        reports[name] = json.loads(out.read_text())["invariants"]
+    stored = dict(zip(("willmore_energy", "kappa_max",
+                       "s_willmore_max_rank"), ROUND_TRIP_STORED[surface]))
+    direct, back = reports["direct"], reports["export"]
+    for key in ("willmore_energy", "kappa_max"):
+        assert direct[key] == pytest.approx(stored[key], rel=1e-12, abs=0)
+        assert back[key] == pytest.approx(direct[key], rel=1e-12, abs=0)
+    key = "s_willmore_max_rank"
+    assert back[key] == direct[key] == stored[key]
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify-harmonic"])
 def test_csv_export_without_a_surface_is_rejected(tmp_path, capsys, command):
     """Only reconstruct exports CSV; elsewhere --format csv --out would

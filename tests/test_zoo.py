@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from willmorelab import cli, surface, zoo
 from willmorelab.chart import Chart
@@ -82,13 +83,36 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
     assert np.array_equal(back, raw)          # repr() round-trips floats
 
 
-@pytest.mark.parametrize("kind", ["enneper", "clifford_torus"])
-def test_csv_bytes_match_per_point_writer(tmp_path, kind):
-    """Row-at-a-time export writes the bytes of the per-point repr writer,
-    on an open and on a periodic chart."""
-    spec = zoo.SurfaceSpec(kind)
-    c = zoo.default_chart(spec, 12)
-    raw = zoo.generate(spec, c)
+def _reconstructed_lift(tmp_path, kind):
+    """The sphere-map lift `reconstruct --format csv` exports, read back
+    (the CSV round trip is bit exact)."""
+    c = zoo.default_chart(zoo.SurfaceSpec(kind), 96)
+    p = tmp_path / "export.csv"
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    assert cli.main(["reconstruct", "--surface", kind, "--chart", chart,
+                     "--format", "csv", "--out", str(p)]) == 0
+    return zoo.load(str(p), c), c
+
+
+@pytest.mark.parametrize("source,kind,param", [
+    ("generate", "round_sphere", None), ("generate", "clifford_torus", None),
+    ("generate", "torus_of_revolution", 3.0), ("generate", "catenoid", None),
+    ("generate", "enneper", None), ("generate", "veronese_s4", None),
+    ("reconstruct", "veronese_s4", None), ("reconstruct", "enneper", None)],
+    ids=["round_sphere", "clifford_torus", "torus_of_revolution", "catenoid",
+         "enneper", "veronese_s4", "reconstruct-veronese_s4",
+         "reconstruct-enneper"])
+def test_csv_bytes_match_per_point_writer(tmp_path, source, kind, param):
+    """The export writes the bytes of the per-point repr writer: on every
+    zoo lift at N=96 (open and periodic charts) and on the sphere-map
+    lifts that reconstruct exports."""
+    if source == "generate":
+        spec = zoo.SurfaceSpec(kind, param)
+        c = zoo.default_chart(spec, 96)
+        raw = zoo.generate(spec, c)
+    else:
+        raw, c = _reconstructed_lift(tmp_path, kind)
     zoo.save(str(tmp_path / "got.csv"), raw, c)
     oracles.save_csv_per_point(str(tmp_path / "want.csv"), raw, c)
     want = (tmp_path / "want.csv").read_bytes()
@@ -114,6 +138,75 @@ def test_csv_bytes_match_per_point_writer_on_special_values(tmp_path):
     for text in (b",-0.0,", b",0.0,", b"nan", b"-inf", b"5e-324", b"1e+16",
                  b"1e-05", b"0.30000000000000004"):
         assert text in got, text
+
+
+def _float_text_edges():
+    """Bit patterns at every branch of `zoo._float_text` and next to it."""
+    pow2 = [2.0**e for e in range(-1074, 1024)]
+    named = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308,
+             1e-4, 1e-5, 1e15, 1e16, 1e-6, 9999999999999998.0, 1e22, 1e23,
+             0.1, 0.3, 0.1 + 0.2, 1 / 3, 2 / 3]
+    # M = x 10^k is a half-integer (17th digit on a tie) or ends in an
+    # exact 5 (16th digit on a tie): x = odd 2^-17, odd 2^-16 in [1, 10)
+    # and x = m + 1/4, m + 1/2 from 1e15 up to 2^52 ...
+    ties = ([(2**17 + 2 * i + 1) * 2.0**-17 for i in range(0, 2**20, 4099)]
+            + [(2**16 + 2 * i + 1) * 2.0**-16 for i in range(0, 2**19, 2053)]
+            + [1e15 + j / 4 for j in range(1, 64)]
+            + [2.0**52 - j / 2 for j in range(1, 64, 2)])
+    # and M = I + 1/2 +- 2^-s: x = o 2^-(s+k) with o 5^k = 2^(s-1) +- 1
+    # (mod 2^s), an offset from the tie that float64 cannot resolve in
+    # M's last three digits for s > 44
+    for k in range(14, 23):
+        for s in range(44, 55):
+            for j in (1, -1):
+                o = (2**(s - 1) + j) * pow(5**k, -1, 2**s) % 2**s
+                o -= (o - 2**52) // 2**s * 2**s   # into [2^52, ...)
+                if o < 2**53:
+                    ties.append(o * 2.0**-(s + k))
+    # x in [2^e, 2^(e+1)) whose rounding interval ends within 5 2^c (16
+    # digits) or 25 2^c (15 digits) of a candidate, c = e - 53 + k: the
+    # end's numerator o' = 2o +- 1 solves o' 5^(k-m) = +-1 (mod 2^(m-c)),
+    # m = 1 or 2; float64 cannot resolve that offset in M's last three
+    # digits when c < -46
+    bounds = []
+    for e in range(-20, 0):
+        for k in range(16, 23):
+            c = e - 53 + k
+            for m in (1, 2):
+                mod = 2**(m - c)
+                for sign in (1, -1):
+                    t = sign * pow(5**(k - m), -1, mod) % mod
+                    odd = t - (t - 2**53) // mod * mod   # into [2^53, ...)
+                    for o in ((odd - 1) // 2, (odd + 1) // 2):
+                        if o < 2**53:
+                            bounds.append(o * 2.0**(e - 52))
+    base = np.array(pow2 + named + ties + bounds)
+    near = np.concatenate([base, np.nextafter(base, 0.0),
+                           np.nextafter(base, np.inf)])
+    return np.concatenate([near, -near]).view(np.uint64).tolist()
+
+
+# the bits of one float64: fully random, or with the exponent of the
+# vectorized range (2^-20 <= |x| < 2^55) so that most draws exercise it
+_any_bits = st.integers(0, 2**64 - 1)
+_fast_bits = st.builds(lambda s, e, m: (s << 63) | (e << 52) | m,
+                       st.integers(0, 1), st.integers(1003, 1077),
+                       st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_any_bits, _fast_bits), min_size=1, max_size=64))
+@example(_float_text_edges())
+def test_float_text_matches_repr(patterns):
+    """The vectorized formatter writes repr's bytes on raw 64-bit
+    patterns, and on a fixed table of edge values: zeros, nan,
+    infinities, subnormals, powers of two, the notation switches at
+    1e-4/1e-5 and 1e15/1e16, the fast path's bounds 1e-6 and 1e16, 1e22,
+    1e23 and values whose 16th or 17th digit sits on a tie, each with its
+    two neighbours."""
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert zoo._float_text(x).tolist() == [repr(v).encode()
+                                           for v in x.tolist()]
 
 
 def test_json_roundtrip(tmp_path):
