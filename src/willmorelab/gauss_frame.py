@@ -57,69 +57,97 @@ def build_frame(S: SurfaceData) -> FrameField:
     return FrameField(F=F, chart=c, group_residual=residual)
 
 
+def _so_defect(X: np.ndarray) -> np.ndarray:
+    """X_B2 + X_B1^T I13, zero for X in so(1, n+3) (B2 = -B1^T I13).
+
+    Both operations write a C-ordered output, so they run along its
+    unit-stride last axis; the transposed operand alone is strided.
+    """
+    D = np.empty(X.shape[:-2] + (X.shape[-1] - 4, 4), dtype=X.dtype)
+    np.multiply(np.swapaxes(X[..., :4, 4:], -1, -2), S13, out=D)
+    D += X[..., 4:, :4]
+    return D
+
+
 @dataclass
 class MCBlocks:
-    """dz-coefficient of the Maurer-Cartan form, with block views.
+    """The Maurer-Cartan form F^{-1} dF = P du + Q dv, with complex blocks.
 
-    The dzbar-coefficient is the entrywise conjugate (the frame is real).
-    A1, A2, B1, B2 are views of `alpha`, so a block write reaches it.
+    P = F^{-1} F_u and Q = F^{-1} F_v are real; the dz-coefficient is
+    alpha = (P - iQ)/2 and the dzbar-coefficient its conjugate.  A1, A2,
+    B1, B2 are the blocks of alpha, each built from the pair when read
+    and not kept, since a reconstruct op holds its normalized form to
+    the end.
     """
-    alpha: np.ndarray      # (Nu, Nv, n+4, n+4) complex
+    P: np.ndarray          # (Nu, Nv, n+4, n+4) real
+    Q: np.ndarray          # (Nu, Nv, n+4, n+4) real
     chart: Chart
-    b2_residual: float = 0.0   # sup |B2 + B1^T I13|
+
+    def _block(self, rows, cols) -> np.ndarray:
+        """alpha[..., rows, cols] from the pair (a block, or an entry)."""
+        return wirtinger(self.P[..., rows, cols], self.Q[..., rows, cols], -1)
 
     @property
     def A1(self) -> np.ndarray:
-        return self.alpha[..., :4, :4]
+        return self._block(slice(None, 4), slice(None, 4))
 
     @property
     def A2(self) -> np.ndarray:
-        return self.alpha[..., 4:, 4:]
+        return self._block(slice(4, None), slice(4, None))
 
     @property
     def B1(self) -> np.ndarray:
-        return self.alpha[..., :4, 4:]
+        return self._block(slice(None, 4), slice(4, None))
 
     @property
     def B2(self) -> np.ndarray:
-        return self.alpha[..., 4:, :4]
+        return self._block(slice(4, None), slice(None, 4))
 
     def full(self) -> np.ndarray:
-        """The (n+4)x(n+4) dz-coefficient matrix field."""
-        return self.alpha
+        """The (n+4)x(n+4) dz-coefficient matrix field alpha."""
+        return wirtinger(self.P, self.Q, -1)
 
     def k_part(self) -> np.ndarray:
         """Block-diagonal part (A1, A2) embedded in the full matrix."""
-        out = np.zeros_like(self.alpha)
+        out = np.zeros(self.P.shape, dtype=complex)
         out[..., :4, :4] = self.A1
         out[..., 4:, 4:] = self.A2
         return out
 
     def p_part(self) -> np.ndarray:
         """Off-diagonal part (B1, B2) embedded in the full matrix."""
-        out = self.alpha.copy()
+        out = self.full()
         out[..., :4, :4] = 0.0
         out[..., 4:, 4:] = 0.0
         return out
 
     def conjugate(self) -> "MCBlocks":
         """Entrywise conjugate blocks: the same form in the conjugate
-        holomorphic coordinate."""
-        return MCBlocks(np.conj(self.alpha), self.chart, self.b2_residual)
+        holomorphic coordinate (dz and dzbar exchange, v -> -v)."""
+        return MCBlocks(self.P, -self.Q, self.chart)
+
+    def so_defects(self) -> tuple:
+        """(D_P, D_Q), the so-defects X_B2 + X_B1^T I13 of P and of Q,
+        zero for a form in so(1, n+3)."""
+        return _so_defect(self.P), _so_defect(self.Q)
+
+    @property
+    def b2_residual(self) -> float:
+        """sup |B2 + B1^T I13| over alpha's blocks, bit for bit: the
+        so-defect of alpha = (P - iQ)/2 is that of the pair halved, which
+        is exact."""
+        return float(np.max(np.abs(wirtinger(*self.so_defects(), -1))))
 
     def a(self, i: int, j: int) -> np.ndarray:
         """Named A1 entry a_ij (1-based, i<j), e.g. a(1,3) = A1[0,2]."""
-        return self.A1[..., i - 1, j - 1]
+        return self._block(i - 1, j - 1)
 
 
 def maurer_cartan(Ff: FrameField) -> MCBlocks:
-    """alpha(d_z) = F^{-1} d_z F with its (A1, A2, B1, B2) block views."""
+    """The real pair P = F^{-1} F_u, Q = F^{-1} F_v of F^{-1} dF."""
     c = Ff.chart
     inv = Ff.inverse()
-    M = MCBlocks(wirtinger(inv @ d_u(Ff.F, c), inv @ d_v(Ff.F, c), -1), c)
-    M.b2_residual = float(np.max(np.abs(
-        M.B2 + np.swapaxes(M.B1, -1, -2) * S13)))
-    return M
+    return MCBlocks(inv @ d_u(Ff.F, c), inv @ d_v(Ff.F, c), c)
 
 
 def willmore_energy(S: SurfaceData) -> dict:

@@ -17,8 +17,9 @@ exactly on the grid, because the stencils have real coefficients.  So on
 
     R(lambda) = R0 + lambda R+ - conj(lambda R+) = R0 + 2i Im(lambda R+).
 
-The frame is real, so alpha = (P - iQ)/2 with P = F^{-1} F_u = 2 Re(alpha)
-and Q = F^{-1} F_v = -2 Im(alpha), bit for bit, and the coefficients
+The frame is real, so alpha = (P - iQ)/2 with P = F^{-1} F_u and
+Q = F^{-1} F_v, the real pair that `MCBlocks` holds; `loop_curvature`
+reads P and Q as they are, with no conversion, and the coefficients
 split into two real fields:
 
     K = Q_u - P_v + [P, Q]                  the Maurer-Cartan defect of F
@@ -36,7 +37,8 @@ adds the tension H_p.  The harmonicity lines of `harmonic_residuals`
 come from the same fields: B1_line = (H - iK)/4 on the B1 block (the
 conjugate of R+ there), and A1_line, A2_line are W1, W2 with B2 written
 as -B1^T I13.  They differ from W by terms linear in the O(h^2) defect
-D = B2 + B1^T I13 of P and of Q (`MCBlocks.b2_residual`).
+D = B2 + B1^T I13 of P and of Q (`MCBlocks.so_defects`, whose sup over
+alpha is `MCBlocks.b2_residual`).
 
 The arithmetic is real because a stacked product of small complex
 matrices costs several times its real counterpart: at N=256 on a 2-CPU
@@ -57,10 +59,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import Chart, DEFAULT_MARGIN, d_u, d_v, sup_norm
-from .gauss_frame import S13, MCBlocks
+from .gauss_frame import MCBlocks
 from .lorentz import gram
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
+
+
+def _max_abs(X: np.ndarray) -> np.ndarray:
+    """Per-point max |X|: every trailing axis in one max over the
+    (Nu, Nv, -1) reshape of the fresh |X|."""
+    a = np.abs(X)
+    return np.max(a.reshape(a.shape[:2] + (-1,)), axis=-1)
 
 
 @dataclass
@@ -83,8 +92,7 @@ class LoopCurvature:
 
     def __post_init__(self):
         W1, W2 = self.W
-        self.r0_max = 2.0 * np.maximum(np.max(np.abs(W1), axis=(-2, -1)),
-                                       np.max(np.abs(W2), axis=(-2, -1)))
+        self.r0_max = 2.0 * np.maximum(_max_abs(W1), _max_abs(W2))
 
 
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
@@ -94,8 +102,7 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     and B2 blocks only, where [P_k, P] = P_k P_p - P_p P_k.
     """
     c = M.chart
-    P = 2.0 * M.alpha.real
-    Q = -2.0 * M.alpha.imag
+    P, Q = M.P, M.Q
     # K = Q_u - P_v + [P, Q], accumulated in place
     K = d_u(Q, c)
     K -= d_v(P, c)
@@ -121,8 +128,7 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     W = (-0.25 * K[..., a, a], -0.25 * K[..., b, b])
     # the so-defects B2 + B1^T I13 of P and of Q
     P1, Q1 = P[..., a, b], Q[..., a, b]
-    DP = P[..., b, a] + np.swapaxes(P1, -1, -2) * S13
-    DQ = Q[..., b, a] + np.swapaxes(Q1, -1, -2) * S13
+    DP, DQ = M.so_defects()
     lines = {"A1_line": W[0] + 0.25 * (P1 @ DQ - Q1 @ DP),
              "A2_line": W[1] + 0.25 * (DP @ Q1 - DQ @ P1),
              "B1_line": (plus_re[..., :m] - 1j * plus_im[..., :m]).reshape(

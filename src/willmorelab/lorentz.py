@@ -80,7 +80,11 @@ def validate_group(M: np.ndarray, tol: float = 1e-9):
     """
     M = np.asarray(M)
     d = M.shape[-1]
-    res_orth = np.max(np.abs(gram(M) - metric(d)), axis=(-1, -2))
+    # M^T I M - I: the signs come off the diagonal of the fresh Gram
+    # matrix in place (x - 0 is exact), then one max per point
+    G = gram(M).reshape(M.shape[:-2] + (d * d,))
+    G[..., ::d + 1] -= metric_signs(d)
+    res_orth = np.max(np.abs(G), axis=-1)
     res_det = np.abs(np.linalg.det(M) - 1.0)
     residual = np.maximum(res_orth, res_det)
     ok = (residual <= tol) & (np.real(M[..., 0, 0]) > 0)

@@ -106,10 +106,11 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
                                      group_residual=Ff.group_residual))
     if orient == "conjugate":
         M = M.conjugate()
+    B1 = M.B1
     return NormalizedFrame(
         F=F, blocks=M, orientation=orient, chart=c,
-        shape_residual=spinor.canonical_shape_residual(M.B1),
-        null_residual=float(np.max(np.abs(gram(M.B1)))))
+        shape_residual=spinor.canonical_shape_residual(B1),
+        null_residual=float(np.max(np.abs(gram(B1)))))
 
 
 def _bundle_projector(F: np.ndarray) -> np.ndarray:

@@ -11,10 +11,11 @@ extends, are the reference forms of package code written otherwise
 (rolled stencil copies, the loop curvature in complex blocks, per-point
 einsums, per-point CSV rows, the sup reduced one trailing axis at a
 time, per-call span projections, the explicit complement of a null
-pair, complex products, the csv module's float reader, the Gauss-bundle
-match through full surface data, one SVD, one LAPACK solve and one
-LAPACK determinant per grid point, stacked 2x2 products for the spin
-cover) and helpers that no package path calls.
+pair, complex products, the group defect against the full metric, the
+csv module's float reader, the Gauss-bundle match through full surface
+data, one SVD, one LAPACK solve and one LAPACK determinant per grid
+point, stacked 2x2 products for the spin cover) and helpers that no
+package path calls.
 """
 
 import csv
@@ -280,6 +281,20 @@ def maurer_cartan_complex(Ff):
     return Ff.inverse().astype(complex) @ Fz
 
 
+def validate_group_against_metric(M, tol=1e-9):
+    """`lorentz.validate_group` with the orthogonality defect taken as
+    |M^T I M - I| against the full metric matrix, reduced over both
+    matrix axes."""
+    M = np.asarray(M)
+    d = M.shape[-1]
+    res_orth = np.max(np.abs(np.swapaxes(M, -1, -2) @ metric(d) @ M
+                             - metric(d)), axis=(-1, -2))
+    res_det = np.abs(np.linalg.det(M) - 1.0)
+    residual = np.maximum(res_orth, res_det)
+    ok = (residual <= tol) & (np.real(M[..., 0, 0]) > 0)
+    return ok, residual
+
+
 def validate_algebra(X, tol=1e-9):
     """Membership test for so(1, d-1): X^T I + I X = 0."""
     X = np.asarray(X)
@@ -505,18 +520,19 @@ def surface_gauge_blocks(S):
     s2 = -1j * (1 + s - 2 * k2) / (2 * r2)
     s3 = (1 + s + 2 * k2) / (2 * r2)
     s4 = -1j * (1 - s + 2 * k2) / (2 * r2)
-    M = MCBlocks(np.zeros(s.shape + (S.n + 4, S.n + 4), dtype=complex),
-                 S.chart)
-    A1 = M.A1
+    alpha = np.zeros(s.shape + (S.n + 4, S.n + 4), dtype=complex)
+    A1 = alpha[..., :4, :4]
     A1[..., 0, 2], A1[..., 0, 3] = s1, s2
     A1[..., 1, 2], A1[..., 1, 3] = s3, s4
     A1[..., 2, 0], A1[..., 2, 1] = s1, -s3
     A1[..., 3, 0], A1[..., 3, 1] = s2, -s4
-    M.B1[...] = np.stack([r2 * S.beta, -r2 * S.beta,
-                          -S.kappa, -1j * S.kappa], axis=-2)
-    M.B2[...] = -np.swapaxes(M.B1, -1, -2) @ metric(4)
-    M.A2[...] = np.swapaxes(S.b, -1, -2)
-    return M
+    B1 = alpha[..., :4, 4:]
+    B1[...] = np.stack([r2 * S.beta, -r2 * S.beta,
+                        -S.kappa, -1j * S.kappa], axis=-2)
+    alpha[..., 4:, :4] = -np.swapaxes(B1, -1, -2) @ metric(4)
+    alpha[..., 4:, 4:] = np.swapaxes(S.b, -1, -2)
+    # the real pair of alpha = (P - iQ)/2; its blocks give alpha's back
+    return MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, S.chart)
 
 
 def gauge(M, Ff, G, tol=1e-8):

@@ -307,6 +307,69 @@ def test_invariants_are_derived_only_where_read(monkeypatch, argv, calls):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("argv, reads, defects", [
+    (["analyze"], {"B1"}, 2),
+    (["verify-harmonic", "--refine", "2"], {"B1"}, 4),
+    (["reconstruct"], {"A1", "B1"}, 0)],
+    ids=["analyze", "verify-harmonic", "reconstruct"])
+def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
+                                               defects):
+    """The Maurer-Cartan form stays the real pair (P, Q): no command calls
+    full(), k_part() or p_part() or builds a complex field of the pair's
+    shape, and each builds only the complex blocks it reads: B1 for the
+    rank, the strong-conformality check and the normalization, and in
+    reconstruct A1 for the scale of h (a_ij are single entries).  The
+    so-defects of P and Q are derived once per form that reads them
+    (analyze's b2_residual, each level's harmonicity lines) and never
+    in reconstruct."""
+    shapes, built, assembled, derived = set(), [], [], []
+    blocks, block, wirt, defect = (gauss_frame.maurer_cartan,
+                                   gauss_frame.MCBlocks._block,
+                                   gauss_frame.wirtinger,
+                                   gauss_frame._so_defect)
+
+    def mc(Ff):
+        M = blocks(Ff)
+        shapes.add(M.P.shape)
+        return M
+
+    # a block by the (start, stop) of its row and column slices
+    names = {(None, 4, None, 4): "A1", (4, None, 4, None): "A2",
+             (None, 4, 4, None): "B1", (4, None, None, 4): "B2"}
+
+    def spy_block(self, rows, cols):
+        if isinstance(rows, slice):
+            built.append(names[rows.start, rows.stop, cols.start, cols.stop])
+        return block(self, rows, cols)
+
+    def spy_wirtinger(fu, fv, sign):
+        out = wirt(fu, fv, sign)
+        if out.shape in shapes:
+            assembled.append(out.shape)
+        return out
+
+    def spy_defect(X):
+        derived.append(X.shape)
+        return defect(X)
+
+    monkeypatch.setattr(gauss_frame, "maurer_cartan", mc)
+    monkeypatch.setattr(reconstruct, "maurer_cartan", mc)
+    monkeypatch.setattr(gauss_frame.MCBlocks, "_block", spy_block)
+    monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
+    monkeypatch.setattr(gauss_frame, "wirtinger", spy_wirtinger)
+    for name in ("full", "k_part", "p_part"):
+        def forbidden(self, name=name):
+            raise AssertionError(f"MCBlocks.{name} called")
+        monkeypatch.setattr(gauss_frame.MCBlocks, name, forbidden)
+    assert run(*argv, "--surface", "clifford_torus",
+               "--chart", CLIFF_CHART) == 0
+    levels = 2 if argv[0] == "verify-harmonic" else 1
+    assert len(shapes) == levels
+    assert not assembled
+    assert set(built) == reads
+    assert len(derived) == defects
+
+
 TAU = "6.283185307179586"
 
 

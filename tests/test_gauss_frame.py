@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab import gauss_frame, surface, zoo
-from willmorelab.chart import DEFAULT_MARGIN, sup_norm
+from willmorelab.chart import DEFAULT_MARGIN, d_u, d_v, sup_norm, wirtinger
 from willmorelab.lorentz import metric, validate_group
 
 import helpers
@@ -54,27 +54,55 @@ def test_block_assembly_roundtrip(pipe):
     assert np.allclose(M.a(1, 3), M.A1[..., 0, 2])
 
 
+def _same_bits(x, y):
+    """Equal arrays down to the sign of zero and the payload of NaN."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(
+        x.view(np.uint64), y.view(np.uint64))
+
+
 def test_mc_blocks_are_views_of_one_array(pipe, rng):
-    """Block writes reach alpha, conjugate() is the blockwise conjugate
-    and k_part() + p_part() rebuilds full() exactly."""
+    """Every block reads the one real pair (P, Q): writes to a block of P
+    and Q reach that block of alpha = (P - iQ)/2 and of full(),
+    conjugate() is the blockwise conjugate and k_part() + p_part()
+    rebuilds full() exactly."""
     c, _, _, M0 = pipe("veronese_s4")
-    M = gauss_frame.MCBlocks(M0.full().copy(), c)
-    assert M.full() is M.alpha
+    M = gauss_frame.MCBlocks(M0.P.copy(), M0.Q.copy(), c)
+    assert _same_bits(M.full(), wirtinger(M.P, M.Q, -1))
     for name, rows, cols in (("A1", slice(0, 4), slice(0, 4)),
                              ("A2", slice(4, 6), slice(4, 6)),
                              ("B1", slice(0, 4), slice(4, 6)),
                              ("B2", slice(4, 6), slice(0, 4))):
+        shape = M.P[..., rows, cols].shape
+        p, q = rng.normal(size=shape), rng.normal(size=shape)
+        M.P[..., rows, cols], M.Q[..., rows, cols] = p, q
+        new = 0.5 * p - 0.5j * q
         block = getattr(M, name)
-        new = rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)
-        block[...] = new
-        assert np.array_equal(M.alpha[..., rows, cols], new), name
+        assert np.array_equal(block, new), name
+        assert np.array_equal(M.full()[..., rows, cols], new), name
     Mc = M.conjugate()
+    assert Mc.P is M.P
     for name in ("A1", "A2", "B1", "B2"):
-        assert np.array_equal(getattr(Mc, name), np.conj(getattr(M, name)))
+        assert _same_bits(getattr(Mc, name), np.conj(getattr(M, name)))
     k, p = M.k_part(), M.p_part()
     assert np.array_equal(k + p, M.full())
     assert not np.any(k[..., :4, 4:]) and not np.any(k[..., 4:, :4])
     assert not np.any(p[..., :4, :4]) and not np.any(p[..., 4:, 4:])
+
+
+@pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
+def test_conjugate_shares_P_and_is_the_conjugate_bit_for_bit(pipe, kind):
+    """conjugate() is (P, -Q): it keeps P, and full(), every block and
+    a(i, j) equal np.conj of the form's own, signed zeros included."""
+    _, _, _, M = pipe(kind)
+    Mc = M.conjugate()
+    assert Mc.P is M.P and np.shares_memory(Mc.P, M.P)
+    assert Mc.b2_residual == M.b2_residual
+    assert _same_bits(Mc.full(), np.conj(M.full()))
+    for name in ("A1", "A2", "B1", "B2"):
+        assert _same_bits(getattr(Mc, name), np.conj(getattr(M, name)))
+    for i, j in ((1, 3), (2, 3), (1, 4), (2, 4)):
+        assert _same_bits(Mc.a(i, j), np.conj(M.a(i, j)))
 
 
 def test_willmore_energy_clifford_vs_quadrature_oracle(pipe):
@@ -200,6 +228,36 @@ def test_maurer_cartan_is_the_complex_product(pipe, kind):
     """Two real products combined into d_z give F^{-1} d_z F bit for bit."""
     _, _, Ff, M = pipe(kind)
     assert np.array_equal(M.full(), oracles.maurer_cartan_complex(Ff))
+
+
+@pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
+def test_maurer_cartan_pair_matches_complex_oracle(pipe, kind):
+    """The real pair is the two real products F^{-1} F_u, F^{-1} F_v, and
+    full(), k_part() + p_part(), every block and every a(i, j) built from
+    it equal the complex product F^{-1} d_z F bit for bit, as does
+    b2_residual the sup of |B2 + B1^T I13| on that product; the
+    so-defects of P and Q are X_B2 + X_B1^T I13 against the metric."""
+    _, _, Ff, M = pipe(kind)
+    want = oracles.maurer_cartan_complex(Ff)
+    inv = Ff.inverse()
+    assert np.array_equal(M.P, inv @ d_u(Ff.F, M.chart))
+    assert np.array_equal(M.Q, inv @ d_v(Ff.F, M.chart))
+    assert np.array_equal(M.full(), want)
+    assert np.array_equal(M.k_part() + M.p_part(), want)
+    for name, rows, cols in (("A1", slice(None, 4), slice(None, 4)),
+                             ("A2", slice(4, None), slice(4, None)),
+                             ("B1", slice(None, 4), slice(4, None)),
+                             ("B2", slice(4, None), slice(None, 4))):
+        assert np.array_equal(getattr(M, name), want[..., rows, cols]), name
+    for i in range(1, 5):
+        for j in range(1, 5):
+            assert np.array_equal(M.a(i, j), want[..., i - 1, j - 1])
+    defect = want[..., 4:, :4] + np.swapaxes(want[..., :4, 4:], -1, -2) @ \
+        metric(4)
+    assert M.b2_residual == np.max(np.abs(defect))
+    for X, DX in zip((M.P, M.Q), M.so_defects()):
+        assert np.array_equal(DX, X[..., 4:, :4] + np.swapaxes(
+            X[..., :4, 4:], -1, -2) @ metric(4))
 
 
 def test_conformal_gauss_metric_is_round(pipe):

@@ -65,7 +65,7 @@ def test_flatness_sweep_matches_full_matrix_oracle(pipe, kind, param):
 
 def _plus_blocks(K, M):
     """R+ as its (B1, B2) complex blocks, from the flat real entries."""
-    n = M.alpha.shape[-1] - 4
+    n = M.P.shape[-1] - 4
     plus = K.plus_re + 1j * K.plus_im
     return (plus[..., :4 * n].reshape(M.chart.shape + (4, n)),
             plus[..., 4 * n:].reshape(M.chart.shape + (n, 4)))
@@ -94,7 +94,7 @@ def test_real_curvature_matches_complex_block_oracle(pipe, case):
     M = _oracle_case(pipe, case)
     K = harmonic.loop_curvature(M)
     W, plus, lines = oracles.loop_curvature_complex(M)
-    a2 = np.max(np.abs(M.alpha)) ** 2
+    a2 = np.max(np.abs(M.full())) ** 2
     pairs = list(zip(K.W, W)) + list(zip(_plus_blocks(K, M), plus)) \
         + [(K.lines[name], lines[name]) for name in lines]
     assert sorted(K.lines) == sorted(lines)
@@ -119,7 +119,7 @@ def test_flatness_oracle_rejects_broken_curvatures(pipe):
     wrong_sign = replace(K, plus_re=-K.plus_im, plus_im=K.plus_re)
     # without the p-p part of [P, Q] in K_k, W = -K_k/4 loses
     # -(P_B1 Q_B2 - Q_B1 P_B2)/4 and its B2-B1 counterpart
-    P, Q = 2.0 * M.alpha.real, -2.0 * M.alpha.imag    # alpha = (P - iQ)/2
+    P, Q = M.P, M.Q                                   # alpha = (P - iQ)/2
     P1, P2 = P[..., :4, 4:], P[..., 4:, :4]
     Q1, Q2 = Q[..., :4, 4:], Q[..., 4:, :4]
     W1, W2 = K.W
@@ -154,6 +154,51 @@ def test_harmonic_lines_share_the_curvature_blocks(pipe):
     gap = max(np.max(np.abs(K.lines["A1_line"] - K.W[0])),
               np.max(np.abs(K.lines["A2_line"] - K.W[1])))
     assert gap <= 10 * M.b2_residual * np.max(np.abs(M.B1)) + 1e-14
+
+
+@pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
+def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
+                                                     kind):
+    """Every field loop_curvature differentiates is M.P or M.Q itself or
+    a view of one of them: K starts from d_u(Q) and d_v(P), H from the
+    off-diagonal block views, and the so-defects once each from P and Q
+    themselves.  No complex form is assembled."""
+    _, _, _, M = pipe(kind)
+    args, defects = [], []
+    defect = gauss_frame._so_defect
+
+    def spy_defect(X):
+        defects.append(X)
+        return defect(X)
+    monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
+    for name in ("d_u", "d_v"):
+        def spy(f, c, stencil=getattr(harmonic, name), name=name):
+            args.append((name, f))
+            return stencil(f, c)
+        monkeypatch.setattr(harmonic, name, spy)
+
+    def no_full(self):
+        raise AssertionError("loop_curvature assembled the complex form")
+    monkeypatch.setattr(gauss_frame.MCBlocks, "full", no_full)
+    harmonic.loop_curvature(M)
+    assert len(defects) == 2 and defects[0] is M.P and defects[1] is M.Q
+    assert (args[0][0], args[1][0]) == ("d_u", "d_v")
+    assert args[0][1] is M.Q and args[1][1] is M.P
+    assert len(args) == 6
+    for (name, f), X in zip(args[2:], (M.P, M.Q, M.P, M.Q)):
+        assert f.base is X and np.shares_memory(f, X), name
+
+
+def test_r0_max_is_the_per_point_max_of_R0(pipe):
+    """r0_max, reduced over the (Nu, Nv, -1) reshape, is bit for bit
+    2 max(max |W1|, max |W2|) reduced over the two matrix axes."""
+    _, _, _, M = pipe("veronese_s4")
+    K = harmonic.loop_curvature(M)
+    W1, W2 = K.W
+    want = 2.0 * np.maximum(np.max(np.abs(W1), axis=(-2, -1)),
+                            np.max(np.abs(W2), axis=(-2, -1)))
+    assert K.r0_max.shape == M.chart.shape
+    assert np.array_equal(K.r0_max, want)
 
 
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from willmorelab import lorentz
+from willmorelab import lorentz, zoo
 
 import oracles
 
@@ -93,6 +93,38 @@ def test_group_rejects_time_reversal():
     T = -np.eye(4)          # preserves metric and det but flips the cone
     ok, _ = lorentz.validate_group(T, 1e-9)
     assert not ok
+
+
+def _group_cases(pipe):
+    """Zoo frames at N=24, a det -1 frame (a normal column flipped) and a
+    frame with one NaN entry."""
+    frames = {kind: pipe(kind, 24, 3.0 if kind == "torus_of_revolution"
+                         else None)[2].F for kind in zoo.KINDS}
+    F = frames["veronese_s4"].copy()
+    F[..., -1] *= -1.0
+    frames["det_minus_one"] = F
+    F = frames["enneper"].copy()
+    F[5, 7, 2, 3] = np.nan
+    frames["nan_point"] = F
+    return frames
+
+
+def test_validate_group_matches_the_metric_difference_oracle(pipe):
+    """The in-place diagonal subtraction and the one max per point give
+    the oracle's ok and residual exactly, at a strict and a loose tol."""
+    for name, F in _group_cases(pipe).items():
+        for tol in (1e-12, 1e-2):
+            with np.errstate(invalid="ignore"):     # det of the NaN point
+                ok, res = lorentz.validate_group(F, tol)
+                want_ok, want_res = oracles.validate_group_against_metric(
+                    F, tol)
+            assert np.array_equal(ok, want_ok), (name, tol)
+            assert np.array_equal(res, want_res, equal_nan=True), (name, tol)
+        if name == "det_minus_one":
+            assert not np.any(ok) and np.all(res > 1.9)
+        if name == "nan_point":
+            assert np.isnan(res[5, 7]) and not ok[5, 7]
+            assert np.sum(np.isnan(res)) == 1
 
 
 def test_lorentz_inverse_matches_numpy(rng):
