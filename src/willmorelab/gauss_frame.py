@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart, d_u, d_v, integrate, wirtinger
-from .lorentz import lorentz_inverse, metric_signs, validate_group
+from .lorentz import (lorentz_inverse, metric_signs, pairings, to_planes,
+                      validate_group)
 from .surface import SurfaceData, sphere_columns
 
 # the diagonal of I13 = diag(-1, 1, 1, 1): X I13 is X * S13, bit for bit
@@ -162,6 +163,67 @@ def willmore_energy(S: SurfaceData) -> dict:
     return {"value": value, "chart_local": not closed}
 
 
+def _hermitian_eigvals(Hr: np.ndarray, Hi: np.ndarray) -> np.ndarray:
+    """Eigenvalues (n, ...) of a finite Hermitian n x n matrix field given
+    as planes (n, n, ...) of its real and imaginary parts.
+
+    Cyclic Jacobi rotations on planes, each a few elementwise passes over
+    the grid: at (p, q) the phase f = conj(h_pq)/|h_pq| makes the entry
+    real, and the real rotation by t = tan(theta), the smaller root of
+    t^2 + 2 tau t - 1 = 0 with tau = (h_qq - h_pp) / (2 |h_pq|), zeroes
+    it.  As in the classical code, an entry below the last bits of both
+    diagonal entries is set to zero with no rotation, and t = |h_pq| / h
+    where |h_pq| is below the last bits of h = h_qq - h_pp, so nothing
+    overflows.  n = 1 takes no rotation and n = 2 exactly one, the closed
+    form; larger n sweeps until the sum of the off-diagonal moduli is
+    below eps times that of the diagonal at every point (quadratic
+    convergence: a handful of sweeps, 4 to 7 for random n = 3 to 8).
+    """
+    n = len(Hr)
+    eps = np.finfo(float).eps
+    d = [Hr[p, p] for p in range(n)]
+    off = {(p, q): Hr[p, q] + 1j * Hi[p, q]
+           for q in range(n) for p in range(q)}
+
+    def entry(r, p):        # h_rp; the entry (p, r) holds its conjugate
+        return off[r, p] if r < p else np.conj(off[p, r])
+
+    def store(r, p, x):
+        off[(r, p) if r < p else (p, r)] = x if r < p else np.conj(x)
+
+    for _ in range(64 if off else 0):       # a cap convergence never meets
+        for p, q in sorted(off):
+            c = off[p, q]
+            a, h = np.abs(c), d[q] - d[p]
+            g = 100.0 * a
+            skip = (np.abs(d[p]) + g == np.abs(d[p])) \
+                & (np.abs(d[q]) + g == np.abs(d[q]))
+            direct = (np.abs(h) + g == np.abs(h)) & ~skip    # h != 0
+            a1 = np.where(skip, 1.0, a)
+            tau = h / (2.0 * np.where(direct, 1.0, a1))
+            t = np.where(skip, 0.0, np.where(
+                direct, a / np.where(direct, h, 1.0),
+                np.where(tau >= 0, 1.0, -1.0)
+                / (np.abs(tau) + np.hypot(1.0, tau))))
+            d[p] = d[p] - t * a
+            d[q] = d[q] + t * a
+            others = [r for r in range(n) if r not in (p, q)]
+            if others:
+                # f = e^{-i phi} by real divisions, each at most 1
+                f = np.where(skip, 1.0, c.real / a1 - 1j * (c.imag / a1))
+                cs = 1.0 / np.sqrt(1.0 + t * t)
+                sn = t * cs
+                for r in others:
+                    hp, hq = entry(r, p), f * entry(r, q)
+                    store(r, p, cs * hp - sn * hq)
+                    store(r, q, sn * hp + cs * hq)
+            off[p, q] = np.zeros_like(c)
+        if not np.any(sum(np.abs(x) for x in off.values())
+                      > eps * sum(np.abs(x) for x in d)):
+            break
+    return np.stack(d)
+
+
 def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,
                     mask: np.ndarray | None = None):
     """Pointwise numerical rank of B1 and its maximum over the mask.
@@ -172,15 +234,32 @@ def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,
     surfaces); rank 0 means totally umbilic.
 
     The singular values are sqrt(max(lam, 0)) for the eigenvalues lam of
-    the n x n Hermitian Gram B1^H B1.  lam is accurate to about
-    4 eps max(lam), so for tol >= 1e-6 a rank can differ from the SVD's
-    only where a singular value lies within about 5e-4 (relative) of the
-    threshold.
+    the n x n Hermitian Gram B1^H B1, formed from real `pairings` and
+    diagonalized by `_hermitian_eigvals`, both in passes over the grid
+    with no per-point LAPACK call.  lam is within 16 eps of the largest
+    lam at the point (about 6 eps measured against LAPACK for n <= 5), so
+    for tol >= 1e-6 a rank can differ from the SVD's only where a
+    singular value lies within about 5e-4 (relative) of the threshold.
+
+    Raises ValueError, naming a point, where B1 is not finite: a NaN
+    or inf would otherwise compare as no singular value above the
+    threshold and read as totally umbilic.
     """
-    lam = np.linalg.eigvalsh(np.swapaxes(B1.conj(), -1, -2) @ B1)
-    sv = np.sqrt(np.maximum(lam, 0.0))
+    planes = to_planes(B1)                      # (2, 4, n, ...)
+    bad = ~np.all(np.isfinite(planes), axis=(0, 1, 2))
+    if np.any(bad):
+        point = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"B1 is not finite at grid point {point}")
+    # B1^H B1 = <R, R> + <I, I> + i(<R, I> - <I, R>), Euclidean pairings
+    # of the columns of B1 = R + iI
+    R, I = np.swapaxes(planes, 1, 2)            # the columns as rows
+    ones = np.ones(R.shape[1])
+    RI = pairings(R, I, ones)
+    sv = np.sqrt(np.maximum(_hermitian_eigvals(
+        pairings(R, R, ones) + pairings(I, I, ones),
+        RI - np.swapaxes(RI, 0, 1)), 0.0))
     scale = np.max(sv)
-    rank = np.sum(sv > tol * (scale + 1e-300), axis=-1)
+    rank = np.sum(sv > tol * (scale + 1e-300), axis=0)
     if mask is not None:
         mrank = int(np.max(rank[mask])) if np.any(mask) else 0
     else:

@@ -201,7 +201,9 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
         A = _attempt_canonical_gauge(B, thresh)
         if A is None:
             continue
-        Bhat = A @ B
+        # A B for the real A, as two real products (no complex matmul)
+        Bhat = np.empty(B.shape, dtype=complex)
+        Bhat.real, Bhat.imag = A @ B.real, A @ B.imag
         res = canonical_shape_residual(Bhat)
         if res <= thresh:
             results.append((res, orient, A, Bhat))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                     residual_norms, wirtinger)
-from .lorentz import inner, metric_signs
+from .lorentz import inner, metric_signs, pairings, to_planes
 
 
 class DegenerateImmersionError(ValueError):
@@ -160,10 +160,9 @@ def _complement_solver(B: np.ndarray) -> np.ndarray:
     entry-by-entry passes over the grid, not a LAPACK solve per point.
     Raises np.linalg.LinAlgError for a singular or non-finite G.
     """
-    P = np.ascontiguousarray(np.moveaxis(B, (-2, -1), (0, 1)))
+    P = to_planes(B)
     Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
-    G = np.einsum("ik...,jk...->ij...", Ps, P)
-    Q = _matmul_planes(_gram_inverse(G), Ps)
+    Q = _matmul_planes(_gram_inverse(pairings(P, P)), Ps)
     return np.ascontiguousarray(np.moveaxis(Q, (0, 1), (-2, -1)))
 
 
@@ -252,8 +251,8 @@ class SurfaceData:
     kappa, s, b and beta, which feed the residuals and
     `gauss_frame.willmore_energy`, come from one `invariants` call on the
     first read of any of them and are cached on the instance, not as
-    dataclass fields.  A command drops its SurfaceData once the frame is
-    built.
+    dataclass fields, and so is k2 from them.  A command drops its
+    SurfaceData once the frame is built.
     """
     chart: Chart
     Y: np.ndarray          # (Nu, Nv, dim) canonical lift
@@ -290,36 +289,88 @@ class SurfaceData:
     def n(self) -> int:
         return self.psi.shape[-2]
 
-    @property
+    @cached_property
     def k2(self) -> np.ndarray:
-        """<kappa, conj kappa> = sum |k_j|^2."""
-        return np.sum(np.abs(self.kappa) ** 2, axis=-1)
-
-    def kappa_ambient(self) -> np.ndarray:
-        return np.sum(self.kappa[..., :, None] * self.psi, axis=-2)
+        """<kappa, conj kappa> = sum |k_j|^2, derived on first read."""
+        k = self.kappa
+        return np.sum(k.real ** 2 + k.imag ** 2, axis=-1)
 
     def residual_mask(self) -> np.ndarray:
         """Region used for residual norms; trims open-chart boundaries."""
         return self.chart.interior_mask(DEFAULT_MARGIN)
 
 
+def _add_products(out: np.ndarray, comps: np.ndarray, vecs: np.ndarray,
+                  scale: float) -> np.ndarray:
+    """out += scale * sum_j comps_j vecs_j, in place, for complex
+    components comps (..., m) of real vectors vecs (..., m, dim): real
+    products added into the real and imaginary parts of out, with no
+    complex broadcast."""
+    for part, x in ((out.real, comps.real), (out.imag, comps.imag)):
+        for j in range(comps.shape[-1]):
+            part += (scale * x[..., j, None]) * vecs[..., j, :]
+    return out
+
+
+def _others(n: int, *skip: int) -> list:
+    """The indices 0..n-1 other than `skip`."""
+    return [m for m in range(n) if m not in skip]
+
+
+def _subtract_connection(out: np.ndarray, b: np.ndarray, comps: np.ndarray,
+                         conjugate: bool) -> np.ndarray:
+    """out_j -= sum_l b_jl comps_l (conj(b_jl) if conjugate), in place,
+    one elementwise pass per entry: b is antisymmetric with an exactly
+    zero diagonal, so the terms l = j are left out and n = 1 has none."""
+    n = comps.shape[-1]
+    for j in range(n):
+        for l in _others(n, j):
+            bjl = np.conj(b[..., j, l]) if conjugate else b[..., j, l]
+            out[..., j] -= bjl * comps[..., l]
+    return out
+
+
+def _complex_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im for real planes (a, ..., Nu, Nv), as a complex field
+    (Nu, Nv, a, ...) whose entries are contiguous planes."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    lead = tuple(range(re.ndim - 2))
+    return np.moveaxis(out, lead, tuple(range(-len(lead), 0)))
+
+
 def invariants(S: SurfaceData) -> Invariants:
-    """Compute kappa, s, b, beta from the canonical data of S."""
+    """Compute kappa, s, b, beta from the canonical data of S.
+
+    The pairings with the real normal frame are real `pairings` on
+    planes: k_j from those of the real and imaginary parts of kappa's
+    raw field, and b from U_jl = <psi_j,u, psi_l> and
+    V_jl = <psi_j,v, psi_l>, since <psi_j,z, psi_l> = (U_jl - i V_jl)/2.
+    kappa and b come out with each entry a contiguous plane, which the
+    per-entry passes downstream read.
+    """
     c, Y, psi = S.chart, S.Y, S.psi
     Yzz = d_z(wirtinger(S.Yu, S.Yv, -1), c)
     s = 2.0 * inner(Yzz, S.N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
+    del Yzz             # lowers the peak
     # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
     # Y_v) (d_z is the same linear stencil), so kappa's part in that
     # bundle drops out of the pairing
-    k = inner(kap_raw[..., None, :], psi)                   # (Nu, Nv, n)
-    del Yzz, kap_raw    # lowers the peak
+    Psi = to_planes(psi)                                    # (n, dim, ...)
+    k = _complex_planes(*(pairings(part, Psi)[0]
+                          for part in to_planes(kap_raw[..., None, :])))
+    del kap_raw
 
-    b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
-    b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))
-    b_res = float(np.max(np.abs(b_raw + np.swapaxes(b_raw, -1, -2)))) / 2
+    # b = (b_raw - b_raw^T)/2 and the sup of the symmetric part,
+    # b_raw = <psi_z, psi> = (U - iV)/2
+    U = pairings(to_planes(d_u(psi, c)), Psi)               # (n, n, ...)
+    V = pairings(to_planes(d_v(psi, c)), Psi)
+    Ut, Vt = np.swapaxes(U, 0, 1), np.swapaxes(V, 0, 1)
+    b = _complex_planes(0.25 * (U - Ut), -0.25 * (V - Vt))
+    b_res = float(np.max(np.hypot(U + Ut, V + Vt))) / 4
 
-    beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
+    beta = _subtract_connection(d_zbar(k, c), b, k, conjugate=True)
     return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
                       b_asym_residual=b_res)
 
@@ -339,10 +390,8 @@ def normal_derivative_components(S: SurfaceData, comps: np.ndarray,
                                  zbar: bool = False) -> np.ndarray:
     """Components of D_z (or D_zbar) of sum_j comps_j psi_j in the psi frame."""
     c = S.chart
-    if zbar:
-        return d_zbar(comps, c) - np.einsum("...lj,...j->...l",
-                                            np.conj(S.b), comps)
-    return d_z(comps, c) - np.einsum("...lj,...j->...l", S.b, comps)
+    D = d_zbar(comps, c) if zbar else d_z(comps, c)
+    return _subtract_connection(D, S.b, comps, conjugate=zbar)
 
 
 def willmore_residual(S: SurfaceData) -> np.ndarray:
@@ -358,43 +407,73 @@ def structure_residuals(S: SurfaceData) -> dict:
     Yzu, Yzv = d_u(Yz, c), d_v(Yz, c)
     Yzz, Yzzbar = wirtinger(Yzu, Yzv, -1), wirtinger(Yzu, Yzv, 1)
     del Yzu, Yzv        # lowers the peak
-    kap = S.kappa_ambient()
-    k2 = S.k2
-    Dzbar_kap = np.sum(S.beta[..., :, None] * S.psi.astype(complex), axis=-2)
+    k, beta, psi, k2 = S.kappa, S.beta, S.psi, S.k2
 
-    r1 = Yzz + 0.5 * S.schwarzian[..., None] * S.Y - kap
+    # the ambient fields sum_j k_j psi_j, sum_j beta_j psi_j, b psi and
+    # beta Y are subtracted in place, from real products
+    r1 = _add_products(Yzz + 0.5 * S.schwarzian[..., None] * S.Y,
+                       k, psi, -1.0)
     r2 = Yzzbar + k2[..., None] * S.Y - 0.5 * S.N
-    r3 = d_z(S.N, c) + 2 * k2[..., None] * Yz \
-        + S.schwarzian[..., None] * np.conj(Yz) - 2 * Dzbar_kap
-    r4 = d_z(S.psi, c) \
-        - np.einsum("...jl,...lm->...jm", S.b, S.psi.astype(complex)) \
-        - 2 * S.beta[..., None] * S.Y[..., None, :] \
-        + 2 * S.kappa[..., None] * np.conj(Yz)[..., None, :]
+    r3 = _add_products(d_z(S.N, c) + 2 * k2[..., None] * Yz
+                       + S.schwarzian[..., None] * np.conj(Yz),
+                       beta, psi, -2.0)
+    r4 = d_z(psi, c) + 2 * k[..., None] * np.conj(Yz)[..., None, :]
+    for j in range(S.n):
+        others = _others(S.n, j)      # b's zero diagonal is left out
+        _add_products(r4[..., j, :], S.b[..., j, others],
+                      psi[..., others, :], -1.0)
+        _add_products(r4[..., j, :], beta[..., j, None], S.Y[..., None, :],
+                      -2.0)
 
     mask = S.residual_mask()
     return residual_norms(
         {"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4}, c, mask)
 
 
+def _ricci(S: SurfaceData) -> np.ndarray:
+    """The Ricci residual divided by i, a real antisymmetric (Nu, Nv, n, n)
+    field.
+
+    The residual b_zbar - conj(b_zbar) + b conj(b) - conj(b) b
+    - 2 (k conj(k)^T - conj(k) k^T) is purely imaginary: with b = b_r + i b_i
+    it is i times 2 Im(b_zbar) + 2 [b_i, b_r] - 4 Im(k conj(k)^T), and
+    2 Im(b_zbar) = d_u b_i + d_v b_r.  Each entry above the diagonal is a
+    few real passes (the commutator skips b's zero diagonal, so it
+    vanishes for n <= 2, where so(n) is abelian); the diagonal is zero.
+    """
+    c, b, k, n = S.chart, S.b, S.kappa, S.n
+    br, bi = b.real, b.imag
+    out = np.zeros(c.shape + (n, n))
+    for j in range(n):
+        for l in range(j + 1, n):
+            r = d_u(bi[..., j, l], c) + d_v(br[..., j, l], c)
+            for m in _others(n, j, l):
+                r += 2 * (bi[..., j, m] * br[..., m, l]
+                          - br[..., j, m] * bi[..., m, l])
+            r -= 4 * (k[..., j].imag * k[..., l].real
+                      - k[..., j].real * k[..., l].imag)
+            out[..., j, l] = r
+            out[..., l, j] = -r
+    return out
+
+
 def integrability_residuals(S: SurfaceData, W: np.ndarray) -> dict:
     """Residual norms of the conformal Gauss, Codazzi and Ricci equations.
 
     W is `willmore_residual(S)`, whose imaginary part is the Codazzi
-    residual; callers that report W itself build it once for both.
+    residual; callers that report W itself build it once for both.  The
+    Ricci residual is purely imaginary and is normed as its imaginary
+    part (`_ricci`).
     """
     c = S.chart
-    k, b, beta, s = S.kappa, S.b, S.beta, S.schwarzian
+    k, beta, s = S.kappa, S.beta, S.schwarzian
     gamma = normal_derivative_components(S, k, zbar=False)     # D_z kappa
 
     gauss = 0.5 * d_zbar(s, c) \
         - 3 * np.sum(k * np.conj(beta), axis=-1) \
         - np.sum(gamma * np.conj(k), axis=-1)
     codazzi = np.imag(W)
-    b_zbar = d_zbar(b, c)     # d_z conj(b) = conj(d_zbar b): real stencils
-    curv = b_zbar - np.conj(b_zbar) + b @ np.conj(b) - np.conj(b) @ b
-    rhs = 2 * (k[..., :, None] * np.conj(k)[..., None, :]
-               - np.conj(k)[..., :, None] * k[..., None, :])
-    ricci = curv - rhs
+    ricci = _ricci(S)
 
     mask = S.residual_mask()
     return residual_norms(

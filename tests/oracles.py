@@ -14,7 +14,9 @@ time, per-call span projections, the explicit complement of a null
 pair, complex products, the group defect against the full metric, the
 csv module's float reader, the Gauss-bundle match through full surface
 data, one SVD, one LAPACK solve and one LAPACK determinant per grid
-point, stacked 2x2 products for the spin cover) and helpers that no
+point, stacked 2x2 products for the spin cover, the invariants, normal
+derivatives, structure fields, Ricci residual and Gram matrix in complex
+broadcasts, einsums and stacked complex products) and helpers that no
 package path calls.
 """
 
@@ -25,11 +27,11 @@ import numpy as np
 
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                               sup_norm)
+                               sup_norm, wirtinger)
 from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
                                      maurer_cartan)
-from willmorelab.lorentz import inner, metric
-from willmorelab.surface import build_surface_data
+from willmorelab.lorentz import inner, metric, metric_signs
+from willmorelab.surface import Invariants, build_surface_data
 
 
 def _roll_diff(f, axis, h):
@@ -591,3 +593,72 @@ def svd_rank(B1, tol=1e-6, mask=None):
     else:
         mrank = int(np.max(rank))
     return rank, mrank
+
+
+def invariants_complex(S):
+    """`surface.invariants` with complex broadcasts: k as one complex
+    (Nu, Nv, n, dim) pairing, b_raw as one complex (n, n, dim) pairing of
+    d_z psi with psi, and beta by an einsum over the stacked entries."""
+    c, Y, psi = S.chart, S.Y, S.psi
+    Yzz = d_z(wirtinger(S.Yu, S.Yv, -1), c)
+    s = 2.0 * inner(Yzz, S.N)
+    kap_raw = Yzz + 0.5 * s[..., None] * Y
+    k = inner(kap_raw[..., None, :], psi)
+    b_raw = inner(d_z(psi, c)[..., :, None, :], psi[..., None, :, :])
+    b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))
+    b_res = float(np.max(np.abs(b_raw + np.swapaxes(b_raw, -1, -2)))) / 2
+    beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
+    return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
+                      b_asym_residual=b_res)
+
+
+def normal_derivative_components_complex(S, comps, zbar=False):
+    """`surface.normal_derivative_components` with the connection term
+    as an einsum over the stacked entries of b, its diagonal included."""
+    c = S.chart
+    if zbar:
+        return d_zbar(comps, c) - np.einsum("...lj,...j->...l",
+                                            np.conj(S.b), comps)
+    return d_z(comps, c) - np.einsum("...lj,...j->...l", S.b, comps)
+
+
+def structure_fields_complex(S):
+    """The four structure-equation fields of `surface.structure_residuals`
+    with complex broadcasts: sum_j k_j psi_j and sum_j beta_j psi_j over a
+    complex copy of psi, and b psi by an einsum."""
+    c = S.chart
+    Yz = wirtinger(S.Yu, S.Yv, -1)
+    Yzu, Yzv = d_u(Yz, c), d_v(Yz, c)
+    Yzz, Yzzbar = wirtinger(Yzu, Yzv, -1), wirtinger(Yzu, Yzv, 1)
+    psi_c = S.psi.astype(complex)
+    kap = np.sum(S.kappa[..., :, None] * S.psi, axis=-2)
+    k2 = np.sum(np.abs(S.kappa) ** 2, axis=-1)
+    Dzbar_kap = np.sum(S.beta[..., :, None] * psi_c, axis=-2)
+    r1 = Yzz + 0.5 * S.schwarzian[..., None] * S.Y - kap
+    r2 = Yzzbar + k2[..., None] * S.Y - 0.5 * S.N
+    r3 = d_z(S.N, c) + 2 * k2[..., None] * Yz \
+        + S.schwarzian[..., None] * np.conj(Yz) - 2 * Dzbar_kap
+    r4 = d_z(S.psi, c) \
+        - np.einsum("...jl,...lm->...jm", S.b, psi_c) \
+        - 2 * S.beta[..., None] * S.Y[..., None, :] \
+        + 2 * S.kappa[..., None] * np.conj(Yz)[..., None, :]
+    return {"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4}
+
+
+def ricci_complex(S):
+    """The Ricci residual b_zbar - conj(b_zbar) + b conj(b) - conj(b) b
+    - 2 (k conj(k)^T - conj(k) k^T) in complex arithmetic, with stacked
+    complex products."""
+    c, k, b = S.chart, S.kappa, S.b
+    b_zbar = d_zbar(b, c)
+    curv = b_zbar - np.conj(b_zbar) + b @ np.conj(b) - np.conj(b) @ b
+    rhs = 2 * (k[..., :, None] * np.conj(k)[..., None, :]
+               - np.conj(k)[..., :, None] * k[..., None, :])
+    return curv - rhs
+
+
+def gram_complex(X):
+    """`lorentz.gram` as one stacked product (X s)^T X, complex for a
+    complex X."""
+    Xs = X * metric_signs(X.shape[-2])[:, None]
+    return np.swapaxes(Xs, -1, -2) @ X

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import json
+import os
+import sys
 import weakref
 
 import numpy as np
@@ -368,6 +371,131 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     assert not assembled
     assert set(built) == reads
     assert len(derived) == defects
+
+
+def _matmul_sites(package) -> dict:
+    """{(file, line): [(site, left code, right code)]} for each `@`
+    product in the package's modules, keyed by every line of the simple
+    statement, or of the header of the compound statement (a `for`
+    iterator, an `if` test), that holds it."""
+    sites = {}
+    root = os.path.dirname(package.__file__)
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(root, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for stmt in ast.walk(tree):
+            if not isinstance(stmt, ast.stmt):
+                continue
+            if hasattr(stmt, "body"):
+                parts = [v for k, v in ast.iter_fields(stmt) if k not in
+                         ("body", "orelse", "finalbody", "handlers")]
+                last = max(stmt.lineno, stmt.body[0].lineno - 1)
+            else:
+                parts, last = [stmt], stmt.end_lineno
+            for node in (n for part in parts for top in
+                         (part if isinstance(part, list) else [part])
+                         if isinstance(top, ast.AST)
+                         for n in ast.walk(top)):
+                if isinstance(node, ast.BinOp) and \
+                        isinstance(node.op, ast.MatMult):
+                    codes = [compile(ast.Expression(x), path, "eval")
+                             for x in (node.left, node.right)]
+                    for line in range(stmt.lineno, last + 1):
+                        sites.setdefault((path, line), []).append(
+                            ((path, node.lineno, node.col_offset), *codes))
+    return sites
+
+
+@pytest.mark.parametrize("kind", ["veronese_s4", "enneper"])
+@pytest.mark.parametrize("argv", [["analyze"],
+                                  ["verify-harmonic", "--refine", "2"],
+                                  ["reconstruct"]],
+                         ids=["analyze", "verify-harmonic", "reconstruct"])
+def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
+                                                        kind):
+    """The three commands do their small matrix algebra as per-entry
+    passes: no np.linalg call on a grid of matrices (ndim > 2) other than
+    the determinant in `lorentz.validate_group`, no einsum over stacked
+    entries (an operand subscript with a leading ellipsis), and no matmul
+    with a complex operand.  veronese_s4 (n = 2, case a2 with the dual
+    surface and the gauge of `spinor.canonicalize_B1`) and enneper (the
+    degenerate branch and its conjugate renormalization) between them
+    run every `@` of the package.
+
+    Explicit calls are spied on.  The `@` operator cannot be patched on
+    ndarray, so a line tracer evaluates both operands of every `@` in
+    the package (found in its source) in the executing frame, just
+    before the statement that holds it runs."""
+    import willmorelab
+    bad, checked = [], set()
+
+    def linalg_spy(name, fn):
+        def spy(a, *args, **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            if np.ndim(a) > 2 and not (name == "det"
+                                       and caller == "validate_group"):
+                bad.append(f"np.linalg.{name} on {np.shape(a)} "
+                           f"from {caller}")
+            return fn(a, *args, **kwargs)
+        return spy
+
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not name.startswith("_") \
+                and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, linalg_spy(name, fn))
+    einsum, matmul = np.einsum, np.matmul
+
+    def einsum_spy(subscripts, *operands, **kwargs):
+        if any(sub.strip().startswith("...")
+               for sub in subscripts.split("->")[0].split(",")):
+            bad.append(f"stacked einsum {subscripts!r}")
+        return einsum(subscripts, *operands, **kwargs)
+
+    def matmul_spy(a, b, *args, **kwargs):
+        if np.iscomplexobj(a) or np.iscomplexobj(b):
+            bad.append(f"complex np.matmul from "
+                       f"{sys._getframe(1).f_code.co_name}")
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum_spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+
+    sites = _matmul_sites(willmorelab)
+    files = {path for path, _ in sites}
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename not in files:
+            return None
+        if event == "line":
+            here = (frame.f_code.co_filename, frame.f_lineno)
+            for site, *codes in sites.get(here, ()):
+                scope = dict(frame.f_locals)
+                operands = [eval(code, frame.f_globals, scope)
+                            for code in codes]
+                checked.add(site)
+                if any(np.iscomplexobj(x) for x in operands):
+                    bad.append(f"complex @ at {os.path.basename(here[0])}:"
+                               f"{here[1]}")
+        return trace
+
+    # at N=32 enneper is case b2i (at N=24 classify reads it as a2)
+    spec = zoo.SurfaceSpec(kind)
+    c = zoo.default_chart(spec, 32)
+    chart = ",".join([str(c.Nu), str(c.Nv)]
+                     + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
+                                                 c.v_max)] + [c.topology])
+    sys.settrace(trace)
+    try:
+        code = run(*argv, "--surface", kind, "--chart", chart)
+    finally:
+        sys.settrace(None)
+    assert code in (0, 2)
+    assert checked, "no `@` site ran"
+    assert not bad, sorted(set(bad))
 
 
 TAU = "6.283185307179586"

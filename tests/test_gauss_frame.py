@@ -212,6 +212,44 @@ def test_rank_matches_svd_oracle(pipe, rng, case):
             assert mrank == expected and np.all(rank == expected)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rank_raises_on_a_non_finite_B1(rng, bad):
+    """One NaN or inf entry in a rank-2 field is a ValueError naming its
+    point, not a rank-0 (totally umbilic) reading."""
+    B1 = _threshold_B1(rng, 2, 1e5, 1e-6)       # singular values 1, 0.1
+    assert gauss_frame.s_willmore_rank(B1)[1] == 2
+    B1[3, 5, 2, 1] = bad
+    with pytest.raises(ValueError, match=r"not finite at grid point \(3, 5\)"):
+        gauss_frame.s_willmore_rank(B1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("scale", ["unit", "graded", "tiny"])
+def test_hermitian_eigenvalues_match_lapack(rng, n, scale):
+    """The Jacobi eigenvalues on planes are LAPACK's to 16 eps times the
+    largest at each point, with no overflow or invalid-value warning, on
+    random Hermitian fields with a zero, an identity, a diagonal and a
+    rank-1 point among them: of unit scale, graded (D H D with D from
+    1e-75 to 1e75, so that off-diagonal entries fall below the last bits
+    of the diagonal) and scaled to 1e-300 (squares underflow)."""
+    X = rng.normal(size=(48, 64, n, n)) + 1j * rng.normal(size=(48, 64, n, n))
+    H = X @ np.swapaxes(X.conj(), -1, -2)
+    H[0, 0], H[1, 1], H[2, 2] = 0.0, np.eye(n), np.diag(np.arange(n))
+    H[3, 3] = 1.0
+    if scale == "graded":
+        D = 10.0 ** rng.uniform(-75, 75, size=H.shape[:-1])
+        H = D[..., :, None] * H * D[..., None, :]
+    elif scale == "tiny":
+        H = H * 1e-300
+    planes = [np.moveaxis(part, (-2, -1), (0, 1)) for part in (H.real, H.imag)]
+    got = np.sort(np.moveaxis(gauss_frame._hermitian_eigvals(*planes), 0, -1),
+                  axis=-1)
+    want = np.linalg.eigvalsh(H)
+    eps = np.finfo(float).eps
+    assert np.all(np.max(np.abs(got - want), axis=-1)
+                  <= 16 * eps * np.max(np.abs(want), axis=-1))
+
+
 def test_b_operator_exchanges_bundles(pipe):
     """F alpha_p F^{-1} maps the normal bundle into the sphere bundle."""
     c, S, Ff, M = pipe("clifford_torus")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from willmorelab import lorentz, zoo
+from willmorelab import gauss_frame, lorentz, surface, zoo
 
+import helpers
 import oracles
 
 
@@ -51,15 +52,45 @@ def test_gram_is_the_pairwise_inner_of_the_columns(rng, shape):
 
 
 @pytest.mark.parametrize("dim", [5, 6, 7])
-@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dtype", [float])
 def test_gram_equals_the_product_with_the_metric(rng, dim, dtype):
-    """The sign-flip form (X s)^T X is bit for bit X^T I X."""
+    """On real X the sign-flip form (X s)^T X is bit for bit X^T I X."""
     for shape in ((dim, 1), (6, 5, dim, 2), (32, 32, dim, 3)):
         X = rng.normal(size=shape).astype(dtype)
-        if dtype is complex:
-            X += 1j * rng.normal(size=shape)
         want = np.swapaxes(X, -1, -2) @ lorentz.metric(dim) @ X
         assert np.array_equal(lorentz.gram(X), want)
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+def test_complex_gram_matches_the_complex_product_oracle(rng, dim):
+    """On complex X the real pairings on planes give the stacked complex
+    product X^T I X (`oracles.gram_complex`) to roundoff, 1e-13 relative
+    to its sup, and an exactly symmetric result."""
+    for shape in ((dim, 1), (6, 5, dim, 2), (32, 32, dim, 3)):
+        X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        G, want = lorentz.gram(X), oracles.gram_complex(X)
+        assert G.shape == want.shape
+        assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(G, np.swapaxes(G, -1, -2))
+        assert np.array_equal(
+            want, np.swapaxes(X, -1, -2) @ lorentz.metric(dim) @ X)
+
+
+@pytest.mark.parametrize("case", list(zoo.KINDS) + ["hexagonal_torus_s5"])
+def test_gram_of_B1_matches_the_complex_product_oracle(pipe, case):
+    """gram(B1), the strong-conformality and normalization defect, agrees
+    with the complex product on the zoo at N=48 and on the hexagonal
+    torus in S^5 (n = 3), to 1e-13 of max(sup, 1)."""
+    if case == "hexagonal_torus_s5":
+        raw, c = helpers.hexagonal_torus_patch(48)
+        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
+            surface.build_surface_data(raw, c)))
+    else:
+        M = pipe(case, 48, 3.0 if case == "torus_of_revolution" else None)[3]
+    B1 = M.B1
+    want = oracles.gram_complex(B1)
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    assert np.max(np.abs(lorentz.gram(B1) - want)) <= 1e-13 * scale
 
 
 def test_inner_is_complex_bilinear():

@@ -3,7 +3,7 @@ import pytest
 
 from willmorelab import reconstruct, spinor
 from willmorelab.chart import Chart, DEFAULT_MARGIN
-from willmorelab.gauss_frame import FrameField, maurer_cartan
+from willmorelab.gauss_frame import FrameField, MCBlocks, maurer_cartan
 from willmorelab.lorentz import inner, metric
 
 import helpers
@@ -343,3 +343,89 @@ def test_round_sphere_cannot_be_normalized(pipe):
     c, S, Ff, M = pipe("round_sphere")
     with pytest.raises(spinor.TotallyUmbilicError):
         reconstruct.normalize(Ff, M)
+
+
+def _degenerate_run(pipe, kind, monkeypatch, conjugate=None):
+    """classify on the normalized zoo frame, with MCBlocks.conjugate
+    replaced by `conjugate` if given: (classification, stereographic
+    residuals, the conjugate renormalization's frame) at N=48."""
+    c, _, Ff, M = pipe(kind)
+    with monkeypatch.context() as m:
+        if conjugate is not None:
+            m.setattr(MCBlocks, "conjugate", conjugate)
+        renormalized = []
+        normalize = reconstruct.normalize
+
+        def spy(*args, **kwargs):
+            renormalized.append(normalize(*args, **kwargs))
+            return renormalized[-1]
+
+        m.setattr(reconstruct, "normalize", spy)
+        cl = reconstruct.classify(reconstruct.normalize(Ff, M))
+    st = reconstruct.stereographic(cl.Ymu, cl.constant_vector, c)
+    return cl, st, renormalized[-1]
+
+
+def test_degenerate_branch_matches_the_conjugated_complex_form(
+        pipe, monkeypatch):
+    """On enneper (case b2i) classify's Y_mu, h_sup, the stereographic
+    residuals and the blocks of the conjugate renormalization match a run
+    whose MCBlocks.conjugate() is the conjugate of the complex product
+    F^{-1} d_z F (`oracles.maurer_cartan_complex`).
+
+    A conjugate() returning (-P, Q), that is -conj(alpha), leaves Y_mu,
+    h_sup and the stereographic residuals unchanged: each is even in the
+    sign of the form (mu is a ratio of products of two B1 entries, h
+    enters only as |h|), so only the renormalized blocks tell the two
+    apart, and they are pinned here."""
+    c, _, Ff, M = pipe("enneper")
+    # the frame and orientation of every form the run builds
+    origin = {id(M): (Ff, False)}
+    keep, calls = [M], []
+    build = reconstruct.maurer_cartan
+
+    def tracked(Fx):
+        out = build(Fx)
+        origin[id(out)] = (Fx, False)
+        keep.append(out)
+        return out
+
+    def oracle_conjugate(self):
+        Fx, conjugated = origin[id(self)]
+        alpha = oracles.maurer_cartan_complex(Fx)
+        if not conjugated:
+            alpha = np.conj(alpha)
+        out = MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, self.chart)
+        origin[id(out)] = (Fx, not conjugated)
+        keep.append(out)
+        calls.append(conjugated)
+        return out
+
+    def negated_conjugate(self):
+        return MCBlocks(-self.P, self.Q, self.chart)
+
+    got = _degenerate_run(pipe, "enneper", monkeypatch)
+    monkeypatch.setattr(reconstruct, "maurer_cartan", tracked)
+    want = _degenerate_run(pipe, "enneper", monkeypatch, oracle_conjugate)
+    monkeypatch.undo()
+    assert calls, "the oracle conjugate never ran"
+    negated = _degenerate_run(pipe, "enneper", monkeypatch,
+                              negated_conjugate)
+
+    def close(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        return np.max(np.abs(x - y)) <= 1e-12 * max(np.max(np.abs(y)), 1.0)
+
+    for run in (want, negated):
+        cl, st, _ = run
+        assert cl.case == got[0].case == "b2i"
+        assert close(got[0].Ymu, cl.Ymu)
+        assert close(got[0].h_sup, cl.h_sup)
+        for key in ("conformal_residual", "harmonic_residual"):
+            assert close(got[1][key], st[key]), key
+    assert got[2].orientation == "conjugate"
+    for block in ("A1", "A2", "B1", "B2"):
+        mine = getattr(got[2].blocks, block)
+        assert close(mine, getattr(want[2].blocks, block)), block
+        assert close(-mine, getattr(negated[2].blocks, block)), block
+    assert np.max(np.abs(got[2].blocks.B1)) > 0.1

@@ -321,3 +321,90 @@ def test_closed_form_det4_matches_lapack(rng):
     M[3] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
     assert np.array_equal(np.sign(surface._det4(M)),
                           np.sign(oracles.lapack_det(M)))
+
+
+ORACLE_CASES = list(zoo.KINDS) + ["hexagonal_torus_s5"]
+
+
+def _oracle_surface(pipe, case):
+    """SurfaceData of a zoo surface at N=48, or of the hexagonal torus in
+    S^5 (n = 3, the only case whose normal connection has a non-zero
+    commutator [b_i, b_r])."""
+    if case == "hexagonal_torus_s5":
+        raw, c = helpers.hexagonal_torus_patch(48)
+        return surface.build_surface_data(raw, c)
+    return pipe(case, 48, 3.0 if case == "torus_of_revolution" else None)[1]
+
+
+def _roundoff_miss(got, want) -> float:
+    """Largest |got - want| over 1e-13 times max(sup |want|, 1): at most 1
+    means 1e-13 relative, or 1e-13 absolute on these O(1)-scaled fields,
+    roundoff (about 500 ulp) that a stencil amplifies by up to 1/h."""
+    want = np.asarray(want)
+    err = float(np.max(np.abs(np.asarray(got) - want)))
+    return err / (1e-13 * max(float(np.max(np.abs(want))), 1.0))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_invariants_match_complex_oracle(pipe, case):
+    """kappa, s, b and beta from the real pairings on planes agree with
+    the complex broadcasts, pairings and einsum they replace
+    (`oracles.invariants_complex`) to roundoff."""
+    S = _oracle_surface(pipe, case)
+    want = oracles.invariants_complex(S)
+    for name in ("kappa", "schwarzian", "b", "beta", "b_asym_residual"):
+        assert _roundoff_miss(getattr(S, name), getattr(want, name)) <= 1, \
+            name
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_normal_derivatives_match_einsum_oracle(pipe, case):
+    """D_z and D_zbar of kappa and beta by per-entry passes agree with
+    the einsum over the stacked entries of b."""
+    S = _oracle_surface(pipe, case)
+    for comps in (S.kappa, S.beta):
+        for zbar in (False, True):
+            got = surface.normal_derivative_components(S, comps, zbar)
+            want = oracles.normal_derivative_components_complex(S, comps,
+                                                                zbar)
+            assert _roundoff_miss(got, want) <= 1, zbar
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_structure_residuals_match_complex_oracle(pipe, case):
+    """The structure residual norms, with the ambient fields added in
+    place from real products, agree with those of the complex-broadcast
+    fields (`oracles.structure_fields_complex`)."""
+    S = _oracle_surface(pipe, case)
+    got = surface.structure_residuals(S)
+    want = chart.residual_norms(oracles.structure_fields_complex(S),
+                                S.chart, S.residual_mask())
+    for name, norms in want.items():
+        for key, value in norms.items():
+            assert _roundoff_miss(got[name][key], value) <= 1, (name, key)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_ricci_matches_complex_oracle(pipe, case):
+    """The Ricci residual is i times the real field of `surface._ricci`:
+    the complex form with b conj(b) - conj(b) b has a real part of
+    roundoff only, and its imaginary part is that field.  On the
+    hexagonal torus (n = 3) the commutator [b_i, b_r] is larger than the
+    residual itself, so a sign error in it misses by far more than the
+    bar; for n <= 2 it vanishes identically."""
+    S = _oracle_surface(pipe, case)
+    want = oracles.ricci_complex(S)
+    R = surface._ricci(S)
+    assert R.dtype == float
+    assert _roundoff_miss(1j * R, want) <= 1
+    assert np.array_equal(R, -np.swapaxes(R, -1, -2))
+    got = surface.integrability_residuals(S, surface.willmore_residual(S))
+    norms = chart.residual_norms({"ricci": want}, S.chart, S.residual_mask())
+    for key in ("sup", "l2"):
+        assert _roundoff_miss(got["ricci"][key], norms["ricci"][key]) <= 1
+    b = S.b
+    comm = np.max(np.abs(b.imag @ b.real - b.real @ b.imag))
+    if S.n <= 2:
+        assert comm == 0.0
+    else:
+        assert comm > np.max(np.abs(want))
