@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lorentz import to_planes
+
 TOPOLOGIES = ("open", "periodic-u", "periodic-v", "periodic-both")
 
 # Default number of cells to trim from open-chart edges before taking
@@ -93,7 +95,19 @@ class Chart:
                      Nu, Nv, self.topology)
 
     def interior_mask(self, margin: int = 0) -> np.ndarray:
-        """Boolean (Nu, Nv) mask; False within `margin` cells of open edges."""
+        """Boolean (Nu, Nv) mask; False within `margin` cells of open edges.
+
+        Raises ValueError when the margin leaves an open axis no interior
+        point (at most 2 * margin points on it), so that no norm is taken
+        over an empty region.
+        """
+        for axis, n, periodic in (("u", self.Nu, self.periodic_u),
+                                  ("v", self.Nv, self.periodic_v)):
+            if margin > 0 and not periodic and n <= 2 * margin:
+                raise ValueError(
+                    f"the open {axis}-axis has {n} points, and a margin of "
+                    f"{margin} points at each edge leaves none of them: "
+                    f"use at least {2 * margin + 1}")
         mask = np.ones((self.Nu, self.Nv), dtype=bool)
         if margin > 0:
             if not self.periodic_u:
@@ -182,21 +196,31 @@ def integrate(f: np.ndarray, c: Chart):
     return np.trapezoid(g, dx=c.hv, axis=0)
 
 
-def _sup_of_abs(a: np.ndarray, mask: np.ndarray | None) -> float:
-    """Sup of the magnitudes a = |f|: every trailing value axis in one
-    max over the (Nu, Nv, -1) reshape, then the mask on the (Nu, Nv)
-    result, so no masked copy of the whole field is made."""
-    a = np.max(a.reshape(a.shape[:2] + (-1,)), axis=-1)
+def _planes(a: np.ndarray) -> np.ndarray:
+    """A real (Nu, Nv, ...) field as contiguous planes (k, Nu, Nv), one
+    per entry: a view when the entries already are contiguous planes
+    (a field built on planes and viewed with the grid axes first), one
+    blocked transpose (`lorentz.to_planes`) otherwise."""
+    Nu, Nv = a.shape[:2]
+    if a.ndim == 2:
+        return a[None]
+    P = np.moveaxis(a, (0, 1), (-2, -1))
+    if P.flags.c_contiguous:
+        return P.reshape(-1, Nu, Nv)
+    return to_planes(a.reshape(Nu, Nv, 1, -1))[0]
+
+
+def _sup_of_planes(P: np.ndarray, mask: np.ndarray | None) -> float:
+    """Sup of the magnitudes P (k, Nu, Nv): the per-point max across the
+    planes, then the mask on the (Nu, Nv) result, so no masked copy of
+    the whole field is made.  Raises ValueError when the mask keeps no
+    grid point."""
+    a = np.max(P, axis=0)
     if mask is not None:
+        if not np.any(mask):
+            raise ValueError("the residual mask keeps no grid point")
         a = a[mask]
     return float(np.max(a))
-
-
-def _l2_of_abs(a: np.ndarray, c: Chart, mask: np.ndarray) -> float:
-    a = a ** 2
-    while a.ndim > 2:
-        a = np.sum(a, axis=-1)
-    return float(np.sqrt(integrate(np.where(mask, a, 0.0), c)))
 
 
 def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
@@ -205,14 +229,27 @@ def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
     Trailing value axes are reduced with max |.|; mask has shape (Nu, Nv)
     and True means "keep".
     """
-    return _sup_of_abs(np.abs(np.asarray(f)), mask)
+    return _sup_of_planes(_planes(np.abs(np.asarray(f))), mask)
+
+
+def field_norms(f: np.ndarray, c: Chart, mask: np.ndarray) -> dict:
+    """{"sup", "l2"} of a residual field f (Nu, Nv, ...) over the mask.
+
+    Both come from one |f|, as contiguous planes (k, Nu, Nv): the sup
+    from the per-point max across the planes, the L2 norm from the sum
+    of their squares, so no reduction runs over a short trailing axis.
+    The sup equals the nested per-axis max exactly; the L2 norm sums the
+    squares in another order than one axis at a time, so it may differ
+    from that by roundoff.
+    """
+    P = _planes(np.abs(np.asarray(f)))
+    sup = _sup_of_planes(P, mask)
+    np.square(P, out=P)      # P is |f| or a fresh transpose of it
+    a = np.sum(P, axis=0)
+    return {"sup": sup, "l2": float(np.sqrt(integrate(np.where(mask, a, 0.0),
+                                                      c)))}
 
 
 def residual_norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:
-    """{name: {"sup", "l2"}} of each field, both norms from one |f|."""
-    out = {}
-    for name, f in fields.items():
-        a = np.abs(np.asarray(f))
-        out[name] = {"sup": _sup_of_abs(a, mask),
-                     "l2": _l2_of_abs(a, c, mask)}
-    return out
+    """{name: {"sup", "l2"}} of each field (`field_norms`)."""
+    return {name: field_norms(f, c, mask) for name, f in fields.items()}

@@ -6,16 +6,30 @@ conformally invariant normal bundle, and the invariant data kappa
 (conformal Hopf differential), s (Schwarzian), b (normal connection) and
 beta (components of D_zbar kappa).
 
-Each field is derived once: the raw lift takes one d_u/d_v pair (for
-the scale of Y), Y takes one (Y_u, Y_v, kept on `SurfaceData`), and N,
-the invariants, the conformal Gauss frame and the structure residuals
-read those partials instead of differentiating Y again.
+Each field is differentiated at most once along each axis.  The raw
+lift takes one d_u/d_v pair (for the scale of Y), Y takes one (Y_u, Y_v,
+kept on `SurfaceData`), and N takes d_u Y_u and d_v Y_v.  Y's Hessian,
+the pair d_u Y_z, d_v Y_z, and psi's partials d_u psi, d_v psi are taken
+on first read and cached on `SurfaceData`: the invariants read Y_zz from
+the Hessian and the normal connection from psi's partials, and the
+structure residuals, their last reader, read Y_zz, Y_zzbar and psi_z
+from the same fields and then drop them.  N's own partials are taken
+only for N_z there.  The Hessian's complex stencils hold Y_uu and Y_vv
+again: numpy divides a complex field by 2h as a product with 1/(2h),
+which rounds differently from N's real stencils, so a Y_zz built from
+those would move kappa by an ulp, which the second derivatives in the
+Codazzi and Willmore residuals amplify by up to 1/h^2.
 
 `build_surface_data` stops at the fields of the conformal Gauss frame
 (Y, N, Y_u, Y_v and psi).  The invariants kappa, s, b and beta are
 computed on first read, by one call of `invariants`, so the commands
 that only read the frame (verify-harmonic, reconstruct) never derive
-them.
+them, nor the Hessian or psi's partials.
+
+The per-point algebra runs on contiguous planes, one (Nu, Nv) array per
+entry: the pairings of the invariants, and the structure residuals,
+which are built as real and imaginary planes and normed across them
+(`chart.field_norms`).
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    residual_norms, wirtinger)
+                    field_norms, residual_norms, wirtinger)
 from .lorentz import inner, metric_signs, pairings, to_planes
 
 
@@ -232,6 +246,24 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _second_wirtinger(zu: tuple, zv: tuple, sign: int) -> np.ndarray:
+    """Y_zz (sign = -1) or Y_zzbar (sign = +1), (zu -+ i zv)/2, from
+    the real and imaginary parts of zu = d_u Y_z and zv = d_v Y_z, in
+    any layout: written from real sums into one complex array of that
+    layout, bit for bit the complex formula (`chart.wirtinger`)."""
+    (ur, ui), (vr, vi) = zu, zv
+    out = np.empty(ur.shape, dtype=complex)
+    if sign < 0:
+        np.add(ur, vi, out=out.real)
+        np.subtract(ui, vr, out=out.imag)
+    else:
+        np.subtract(ur, vi, out=out.real)
+        np.add(ui, vr, out=out.imag)
+    out.real *= 0.5
+    out.imag *= 0.5
+    return out
+
+
 class Invariants(NamedTuple):
     """The forward invariants of a `SurfaceData`."""
     kappa: np.ndarray      # (Nu, Nv, n) components k_j
@@ -246,13 +278,12 @@ class SurfaceData:
     """Canonical lift, its normal frame and, on first read, its invariants.
 
     The fields are those of the conformal Gauss frame: Y, N, Y_u and Y_v
-    give its sphere columns (`gauss_frame.build_frame`), and Y_u, Y_v
-    give Y_z to `structure_residuals`; psi gives its normal columns.
-    kappa, s, b and beta, which feed the residuals and
-    `gauss_frame.willmore_energy`, come from one `invariants` call on the
-    first read of any of them and are cached on the instance, not as
-    dataclass fields, and so is k2 from them.  A command drops its
-    SurfaceData once the frame is built.
+    give its sphere columns (`gauss_frame.build_frame`), and psi gives
+    its normal columns.  What only the forward checks read is derived on
+    first read and cached on the instance, not as dataclass fields: Y's
+    Hessian, psi and its partials as planes, kappa, s, b and beta (one
+    `invariants` call) and k2.  A command drops its SurfaceData once the
+    frame is built.
     """
     chart: Chart
     Y: np.ndarray          # (Nu, Nv, dim) canonical lift
@@ -260,6 +291,26 @@ class SurfaceData:
     Yu: np.ndarray         # (Nu, Nv, dim) d_u Y
     Yv: np.ndarray         # (Nu, Nv, dim) d_v Y
     psi: np.ndarray        # (Nu, Nv, n, dim) normal frame
+
+    @cached_property
+    def hessian(self) -> tuple:
+        """Y's second partials as the complex pair
+        d_u Y_z = (Y_uu - i d_u Y_v)/2 and d_v Y_z = (d_v Y_u - i Y_vv)/2,
+        (Nu, Nv, dim) each: taken once, for Y_zz in the invariants and
+        Y_zz, Y_zzbar in the structure residuals."""
+        c, Yz = self.chart, wirtinger(self.Yu, self.Yv, -1)
+        return d_u(Yz, c), d_v(Yz, c)
+
+    @cached_property
+    def psi_planes(self) -> tuple:
+        """psi, d_u psi and d_v psi as contiguous planes (n, dim, Nu, Nv).
+        The stencils run on psi's planes (viewed with the grid axes
+        first), so each partial is taken once, in the layout that the
+        pairings of `invariants` and the structure residuals read."""
+        c = self.chart
+        Psi = to_planes(self.psi)
+        return (Psi,) + tuple(np.moveaxis(d(_grid_first(Psi), c), (0, 1),
+                                          (-2, -1)) for d in (d_u, d_v))
 
     @cached_property
     def _invariants(self) -> Invariants:
@@ -300,18 +351,6 @@ class SurfaceData:
         return self.chart.interior_mask(DEFAULT_MARGIN)
 
 
-def _add_products(out: np.ndarray, comps: np.ndarray, vecs: np.ndarray,
-                  scale: float) -> np.ndarray:
-    """out += scale * sum_j comps_j vecs_j, in place, for complex
-    components comps (..., m) of real vectors vecs (..., m, dim): real
-    products added into the real and imaginary parts of out, with no
-    complex broadcast."""
-    for part, x in ((out.real, comps.real), (out.imag, comps.imag)):
-        for j in range(comps.shape[-1]):
-            part += (scale * x[..., j, None]) * vecs[..., j, :]
-    return out
-
-
 def _others(n: int, *skip: int) -> list:
     """The indices 0..n-1 other than `skip`."""
     return [m for m in range(n) if m not in skip]
@@ -330,18 +369,23 @@ def _subtract_connection(out: np.ndarray, b: np.ndarray, comps: np.ndarray,
     return out
 
 
+def _grid_first(P: np.ndarray) -> np.ndarray:
+    """Planes (..., Nu, Nv) viewed as a field (Nu, Nv, ...)."""
+    return np.moveaxis(P, (-2, -1), (0, 1))
+
+
 def _complex_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + i im for real planes (a, ..., Nu, Nv), as a complex field
     (Nu, Nv, a, ...) whose entries are contiguous planes."""
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
-    lead = tuple(range(re.ndim - 2))
-    return np.moveaxis(out, lead, tuple(range(-len(lead), 0)))
+    return _grid_first(out)
 
 
 def invariants(S: SurfaceData) -> Invariants:
     """Compute kappa, s, b, beta from the canonical data of S.
 
+    Y_zz comes from S's Hessian and psi's partials from S.psi_planes.
     The pairings with the real normal frame are real `pairings` on
     planes: k_j from those of the real and imaginary parts of kappa's
     raw field, and b from U_jl = <psi_j,u, psi_l> and
@@ -349,23 +393,23 @@ def invariants(S: SurfaceData) -> Invariants:
     kappa and b come out with each entry a contiguous plane, which the
     per-entry passes downstream read.
     """
-    c, Y, psi = S.chart, S.Y, S.psi
-    Yzz = d_z(wirtinger(S.Yu, S.Yv, -1), c)
+    c, Y = S.chart, S.Y
+    Yzz = _second_wirtinger(*((x.real, x.imag) for x in S.hessian), -1)
     s = 2.0 * inner(Yzz, S.N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
     del Yzz             # lowers the peak
     # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
     # Y_v) (d_z is the same linear stencil), so kappa's part in that
     # bundle drops out of the pairing
-    Psi = to_planes(psi)                                    # (n, dim, ...)
+    Psi, Psi_u, Psi_v = S.psi_planes                        # (n, dim, ...)
     k = _complex_planes(*(pairings(part, Psi)[0]
                           for part in to_planes(kap_raw[..., None, :])))
     del kap_raw
 
     # b = (b_raw - b_raw^T)/2 and the sup of the symmetric part,
     # b_raw = <psi_z, psi> = (U - iV)/2
-    U = pairings(to_planes(d_u(psi, c)), Psi)               # (n, n, ...)
-    V = pairings(to_planes(d_v(psi, c)), Psi)
+    U = pairings(Psi_u, Psi)                                # (n, n, ...)
+    V = pairings(Psi_v, Psi)
     Ut, Vt = np.swapaxes(U, 0, 1), np.swapaxes(V, 0, 1)
     b = _complex_planes(0.25 * (U - Ut), -0.25 * (V - Vt))
     b_res = float(np.max(np.hypot(U + Ut, V + Vt))) / 4
@@ -400,34 +444,103 @@ def willmore_residual(S: SurfaceData) -> np.ndarray:
     return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
 
 
+def _vector_planes(x: np.ndarray) -> np.ndarray:
+    """A (Nu, Nv, dim) field as planes: (dim, Nu, Nv) if real, its real
+    and imaginary planes (2, dim, Nu, Nv) if complex."""
+    P = to_planes(x[..., None, :])
+    return P[:, 0] if np.iscomplexobj(x) else P[0]
+
+
 def structure_residuals(S: SurfaceData) -> dict:
-    """Residual norms of the four moving-frame structure equations."""
-    c = S.chart
-    Yz = wirtinger(S.Yu, S.Yv, -1)
-    Yzu, Yzv = d_u(Yz, c), d_v(Yz, c)
-    Yzz, Yzzbar = wirtinger(Yzu, Yzv, -1), wirtinger(Yzu, Yzv, 1)
-    del Yzu, Yzv        # lowers the peak
-    k, beta, psi, k2 = S.kappa, S.beta, S.psi, S.k2
+    """Residual norms of the four moving-frame structure equations
 
-    # the ambient fields sum_j k_j psi_j, sum_j beta_j psi_j, b psi and
-    # beta Y are subtracted in place, from real products
-    r1 = _add_products(Yzz + 0.5 * S.schwarzian[..., None] * S.Y,
-                       k, psi, -1.0)
-    r2 = Yzzbar + k2[..., None] * S.Y - 0.5 * S.N
-    r3 = _add_products(d_z(S.N, c) + 2 * k2[..., None] * Yz
-                       + S.schwarzian[..., None] * np.conj(Yz),
-                       beta, psi, -2.0)
-    r4 = d_z(psi, c) + 2 * k[..., None] * np.conj(Yz)[..., None, :]
-    for j in range(S.n):
-        others = _others(S.n, j)      # b's zero diagonal is left out
-        _add_products(r4[..., j, :], S.b[..., j, others],
-                      psi[..., others, :], -1.0)
-        _add_products(r4[..., j, :], beta[..., j, None], S.Y[..., None, :],
-                      -2.0)
+        lift     Y_zz + (s/2) Y - sum_j k_j psi_j
+        mixed    Y_zzbar + <kappa, conj kappa> Y - N/2
+        N_deriv  N_z + 2 <kappa, conj kappa> Y_z + s conj(Y_z)
+                 - 2 sum_j beta_j psi_j
+        normal   psi_j,z + 2 k_j conj(Y_z) - sum_l b_jl psi_l - 2 beta_j Y
 
+    with Y_z = (Y_u - i Y_v)/2.  Each residual is built on planes: a
+    complex array (entries, Nu, Nv) that starts as Y_zz, Y_zzbar (from
+    the planes of S's Hessian), N_z or psi_z (from the planes of their
+    partials), into whose real and imaginary planes the real products of
+    Y, Y_u, Y_v and psi with the real and imaginary parts of the
+    invariants are added, one plane of coefficients across all entries
+    at a time; no complex field is broadcast.  Each residual is normed
+    (`field_norms`) and released before the next is built.  This is the
+    last reader of the Hessian and of psi's planes, so it drops them
+    from S's cache.
+    """
+    c, n = S.chart, S.n
     mask = S.residual_mask()
-    return residual_norms(
-        {"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4}, c, mask)
+    s, k2 = S.schwarzian, S.k2        # the invariants read the Hessian
+    kr, ki = (np.moveaxis(x, -1, 0)                     # (n, Nu, Nv)
+              for x in (S.kappa.real, S.kappa.imag))
+    br, bi = (np.moveaxis(x, -1, 0) for x in (2.0 * S.beta.real,
+                                               2.0 * S.beta.imag))
+    b = np.moveaxis(S.b, (-2, -1), (0, 1))              # (n, n, Nu, Nv)
+    H = [_vector_planes(x) for x in S.hessian]          # (2, dim, Nu, Nv)
+    Psi, Psi_u, Psi_v = S.psi_planes                    # (n, dim, Nu, Nv)
+    for name in ("hessian", "psi_planes"):
+        vars(S).pop(name, None)
+    Y = _vector_planes(S.Y)                             # (dim, Nu, Nv)
+    tmp = np.empty_like(Y)
+
+    def add(out, coef, vecs, sign=1.0):
+        """out += sign * coef * vecs, coef one plane across the entries"""
+        np.multiply(coef, vecs, out=tmp)
+        if sign > 0:
+            out += tmp
+        else:
+            out -= tmp
+
+    out = {}
+    r = _second_wirtinger(*H, -1)                        # Y_zz
+    for part, sx, kx in ((r.real, s.real, kr), (r.imag, s.imag, ki)):
+        add(part, 0.5 * sx, Y)
+        for j in range(n):
+            add(part, kx[j], Psi[j], -1.0)
+    out["lift"] = field_norms(_grid_first(r), c, mask)
+
+    N = _vector_planes(S.N)
+    r = _second_wirtinger(*H, 1)                         # Y_zzbar
+    del H
+    add(r.real, k2, Y)
+    add(r.real, 0.5, N, -1.0)
+    out["mixed"] = field_norms(_grid_first(r), c, mask)
+
+    Yu, Yv = _vector_planes(S.Yu), _vector_planes(S.Yv)
+    r = np.empty(N.shape, dtype=complex)                 # N_z
+    for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
+        np.multiply(np.moveaxis(d(_grid_first(N), c), -1, 0), scale,
+                    out=part)
+    del N
+    add(r.real, k2 + 0.5 * s.real, Yu)
+    add(r.real, 0.5 * s.imag, Yv, -1.0)
+    add(r.imag, 0.5 * s.real - k2, Yv)
+    add(r.imag, 0.5 * s.imag, Yu)
+    for part, bx in ((r.real, br), (r.imag, bi)):
+        for j in range(n):
+            add(part, bx[j], Psi[j], -1.0)
+    out["N_deriv"] = field_norms(_grid_first(r), c, mask)
+
+    r = np.empty(Psi.shape, dtype=complex)               # psi_z
+    np.multiply(Psi_u, 0.5, out=r.real)
+    np.multiply(Psi_v, -0.5, out=r.imag)
+    del Psi_u, Psi_v
+    for j in range(n):
+        re, im = r.real[j], r.imag[j]
+        add(re, kr[j], Yu)
+        add(re, ki[j], Yv, -1.0)
+        add(im, ki[j], Yu)
+        add(im, kr[j], Yv)
+        for l in _others(n, j):       # b's zero diagonal is left out
+            add(re, b.real[j, l], Psi[l], -1.0)
+            add(im, b.imag[j, l], Psi[l], -1.0)
+        add(re, br[j], Y, -1.0)
+        add(im, bi[j], Y, -1.0)
+    out["normal"] = field_norms(_grid_first(r), c, mask)
+    return out
 
 
 def _ricci(S: SurfaceData) -> np.ndarray:

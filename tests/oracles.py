@@ -27,7 +27,7 @@ import numpy as np
 
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                               sup_norm, wirtinger)
+                               integrate, sup_norm, wirtinger)
 from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
                                      maurer_cartan)
 from willmorelab.lorentz import inner, metric, metric_signs
@@ -354,13 +354,23 @@ def project_out_span(w, basis):
 
 
 def sup_by_nested_max(a, mask=None):
-    """`chart._sup_of_abs` reducing one trailing axis of a = |f| at a
-    time, then masking."""
+    """The sup of a = |f|, reducing one trailing axis at a time, then
+    masking."""
     while a.ndim > 2:
         a = np.max(a, axis=-1)
     if mask is not None:
         a = a[mask]
     return float(np.max(a))
+
+
+def l2_by_nested_sum(a, c, mask):
+    """The L2 norm of a = |f| over the mask, its squares reduced one
+    trailing axis at a time (the last first) and then integrated, as
+    `chart.residual_norms` took it before it summed across planes."""
+    a = a ** 2
+    while a.ndim > 2:
+        a = np.sum(a, axis=-1)
+    return float(np.sqrt(integrate(np.where(mask, a, 0.0), c)))
 
 
 def lapack_det(M):

@@ -165,3 +165,57 @@ def test_one_pass_sup_equals_nested_reduction(rng, tail, dtype):
         assert sup_norm(f, m) == oracles.sup_by_nested_max(np.abs(f), m)
     assert residual_norms({"f": f}, c, mask)["f"]["sup"] \
         == oracles.sup_by_nested_max(np.abs(f), mask) < 50.0 == sup_norm(f)
+
+
+def _fields(rng, c, tail, dtype):
+    """A field (Nu, Nv, *tail) twice: contiguous with the grid axes
+    first, and as a view of contiguous planes (*tail, Nu, Nv), the
+    layout the structure residuals are built in."""
+    f = rng.normal(size=c.shape + tail)
+    if dtype is complex:
+        f = f + 1j * rng.normal(size=f.shape)
+    planes = np.ascontiguousarray(np.moveaxis(f, (0, 1), (-2, -1)))
+    return f, np.moveaxis(planes, (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (4, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_l2_across_planes_matches_nested_reduction(rng, tail, dtype):
+    """The L2 norm summed across planes agrees with the one that reduces
+    one trailing axis at a time to roundoff, in both layouts, and the
+    sup equals the nested max exactly in both."""
+    c = open_chart(21)
+    mask = c.interior_mask(3)
+    for f in _fields(rng, c, tail, dtype):
+        got = residual_norms({"f": f}, c, mask)["f"]
+        want = oracles.l2_by_nested_sum(np.abs(f), c, mask)
+        assert got["l2"] == pytest.approx(want, rel=1e-15, abs=0)
+        assert got["sup"] == oracles.sup_by_nested_max(np.abs(f), mask)
+
+
+def test_interior_mask_rejects_a_margin_that_leaves_no_point():
+    """An open axis of at most 2 * margin points has no interior point;
+    the error names the axis, its point count and the margin.  One
+    point more keeps one line; periodic axes are never trimmed."""
+    with pytest.raises(ValueError, match="open u-axis has 12 points.* "
+                       "margin of 6 "):
+        open_chart(12).interior_mask(6)
+    with pytest.raises(ValueError, match="open v-axis has 10 points.* "
+                       "margin of 5 "):
+        Chart(-1.0, 1.0, -1.0, 1.0, 16, 10, "open").interior_mask(5)
+    assert np.count_nonzero(open_chart(13).interior_mask(6)) == 1
+    assert np.all(Chart(0.0, 1.0, 0.0, 1.0, 8, 8,
+                        "periodic-both").interior_mask(6))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_norms_raise_on_an_empty_mask(rng, dtype):
+    """A mask that keeps no point is an error, never a sup of 0 or
+    -inf, in both layouts."""
+    c = open_chart(21)
+    empty = np.zeros(c.shape, dtype=bool)
+    for f in _fields(rng, c, (3,), dtype):
+        with pytest.raises(ValueError, match="keeps no grid point"):
+            residual_norms({"f": f}, c, empty)
+        with pytest.raises(ValueError, match="keeps no grid point"):
+            sup_norm(f, empty)

@@ -515,3 +515,21 @@ def test_degenerate_chart_exits_3(capsys, bounds, name):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: chart bound {name}=")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-harmonic",
+                                     "reconstruct"])
+@pytest.mark.parametrize("size, axis, points", [("10,10", "u", 10),
+                                                ("12,12", "u", 12),
+                                                ("24,12", "v", 12)])
+def test_chart_without_interior_points_exits_3(capsys, command, size, axis,
+                                               points):
+    """An open axis of at most 2 * DEFAULT_MARGIN points leaves no grid
+    point to take a residual over: each command exits 3 with one message
+    that names the axis, its point count and the margin."""
+    assert run(command, "--surface", "enneper",
+               "--chart", f"{size},-0.8,0.8,-0.8,0.8,open") == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: the open {axis}-axis has {points} points, and "
+                   "a margin of 6 points at each edge leaves none of them: "
+                   "use at least 13\n")

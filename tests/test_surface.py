@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab import chart, gauss_frame, surface, zoo
-from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
+from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar, wirtinger
 from willmorelab.lorentz import inner, metric
 
 import helpers
@@ -44,13 +44,8 @@ def test_canonical_lift_rejects_bad_input():
         surface.canonical_lift(np.broadcast_to(raw[0, 0], raw.shape), c)
 
 
-def test_each_lift_is_differentiated_once(monkeypatch):
-    """The raw lift and Y take one d_u and one d_v each across the
-    surface data, the frame and both residual sets: N, the invariants,
-    the frame and the structure residuals read S.Yu and S.Yv."""
-    spec = zoo.SurfaceSpec("veronese_s4")
-    c = zoo.default_chart(spec, 24)
-    raw = zoo.generate(spec, c)
+def _stencil_spy(monkeypatch):
+    """Record (a copy of the field, axis) of every stencil call."""
     seen = []
     diff = chart._diff_axis
 
@@ -59,16 +54,78 @@ def test_each_lift_is_differentiated_once(monkeypatch):
         return diff(f, h, axis, periodic)
 
     monkeypatch.setattr(chart, "_diff_axis", counted)
+    return seen
+
+
+def _calls(seen, x):
+    """[along u, along v]: how often the field x was differentiated."""
+    return [sum(a == axis and f.shape == x.shape and np.array_equal(f, x)
+                for f, a in seen) for axis in (0, 1)]
+
+
+def test_each_lift_is_differentiated_once(monkeypatch):
+    """Across the surface data, the invariants, the structure and
+    integrability residuals and the frame (the analyze path), each
+    field takes at most one stencil per axis: the raw lift and Y one
+    d_u/d_v pair each; Y_u only d_u and Y_v only d_v, for N; Y_z one
+    pair, for the Hessian that both Y_zz and Y_zzbar read; N one pair,
+    for N_z; psi one pair, whose partials serve the normal connection
+    and psi_z."""
+    spec = zoo.SurfaceSpec("veronese_s4")
+    c = zoo.default_chart(spec, 24)
+    raw = zoo.generate(spec, c)
+    seen = _stencil_spy(monkeypatch)
     S = surface.build_surface_data(raw, c)
-    gauss_frame.build_frame(S)
+    S.kappa                             # the one `invariants` call
     surface.structure_residuals(S)
     surface.integrability_residuals(S, surface.willmore_residual(S))
+    gauss_frame.build_frame(S)
 
-    def count(x, axis):
-        return sum(a == axis and f.shape == x.shape and np.array_equal(f, x)
-                   for f, a in seen)
-    assert [count(raw, 0), count(raw, 1)] == [1, 1]
-    assert [count(S.Y, 0), count(S.Y, 1)] == [1, 1]
+    assert _calls(seen, raw) == _calls(seen, S.Y) == [1, 1]
+    assert _calls(seen, S.Yu) == [1, 0]
+    assert _calls(seen, S.Yv) == [0, 1]
+    assert _calls(seen, wirtinger(S.Yu, S.Yv, -1)) == [1, 1]
+    assert _calls(seen, S.N) == _calls(seen, S.psi) == [1, 1]
+
+
+def test_frame_path_takes_the_stencils_of_the_frame_only(monkeypatch):
+    """`build_surface_data` then `build_frame`, the path of
+    verify-harmonic and reconstruct, takes exactly six stencils: d_u and
+    d_v of the raw lift and of Y, then d_u Y_u and d_v Y_v for N.  The
+    Hessian and psi's partials are taken only where the invariants or
+    the structure residuals read them."""
+    spec = zoo.SurfaceSpec("veronese_s4")
+    c = zoo.default_chart(spec, 24)
+    raw = zoo.generate(spec, c)
+    seen = _stencil_spy(monkeypatch)
+    S = surface.build_surface_data(raw, c)
+    gauss_frame.build_frame(S)
+
+    names = {"raw": raw, "Y": S.Y, "Yu": S.Yu, "Yv": S.Yv}
+    got = [(next((name for name, x in names.items()
+                  if f.shape == x.shape and np.array_equal(f, x)), "other"),
+            axis) for f, axis in seen]
+    assert got == [("raw", 0), ("raw", 1), ("Y", 0), ("Y", 1),
+                   ("Yu", 0), ("Yv", 1)]
+
+
+def test_hessian_gives_the_second_wirtinger_derivatives_bit_for_bit(pipe):
+    """Y_zz and Y_zzbar from the real and imaginary parts of the cached
+    pair (d_u Y_z, d_v Y_z) equal the complex formula (d_z of Y_z and
+    d_zbar of Y_z) bit for bit, in the grid layout of the invariants and
+    in the plane layout of the structure residuals."""
+    for kind in ("clifford_torus", "enneper", "veronese_s4"):
+        c, S, _, _ = pipe(kind)
+        H = surface.SurfaceData(S.chart, S.Y, S.N, S.Yu, S.Yv,
+                                S.psi).hessian
+        Yz = wirtinger(S.Yu, S.Yv, -1)
+        for sign, want in ((-1, d_z(Yz, c)), (1, d_zbar(Yz, c))):
+            got = surface._second_wirtinger(
+                *((x.real, x.imag) for x in H), sign)
+            assert np.array_equal(got, want), (kind, sign)
+            planes = surface._second_wirtinger(
+                *(surface._vector_planes(x) for x in H), sign)
+            assert np.array_equal(surface._grid_first(planes), want)
 
 
 def test_frame_N_pairings(pipe):
