@@ -196,18 +196,24 @@ def integrate(f: np.ndarray, c: Chart):
     return np.trapezoid(g, dx=c.hv, axis=0)
 
 
+def sweep(out: np.ndarray, step) -> np.ndarray:
+    """Continuation over the grid of `out` (Nu, Nv, ...), in place from
+    the seed out[0, 0]: along row 0 point by point, then each later row
+    from its predecessor in one vectorized step, so the result is
+    deterministic.  step(prev, at) returns the value at the index `at`
+    ((0, j) on row 0, row i after it) continued from `prev`, its
+    neighbour's value."""
+    for j in range(1, out.shape[1]):
+        out[0, j] = step(out[0, j - 1], (0, j))
+    for i in range(1, out.shape[0]):
+        out[i] = step(out[i - 1], i)
+    return out
+
+
 def _planes(a: np.ndarray) -> np.ndarray:
-    """A real (Nu, Nv, ...) field as contiguous planes (k, Nu, Nv), one
-    per entry: a view when the entries already are contiguous planes
-    (a field built on planes and viewed with the grid axes first), one
-    blocked transpose (`lorentz.to_planes`) otherwise."""
-    Nu, Nv = a.shape[:2]
-    if a.ndim == 2:
-        return a[None]
-    P = np.moveaxis(a, (0, 1), (-2, -1))
-    if P.flags.c_contiguous:
-        return P.reshape(-1, Nu, Nv)
-    return to_planes(a.reshape(Nu, Nv, 1, -1))[0]
+    """A real (Nu, Nv, ...) field as planes (k, Nu, Nv), one per entry
+    (`lorentz.to_planes`)."""
+    return to_planes(a.reshape(a.shape[:2] + (-1,)), values=1)
 
 
 def _sup_of_planes(P: np.ndarray, mask: np.ndarray | None) -> float:

@@ -91,6 +91,9 @@ def build_config(args) -> dict:
     cfg = {key: getattr(args, key) for key in CONFIG_KEYS
            if getattr(args, key) is not None}
     cfg.setdefault("tol", 1e-6)
+    if not 0.0 <= cfg["tol"] < np.inf:
+        # an infinite tolerance would pass every check, a NaN fail them
+        raise ValueError(f"--tol must be finite and >= 0, got {cfg['tol']}")
     cfg.setdefault("refine", 2)
     cfg.setdefault("format", "json")
     if not cfg.get("surface") and not cfg.get("input"):

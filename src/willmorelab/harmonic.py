@@ -139,7 +139,7 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
 
 def _unit(lam) -> complex:
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-12:
+    if not abs(abs(lam) - 1.0) <= 1e-12:        # a NaN fails too
         raise ValueError(f"lambda must be unimodular, got |lambda|={abs(lam)}")
     return lam
 

@@ -19,7 +19,10 @@ __all__ = [
     "norm2",
     "gram",
     "to_planes",
+    "grid_first",
     "pairings",
+    "det4",
+    "complement_solver",
     "is_forward_lightlike",
     "validate_group",
 ]
@@ -80,41 +83,137 @@ def gram(X: np.ndarray) -> np.ndarray:
 PLANE_BLOCK = 4096
 
 
-def to_planes(X: np.ndarray) -> np.ndarray:
-    """A real (..., a, b) field as contiguous planes (a, b, ...), or a
+def to_planes(X: np.ndarray, values: int = 2) -> np.ndarray:
+    """A real field (..., a, b) as contiguous planes (a, b, ...), or a
     complex one as its real and imaginary planes (2, a, b, ...), so that
-    each entry is one unit-stride (...) array.
+    each entry is one unit-stride (...) array; `values` is the number of
+    trailing value axes (two: a, b).
 
-    The grid is flattened and transposed in blocks of PLANE_BLOCK
-    points; a complex field is read as interleaved floats, so the reads
-    run along memory."""
-    X = np.ascontiguousarray(X)
-    lead = X.shape[:-2]
+    A real field whose entries already are contiguous planes (built on
+    planes and viewed with the grid axes first, `grid_first`) is returned
+    as a view.  Otherwise the grid is flattened and transposed in blocks
+    of PLANE_BLOCK points; a complex field is read as interleaved
+    floats, so the reads run along memory."""
+    X = np.asarray(X)
+    k = X.ndim - values
     cplx = np.iscomplexobj(X)
+    if not cplx:
+        P = X.transpose(*range(k, X.ndim), *range(k))
+        if P.flags.c_contiguous:
+            return P
+    X = np.ascontiguousarray(X)
+    lead = X.shape[:k]
     if cplx:
         X = X.view(X.real.dtype).reshape(X.shape + (2,))
     rows = X.reshape(int(np.prod(lead)), -1)
     out = np.empty(rows.shape[::-1], dtype=rows.dtype)
     for i in range(0, len(rows), PLANE_BLOCK):
         out[:, i:i + PLANE_BLOCK] = rows[i:i + PLANE_BLOCK].T
-    out = out.reshape(X.shape[len(lead):] + lead)
-    return np.moveaxis(out, 2, 0) if cplx else out
+    out = out.reshape(X.shape[k:] + lead)
+    return np.moveaxis(out, values, 0) if cplx else out
+
+
+def grid_first(P: np.ndarray) -> np.ndarray:
+    """Planes (..., Nu, Nv) viewed as a field (Nu, Nv, ...)."""
+    return np.moveaxis(P, (-2, -1), (0, 1))
 
 
 def pairings(A: np.ndarray, B: np.ndarray,
              signs: np.ndarray | None = None) -> np.ndarray:
     """The pairings sum_k s_k a_ik b_jk (p, q, ...) of the rows of real
     planes A (p, d, ...) and B (q, d, ...), with s the metric signs (the
-    Lorentz pairing, as `inner`) unless `signs` is given.
+    Lorentz pairing, as `inner`) unless `signs` is given: the `_product`
+    of the signed A with B transposed."""
+    d = A.shape[1]
+    s = metric_signs(d) if signs is None else signs
+    return _product(A * s.reshape((d,) + (1,) * (A.ndim - 2)),
+                    np.swapaxes(B, 0, 1))
+
+
+def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y for small matrices of fields stored as planes, X (a, b, ...)
+    and Y (b, c, ...).
 
     The grid axes trail, so the einsum runs one elementwise pass over
     the grid per entry and row: a stacked product of small matrices
     costs several times as much, a complex one several times more.
     """
-    d = A.shape[1]
-    s = metric_signs(d) if signs is None else signs
-    return np.einsum("ik...,jk...->ij...",
-                     A * s.reshape((d,) + (1,) * (A.ndim - 2)), B)
+    return np.einsum("ij...,jk...->ik...", X, Y)
+
+
+def _small_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverse of a 1x1 or 2x2 matrix field M (k, k, ...) by its adjugate.
+
+    Raises np.linalg.LinAlgError where the determinant is zero or not
+    finite.
+    """
+    if len(M) == 1:
+        det, adj = M[0, 0], np.ones_like(M)
+    else:
+        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
+    if not np.all(np.isfinite(det) & (det != 0)):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det
+
+
+def det4(M: np.ndarray) -> np.ndarray:
+    """Determinant of a 4x4 matrix field M (4, 4, ...): the Laplace
+    expansion along the first two rows, in their 2x2 minors times the
+    complementary minors of the last two rows."""
+    def minor(r, i, j):
+        return M[r, i] * M[r + 1, j] - M[r, j] * M[r + 1, i]
+    return (minor(0, 0, 1) * minor(2, 2, 3)
+            - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2)
+            + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2)
+            + minor(0, 2, 3) * minor(2, 0, 1))
+
+
+def _gram_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric m x m matrix field G (m, m, ...), m <= 4.
+
+    Block form G = [[A, C], [C^T, D]] with A the leading (at most) 2x2
+    block: X = A^{-1} C, the Schur complement S = D - C^T X, Z = X S^{-1},
+    and G^{-1} = [[A^{-1} + Z X^T, -Z], [-Z^T, S^{-1}]].  There is no
+    pivoting, so A must be invertible; in every caller it is the Gram
+    matrix of (Y, N), of a null pair with <L, Z> = -1 or of
+    (Y+N)/sqrt2, (-Y+N)/sqrt2, that is [[0, -1], [-1, 0]] or diag(-1, 1).
+    Raises np.linalg.LinAlgError where G is not finite or A or S is
+    singular.
+    """
+    if not np.all(np.isfinite(G)):
+        raise np.linalg.LinAlgError("Gram matrix is not finite")
+    k = min(len(G), 2)
+    Ai = _small_inverse(G[:k, :k])
+    if len(G) == k:
+        return Ai
+    C = G[:k, k:]
+    X = _product(Ai, C)
+    Si = _small_inverse(G[k:, k:] - _product(np.swapaxes(C, 0, 1), X))
+    Z = _product(X, Si)
+    upper = np.concatenate(
+        [Ai + _product(Z, np.swapaxes(X, 0, 1)), -Z], axis=1)
+    lower = np.concatenate([-np.swapaxes(Z, 0, 1), Si], axis=1)
+    return np.concatenate([upper, lower], axis=0)
+
+
+def complement_solver(B: np.ndarray) -> np.ndarray:
+    """Q = G^{-1} B s for the rows B (..., m, dim), m <= 4, G = (B s) B^T
+    their Lorentz Gram matrix and s the metric signs.
+
+    The Minkowski-orthogonal projection of w onto the complement of the
+    span of the rows is then w - B^T (Q w).  The rows are first laid out
+    as contiguous planes (m, dim, ...), so that the Gram matrix, its
+    closed-form inverse (`_gram_inverse`) and the product with B s are
+    entry-by-entry passes over the grid, not a LAPACK solve per point.
+    Raises np.linalg.LinAlgError for a singular or non-finite G.
+    """
+    P = to_planes(B)
+    Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
+    Q = _product(_gram_inverse(pairings(P, P)), Ps)
+    return np.ascontiguousarray(np.moveaxis(Q, (0, 1), (-2, -1)))
 
 
 def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -19,9 +19,10 @@ from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                     sup_norm)
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
-from .lorentz import gram, inner, lorentz_inverse, metric_signs
-from .surface import _complement_solver, _det4, canonical_lift, \
-    complement_basis, frame_N, sphere_columns
+from .lorentz import complement_solver, det4, gram, inner, \
+    lorentz_inverse, metric_signs, to_planes
+from .surface import canonical_lift, complement_basis, frame_N, \
+    sphere_columns
 
 SQRT2 = np.sqrt(2.0)
 
@@ -113,29 +114,31 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
         null_residual=float(np.max(np.abs(gram(B1)))))
 
 
-def _bundle_projector(F: np.ndarray) -> np.ndarray:
-    """P = sum_k eps_k f_k f_k^T I, the Minkowski-orthogonal projection
-    onto the span of the first four columns f_k of F.
+def _bundle_rejection(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X - sum_k eps_k f_k <f_k, X>, the rejection of the columns of X
+    (..., dim, m) from the span of the first four columns f_k of F: the
+    Minkowski-orthogonal projection onto the bundle's complement.
 
     eps = diag(-1, 1, 1, 1) is the Gram inverse of the orthonormal
-    columns and I the ambient metric; both are diagonal, so they act as
-    sign flips.  For a group-valued F the general Gram inverse of
-    `surface._complement_solver` gives the same P, but P = B^T Q from it
-    takes about 0.07 s per call at N=256 against 0.04 s for these sign
-    flips (enneper and veronese_s4 frames, a 2-CPU Xeon with one BLAS
-    thread), on each constant-vector search.
+    columns and I the ambient metric in <f_k, X> = f_k^T I X; both are
+    diagonal, so they act as sign flips, and the products are real.  For
+    a group-valued F the general Gram inverse of
+    `lorentz.complement_solver` gives the same rejection, but takes 45 to
+    75 ms per call at N=256 against 22 to 24 ms for these sign flips
+    (enneper and veronese_s4 frames, a 2-CPU Xeon with one BLAS thread),
+    on each constant-vector search.
     """
     F4 = F[..., :, :4]
-    return ((F4 * metric_signs(4)) @ np.swapaxes(F4, -1, -2)) \
-        * metric_signs(F.shape[-1])
+    IX = X * metric_signs(X.shape[-2])[:, None]
+    return X - F4 @ ((np.swapaxes(F4, -1, -2) @ IX)
+                     * metric_signs(4)[:, None])
 
 
 def _rejection_operator(F: np.ndarray) -> np.ndarray:
-    """Grid mean of C^T C, C = Id - P the rejection from the bundle
-    (P = `_bundle_projector(F)`), as one product of the stacked
-    rejections."""
+    """Grid mean of C^T C, C = `_bundle_rejection(F, Id)` the rejection
+    from the bundle, as one product of the stacked rejections."""
     dim = F.shape[-1]
-    C = (np.eye(dim) - _bundle_projector(F)).reshape(-1, dim)
+    C = _bundle_rejection(F, np.eye(dim)).reshape(-1, dim)
     return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
@@ -259,14 +262,8 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
         raise ValueError("dual surface needs max rank 1, got rank "
                          f"{max_rank}")
     Ymu, Yd = build_Y_mu(NF, mu)
-    # the rejection Yd - sum_k eps_k <f_k, Yd> f_k from the bundle of the
-    # first four columns f_k (`_bundle_projector`), with the real and
-    # imaginary parts of Yd as two columns: real products only
-    F4 = NF.F[..., :, :4]
-    Y2 = np.stack([Yd.real, Yd.imag], axis=-1)              # (..., dim, 2)
-    IY2 = Y2 * metric_signs(Y2.shape[-2])[:, None]
-    rej = Y2 - F4 @ ((np.swapaxes(F4, -1, -2) @ IY2)
-                     * metric_signs(4)[:, None])
+    # the real and imaginary parts of Yd as two columns
+    rej = _bundle_rejection(NF.F, np.stack([Yd.real, Yd.imag], axis=-1))
     c = NF.chart
     return {"duality_residual": sup_norm(np.hypot(rej[..., 0], rej[..., 1]),
                                          c.interior_mask(DEFAULT_MARGIN)),
@@ -397,8 +394,8 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
 
     # change of basis G^{-1} (phi I f^T) in the Minkowski metric, G the
     # Gram matrix of phi, and its orientation
-    Cmat = _complement_solver(phi) @ np.swapaxes(f, -1, -2)
-    sgn = np.sign(_det4(np.moveaxis(Cmat, (-2, -1), (0, 1))))
+    Cmat = complement_solver(phi) @ np.swapaxes(f, -1, -2)
+    sgn = np.sign(det4(to_planes(Cmat)))
     votes = np.mean(sgn[c.interior_mask(DEFAULT_MARGIN)])
     return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

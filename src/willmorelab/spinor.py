@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lorentz
-from .chart import Chart
+from .chart import Chart, sweep
 
 
 class TotallyUmbilicError(ValueError):
@@ -129,17 +129,11 @@ def _align_to_reference(g: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _smooth_gauge(g: np.ndarray) -> np.ndarray:
-    """Continuation sweep making the gauge field continuous.
-
-    Row 0 is aligned point-to-point from the (0,0) seed, every later row is
-    aligned to its predecessor row in one vectorized step.  Deterministic.
-    """
+    """Continuation sweep (`chart.sweep`) making the gauge field
+    continuous: from the (0,0) seed, each point is aligned to its
+    neighbour's gauge.  Deterministic."""
     g = g.copy()
-    for j in range(1, g.shape[1]):
-        g[0, j] = _align_to_reference(g[0, j], g[0, j - 1])
-    for i in range(1, g.shape[0]):
-        g[i] = _align_to_reference(g[i], g[i - 1])
-    return g
+    return sweep(g, lambda prev, at: _align_to_reference(g[at], prev))
 
 
 def canonical_shape_residual(B: np.ndarray) -> float:

@@ -41,8 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    field_norms, residual_norms, wirtinger)
-from .lorentz import inner, metric_signs, pairings, to_planes
+                    field_norms, residual_norms, sweep, wirtinger)
+from .lorentz import complement_solver, grid_first, inner, pairings, \
+    to_planes
 
 
 class DegenerateImmersionError(ValueError):
@@ -98,100 +99,18 @@ def sphere_columns(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
     return [(Y + N) / r2, (-Y + N) / r2, Yu, Yv]
 
 
-def _matmul_planes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X Y for small matrices of fields stored as planes, X (a, b, ...)
-    and Y (b, c, ...): one elementwise pass per entry, not one matmul
-    per grid point."""
-    return np.einsum("ij...,jk...->ik...", X, Y)
-
-
-def _small_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse of a 1x1 or 2x2 matrix field M (k, k, ...) by its adjugate.
-
-    Raises np.linalg.LinAlgError where the determinant is zero or not
-    finite.
-    """
-    if len(M) == 1:
-        det, adj = M[0, 0], np.ones_like(M)
-    else:
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-    if not np.all(np.isfinite(det) & (det != 0)):
-        raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det
-
-
-def _det4(M: np.ndarray) -> np.ndarray:
-    """Determinant of a 4x4 matrix field M (4, 4, ...): the Laplace
-    expansion along the first two rows, in their 2x2 minors times the
-    complementary minors of the last two rows."""
-    def minor(r, i, j):
-        return M[r, i] * M[r + 1, j] - M[r, j] * M[r + 1, i]
-    return (minor(0, 0, 1) * minor(2, 2, 3)
-            - minor(0, 0, 2) * minor(2, 1, 3)
-            + minor(0, 0, 3) * minor(2, 1, 2)
-            + minor(0, 1, 2) * minor(2, 0, 3)
-            - minor(0, 1, 3) * minor(2, 0, 2)
-            + minor(0, 2, 3) * minor(2, 0, 1))
-
-
-def _gram_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric m x m matrix field G (m, m, ...), m <= 4.
-
-    Block form G = [[A, C], [C^T, D]] with A the leading (at most) 2x2
-    block: X = A^{-1} C, the Schur complement S = D - C^T X, Z = X S^{-1},
-    and G^{-1} = [[A^{-1} + Z X^T, -Z], [-Z^T, S^{-1}]].  There is no
-    pivoting, so A must be invertible; in every caller it is the Gram
-    matrix of (Y, N), of a null pair with <L, Z> = -1 or of
-    (Y+N)/sqrt2, (-Y+N)/sqrt2, that is [[0, -1], [-1, 0]] or diag(-1, 1).
-    Raises np.linalg.LinAlgError where G is not finite or A or S is
-    singular.
-    """
-    if not np.all(np.isfinite(G)):
-        raise np.linalg.LinAlgError("Gram matrix is not finite")
-    k = min(len(G), 2)
-    Ai = _small_inverse(G[:k, :k])
-    if len(G) == k:
-        return Ai
-    C = G[:k, k:]
-    X = _matmul_planes(Ai, C)
-    Si = _small_inverse(G[k:, k:] - _matmul_planes(np.swapaxes(C, 0, 1), X))
-    Z = _matmul_planes(X, Si)
-    upper = np.concatenate(
-        [Ai + _matmul_planes(Z, np.swapaxes(X, 0, 1)), -Z], axis=1)
-    lower = np.concatenate([-np.swapaxes(Z, 0, 1), Si], axis=1)
-    return np.concatenate([upper, lower], axis=0)
-
-
-def _complement_solver(B: np.ndarray) -> np.ndarray:
-    """Q = G^{-1} B s for the rows B (..., m, dim), m <= 4, G = (B s) B^T
-    their Lorentz Gram matrix and s the metric signs.
-
-    The Minkowski-orthogonal projection of w onto the complement of the
-    span of the rows is then w - B^T (Q w).  The rows are first laid out
-    as contiguous planes (m, dim, ...), so that the Gram matrix, its
-    closed-form inverse (`_gram_inverse`) and the product with B s are
-    entry-by-entry passes over the grid, not a LAPACK solve per point.
-    Raises np.linalg.LinAlgError for a singular or non-finite G.
-    """
-    P = to_planes(B)
-    Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
-    Q = _matmul_planes(_gram_inverse(pairings(P, P)), Ps)
-    return np.ascontiguousarray(np.moveaxis(Q, (0, 1), (-2, -1)))
-
-
 def complement_basis(B: np.ndarray) -> np.ndarray:
     """Orthonormal basis (dim - m, dim) of the Minkowski complement of
     the rows of one point's B (m, dim), which must be spacelike.
 
     Gram-Schmidt on the standard basis vectors, each first projected
-    onto the complement (`_complement_solver`); a candidate whose
+    onto the complement (`lorentz.complement_solver`); a candidate whose
     remainder has squared norm below 1e-8 lies in the span already kept
     and is skipped.
     """
     m, dim = B.shape
     basis = []
-    for w in np.eye(dim) - _complement_solver(B).T @ B:
+    for w in np.eye(dim) - complement_solver(B).T @ B:
         for prev in basis:
             w = w - inner(w, prev) * prev
         nrm = inner(w, w)
@@ -220,13 +139,11 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Oriented orthonormal frame psi of the normal bundle, shape (Nu,Nv,n,dim).
 
     B = stack(Y, N, Y_u, Y_v) of shape (Nu, Nv, 4, dim) spans the mean
-    curvature sphere bundle and Q = `_complement_solver(B)`, so rows w
-    project onto the normal bundle as w - (w Q^T) B.  Seeded by
+    curvature sphere bundle and Q = `lorentz.complement_solver(B)`, so
+    rows w project onto the normal bundle as w - (w Q^T) B.  Seeded by
     `complement_basis` at (0,0) and propagated by nearest-frame
-    alignment: each point projects its neighbour's frame onto its own
-    normal space and re-orthonormalizes.  Row 0 is swept sequentially,
-    every later row follows its predecessor in one vectorized step, so
-    the result is deterministic.
+    alignment (`chart.sweep`): each point projects its neighbour's frame
+    onto its own normal space and re-orthonormalizes.
     """
     QT = np.swapaxes(Q, -1, -2)
     seed = complement_basis(B[0, 0])
@@ -235,15 +152,12 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
                               axis=-1)) < 0:
         seed[-1] = -seed[-1]
 
+    def step(w, at):
+        return _orthonormalize(w - (w @ QT[at]) @ B[at])
+
     psi = np.empty(B.shape[:2] + seed.shape)
     psi[0, 0] = seed
-    for j in range(1, B.shape[1]):
-        w = psi[0, j - 1]
-        psi[0, j] = _orthonormalize(w - (w @ QT[0, j]) @ B[0, j])
-    for i in range(1, B.shape[0]):
-        w = psi[i - 1]
-        psi[i] = _orthonormalize(w - (w @ QT[i]) @ B[i])
-    return psi
+    return sweep(psi, step)
 
 
 def _second_wirtinger(zu: tuple, zv: tuple, sign: int) -> np.ndarray:
@@ -309,8 +223,8 @@ class SurfaceData:
         pairings of `invariants` and the structure residuals read."""
         c = self.chart
         Psi = to_planes(self.psi)
-        return (Psi,) + tuple(np.moveaxis(d(_grid_first(Psi), c), (0, 1),
-                                          (-2, -1)) for d in (d_u, d_v))
+        return (Psi,) + tuple(to_planes(d(grid_first(Psi), c))
+                              for d in (d_u, d_v))
 
     @cached_property
     def _invariants(self) -> Invariants:
@@ -369,17 +283,12 @@ def _subtract_connection(out: np.ndarray, b: np.ndarray, comps: np.ndarray,
     return out
 
 
-def _grid_first(P: np.ndarray) -> np.ndarray:
-    """Planes (..., Nu, Nv) viewed as a field (Nu, Nv, ...)."""
-    return np.moveaxis(P, (-2, -1), (0, 1))
-
-
 def _complex_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + i im for real planes (a, ..., Nu, Nv), as a complex field
     (Nu, Nv, a, ...) whose entries are contiguous planes."""
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
-    return _grid_first(out)
+    return grid_first(out)
 
 
 def invariants(S: SurfaceData) -> Invariants:
@@ -426,7 +335,7 @@ def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
     Yu, Yv = d_u(Y, c), d_v(Y, c)
     N = frame_N(Y, Yu, Yv, c)
     B = np.stack([Y, N, Yu, Yv], axis=-2)
-    psi = normal_frame(B, _complement_solver(B))
+    psi = normal_frame(B, complement_solver(B))
     return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, psi=psi)
 
 
@@ -442,13 +351,6 @@ def willmore_residual(S: SurfaceData) -> np.ndarray:
     """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa."""
     eta = normal_derivative_components(S, S.beta, zbar=True)
     return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
-
-
-def _vector_planes(x: np.ndarray) -> np.ndarray:
-    """A (Nu, Nv, dim) field as planes: (dim, Nu, Nv) if real, its real
-    and imaginary planes (2, dim, Nu, Nv) if complex."""
-    P = to_planes(x[..., None, :])
-    return P[:, 0] if np.iscomplexobj(x) else P[0]
 
 
 def structure_residuals(S: SurfaceData) -> dict:
@@ -474,16 +376,14 @@ def structure_residuals(S: SurfaceData) -> dict:
     c, n = S.chart, S.n
     mask = S.residual_mask()
     s, k2 = S.schwarzian, S.k2        # the invariants read the Hessian
-    kr, ki = (np.moveaxis(x, -1, 0)                     # (n, Nu, Nv)
-              for x in (S.kappa.real, S.kappa.imag))
-    br, bi = (np.moveaxis(x, -1, 0) for x in (2.0 * S.beta.real,
-                                               2.0 * S.beta.imag))
-    b = np.moveaxis(S.b, (-2, -1), (0, 1))              # (n, n, Nu, Nv)
-    H = [_vector_planes(x) for x in S.hessian]          # (2, dim, Nu, Nv)
+    kr, ki = to_planes(S.kappa, values=1)               # (n, Nu, Nv)
+    br, bi = 2.0 * to_planes(S.beta, values=1)
+    b_re, b_im = to_planes(S.b)                         # (n, n, Nu, Nv)
+    H = [to_planes(x, values=1) for x in S.hessian]     # (2, dim, Nu, Nv)
     Psi, Psi_u, Psi_v = S.psi_planes                    # (n, dim, Nu, Nv)
     for name in ("hessian", "psi_planes"):
         vars(S).pop(name, None)
-    Y = _vector_planes(S.Y)                             # (dim, Nu, Nv)
+    Y = to_planes(S.Y, values=1)                        # (dim, Nu, Nv)
     tmp = np.empty_like(Y)
 
     def add(out, coef, vecs, sign=1.0):
@@ -500,19 +400,19 @@ def structure_residuals(S: SurfaceData) -> dict:
         add(part, 0.5 * sx, Y)
         for j in range(n):
             add(part, kx[j], Psi[j], -1.0)
-    out["lift"] = field_norms(_grid_first(r), c, mask)
+    out["lift"] = field_norms(grid_first(r), c, mask)
 
-    N = _vector_planes(S.N)
+    N = to_planes(S.N, values=1)
     r = _second_wirtinger(*H, 1)                         # Y_zzbar
     del H
     add(r.real, k2, Y)
     add(r.real, 0.5, N, -1.0)
-    out["mixed"] = field_norms(_grid_first(r), c, mask)
+    out["mixed"] = field_norms(grid_first(r), c, mask)
 
-    Yu, Yv = _vector_planes(S.Yu), _vector_planes(S.Yv)
+    Yu, Yv = (to_planes(x, values=1) for x in (S.Yu, S.Yv))
     r = np.empty(N.shape, dtype=complex)                 # N_z
     for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
-        np.multiply(np.moveaxis(d(_grid_first(N), c), -1, 0), scale,
+        np.multiply(to_planes(d(grid_first(N), c), values=1), scale,
                     out=part)
     del N
     add(r.real, k2 + 0.5 * s.real, Yu)
@@ -522,7 +422,7 @@ def structure_residuals(S: SurfaceData) -> dict:
     for part, bx in ((r.real, br), (r.imag, bi)):
         for j in range(n):
             add(part, bx[j], Psi[j], -1.0)
-    out["N_deriv"] = field_norms(_grid_first(r), c, mask)
+    out["N_deriv"] = field_norms(grid_first(r), c, mask)
 
     r = np.empty(Psi.shape, dtype=complex)               # psi_z
     np.multiply(Psi_u, 0.5, out=r.real)
@@ -535,11 +435,11 @@ def structure_residuals(S: SurfaceData) -> dict:
         add(im, ki[j], Yu)
         add(im, kr[j], Yv)
         for l in _others(n, j):       # b's zero diagonal is left out
-            add(re, b.real[j, l], Psi[l], -1.0)
-            add(im, b.imag[j, l], Psi[l], -1.0)
+            add(re, b_re[j, l], Psi[l], -1.0)
+            add(im, b_im[j, l], Psi[l], -1.0)
         add(re, br[j], Y, -1.0)
         add(im, bi[j], Y, -1.0)
-    out["normal"] = field_norms(_grid_first(r), c, mask)
+    out["normal"] = field_norms(grid_first(r), c, mask)
     return out
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from willmorelab.chart import Chart
-from willmorelab.lorentz import metric
+from willmorelab.lorentz import complement_solver, metric
 
 import oracles
 
@@ -163,3 +163,11 @@ def neighbor_jump(A):
     du = np.abs(A[1:, :] - A[:-1, :]).max()
     dv = np.abs(A[:, 1:] - A[:, :-1]).max()
     return float(max(du, dv))
+
+
+def solver_miss(B):
+    """Per grid point, the largest miss of `complement_solver(B)` against
+    the LAPACK solve, relative to the largest entry of LAPACK's Q there."""
+    want = oracles.lapack_complement_solver(B)
+    miss = np.abs(complement_solver(B) - want)
+    return np.max(miss, axis=(-1, -2)) / np.max(np.abs(want), axis=(-1, -2))

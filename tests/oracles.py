@@ -374,13 +374,13 @@ def l2_by_nested_sum(a, c, mask):
 
 
 def lapack_det(M):
-    """`surface._det4` as one LAPACK determinant per grid point of the
+    """`lorentz.det4` as one LAPACK determinant per grid point of the
     planes M (4, 4, ...)."""
     return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
 
 
 def lapack_complement_solver(B):
-    """`surface._complement_solver` as one LAPACK solve G Q = B s per
+    """`lorentz.complement_solver` as one LAPACK solve G Q = B s per
     grid point, G = (B s) B^T."""
     Bs = B * np.diag(metric(B.shape[-1]))
     return np.linalg.solve(Bs @ np.swapaxes(B, -1, -2), Bs)

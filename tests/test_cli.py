@@ -204,6 +204,43 @@ def test_bad_flag_value_exits_3(capsys, flags):
     assert "invalid" in err and flags[0] in err
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_tol_that_is_not_finite_or_is_negative_exits_3(tmp_path, capsys,
+                                                       tol, via):
+    """An infinite --tol would pass every check, the Willmore residual of
+    the non-Willmore control torus included, and a NaN one fail them all
+    as verification failures: either, or a negative one, is a
+    configuration error, from the flag or the config file, and nothing is
+    analyzed."""
+    if via == "flag":
+        argv = ["--tol", str(tol)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": tol}))
+        argv = ["--config", str(cfg)]
+    assert run("analyze", "--surface", "torus_of_revolution:3", *argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --tol must be finite and >= 0")
+
+
+def test_zero_tol_is_accepted():
+    args = cli.parse_args(["analyze", "--surface", "clifford_torus",
+                           "--tol", "0"])
+    assert cli.build_config(args)["tol"] == 0.0
+
+
+def test_nan_lambda_sample_exits_3(capsys):
+    """A NaN lambda is not unimodular: a configuration error, not a
+    flatness check that fails with value nan."""
+    assert run("verify-harmonic", "--surface", "clifford_torus", "--chart",
+               CLIFF_CHART, "--lambda-samples", "nan,1") == 3
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out
+    assert err.startswith("error: lambda must be unimodular")
+
+
 @pytest.mark.parametrize("spec", ["enneper:7", "clifford_torus:2",
                                   "torus_of_revolution:nan",
                                   "torus_of_revolution:inf",
@@ -496,6 +533,39 @@ def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
     assert code in (0, 2)
     assert checked, "no `@` site ran"
     assert not bad, sorted(set(bad))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore stays in its module: no module of
+    the package imports one from another (`from .x import _y`), nor reads
+    one off a package module it imported (`x._y`)."""
+    import willmorelab
+    root = os.path.dirname(willmorelab.__file__)
+    bad = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == "willmorelab"):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        bad.append(f"{name}:{node.lineno} imports "
+                                   f"{alias.name}")
+                    elif node.module in (None, "willmorelab"):
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules \
+                    and node.attr.startswith("_"):
+                bad.append(f"{name}:{node.lineno} reads "
+                           f"{node.value.id}.{node.attr}")
+    assert not bad, bad
 
 
 TAU = "6.283185307179586"

@@ -188,6 +188,73 @@ def test_lorentz_inverse_is_the_metric_transpose(rng, dim):
     assert np.array_equal(X, keep) and not np.shares_memory(got, X)
 
 
+@pytest.mark.parametrize("values", [1, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_to_planes_lays_each_entry_out_as_a_contiguous_plane(rng, values,
+                                                             dtype):
+    """Each entry of a (Nu, Nv, ...) field comes out as one contiguous
+    (Nu, Nv) plane, the real and imaginary parts apart for a complex
+    field, equal to the moved axes; a real field already built on planes
+    and viewed with the grid axes first (`grid_first`) comes back as the
+    planes themselves, and `grid_first` of any result is the field."""
+    shape = (7, 9) + (3, 5)[2 - values:]
+    X = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        X.imag = rng.normal(size=shape)
+    P = lorentz.to_planes(X, values=values)
+    parts = (X.real, X.imag) if dtype is complex else (X,)
+    for got, part in zip(P if dtype is complex else (P,), parts):
+        assert got.dtype == float and got[(0,) * values].flags.c_contiguous
+        assert np.array_equal(lorentz.grid_first(got), part)
+        assert not np.shares_memory(got, X)
+    if dtype is float:
+        field = lorentz.grid_first(P)          # planes viewed grid-first
+        again = lorentz.to_planes(field, values=values)
+        assert np.shares_memory(again, P) and np.array_equal(again, P)
+
+
+def test_complement_solver_matches_lapack_on_null_pairs(rng):
+    """m=2, the null pair (L, Z) with <L, Z> = -1 of
+    `surface.complement_basis`."""
+    for dim in (5, 6, 7):
+        ls = rng.normal(size=(8, 8, dim - 1))
+        L = np.concatenate([np.ones((8, 8, 1)),
+                            ls / np.linalg.norm(ls, axis=-1, keepdims=True)],
+                           axis=-1)
+        Z = np.concatenate([L[..., :1], -L[..., 1:]], axis=-1) / 2.0
+        assert np.max(helpers.solver_miss(np.stack([L, Z], axis=-2))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
+    """Random rows with a timelike first row, so that every Gram matrix is
+    symmetric indefinite.  Both solvers lose digits in proportion to the
+    condition number of G, so the 1e-13 bound is scaled by cond(G)/1e3
+    where that exceeds 1 (at most 6% of the samples, cond(G) up to 3e4)."""
+    for dim in (5, 6, 7):
+        B = rng.normal(size=(16, 16, m, dim))
+        B[..., 0, 0] = 3 * np.linalg.norm(B[..., 0, 1:], axis=-1)
+        G = (B * np.diag(lorentz.metric(dim))) @ np.swapaxes(B, -1, -2)
+        lam = np.linalg.eigvalsh(G)
+        assert np.all((lam[..., 0] < 0) & (lam[..., -1] > 0))
+        bound = 1e-13 * np.maximum(1.0, np.linalg.cond(G) / 1e3)
+        assert np.all(helpers.solver_miss(B) <= bound), (m, dim)
+
+
+def test_closed_form_det4_matches_lapack(rng):
+    """The Laplace expansion in 2x2 minors gives LAPACK's determinant on
+    random 4x4 fields, and its sign on matrices one rounding away from
+    singular as well as on well-conditioned ones."""
+    M = rng.normal(size=(4, 4, 16, 16))
+    want = oracles.lapack_det(M)
+    got = lorentz.det4(M)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+    assert np.array_equal(np.sign(got), np.sign(want))
+    M[3] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
+    assert np.array_equal(np.sign(lorentz.det4(M)),
+                          np.sign(oracles.lapack_det(M)))
+
+
 def test_algebra_membership():
     X = np.zeros((5, 5))
     X[0, 1] = X[1, 0] = 1.0      # boost generator

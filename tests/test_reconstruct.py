@@ -141,11 +141,13 @@ def _projector_frames(pipe):
 
 
 def test_bundle_projector_is_the_projection_onto_the_bundle(pipe):
-    """P is idempotent, fixes the four bundle columns and kills the
-    normal columns; without the timelike sign eps_0 = -1 it is not."""
+    """P = Id - (the rejection of Id from the bundle) is idempotent, fixes
+    the four bundle columns and kills the normal columns; without the
+    timelike sign eps_0 = -1 it is not."""
     for name, F in _projector_frames(pipe):
-        assert _projector_defect(reconstruct._bundle_projector(F), F) \
-            < 1e-10, name
+        dim = F.shape[-1]
+        P = np.eye(dim) - reconstruct._bundle_rejection(F, np.eye(dim))
+        assert _projector_defect(P, F) < 1e-10, name
         F4 = F[..., :, :4]
         no_eps = (F4 @ np.swapaxes(F4, -1, -2)) * np.diag(
             metric(F.shape[-1]))

@@ -3,7 +3,8 @@ import pytest
 
 from willmorelab import chart, gauss_frame, surface, zoo
 from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar, wirtinger
-from willmorelab.lorentz import inner, metric
+from willmorelab.lorentz import complement_solver, grid_first, inner, \
+    metric, to_planes
 
 import helpers
 import oracles
@@ -124,8 +125,8 @@ def test_hessian_gives_the_second_wirtinger_derivatives_bit_for_bit(pipe):
                 *((x.real, x.imag) for x in H), sign)
             assert np.array_equal(got, want), (kind, sign)
             planes = surface._second_wirtinger(
-                *(surface._vector_planes(x) for x in H), sign)
-            assert np.array_equal(surface._grid_first(planes), want)
+                *(to_planes(x, values=1) for x in H), sign)
+            assert np.array_equal(grid_first(planes), want)
 
 
 def test_frame_N_pairings(pipe):
@@ -233,7 +234,7 @@ def _gram_without_metric(B):
                            B * np.diag(metric(B.shape[-1])))
 
 
-def _three_rows_only(B, solve=surface._complement_solver):
+def _three_rows_only(B, solve=complement_solver):
     Q = np.zeros_like(B)
     Q[..., :3, :] = solve(B[..., :3, :])
     return Q
@@ -249,7 +250,7 @@ def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, broken):
     after normalization), so the miss is taken over the finite entries.
     """
     raw, c = helpers.hexagonal_torus_patch(24)
-    monkeypatch.setattr(surface, "_complement_solver", broken)
+    monkeypatch.setattr(surface, "complement_solver", broken)
     S = surface.build_surface_data(raw, c)
     want = oracles.invariants_by_span_projection(S.Y, S.N, c)
     for name in ("kappa", "psi"):
@@ -301,14 +302,6 @@ def _sphere_rows(pipe, kind):
     return np.stack([S.Y, S.N, d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
 
 
-def _solver_miss(B):
-    """Per grid point, the largest miss of `_complement_solver(B)` against
-    the LAPACK solve, relative to the largest entry of LAPACK's Q there."""
-    want = oracles.lapack_complement_solver(B)
-    miss = np.abs(surface._complement_solver(B) - want)
-    return np.max(miss, axis=(-1, -2)) / np.max(np.abs(want), axis=(-1, -2))
-
-
 @pytest.mark.parametrize("m", [4, 3])
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "veronese_s4"])
 def test_complement_solver_matches_lapack_on_sphere_rows(pipe, kind, m):
@@ -321,34 +314,7 @@ def test_complement_solver_matches_lapack_on_sphere_rows(pipe, kind, m):
     if kind != "clifford_torus":
         cross = inner(B[..., :2, None, :], B[..., None, 2:, :])
         assert np.max(np.abs(cross)) > 1e-3
-    assert np.max(_solver_miss(B[..., :m, :])) <= 1e-13
-
-
-def test_complement_solver_matches_lapack_on_null_pairs(rng):
-    """m=2, the null pair (L, Z) with <L, Z> = -1 of `complement_basis`."""
-    for dim in (5, 6, 7):
-        ls = rng.normal(size=(8, 8, dim - 1))
-        L = np.concatenate([np.ones((8, 8, 1)),
-                            ls / np.linalg.norm(ls, axis=-1, keepdims=True)],
-                           axis=-1)
-        Z = np.concatenate([L[..., :1], -L[..., 1:]], axis=-1) / 2.0
-        assert np.max(_solver_miss(np.stack([L, Z], axis=-2))) <= 1e-13
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
-    """Random rows with a timelike first row, so that every Gram matrix is
-    symmetric indefinite.  Both solvers lose digits in proportion to the
-    condition number of G, so the 1e-13 bound is scaled by cond(G)/1e3
-    where that exceeds 1 (at most 6% of the samples, cond(G) up to 3e4)."""
-    for dim in (5, 6, 7):
-        B = rng.normal(size=(16, 16, m, dim))
-        B[..., 0, 0] = 3 * np.linalg.norm(B[..., 0, 1:], axis=-1)
-        G = (B * np.diag(metric(dim))) @ np.swapaxes(B, -1, -2)
-        lam = np.linalg.eigvalsh(G)
-        assert np.all((lam[..., 0] < 0) & (lam[..., -1] > 0))
-        bound = 1e-13 * np.maximum(1.0, np.linalg.cond(G) / 1e3)
-        assert np.all(_solver_miss(B) <= bound), (m, dim)
+    assert np.max(helpers.solver_miss(B[..., :m, :])) <= 1e-13
 
 
 @pytest.mark.parametrize("defect", ["repeated_row", "zero_row", "nan"])
@@ -363,21 +329,7 @@ def test_complement_solver_raises_on_a_singular_gram(pipe, defect):
     else:
         B[5, 7, 2, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        surface._complement_solver(B)
-
-
-def test_closed_form_det4_matches_lapack(rng):
-    """The Laplace expansion in 2x2 minors gives LAPACK's determinant on
-    random 4x4 fields, and its sign on matrices one rounding away from
-    singular as well as on well-conditioned ones."""
-    M = rng.normal(size=(4, 4, 16, 16))
-    want = oracles.lapack_det(M)
-    got = surface._det4(M)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
-    assert np.array_equal(np.sign(got), np.sign(want))
-    M[3] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
-    assert np.array_equal(np.sign(surface._det4(M)),
-                          np.sign(oracles.lapack_det(M)))
+        complement_solver(B)
 
 
 ORACLE_CASES = list(zoo.KINDS) + ["hexagonal_torus_s5"]
