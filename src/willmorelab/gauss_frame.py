@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart, d_u, d_v, integrate, wirtinger
-from .lorentz import (lorentz_inverse, metric_signs, pairings, to_planes,
-                      validate_group)
+from .lorentz import (lorentz_inverse, metric_signs, pairings, row_blocks,
+                      to_planes, validate_group)
 from .surface import SurfaceData, sphere_columns
 
 # the diagonal of I13 = diag(-1, 1, 1, 1): X I13 is X * S13, bit for bit
@@ -33,9 +33,6 @@ class FrameField:
     F: np.ndarray          # (Nu, Nv, dim, dim), real
     chart: Chart
     group_residual: float = 0.0
-
-    def inverse(self) -> np.ndarray:
-        return lorentz_inverse(self.F)
 
 
 def build_frame(S: SurfaceData) -> FrameField:
@@ -145,10 +142,19 @@ class MCBlocks:
 
 
 def maurer_cartan(Ff: FrameField) -> MCBlocks:
-    """The real pair P = F^{-1} F_u, Q = F^{-1} F_v of F^{-1} dF."""
-    c = Ff.chart
-    inv = Ff.inverse()
-    return MCBlocks(inv @ d_u(Ff.F, c), inv @ d_v(Ff.F, c), c)
+    """The real pair P = F^{-1} F_u, Q = F^{-1} F_v of F^{-1} dF.
+
+    The stencils of F are taken over the whole grid; the inverse I F^T I
+    and the two products run per row block (`row_blocks`), in place
+    into the stencil outputs, so their temporaries are block-sized.
+    """
+    c, F = Ff.chart, Ff.F
+    P, Q = d_u(F, c), d_v(F, c)
+    for rows in row_blocks(F.shape[:-2]):
+        inv = lorentz_inverse(F[rows])
+        for X in (P[rows], Q[rows]):
+            np.matmul(inv, X, out=X)
+    return MCBlocks(P, Q, c)
 
 
 def willmore_energy(S: SurfaceData) -> dict:

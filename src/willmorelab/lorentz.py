@@ -6,6 +6,17 @@ broadcast over leading (grid) axes.  The metric is
     <x, y> = -x0*y0 + sum_{j>=1} xj*yj,
 
 bilinear (not Hermitian) also for complex arguments.
+
+The per-point kernels of the frame path run over row blocks of the grid
+(`row_blocks`): the Minkowski complement of a span (`complement_solver`),
+the group test (`validate_group`) and the inverse and products of the
+Maurer-Cartan form (`gauss_frame.maurer_cartan`).  Each block holds about
+PLANE_BLOCK points, so a kernel's temporaries are a few MB that stay in
+cache and are reused by the allocator, where grid-sized ones (38-46 MB
+per call at N=256) are handed back to the OS after each call and
+faulted in again on the next.  Every point runs the same arithmetic in
+every layout, so the results do not depend on the block size bit for
+bit.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ __all__ = [
     "gram",
     "to_planes",
     "grid_first",
+    "row_blocks",
     "pairings",
     "det4",
     "complement_solver",
@@ -77,10 +89,24 @@ def gram(X: np.ndarray) -> np.ndarray:
     return np.moveaxis(G, (0, 1), (-2, -1))
 
 
-# rows of a grid transposed per block by `to_planes`: a block of 4096
-# points stays in cache, which makes the transpose about 3x faster than
-# one strided copy at N=256
+# points per block of the grid: `to_planes` transposes the grid in blocks
+# of this many points, which stay in cache (about 3x faster than one
+# strided copy at N=256), and the per-point kernels of the frame path run
+# over row blocks of about this many points (`row_blocks`), so that their
+# temporaries are block-sized and never fault in fresh pages
 PLANE_BLOCK = 4096
+
+
+def row_blocks(grid: tuple) -> list:
+    """Indices of the row blocks of a grid of shape `grid`: slices of its
+    leading axis, max(1, PLANE_BLOCK // Nv) rows each, Nv the points per
+    row.  A grid of at most PLANE_BLOCK points (a single point too) is one
+    block, `...`, the whole."""
+    points = int(np.prod(grid))
+    if points <= PLANE_BLOCK:
+        return [...]
+    rows = max(1, PLANE_BLOCK // (points // grid[0]))
+    return [slice(i, i + rows) for i in range(0, grid[0], rows)]
 
 
 def to_planes(X: np.ndarray, values: int = 2) -> np.ndarray:
@@ -204,16 +230,25 @@ def complement_solver(B: np.ndarray) -> np.ndarray:
     their Lorentz Gram matrix and s the metric signs.
 
     The Minkowski-orthogonal projection of w onto the complement of the
-    span of the rows is then w - B^T (Q w).  The rows are first laid out
-    as contiguous planes (m, dim, ...), so that the Gram matrix, its
-    closed-form inverse (`_gram_inverse`) and the product with B s are
-    entry-by-entry passes over the grid, not a LAPACK solve per point.
+    span of the rows is then w - B^T (Q w).  Each row block of the grid
+    (`row_blocks`) is laid out as contiguous planes (m, dim, ...), so
+    that the Gram matrix, its closed-form inverse (`_gram_inverse`) and
+    the product with B s are entry-by-entry passes over the block, not a
+    LAPACK solve per point.
     Raises np.linalg.LinAlgError for a singular or non-finite G.
     """
+    Q = np.empty(B.shape)
+    for rows in row_blocks(B.shape[:-2]):
+        _complement_block(B[rows], Q[rows])
+    return Q
+
+
+def _complement_block(B: np.ndarray, out: np.ndarray) -> None:
+    """`complement_solver` of the rows B of one block, written into out."""
     P = to_planes(B)
     Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
     Q = _product(_gram_inverse(pairings(P, P)), Ps)
-    return np.ascontiguousarray(np.moveaxis(Q, (0, 1), (-2, -1)))
+    out[...] = np.moveaxis(Q, (0, 1), (-2, -1))
 
 
 def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -229,17 +264,21 @@ def validate_group(M: np.ndarray, tol: float = 1e-9):
     Checks M^T I M = I, det M = +1 and the orthochronous condition
     M[0,0] > 0 (forward light cone preserved).  Returns (ok, residual)
     where residual is the largest violation of the two equality
-    constraints; pointwise over leading axes.
+    constraints; pointwise over leading axes, one row block of the grid
+    (`row_blocks`) at a time.
     """
     M = np.asarray(M)
     d = M.shape[-1]
-    # M^T I M - I: the signs come off the diagonal of the fresh Gram
-    # matrix in place (x - 0 is exact), then one max per point
-    G = gram(M).reshape(M.shape[:-2] + (d * d,))
-    G[..., ::d + 1] -= metric_signs(d)
-    res_orth = np.max(np.abs(G), axis=-1)
-    res_det = np.abs(np.linalg.det(M) - 1.0)
-    residual = np.maximum(res_orth, res_det)
+    s = metric_signs(d)
+    residual = np.empty(M.shape[:-2])
+    for rows in row_blocks(M.shape[:-2]):
+        X, r = M[rows], residual[rows]
+        # X^T I X - I: the signs come off the diagonal of the fresh Gram
+        # matrix in place (x - 0 is exact), then one max per point
+        G = gram(X).reshape(X.shape[:-2] + (d * d,))
+        G[..., ::d + 1] -= s
+        np.max(np.abs(G), axis=-1, out=r)
+        np.maximum(r, np.abs(np.linalg.det(X) - 1.0), out=r)
     ok = (residual <= tol) & (np.real(M[..., 0, 0]) > 0)
     return ok, residual
 

@@ -30,7 +30,7 @@ from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                integrate, sup_norm, wirtinger)
 from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
                                      maurer_cartan)
-from willmorelab.lorentz import inner, metric, metric_signs
+from willmorelab.lorentz import inner, lorentz_inverse, metric, metric_signs
 from willmorelab.surface import Invariants, build_surface_data
 
 
@@ -272,7 +272,7 @@ def b_operator(Ff, M):
     nilpotent on the complement exactly when the underlying map is a
     conformal Gauss map.
     """
-    Fi = Ff.inverse().astype(complex)
+    Fi = lorentz_inverse(Ff.F).astype(complex)
     return Ff.F.astype(complex) @ M.p_part() @ Fi
 
 
@@ -280,7 +280,7 @@ def maurer_cartan_complex(Ff):
     """F^{-1} d_z F as one complex product, d_z by the complex formula."""
     c = Ff.chart
     Fz = 0.5 * (d_u(Ff.F, c) - 1j * d_v(Ff.F, c))
-    return Ff.inverse().astype(complex) @ Fz
+    return lorentz_inverse(Ff.F).astype(complex) @ Fz
 
 
 def validate_group_against_metric(M, tol=1e-9):

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +242,64 @@ def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
         assert np.all((lam[..., 0] < 0) & (lam[..., -1] > 0))
         bound = 1e-13 * np.maximum(1.0, np.linalg.cond(G) / 1e3)
         assert np.all(helpers.solver_miss(B) <= bound), (m, dim)
+
+
+def _frame_path_kernels(B, Ff):
+    """The row-blocked kernels of the frame path on the rows B and the
+    frame Ff: the complement solver, the group test's ok and residual,
+    and the Maurer-Cartan pair."""
+    M = gauss_frame.maurer_cartan(Ff)
+    return (lorentz.complement_solver(B),
+            *lorentz.validate_group(Ff.F, 1e-3), M.P, M.Q)
+
+
+@pytest.mark.parametrize("kind", ["veronese_s4", "clifford_torus"])
+def test_row_blocked_kernels_do_not_depend_on_the_block_layout(monkeypatch,
+                                                               kind):
+    """On a 37 x 29 chart, the complement solver, the group test and the
+    Maurer-Cartan form are bit for bit the one-block result with blocks
+    of the whole grid, of one row, of five rows (the last block two rows
+    short) and of one row for a row longer than PLANE_BLOCK.  The
+    single-point complement basis still takes its (m, dim) input."""
+    spec = zoo.SurfaceSpec(kind)
+    c = dataclasses.replace(zoo.default_chart(spec, 29), Nu=37)
+    S = surface.build_surface_data(zoo.generate(spec, c), c)
+    Ff = gauss_frame.build_frame(S)
+    B = np.stack([S.Y, S.N, S.Yu, S.Yv], axis=-2)
+    assert lorentz.row_blocks(c.shape) == [...]
+    want = _frame_path_kernels(B, Ff)
+    for block, count in ((37 * 29, 1), (29, 37), (5 * 29, 8), (28, 37)):
+        monkeypatch.setattr(lorentz, "PLANE_BLOCK", block)
+        assert len(lorentz.row_blocks(c.shape)) == count, block
+        for got, ref in zip(_frame_path_kernels(B, Ff), want):
+            assert np.array_equal(got, ref), block
+        E = surface.complement_basis(B[3, 5])
+        assert E.shape == (S.n, B.shape[-1])
+        assert np.max(np.abs(lorentz.gram(E.T) - np.eye(S.n))) <= 1e-12
+        assert np.max(np.abs(lorentz.inner(E[:, None], B[3, 5]))) <= 1e-12
+
+
+def test_row_blocked_kernels_keep_their_temporaries_block_sized():
+    """At 256^2 on veronese_s4, the tracemalloc peak of each row-blocked
+    kernel exceeds its output by less than 8 MB; grid-sized temporaries
+    take 38-46 MB."""
+    spec = zoo.SurfaceSpec("veronese_s4")
+    c = zoo.default_chart(spec, 256)
+    S = surface.build_surface_data(zoo.generate(spec, c), c)
+    Ff = gauss_frame.build_frame(S)
+    B = np.stack([S.Y, S.N, S.Yu, S.Yv], axis=-2)
+    for name, kernel in (
+            ("complement_solver", lambda: lorentz.complement_solver(B)),
+            ("validate_group", lambda: lorentz.validate_group(Ff.F, 1.0)),
+            ("maurer_cartan", lambda: gauss_frame.maurer_cartan(Ff))):
+        tracemalloc.start()
+        try:
+            out = kernel()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out is not None
+        assert peak - held < 8e6, (name, peak - held)
 
 
 def test_closed_form_det4_matches_lapack(rng):
