@@ -33,7 +33,14 @@ def _parse_chart(text: str) -> Chart:
 
 
 def _parse_lambdas(text: str):
-    return [complex(tok.strip().replace("i", "j")) for tok in text.split(",")]
+    """Comma list of complex numbers, i or j the imaginary unit."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(complex(tok.strip().replace("i", "j")))
+        except ValueError:
+            raise ValueError(f"invalid lambda sample {tok!r}") from None
+    return out
 
 
 def _refine_levels(text: str) -> int:

@@ -50,6 +50,22 @@ where R+ and B1_line read it, and accumulates both in place.
 `LoopCurvature` and reduce each field to its interior sup, the number a
 report prints; each lambda sample costs a real axpy on the off-diagonal
 entries and a max.
+
+The small block products of H and of the A-lines run as per-entry
+passes on planes (`lorentz.product`), one row block of the grid at a
+time (`lorentz.row_blocks`), because a stacked product of small real
+matrices is one BLAS call per grid point: at N=255 on veronese_s4,
+P[..., :4, :4] @ P[..., :4, 4:] takes 5.7 ms that way against 2.6 ms as
+passes on planes.  The planes of one row block stay in cache, and no
+planes copy of the whole P and Q is made (it would add about 35 MB to
+the call's peak).  K's commutator stays a BLAS matmul per row block, so
+K, W and R+'s imaginary part have the bits of one stacked product; H,
+the A-lines and B1_line differ from it by roundoff, since BLAS fuses
+multiply-adds and the passes do not.  The fields are kept as planes,
+so every reduction runs across them and none over a short trailing
+axis.  At N=255 on veronese_s4, one call takes about 130 ms against
+210 ms with stacked products, and its temporaries peak 40 MB above its
+fields against 54 MB; a flatness sweep takes 19 ms against 47 ms.
 """
 
 from __future__ import annotations
@@ -60,16 +76,25 @@ import numpy as np
 
 from .chart import Chart, DEFAULT_MARGIN, d_u, d_v, sup_norm
 from .gauss_frame import MCBlocks
-from .lorentz import gram
+from .lorentz import gram, grid_first, product, row_blocks, to_planes
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
 
 
 def _max_abs(X: np.ndarray) -> np.ndarray:
-    """Per-point max |X|: every trailing axis in one max over the
-    (Nu, Nv, -1) reshape of the fresh |X|."""
-    a = np.abs(X)
-    return np.max(a.reshape(a.shape[:2] + (-1,)), axis=-1)
+    """Per-point max |X| of a field (Nu, Nv, a, b): the max across the
+    planes of the fresh |X| (`to_planes`, a view of a field built on
+    planes)."""
+    return np.max(np.abs(to_planes(X)), axis=(0, 1))
+
+
+def _block_planes(X: np.ndarray, rows, cols) -> np.ndarray:
+    """The block X[..., rows, cols] of a grid field as contiguous planes,
+    viewed with the grid axes first.  One strided copy: for a block of a
+    few entries it takes about a fifth of the time of `to_planes`, which
+    first gathers the block into a contiguous field."""
+    planes = np.moveaxis(X[..., rows, cols], (0, 1), (-2, -1)).copy()
+    return grid_first(planes)
 
 
 @dataclass
@@ -79,7 +104,10 @@ class LoopCurvature:
     R0 = -2i diag(W1, W2); R+ = `plus_re` + i `plus_im`, its off-diagonal
     entries (the B1 block, then the B2 block, each row by row) with
     `plus_re` = H_p/4 and `plus_im` = K_p/4; R- = -conj(R+).  `lines`
-    holds the three harmonicity fields of `harmonic_residuals`.  The
+    holds the three harmonicity fields of `harmonic_residuals`.  Every
+    field has the grid axes first; `loop_curvature` stores them as
+    planes, one contiguous (Nu, Nv) array per entry (`grid_first`
+    views), so that each reduction runs across the planes.  The
     per-point max |R0|, the lambda-independent part of each flatness
     sup, is reduced once, at construction.
     """
@@ -98,47 +126,69 @@ class LoopCurvature:
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
     """Laurent coefficients of the curvature of alpha_lambda.
 
-    K on every block, from one stencil of Q and one of P; H on the B1
-    and B2 blocks only, where [P_k, P] = P_k P_p - P_p P_k.
+    K on every block, from one stencil of Q and one of P over the grid
+    and [P, Q] by stacked products per row block; H on the B1 and B2
+    blocks only, where [P_k, P] = P_k P_p - P_p P_k: its stencils act on
+    the planes of those blocks over the grid, and its products, like
+    those of the A-lines, run per row block (`row_blocks`) as per-entry
+    passes on the block's planes, written into planes outputs.
     """
     c = M.chart
     P, Q = M.P, M.Q
+    a, b = slice(None, 4), slice(4, None)
+    n = P.shape[-1] - 4
+    m = 4 * n
+    plus_re = np.empty((2 * m,) + c.shape)
+    plus_im = np.empty_like(plus_re)
+    W1, A1 = np.empty((2, 4, 4) + c.shape)
+    W2, A2 = np.empty((2, n, n) + c.shape)
+    # (rows, columns, H's planes, K's planes) of the B1 and B2 blocks
+    blocks = [(i, j) + tuple(X[k].reshape(shape + c.shape)
+                             for X in (plus_re, plus_im))
+              for i, j, k, shape in ((a, b, slice(None, m), (4, n)),
+                                     (b, a, slice(m, None), (n, 4)))]
+    # H_p = P_u + Q_v + ...: the stencils of the blocks' planes
+    for i, j, H, _ in blocks:
+        np.add(d_u(_block_planes(P, i, j), c),
+               d_v(_block_planes(Q, i, j), c), out=grid_first(H))
     # K = Q_u - P_v + [P, Q], accumulated in place
     K = d_u(Q, c)
     K -= d_v(P, c)
-    PQ = np.matmul(P, Q)
-    K += PQ
-    K -= np.matmul(Q, P, out=PQ)
-    # R+ = (H_p + i K_p)/4: the B1 block's entries, then the B2 block's,
-    # written into the flat arrays through block-shaped views (splitting
-    # the unit-stride last axis is always a view)
-    a, b = slice(None, 4), slice(4, None)
-    m = 4 * (P.shape[-1] - 4)
-    plus_re = np.empty(c.shape + (2 * m,))
-    plus_im = np.empty_like(plus_re)
-    for i, j, k in ((a, b, slice(None, m)), (b, a, slice(m, None))):
-        shape = P[..., i, j].shape
-        H = plus_re[..., k].reshape(shape)
-        # the stencils read contiguous copies of the blocks: on the
-        # strided views they take about three times as long, with the
-        # same bits (a stencil is elementwise)
-        np.add(d_u(np.ascontiguousarray(P[..., i, j]), c),
-               d_v(np.ascontiguousarray(Q[..., i, j]), c), out=H)
-        for X in (P, Q):
-            H += X[..., i, i] @ X[..., i, j]
-            H -= X[..., i, j] @ X[..., j, j]
-        np.multiply(K[..., i, j], 0.25, out=plus_im[..., k].reshape(shape))
-    plus_re *= 0.25
-    W = (-0.25 * K[..., a, a], -0.25 * K[..., b, b])
     # the so-defects B2 + B1^T I13 of P and of Q
-    P1, Q1 = P[..., a, b], Q[..., a, b]
     DP, DQ = M.so_defects()
-    lines = {"A1_line": W[0] + 0.25 * (P1 @ DQ - Q1 @ DP),
-             "A2_line": W[1] + 0.25 * (DP @ Q1 - DQ @ P1),
-             "B1_line": (plus_re[..., :m] - 1j * plus_im[..., :m]).reshape(
-                 P1.shape)}
-    return LoopCurvature(W=W, plus_re=plus_re, plus_im=plus_im,
-                         lines=lines, chart=c)
+    for rows in row_blocks(c.shape):
+        Kr = K[rows]
+        PQ = np.matmul(P[rows], Q[rows])
+        Kr += PQ
+        Kr -= np.matmul(Q[rows], P[rows], out=PQ)
+        Pp, Qp, Kp, DPp, DQp = (to_planes(X[rows])
+                                for X in (P, Q, K, DP, DQ))
+        np.multiply(Kp[a, a], -0.25, out=W1[:, :, rows])
+        np.multiply(Kp[b, b], -0.25, out=W2[:, :, rows])
+        for i, j, H, I in blocks:
+            h = H[:, :, rows]
+            for X in (Pp, Qp):
+                h += product(X[i, i], X[i, j])
+                h -= product(X[i, j], X[j, j])
+            np.multiply(Kp[i, j], 0.25, out=I[:, :, rows])
+        P1, Q1 = Pp[a, b], Qp[a, b]
+        np.add(W1[:, :, rows],
+               0.25 * (product(P1, DQp) - product(Q1, DPp)),
+               out=A1[:, :, rows])
+        np.add(W2[:, :, rows],
+               0.25 * (product(DPp, Q1) - product(DQp, P1)),
+               out=A2[:, :, rows])
+    plus_re *= 0.25
+    # B1_line = (H - iK)/4 on the B1 block
+    H1, K1 = blocks[0][2:]
+    B1 = np.empty(H1.shape, dtype=complex)
+    B1.real = H1
+    np.negative(K1, out=B1.imag)
+    lines = {"A1_line": grid_first(A1), "A2_line": grid_first(A2),
+             "B1_line": grid_first(B1)}
+    return LoopCurvature(W=(grid_first(W1), grid_first(W2)),
+                         plus_re=grid_first(plus_re),
+                         plus_im=grid_first(plus_im), lines=lines, chart=c)
 
 
 def _unit(lam) -> complex:
@@ -172,10 +222,16 @@ def flatness_sweep(K: LoopCurvature,
     sample, from the Laurent coefficients of `loop_curvature`."""
     lambdas = [_unit(lam) for lam in lambdas]
     mask = K.chart.interior_mask(DEFAULT_MARGIN)
+    re, im = (to_planes(x, values=1) for x in (K.plus_re, K.plus_im))
+    X, T = np.empty((2,) + re.shape)
     out = []
     for lam in lambdas:
         # R(lam) = R0 + 2i Im(lam R+); Im(lam R+) is a real axpy
-        X = lam.real * K.plus_im + lam.imag * K.plus_re
-        pmax = np.maximum(K.r0_max, 2.0 * np.max(np.abs(X), axis=-1))
-        out.append({"lambda": lam, "sup": sup_norm(pmax, mask)})
+        np.multiply(im, lam.real, out=X)
+        X += np.multiply(re, lam.imag, out=T)
+        pmax = np.max(np.abs(X, out=X), axis=0)
+        pmax *= 2.0
+        out.append({"lambda": lam,
+                    "sup": sup_norm(np.maximum(K.r0_max, pmax, out=pmax),
+                                    mask)})
     return out

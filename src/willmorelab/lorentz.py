@@ -33,6 +33,7 @@ __all__ = [
     "grid_first",
     "row_blocks",
     "pairings",
+    "product",
     "det4",
     "complement_solver",
     "is_forward_lightlike",
@@ -148,15 +149,15 @@ def pairings(A: np.ndarray, B: np.ndarray,
              signs: np.ndarray | None = None) -> np.ndarray:
     """The pairings sum_k s_k a_ik b_jk (p, q, ...) of the rows of real
     planes A (p, d, ...) and B (q, d, ...), with s the metric signs (the
-    Lorentz pairing, as `inner`) unless `signs` is given: the `_product`
+    Lorentz pairing, as `inner`) unless `signs` is given: the `product`
     of the signed A with B transposed."""
     d = A.shape[1]
     s = metric_signs(d) if signs is None else signs
-    return _product(A * s.reshape((d,) + (1,) * (A.ndim - 2)),
-                    np.swapaxes(B, 0, 1))
+    return product(A * s.reshape((d,) + (1,) * (A.ndim - 2)),
+                   np.swapaxes(B, 0, 1))
 
 
-def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X Y for small matrices of fields stored as planes, X (a, b, ...)
     and Y (b, c, ...).
 
@@ -216,11 +217,11 @@ def _gram_inverse(G: np.ndarray) -> np.ndarray:
     if len(G) == k:
         return Ai
     C = G[:k, k:]
-    X = _product(Ai, C)
-    Si = _small_inverse(G[k:, k:] - _product(np.swapaxes(C, 0, 1), X))
-    Z = _product(X, Si)
+    X = product(Ai, C)
+    Si = _small_inverse(G[k:, k:] - product(np.swapaxes(C, 0, 1), X))
+    Z = product(X, Si)
     upper = np.concatenate(
-        [Ai + _product(Z, np.swapaxes(X, 0, 1)), -Z], axis=1)
+        [Ai + product(Z, np.swapaxes(X, 0, 1)), -Z], axis=1)
     lower = np.concatenate([-np.swapaxes(Z, 0, 1), Si], axis=1)
     return np.concatenate([upper, lower], axis=0)
 
@@ -247,7 +248,7 @@ def _complement_block(B: np.ndarray, out: np.ndarray) -> None:
     """`complement_solver` of the rows B of one block, written into out."""
     P = to_planes(B)
     Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
-    Q = _product(_gram_inverse(pairings(P, P)), Ps)
+    Q = product(_gram_inverse(pairings(P, P)), Ps)
     out[...] = np.moveaxis(Q, (0, 1), (-2, -1))
 
 

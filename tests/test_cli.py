@@ -241,6 +241,19 @@ def test_nan_lambda_sample_exits_3(capsys):
     assert err.startswith("error: lambda must be unimodular")
 
 
+@pytest.mark.parametrize("samples, token", [("abc", "'abc'"),
+                                            ("1,,i", "''"),
+                                            ("1, 2x ,i", "' 2x '")])
+def test_malformed_lambda_sample_is_named(capsys, samples, token):
+    """A lambda sample that is no complex number exits 3 with an error
+    that names the token, before any check runs."""
+    assert run("verify-harmonic", "--surface", "clifford_torus", "--chart",
+               CLIFF_CHART, "--lambda-samples", samples) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err == f"error: invalid lambda sample {token}\n"
+
+
 @pytest.mark.parametrize("spec", ["enneper:7", "clifford_torus:2",
                                   "torus_of_revolution:nan",
                                   "torus_of_revolution:inf",

@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from willmorelab import gauss_frame, harmonic, surface
+from willmorelab import gauss_frame, harmonic, lorentz, surface, zoo
+from willmorelab.chart import DEFAULT_MARGIN, d_u, d_v, sup_norm
 from willmorelab.lorentz import metric
 
 import helpers
@@ -161,10 +163,9 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
                                                      kind):
     """K starts from d_u(Q) and d_v(P) of M.Q and M.P themselves, and the
     so-defects are taken once each from P and Q themselves.  H's
-    stencils read the off-diagonal blocks of P and Q as contiguous
-    copies, equal to the block views entry for entry (a stencil of a
-    strided view is slower, with the same bits).  No complex form is
-    assembled."""
+    stencils read the off-diagonal blocks of P and Q laid out as planes,
+    one contiguous grid per entry viewed with the grid axes first, equal
+    to the block views entry for entry.  No complex form is assembled."""
     _, _, _, M = pipe(kind)
     args, defects = [], []
     defect = gauss_frame._so_defect
@@ -184,18 +185,100 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
     monkeypatch.setattr(gauss_frame.MCBlocks, "full", no_full)
     harmonic.loop_curvature(M)
     assert len(defects) == 2 and defects[0] is M.P and defects[1] is M.Q
-    assert (args[0][0], args[1][0]) == ("d_u", "d_v")
-    assert args[0][1] is M.Q and args[1][1] is M.P
     assert len(args) == 6
+    whole = [(name, f) for name, f in args if f is M.P or f is M.Q]
+    assert [(name, f is M.Q) for name, f in whole] == [("d_u", True),
+                                                        ("d_v", False)]
     a, b = slice(None, 4), slice(4, None)
-    for (name, f), X, (i, j) in zip(args[2:], (M.P, M.Q, M.P, M.Q),
-                                    ((a, b), (a, b), (b, a), (b, a))):
-        assert f.flags.c_contiguous and not np.shares_memory(f, X), name
+    stencils = [(name, f) for name, f in args if not any(
+        f is X for X in (M.P, M.Q))]
+    for (name, f), want, X, (i, j) in zip(
+            stencils, ("d_u", "d_v") * 2, (M.P, M.Q) * 2,
+            ((a, b), (a, b), (b, a), (b, a))):
+        assert name == want
+        assert f.shape == X[..., i, j].shape, name
+        planes = np.moveaxis(f, (0, 1), (-2, -1))
+        assert planes.flags.c_contiguous, name
+        assert not np.shares_memory(f, X), name
         assert np.array_equal(f, X[..., i, j]), name
 
 
+def _mc_blocks(spec, c):
+    return gauss_frame.maurer_cartan(gauss_frame.build_frame(
+        surface.build_surface_data(zoo.generate(spec, c), c)))
+
+
+def _curvature_fields(K):
+    return [*K.W, K.plus_re, K.plus_im, K.r0_max,
+            *(K.lines[name] for name in sorted(K.lines))]
+
+
+@pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
+def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
+                                                            kind):
+    """On a 37 x 48 chart, every field of `loop_curvature` and every sup
+    of `flatness_sweep` and `harmonic_residuals` is bit for bit the
+    one-block result with row blocks of one row, of five rows (the last
+    block two rows short) and of one row longer than PLANE_BLOCK.  W and
+    R+'s imaginary part are those of K from stacked products over the
+    whole grid, and the sweep's sups those of the reduction over the
+    trailing axis of the grid-first fields, bit for bit."""
+    spec = zoo.SurfaceSpec(kind)
+    c = replace(zoo.default_chart(spec, 48), Nu=37)
+    M = _mc_blocks(spec, c)
+
+    def run():
+        K = harmonic.loop_curvature(M)
+        return (K, harmonic.flatness_sweep(K, ORACLE_LAMBDAS),
+                harmonic.harmonic_residuals(K))
+
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 37 * 48)
+    assert lorentz.row_blocks(c.shape) == [...]
+    K0, sweep0, lines0 = run()
+    for block, count in ((48, 37), (5 * 48, 8), (16, 37)):
+        monkeypatch.setattr(lorentz, "PLANE_BLOCK", block)
+        assert len(lorentz.row_blocks(c.shape)) == count, block
+        K, sweep, lines = run()
+        for got, want in zip(_curvature_fields(K), _curvature_fields(K0)):
+            assert got.shape == want.shape, block
+            assert np.array_equal(got, want), block
+        assert sweep == sweep0 and lines == lines0, block
+    K = d_u(M.Q, c) - d_v(M.P, c) + M.P @ M.Q - M.Q @ M.P
+    a, b = slice(None, 4), slice(4, None)
+    assert np.array_equal(K0.W[0], -0.25 * K[..., a, a])
+    assert np.array_equal(K0.W[1], -0.25 * K[..., b, b])
+    n = M.P.shape[-1] - 4
+    assert np.array_equal(K0.plus_im, 0.25 * np.concatenate(
+        [K[..., a, b].reshape(c.shape + (4 * n,)),
+         K[..., b, a].reshape(c.shape + (4 * n,))], axis=-1))
+    mask = c.interior_mask(DEFAULT_MARGIN)
+    for r in sweep0:
+        lam = r["lambda"]
+        X = lam.real * K0.plus_im + lam.imag * K0.plus_re
+        pmax = np.maximum(K0.r0_max, 2.0 * np.max(np.abs(X), axis=-1))
+        assert r["sup"] == sup_norm(pmax, mask), lam
+
+
+def test_loop_curvature_keeps_its_temporaries_below_its_fields():
+    """At 255^2 on veronese_s4, the tracemalloc peak of `loop_curvature`
+    exceeds the fields it returns (46.3 MB) by less than 52 MB: 40.3 MB
+    with the block products on the planes of each row block.  Stacked
+    products over the whole grid took 54.1 MB, and planes copies of the
+    whole P and Q take about 75 MB."""
+    spec = zoo.SurfaceSpec("veronese_s4")
+    M = _mc_blocks(spec, zoo.default_chart(spec, 255))
+    tracemalloc.start()
+    try:
+        K = harmonic.loop_curvature(M)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K.plus_re.shape == M.chart.shape + (16,)
+    assert peak - held < 52e6, peak - held
+
+
 def test_r0_max_is_the_per_point_max_of_R0(pipe):
-    """r0_max, reduced over the (Nu, Nv, -1) reshape, is bit for bit
+    """r0_max, reduced across the planes of W, is bit for bit
     2 max(max |W1|, max |W2|) reduced over the two matrix axes."""
     _, _, _, M = pipe("veronese_s4")
     K = harmonic.loop_curvature(M)
