@@ -8,7 +8,8 @@ fall back to second-order one-sided stencils at the two boundary lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,9 +17,9 @@ from .lorentz import to_planes
 
 TOPOLOGIES = ("open", "periodic-u", "periodic-v", "periodic-both")
 
-# Default number of cells to trim from open-chart edges before taking
-# residual norms.  Invariant residuals stack up to four nested one-sided
-# stencils near a boundary, so the polluted band is several cells wide.
+# Cells trimmed from open-chart edges for residual norms (`Chart.interior`).
+# Invariant residuals stack up to four nested one-sided stencils near a
+# boundary, so the polluted band is several cells wide.
 DEFAULT_MARGIN = 6
 
 
@@ -93,6 +94,14 @@ class Chart:
         Nv = self.Nv * factor if self.periodic_v else (self.Nv - 1) * factor + 1
         return Chart(self.u_min, self.u_max, self.v_min, self.v_max,
                      Nu, Nv, self.topology)
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The region of every residual norm, a read-only (Nu, Nv) mask:
+        `interior_mask(DEFAULT_MARGIN)`, computed once per chart."""
+        mask = self.interior_mask(DEFAULT_MARGIN)
+        mask.flags.writeable = False
+        return mask
 
     def interior_mask(self, margin: int = 0) -> np.ndarray:
         """Boolean (Nu, Nv) mask; False within `margin` cells of open edges.

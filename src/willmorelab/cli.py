@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import gauss_frame, harmonic, reconstruct, surface, zoo
-from .chart import Chart, DEFAULT_MARGIN, sup_norm
+from .chart import Chart, sup_norm
 from .spinor import TotallyUmbilicError
 
 
@@ -153,7 +153,6 @@ def _residual_tol(c: Chart, tol: float) -> float:
 def cmd_analyze(cfg) -> tuple[dict, int]:
     raw, c, spec = _load_field(cfg)
     S = surface.build_surface_data(raw, c)
-    mask = S.residual_mask()
 
     checks = []
     rtol = _residual_tol(c, cfg["tol"])
@@ -164,7 +163,7 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     ir = surface.integrability_residuals(S, W)
     for name, norms in ir.items():
         _check(checks, f"integrability.{name}", norms["sup"], rtol)
-    wres = sup_norm(W, mask)
+    wres = sup_norm(W, c.interior)
     _check(checks, "willmore_residual", wres, rtol)
     energy = gauss_frame.willmore_energy(S)
     kappa_max = float(np.max(np.abs(S.kappa)))
@@ -173,7 +172,7 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     Ff = gauss_frame.build_frame(S)
     del S
     M = gauss_frame.maurer_cartan(Ff)
-    _, max_rank = gauss_frame.s_willmore_rank(M.B1, mask=mask)
+    _, max_rank = gauss_frame.s_willmore_rank(M.B1, mask=c.interior)
 
     report = {
         "config": cfg,
@@ -217,14 +216,13 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
             surface.build_surface_data(field, chart)))
         K = harmonic.loop_curvature(M)
-        mask = chart.interior_mask(DEFAULT_MARGIN)
         entry = {
             "h": chart.h,
             "flatness": [{"lambda": str(r["lambda"]), "sup": r["sup"]}
                          for r in harmonic.flatness_sweep(K, lambdas)],
             "harmonic": harmonic.harmonic_residuals(K),
             "strong_conformality":
-                harmonic.strong_conformal_check(M.B1, mask),
+                harmonic.strong_conformal_check(M.B1, chart.interior),
         }
         levels.append(entry)
 

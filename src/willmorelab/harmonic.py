@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import Chart, DEFAULT_MARGIN, d_u, d_v, sup_norm
+from .chart import Chart, d_u, d_v, sup_norm
 from .gauss_frame import MCBlocks
 from .lorentz import gram, grid_first, product, row_blocks, to_planes
 
@@ -206,8 +206,8 @@ def harmonic_residuals(K: LoopCurvature) -> dict:
     Line 2: Im(A2_zbar + conj(A2) A2 - conj(B1)^T I13 B1) = 0
     Line 3: B1_zbar + conj(A1) B1 - B1 conj(A2) = 0
     """
-    mask = K.chart.interior_mask(DEFAULT_MARGIN)
-    return {name: sup_norm(f, mask) for name, f in K.lines.items()}
+    return {name: sup_norm(f, K.chart.interior)
+            for name, f in K.lines.items()}
 
 
 def strong_conformal_check(B1: np.ndarray,
@@ -221,7 +221,7 @@ def flatness_sweep(K: LoopCurvature,
     """Interior sup of the curvature of alpha_lambda at each unit lambda
     sample, from the Laurent coefficients of `loop_curvature`."""
     lambdas = [_unit(lam) for lam in lambdas]
-    mask = K.chart.interior_mask(DEFAULT_MARGIN)
+    mask = K.chart.interior
     re, im = (to_planes(x, values=1) for x in (K.plus_re, K.plus_im))
     X, T = np.empty((2,) + re.shape)
     out = []

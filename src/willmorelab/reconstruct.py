@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spinor
-from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    sup_norm)
+from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
 from .lorentz import complement_solver, det4, gram, inner, \
     lorentz_inverse, metric_signs, to_planes
 from .surface import canonical_lift, complement_basis, frame_N, \
-    sphere_columns
+    sphere_columns, zzbar
 
 SQRT2 = np.sqrt(2.0)
 
@@ -72,7 +71,7 @@ class NormalizedFrame:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
         r = self.blocks.a(1, 3) + self.blocks.a(2, 3) \
             - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
-        return sup_norm(r, self.chart.interior_mask(DEFAULT_MARGIN))
+        return sup_norm(r, self.chart.interior)
 
 
 def _beta_k(B1: np.ndarray):
@@ -266,7 +265,7 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
     rej = _bundle_rejection(NF.F, np.stack([Yd.real, Yd.imag], axis=-1))
     c = NF.chart
     return {"duality_residual": sup_norm(np.hypot(rej[..., 0], rej[..., 1]),
-                                         c.interior_mask(DEFAULT_MARGIN)),
+                                         c.interior),
             "map": to_sphere_map(Ymu, c)}
 
 
@@ -296,7 +295,7 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
     Gcoef = np.sum(xv * xv, axis=-1)
     Fcoef = np.sum(xu * xv, axis=-1)
     lap = d_u(xu, c) + d_v(xv, c)
-    mask = c.interior_mask(DEFAULT_MARGIN)
+    mask = c.interior
     scale = float(np.max(Ecoef + Gcoef)) + 1e-300
     conformal = max(sup_norm(Ecoef - Gcoef, mask), sup_norm(Fcoef, mask))
     return {"conformal_residual": float(conformal / scale),
@@ -331,7 +330,7 @@ def classify(NF: NormalizedFrame) -> Classification:
     """
     c = NF.chart
     tol = 1e-6
-    mask = c.interior_mask(DEFAULT_MARGIN)
+    mask = c.interior
     _, maxrank = s_willmore_rank(NF.blocks.B1, tol=max(tol, 50 * c.h**2),
                                  mask=mask)
     L = constant_lightlike_vector(NF.F)
@@ -388,14 +387,15 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
     c = NF.chart
     Y = canonical_lift(y.lift(), c)
     Yu, Yv = d_u(Y, c), d_v(Y, c)
-    phi = np.stack(sphere_columns(Y, frame_N(Y, Yu, Yv, c), Yu, Yv),
-                   axis=-2)                              # (.., 4, dim)
+    N = frame_N(Y, zzbar(d_u(Yu, c), d_v(Yv, c)))
+    phi = np.stack(sphere_columns(Y, N, Yu, Yv), axis=-2)   # (.., 4, dim)
+    del Y, N, Yu, Yv    # lowers the peak
     f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
 
     # change of basis G^{-1} (phi I f^T) in the Minkowski metric, G the
     # Gram matrix of phi, and its orientation
     Cmat = complement_solver(phi) @ np.swapaxes(f, -1, -2)
     sgn = np.sign(det4(to_planes(Cmat)))
-    votes = np.mean(sgn[c.interior_mask(DEFAULT_MARGIN)])
+    votes = np.mean(sgn[c.interior])
     return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

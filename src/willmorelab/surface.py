@@ -7,24 +7,21 @@ conformally invariant normal bundle, and the invariant data kappa
 beta (components of D_zbar kappa).
 
 Each field is differentiated at most once along each axis.  The raw
-lift takes one d_u/d_v pair (for the scale of Y), Y takes one (Y_u, Y_v,
-kept on `SurfaceData`), and N takes d_u Y_u and d_v Y_v.  Y's Hessian,
-the pair d_u Y_z, d_v Y_z, and psi's partials d_u psi, d_v psi are taken
-on first read and cached on `SurfaceData`: the invariants read Y_zz from
-the Hessian and the normal connection from psi's partials, and the
-structure residuals, their last reader, read Y_zz, Y_zzbar and psi_z
-from the same fields and then drop them.  N's own partials are taken
-only for N_z there.  The Hessian's complex stencils hold Y_uu and Y_vv
-again: numpy divides a complex field by 2h as a product with 1/(2h),
-which rounds differently from N's real stencils, so a Y_zz built from
-those would move kappa by an ulp, which the second derivatives in the
-Codazzi and Willmore residuals amplify by up to 1/h^2.
+lift takes one d_u/d_v pair (for the scale of Y), Y takes one (Y_u, Y_v)
+and N's stencils Y_uu = d_u Y_u, Y_vv = d_v Y_v are kept on
+`SurfaceData`.  Y's Hessian is real: Y_zzbar = (Y_uu + Y_vv)/4 is the W
+that N is built from, and Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2 takes one
+more stencil, Y_uv = d_u Y_v.  Y_uv and psi's partials are taken on
+first read and cached on `SurfaceData` for the invariants (Y_zz, the
+normal connection) and the structure residuals (Y_zz, Y_zzbar, psi_z),
+which drop them.  kappa's one d_u/d_v pair gives both beta and D_z
+kappa; N's own partials are taken only for N_z.
 
 `build_surface_data` stops at the fields of the conformal Gauss frame
-(Y, N, Y_u, Y_v and psi).  The invariants kappa, s, b and beta are
-computed on first read, by one call of `invariants`, so the commands
-that only read the frame (verify-harmonic, reconstruct) never derive
-them, nor the Hessian or psi's partials.
+(Y, N, Y_u, Y_v and psi) and N's stencils.  The invariants kappa, s, b,
+beta and D_z kappa are computed on first read, by one call of
+`invariants`, so the commands that only read the frame (verify-harmonic,
+reconstruct) never derive them, nor Y_uv or psi's partials.
 
 The per-point algebra runs on contiguous planes, one (Nu, Nv) array per
 entry: the pairings of the invariants, and the structure residuals,
@@ -40,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                    field_norms, residual_norms, sweep, wirtinger)
+from .chart import (Chart, d_u, d_v, d_zbar, field_norms, residual_norms,
+                    sweep, wirtinger)
 from .lorentz import complement_solver, grid_first, inner, pairings, \
     to_planes
 
@@ -73,17 +70,30 @@ def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
     return raw / rho[..., None]
 
 
-def frame_N(Y: np.ndarray, Yu: np.ndarray, Yv: np.ndarray,
-            c: Chart) -> np.ndarray:
+def zzbar(Yuu: np.ndarray, Yvv: np.ndarray) -> np.ndarray:
+    """Y_zzbar = (Y_uu + Y_vv)/4, real, from Y_uu = d_u Y_u and
+    Y_vv = d_v Y_v in any layout, scaled in place."""
+    W = Yuu + Yvv
+    W *= 0.25
+    return W
+
+
+def zz(Yuu: np.ndarray, Yvv: np.ndarray, Yuv: np.ndarray) -> np.ndarray:
+    """Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2 from Y's real second partials,
+    as one complex array of their layout (C order for plane views)."""
+    out = np.empty(Yuu.shape, dtype=complex)
+    out.real, out.imag = 0.25 * (Yuu - Yvv), -0.5 * Yuv
+    return out
+
+
+def frame_N(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The section N with <N,Y> = -1, <N,N> = 0, N = 2 Y_zzbar mod Y.
 
-    Yu, Yv are d_u Y and d_v Y, taken once by the caller; Y_zzbar =
-    (Y_uu + Y_vv)/4 takes one more stencil of each.  Both defining
-    pairings are enforced pointwise-algebraically, so they hold at
-    machine precision; the derivative conditions <N, Y_z> = 0 are
+    W is Y_zzbar (`zzbar`), from stencils taken by the caller.  Both
+    defining pairings are enforced pointwise-algebraically, so they hold
+    at machine precision; the derivative conditions <N, Y_z> = 0 are
     inherited from the stencils at O(h^2).
     """
-    W = 0.25 * (d_u(Yu, c) + d_v(Yv, c))   # Y_zzbar, real
     A = inner(W, W)
     B = inner(W, Y)           # ~ -1/2
     a = -1.0 / B
@@ -160,30 +170,13 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return sweep(psi, step)
 
 
-def _second_wirtinger(zu: tuple, zv: tuple, sign: int) -> np.ndarray:
-    """Y_zz (sign = -1) or Y_zzbar (sign = +1), (zu -+ i zv)/2, from
-    the real and imaginary parts of zu = d_u Y_z and zv = d_v Y_z, in
-    any layout: written from real sums into one complex array of that
-    layout, bit for bit the complex formula (`chart.wirtinger`)."""
-    (ur, ui), (vr, vi) = zu, zv
-    out = np.empty(ur.shape, dtype=complex)
-    if sign < 0:
-        np.add(ur, vi, out=out.real)
-        np.subtract(ui, vr, out=out.imag)
-    else:
-        np.subtract(ur, vi, out=out.real)
-        np.add(ui, vr, out=out.imag)
-    out.real *= 0.5
-    out.imag *= 0.5
-    return out
-
-
 class Invariants(NamedTuple):
     """The forward invariants of a `SurfaceData`."""
     kappa: np.ndarray      # (Nu, Nv, n) components k_j
     schwarzian: np.ndarray  # (Nu, Nv) complex s
     b: np.ndarray          # (Nu, Nv, n, n) normal connection, antisymmetric
     beta: np.ndarray       # (Nu, Nv, n) components of D_zbar kappa
+    dz_kappa: np.ndarray   # (Nu, Nv, n) components of D_z kappa
     b_asym_residual: float  # half the sup of the symmetric part of b
 
 
@@ -193,9 +186,10 @@ class SurfaceData:
 
     The fields are those of the conformal Gauss frame: Y, N, Y_u and Y_v
     give its sphere columns (`gauss_frame.build_frame`), and psi gives
-    its normal columns.  What only the forward checks read is derived on
-    first read and cached on the instance, not as dataclass fields: Y's
-    Hessian, psi and its partials as planes, kappa, s, b and beta (one
+    its normal columns; Y_uu and Y_vv are the stencils N is built from.
+    What only the forward checks read is derived on first read and
+    cached on the instance, not as dataclass fields: Y_uv, psi and its
+    partials as planes, kappa, s, b, beta and D_z kappa (one
     `invariants` call) and k2.  A command drops its SurfaceData once the
     frame is built.
     """
@@ -204,16 +198,15 @@ class SurfaceData:
     N: np.ndarray          # (Nu, Nv, dim)
     Yu: np.ndarray         # (Nu, Nv, dim) d_u Y
     Yv: np.ndarray         # (Nu, Nv, dim) d_v Y
+    Yuu: np.ndarray        # (Nu, Nv, dim) d_u Y_u
+    Yvv: np.ndarray        # (Nu, Nv, dim) d_v Y_v
     psi: np.ndarray        # (Nu, Nv, n, dim) normal frame
 
     @cached_property
-    def hessian(self) -> tuple:
-        """Y's second partials as the complex pair
-        d_u Y_z = (Y_uu - i d_u Y_v)/2 and d_v Y_z = (d_v Y_u - i Y_vv)/2,
-        (Nu, Nv, dim) each: taken once, for Y_zz in the invariants and
-        Y_zz, Y_zzbar in the structure residuals."""
-        c, Yz = self.chart, wirtinger(self.Yu, self.Yv, -1)
-        return d_u(Yz, c), d_v(Yz, c)
+    def Yuv(self) -> np.ndarray:
+        """The mixed partial d_u Y_v, the one stencil of Y's Hessian
+        that N does not take, for Y_zz."""
+        return d_u(self.Yv, self.chart)
 
     @cached_property
     def psi_planes(self) -> tuple:
@@ -230,39 +223,20 @@ class SurfaceData:
     def _invariants(self) -> Invariants:
         return invariants(self)
 
-    @property
-    def kappa(self) -> np.ndarray:
-        return self._invariants.kappa
-
-    @property
-    def schwarzian(self) -> np.ndarray:
-        return self._invariants.schwarzian
-
-    @property
-    def b(self) -> np.ndarray:
-        return self._invariants.b
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self._invariants.beta
-
-    @property
-    def b_asym_residual(self) -> float:
-        return self._invariants.b_asym_residual
-
-    @property
-    def n(self) -> int:
-        return self.psi.shape[-2]
+    # the fields of the one `invariants` call
+    kappa = property(lambda self: self._invariants.kappa)
+    schwarzian = property(lambda self: self._invariants.schwarzian)
+    b = property(lambda self: self._invariants.b)
+    beta = property(lambda self: self._invariants.beta)
+    dz_kappa = property(lambda self: self._invariants.dz_kappa)
+    b_asym_residual = property(lambda self: self._invariants.b_asym_residual)
+    n = property(lambda self: self.psi.shape[-2])
 
     @cached_property
     def k2(self) -> np.ndarray:
         """<kappa, conj kappa> = sum |k_j|^2, derived on first read."""
         k = self.kappa
         return np.sum(k.real ** 2 + k.imag ** 2, axis=-1)
-
-    def residual_mask(self) -> np.ndarray:
-        """Region used for residual norms; trims open-chart boundaries."""
-        return self.chart.interior_mask(DEFAULT_MARGIN)
 
 
 def _others(n: int, *skip: int) -> list:
@@ -292,18 +266,19 @@ def _complex_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def invariants(S: SurfaceData) -> Invariants:
-    """Compute kappa, s, b, beta from the canonical data of S.
+    """Compute kappa, s, b, beta and D_z kappa from the canonical data of S.
 
-    Y_zz comes from S's Hessian and psi's partials from S.psi_planes.
-    The pairings with the real normal frame are real `pairings` on
+    Y_zz comes from S's real second partials (`zz`) and psi's partials
+    from S.psi_planes.  The pairings with the real normal frame are real `pairings` on
     planes: k_j from those of the real and imaginary parts of kappa's
     raw field, and b from U_jl = <psi_j,u, psi_l> and
     V_jl = <psi_j,v, psi_l>, since <psi_j,z, psi_l> = (U_jl - i V_jl)/2.
     kappa and b come out with each entry a contiguous plane, which the
-    per-entry passes downstream read.
+    per-entry passes downstream read.  kappa's one d_u/d_v pair gives
+    both beta = D_zbar kappa and D_z kappa.
     """
     c, Y = S.chart, S.Y
-    Yzz = _second_wirtinger(*((x.real, x.imag) for x in S.hessian), -1)
+    Yzz = zz(S.Yuu, S.Yvv, S.Yuv)
     s = 2.0 * inner(Yzz, S.N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
     del Yzz             # lowers the peak
@@ -323,33 +298,34 @@ def invariants(S: SurfaceData) -> Invariants:
     b = _complex_planes(0.25 * (U - Ut), -0.25 * (V - Vt))
     b_res = float(np.max(np.hypot(U + Ut, V + Vt))) / 4
 
-    beta = _subtract_connection(d_zbar(k, c), b, k, conjugate=True)
+    ku, kv = d_u(k, c), d_v(k, c)
+    beta = _subtract_connection(wirtinger(ku, kv, 1), b, k, conjugate=True)
+    dz_kappa = _subtract_connection(wirtinger(ku, kv, -1), b, k,
+                                    conjugate=False)
     return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
-                      b_asym_residual=b_res)
+                      dz_kappa=dz_kappa, b_asym_residual=b_res)
 
 
 def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
     """Raw lift -> SurfaceData: the canonical lift Y, its partials, N
-    and the normal frame psi, the fields of the conformal Gauss frame."""
+    and the normal frame psi, the fields of the conformal Gauss frame,
+    with N's stencils Y_uu and Y_vv."""
     Y = canonical_lift(raw, c)
     Yu, Yv = d_u(Y, c), d_v(Y, c)
-    N = frame_N(Y, Yu, Yv, c)
+    Yuu, Yvv = d_u(Yu, c), d_v(Yv, c)
+    N = frame_N(Y, zzbar(Yuu, Yvv))
     B = np.stack([Y, N, Yu, Yv], axis=-2)
     psi = normal_frame(B, complement_solver(B))
-    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, psi=psi)
-
-
-def normal_derivative_components(S: SurfaceData, comps: np.ndarray,
-                                 zbar: bool = False) -> np.ndarray:
-    """Components of D_z (or D_zbar) of sum_j comps_j psi_j in the psi frame."""
-    c = S.chart
-    D = d_zbar(comps, c) if zbar else d_z(comps, c)
-    return _subtract_connection(D, S.b, comps, conjugate=zbar)
+    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, Yuu=Yuu, Yvv=Yvv,
+                       psi=psi)
 
 
 def willmore_residual(S: SurfaceData) -> np.ndarray:
-    """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa."""
-    eta = normal_derivative_components(S, S.beta, zbar=True)
+    """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa, with
+    D_zbar beta from beta's components in the psi frame."""
+    beta = S.beta
+    eta = _subtract_connection(d_zbar(beta, S.chart), S.b, beta,
+                               conjugate=True)
     return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
 
 
@@ -362,28 +338,28 @@ def structure_residuals(S: SurfaceData) -> dict:
                  - 2 sum_j beta_j psi_j
         normal   psi_j,z + 2 k_j conj(Y_z) - sum_l b_jl psi_l - 2 beta_j Y
 
-    with Y_z = (Y_u - i Y_v)/2.  Each residual is built on planes: a
-    complex array (entries, Nu, Nv) that starts as Y_zz, Y_zzbar (from
-    the planes of S's Hessian), N_z or psi_z (from the planes of their
-    partials), into whose real and imaginary planes the real products of
-    Y, Y_u, Y_v and psi with the real and imaginary parts of the
-    invariants are added, one plane of coefficients across all entries
-    at a time; no complex field is broadcast.  Each residual is normed
-    (`field_norms`) and released before the next is built.  This is the
-    last reader of the Hessian and of psi's planes, so it drops them
-    from S's cache.
+    with Y_z = (Y_u - i Y_v)/2.  Each residual is built on planes: an
+    array (entries, Nu, Nv) that starts as Y_zz (`zz`), Y_zzbar (`zzbar`,
+    N's W, so "mixed" is real), N_z or psi_z, into whose real and
+    imaginary planes the real products of Y, Y_u, Y_v and psi with the
+    real and imaginary parts of the invariants are added, one plane of
+    coefficients across all entries at a time; no complex field is
+    broadcast.  Each residual is normed (`field_norms`) and released
+    before the next is built.  This is the last reader of Y_uv and of
+    psi's planes, so it drops them from S's cache.
     """
     c, n = S.chart, S.n
-    mask = S.residual_mask()
-    s, k2 = S.schwarzian, S.k2        # the invariants read the Hessian
+    mask = c.interior
+    s, k2 = S.schwarzian, S.k2        # the invariants read Y_uv
     kr, ki = to_planes(S.kappa, values=1)               # (n, Nu, Nv)
     br, bi = 2.0 * to_planes(S.beta, values=1)
     b_re, b_im = to_planes(S.b)                         # (n, n, Nu, Nv)
-    H = [to_planes(x, values=1) for x in S.hessian]     # (2, dim, Nu, Nv)
+    Yuu, Yvv, Yuv = (np.moveaxis(x, -1, 0)              # (dim, Nu, Nv)
+                     for x in (S.Yuu, S.Yvv, S.Yuv))     # views
     Psi, Psi_u, Psi_v = S.psi_planes                    # (n, dim, Nu, Nv)
-    for name in ("hessian", "psi_planes"):
+    for name in ("Yuv", "psi_planes"):
         vars(S).pop(name, None)
-    Y = to_planes(S.Y, values=1)                        # (dim, Nu, Nv)
+    Y = to_planes(S.Y, values=1)
     tmp = np.empty_like(Y)
 
     def add(out, coef, vecs, sign=1.0):
@@ -394,36 +370,10 @@ def structure_residuals(S: SurfaceData) -> dict:
         else:
             out -= tmp
 
-    out = {}
-    r = _second_wirtinger(*H, -1)                        # Y_zz
-    for part, sx, kx in ((r.real, s.real, kr), (r.imag, s.imag, ki)):
-        add(part, 0.5 * sx, Y)
-        for j in range(n):
-            add(part, kx[j], Psi[j], -1.0)
-    out["lift"] = field_norms(grid_first(r), c, mask)
-
-    N = to_planes(S.N, values=1)
-    r = _second_wirtinger(*H, 1)                         # Y_zzbar
-    del H
-    add(r.real, k2, Y)
-    add(r.real, 0.5, N, -1.0)
-    out["mixed"] = field_norms(grid_first(r), c, mask)
-
+    # psi_z first: psi's partials, the largest fields here, are released
+    # before the other residuals are built; the report keeps its order
+    out = dict.fromkeys(("lift", "mixed", "N_deriv", "normal"))
     Yu, Yv = (to_planes(x, values=1) for x in (S.Yu, S.Yv))
-    r = np.empty(N.shape, dtype=complex)                 # N_z
-    for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
-        np.multiply(to_planes(d(grid_first(N), c), values=1), scale,
-                    out=part)
-    del N
-    add(r.real, k2 + 0.5 * s.real, Yu)
-    add(r.real, 0.5 * s.imag, Yv, -1.0)
-    add(r.imag, 0.5 * s.real - k2, Yv)
-    add(r.imag, 0.5 * s.imag, Yu)
-    for part, bx in ((r.real, br), (r.imag, bi)):
-        for j in range(n):
-            add(part, bx[j], Psi[j], -1.0)
-    out["N_deriv"] = field_norms(grid_first(r), c, mask)
-
     r = np.empty(Psi.shape, dtype=complex)               # psi_z
     np.multiply(Psi_u, 0.5, out=r.real)
     np.multiply(Psi_v, -0.5, out=r.imag)
@@ -440,6 +390,35 @@ def structure_residuals(S: SurfaceData) -> dict:
         add(re, br[j], Y, -1.0)
         add(im, bi[j], Y, -1.0)
     out["normal"] = field_norms(grid_first(r), c, mask)
+
+    r = zz(Yuu, Yvv, Yuv)
+    del Yuv
+    for part, sx, kx in ((r.real, s.real, kr), (r.imag, s.imag, ki)):
+        add(part, 0.5 * sx, Y)
+        for j in range(n):
+            add(part, kx[j], Psi[j], -1.0)
+    out["lift"] = field_norms(grid_first(r), c, mask)
+
+    N = to_planes(S.N, values=1)
+    r = zzbar(Yuu, Yvv)
+    del Yuu, Yvv
+    add(r, k2, Y)
+    add(r, 0.5, N, -1.0)
+    out["mixed"] = field_norms(grid_first(r), c, mask)
+
+    r = np.empty(N.shape, dtype=complex)                 # N_z
+    for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
+        np.multiply(to_planes(d(grid_first(N), c), values=1), scale,
+                    out=part)
+    del N
+    add(r.real, k2 + 0.5 * s.real, Yu)
+    add(r.real, 0.5 * s.imag, Yv, -1.0)
+    add(r.imag, 0.5 * s.real - k2, Yv)
+    add(r.imag, 0.5 * s.imag, Yu)
+    for part, bx in ((r.real, br), (r.imag, bi)):
+        for j in range(n):
+            add(part, bx[j], Psi[j], -1.0)
+    out["N_deriv"] = field_norms(grid_first(r), c, mask)
     return out
 
 
@@ -480,14 +459,10 @@ def integrability_residuals(S: SurfaceData, W: np.ndarray) -> dict:
     """
     c = S.chart
     k, beta, s = S.kappa, S.beta, S.schwarzian
-    gamma = normal_derivative_components(S, k, zbar=False)     # D_z kappa
-
     gauss = 0.5 * d_zbar(s, c) \
         - 3 * np.sum(k * np.conj(beta), axis=-1) \
-        - np.sum(gamma * np.conj(k), axis=-1)
+        - np.sum(S.dz_kappa * np.conj(k), axis=-1)
     codazzi = np.imag(W)
     ricci = _ricci(S)
-
-    mask = S.residual_mask()
     return residual_norms(
-        {"gauss": gauss, "codazzi": codazzi, "ricci": ricci}, c, mask)
+        {"gauss": gauss, "codazzi": codazzi, "ricci": ricci}, c, c.interior)

@@ -156,9 +156,21 @@ def chart_to_dict(c: Chart) -> dict:
             "topology": c.topology}
 
 
+def _json_fields(d, keys: tuple, what: str) -> list:
+    """The values of `keys` in the JSON object `what`, d; else ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r} key")
+    return [d[key] for key in keys]
+
+
 def chart_from_dict(d: dict) -> Chart:
-    return Chart(d["u_min"], d["u_max"], d["v_min"], d["v_max"],
-                 int(d["Nu"]), int(d["Nv"]), d.get("topology", "open"))
+    """The chart of `chart_to_dict`; topology defaults to "open"."""
+    u0, u1, v0, v1, Nu, Nv = _json_fields(
+        d, ("u_min", "u_max", "v_min", "v_max", "Nu", "Nv"), "chart")
+    return Chart(u0, u1, v0, v1, int(Nu), int(Nv), d.get("topology", "open"))
 
 
 # Shortest round-trip digits of a float64 in numpy arithmetic (see
@@ -364,10 +376,14 @@ def load(path: str, c: Chart) -> np.ndarray:
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        cf = chart_from_dict(data["chart"])
+        chart, values = _json_fields(data, ("chart", "values"),
+                                     "a JSON lift file")
+        try:    # a value of the wrong JSON type, e.g. null or an object
+            cf, field = chart_from_dict(chart), np.asarray(values, float)
+        except TypeError as exc:
+            raise ValueError(f"malformed JSON lift file: {exc}") from None
         if chart_to_dict(cf) != chart_to_dict(c):
             raise ValueError("chart in file does not match requested chart")
-        field = np.asarray(data["values"], dtype=float)
         if field.ndim != 3 or field.shape[:2] != c.shape:
             raise ValueError(
                 f"grid mismatch: values have shape {field.shape}, "

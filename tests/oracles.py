@@ -605,12 +605,21 @@ def svd_rank(B1, tol=1e-6, mask=None):
     return rank, mrank
 
 
+def _second_wirtinger_complex(S):
+    """Y_zz and Y_zzbar in complex arithmetic from the oracle's own real
+    stencils d_u Y_u, d_v Y_v and d_u Y_v of S.Yu and S.Yv."""
+    c = S.chart
+    Yuu, Yvv, Yuv = d_u(S.Yu, c), d_v(S.Yv, c), d_u(S.Yv, c)
+    return 0.25 * (Yuu - Yvv) - 0.5j * Yuv, 0.25 * (Yuu + Yvv)
+
+
 def invariants_complex(S):
     """`surface.invariants` with complex broadcasts: k as one complex
     (Nu, Nv, n, dim) pairing, b_raw as one complex (n, n, dim) pairing of
-    d_z psi with psi, and beta by an einsum over the stacked entries."""
+    d_z psi with psi, and beta and D_z kappa by einsums over the stacked
+    entries."""
     c, Y, psi = S.chart, S.Y, S.psi
-    Yzz = d_z(wirtinger(S.Yu, S.Yv, -1), c)
+    Yzz, _ = _second_wirtinger_complex(S)
     s = 2.0 * inner(Yzz, S.N)
     kap_raw = Yzz + 0.5 * s[..., None] * Y
     k = inner(kap_raw[..., None, :], psi)
@@ -618,13 +627,16 @@ def invariants_complex(S):
     b = 0.5 * (b_raw - np.swapaxes(b_raw, -1, -2))
     b_res = float(np.max(np.abs(b_raw + np.swapaxes(b_raw, -1, -2)))) / 2
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
+    dz_kappa = d_z(k, c) - np.einsum("...jl,...l->...j", b, k)
     return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
-                      b_asym_residual=b_res)
+                      dz_kappa=dz_kappa, b_asym_residual=b_res)
 
 
 def normal_derivative_components_complex(S, comps, zbar=False):
-    """`surface.normal_derivative_components` with the connection term
-    as an einsum over the stacked entries of b, its diagonal included."""
+    """Components of D_z (or D_zbar) of sum_j comps_j psi_j in the psi
+    frame, which `surface.invariants` and `surface.willmore_residual`
+    take by per-entry passes, with the connection term as an einsum over
+    the stacked entries of b, its diagonal included."""
     c = S.chart
     if zbar:
         return d_zbar(comps, c) - np.einsum("...lj,...j->...l",
@@ -638,8 +650,7 @@ def structure_fields_complex(S):
     complex copy of psi, and b psi by an einsum."""
     c = S.chart
     Yz = wirtinger(S.Yu, S.Yv, -1)
-    Yzu, Yzv = d_u(Yz, c), d_v(Yz, c)
-    Yzz, Yzzbar = wirtinger(Yzu, Yzv, -1), wirtinger(Yzu, Yzv, 1)
+    Yzz, Yzzbar = _second_wirtinger_complex(S)
     psi_c = S.psi.astype(complex)
     kap = np.sum(S.kappa[..., :, None] * S.psi, axis=-2)
     k2 = np.sum(np.abs(S.kappa) ** 2, axis=-1)

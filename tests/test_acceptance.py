@@ -14,7 +14,7 @@ import pytest
 
 from willmorelab import gauss_frame, harmonic, lorentz, reconstruct, spinor
 from willmorelab import surface, zoo
-from willmorelab.chart import Chart, DEFAULT_MARGIN, sup_norm
+from willmorelab.chart import Chart, sup_norm
 from willmorelab.gauss_frame import FrameField, maurer_cartan
 
 from conftest import pipeline
@@ -126,7 +126,7 @@ def test_criterion_3_willmore_residual_separates_zoo_from_control():
         for N in (48, 96):
             c, S, _, _ = pipeline(kind, N)
             vals[N] = (c.h, sup_norm(surface.willmore_residual(S),
-                                     S.residual_mask()))
+                                     S.chart.interior))
         h96, r96 = vals[96]
         worst_C = max(worst_C, r96 / h96**2)
         p = order2(vals[48][1], r96)
@@ -138,7 +138,7 @@ def test_criterion_3_willmore_residual_separates_zoo_from_control():
     for N in (48, 96):
         c, S, _, _ = pipeline("torus_of_revolution", N, 3.0)
         ctrl[N] = sup_norm(surface.willmore_residual(S),
-                           S.residual_mask())
+                           S.chart.interior)
     ctrl_floor = min(ctrl.values())
     ctrl_ratio = ctrl[48] / ctrl[96]
     ok = (worst_C <= 100 and orders_ok
@@ -188,7 +188,7 @@ def test_criterion_5_strong_conformality():
     for kind in ZOO_WILLMORE:
         c, _, _, M = pipeline(kind, 96)
         sup = harmonic.strong_conformal_check(
-            M.B1, c.interior_mask(DEFAULT_MARGIN))
+            M.B1, c.interior)
         worst_C = max(worst_C, sup / c.h**2)
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 32, 32, "periodic-both")
     rng = np.random.default_rng(5)
@@ -273,7 +273,7 @@ def test_criterion_8_surface_roundtrip_and_dual():
         NF = reconstruct.normalize(Ff, M)
         y0 = reconstruct.to_sphere_map(NF.Y0, c)
         yin = reconstruct.to_sphere_map(S.Y, c)
-        m = c.interior_mask(DEFAULT_MARGIN)
+        m = c.interior
         d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
         dist = float(np.max(d[m]))
         cl = reconstruct.classify(NF)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab import gauss_frame, surface, zoo
-from willmorelab.chart import DEFAULT_MARGIN, d_u, d_v, sup_norm, wirtinger
+from willmorelab.chart import d_u, d_v, sup_norm, wirtinger
 from willmorelab.lorentz import lorentz_inverse, metric, validate_group
 
 import helpers
@@ -33,7 +33,7 @@ def test_maurer_cartan_matches_block_formulas(pipe, kind):
     """Numerical F^{-1} d_z F against the closed-form invariant blocks."""
     c, S, _, M = pipe(kind)
     P = oracles.surface_gauge_blocks(S)
-    mask = S.residual_mask()
+    mask = S.chart.interior
     scale = np.max(np.abs(M.full()))
     for got, want in ((M.A1, P.A1), (M.A2, P.A2),
                       (M.B1, P.B1), (M.B2, P.B2)):
@@ -143,10 +143,10 @@ def test_willmore_energy_open_chart_is_flagged(pipe):
 
 def test_willmore_residual_zoo_vs_control(pipe):
     c, S, _, _ = pipe("clifford_torus")
-    r = sup_norm(surface.willmore_residual(S), S.residual_mask())
+    r = sup_norm(surface.willmore_residual(S), S.chart.interior)
     assert r < 1e-10
     ct, St, _, _ = pipe("torus_of_revolution", 48, 3.0)
-    rt = sup_norm(surface.willmore_residual(St), St.residual_mask())
+    rt = sup_norm(surface.willmore_residual(St), St.chart.interior)
     assert rt > 0.1
 
 
@@ -157,7 +157,7 @@ def test_s_willmore_rank(pipe):
     assert np.all(rank <= 1)
     c2, S2, _, M2 = pipe("round_sphere")
     _, mr0 = gauss_frame.s_willmore_rank(
-        M2.B1, tol=max(1e-6, 50 * c2.h**2), mask=S2.residual_mask())
+        M2.B1, tol=max(1e-6, 50 * c2.h**2), mask=S2.chart.interior)
     assert mr0 == 0
 
 
@@ -189,7 +189,7 @@ def _rank_cases(pipe, rng, case):
         kind, N = case.split(":")
         param = 3.0 if kind == "torus_of_revolution" else None
         c, _, _, M = pipe(kind, int(N), param)
-    mask = c.interior_mask(DEFAULT_MARGIN)
+    mask = c.interior
     return M.B1, [(tol, m, None) for tol in (1e-6, max(1e-6, 50 * c.h**2))
                   for m in (None, mask)]
 
@@ -303,7 +303,7 @@ def test_conformal_gauss_metric_is_round(pipe):
     c, S, _, _ = pipe("clifford_torus")
     g = oracles.conformal_gauss_metric(S)
     k2 = S.k2
-    m = S.residual_mask()
+    m = S.chart.interior
     assert sup_norm(g["guu"] - k2, m) < 100 * c.h**2
     assert sup_norm(g["gvv"] - k2, m) < 100 * c.h**2
     assert sup_norm(g["guv"], m) < 100 * c.h**2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from willmorelab import gauss_frame, harmonic, lorentz, surface, zoo
-from willmorelab.chart import DEFAULT_MARGIN, d_u, d_v, sup_norm
+from willmorelab.chart import d_u, d_v, sup_norm
 from willmorelab.lorentz import metric
 
 import helpers
@@ -251,7 +251,7 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
     assert np.array_equal(K0.plus_im, 0.25 * np.concatenate(
         [K[..., a, b].reshape(c.shape + (4 * n,)),
          K[..., b, a].reshape(c.shape + (4 * n,))], axis=-1))
-    mask = c.interior_mask(DEFAULT_MARGIN)
+    mask = c.interior
     for r in sweep0:
         lam = r["lambda"]
         X = lam.real * K0.plus_im + lam.imag * K0.plus_re
@@ -322,7 +322,7 @@ def test_harmonic_residuals_flag_the_control(pipe):
 
 def test_strong_conformality_zoo_vs_random(pipe, rng):
     c, S, _, M = pipe("veronese_s4")
-    sup = harmonic.strong_conformal_check(M.B1, S.residual_mask())
+    sup = harmonic.strong_conformal_check(M.B1, S.chart.interior)
     scale = np.max(np.abs(M.B1)) ** 2
     assert sup < 100 * c.h**2 * scale
     # a generic complex B1 is nowhere near null

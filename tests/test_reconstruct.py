@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab import reconstruct, spinor
-from willmorelab.chart import Chart, DEFAULT_MARGIN
+from willmorelab.chart import Chart
 from willmorelab.gauss_frame import FrameField, MCBlocks, maurer_cartan
 from willmorelab.lorentz import inner, metric
 
@@ -201,7 +201,7 @@ def test_veronese_roundtrip(pipe):
     c, S, NF = normalized(pipe, "veronese_s4", 48)
     y0 = reconstruct.to_sphere_map(NF.Y0, c)
     yin = reconstruct.to_sphere_map(S.Y, c)
-    m = c.interior_mask(DEFAULT_MARGIN)
+    m = c.interior
     d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
     assert np.max(d[m]) < 1e-10
 
@@ -219,7 +219,7 @@ def test_scrambled_veronese_roundtrip_converges(pipe):
         NF = reconstruct.normalize(Fs)
         y0 = reconstruct.to_sphere_map(NF.Y0, c)
         yin = reconstruct.to_sphere_map(S.Y, c)
-        m = c.interior_mask(DEFAULT_MARGIN)
+        m = c.interior
         d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
         dists.append(float(np.max(d[m])))
     assert dists[0] < 0.5

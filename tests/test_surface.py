@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from willmorelab import chart, gauss_frame, surface, zoo
-from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar, wirtinger
-from willmorelab.lorentz import complement_solver, grid_first, inner, \
-    metric, to_planes
+from willmorelab import chart, cli, gauss_frame, surface, zoo
+from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
+from willmorelab.lorentz import complement_solver, inner, metric
 
 import helpers
 import oracles
@@ -58,35 +57,57 @@ def _stencil_spy(monkeypatch):
     return seen
 
 
-def _calls(seen, x):
-    """[along u, along v]: how often the field x was differentiated."""
-    return [sum(a == axis and f.shape == x.shape and np.array_equal(f, x)
-                for f, a in seen) for axis in (0, 1)]
+def _analyze_stencils(seen, kind):
+    """[(name, axis, complex)] of every stencil of `cli.cmd_analyze` on
+    the zoo surface at N=24, as recorded by the spy list `seen`, each
+    differentiated field named by its content among the fields of the
+    analyze path, or "other"."""
+    spec = zoo.SurfaceSpec(kind)
+    c = zoo.default_chart(spec, 24)
+    raw = zoo.generate(spec, c)
+    S = surface.build_surface_data(raw, c)
+    Fr = gauss_frame.build_frame(S)
+    names = {"raw": raw, "Y": S.Y, "Yu": S.Yu, "Yv": S.Yv, "N": S.N,
+             "psi": S.psi, "kappa": S.kappa, "beta": S.beta,
+             "s": S.schwarzian, "F": Fr.F}
+    for j in range(S.n):
+        for l in range(j + 1, S.n):
+            names[f"b_r[{j},{l}]"] = S.b.real[..., j, l]
+            names[f"b_i[{j},{l}]"] = S.b.imag[..., j, l]
+    cfg = cli.build_config(cli.parse_args(
+        ["analyze", "--surface", kind, "--chart",
+         ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min, c.v_max,
+                            c.topology)))]))
+    seen.clear()
+    cli.cmd_analyze(cfg)
+    return [(next((name for name, x in names.items()
+                   if f.shape == x.shape and np.array_equal(f, x)), "other"),
+             axis, np.iscomplexobj(f)) for f, axis in seen]
 
 
 def test_each_lift_is_differentiated_once(monkeypatch):
-    """Across the surface data, the invariants, the structure and
-    integrability residuals and the frame (the analyze path), each
-    field takes at most one stencil per axis: the raw lift and Y one
-    d_u/d_v pair each; Y_u only d_u and Y_v only d_v, for N; Y_z one
-    pair, for the Hessian that both Y_zz and Y_zzbar read; N one pair,
-    for N_z; psi one pair, whose partials serve the normal connection
-    and psi_z."""
-    spec = zoo.SurfaceSpec("veronese_s4")
-    c = zoo.default_chart(spec, 24)
-    raw = zoo.generate(spec, c)
+    """Across the whole analyze command, each field takes at most one
+    stencil per axis: the raw lift, Y, N, psi, kappa, beta and s one
+    d_u/d_v pair each; Y_u only d_u (Y_uu, for N) and Y_v both (Y_uv for
+    the Hessian, Y_vv for N); the frame one pair, for its Maurer-Cartan
+    form; each entry of b one stencil, for the Ricci residual.  Six
+    stencils are complex (kappa, beta and s), and no complex field of
+    the ambient space is differentiated: 21 stencils on veronese_s4
+    (n = 2, one entry of b) and 19 on enneper (n = 1)."""
     seen = _stencil_spy(monkeypatch)
-    S = surface.build_surface_data(raw, c)
-    S.kappa                             # the one `invariants` call
-    surface.structure_residuals(S)
-    surface.integrability_residuals(S, surface.willmore_residual(S))
-    gauss_frame.build_frame(S)
-
-    assert _calls(seen, raw) == _calls(seen, S.Y) == [1, 1]
-    assert _calls(seen, S.Yu) == [1, 0]
-    assert _calls(seen, S.Yv) == [0, 1]
-    assert _calls(seen, wirtinger(S.Yu, S.Yv, -1)) == [1, 1]
-    assert _calls(seen, S.N) == _calls(seen, S.psi) == [1, 1]
+    for kind, total in (("veronese_s4", 21), ("enneper", 19)):
+        got = _analyze_stencils(seen, kind)
+        assert len(got) == total, kind
+        assert sum(cplx for _, _, cplx in got) == 6, kind
+        counts = {}
+        for name, axis, _ in got:
+            counts.setdefault(name, [0, 0])[axis] += 1
+        want = {name: [1, 1] for name in ("raw", "Y", "Yv", "N", "psi",
+                                          "kappa", "beta", "s", "F")}
+        want["Yu"] = [1, 0]
+        if kind == "veronese_s4":
+            want.update({"b_i[0,1]": [1, 0], "b_r[0,1]": [0, 1]})
+        assert counts == want, kind
 
 
 def test_frame_path_takes_the_stencils_of_the_frame_only(monkeypatch):
@@ -110,23 +131,18 @@ def test_frame_path_takes_the_stencils_of_the_frame_only(monkeypatch):
                    ("Yu", 0), ("Yv", 1)]
 
 
-def test_hessian_gives_the_second_wirtinger_derivatives_bit_for_bit(pipe):
-    """Y_zz and Y_zzbar from the real and imaginary parts of the cached
-    pair (d_u Y_z, d_v Y_z) equal the complex formula (d_z of Y_z and
-    d_zbar of Y_z) bit for bit, in the grid layout of the invariants and
-    in the plane layout of the structure residuals."""
+def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
+    """Y_zzbar is N's W bit for bit: `frame_N` rebuilds S.N exactly from
+    `zzbar` of the kept stencils Y_uu and Y_vv, and the "mixed" structure
+    residual is the real field W + |kappa|^2 Y - N/2 built from that W."""
     for kind in ("clifford_torus", "enneper", "veronese_s4"):
         c, S, _, _ = pipe(kind)
-        H = surface.SurfaceData(S.chart, S.Y, S.N, S.Yu, S.Yv,
-                                S.psi).hessian
-        Yz = wirtinger(S.Yu, S.Yv, -1)
-        for sign, want in ((-1, d_z(Yz, c)), (1, d_zbar(Yz, c))):
-            got = surface._second_wirtinger(
-                *((x.real, x.imag) for x in H), sign)
-            assert np.array_equal(got, want), (kind, sign)
-            planes = surface._second_wirtinger(
-                *(to_planes(x, values=1) for x in H), sign)
-            assert np.array_equal(grid_first(planes), want)
+        W = surface.zzbar(S.Yuu, S.Yvv)
+        assert W.dtype == float
+        assert np.array_equal(surface.frame_N(S.Y, W), S.N), kind
+        want = (W + S.k2[..., None] * S.Y) - 0.5 * S.N
+        got = surface.structure_residuals(S)["mixed"]
+        assert got == chart.field_norms(want, c, c.interior), kind
 
 
 def test_frame_N_pairings(pipe):
@@ -146,7 +162,7 @@ def test_normal_frame_orthonormal(pipe):
 
 def test_round_sphere_is_totally_umbilic(pipe):
     _, S, _, _ = pipe("round_sphere")
-    m = S.residual_mask()
+    m = S.chart.interior
     assert np.max(np.abs(S.kappa[m])) < 1e-8
 
 
@@ -356,27 +372,30 @@ def _roundoff_miss(got, want) -> float:
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_invariants_match_complex_oracle(pipe, case):
-    """kappa, s, b and beta from the real pairings on planes agree with
-    the complex broadcasts, pairings and einsum they replace
-    (`oracles.invariants_complex`) to roundoff."""
+    """kappa, s, b, beta and D_z kappa from the real pairings on planes
+    agree with the complex broadcasts, pairings and einsums they replace
+    (`oracles.invariants_complex`, with its own stencils of Y_u and Y_v)
+    to roundoff."""
     S = _oracle_surface(pipe, case)
     want = oracles.invariants_complex(S)
-    for name in ("kappa", "schwarzian", "b", "beta", "b_asym_residual"):
+    for name in ("kappa", "schwarzian", "b", "beta", "dz_kappa",
+                 "b_asym_residual"):
         assert _roundoff_miss(getattr(S, name), getattr(want, name)) <= 1, \
             name
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_normal_derivatives_match_einsum_oracle(pipe, case):
-    """D_z and D_zbar of kappa and beta by per-entry passes agree with
-    the einsum over the stacked entries of b."""
+    """D_z kappa, beta = D_zbar kappa and the Willmore residual (from
+    D_zbar beta) by per-entry passes agree with the einsum over the
+    stacked entries of b."""
     S = _oracle_surface(pipe, case)
-    for comps in (S.kappa, S.beta):
-        for zbar in (False, True):
-            got = surface.normal_derivative_components(S, comps, zbar)
-            want = oracles.normal_derivative_components_complex(S, comps,
-                                                                zbar)
-            assert _roundoff_miss(got, want) <= 1, zbar
+    k = S.kappa
+    D = oracles.normal_derivative_components_complex
+    assert _roundoff_miss(S.dz_kappa, D(S, k, False)) <= 1
+    assert _roundoff_miss(S.beta, D(S, k, True)) <= 1
+    want = D(S, S.beta, True) + 0.5 * np.conj(S.schwarzian)[..., None] * k
+    assert _roundoff_miss(surface.willmore_residual(S), want) <= 1
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -387,7 +406,7 @@ def test_structure_residuals_match_complex_oracle(pipe, case):
     S = _oracle_surface(pipe, case)
     got = surface.structure_residuals(S)
     want = chart.residual_norms(oracles.structure_fields_complex(S),
-                                S.chart, S.residual_mask())
+                                S.chart, S.chart.interior)
     for name, norms in want.items():
         for key, value in norms.items():
             assert _roundoff_miss(got[name][key], value) <= 1, (name, key)
@@ -408,7 +427,7 @@ def test_ricci_matches_complex_oracle(pipe, case):
     assert _roundoff_miss(1j * R, want) <= 1
     assert np.array_equal(R, -np.swapaxes(R, -1, -2))
     got = surface.integrability_residuals(S, surface.willmore_residual(S))
-    norms = chart.residual_norms({"ricci": want}, S.chart, S.residual_mask())
+    norms = chart.residual_norms({"ricci": want}, S.chart, S.chart.interior)
     for key in ("sup", "l2"):
         assert _roundoff_miss(got["ricci"][key], norms["ricci"][key]) <= 1
     b = S.b

@@ -319,6 +319,29 @@ def test_load_json_rejects_values_off_the_chart_grid(tmp_path, capsys,
     assert "error: grid mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"values": [[1, 2]]}, "no 'chart' key"),
+    ([[1, 2]], "must be a JSON object"),
+    ({"chart": {"u_max": 1, "v_min": 0, "v_max": 1, "Nu": 8, "Nv": 8},
+      "values": [[1, 2]]}, "no 'u_min' key"),
+    ({"chart": {"u_min": 0, "u_max": 1, "v_min": 0, "v_max": 1, "Nu": None,
+                "Nv": 8}, "values": [[1, 2]]}, "malformed JSON lift file"),
+    ({"chart": {"u_min": 0, "u_max": 1, "v_min": 0, "v_max": 1, "Nu": 8,
+                "Nv": 8}, "values": {"Y0": 1}}, "malformed JSON lift file"),
+], ids=["no_chart", "top_level_list", "chart_without_a_bound", "null_Nu",
+        "values_object"])
+def test_malformed_json_input_exits_3(tmp_path, capsys, data, message):
+    """A JSON lift file without its keys, that is not an object, or with a
+    value of the wrong JSON type is a configuration error (exit 3) that
+    names what is wrong, not a KeyError or TypeError."""
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["analyze", "--input", str(p), "--chart",
+                     "8,8,0,1,0,1,open"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_external_minimal_surface_data_runs(tmp_path):
     """Hand-made samples (not from the generators) go through the pipeline."""
     c = Chart(-0.7, 0.7, -0.7, 0.7, 24, 24, "open")
