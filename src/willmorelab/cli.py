@@ -153,22 +153,25 @@ def _residual_tol(c: Chart, tol: float) -> float:
 def cmd_analyze(cfg) -> tuple[dict, int]:
     raw, c, spec = _load_field(cfg)
     S = surface.build_surface_data(raw, c)
+    inv = surface.invariants(S)
 
     checks = []
     rtol = _residual_tol(c, cfg["tol"])
-    sr = surface.structure_residuals(S)
+    sr = inv.structure
     for name, norms in sr.items():
         _check(checks, f"structure.{name}", norms["sup"], rtol)
-    W = surface.willmore_residual(S)
-    ir = surface.integrability_residuals(S, W)
+    W = surface.willmore_residual(inv, c)
+    ir = surface.integrability_residuals(inv, W, c)
     for name, norms in ir.items():
         _check(checks, f"integrability.{name}", norms["sup"], rtol)
     wres = sup_norm(W, c.interior)
     _check(checks, "willmore_residual", wres, rtol)
-    energy = gauss_frame.willmore_energy(S)
-    kappa_max = float(np.max(np.abs(S.kappa)))
-    schwarzian_max = float(np.max(np.abs(S.schwarzian)))
-    # the frame is the last reader of S; the blocks are the largest fields
+    energy = gauss_frame.willmore_energy(inv, c)
+    kappa_max = float(np.max(np.abs(inv.kappa)))
+    schwarzian_max = float(np.max(np.abs(inv.schwarzian)))
+    # the invariants go before the frame is built, and the frame is the
+    # last reader of S: the blocks are the largest fields
+    del inv, W
     Ff = gauss_frame.build_frame(S)
     del S
     M = gauss_frame.maurer_cartan(Ff)

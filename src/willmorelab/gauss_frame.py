@@ -21,7 +21,7 @@ import numpy as np
 from .chart import Chart, d_u, d_v, integrate, wirtinger
 from .lorentz import (lorentz_inverse, metric_signs, pairings, row_blocks,
                       to_planes, validate_group)
-from .surface import SurfaceData, sphere_columns
+from .surface import Invariants, SurfaceData, sphere_columns
 
 # the diagonal of I13 = diag(-1, 1, 1, 1): X I13 is X * S13, bit for bit
 S13 = metric_signs(4)
@@ -157,14 +157,13 @@ def maurer_cartan(Ff: FrameField) -> MCBlocks:
     return MCBlocks(P, Q, c)
 
 
-def willmore_energy(S: SurfaceData) -> dict:
+def willmore_energy(inv: Invariants, c: Chart) -> dict:
     """Energy 4*integral(<kappa, conj kappa>) du dv over the chart.
 
     On a chart that is not closed (not doubly periodic) the value is only
     the chart-local contribution; the report says which.
     """
-    c = S.chart
-    value = float(4.0 * integrate(S.k2, c))
+    value = float(4.0 * integrate(inv.k2, c))
     closed = c.periodic_u and c.periodic_v
     return {"value": value, "chart_local": not closed}
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "metric",
     "metric_signs",
     "inner",
     "norm2",
@@ -47,11 +46,6 @@ def metric_signs(dim: int) -> np.ndarray:
     s = np.ones(dim)
     s[0] = -1.0
     return s
-
-
-def metric(dim: int) -> np.ndarray:
-    """diag(-1, 1, ..., 1) of size dim x dim."""
-    return np.diag(metric_signs(dim))
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:

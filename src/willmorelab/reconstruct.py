@@ -69,8 +69,7 @@ class NormalizedFrame:
 
     def speccond_residual(self) -> float:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
-        r = self.blocks.a(1, 3) + self.blocks.a(2, 3) \
-            - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
+        r = self.h - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
         return sup_norm(r, self.chart.interior)
 
 
@@ -226,7 +225,7 @@ def dual_mu(NF: NormalizedFrame) -> np.ndarray:
     B1 = NF.blocks.B1
     if np.min(np.sqrt(np.sum(np.abs(B1)**2, axis=(-2, -1)))) \
             <= eps_rel * np.max(np.abs(B1)):
-        _, B1 = spinor.common_factor(B1, NF.chart, eps_rel)
+        _, B1 = spinor.common_factor(B1, NF.chart)
     beta, k = _beta_k(B1)
     k2 = np.sum(np.abs(k)**2, axis=-1)
     b2 = np.sum(np.abs(beta)**2, axis=-1)

@@ -214,7 +214,7 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
     return A, Bhat, orient
 
 
-def _attempt_canonical_gauge(B: np.ndarray, thresh: float = 1e-6):
+def _attempt_canonical_gauge(B: np.ndarray, thresh: float):
     """One orientation branch of canonicalize_B1.
 
     The columns, viewed as rank-1 matrices m(b_j) = v_j w_j^T, admit a
@@ -231,18 +231,18 @@ def _attempt_canonical_gauge(B: np.ndarray, thresh: float = 1e-6):
     return sl2_to_so13(_smooth_gauge(_gauge_from_w(ref)))
 
 
-def common_factor(B1: np.ndarray, c: Chart, eps_rel: float = 1e-6):
+def common_factor(B1: np.ndarray, c: Chart):
     """Split B1 = h0 * Btilde with Btilde bounded below on the chart.
 
     Desk-scale factorization: if no grid point has all entries below
-    eps_rel * max, h0 is identically 1.  Otherwise the (assumed isolated)
+    1e-6 times the max, h0 is identically 1.  Otherwise the (assumed isolated)
     common zero is located at the minimum of |B1|, its order fitted by a
     log-log slope, and the monomial (z - z0)^order divided out.
     """
     B1 = np.asarray(B1, dtype=complex)
     mag = np.sqrt(np.sum(np.abs(B1) ** 2, axis=(-1, -2)))
     top = np.max(mag)
-    if np.min(mag) > eps_rel * top:
+    if np.min(mag) > 1e-6 * top:
         return np.ones(B1.shape[:2], dtype=complex), B1.copy()
 
     i0, j0 = np.unravel_index(np.argmin(mag), mag.shape)

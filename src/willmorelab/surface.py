@@ -6,33 +6,28 @@ conformally invariant normal bundle, and the invariant data kappa
 (conformal Hopf differential), s (Schwarzian), b (normal connection) and
 beta (components of D_zbar kappa).
 
-Each field is differentiated at most once along each axis.  The raw
-lift takes one d_u/d_v pair (for the scale of Y), Y takes one (Y_u, Y_v)
-and N's stencils Y_uu = d_u Y_u, Y_vv = d_v Y_v are kept on
-`SurfaceData`.  Y's Hessian is real: Y_zzbar = (Y_uu + Y_vv)/4 is the W
-that N is built from, and Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2 takes one
-more stencil, Y_uv = d_u Y_v.  Y_uv and psi's partials are taken on
-first read and cached on `SurfaceData` for the invariants (Y_zz, the
-normal connection) and the structure residuals (Y_zz, Y_zzbar, psi_z),
-which drop them.  kappa's one d_u/d_v pair gives both beta and D_z
-kappa; N's own partials are taken only for N_z.
-
 `build_surface_data` stops at the fields of the conformal Gauss frame
-(Y, N, Y_u, Y_v and psi) and N's stencils.  The invariants kappa, s, b,
-beta and D_z kappa are computed on first read, by one call of
-`invariants`, so the commands that only read the frame (verify-harmonic,
-reconstruct) never derive them, nor Y_uv or psi's partials.
+(Y, N, Y_u, Y_v and psi) and N's stencils Y_uu = d_u Y_u and
+Y_vv = d_v Y_v, so the commands that only read the frame
+(verify-harmonic, reconstruct) never derive more.  `invariants` is the
+forward stage, which only analyze runs: it takes the rest of what it
+reads as its own locals (the mixed partial Y_uv = d_u Y_v, psi's
+partials and N's), derives kappa, s, b, beta and D_z kappa, and norms
+the four structure residuals, dropping each partial after its last
+reader; it leaves its `SurfaceData` as it found it.
 
-The per-point algebra runs on contiguous planes, one (Nu, Nv) array per
-entry: the pairings of the invariants, and the structure residuals,
-which are built as real and imaginary planes and normed across them
-(`chart.field_norms`).
+Each field is differentiated at most once along each axis.  Y's Hessian
+is real: Y_zzbar = (Y_uu + Y_vv)/4 is the W that N is built from, and
+Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2.  kappa's one d_u/d_v pair gives both
+beta and D_z kappa.  The per-point algebra runs on contiguous planes,
+one (Nu, Nv) array per entry: the pairings of the invariants, and the
+structure residuals, which are built as real and imaginary planes and
+normed across them (`chart.field_norms`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -171,28 +166,24 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 class Invariants(NamedTuple):
-    """The forward invariants of a `SurfaceData`."""
+    """The forward invariants of a `SurfaceData` and the norms of its
+    structure residuals (`invariants`)."""
     kappa: np.ndarray      # (Nu, Nv, n) components k_j
     schwarzian: np.ndarray  # (Nu, Nv) complex s
     b: np.ndarray          # (Nu, Nv, n, n) normal connection, antisymmetric
     beta: np.ndarray       # (Nu, Nv, n) components of D_zbar kappa
     dz_kappa: np.ndarray   # (Nu, Nv, n) components of D_z kappa
-    b_asym_residual: float  # half the sup of the symmetric part of b
+    k2: np.ndarray         # (Nu, Nv) <kappa, conj kappa> = sum |k_j|^2
+    structure: dict        # name -> norms of each structure residual
 
 
 @dataclass
 class SurfaceData:
-    """Canonical lift, its normal frame and, on first read, its invariants.
-
-    The fields are those of the conformal Gauss frame: Y, N, Y_u and Y_v
-    give its sphere columns (`gauss_frame.build_frame`), and psi gives
-    its normal columns; Y_uu and Y_vv are the stencils N is built from.
-    What only the forward checks read is derived on first read and
-    cached on the instance, not as dataclass fields: Y_uv, psi and its
-    partials as planes, kappa, s, b, beta and D_z kappa (one
-    `invariants` call) and k2.  A command drops its SurfaceData once the
-    frame is built.
-    """
+    """Canonical lift and its normal frame, the fields of the conformal
+    Gauss frame: Y, N, Y_u and Y_v give its sphere columns
+    (`gauss_frame.build_frame`) and psi gives its normal columns; Y_uu
+    and Y_vv are the stencils N is built from.  A command drops its
+    SurfaceData once the frame is built."""
     chart: Chart
     Y: np.ndarray          # (Nu, Nv, dim) canonical lift
     N: np.ndarray          # (Nu, Nv, dim)
@@ -202,41 +193,9 @@ class SurfaceData:
     Yvv: np.ndarray        # (Nu, Nv, dim) d_v Y_v
     psi: np.ndarray        # (Nu, Nv, n, dim) normal frame
 
-    @cached_property
-    def Yuv(self) -> np.ndarray:
-        """The mixed partial d_u Y_v, the one stencil of Y's Hessian
-        that N does not take, for Y_zz."""
-        return d_u(self.Yv, self.chart)
-
-    @cached_property
-    def psi_planes(self) -> tuple:
-        """psi, d_u psi and d_v psi as contiguous planes (n, dim, Nu, Nv).
-        The stencils run on psi's planes (viewed with the grid axes
-        first), so each partial is taken once, in the layout that the
-        pairings of `invariants` and the structure residuals read."""
-        c = self.chart
-        Psi = to_planes(self.psi)
-        return (Psi,) + tuple(to_planes(d(grid_first(Psi), c))
-                              for d in (d_u, d_v))
-
-    @cached_property
-    def _invariants(self) -> Invariants:
-        return invariants(self)
-
-    # the fields of the one `invariants` call
-    kappa = property(lambda self: self._invariants.kappa)
-    schwarzian = property(lambda self: self._invariants.schwarzian)
-    b = property(lambda self: self._invariants.b)
-    beta = property(lambda self: self._invariants.beta)
-    dz_kappa = property(lambda self: self._invariants.dz_kappa)
-    b_asym_residual = property(lambda self: self._invariants.b_asym_residual)
-    n = property(lambda self: self.psi.shape[-2])
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        """<kappa, conj kappa> = sum |k_j|^2, derived on first read."""
-        k = self.kappa
-        return np.sum(k.real ** 2 + k.imag ** 2, axis=-1)
+    @property
+    def n(self) -> int:
+        return self.psi.shape[-2]
 
 
 def _others(n: int, *skip: int) -> list:
@@ -266,71 +225,9 @@ def _complex_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def invariants(S: SurfaceData) -> Invariants:
-    """Compute kappa, s, b, beta and D_z kappa from the canonical data of S.
-
-    Y_zz comes from S's real second partials (`zz`) and psi's partials
-    from S.psi_planes.  The pairings with the real normal frame are real `pairings` on
-    planes: k_j from those of the real and imaginary parts of kappa's
-    raw field, and b from U_jl = <psi_j,u, psi_l> and
-    V_jl = <psi_j,v, psi_l>, since <psi_j,z, psi_l> = (U_jl - i V_jl)/2.
-    kappa and b come out with each entry a contiguous plane, which the
-    per-entry passes downstream read.  kappa's one d_u/d_v pair gives
-    both beta = D_zbar kappa and D_z kappa.
-    """
-    c, Y = S.chart, S.Y
-    Yzz = zz(S.Yuu, S.Yvv, S.Yuv)
-    s = 2.0 * inner(Yzz, S.N)
-    kap_raw = Yzz + 0.5 * s[..., None] * Y
-    del Yzz             # lowers the peak
-    # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
-    # Y_v) (d_z is the same linear stencil), so kappa's part in that
-    # bundle drops out of the pairing
-    Psi, Psi_u, Psi_v = S.psi_planes                        # (n, dim, ...)
-    k = _complex_planes(*(pairings(part, Psi)[0]
-                          for part in to_planes(kap_raw[..., None, :])))
-    del kap_raw
-
-    # b = (b_raw - b_raw^T)/2 and the sup of the symmetric part,
-    # b_raw = <psi_z, psi> = (U - iV)/2
-    U = pairings(Psi_u, Psi)                                # (n, n, ...)
-    V = pairings(Psi_v, Psi)
-    Ut, Vt = np.swapaxes(U, 0, 1), np.swapaxes(V, 0, 1)
-    b = _complex_planes(0.25 * (U - Ut), -0.25 * (V - Vt))
-    b_res = float(np.max(np.hypot(U + Ut, V + Vt))) / 4
-
-    ku, kv = d_u(k, c), d_v(k, c)
-    beta = _subtract_connection(wirtinger(ku, kv, 1), b, k, conjugate=True)
-    dz_kappa = _subtract_connection(wirtinger(ku, kv, -1), b, k,
-                                    conjugate=False)
-    return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
-                      dz_kappa=dz_kappa, b_asym_residual=b_res)
-
-
-def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
-    """Raw lift -> SurfaceData: the canonical lift Y, its partials, N
-    and the normal frame psi, the fields of the conformal Gauss frame,
-    with N's stencils Y_uu and Y_vv."""
-    Y = canonical_lift(raw, c)
-    Yu, Yv = d_u(Y, c), d_v(Y, c)
-    Yuu, Yvv = d_u(Yu, c), d_v(Yv, c)
-    N = frame_N(Y, zzbar(Yuu, Yvv))
-    B = np.stack([Y, N, Yu, Yv], axis=-2)
-    psi = normal_frame(B, complement_solver(B))
-    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, Yuu=Yuu, Yvv=Yvv,
-                       psi=psi)
-
-
-def willmore_residual(S: SurfaceData) -> np.ndarray:
-    """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa, with
-    D_zbar beta from beta's components in the psi frame."""
-    beta = S.beta
-    eta = _subtract_connection(d_zbar(beta, S.chart), S.b, beta,
-                               conjugate=True)
-    return eta + 0.5 * np.conj(S.schwarzian)[..., None] * S.kappa
-
-
-def structure_residuals(S: SurfaceData) -> dict:
-    """Residual norms of the four moving-frame structure equations
+    """The forward stage: kappa, s, b, beta, D_z kappa and |kappa|^2 from
+    the canonical data of S, and the residual norms of the four
+    moving-frame structure equations
 
         lift     Y_zz + (s/2) Y - sum_j k_j psi_j
         mixed    Y_zzbar + <kappa, conj kappa> Y - N/2
@@ -338,27 +235,61 @@ def structure_residuals(S: SurfaceData) -> dict:
                  - 2 sum_j beta_j psi_j
         normal   psi_j,z + 2 k_j conj(Y_z) - sum_l b_jl psi_l - 2 beta_j Y
 
-    with Y_z = (Y_u - i Y_v)/2.  Each residual is built on planes: an
-    array (entries, Nu, Nv) that starts as Y_zz (`zz`), Y_zzbar (`zzbar`,
-    N's W, so "mixed" is real), N_z or psi_z, into whose real and
-    imaginary planes the real products of Y, Y_u, Y_v and psi with the
-    real and imaginary parts of the invariants are added, one plane of
-    coefficients across all entries at a time; no complex field is
-    broadcast.  Each residual is normed (`field_norms`) and released
-    before the next is built.  This is the last reader of Y_uv and of
-    psi's planes, so it drops them from S's cache.
+    with Y_z = (Y_u - i Y_v)/2.  The partials that only this stage reads,
+    Y_uv and those of psi (on psi's planes) and of N, are its own locals,
+    each dropped after its last reader; S is left as it was.
+
+    The pairings with the real normal frame are real `pairings` on
+    planes: k_j from those of the real and imaginary parts of kappa's
+    raw field, and b from U_jl = <psi_j,u, psi_l> and
+    V_jl = <psi_j,v, psi_l>, since <psi_j,z, psi_l> = (U_jl - i V_jl)/2.
+    kappa and b come out with each entry a contiguous plane, which the
+    per-entry passes downstream read.  kappa's one d_u/d_v pair gives
+    both beta = D_zbar kappa and D_z kappa.
+
+    Each residual is built on planes: an array (entries, Nu, Nv) that
+    starts as Y_zz (`zz`), Y_zzbar (`zzbar`, N's W, so "mixed" is real),
+    N_z or psi_z, into whose real and imaginary planes the real products
+    of Y, Y_u, Y_v and psi with the real and imaginary parts of the
+    invariants are added, one plane of coefficients across all entries
+    at a time; no complex field is broadcast.  Each residual is normed
+    (`field_norms`) and released before the next is built.
     """
     c, n = S.chart, S.n
+    Yuv = d_u(S.Yv, c)
+    Yzz = zz(S.Yuu, S.Yvv, Yuv)
+    s = 2.0 * inner(Yzz, S.N)
+    kap_raw = Yzz + 0.5 * s[..., None] * S.Y
+    del Yzz             # lowers the peak
+    # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
+    # Y_v) (d_z is the same linear stencil), so kappa's part in that
+    # bundle drops out of the pairing
+    Psi = to_planes(S.psi)                                  # (n, dim, ...)
+    Psi_u, Psi_v = (to_planes(d(grid_first(Psi), c)) for d in (d_u, d_v))
+    k = _complex_planes(*(pairings(part, Psi)[0]
+                          for part in to_planes(kap_raw[..., None, :])))
+    del kap_raw
+
+    # b = (b_raw - b_raw^T)/2, b_raw = <psi_z, psi> = (U - iV)/2
+    U = pairings(Psi_u, Psi)                                # (n, n, ...)
+    V = pairings(Psi_v, Psi)
+    b = _complex_planes(0.25 * (U - np.swapaxes(U, 0, 1)),
+                        -0.25 * (V - np.swapaxes(V, 0, 1)))
+    del U, V
+
+    ku, kv = d_u(k, c), d_v(k, c)
+    beta = _subtract_connection(wirtinger(ku, kv, 1), b, k, conjugate=True)
+    dz_kappa = _subtract_connection(wirtinger(ku, kv, -1), b, k,
+                                    conjugate=False)
+    del ku, kv
+    k2 = np.sum(k.real ** 2 + k.imag ** 2, axis=-1)
+
     mask = c.interior
-    s, k2 = S.schwarzian, S.k2        # the invariants read Y_uv
-    kr, ki = to_planes(S.kappa, values=1)               # (n, Nu, Nv)
-    br, bi = 2.0 * to_planes(S.beta, values=1)
-    b_re, b_im = to_planes(S.b)                         # (n, n, Nu, Nv)
+    kr, ki = to_planes(k, values=1)                     # (n, Nu, Nv)
+    br, bi = 2.0 * to_planes(beta, values=1)
+    b_re, b_im = to_planes(b)                           # (n, n, Nu, Nv)
     Yuu, Yvv, Yuv = (np.moveaxis(x, -1, 0)              # (dim, Nu, Nv)
-                     for x in (S.Yuu, S.Yvv, S.Yuv))     # views
-    Psi, Psi_u, Psi_v = S.psi_planes                    # (n, dim, Nu, Nv)
-    for name in ("Yuv", "psi_planes"):
-        vars(S).pop(name, None)
+                     for x in (S.Yuu, S.Yvv, Yuv))       # views
     Y = to_planes(S.Y, values=1)
     tmp = np.empty_like(Y)
 
@@ -372,7 +303,7 @@ def structure_residuals(S: SurfaceData) -> dict:
 
     # psi_z first: psi's partials, the largest fields here, are released
     # before the other residuals are built; the report keeps its order
-    out = dict.fromkeys(("lift", "mixed", "N_deriv", "normal"))
+    structure = dict.fromkeys(("lift", "mixed", "N_deriv", "normal"))
     Yu, Yv = (to_planes(x, values=1) for x in (S.Yu, S.Yv))
     r = np.empty(Psi.shape, dtype=complex)               # psi_z
     np.multiply(Psi_u, 0.5, out=r.real)
@@ -389,7 +320,7 @@ def structure_residuals(S: SurfaceData) -> dict:
             add(im, b_im[j, l], Psi[l], -1.0)
         add(re, br[j], Y, -1.0)
         add(im, bi[j], Y, -1.0)
-    out["normal"] = field_norms(grid_first(r), c, mask)
+    structure["normal"] = field_norms(grid_first(r), c, mask)
 
     r = zz(Yuu, Yvv, Yuv)
     del Yuv
@@ -397,14 +328,14 @@ def structure_residuals(S: SurfaceData) -> dict:
         add(part, 0.5 * sx, Y)
         for j in range(n):
             add(part, kx[j], Psi[j], -1.0)
-    out["lift"] = field_norms(grid_first(r), c, mask)
+    structure["lift"] = field_norms(grid_first(r), c, mask)
 
     N = to_planes(S.N, values=1)
     r = zzbar(Yuu, Yvv)
     del Yuu, Yvv
     add(r, k2, Y)
     add(r, 0.5, N, -1.0)
-    out["mixed"] = field_norms(grid_first(r), c, mask)
+    structure["mixed"] = field_norms(grid_first(r), c, mask)
 
     r = np.empty(N.shape, dtype=complex)                 # N_z
     for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
@@ -418,11 +349,34 @@ def structure_residuals(S: SurfaceData) -> dict:
     for part, bx in ((r.real, br), (r.imag, bi)):
         for j in range(n):
             add(part, bx[j], Psi[j], -1.0)
-    out["N_deriv"] = field_norms(grid_first(r), c, mask)
-    return out
+    structure["N_deriv"] = field_norms(grid_first(r), c, mask)
+    return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
+                      dz_kappa=dz_kappa, k2=k2, structure=structure)
 
 
-def _ricci(S: SurfaceData) -> np.ndarray:
+def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
+    """Raw lift -> SurfaceData: the canonical lift Y, its partials, N
+    and the normal frame psi, the fields of the conformal Gauss frame,
+    with N's stencils Y_uu and Y_vv."""
+    Y = canonical_lift(raw, c)
+    Yu, Yv = d_u(Y, c), d_v(Y, c)
+    Yuu, Yvv = d_u(Yu, c), d_v(Yv, c)
+    N = frame_N(Y, zzbar(Yuu, Yvv))
+    B = np.stack([Y, N, Yu, Yv], axis=-2)
+    psi = normal_frame(B, complement_solver(B))
+    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, Yuu=Yuu, Yvv=Yvv,
+                       psi=psi)
+
+
+def willmore_residual(inv: Invariants, c: Chart) -> np.ndarray:
+    """Component field of D_zbar D_zbar kappa + (conj s / 2) kappa, with
+    D_zbar beta from beta's components in the psi frame."""
+    beta = inv.beta
+    eta = _subtract_connection(d_zbar(beta, c), inv.b, beta, conjugate=True)
+    return eta + 0.5 * np.conj(inv.schwarzian)[..., None] * inv.kappa
+
+
+def _ricci(inv: Invariants, c: Chart) -> np.ndarray:
     """The Ricci residual divided by i, a real antisymmetric (Nu, Nv, n, n)
     field.
 
@@ -433,7 +387,8 @@ def _ricci(S: SurfaceData) -> np.ndarray:
     few real passes (the commutator skips b's zero diagonal, so it
     vanishes for n <= 2, where so(n) is abelian); the diagonal is zero.
     """
-    c, b, k, n = S.chart, S.b, S.kappa, S.n
+    b, k = inv.b, inv.kappa
+    n = k.shape[-1]
     br, bi = b.real, b.imag
     out = np.zeros(c.shape + (n, n))
     for j in range(n):
@@ -449,20 +404,20 @@ def _ricci(S: SurfaceData) -> np.ndarray:
     return out
 
 
-def integrability_residuals(S: SurfaceData, W: np.ndarray) -> dict:
+def integrability_residuals(inv: Invariants, W: np.ndarray,
+                            c: Chart) -> dict:
     """Residual norms of the conformal Gauss, Codazzi and Ricci equations.
 
-    W is `willmore_residual(S)`, whose imaginary part is the Codazzi
+    W is `willmore_residual(inv, c)`, whose imaginary part is the Codazzi
     residual; callers that report W itself build it once for both.  The
     Ricci residual is purely imaginary and is normed as its imaginary
     part (`_ricci`).
     """
-    c = S.chart
-    k, beta, s = S.kappa, S.beta, S.schwarzian
+    k, beta, s = inv.kappa, inv.beta, inv.schwarzian
     gauss = 0.5 * d_zbar(s, c) \
         - 3 * np.sum(k * np.conj(beta), axis=-1) \
-        - np.sum(S.dz_kappa * np.conj(k), axis=-1)
+        - np.sum(inv.dz_kappa * np.conj(k), axis=-1)
     codazzi = np.imag(W)
-    ricci = _ricci(S)
+    ricci = _ricci(inv, c)
     return residual_norms(
         {"gauss": gauss, "codazzi": codazzi, "ricci": ricci}, c, c.interior)

@@ -3,9 +3,10 @@
 import numpy as np
 
 from willmorelab.chart import Chart
-from willmorelab.lorentz import complement_solver, metric
+from willmorelab.lorentz import complement_solver
 
 import oracles
+from oracles import metric
 
 
 def expm_field(A):

@@ -30,8 +30,14 @@ from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
                                integrate, sup_norm, wirtinger)
 from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
                                      maurer_cartan)
-from willmorelab.lorentz import inner, lorentz_inverse, metric, metric_signs
-from willmorelab.surface import Invariants, build_surface_data
+from willmorelab.lorentz import inner, lorentz_inverse, metric_signs
+from willmorelab.surface import build_surface_data
+
+
+def metric(dim):
+    """diag(-1, 1, ..., 1) of size dim x dim: the full metric, where the
+    package multiplies by its diagonal of signs (`lorentz.metric_signs`)."""
+    return np.diag(metric_signs(dim))
 
 
 def _roll_diff(f, axis, h):
@@ -517,34 +523,36 @@ def gauss_match_by_surface_data(y, NF, margin=DEFAULT_MARGIN,
             "orientation_votes": float(votes)}
 
 
-def surface_gauge_blocks(S):
+def surface_gauge_blocks(inv, c):
     """Predicted Maurer-Cartan blocks of the conformal Gauss frame.
 
     Closed-form in the invariants: A1 from the Schwarzian and
     k^2 = <kappa, conj kappa>, B1 columns (sqrt2 beta_j, -sqrt2 beta_j,
     -k_j, -i k_j), A2 the normal connection.  The oracle for
-    `maurer_cartan` on frames built by `build_frame`.
+    `maurer_cartan` on frames built by `build_frame`, from the
+    invariants `inv` of `surface.invariants`.
     """
     r2 = np.sqrt(2.0)
-    s = S.schwarzian
-    k2 = S.k2
+    s = inv.schwarzian
+    k2 = inv.k2
+    n = inv.kappa.shape[-1]
     s1 = (1 - s - 2 * k2) / (2 * r2)
     s2 = -1j * (1 + s - 2 * k2) / (2 * r2)
     s3 = (1 + s + 2 * k2) / (2 * r2)
     s4 = -1j * (1 - s + 2 * k2) / (2 * r2)
-    alpha = np.zeros(s.shape + (S.n + 4, S.n + 4), dtype=complex)
+    alpha = np.zeros(s.shape + (n + 4, n + 4), dtype=complex)
     A1 = alpha[..., :4, :4]
     A1[..., 0, 2], A1[..., 0, 3] = s1, s2
     A1[..., 1, 2], A1[..., 1, 3] = s3, s4
     A1[..., 2, 0], A1[..., 2, 1] = s1, -s3
     A1[..., 3, 0], A1[..., 3, 1] = s2, -s4
     B1 = alpha[..., :4, 4:]
-    B1[...] = np.stack([r2 * S.beta, -r2 * S.beta,
-                        -S.kappa, -1j * S.kappa], axis=-2)
+    B1[...] = np.stack([r2 * inv.beta, -r2 * inv.beta,
+                        -inv.kappa, -1j * inv.kappa], axis=-2)
     alpha[..., 4:, :4] = -np.swapaxes(B1, -1, -2) @ metric(4)
-    alpha[..., 4:, 4:] = np.swapaxes(S.b, -1, -2)
+    alpha[..., 4:, 4:] = np.swapaxes(inv.b, -1, -2)
     # the real pair of alpha = (P - iQ)/2; its blocks give alpha's back
-    return MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, S.chart)
+    return MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, c)
 
 
 def gauge(M, Ff, G, tol=1e-8):
@@ -614,10 +622,11 @@ def _second_wirtinger_complex(S):
 
 
 def invariants_complex(S):
-    """`surface.invariants` with complex broadcasts: k as one complex
-    (Nu, Nv, n, dim) pairing, b_raw as one complex (n, n, dim) pairing of
-    d_z psi with psi, and beta and D_z kappa by einsums over the stacked
-    entries."""
+    """The invariants of `surface.invariants` with complex broadcasts, as a
+    dict: k as one complex (Nu, Nv, n, dim) pairing, b_raw as one complex
+    (n, n, dim) pairing of d_z psi with psi, and beta and D_z kappa by
+    einsums over the stacked entries; b_asym_residual is half the sup of
+    b_raw's symmetric part, which the antisymmetric b leaves out."""
     c, Y, psi = S.chart, S.Y, S.psi
     Yzz, _ = _second_wirtinger_complex(S)
     s = 2.0 * inner(Yzz, S.N)
@@ -628,49 +637,50 @@ def invariants_complex(S):
     b_res = float(np.max(np.abs(b_raw + np.swapaxes(b_raw, -1, -2)))) / 2
     beta = d_zbar(k, c) - np.einsum("...jl,...l->...j", np.conj(b), k)
     dz_kappa = d_z(k, c) - np.einsum("...jl,...l->...j", b, k)
-    return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
-                      dz_kappa=dz_kappa, b_asym_residual=b_res)
+    return {"kappa": k, "schwarzian": s, "b": b, "beta": beta,
+            "dz_kappa": dz_kappa, "b_asym_residual": b_res}
 
 
-def normal_derivative_components_complex(S, comps, zbar=False):
+def normal_derivative_components_complex(b, c, comps, zbar=False):
     """Components of D_z (or D_zbar) of sum_j comps_j psi_j in the psi
-    frame, which `surface.invariants` and `surface.willmore_residual`
-    take by per-entry passes, with the connection term as an einsum over
-    the stacked entries of b, its diagonal included."""
-    c = S.chart
+    frame with normal connection b, which `surface.invariants` and
+    `surface.willmore_residual` take by per-entry passes, with the
+    connection term as an einsum over the stacked entries of b, its
+    diagonal included."""
     if zbar:
         return d_zbar(comps, c) - np.einsum("...lj,...j->...l",
-                                            np.conj(S.b), comps)
-    return d_z(comps, c) - np.einsum("...lj,...j->...l", S.b, comps)
+                                            np.conj(b), comps)
+    return d_z(comps, c) - np.einsum("...lj,...j->...l", b, comps)
 
 
-def structure_fields_complex(S):
-    """The four structure-equation fields of `surface.structure_residuals`
-    with complex broadcasts: sum_j k_j psi_j and sum_j beta_j psi_j over a
-    complex copy of psi, and b psi by an einsum."""
+def structure_fields_complex(S, inv):
+    """The four structure-equation fields whose norms `surface.invariants`
+    returns, with complex broadcasts from S and its invariants `inv`:
+    sum_j k_j psi_j and sum_j beta_j psi_j over a complex copy of psi,
+    and b psi by an einsum."""
     c = S.chart
     Yz = wirtinger(S.Yu, S.Yv, -1)
     Yzz, Yzzbar = _second_wirtinger_complex(S)
     psi_c = S.psi.astype(complex)
-    kap = np.sum(S.kappa[..., :, None] * S.psi, axis=-2)
-    k2 = np.sum(np.abs(S.kappa) ** 2, axis=-1)
-    Dzbar_kap = np.sum(S.beta[..., :, None] * psi_c, axis=-2)
-    r1 = Yzz + 0.5 * S.schwarzian[..., None] * S.Y - kap
+    kap = np.sum(inv.kappa[..., :, None] * S.psi, axis=-2)
+    k2 = np.sum(np.abs(inv.kappa) ** 2, axis=-1)
+    Dzbar_kap = np.sum(inv.beta[..., :, None] * psi_c, axis=-2)
+    r1 = Yzz + 0.5 * inv.schwarzian[..., None] * S.Y - kap
     r2 = Yzzbar + k2[..., None] * S.Y - 0.5 * S.N
     r3 = d_z(S.N, c) + 2 * k2[..., None] * Yz \
-        + S.schwarzian[..., None] * np.conj(Yz) - 2 * Dzbar_kap
+        + inv.schwarzian[..., None] * np.conj(Yz) - 2 * Dzbar_kap
     r4 = d_z(S.psi, c) \
-        - np.einsum("...jl,...lm->...jm", S.b, psi_c) \
-        - 2 * S.beta[..., None] * S.Y[..., None, :] \
-        + 2 * S.kappa[..., None] * np.conj(Yz)[..., None, :]
+        - np.einsum("...jl,...lm->...jm", inv.b, psi_c) \
+        - 2 * inv.beta[..., None] * S.Y[..., None, :] \
+        + 2 * inv.kappa[..., None] * np.conj(Yz)[..., None, :]
     return {"lift": r1, "mixed": r2, "N_deriv": r3, "normal": r4}
 
 
-def ricci_complex(S):
+def ricci_complex(inv, c):
     """The Ricci residual b_zbar - conj(b_zbar) + b conj(b) - conj(b) b
     - 2 (k conj(k)^T - conj(k) k^T) in complex arithmetic, with stacked
     complex products."""
-    c, k, b = S.chart, S.kappa, S.b
+    k, b = inv.kappa, inv.b
     b_zbar = d_zbar(b, c)
     curv = b_zbar - np.conj(b_zbar) + b @ np.conj(b) - np.conj(b) @ b
     rhs = 2 * (k[..., :, None] * np.conj(k)[..., None, :]

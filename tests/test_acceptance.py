@@ -69,7 +69,7 @@ def test_criterion_1_energy_vs_classical_oracle():
     errs, W, Wo = [], None, None
     for N in (32, 64, 128):
         c, S = fresh("clifford_torus", N)
-        W = gauss_frame.willmore_energy(S)["value"]
+        W = gauss_frame.willmore_energy(surface.invariants(S), c)["value"]
         y = S.Y[..., 1:] / S.Y[..., :1]          # unit-sphere representative
         Wo = oracles.classical_willmore_energy_s3(y, c.hu, c.hv)
         errs.append(abs(W - exact))
@@ -94,11 +94,11 @@ def test_criterion_2_structure_residuals_second_order():
         sups = {}
         for N in (48, 96):
             c, S = fresh(kind, N)
-            r = {("st." + k): v["sup"]
-                 for k, v in surface.structure_residuals(S).items()}
+            inv = surface.invariants(S)
+            r = {("st." + k): v["sup"] for k, v in inv.structure.items()}
             r.update({("in." + k): v["sup"]
                       for k, v in surface.integrability_residuals(
-                          S, surface.willmore_residual(S)).items()})
+                          inv, surface.willmore_residual(inv, c), c).items()})
             sups[N] = (c.h, r)
         elapsed = time.time() - t0
         per_surface.append((kind, elapsed))
@@ -125,8 +125,8 @@ def test_criterion_3_willmore_residual_separates_zoo_from_control():
         vals = {}
         for N in (48, 96):
             c, S, _, _ = pipeline(kind, N)
-            vals[N] = (c.h, sup_norm(surface.willmore_residual(S),
-                                     S.chart.interior))
+            vals[N] = (c.h, sup_norm(surface.willmore_residual(
+                surface.invariants(S), c), c.interior))
         h96, r96 = vals[96]
         worst_C = max(worst_C, r96 / h96**2)
         p = order2(vals[48][1], r96)
@@ -137,8 +137,8 @@ def test_criterion_3_willmore_residual_separates_zoo_from_control():
     ctrl = {}
     for N in (48, 96):
         c, S, _, _ = pipeline("torus_of_revolution", N, 3.0)
-        ctrl[N] = sup_norm(surface.willmore_residual(S),
-                           S.chart.interior)
+        ctrl[N] = sup_norm(surface.willmore_residual(
+            surface.invariants(S), c), c.interior)
     ctrl_floor = min(ctrl.values())
     ctrl_ratio = ctrl[48] / ctrl[96]
     ok = (worst_C <= 100 and orders_ok

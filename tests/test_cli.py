@@ -344,9 +344,9 @@ def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
                                            "2"], 0),
                                          (["reconstruct"], 0)])
 def test_invariants_are_derived_only_where_read(monkeypatch, argv, calls):
-    """`SurfaceData` derives kappa, s, b and beta on first read: analyze
-    calls `surface.invariants` once, while verify-harmonic (on both
-    levels) and reconstruct read only the frame and never call it."""
+    """`surface.invariants` is the forward stage: analyze calls it once,
+    while verify-harmonic (on both levels) and reconstruct read only the
+    frame and never call it."""
     seen = []
     derive = surface.invariants
 

@@ -6,10 +6,10 @@ import pytest
 
 from willmorelab import gauss_frame, harmonic, lorentz, surface, zoo
 from willmorelab.chart import d_u, d_v, sup_norm
-from willmorelab.lorentz import metric
 
 import helpers
 import oracles
+from oracles import metric
 
 
 def test_default_lambda_samples_on_unit_circle():

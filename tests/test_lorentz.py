@@ -17,7 +17,7 @@ def vec_strategy(dim=5):
 
 
 def test_metric_signature():
-    I = lorentz.metric(6)
+    I = oracles.metric(6)
     assert I[0, 0] == -1.0
     assert np.allclose(I[1:, 1:], np.eye(5))
 
@@ -60,7 +60,7 @@ def test_gram_equals_the_product_with_the_metric(rng, dim, dtype):
     """On real X the sign-flip form (X s)^T X is bit for bit X^T I X."""
     for shape in ((dim, 1), (6, 5, dim, 2), (32, 32, dim, 3)):
         X = rng.normal(size=shape).astype(dtype)
-        want = np.swapaxes(X, -1, -2) @ lorentz.metric(dim) @ X
+        want = np.swapaxes(X, -1, -2) @ oracles.metric(dim) @ X
         assert np.array_equal(lorentz.gram(X), want)
 
 
@@ -76,7 +76,7 @@ def test_complex_gram_matches_the_complex_product_oracle(rng, dim):
         assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(G, np.swapaxes(G, -1, -2))
         assert np.array_equal(
-            want, np.swapaxes(X, -1, -2) @ lorentz.metric(dim) @ X)
+            want, np.swapaxes(X, -1, -2) @ oracles.metric(dim) @ X)
 
 
 @pytest.mark.parametrize("case", list(zoo.KINDS) + ["hexagonal_torus_s5"])
@@ -177,7 +177,7 @@ def test_lorentz_inverse_on_fields(rng):
 def test_lorentz_inverse_is_the_metric_transpose(rng, dim):
     """Sign flips give I M^T I bit for bit, as a fresh C-contiguous array
     (maurer_cartan multiplies with it)."""
-    I = lorentz.metric(dim)
+    I = oracles.metric(dim)
     M = rng.normal(size=(3, 7, dim, dim))
     got = lorentz.lorentz_inverse(M)
     assert np.array_equal(got, I @ np.swapaxes(M, -1, -2) @ I)
@@ -237,7 +237,7 @@ def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
     for dim in (5, 6, 7):
         B = rng.normal(size=(16, 16, m, dim))
         B[..., 0, 0] = 3 * np.linalg.norm(B[..., 0, 1:], axis=-1)
-        G = (B * np.diag(lorentz.metric(dim))) @ np.swapaxes(B, -1, -2)
+        G = (B * np.diag(oracles.metric(dim))) @ np.swapaxes(B, -1, -2)
         lam = np.linalg.eigvalsh(G)
         assert np.all((lam[..., 0] < 0) & (lam[..., -1] > 0))
         bound = 1e-13 * np.maximum(1.0, np.linalg.cond(G) / 1e3)
@@ -329,7 +329,7 @@ def test_algebra_membership():
 def test_cartan_split_recomposes(rng):
     n = 2
     X = rng.normal(size=(n + 4, n + 4))
-    X = X - lorentz.metric(n + 4) @ X.T @ lorentz.metric(n + 4)  # so(1,n+3)
+    X = X - oracles.metric(n + 4) @ X.T @ oracles.metric(n + 4)  # so(1,n+3)
     k, p = oracles.cartan_split(X)
     assert np.allclose(k + p, X)
     # sigma-eigenspaces: k commutes with the involution, p anticommutes
@@ -341,7 +341,7 @@ def test_cartan_split_recomposes(rng):
 def test_cartan_bracket_relations(rng):
     """[k,k] in k, [k,p] in p, [p,p] in k -- the symmetric-space algebra."""
     n = 3
-    I = lorentz.metric(n + 4)
+    I = oracles.metric(n + 4)
 
     def rand_so():
         X = rng.normal(size=(n + 4, n + 4))

@@ -3,10 +3,11 @@ import pytest
 
 from willmorelab import chart, cli, gauss_frame, surface, zoo
 from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
-from willmorelab.lorentz import complement_solver, inner, metric
+from willmorelab.lorentz import complement_solver, inner
 
 import helpers
 import oracles
+from oracles import metric
 
 
 def test_canonical_lift_normalization(pipe):
@@ -66,14 +67,15 @@ def _analyze_stencils(seen, kind):
     c = zoo.default_chart(spec, 24)
     raw = zoo.generate(spec, c)
     S = surface.build_surface_data(raw, c)
+    inv = surface.invariants(S)
     Fr = gauss_frame.build_frame(S)
     names = {"raw": raw, "Y": S.Y, "Yu": S.Yu, "Yv": S.Yv, "N": S.N,
-             "psi": S.psi, "kappa": S.kappa, "beta": S.beta,
-             "s": S.schwarzian, "F": Fr.F}
+             "psi": S.psi, "kappa": inv.kappa, "beta": inv.beta,
+             "s": inv.schwarzian, "F": Fr.F}
     for j in range(S.n):
         for l in range(j + 1, S.n):
-            names[f"b_r[{j},{l}]"] = S.b.real[..., j, l]
-            names[f"b_i[{j},{l}]"] = S.b.imag[..., j, l]
+            names[f"b_r[{j},{l}]"] = inv.b.real[..., j, l]
+            names[f"b_i[{j},{l}]"] = inv.b.imag[..., j, l]
     cfg = cli.build_config(cli.parse_args(
         ["analyze", "--surface", kind, "--chart",
          ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min, c.v_max,
@@ -114,8 +116,7 @@ def test_frame_path_takes_the_stencils_of_the_frame_only(monkeypatch):
     """`build_surface_data` then `build_frame`, the path of
     verify-harmonic and reconstruct, takes exactly six stencils: d_u and
     d_v of the raw lift and of Y, then d_u Y_u and d_v Y_v for N.  The
-    Hessian and psi's partials are taken only where the invariants or
-    the structure residuals read them."""
+    Hessian and psi's partials are taken only in `surface.invariants`."""
     spec = zoo.SurfaceSpec("veronese_s4")
     c = zoo.default_chart(spec, 24)
     raw = zoo.generate(spec, c)
@@ -131,6 +132,33 @@ def test_frame_path_takes_the_stencils_of_the_frame_only(monkeypatch):
                    ("Yu", 0), ("Yv", 1)]
 
 
+def test_invariants_leave_surface_data_untouched(monkeypatch):
+    """The forward stage keeps what it derives to itself: after two
+    `surface.invariants` calls S holds the same attributes, bound to the
+    same arrays, the two results are equal, and each call takes the same
+    seven stencils (Y_uv and the d_u/d_v pairs of psi, kappa and N)."""
+    spec = zoo.SurfaceSpec("veronese_s4")
+    c = zoo.default_chart(spec, 24)
+    S = surface.build_surface_data(zoo.generate(spec, c), c)
+    before = dict(vars(S))
+    seen = _stencil_spy(monkeypatch)
+    results, stencils = [], []
+    for _ in range(2):
+        seen.clear()
+        results.append(surface.invariants(S))
+        stencils.append(list(seen))
+        assert vars(S).keys() == before.keys()
+        assert all(vars(S)[key] is value for key, value in before.items())
+    first, second = results
+    for name in surface.Invariants._fields[:-1]:
+        assert np.array_equal(getattr(first, name), getattr(second, name)), \
+            name
+    assert first.structure == second.structure
+    assert len(stencils[0]) == len(stencils[1]) == 7
+    for (f, axis), (g, axis2) in zip(*stencils):
+        assert axis == axis2 and np.array_equal(f, g)
+
+
 def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
     """Y_zzbar is N's W bit for bit: `frame_N` rebuilds S.N exactly from
     `zzbar` of the kept stencils Y_uu and Y_vv, and the "mixed" structure
@@ -140,8 +168,9 @@ def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
         W = surface.zzbar(S.Yuu, S.Yvv)
         assert W.dtype == float
         assert np.array_equal(surface.frame_N(S.Y, W), S.N), kind
-        want = (W + S.k2[..., None] * S.Y) - 0.5 * S.N
-        got = surface.structure_residuals(S)["mixed"]
+        inv = surface.invariants(S)
+        want = (W + inv.k2[..., None] * S.Y) - 0.5 * S.N
+        got = inv.structure["mixed"]
         assert got == chart.field_norms(want, c, c.interior), kind
 
 
@@ -163,35 +192,37 @@ def test_normal_frame_orthonormal(pipe):
 def test_round_sphere_is_totally_umbilic(pipe):
     _, S, _, _ = pipe("round_sphere")
     m = S.chart.interior
-    assert np.max(np.abs(S.kappa[m])) < 1e-8
+    assert np.max(np.abs(surface.invariants(S).kappa[m])) < 1e-8
 
 
 def test_clifford_invariants_match_hand_computation(pipe):
     c, S, _, _ = pipe("clifford_torus")
     h2 = c.h**2
-    assert np.max(np.abs(S.k2 - oracles.clifford_k2())) < h2
-    assert np.max(np.abs(S.schwarzian)) < h2
-    assert np.max(np.abs(S.beta)) < h2
+    inv = surface.invariants(S)
+    assert np.max(np.abs(inv.k2 - oracles.clifford_k2())) < h2
+    assert np.max(np.abs(inv.schwarzian)) < h2
+    assert np.max(np.abs(inv.beta)) < h2
 
 
 def test_normal_connection_antisymmetric(pipe):
     c, S, _, _ = pipe("veronese_s4")
-    assert np.max(np.abs(S.b + np.swapaxes(S.b, -1, -2))) < 1e-13
+    b = surface.invariants(S).b
+    assert np.max(np.abs(b + np.swapaxes(b, -1, -2))) < 1e-13
     # raw asymmetry is O(h^2) with a boundary-stencil constant
-    assert S.b_asym_residual < 30 * c.h**2
+    assert oracles.invariants_complex(S)["b_asym_residual"] < 30 * c.h**2
 
 
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "veronese_s4"])
 def test_structure_residuals_small(pipe, kind):
     c, S, _, _ = pipe(kind)
-    res = surface.structure_residuals(S)
+    res = surface.invariants(S).structure
     for name, norms in res.items():
         assert norms["sup"] < 100 * c.h**2, (kind, name, norms)
 
 
 def test_structure_residuals_converge(pipe):
-    r48 = surface.structure_residuals(pipe("catenoid", 48)[1])
-    r96 = surface.structure_residuals(pipe("catenoid", 96)[1])
+    r48 = surface.invariants(pipe("catenoid", 48)[1]).structure
+    r96 = surface.invariants(pipe("catenoid", 96)[1]).structure
     for name in r48:
         hi, lo = r48[name]["sup"], r96[name]["sup"]
         if hi > 1e-11:
@@ -202,7 +233,9 @@ def test_structure_residuals_converge(pipe):
 @pytest.mark.parametrize("kind", ["clifford_torus", "catenoid"])
 def test_integrability_residuals_small(pipe, kind):
     c, S, _, _ = pipe(kind)
-    res = surface.integrability_residuals(S, surface.willmore_residual(S))
+    inv = surface.invariants(S)
+    res = surface.integrability_residuals(
+        inv, surface.willmore_residual(inv, c), c)
     for name, norms in res.items():
         assert norms["sup"] < 100 * c.h**2, (kind, name, norms)
 
@@ -240,8 +273,9 @@ def test_invariants_match_span_projection_oracle(pipe, case):
     psi swept with a Gram solve per row."""
     S, want = _span_oracle_case(pipe, case)
     assert S.n == want["psi"].shape[-2]
+    got = dict(surface.invariants(S)._asdict(), psi=S.psi)
     for name in ("kappa", "psi", "b", "beta"):
-        err = np.max(np.abs(getattr(S, name) - want[name]))
+        err = np.max(np.abs(got[name] - want[name]))
         assert err <= 1e-12, (case, name, err)
 
 
@@ -269,8 +303,9 @@ def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, broken):
     monkeypatch.setattr(surface, "complement_solver", broken)
     S = surface.build_surface_data(raw, c)
     want = oracles.invariants_by_span_projection(S.Y, S.N, c)
+    got = {"kappa": surface.invariants(S).kappa, "psi": S.psi}
     for name in ("kappa", "psi"):
-        assert np.nanmax(np.abs(getattr(S, name) - want[name])) > 0.1, name
+        assert np.nanmax(np.abs(got[name] - want[name])) > 0.1, name
 
 
 def _complement_cases(pipe):
@@ -377,11 +412,10 @@ def test_invariants_match_complex_oracle(pipe, case):
     (`oracles.invariants_complex`, with its own stencils of Y_u and Y_v)
     to roundoff."""
     S = _oracle_surface(pipe, case)
+    got = surface.invariants(S)
     want = oracles.invariants_complex(S)
-    for name in ("kappa", "schwarzian", "b", "beta", "dz_kappa",
-                 "b_asym_residual"):
-        assert _roundoff_miss(getattr(S, name), getattr(want, name)) <= 1, \
-            name
+    for name in ("kappa", "schwarzian", "b", "beta", "dz_kappa"):
+        assert _roundoff_miss(getattr(got, name), want[name]) <= 1, name
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -390,12 +424,14 @@ def test_normal_derivatives_match_einsum_oracle(pipe, case):
     D_zbar beta) by per-entry passes agree with the einsum over the
     stacked entries of b."""
     S = _oracle_surface(pipe, case)
-    k = S.kappa
+    c, inv = S.chart, surface.invariants(S)
+    k = inv.kappa
     D = oracles.normal_derivative_components_complex
-    assert _roundoff_miss(S.dz_kappa, D(S, k, False)) <= 1
-    assert _roundoff_miss(S.beta, D(S, k, True)) <= 1
-    want = D(S, S.beta, True) + 0.5 * np.conj(S.schwarzian)[..., None] * k
-    assert _roundoff_miss(surface.willmore_residual(S), want) <= 1
+    assert _roundoff_miss(inv.dz_kappa, D(inv.b, c, k, False)) <= 1
+    assert _roundoff_miss(inv.beta, D(inv.b, c, k, True)) <= 1
+    want = D(inv.b, c, inv.beta, True) \
+        + 0.5 * np.conj(inv.schwarzian)[..., None] * k
+    assert _roundoff_miss(surface.willmore_residual(inv, c), want) <= 1
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -404,8 +440,9 @@ def test_structure_residuals_match_complex_oracle(pipe, case):
     place from real products, agree with those of the complex-broadcast
     fields (`oracles.structure_fields_complex`)."""
     S = _oracle_surface(pipe, case)
-    got = surface.structure_residuals(S)
-    want = chart.residual_norms(oracles.structure_fields_complex(S),
+    inv = surface.invariants(S)
+    got = inv.structure
+    want = chart.residual_norms(oracles.structure_fields_complex(S, inv),
                                 S.chart, S.chart.interior)
     for name, norms in want.items():
         for key, value in norms.items():
@@ -421,16 +458,18 @@ def test_ricci_matches_complex_oracle(pipe, case):
     residual itself, so a sign error in it misses by far more than the
     bar; for n <= 2 it vanishes identically."""
     S = _oracle_surface(pipe, case)
-    want = oracles.ricci_complex(S)
-    R = surface._ricci(S)
+    c, inv = S.chart, surface.invariants(S)
+    want = oracles.ricci_complex(inv, c)
+    R = surface._ricci(inv, c)
     assert R.dtype == float
     assert _roundoff_miss(1j * R, want) <= 1
     assert np.array_equal(R, -np.swapaxes(R, -1, -2))
-    got = surface.integrability_residuals(S, surface.willmore_residual(S))
-    norms = chart.residual_norms({"ricci": want}, S.chart, S.chart.interior)
+    got = surface.integrability_residuals(
+        inv, surface.willmore_residual(inv, c), c)
+    norms = chart.residual_norms({"ricci": want}, c, c.interior)
     for key in ("sup", "l2"):
         assert _roundoff_miss(got["ricci"][key], norms["ricci"][key]) <= 1
-    b = S.b
+    b = inv.b
     comm = np.max(np.abs(b.imag @ b.real - b.real @ b.imag))
     if S.n <= 2:
         assert comm == 0.0

@@ -353,5 +353,5 @@ def test_external_minimal_surface_data_runs(tmp_path):
     p = tmp_path / "helicoid.csv"
     zoo.save(str(p), raw, c)
     S = surface.build_surface_data(zoo.load(str(p), c), c)
-    res = surface.structure_residuals(S)
+    res = surface.invariants(S).structure
     assert res["lift"]["sup"] < 100 * c.h**2
