@@ -8,18 +8,23 @@ broadcast over leading (grid) axes.  The metric is
 bilinear (not Hermitian) also for complex arguments.
 
 The per-point kernels of the frame path run over row blocks of the grid
-(`row_blocks`): the Minkowski complement of a span (`complement_solver`),
-the group test (`validate_group`) and the inverse and products of the
-Maurer-Cartan form (`gauss_frame.maurer_cartan`).  Each block holds about
-PLANE_BLOCK points, so a kernel's temporaries are a few MB that stay in
-cache and are reused by the allocator, where grid-sized ones (38-46 MB
-per call at N=256) are handed back to the OS after each call and
-faulted in again on the next.  Every point runs the same arithmetic in
-every layout, so the results do not depend on the block size bit for
-bit.
+(`row_blocks`), each block laid out as planes (`to_planes`): the
+Minkowski complement of a span (`complement_solver`), the group test
+(`validate_group`: the Gram defect from `pairings`, the determinant by
+the Laplace expansion `det`) and the inverse and products of the
+Maurer-Cartan form (`gauss_frame.maurer_cartan`).  No kernel calls
+LAPACK per grid point; the LAPACK determinant and solves are oracles in
+the tests only.  Each block holds about PLANE_BLOCK points, so a
+kernel's temporaries are a few MB that stay in cache and are reused by
+the allocator, where grid-sized ones (38-46 MB per call at N=256) are
+handed back to the OS after each call and faulted in again on the next.
+Every point runs the same arithmetic in every layout, so the results do
+not depend on the block size bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -33,7 +38,7 @@ __all__ = [
     "row_blocks",
     "pairings",
     "product",
-    "det4",
+    "det",
     "complement_solver",
     "is_forward_lightlike",
     "validate_group",
@@ -178,18 +183,32 @@ def _small_inverse(M: np.ndarray) -> np.ndarray:
     return adj / det
 
 
-def det4(M: np.ndarray) -> np.ndarray:
-    """Determinant of a 4x4 matrix field M (4, 4, ...): the Laplace
-    expansion along the first two rows, in their 2x2 minors times the
-    complementary minors of the last two rows."""
-    def minor(r, i, j):
-        return M[r, i] * M[r + 1, j] - M[r, j] * M[r + 1, i]
-    return (minor(0, 0, 1) * minor(2, 2, 3)
-            - minor(0, 0, 2) * minor(2, 1, 3)
-            + minor(0, 0, 3) * minor(2, 1, 2)
-            + minor(0, 1, 2) * minor(2, 0, 3)
-            - minor(0, 1, 3) * minor(2, 0, 2)
-            + minor(0, 2, 3) * minor(2, 0, 1))
+def det(X: np.ndarray) -> np.ndarray:
+    """Determinant of a d x d matrix field X (d, d, ...) stored as planes.
+
+    The Laplace expansion along the last column, and along the last
+    column of every minor, built up from the first column: the minor on
+    each set of k+1 rows and the first k+1 columns is the alternating
+    sum, last row first, of the rows' entries in column k times the
+    minors on the other k rows.  d 2^(d-1) products of planes in all,
+    with no pivoting.
+    """
+    d = len(X)
+    minors = {(i,): X[i, 0] for i in range(d)}
+    for k in range(1, d):
+        column, below = X[:, k], minors
+        minors = {}
+        for rows in itertools.combinations(range(d), k + 1):
+            # the last row's term has the sign (-1)^(2k) = +1
+            acc = column[rows[k]] * below[rows[:k]]
+            for p in range(k - 1, -1, -1):
+                term = column[rows[p]] * below[rows[:p] + rows[p + 1:]]
+                if (k - p) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            minors[rows] = acc
+    return minors[tuple(range(d))]
 
 
 def _gram_inverse(G: np.ndarray) -> np.ndarray:
@@ -254,27 +273,28 @@ def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def validate_group(M: np.ndarray, tol: float = 1e-9):
-    """Membership test for SO+(1, d-1) acting on R^d.
+    """Membership test for SO+(1, d-1) acting on R^d, for real M.
 
     Checks M^T I M = I, det M = +1 and the orthochronous condition
     M[0,0] > 0 (forward light cone preserved).  Returns (ok, residual)
     where residual is the largest violation of the two equality
     constraints; pointwise over leading axes, one row block of the grid
-    (`row_blocks`) at a time.
+    (`row_blocks`) at a time, laid out as planes: the pairings of the
+    column planes less I, one max across the d^2 planes, and `det`.
     """
     M = np.asarray(M)
     d = M.shape[-1]
-    s = metric_signs(d)
     residual = np.empty(M.shape[:-2])
     for rows in row_blocks(M.shape[:-2]):
-        X, r = M[rows], residual[rows]
-        # X^T I X - I: the signs come off the diagonal of the fresh Gram
-        # matrix in place (x - 0 is exact), then one max per point
-        G = gram(X).reshape(X.shape[:-2] + (d * d,))
-        G[..., ::d + 1] -= s
-        np.max(np.abs(G), axis=-1, out=r)
-        np.maximum(r, np.abs(np.linalg.det(X) - 1.0), out=r)
-    ok = (residual <= tol) & (np.real(M[..., 0, 0]) > 0)
+        C = np.swapaxes(to_planes(M[rows]), 0, 1)   # the columns as rows
+        # M^T I M - I: the signs come off the diagonal of the fresh
+        # pairings in place (x - 0 is exact), then one max across planes
+        G = pairings(C, C)
+        for i, s in enumerate(metric_signs(d)):
+            G[i, i] -= s
+        r = np.max(np.abs(G, out=G), axis=(0, 1))
+        residual[rows] = np.maximum(r, np.abs(det(C) - 1.0))
+    ok = (residual <= tol) & (M[..., 0, 0] > 0)
     return ok, residual
 
 

@@ -18,7 +18,7 @@ from . import spinor
 from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
-from .lorentz import complement_solver, det4, gram, inner, \
+from .lorentz import complement_solver, det, gram, inner, \
     lorentz_inverse, metric_signs, to_planes
 from .surface import canonical_lift, complement_basis, frame_N, \
     sphere_columns, zzbar
@@ -394,7 +394,7 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
     # change of basis G^{-1} (phi I f^T) in the Minkowski metric, G the
     # Gram matrix of phi, and its orientation
     Cmat = complement_solver(phi) @ np.swapaxes(f, -1, -2)
-    sgn = np.sign(det4(to_planes(Cmat)))
+    sgn = np.sign(det(to_planes(Cmat)))
     votes = np.mean(sgn[c.interior])
     return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

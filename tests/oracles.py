@@ -380,8 +380,8 @@ def l2_by_nested_sum(a, c, mask):
 
 
 def lapack_det(M):
-    """`lorentz.det4` as one LAPACK determinant per grid point of the
-    planes M (4, 4, ...)."""
+    """`lorentz.det` as one LAPACK determinant per grid point of the
+    planes M (d, d, ...)."""
     return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
 
 

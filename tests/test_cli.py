@@ -467,10 +467,10 @@ def _matmul_sites(package) -> dict:
 def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
                                                         kind):
     """The three commands do their small matrix algebra as per-entry
-    passes: no np.linalg call on a grid of matrices (ndim > 2) other than
-    the determinant in `lorentz.validate_group`, no einsum over stacked
-    entries (an operand subscript with a leading ellipsis), and no matmul
-    with a complex operand.  veronese_s4 (n = 2, case a2 with the dual
+    passes: no np.linalg call on a grid of matrices (ndim > 2), the
+    group test's determinant included, no einsum over stacked entries
+    (an operand subscript with a leading ellipsis), and no matmul with a
+    complex operand.  veronese_s4 (n = 2, case a2 with the dual
     surface and the gauge of `spinor.canonicalize_B1`) and enneper (the
     degenerate branch and its conjugate renormalization) between them
     run every `@` of the package.
@@ -485,8 +485,7 @@ def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
     def linalg_spy(name, fn):
         def spy(a, *args, **kwargs):
             caller = sys._getframe(1).f_code.co_name
-            if np.ndim(a) > 2 and not (name == "det"
-                                       and caller == "validate_group"):
+            if np.ndim(a) > 2:
                 bad.append(f"np.linalg.{name} on {np.shape(a)} "
                            f"from {caller}")
             return fn(a, *args, **kwargs)

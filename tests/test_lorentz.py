@@ -144,21 +144,58 @@ def _group_cases(pipe):
 
 
 def test_validate_group_matches_the_metric_difference_oracle(pipe):
-    """The in-place diagonal subtraction and the one max per point give
-    the oracle's ok and residual exactly, at a strict and a loose tol."""
+    """The pairings of the column planes and the Laplace determinant give
+    the oracle's residual to roundoff, |res - want| <= 8 eps max(1, want),
+    and its ok exactly, at a strict and a loose tol."""
     for name, F in _group_cases(pipe).items():
         for tol in (1e-12, 1e-2):
+            ok, res = lorentz.validate_group(F, tol)
             with np.errstate(invalid="ignore"):     # det of the NaN point
-                ok, res = lorentz.validate_group(F, tol)
                 want_ok, want_res = oracles.validate_group_against_metric(
                     F, tol)
             assert np.array_equal(ok, want_ok), (name, tol)
-            assert np.array_equal(res, want_res, equal_nan=True), (name, tol)
+            assert np.array_equal(np.isnan(res), np.isnan(want_res)), name
+            bound = 8 * np.finfo(float).eps * np.maximum(1.0, want_res)
+            assert not np.any(np.abs(res - want_res) > bound), (name, tol)
         if name == "det_minus_one":
             assert not np.any(ok) and np.all(res > 1.9)
         if name == "nan_point":
             assert np.isnan(res[5, 7]) and not ok[5, 7]
             assert np.sum(np.isnan(res)) == 1
+
+
+def _rotation(rng, dim):
+    """A random rotation of the space axes 1..dim-1 of R^dim."""
+    Q = np.linalg.qr(rng.normal(size=(dim - 1, dim - 1)))[0]
+    Q[:, 0] *= np.sign(np.linalg.det(Q))
+    R = np.eye(dim)
+    R[1:, 1:] = Q
+    return R
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+def test_validate_group_on_boosted_frames(rng, dim):
+    """Rotations times boosts of rapidity 0.5, 1.5 and 3 on a grid of
+    points are accepted at tol 1e-9 with |det - 1| <= 1e-12; a copy with
+    one space column reflected (det -1) and a copy with the time and
+    first space columns reversed (det +1, the cone flipped) are
+    rejected."""
+    for r in (0.5, 1.5, 3.0):
+        F = np.array([[_rotation(rng, dim) @ oracles.boost(r, dim)
+                       @ _rotation(rng, dim) for _ in range(5)]
+                      for _ in range(4)])
+        ok, res = lorentz.validate_group(F, 1e-9)
+        assert np.all(ok) and np.max(res) <= 1e-9, (r, np.max(res))
+        det = lorentz.det(lorentz.to_planes(F))
+        assert np.max(np.abs(det - 1.0)) <= 1e-12, (r, det)
+        reflected = F.copy()
+        reflected[..., -1] *= -1.0
+        ok, res = lorentz.validate_group(reflected, 1e-9)
+        assert not np.any(ok) and np.all(res > 1.9)
+        reversed_ = F.copy()
+        reversed_[..., :2] *= -1.0
+        ok, res = lorentz.validate_group(reversed_, 1e-9)
+        assert not np.any(ok) and np.max(res) <= 1e-9
 
 
 def test_lorentz_inverse_matches_numpy(rng):
@@ -302,17 +339,18 @@ def test_row_blocked_kernels_keep_their_temporaries_block_sized():
         assert peak - held < 8e6, (name, peak - held)
 
 
-def test_closed_form_det4_matches_lapack(rng):
-    """The Laplace expansion in 2x2 minors gives LAPACK's determinant on
-    random 4x4 fields, and its sign on matrices one rounding away from
-    singular as well as on well-conditioned ones."""
-    M = rng.normal(size=(4, 4, 16, 16))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_laplace_det_matches_lapack(rng, d):
+    """The Laplace expansion gives LAPACK's determinant on random d x d
+    fields, and its sign on matrices one rounding away from singular as
+    well as on well-conditioned ones."""
+    M = rng.normal(size=(d, d, 16, 16))
     want = oracles.lapack_det(M)
-    got = lorentz.det4(M)
+    got = lorentz.det(M)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
     assert np.array_equal(np.sign(got), np.sign(want))
-    M[3] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
-    assert np.array_equal(np.sign(lorentz.det4(M)),
+    M[d - 1] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
+    assert np.array_equal(np.sign(lorentz.det(M)),
                           np.sign(oracles.lapack_det(M)))
 
 
