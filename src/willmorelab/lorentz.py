@@ -9,15 +9,18 @@ bilinear (not Hermitian) also for complex arguments.
 
 The per-point kernels of the frame path run over row blocks of the grid
 (`row_blocks`), each block laid out as planes (`to_planes`): the
-Minkowski complement of a span (`complement_solver`), the group test
-(`validate_group`: the Gram defect from `pairings`, the determinant by
-the Laplace expansion `det`) and the inverse and products of the
-Maurer-Cartan form (`gauss_frame.maurer_cartan`).  No kernel calls
-LAPACK per grid point; the LAPACK determinant and solves are oracles in
-the tests only.  Each block holds about PLANE_BLOCK points, so a
-kernel's temporaries are a few MB that stay in cache and are reused by
-the allocator, where grid-sized ones (38-46 MB per call at N=256) are
-handed back to the OS after each call and faulted in again on the next.
+Minkowski complement of a span (`complement_solver`), the normal of a
+surface in S^3 from the maximal minors of its four sphere fields
+(`minors`, in `surface.normal_frame`), the group test (`validate_group`:
+the Gram defect from pairings of the column planes, the determinant by
+the Laplace expansion `det`, the d = m case of `minors`) and the inverse
+and products of the Maurer-Cartan form (`gauss_frame.maurer_cartan`).
+No kernel calls LAPACK per grid point; the LAPACK determinant and solves
+are oracles in the tests only.  Each block holds about PLANE_BLOCK
+points, so a kernel's temporaries are a few MB that stay in cache and are
+reused by the allocator, where grid-sized ones (38-46 MB per call at
+N=256) are handed back to the OS after each call and faulted in again on
+the next.
 Every point runs the same arithmetic in every layout, so the results do
 not depend on the block size bit for bit.
 """
@@ -38,6 +41,7 @@ __all__ = [
     "row_blocks",
     "pairings",
     "product",
+    "minors",
     "det",
     "complement_solver",
     "is_forward_lightlike",
@@ -70,17 +74,17 @@ def norm2(x: np.ndarray) -> np.ndarray:
 
 
 def gram(X: np.ndarray) -> np.ndarray:
-    """X^T I X: the pairings <x_i, x_j> of the columns of X (..., d, m).
+    """X^T I X: the pairings <x_i, x_j> of the columns of a complex X
+    (..., d, m), such as the block B1 of the Maurer-Cartan form.
 
-    Real X: (X s)^T X with the sign flips s = `metric_signs(d)` on the
-    rows of X; I X is exact, so this equals the product with the metric
-    bit for bit, without the stacked d x d matmul.  Complex X = R + iI:
-    <R, R> - <I, I> + i(<R, I> + <I, R>) from the real `pairings` of the
-    columns laid out as planes, with no complex matmul.
+    With X = R + iI: <R, R> - <I, I> + i(<R, I> + <I, R>) from the real
+    `pairings` of the columns laid out as planes, with no complex
+    matmul.  Raises TypeError for a real X.
     """
-    s = metric_signs(X.shape[-2])
     if not np.iscomplexobj(X):
-        return np.swapaxes(X * s[:, None], -1, -2) @ X
+        raise TypeError("gram takes a complex field; pair real columns "
+                        "with `pairings`")
+    s = metric_signs(X.shape[-2])
     R, I = np.swapaxes(to_planes(X), 1, 2)      # the columns as rows
     RI = pairings(R, I, s)
     G = np.empty(RI.shape, dtype=complex)
@@ -183,21 +187,22 @@ def _small_inverse(M: np.ndarray) -> np.ndarray:
     return adj / det
 
 
-def det(X: np.ndarray) -> np.ndarray:
-    """Determinant of a d x d matrix field X (d, d, ...) stored as planes.
+def minors(columns) -> dict:
+    """The maximal minors of a d x m matrix field, m <= d, given as its m
+    columns, each planes (d, ...): {rows: minor} for each increasing
+    tuple of m of the d rows, the minor on those rows.
 
     The Laplace expansion along the last column, and along the last
-    column of every minor, built up from the first column: the minor on
-    each set of k+1 rows and the first k+1 columns is the alternating
-    sum, last row first, of the rows' entries in column k times the
-    minors on the other k rows.  d 2^(d-1) products of planes in all,
-    with no pivoting.
+    column of every smaller minor, built up from the first column: the
+    minor on each set of k+1 rows and the first k+1 columns is the
+    alternating sum, last row first, of the rows' entries in column k
+    times the minors on the other k rows.  No pivoting.
     """
-    d = len(X)
-    minors = {(i,): X[i, 0] for i in range(d)}
-    for k in range(1, d):
-        column, below = X[:, k], minors
-        minors = {}
+    d = len(columns[0])
+    level = {(i,): columns[0][i] for i in range(d)}
+    for k in range(1, len(columns)):
+        column, below = columns[k], level
+        level = {}
         for rows in itertools.combinations(range(d), k + 1):
             # the last row's term has the sign (-1)^(2k) = +1
             acc = column[rows[k]] * below[rows[:k]]
@@ -207,8 +212,14 @@ def det(X: np.ndarray) -> np.ndarray:
                     acc -= term
                 else:
                     acc += term
-            minors[rows] = acc
-    return minors[tuple(range(d))]
+            level[rows] = acc
+    return level
+
+
+def det(X: np.ndarray) -> np.ndarray:
+    """Determinant of a d x d matrix field X (d, d, ...) stored as planes:
+    its one maximal minor (`minors`), d 2^(d-1) products of planes."""
+    return minors(np.swapaxes(X, 0, 1))[tuple(range(len(X)))]
 
 
 def _gram_inverse(G: np.ndarray) -> np.ndarray:
@@ -279,21 +290,27 @@ def validate_group(M: np.ndarray, tol: float = 1e-9):
     M[0,0] > 0 (forward light cone preserved).  Returns (ok, residual)
     where residual is the largest violation of the two equality
     constraints; pointwise over leading axes, one row block of the grid
-    (`row_blocks`) at a time, laid out as planes: the pairings of the
-    column planes less I, one max across the d^2 planes, and `det`.
+    (`row_blocks`) at a time, laid out as planes: the d(d+1)/2 pairings
+    of the column planes on and above the diagonal, less I, reduced by a
+    running max, and `det`.  M^T I M is symmetric bit for bit (s_k = +-1
+    and the product of two planes commutes), so the entries below the
+    diagonal would repeat those above.
     """
     M = np.asarray(M)
     d = M.shape[-1]
+    s = metric_signs(d)
     residual = np.empty(M.shape[:-2])
     for rows in row_blocks(M.shape[:-2]):
         C = np.swapaxes(to_planes(M[rows]), 0, 1)   # the columns as rows
-        # M^T I M - I: the signs come off the diagonal of the fresh
-        # pairings in place (x - 0 is exact), then one max across planes
-        G = pairings(C, C)
-        for i, s in enumerate(metric_signs(d)):
-            G[i, i] -= s
-        r = np.max(np.abs(G, out=G), axis=(0, 1))
-        residual[rows] = np.maximum(r, np.abs(det(C) - 1.0))
+        Cs = C * s.reshape((d,) + (1,) * (C.ndim - 2))
+        r = np.abs(det(C) - 1.0)
+        for i in range(d):
+            for j in range(i, d):
+                g = np.einsum("k...,k...->...", Cs[i], C[j])
+                if i == j:
+                    g -= s[i]        # I's diagonal entry
+                r = np.maximum(r, np.abs(g))
+        residual[rows] = r
     ok = (residual <= tol) & (M[..., 0, 0] > 0)
     return ok, residual
 

@@ -6,6 +6,13 @@ conformally invariant normal bundle, and the invariant data kappa
 (conformal Hopf differential), s (Schwarzian), b (normal connection) and
 beta (components of D_zbar kappa).
 
+The conformal Gauss map takes values in SO+(1,n+3)/SO+(1,3)xSO(n).  For
+a surface in S^3 (n = 1) the SO(n) factor is trivial: psi is the
+oriented unit normal of span(Y, N, Y_u, Y_v), the Lorentz cross product
+of the four fields, fixed pointwise with no gauge to choose.  For n >= 2
+the gauge of psi is chosen by a continuation sweep over the grid, so
+that it varies smoothly (`normal_frame`).
+
 `build_surface_data` stops at the fields of the conformal Gauss frame
 (Y, N, Y_u, Y_v and psi) and N's stencils Y_uu = d_u Y_u and
 Y_vv = d_v Y_v, so the commands that only read the frame
@@ -34,8 +41,8 @@ import numpy as np
 
 from .chart import (Chart, d_u, d_v, d_zbar, field_norms, residual_norms,
                     sweep, wirtinger)
-from .lorentz import complement_solver, grid_first, inner, pairings, \
-    to_planes
+from .lorentz import complement_solver, grid_first, inner, metric_signs, \
+    minors, pairings, row_blocks, to_planes
 
 
 class DegenerateImmersionError(ValueError):
@@ -140,17 +147,29 @@ def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def normal_frame(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
+                 Yv: np.ndarray) -> np.ndarray:
     """Oriented orthonormal frame psi of the normal bundle, shape (Nu,Nv,n,dim).
 
-    B = stack(Y, N, Y_u, Y_v) of shape (Nu, Nv, 4, dim) spans the mean
-    curvature sphere bundle and Q = `lorentz.complement_solver(B)`, so
-    rows w project onto the normal bundle as w - (w Q^T) B.  Seeded by
-    `complement_basis` at (0,0) and propagated by nearest-frame
-    alignment (`chart.sweep`): each point projects its neighbour's frame
-    onto its own normal space and re-orthonormalizes.
+    The normal bundle is the Minkowski complement of span(Y, N, Y_u, Y_v),
+    the mean curvature sphere bundle; (phi1..phi4, psi) is positively
+    oriented, phi = `sphere_columns`.
+
+    Codimension n = 1 (a surface in S^3): SO(1) is trivial, so psi is the
+    oriented unit normal, fixed at each point with no gauge to choose
+    (`_oriented_normal`).
+
+    n >= 2: the SO(n) gauge is chosen by continuation.  With
+    B = stack(Y, N, Y_u, Y_v) and Q = `lorentz.complement_solver(B)`, rows
+    w project onto the normal bundle as w - (w Q^T) B.  Seeded by
+    `complement_basis` at (0,0) and propagated by nearest-frame alignment
+    (`chart.sweep`): each point projects its neighbour's frame onto its
+    own normal space and re-orthonormalizes.
     """
-    QT = np.swapaxes(Q, -1, -2)
+    if Y.shape[-1] - 4 == 1:
+        return _oriented_normal(Y, N, Yu, Yv)
+    B = np.stack([Y, N, Yu, Yv], axis=-2)
+    QT = np.swapaxes(complement_solver(B), -1, -2)
     seed = complement_basis(B[0, 0])
     # orient the seed so that (phi1..phi4, psi) is positively oriented
     if np.linalg.det(np.stack(sphere_columns(*B[0, 0]) + list(seed),
@@ -163,6 +182,39 @@ def normal_frame(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     psi = np.empty(B.shape[:2] + seed.shape)
     psi[0, 0] = seed
     return sweep(psi, step)
+
+
+def _oriented_normal(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
+                     Yv: np.ndarray) -> np.ndarray:
+    """The positively oriented unit normal psi (Nu, Nv, 1, 5) of
+    span(Y, N, Y_u, Y_v) in R^{1,4}: the Lorentz cross product nu,
+    nu_k = s_k (-1)^k M_k, normalized, with M_k the minor of the rows
+    (Y, N, Y_u, Y_v) without column k (`lorentz.minors`) and s the metric
+    signs.
+
+    Expanding det(Y, N, Y_u, Y_v, w) along its last column gives <w, nu>,
+    so nu is orthogonal to the four rows, and det(phi1..phi4, psi) =
+    det(Y, N, Y_u, Y_v, psi) = sqrt(<nu, nu>) > 0 (the change of basis
+    to the phi has determinant 1): psi is the normal that the orientation
+    of (phi1..phi4, psi) picks.  One row block (`row_blocks`) at a time,
+    on the fields' planes.  Raises np.linalg.LinAlgError where <nu, nu>
+    is not finite and positive, where the span is degenerate.
+    """
+    s = metric_signs(5)
+    psi = np.empty(Y.shape[:-1] + (1, 5))
+    for rows in row_blocks(Y.shape[:-1]):
+        M = minors([to_planes(f[rows], values=1) for f in (Y, N, Yu, Yv)])
+        nu = np.empty((5,) + Y[rows].shape[:-1])
+        for k in range(5):      # M_k: the minor on the rows other than k
+            np.multiply(M[tuple(_others(5, k))], (-1) ** k * s[k],
+                        out=nu[k])
+        q = np.einsum("k,k...,k...->...", s, nu, nu)
+        if not np.all(np.isfinite(q) & (q > 0)):
+            raise np.linalg.LinAlgError(
+                "span(Y, N, Y_u, Y_v) is degenerate")
+        nu /= np.sqrt(q)
+        psi[rows][..., 0, :] = np.moveaxis(nu, 0, -1)
+    return psi
 
 
 class Invariants(NamedTuple):
@@ -362,8 +414,7 @@ def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
     Yu, Yv = d_u(Y, c), d_v(Y, c)
     Yuu, Yvv = d_u(Yu, c), d_v(Yv, c)
     N = frame_N(Y, zzbar(Yuu, Yvv))
-    B = np.stack([Y, N, Yu, Yv], axis=-2)
-    psi = normal_frame(B, complement_solver(B))
+    psi = normal_frame(Y, N, Yu, Yv)
     return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, Yuu=Yuu, Yvv=Yvv,
                        psi=psi)
 

@@ -385,6 +385,17 @@ def lapack_det(M):
     return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
 
 
+def lapack_cofactors(X):
+    """The cofactors (d, ...) of the last column of a d x d matrix field
+    whose first d - 1 columns are the planes X (d, d - 1, ...):
+    (-1)^(k + d - 1) times one LAPACK determinant per grid point of X
+    without row k, for each row k."""
+    d = len(X)
+    return np.array([(-1) ** (k + d - 1)
+                     * lapack_det(np.delete(X, k, axis=0))
+                     for k in range(d)])
+
+
 def lapack_complement_solver(B):
     """`lorentz.complement_solver` as one LAPACK solve G Q = B s per
     grid point, G = (B s) B^T."""

@@ -459,21 +459,15 @@ def _matmul_sites(package) -> dict:
     return sites
 
 
-@pytest.mark.parametrize("kind", ["veronese_s4", "enneper"])
-@pytest.mark.parametrize("argv", [["analyze"],
-                                  ["verify-harmonic", "--refine", "2"],
-                                  ["reconstruct"]],
-                         ids=["analyze", "verify-harmonic", "reconstruct"])
-def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
-                                                        kind):
-    """The three commands do their small matrix algebra as per-entry
-    passes: no np.linalg call on a grid of matrices (ndim > 2), the
-    group test's determinant included, no einsum over stacked entries
-    (an operand subscript with a leading ellipsis), and no matmul with a
-    complex operand.  veronese_s4 (n = 2, case a2 with the dual
-    surface and the gauge of `spinor.canonicalize_B1`) and enneper (the
-    degenerate branch and its conjugate renormalization) between them
-    run every `@` of the package.
+SPY_KINDS = ["veronese_s4", "enneper"]
+SPY_ARGV = [["analyze"], ["verify-harmonic", "--refine", "2"],
+            ["reconstruct"]]
+
+
+def _spied_run(argv, kind):
+    """(exit code, violations, `@` sites run) of one command on a zoo
+    surface at N=32, with the package's small matrix algebra spied on
+    (`test_no_stacked_complex_or_per_point_linear_algebra`).
 
     Explicit calls are spied on.  The `@` operator cannot be patched on
     ndarray, so a line tracer evaluates both operands of every `@` in
@@ -491,11 +485,6 @@ def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
             return fn(a, *args, **kwargs)
         return spy
 
-    for name in dir(np.linalg):
-        fn = getattr(np.linalg, name)
-        if callable(fn) and not name.startswith("_") \
-                and not isinstance(fn, type):
-            monkeypatch.setattr(np.linalg, name, linalg_spy(name, fn))
     einsum, matmul = np.einsum, np.matmul
 
     def einsum_spy(subscripts, *operands, **kwargs):
@@ -509,9 +498,6 @@ def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
             bad.append(f"complex np.matmul from "
                        f"{sys._getframe(1).f_code.co_name}")
         return matmul(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", einsum_spy)
-    monkeypatch.setattr(np, "matmul", matmul_spy)
 
     sites = _matmul_sites(willmorelab)
     files = {path for path, _ in sites}
@@ -537,14 +523,53 @@ def test_no_stacked_complex_or_per_point_linear_algebra(monkeypatch, argv,
     chart = ",".join([str(c.Nu), str(c.Nv)]
                      + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
                                                  c.v_max)] + [c.topology])
-    sys.settrace(trace)
-    try:
-        code = run(*argv, "--surface", kind, "--chart", chart)
-    finally:
-        sys.settrace(None)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in dir(np.linalg):
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not name.startswith("_") \
+                    and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, linalg_spy(name, fn))
+        monkeypatch.setattr(np, "einsum", einsum_spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        sys.settrace(trace)
+        try:
+            code = run(*argv, "--surface", kind, "--chart", chart)
+        finally:
+            sys.settrace(None)
+    return code, sorted(set(bad)), checked
+
+
+@pytest.mark.parametrize("kind", SPY_KINDS)
+@pytest.mark.parametrize("argv", SPY_ARGV,
+                         ids=["analyze", "verify-harmonic", "reconstruct"])
+def test_no_stacked_complex_or_per_point_linear_algebra(argv, kind):
+    """The three commands do their small matrix algebra as per-entry
+    passes: no np.linalg call on a grid of matrices (ndim > 2), the
+    group test's determinant included, no einsum over stacked entries
+    (an operand subscript with a leading ellipsis), and no matmul with a
+    complex operand (`_spied_run`)."""
+    code, bad, _ = _spied_run(argv, kind)
     assert code in (0, 2)
-    assert checked, "no `@` site ran"
-    assert not bad, sorted(set(bad))
+    assert not bad, bad
+
+
+def test_every_matmul_site_runs_in_a_spied_case():
+    """The cases of `test_no_stacked_complex_or_per_point_linear_algebra`
+    between them run every `@` of the package: veronese_s4 (n = 2, the
+    swept normal frame, case a2 with the dual surface and the gauge of
+    `spinor.canonicalize_B1`) and enneper (n = 1, the degenerate branch
+    and its conjugate renormalization).  enneper's analyze and
+    verify-harmonic run no `@` at all."""
+    import willmorelab
+    sites = {site for entries in _matmul_sites(willmorelab).values()
+             for site, *_ in entries}
+    ran = set()
+    for argv in SPY_ARGV:
+        for kind in SPY_KINDS:
+            ran |= _spied_run(argv, kind)[2]
+    missed = sorted(f"{os.path.basename(path)}:{line}"
+                    for path, line, _ in sites - ran)
+    assert sites and not missed, missed
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -47,21 +48,14 @@ def _gram_miss(gram, X):
 @pytest.mark.parametrize("shape", [(4, 2), (3, 5, 4, 1), (2, 6, 3)])
 def test_gram_is_the_pairwise_inner_of_the_columns(rng, shape):
     """gram(X) = X^T I X on complex blocks; a mutant without the metric
-    signs (plain X^T X) misses by far more than roundoff."""
+    signs (plain X^T X) misses by far more than roundoff.  A real X is
+    refused."""
     X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     assert lorentz.gram(X).shape == shape[:-2] + (shape[-1], shape[-1])
     assert _gram_miss(lorentz.gram, X) <= 1e-12
     assert _gram_miss(lambda X: np.swapaxes(X, -1, -2) @ X, X) > 0.1
-
-
-@pytest.mark.parametrize("dim", [5, 6, 7])
-@pytest.mark.parametrize("dtype", [float])
-def test_gram_equals_the_product_with_the_metric(rng, dim, dtype):
-    """On real X the sign-flip form (X s)^T X is bit for bit X^T I X."""
-    for shape in ((dim, 1), (6, 5, dim, 2), (32, 32, dim, 3)):
-        X = rng.normal(size=shape).astype(dtype)
-        want = np.swapaxes(X, -1, -2) @ oracles.metric(dim) @ X
-        assert np.array_equal(lorentz.gram(X), want)
+    with pytest.raises(TypeError):
+        lorentz.gram(X.real)
 
 
 @pytest.mark.parametrize("dim", [5, 6, 7])
@@ -282,19 +276,22 @@ def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
 
 
 def _frame_path_kernels(B, Ff):
-    """The row-blocked kernels of the frame path on the rows B and the
-    frame Ff: the complement solver, the group test's ok and residual,
-    and the Maurer-Cartan pair."""
+    """The row-blocked kernels of the frame path on the rows
+    B = (Y, N, Y_u, Y_v) and the frame Ff: the complement solver, the
+    normal frame (the cross product in S^3), the group test's ok and
+    residual, and the Maurer-Cartan pair."""
     M = gauss_frame.maurer_cartan(Ff)
     return (lorentz.complement_solver(B),
+            surface.normal_frame(*np.moveaxis(B, -2, 0)),
             *lorentz.validate_group(Ff.F, 1e-3), M.P, M.Q)
 
 
 @pytest.mark.parametrize("kind", ["veronese_s4", "clifford_torus"])
 def test_row_blocked_kernels_do_not_depend_on_the_block_layout(monkeypatch,
                                                                kind):
-    """On a 37 x 29 chart, the complement solver, the group test and the
-    Maurer-Cartan form are bit for bit the one-block result with blocks
+    """On a 37 x 29 chart, the complement solver, the normal frame, the
+    group test and the Maurer-Cartan form are bit for bit the one-block
+    result with blocks
     of the whole grid, of one row, of five rows (the last block two rows
     short) and of one row for a row longer than PLANE_BLOCK.  The
     single-point complement basis still takes its (m, dim) input."""
@@ -312,21 +309,29 @@ def test_row_blocked_kernels_do_not_depend_on_the_block_layout(monkeypatch,
             assert np.array_equal(got, ref), block
         E = surface.complement_basis(B[3, 5])
         assert E.shape == (S.n, B.shape[-1])
-        assert np.max(np.abs(lorentz.gram(E.T) - np.eye(S.n))) <= 1e-12
+        assert np.max(np.abs(lorentz.inner(E[:, None], E[None])
+                             - np.eye(S.n))) <= 1e-12
         assert np.max(np.abs(lorentz.inner(E[:, None], B[3, 5]))) <= 1e-12
 
 
 def test_row_blocked_kernels_keep_their_temporaries_block_sized():
-    """At 256^2 on veronese_s4, the tracemalloc peak of each row-blocked
+    """At 256^2 on veronese_s4, and for the cross-product normal on
+    enneper (a surface in S^3), the tracemalloc peak of each row-blocked
     kernel exceeds its output by less than 8 MB; grid-sized temporaries
     take 38-46 MB."""
-    spec = zoo.SurfaceSpec("veronese_s4")
-    c = zoo.default_chart(spec, 256)
-    S = surface.build_surface_data(zoo.generate(spec, c), c)
+    def surface_data(kind):
+        spec = zoo.SurfaceSpec(kind)
+        c = zoo.default_chart(spec, 256)
+        return surface.build_surface_data(zoo.generate(spec, c), c)
+
+    S = surface_data("veronese_s4")
     Ff = gauss_frame.build_frame(S)
     B = np.stack([S.Y, S.N, S.Yu, S.Yv], axis=-2)
+    E = surface_data("enneper")
     for name, kernel in (
             ("complement_solver", lambda: lorentz.complement_solver(B)),
+            ("normal_frame", lambda: surface.normal_frame(E.Y, E.N, E.Yu,
+                                                          E.Yv)),
             ("validate_group", lambda: lorentz.validate_group(Ff.F, 1.0)),
             ("maurer_cartan", lambda: gauss_frame.maurer_cartan(Ff))):
         tracemalloc.start()
@@ -343,12 +348,28 @@ def test_row_blocked_kernels_keep_their_temporaries_block_sized():
 def test_laplace_det_matches_lapack(rng, d):
     """The Laplace expansion gives LAPACK's determinant on random d x d
     fields, and its sign on matrices one rounding away from singular as
-    well as on well-conditioned ones."""
+    well as on well-conditioned ones.  Stopped one column short, on
+    random d x (d - 1) fields, its maximal minors (`lorentz.minors`) are
+    LAPACK's cofactors of the last column up to their signs
+    (-1)^(k + d - 1), to 1e-12 of the largest at each point."""
     M = rng.normal(size=(d, d, 16, 16))
     want = oracles.lapack_det(M)
     got = lorentz.det(M)
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
     assert np.array_equal(np.sign(got), np.sign(want))
+    if d > 1:
+        X = M[:, :-1]
+        minors = lorentz.minors(np.swapaxes(X, 0, 1))
+        assert sorted(minors) == list(itertools.combinations(range(d),
+                                                             d - 1))
+        want = oracles.lapack_cofactors(X)
+        got = np.array([(-1) ** (k + d - 1)
+                        * minors[tuple(i for i in range(d) if i != k)]
+                        for k in range(d)])
+        # relative to the largest cofactor at each point: a cofactor
+        # that cancels to a small value keeps an absolute error
+        assert np.max(np.abs(got - want)
+                      / np.max(np.abs(want), axis=0)) < 1e-12
     M[d - 1] = M[0] + 1e-6 * rng.normal(size=M[0].shape)   # near-singular
     assert np.array_equal(np.sign(lorentz.det(M)),
                           np.sign(oracles.lapack_det(M)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,13 +182,42 @@ def test_frame_N_pairings(pipe):
     assert np.max(np.abs(inner(S.N, S.N))) < 1e-12
 
 
+# the zoo surfaces in S^3, whose normal is the oriented Lorentz cross
+# product of (Y, N, Y_u, Y_v) with no continuation
+CODIM_ONE = [kind for kind in zoo.KINDS if kind != "veronese_s4"]
+
+
+def _zoo_surface(pipe, kind):
+    return pipe(kind, 48, 3.0 if kind == "torus_of_revolution" else None)
+
+
 def test_normal_frame_orthonormal(pipe):
-    c, S, _, _ = pipe("veronese_s4")
-    G = inner(S.psi[..., :, None, :], S.psi[..., None, :, :])
-    assert np.max(np.abs(G - np.eye(S.n))) < 1e-10
-    # and orthogonal to the tangent bundle
-    for w in (S.Y, S.N):
-        assert np.max(np.abs(inner(S.psi, w[..., None, :]))) < 1e-10
+    """On veronese_s4 (n = 2, swept) and on the five surfaces in S^3, psi
+    is orthonormal, orthogonal to Y and N, and (phi1..phi4, psi) is
+    positively oriented at every point."""
+    for kind in ["veronese_s4"] + CODIM_ONE:
+        c, S, _, _ = _zoo_surface(pipe, kind)
+        G = inner(S.psi[..., :, None, :], S.psi[..., None, :, :])
+        assert np.max(np.abs(G - np.eye(S.n))) < 1e-10, kind
+        # and orthogonal to the tangent bundle
+        for w in (S.Y, S.N):
+            assert np.max(np.abs(inner(S.psi, w[..., None, :]))) < 1e-10, \
+                kind
+        F = np.stack(surface.sphere_columns(S.Y, S.N, S.Yu, S.Yv)
+                     + list(np.moveaxis(S.psi, -2, 0)), axis=-1)
+        assert np.all(np.linalg.det(F) > 0), kind
+
+
+@pytest.mark.parametrize("kind", CODIM_ONE)
+def test_codimension_one_normal_matches_the_swept_oracle(pipe, kind):
+    """In S^3 the cross product gives the psi that the seeded, oriented
+    continuation of `oracles.normal_frame_per_row` sweeps, to roundoff
+    (1e-13 of max |psi|): SO(1) leaves no gauge to choose."""
+    c, S, _, _ = _zoo_surface(pipe, kind)
+    assert S.n == 1
+    want = oracles.normal_frame_per_row(S.Y, S.N, c)
+    miss = np.max(np.abs(S.psi - want))
+    assert miss <= 1e-13 * np.max(np.abs(want)), (kind, miss)
 
 
 def test_round_sphere_is_totally_umbilic(pipe):
@@ -371,16 +402,24 @@ def test_complement_solver_matches_lapack_on_sphere_rows(pipe, kind, m):
 @pytest.mark.parametrize("defect", ["repeated_row", "zero_row", "nan"])
 def test_complement_solver_raises_on_a_singular_gram(pipe, defect):
     """One bad grid point is enough: a repeated row makes the leading
-    block singular, a zero row the Schur complement, a NaN the Gram."""
-    B = _sphere_rows(pipe, "veronese_s4").copy()
-    if defect == "repeated_row":
-        B[5, 7, 1] = B[5, 7, 0]
-    elif defect == "zero_row":
-        B[5, 7, 3] = 0.0
-    else:
-        B[5, 7, 2, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        complement_solver(B)
+    block singular, a zero row the Schur complement, a NaN the Gram.
+    The same defect in the rows (Y, N, Y_u, Y_v) of enneper, a surface
+    in S^3, makes the normal's <nu, nu> zero or NaN there, and
+    `normal_frame` raises too, with no warning and no NaN psi."""
+    for kind, solve in (("veronese_s4", complement_solver),
+                        ("enneper", lambda B: surface.normal_frame(
+                            *np.moveaxis(B, -2, 0)))):
+        B = _sphere_rows(pipe, kind).copy()
+        if defect == "repeated_row":
+            B[5, 7, 1] = B[5, 7, 0]
+        elif defect == "zero_row":
+            B[5, 7, 3] = 0.0
+        else:
+            B[5, 7, 2, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(B)
 
 
 ORACLE_CASES = list(zoo.KINDS) + ["hexagonal_torus_s5"]
