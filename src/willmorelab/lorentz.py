@@ -9,18 +9,19 @@ bilinear (not Hermitian) also for complex arguments.
 
 The per-point kernels of the frame path run over row blocks of the grid
 (`row_blocks`), each block laid out as planes (`to_planes`): the
-Minkowski complement of a span (`complement_solver`), the normal of a
+Lorentz Gram-Schmidt (`orthonormalize`, whose rows project onto the
+complement of their span by sign flips, `rejection`), the normal of a
 surface in S^3 from the maximal minors of its four sphere fields
 (`minors`, in `surface.normal_frame`), the group test (`validate_group`:
 the Gram defect from pairings of the column planes, the determinant by
 the Laplace expansion `det`, the d = m case of `minors`) and the inverse
 and products of the Maurer-Cartan form (`gauss_frame.maurer_cartan`).
-No kernel calls LAPACK per grid point; the LAPACK determinant and solves
-are oracles in the tests only.  Each block holds about PLANE_BLOCK
-points, so a kernel's temporaries are a few MB that stay in cache and are
-reused by the allocator, where grid-sized ones (38-46 MB per call at
-N=256) are handed back to the OS after each call and faulted in again on
-the next.
+No kernel calls LAPACK per grid point or solves a Gram matrix; LAPACK
+determinants and solves are oracles in the tests only.  Each block holds
+about PLANE_BLOCK points, so a kernel's temporaries are a few MB that
+stay in cache and are reused by the allocator, where grid-sized ones
+(38-46 MB per call at N=256) are handed back to the OS after each call
+and faulted in again on the next.
 Every point runs the same arithmetic in every layout, so the results do
 not depend on the block size bit for bit.
 """
@@ -43,7 +44,9 @@ __all__ = [
     "product",
     "minors",
     "det",
-    "complement_solver",
+    "orthonormalize",
+    "rejection",
+    "check_lift_dimension",
     "is_forward_lightlike",
     "validate_group",
 ]
@@ -171,22 +174,6 @@ def product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,jk...->ik...", X, Y)
 
 
-def _small_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse of a 1x1 or 2x2 matrix field M (k, k, ...) by its adjugate.
-
-    Raises np.linalg.LinAlgError where the determinant is zero or not
-    finite.
-    """
-    if len(M) == 1:
-        det, adj = M[0, 0], np.ones_like(M)
-    else:
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        adj = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-    if not np.all(np.isfinite(det) & (det != 0)):
-        raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det
-
-
 def minors(columns) -> dict:
     """The maximal minors of a d x m matrix field, m <= d, given as its m
     columns, each planes (d, ...): {rows: minor} for each increasing
@@ -222,58 +209,52 @@ def det(X: np.ndarray) -> np.ndarray:
     return minors(np.swapaxes(X, 0, 1))[tuple(range(len(X)))]
 
 
-def _gram_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric m x m matrix field G (m, m, ...), m <= 4.
+def orthonormalize(X: np.ndarray) -> np.ndarray:
+    """Lorentz Gram-Schmidt of the rows X (..., m, dim): rows E with
+    <E_i, E_j> = eps_j delta_ij, eps_j = +-1, E_j a combination of X_0..X_j
+    with a positive coefficient on X_j: E_j is w/sqrt|<w, w>|, w the
+    `rejection` X_j - sum_{i<j} eps_i <X_j, E_i> E_i, eps_j the sign of
+    <w, w>.  A timelike first row of a Lorentzian span gives the signs
+    `rejection` takes.  Per row block (`row_blocks`) on planes, pairings
+    summed in index order, so every layout runs the same arithmetic.
+    Raises np.linalg.LinAlgError where <w, w> is zero or not finite:
+    dependent rows or a degenerate span."""
+    def pair(x, y):
+        p = x * y
+        return sum(p[2:], p[1]) - p[0]
 
-    Block form G = [[A, C], [C^T, D]] with A the leading (at most) 2x2
-    block: X = A^{-1} C, the Schur complement S = D - C^T X, Z = X S^{-1},
-    and G^{-1} = [[A^{-1} + Z X^T, -Z], [-Z^T, S^{-1}]].  There is no
-    pivoting, so A must be invertible; in every caller it is the Gram
-    matrix of (Y, N), of a null pair with <L, Z> = -1 or of
-    (Y+N)/sqrt2, (-Y+N)/sqrt2, that is [[0, -1], [-1, 0]] or diag(-1, 1).
-    Raises np.linalg.LinAlgError where G is not finite or A or S is
-    singular.
-    """
-    if not np.all(np.isfinite(G)):
-        raise np.linalg.LinAlgError("Gram matrix is not finite")
-    k = min(len(G), 2)
-    Ai = _small_inverse(G[:k, :k])
-    if len(G) == k:
-        return Ai
-    C = G[:k, k:]
-    X = product(Ai, C)
-    Si = _small_inverse(G[k:, k:] - product(np.swapaxes(C, 0, 1), X))
-    Z = product(X, Si)
-    upper = np.concatenate(
-        [Ai + product(Z, np.swapaxes(X, 0, 1)), -Z], axis=1)
-    lower = np.concatenate([-np.swapaxes(Z, 0, 1), Si], axis=1)
-    return np.concatenate([upper, lower], axis=0)
-
-
-def complement_solver(B: np.ndarray) -> np.ndarray:
-    """Q = G^{-1} B s for the rows B (..., m, dim), m <= 4, G = (B s) B^T
-    their Lorentz Gram matrix and s the metric signs.
-
-    The Minkowski-orthogonal projection of w onto the complement of the
-    span of the rows is then w - B^T (Q w).  Each row block of the grid
-    (`row_blocks`) is laid out as contiguous planes (m, dim, ...), so
-    that the Gram matrix, its closed-form inverse (`_gram_inverse`) and
-    the product with B s are entry-by-entry passes over the block, not a
-    LAPACK solve per point.
-    Raises np.linalg.LinAlgError for a singular or non-finite G.
-    """
-    Q = np.empty(B.shape)
-    for rows in row_blocks(B.shape[:-2]):
-        _complement_block(B[rows], Q[rows])
-    return Q
+    E = np.empty(X.shape)
+    for rows in row_blocks(X.shape[:-2]):
+        kept, eps = [], []
+        for x in to_planes(X[rows]):
+            w = x
+            for e, sign in zip(kept, eps):
+                w = w - (pair(x, e) * sign) * e
+            q = pair(w, w)
+            if not np.all(np.isfinite(q) & (q != 0)):
+                raise np.linalg.LinAlgError("degenerate span of the rows")
+            kept.append(w * (1.0 / np.sqrt(np.abs(q))))
+            eps.append(np.sign(q))
+        E[rows] = np.moveaxis(np.array(kept), (0, 1), (-2, -1))
+    return E
 
 
-def _complement_block(B: np.ndarray, out: np.ndarray) -> None:
-    """`complement_solver` of the rows B of one block, written into out."""
-    P = to_planes(B)
-    Ps = P * metric_signs(B.shape[-1]).reshape((-1,) + (1,) * (B.ndim - 2))
-    Q = product(_gram_inverse(pairings(P, P)), Ps)
-    out[...] = np.moveaxis(Q, (0, 1), (-2, -1))
+def rejection(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X - sum_k eps_k f_k <f_k, X>, the Minkowski-orthogonal projection
+    of the columns of X (..., dim, m) onto the complement of the span of
+    the orthonormal columns f_k of F (..., dim, k), the first timelike:
+    eps = diag(-1, 1, ..., 1), their Gram inverse, and the metric I in
+    <f_k, X> = f_k^T I X are diagonal, so they act as sign flips."""
+    IX = X * metric_signs(X.shape[-2])[:, None]
+    return X - F @ ((np.swapaxes(F, -1, -2) @ IX)
+                    * metric_signs(F.shape[-1])[:, None])
+
+
+def check_lift_dimension(x: np.ndarray) -> None:
+    """Raise ValueError unless x's last axis (R^{1,n+3}, n >= 1) is >= 5."""
+    if x.shape[-1] < 5:
+        raise ValueError("a lift needs dimension at least 5 (codimension "
+                         f"n >= 1, R^(1,n+3)), got dimension {x.shape[-1]}")
 
 
 def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:

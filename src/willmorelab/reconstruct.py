@@ -18,8 +18,8 @@ from . import spinor
 from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
 from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
     s_willmore_rank
-from .lorentz import complement_solver, det, gram, inner, \
-    lorentz_inverse, metric_signs, to_planes
+from .lorentz import det, gram, inner, lorentz_inverse, orthonormalize, \
+    pairings, rejection, row_blocks, to_planes
 from .surface import canonical_lift, complement_basis, frame_N, \
     sphere_columns, zzbar
 
@@ -112,31 +112,11 @@ def normalize(Ff: FrameField, M: MCBlocks | None = None,
         null_residual=float(np.max(np.abs(gram(B1)))))
 
 
-def _bundle_rejection(F: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X - sum_k eps_k f_k <f_k, X>, the rejection of the columns of X
-    (..., dim, m) from the span of the first four columns f_k of F: the
-    Minkowski-orthogonal projection onto the bundle's complement.
-
-    eps = diag(-1, 1, 1, 1) is the Gram inverse of the orthonormal
-    columns and I the ambient metric in <f_k, X> = f_k^T I X; both are
-    diagonal, so they act as sign flips, and the products are real.  For
-    a group-valued F the general Gram inverse of
-    `lorentz.complement_solver` gives the same rejection, but takes 45 to
-    75 ms per call at N=256 against 22 to 24 ms for these sign flips
-    (enneper and veronese_s4 frames, a 2-CPU Xeon with one BLAS thread),
-    on each constant-vector search.
-    """
-    F4 = F[..., :, :4]
-    IX = X * metric_signs(X.shape[-2])[:, None]
-    return X - F4 @ ((np.swapaxes(F4, -1, -2) @ IX)
-                     * metric_signs(4)[:, None])
-
-
 def _rejection_operator(F: np.ndarray) -> np.ndarray:
-    """Grid mean of C^T C, C = `_bundle_rejection(F, Id)` the rejection
-    from the bundle, as one product of the stacked rejections."""
+    """Grid mean of C^T C, C the `rejection` of Id from the first four
+    columns of F, as one product of the stacked rejections."""
     dim = F.shape[-1]
-    C = _bundle_rejection(F, np.eye(dim)).reshape(-1, dim)
+    C = rejection(F[..., :, :4], np.eye(dim)).reshape(-1, dim)
     return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
@@ -261,7 +241,8 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
                          f"{max_rank}")
     Ymu, Yd = build_Y_mu(NF, mu)
     # the real and imaginary parts of Yd as two columns
-    rej = _bundle_rejection(NF.F, np.stack([Yd.real, Yd.imag], axis=-1))
+    rej = rejection(NF.F[..., :, :4],
+                    np.stack([Yd.real, Yd.imag], axis=-1))
     c = NF.chart
     return {"duality_residual": sup_norm(np.hypot(rej[..., 0], rej[..., 1]),
                                          c.interior),
@@ -274,7 +255,8 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
 
     The representative is scaled to <rep, Y0c> = -1; the coordinates are
     Minkowski pairings with an orthonormal basis of {Y0c, Z}^perp, where
-    Z is the time-reflected null partner of Y0c.  For the degenerate
+    Z is the time-reflected null partner of Y0c, from the orthonormal pair
+    (L + Z)/sqrt2, (L - Z)/sqrt2, L = Y0c/Y0c_0.  For the degenerate
     harmonic branch x is conformal with harmonic components:
     "conformal_residual" and "harmonic_residual" measure both.
     """
@@ -286,7 +268,8 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
         raise ValueError("representative meets the projection center")
     rep = Ymu / den[..., None]
 
-    x = inner(rep[..., None, :], complement_basis(np.stack([L, Z])))
+    pair = np.stack([L + Z, L - Z]) / SQRT2     # <., .> = diag(-1, 1)
+    x = inner(rep[..., None, :], complement_basis(pair))
 
     xu = d_u(x, c)
     xv = d_v(x, c)
@@ -389,12 +372,16 @@ def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
     N = frame_N(Y, zzbar(d_u(Yu, c), d_v(Yv, c)))
     phi = np.stack(sphere_columns(Y, N, Yu, Yv), axis=-2)   # (.., 4, dim)
     del Y, N, Yu, Yv    # lowers the peak
-    f = np.stack([NF.e0, NF.e0hat, NF.e1, NF.e2], axis=-2)
 
-    # change of basis G^{-1} (phi I f^T) in the Minkowski metric, G the
-    # Gram matrix of phi, and its orientation
-    Cmat = complement_solver(phi) @ np.swapaxes(f, -1, -2)
-    sgn = np.sign(det(to_planes(Cmat)))
+    # sign of det(eps E I f^T) per row block, f the frame columns, E = T phi
+    # orthonormalized, eps = diag(-1, 1, 1, 1): det T > 0, so it is the sign
+    # of det(G^{-1} phi I f^T) = det(T^T eps E I f^T), G the Gram of phi
+    sgn = np.empty(c.shape)
+    for rows in row_blocks(c.shape):
+        C = pairings(to_planes(orthonormalize(phi[rows])),
+                     np.swapaxes(to_planes(NF.F[rows][..., :, :4]), 0, 1))
+        C[0] *= -1.0        # eps_0
+        sgn[rows] = np.sign(det(C))
     votes = np.mean(sgn[c.interior])
     return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

@@ -41,8 +41,9 @@ import numpy as np
 
 from .chart import (Chart, d_u, d_v, d_zbar, field_norms, residual_norms,
                     sweep, wirtinger)
-from .lorentz import complement_solver, grid_first, inner, metric_signs, \
-    minors, pairings, row_blocks, to_planes
+from .lorentz import check_lift_dimension, det, grid_first, inner, \
+    metric_signs, minors, orthonormalize, pairings, rejection, row_blocks, \
+    to_planes
 
 
 class DegenerateImmersionError(ValueError):
@@ -54,10 +55,12 @@ def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
 
     The scale rho = sqrt(2 <raw_z, raw_zbar>) is insensitive to the input
     scaling because the lift is null.  Raises for non-null input (relative
-    defect above 1e-8) or where the immersion degenerates.
+    defect above 1e-8), for a dimension below 5
+    (`lorentz.check_lift_dimension`) or where the immersion degenerates.
     """
     tol = 1e-8
     raw = np.asarray(raw, dtype=float)
+    check_lift_dimension(raw)
     scale = np.sum(raw**2, axis=-1)
     if np.max(np.abs(inner(raw, raw))) > tol * np.max(scale):
         raise ValueError("input field is not lightlike")
@@ -111,18 +114,18 @@ def sphere_columns(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
     return [(Y + N) / r2, (-Y + N) / r2, Yu, Yv]
 
 
-def complement_basis(B: np.ndarray) -> np.ndarray:
+def complement_basis(E: np.ndarray) -> np.ndarray:
     """Orthonormal basis (dim - m, dim) of the Minkowski complement of
-    the rows of one point's B (m, dim), which must be spacelike.
+    one point's orthonormal rows E (m, dim), the first timelike, so that
+    the complement is spacelike (`lorentz.orthonormalize`).
 
-    Gram-Schmidt on the standard basis vectors, each first projected
-    onto the complement (`lorentz.complement_solver`); a candidate whose
-    remainder has squared norm below 1e-8 lies in the span already kept
-    and is skipped.
+    Gram-Schmidt on the standard basis vectors, each first rejected from
+    the rows (`lorentz.rejection`); a candidate whose remainder has
+    squared norm below 1e-8 lies in the span already kept and is skipped.
     """
-    m, dim = B.shape
+    m, dim = E.shape
     basis = []
-    for w in np.eye(dim) - complement_solver(B).T @ B:
+    for w in rejection(E.T, np.eye(dim)).T:
         for prev in basis:
             w = w - inner(w, prev) * prev
         nrm = inner(w, w)
@@ -132,19 +135,6 @@ def complement_basis(B: np.ndarray) -> np.ndarray:
             return np.stack(basis)
     raise RuntimeError("the rows leave no spacelike complement of "
                        f"dimension {dim - m}")
-
-
-def _orthonormalize(vecs: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on (..., n, dim) spacelike vectors."""
-    out = np.array(vecs, dtype=float)
-    n = out.shape[-2]
-    for j in range(n):
-        for i in range(j):
-            out[..., j, :] -= inner(out[..., j, :], out[..., i, :])[..., None] \
-                * out[..., i, :]
-        nrm = np.sqrt(inner(out[..., j, :], out[..., j, :]))
-        out[..., j, :] /= nrm[..., None]
-    return out
 
 
 def normal_frame(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
@@ -159,27 +149,27 @@ def normal_frame(Y: np.ndarray, N: np.ndarray, Yu: np.ndarray,
     oriented unit normal, fixed at each point with no gauge to choose
     (`_oriented_normal`).
 
-    n >= 2: the SO(n) gauge is chosen by continuation.  With
-    B = stack(Y, N, Y_u, Y_v) and Q = `lorentz.complement_solver(B)`, rows
-    w project onto the normal bundle as w - (w Q^T) B.  Seeded by
-    `complement_basis` at (0,0) and propagated by nearest-frame alignment
-    (`chart.sweep`): each point projects its neighbour's frame onto its
-    own normal space and re-orthonormalizes.
+    n >= 2: the SO(n) gauge is chosen by continuation.  Rows w project
+    onto the normal bundle as their rejection (`lorentz.rejection`) from
+    E, phi orthonormalized once over the grid (`lorentz.orthonormalize`).
+    Seeded by `complement_basis` at (0,0) and propagated by nearest-frame
+    alignment (`chart.sweep`): each point projects its neighbour's frame
+    onto its own normal space and re-orthonormalizes.
     """
     if Y.shape[-1] - 4 == 1:
         return _oriented_normal(Y, N, Yu, Yv)
-    B = np.stack([Y, N, Yu, Yv], axis=-2)
-    QT = np.swapaxes(complement_solver(B), -1, -2)
-    seed = complement_basis(B[0, 0])
-    # orient the seed so that (phi1..phi4, psi) is positively oriented
-    if np.linalg.det(np.stack(sphere_columns(*B[0, 0]) + list(seed),
-                              axis=-1)) < 0:
+    E = orthonormalize(np.stack(sphere_columns(Y, N, Yu, Yv), axis=-2))
+    seed = complement_basis(E[0, 0])
+    # (E, psi) has the orientation of (phi, psi): E is T phi, det T > 0
+    if det(np.concatenate([E[0, 0], seed])) < 0:
         seed[-1] = -seed[-1]
+    F = np.swapaxes(E, -1, -2)          # the bundle's columns
 
     def step(w, at):
-        return _orthonormalize(w - (w @ QT[at]) @ B[at])
+        return orthonormalize(np.swapaxes(
+            rejection(F[at], np.swapaxes(w, -1, -2)), -1, -2))
 
-    psi = np.empty(B.shape[:2] + seed.shape)
+    psi = np.empty(E.shape[:2] + seed.shape)
     psi[0, 0] = seed
     return sweep(psi, step)
 

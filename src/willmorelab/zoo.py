@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart
-from .lorentz import is_forward_lightlike
+from .lorentz import check_lift_dimension, is_forward_lightlike
 
 KINDS = ("round_sphere", "clifford_torus", "torus_of_revolution",
          "catenoid", "enneper", "veronese_s4")
@@ -369,9 +369,9 @@ def _read_csv(path: str) -> np.ndarray:
 def load(path: str, c: Chart) -> np.ndarray:
     """Read a lift field and validate it against the chart.
 
-    Rejects grids of the wrong size and rows that are not forward
-    lightlike within a relative null defect of 1e-9 (reported by row
-    index).
+    Rejects grids of the wrong size, lifts of dimension below 5 and rows
+    that are not forward lightlike within a relative null defect of 1e-9
+    (reported by row index).
     """
     if path.endswith(".json"):
         with open(path) as fh:
@@ -395,6 +395,7 @@ def load(path: str, c: Chart) -> np.ndarray:
                 f"grid mismatch: file has {len(rows)} points, "
                 f"chart wants {c.Nu * c.Nv}")
         field = rows.reshape(c.Nu, c.Nv, -1)
+    check_lift_dimension(field)
     ok = is_forward_lightlike(field, 1e-9)
     if not np.all(ok):
         i, j = np.argwhere(~ok)[0]

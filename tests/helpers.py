@@ -3,7 +3,7 @@
 import numpy as np
 
 from willmorelab.chart import Chart
-from willmorelab.lorentz import complement_solver
+from willmorelab.lorentz import orthonormalize, rejection
 
 import oracles
 from oracles import metric
@@ -166,9 +166,17 @@ def neighbor_jump(A):
     return float(max(du, dv))
 
 
-def solver_miss(B):
-    """Per grid point, the largest miss of `complement_solver(B)` against
-    the LAPACK solve, relative to the largest entry of LAPACK's Q there."""
-    want = oracles.lapack_complement_solver(B)
-    miss = np.abs(complement_solver(B) - want)
-    return np.max(miss, axis=(-1, -2)) / np.max(np.abs(want), axis=(-1, -2))
+def projector_miss(B, E=None):
+    """Per grid point, the largest miss of the rejection (`lorentz.rejection`
+    of Id) from the orthonormal rows E (..., k, dim), the first timelike,
+    against the LAPACK projector Id - B^T Q onto the complement of the
+    rows B (..., m, dim), Q = G^{-1} B s, relative to the largest entry of
+    LAPACK's projector there.  E defaults to `lorentz.orthonormalize(B)`."""
+    dim = B.shape[-1]
+    if E is None:
+        E = orthonormalize(B)
+    want = np.eye(dim) - np.swapaxes(B, -1, -2) \
+        @ oracles.lapack_complement_solver(B)
+    got = rejection(np.swapaxes(E, -1, -2), np.eye(dim))
+    return np.max(np.abs(got - want), axis=(-1, -2)) \
+        / np.max(np.abs(want), axis=(-1, -2))

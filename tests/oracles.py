@@ -397,8 +397,10 @@ def lapack_cofactors(X):
 
 
 def lapack_complement_solver(B):
-    """`lorentz.complement_solver` as one LAPACK solve G Q = B s per
-    grid point, G = (B s) B^T."""
+    """Q = G^{-1} B s for the rows B (..., m, dim), G = (B s) B^T their
+    Gram matrix and s the metric signs, as one LAPACK solve per grid
+    point: Id - B^T Q projects onto the complement of the rows, as the
+    rejection from `lorentz.orthonormalize(B)` does."""
     Bs = B * np.diag(metric(B.shape[-1]))
     return np.linalg.solve(Bs @ np.swapaxes(B, -1, -2), Bs)
 

@@ -605,7 +605,75 @@ def test_no_module_imports_a_private_name_of_another():
     assert not bad, bad
 
 
+def test_no_module_calls_a_lapack_solve_inverse_or_determinant():
+    """No module of the package names np.linalg.solve, inv or det (as
+    `np.linalg.x`, `numpy.linalg.x` or `from numpy.linalg import x`): the
+    projectors reject from orthonormal rows and the determinants are the
+    Laplace expansion `lorentz.det`, so no Gram solve comes back."""
+    import willmorelab
+    root = os.path.dirname(willmorelab.__file__)
+    banned = {"solve", "inv", "det"}
+    bad = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in banned \
+                    and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "linalg":
+                bad.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module == "numpy.linalg":
+                bad += [f"{name}:{node.lineno} imports {alias.name}"
+                        for alias in node.names if alias.name in banned]
+    assert not bad, bad
+
+
 TAU = "6.283185307179586"
+
+
+def _short_lift(tmp_path, lift, c):
+    """A lift file whose last axis is shorter than 5: a CSV whose header
+    is only u,v, JSON values of shape (Nu, Nv, 0), or the 4-column lift
+    of the identity chart of the plane onto S^2 (codimension 0)."""
+    if lift == "csv_without_Y":
+        path = tmp_path / "f.csv"
+        U, V = c.grid()
+        path.write_text("u,v\n" + "".join(
+            f"{u!r},{v!r}\n" for u, v in zip(U.ravel().tolist(),
+                                             V.ravel().tolist())))
+    elif lift == "json_without_Y":
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"chart": zoo.chart_to_dict(c),
+                                    "values": np.zeros(c.shape + (0,))
+                                    .tolist()}))
+    else:
+        path = tmp_path / "s2.csv"
+        zoo.save(str(path), zoo.inverse_stereo_lift(np.stack(c.grid(), -1)),
+                 c, fmt="csv")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-harmonic",
+                                     "reconstruct"])
+@pytest.mark.parametrize("lift, dim", [("csv_without_Y", 0),
+                                       ("json_without_Y", 0),
+                                       ("s2_lift", 4)])
+def test_lift_of_dimension_below_5_exits_3(tmp_path, capsys, command, lift,
+                                           dim):
+    """An input lift with no Y columns, or one of a surface in S^2
+    (codimension 0), is a configuration error (exit 3) whose message
+    names the dimension, not an IndexError from the lightlike test or an
+    empty stack in the normal frame."""
+    chart = "8,8,-1.0,1.0,-1.0,1.0,open"
+    path = _short_lift(tmp_path, lift, cli._parse_chart(chart))
+    assert run(command, "--input", path, "--chart", chart) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err == ("error: a lift needs dimension at least 5 (codimension "
+                   f"n >= 1, R^(1,n+3)), got dimension {dim}\n")
 
 
 @pytest.mark.parametrize("bounds, name", [

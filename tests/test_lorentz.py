@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -248,50 +249,90 @@ def test_to_planes_lays_each_entry_out_as_a_contiguous_plane(rng, values,
 
 
 def test_complement_solver_matches_lapack_on_null_pairs(rng):
-    """m=2, the null pair (L, Z) with <L, Z> = -1 of
-    `surface.complement_basis`."""
+    """m=2: the rejection from the orthonormal pair (L + Z)/sqrt2,
+    (L - Z)/sqrt2 that `reconstruct.stereographic` hands
+    `surface.complement_basis` is LAPACK's projection onto the complement
+    of the null pair (L, Z), <L, Z> = -1, whose plane it spans."""
     for dim in (5, 6, 7):
         ls = rng.normal(size=(8, 8, dim - 1))
         L = np.concatenate([np.ones((8, 8, 1)),
                             ls / np.linalg.norm(ls, axis=-1, keepdims=True)],
                            axis=-1)
         Z = np.concatenate([L[..., :1], -L[..., 1:]], axis=-1) / 2.0
-        assert np.max(helpers.solver_miss(np.stack([L, Z], axis=-2))) <= 1e-13
+        pair = np.stack([L + Z, L - Z], axis=-2) / np.sqrt(2.0)
+        miss = helpers.projector_miss(np.stack([L, Z], axis=-2), pair)
+        assert np.max(miss) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_complement_solver_matches_lapack_on_random_indefinite_grams(rng, m):
     """Random rows with a timelike first row, so that every Gram matrix is
-    symmetric indefinite.  Both solvers lose digits in proportion to the
-    condition number of G, so the 1e-13 bound is scaled by cond(G)/1e3
+    symmetric indefinite (m >= 2).  `lorentz.orthonormalize` gives rows E
+    with the Gram matrix diag(-1, 1, ...), each E_j orthogonal to the rows
+    X_i before it and with eps_j <E_j, X_j> > 0 (E is X times a
+    triangular matrix with a positive diagonal), and the rejection from E
+    is LAPACK's projection.  Both lose digits in proportion to the
+    condition number of G, so the 1e-13 bounds are scaled by cond(G)/1e3
     where that exceeds 1 (at most 6% of the samples, cond(G) up to 3e4)."""
     for dim in (5, 6, 7):
         B = rng.normal(size=(16, 16, m, dim))
         B[..., 0, 0] = 3 * np.linalg.norm(B[..., 0, 1:], axis=-1)
         G = (B * np.diag(oracles.metric(dim))) @ np.swapaxes(B, -1, -2)
         lam = np.linalg.eigvalsh(G)
-        assert np.all((lam[..., 0] < 0) & (lam[..., -1] > 0))
+        assert np.all((lam[..., 0] < 0) & ((lam[..., -1] > 0) | (m == 1)))
         bound = 1e-13 * np.maximum(1.0, np.linalg.cond(G) / 1e3)
-        assert np.all(helpers.solver_miss(B) <= bound), (m, dim)
+        assert np.all(helpers.projector_miss(B) <= bound), (m, dim)
+        E = lorentz.orthonormalize(B)
+        eps = lorentz.metric_signs(m)
+        EB = lorentz.inner(E[..., :, None, :], B[..., None, :, :])
+        gram = lorentz.inner(E[..., :, None, :], E[..., None, :, :])
+        assert np.all(np.abs(gram - np.diag(eps)).max(axis=(-1, -2))
+                      <= bound), (m, dim)
+        assert np.all(np.abs(np.tril(EB, -1)).max(axis=(-1, -2))
+                      <= bound * np.abs(EB).max(axis=(-1, -2))), (m, dim)
+        assert np.all(eps * np.diagonal(EB, axis1=-2, axis2=-1) > 0)
+
+
+@pytest.mark.parametrize("defect", ["null_row", "zero_row", "nan"])
+def test_orthonormalize_raises_on_a_degenerate_span(rng, defect):
+    """One bad grid point is enough: a lightlike first row (its line is
+    degenerate), a zero row or a NaN leaves a remainder whose squared norm
+    is zero or not finite there, and `lorentz.orthonormalize` raises with
+    no warning."""
+    B = rng.normal(size=(6, 7, 3, 6))
+    B[..., 0, 0] = 3 * np.linalg.norm(B[..., 0, 1:], axis=-1)
+    if defect == "null_row":
+        B[2, 3, 0] = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    elif defect == "zero_row":
+        B[2, 3, 1] = 0.0
+    else:
+        B[2, 3, 1, 4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            lorentz.orthonormalize(B)
 
 
 def _frame_path_kernels(B, Ff):
     """The row-blocked kernels of the frame path on the rows
-    B = (Y, N, Y_u, Y_v) and the frame Ff: the complement solver, the
-    normal frame (the cross product in S^3), the group test's ok and
-    residual, and the Maurer-Cartan pair."""
+    B = (Y, N, Y_u, Y_v) and the frame Ff: the Gram-Schmidt of the
+    sphere columns, the normal frame (the cross product in S^3, swept
+    rejections in S^4), the group test's ok and residual, and the
+    Maurer-Cartan pair."""
     M = gauss_frame.maurer_cartan(Ff)
-    return (lorentz.complement_solver(B),
-            surface.normal_frame(*np.moveaxis(B, -2, 0)),
+    fields = np.moveaxis(B, -2, 0)
+    return (lorentz.orthonormalize(np.stack(surface.sphere_columns(*fields),
+                                            axis=-2)),
+            surface.normal_frame(*fields),
             *lorentz.validate_group(Ff.F, 1e-3), M.P, M.Q)
 
 
 @pytest.mark.parametrize("kind", ["veronese_s4", "clifford_torus"])
 def test_row_blocked_kernels_do_not_depend_on_the_block_layout(monkeypatch,
                                                                kind):
-    """On a 37 x 29 chart, the complement solver, the normal frame, the
-    group test and the Maurer-Cartan form are bit for bit the one-block
-    result with blocks
+    """On a 37 x 29 chart, the Gram-Schmidt, the normal frame, the group
+    test and the Maurer-Cartan form are bit for bit the one-block result
+    with blocks
     of the whole grid, of one row, of five rows (the last block two rows
     short) and of one row for a row longer than PLANE_BLOCK.  The
     single-point complement basis still takes its (m, dim) input."""
@@ -307,7 +348,7 @@ def test_row_blocked_kernels_do_not_depend_on_the_block_layout(monkeypatch,
         assert len(lorentz.row_blocks(c.shape)) == count, block
         for got, ref in zip(_frame_path_kernels(B, Ff), want):
             assert np.array_equal(got, ref), block
-        E = surface.complement_basis(B[3, 5])
+        E = surface.complement_basis(want[0][3, 5])
         assert E.shape == (S.n, B.shape[-1])
         assert np.max(np.abs(lorentz.inner(E[:, None], E[None])
                              - np.eye(S.n))) <= 1e-12
@@ -326,10 +367,10 @@ def test_row_blocked_kernels_keep_their_temporaries_block_sized():
 
     S = surface_data("veronese_s4")
     Ff = gauss_frame.build_frame(S)
-    B = np.stack([S.Y, S.N, S.Yu, S.Yv], axis=-2)
+    phi = np.stack(surface.sphere_columns(S.Y, S.N, S.Yu, S.Yv), axis=-2)
     E = surface_data("enneper")
     for name, kernel in (
-            ("complement_solver", lambda: lorentz.complement_solver(B)),
+            ("orthonormalize", lambda: lorentz.orthonormalize(phi)),
             ("normal_frame", lambda: surface.normal_frame(E.Y, E.N, E.Yu,
                                                           E.Yv)),
             ("validate_group", lambda: lorentz.validate_group(Ff.F, 1.0)),

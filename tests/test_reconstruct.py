@@ -4,7 +4,7 @@ import pytest
 from willmorelab import reconstruct, spinor, surface
 from willmorelab.chart import Chart
 from willmorelab.gauss_frame import FrameField, MCBlocks, maurer_cartan
-from willmorelab.lorentz import inner
+from willmorelab.lorentz import inner, rejection
 
 import helpers
 import oracles
@@ -143,12 +143,12 @@ def _projector_frames(pipe):
 
 
 def test_bundle_projector_is_the_projection_onto_the_bundle(pipe):
-    """P = Id - (the rejection of Id from the bundle) is idempotent, fixes
-    the four bundle columns and kills the normal columns; without the
-    timelike sign eps_0 = -1 it is not."""
+    """P = Id - (the rejection of Id from the bundle, `lorentz.rejection`)
+    is idempotent, fixes the four bundle columns and kills the normal
+    columns; without the timelike sign eps_0 = -1 it is not."""
     for name, F in _projector_frames(pipe):
         dim = F.shape[-1]
-        P = np.eye(dim) - reconstruct._bundle_rejection(F, np.eye(dim))
+        P = np.eye(dim) - rejection(F[..., :, :4], np.eye(dim))
         assert _projector_defect(P, F) < 1e-10, name
         F4 = F[..., :, :4]
         no_eps = (F4 @ np.swapaxes(F4, -1, -2)) * np.diag(

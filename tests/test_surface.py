@@ -5,11 +5,10 @@ import pytest
 
 from willmorelab import chart, cli, gauss_frame, surface, zoo
 from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
-from willmorelab.lorentz import complement_solver, inner
+from willmorelab.lorentz import inner, orthonormalize, rejection
 
 import helpers
 import oracles
-from oracles import metric
 
 
 def test_canonical_lift_normalization(pipe):
@@ -17,6 +16,16 @@ def test_canonical_lift_normalization(pipe):
     e = np.real(inner(d_z(S.Y, c), d_zbar(S.Y, c)))
     assert np.max(np.abs(e - 0.5)) < 1e-10
     assert np.max(np.abs(inner(S.Y, S.Y))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [0, 3, 4])
+def test_canonical_lift_rejects_a_dimension_below_5(dim):
+    """A lift into R^dim, dim < 5, has no normal bundle of rank n >= 1:
+    a ValueError that names the dimension, before any pairing is taken."""
+    c = Chart(-1.0, 1.0, -1.0, 1.0, 8, 8, "open")
+    raw = np.ones(c.shape + (dim,))
+    with pytest.raises(ValueError, match=f"got dimension {dim}$"):
+        surface.canonical_lift(raw, c)
 
 
 def test_canonical_lift_scale_invariance(rng):
@@ -299,9 +308,9 @@ def _span_oracle_case(pipe, case):
                                   "torus_of_revolution:3", "veronese_s4",
                                   "hexagonal_torus_s5"])
 def test_invariants_match_span_projection_oracle(pipe, case):
-    """One real complement solver per grid gives the invariants of the
-    per-call projections: kappa off the complex basis (Y, N, Y_z, Y_zbar),
-    psi swept with a Gram solve per row."""
+    """One Gram-Schmidt per grid and rejections from its rows give the
+    invariants of the per-call projections: kappa off the complex basis
+    (Y, N, Y_z, Y_zbar), psi swept with a Gram solve per row."""
     S, want = _span_oracle_case(pipe, case)
     assert S.n == want["psi"].shape[-2]
     got = dict(surface.invariants(S)._asdict(), psi=S.psi)
@@ -310,49 +319,72 @@ def test_invariants_match_span_projection_oracle(pipe, case):
         assert err <= 1e-12, (case, name, err)
 
 
-def _gram_without_metric(B):
-    return np.linalg.solve(B @ np.swapaxes(B, -1, -2),
-                           B * np.diag(metric(B.shape[-1])))
+def _gram_without_metric(X):
+    """Gram-Schmidt that takes the Gram matrix of the rows it keeps as
+    the identity, without the sign eps_0 = -1 of the timelike row: each
+    row less <X_j, E_i> E_i, not eps_i <X_j, E_i> E_i."""
+    E = np.array(X, dtype=float)
+    for j in range(E.shape[-2]):
+        for i in range(j):
+            E[..., j, :] -= inner(X[..., j, :], E[..., i, :])[..., None] \
+                * E[..., i, :]
+        q = inner(E[..., j, :], E[..., j, :])
+        E[..., j, :] /= np.sqrt(np.abs(q))[..., None]
+    return E
 
 
-def _three_rows_only(B, solve=complement_solver):
-    Q = np.zeros_like(B)
-    Q[..., :3, :] = solve(B[..., :3, :])
-    return Q
+def _three_rows_only(F, X):
+    """The rejection from the first three of the bundle's four columns."""
+    return rejection(F[..., :3], X)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
-@pytest.mark.parametrize("broken", [_gram_without_metric, _three_rows_only])
-def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, broken):
-    """The oracle tells solvers apart: a Gram without the metric signs, or
-    a solver that leaves out Y_v, misses it by far more than 1e-12.
-
-    The metric-free Gram leaves most of the swept frame timelike (NaN
-    after normalization), so the miss is taken over the finite entries.
-    """
+@pytest.mark.parametrize("attr, broken",
+                         [("orthonormalize", _gram_without_metric),
+                          ("rejection", _three_rows_only)],
+                         ids=["_gram_without_metric", "_three_rows_only"])
+def test_span_projection_oracle_rejects_broken_solvers(monkeypatch, attr,
+                                                      broken):
+    """The oracle tells projectors apart: a Gram-Schmidt without the
+    metric signs, or a rejection that leaves out Y_v, misses it by far
+    more than 1e-12."""
     raw, c = helpers.hexagonal_torus_patch(24)
-    monkeypatch.setattr(surface, "complement_solver", broken)
+    monkeypatch.setattr(surface, attr, broken)
     S = surface.build_surface_data(raw, c)
     want = oracles.invariants_by_span_projection(S.Y, S.N, c)
     got = {"kappa": surface.invariants(S).kappa, "psi": S.psi}
     for name in ("kappa", "psi"):
-        assert np.nanmax(np.abs(got[name] - want[name])) > 0.1, name
+        assert np.max(np.abs(got[name] - want[name])) > 0.1, name
+
+
+def _sphere_rows(pipe, kind):
+    """The sphere columns (phi1..phi4) of a zoo surface at N=48 or of the
+    hexagonal torus in S^5 (n = 3), as rows: what `normal_frame`
+    orthonormalizes."""
+    if kind == "hexagonal_torus_s5":
+        raw, c = helpers.hexagonal_torus_patch(48)
+        S = surface.build_surface_data(raw, c)
+    else:
+        c, S, _, _ = pipe(kind)
+    return np.stack(surface.sphere_columns(S.Y, S.N, d_u(S.Y, c),
+                                           d_v(S.Y, c)), axis=-2)
 
 
 def _complement_cases(pipe):
-    """(name, rows) for `complement_basis`: the mean curvature sphere
-    rows (Y, N, Y_u, Y_v) at a few points of zoo surfaces in S^3 and S^4."""
+    """(name, rows, orthonormal rows) for `complement_basis`: the mean
+    curvature sphere rows (Y, N, Y_u, Y_v) at a few points of zoo surfaces
+    in S^3 and S^4, and the Gram-Schmidt of their sphere columns."""
     for kind in ("clifford_torus", "enneper", "veronese_s4"):
         c, S, _, _ = pipe(kind)
         Yu, Yv = d_u(S.Y, c), d_v(S.Y, c)
+        E = orthonormalize(_sphere_rows(pipe, kind))
         for i, j in ((0, 0), (c.Nu // 2, c.Nv // 3), (-1, -1)):
             yield f"{kind}[{i},{j}]", np.stack([S.Y[i, j], S.N[i, j],
-                                                Yu[i, j], Yv[i, j]])
+                                                Yu[i, j], Yv[i, j]]), E[i, j]
 
 
 def test_complement_basis_is_orthonormal_and_orthogonal_to_the_rows(pipe):
-    for name, B in _complement_cases(pipe):
-        E = surface.complement_basis(B)
+    for name, B, E0 in _complement_cases(pipe):
+        E = surface.complement_basis(E0)
         dim = B.shape[-1]
         assert E.shape == (dim - 4, dim), name
         G = inner(E[:, None, :], E[None, :, :])
@@ -364,52 +396,49 @@ def test_complement_basis_is_orthonormal_and_orthogonal_to_the_rows(pipe):
 
 
 def test_complement_basis_of_a_null_pair_matches_the_explicit_formula(rng):
-    """For null L, Z with <L, Z> = -1 the general projection is the
-    explicit e + <e, Z> L + <e, L> Z, and the same candidates are kept."""
+    """For null L, Z with <L, Z> = -1 the rejection from the orthonormal
+    pair (L + Z)/sqrt2, (L - Z)/sqrt2 is the explicit
+    e + <e, Z> L + <e, L> Z, and the same candidates are kept."""
     for dim in (5, 6, 7):
         for _ in range(4):
             ls = rng.normal(size=dim - 1)
             L = np.concatenate([[1.0], ls / np.linalg.norm(ls)])
             Z = np.concatenate([[L[0]], -L[1:]]) / 2.0
-            got = surface.complement_basis(np.stack([L, Z]))
+            got = surface.complement_basis(np.stack([L + Z, L - Z])
+                                           / np.sqrt(2.0))
             want = oracles.null_pair_complement_basis(L, Z)
             assert got.shape == want.shape == (dim - 2, dim)
             assert np.max(np.abs(got - want)) < 1e-14
 
 
-def _sphere_rows(pipe, kind):
-    """The rows (Y, N, Y_u, Y_v) that `build_surface_data` hands the
-    solver."""
-    c, S, _, _ = pipe(kind)
-    return np.stack([S.Y, S.N, d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
-
-
 @pytest.mark.parametrize("m", [4, 3])
-@pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "veronese_s4"])
+@pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "veronese_s4",
+                                  "hexagonal_torus_s5"])
 def test_complement_solver_matches_lapack_on_sphere_rows(pipe, kind, m):
-    """The closed-form Gram inverse gives LAPACK's Q on the whole grid:
-    m=4 as `build_surface_data` calls it, m=3 on the rows (Y, N, Y_u) of
-    the `_three_rows_only` mutant.  On enneper and veronese_s4 the cross block
-    Gram(Y, N; Y_u, Y_v) is O(h^2), not roundoff as on clifford_torus, so
-    an error in the Schur term of the upper-left block shows there."""
+    """The rejection from the Gram-Schmidt of the sphere columns phi is
+    LAPACK's projection onto their complement on the whole grid: m=4 as
+    `normal_frame` calls it, m=3 on phi1..phi3.  On enneper, veronese_s4
+    and the hexagonal torus the pairings of phi1, phi2 with phi3, phi4
+    are O(h^2), not roundoff as on clifford_torus, so each step of the
+    Gram-Schmidt acts there."""
     B = _sphere_rows(pipe, kind)
     if kind != "clifford_torus":
         cross = inner(B[..., :2, None, :], B[..., None, 2:, :])
         assert np.max(np.abs(cross)) > 1e-3
-    assert np.max(helpers.solver_miss(B[..., :m, :])) <= 1e-13
+    assert np.max(helpers.projector_miss(B[..., :m, :])) <= 1e-13
 
 
 @pytest.mark.parametrize("defect", ["repeated_row", "zero_row", "nan"])
 def test_complement_solver_raises_on_a_singular_gram(pipe, defect):
-    """One bad grid point is enough: a repeated row makes the leading
-    block singular, a zero row the Schur complement, a NaN the Gram.
-    The same defect in the rows (Y, N, Y_u, Y_v) of enneper, a surface
-    in S^3, makes the normal's <nu, nu> zero or NaN there, and
-    `normal_frame` raises too, with no warning and no NaN psi."""
-    for kind, solve in (("veronese_s4", complement_solver),
-                        ("enneper", lambda B: surface.normal_frame(
-                            *np.moveaxis(B, -2, 0)))):
-        B = _sphere_rows(pipe, kind).copy()
+    """One bad grid point is enough: a repeated row of (Y, N, Y_u, Y_v)
+    makes a sphere column zero, and so does a zero row; a NaN makes the
+    Gram matrix not finite.  On veronese_s4 (a surface in S^4) the
+    Gram-Schmidt of the sphere columns raises, and on enneper (in S^3)
+    the normal's <nu, nu> is zero or NaN there: `normal_frame` raises on
+    both, with no warning and no NaN psi."""
+    for kind in ("veronese_s4", "enneper"):
+        c, S, _, _ = pipe(kind)
+        B = np.stack([S.Y, S.N, d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
         if defect == "repeated_row":
             B[5, 7, 1] = B[5, 7, 0]
         elif defect == "zero_row":
@@ -419,7 +448,7 @@ def test_complement_solver_raises_on_a_singular_gram(pipe, defect):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
-                solve(B)
+                surface.normal_frame(*np.moveaxis(B, -2, 0))
 
 
 ORACLE_CASES = list(zoo.KINDS) + ["hexagonal_torus_s5"]
