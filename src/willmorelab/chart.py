@@ -4,6 +4,8 @@ A chart is a rectangular grid in z = u + iv.  Fields are numpy arrays of
 shape (Nu, Nv, ...) with arbitrary trailing value axes.  Derivatives use
 second-order central stencils; periodic directions wrap, open directions
 fall back to second-order one-sided stencils at the two boundary lines.
+One routine takes them over the whole grid (`d_u`, `d_v`) or over a
+range of rows (`partial_rows`), with the same bits on every row.
 """
 
 from __future__ import annotations
@@ -128,15 +130,27 @@ class Chart:
         return mask
 
 
-def _diff_axis(f: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    """Second-order first derivative along axis.
+def _diff_axis(f: np.ndarray, h: float, axis: int, periodic: bool,
+               rows: slice | None = None) -> np.ndarray:
+    """Second-order first derivative along axis (0 or 1), over the whole
+    grid or on the rows `rows` of it (a slice of axis 0 with unit step).
 
     The stencil numerators are written into one output array, which is
     then divided by 2h in place; a periodic axis takes its two wrap rows
-    from the edge slices.
+    from the edge slices, an open one its one-sided edge rows.  Along
+    axis 0 the stencil reads the neighbour rows of the range (the wrap
+    rows at a periodic edge) and computes only the rows in it; along
+    axis 1 it reads only the rows in it.  Each output row runs the same
+    arithmetic in every range, so any row range is bit for bit those
+    rows of the whole grid's derivative.
     """
     f = np.asarray(f)
-    df = np.empty_like(f, dtype=np.result_type(f.dtype, float))
+    if axis and rows is not None:
+        f, rows = f[rows], None
+    n = f.shape[axis]
+    start, stop = (0, n) if rows is None else rows.indices(n)[:2]
+    shape = f.shape[:axis] + (stop - start,) + f.shape[axis + 1:]
+    df = np.empty_like(f, dtype=np.result_type(f.dtype, float), shape=shape)
     sl = [slice(None)] * f.ndim
 
     def at(i):
@@ -144,14 +158,21 @@ def _diff_axis(f: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray
         s[axis] = i
         return tuple(s)
 
-    np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))],
-                out=df[at(slice(1, -1))])
-    if periodic:
-        np.subtract(f[at(1)], f[at(-1)], out=df[at(0)])
-        np.subtract(f[at(0)], f[at(-2)], out=df[at(-1)])
-    else:
-        df[at(0)] = -3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]
-        df[at(-1)] = 3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]
+    # the central rows of the range, the edge rows excluded (none for a
+    # range of one edge row)
+    lo, hi = max(start, 1), min(stop, n - 1)
+    np.subtract(f[at(slice(lo + 1, hi + 1))], f[at(slice(lo - 1, hi - 1))],
+                out=df[at(slice(lo - start, hi - start))])
+    if start == 0:
+        if periodic:
+            np.subtract(f[at(1)], f[at(-1)], out=df[at(0)])
+        else:
+            df[at(0)] = -3 * f[at(0)] + 4 * f[at(1)] - f[at(2)]
+    if stop == n:
+        if periodic:
+            np.subtract(f[at(0)], f[at(-2)], out=df[at(-1)])
+        else:
+            df[at(-1)] = 3 * f[at(-1)] - 4 * f[at(-2)] + f[at(-3)]
     df /= 2 * h
     return df
 
@@ -162,6 +183,16 @@ def d_u(f: np.ndarray, c: Chart) -> np.ndarray:
 
 def d_v(f: np.ndarray, c: Chart) -> np.ndarray:
     return _diff_axis(f, c.hv, 1, c.periodic_v)
+
+
+def partial_rows(f: np.ndarray, c: Chart, axis: int, rows) -> np.ndarray:
+    """The u- (axis 0) or v- (axis 1) partial of a grid field f on the
+    rows `rows` of the grid (a slice of axis 0, or `...` for all), bit
+    for bit those rows of `d_u(f, c)` or `d_v(f, c)`: a row block of a
+    loop over the grid (`lorentz.row_blocks`) takes its stencil with no
+    grid-sized output."""
+    h, periodic = (c.hu, c.periodic_u) if axis == 0 else (c.hv, c.periodic_v)
+    return _diff_axis(f, h, axis, periodic, None if rows is ... else rows)
 
 
 def wirtinger(fu: np.ndarray, fv: np.ndarray, sign: int) -> np.ndarray:

@@ -200,6 +200,25 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     return report, code
 
 
+def _observed_orders(coarse: dict, fine: dict) -> dict:
+    """log(r_coarse / r_fine) / log(h_coarse / h_fine) for each residual
+    of two levels of verify-harmonic: every flatness sample, keyed as
+    its check, the harmonicity lines by name, and strong conformality.
+    A residual at roundoff on the coarse level (at most 1e-12) has no
+    order."""
+    def residuals(level):
+        out = {f"flatness[lambda={item['lambda']}]": item["sup"]
+               for item in level["flatness"]}
+        out.update(level["harmonic"])
+        out["strong_conformality"] = level["strong_conformality"]
+        return out
+
+    ratio = np.log(coarse["h"] / fine["h"])
+    lo = residuals(fine)
+    return {key: float(np.log(hi / max(lo[key], 1e-15)) / ratio)
+            for key, hi in residuals(coarse).items() if hi > 1e-12}
+
+
 def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
     raw, c, spec = _load_field(cfg)
     lambdas = _parse_lambdas(cfg["lambda_samples"]) \
@@ -216,18 +235,23 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         if level > 0:
             chart = chart.refine(2)
             field = zoo.generate(spec, chart)
+        # stage order per level: the Maurer-Cartan pair M, strong
+        # conformality from its B1 block, the loop curvature K; then M is
+        # released, so the flatness sweep and the harmonicity lines run
+        # on K alone, and K is released before the next level's M
         M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
             surface.build_surface_data(field, chart)))
+        strong = harmonic.strong_conformal_check(M.B1, chart.interior)
         K = harmonic.loop_curvature(M)
-        entry = {
+        del M
+        levels.append({
             "h": chart.h,
             "flatness": [{"lambda": str(r["lambda"]), "sup": r["sup"]}
                          for r in harmonic.flatness_sweep(K, lambdas)],
             "harmonic": harmonic.harmonic_residuals(K),
-            "strong_conformality":
-                harmonic.strong_conformal_check(M.B1, chart.interior),
-        }
-        levels.append(entry)
+            "strong_conformality": strong,
+        })
+        del K
 
     last = levels[-1]
     rtol = _residual_tol(chart, cfg["tol"])
@@ -238,14 +262,7 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         _check(checks, f"harmonic.{name}", val, rtol)
     _check(checks, "strong_conformality", last["strong_conformality"], rtol)
     if len(levels) >= 2:
-        orders = {}
-        a, b = levels[-2], levels[-1]
-        ratio = np.log(a["h"] / b["h"])
-        for key in a["harmonic"]:
-            lo, hi = b["harmonic"][key], a["harmonic"][key]
-            if hi > 1e-12:
-                orders[key] = float(np.log(hi / max(lo, 1e-15)) / ratio)
-        levels[-1]["observed_orders"] = orders
+        levels[-1]["observed_orders"] = _observed_orders(*levels[-2:])
     else:
         _skip(skipped, "convergence_order",
               "external input has no generator to refine")

@@ -124,10 +124,13 @@ class MCBlocks:
         holomorphic coordinate (dz and dzbar exchange, v -> -v)."""
         return MCBlocks(self.P, -self.Q, self.chart)
 
-    def so_defects(self) -> tuple:
+    def so_defects(self, rows=...) -> tuple:
         """(D_P, D_Q), the so-defects X_B2 + X_B1^T I13 of P and of Q,
-        zero for a form in so(1, n+3)."""
-        return _so_defect(self.P), _so_defect(self.Q)
+        zero for a form in so(1, n+3), on the rows `rows` of the grid (a
+        slice of its first axis; all of them by default).  The formula
+        is elementwise, so a row block's defects are bit for bit those
+        rows of the whole grid's."""
+        return _so_defect(self.P[rows]), _so_defect(self.Q[rows])
 
     @property
     def b2_residual(self) -> float:

@@ -56,16 +56,26 @@ passes on planes (`lorentz.product`), one row block of the grid at a
 time (`lorentz.row_blocks`), because a stacked product of small real
 matrices is one BLAS call per grid point: at N=255 on veronese_s4,
 P[..., :4, :4] @ P[..., :4, 4:] takes 5.7 ms that way against 2.6 ms as
-passes on planes.  The planes of one row block stay in cache, and no
-planes copy of the whole P and Q is made (it would add about 35 MB to
-the call's peak).  K's commutator stays a BLAS matmul per row block, so
-K, W and R+'s imaginary part have the bits of one stacked product; H,
-the A-lines and B1_line differ from it by roundoff, since BLAS fuses
-multiply-adds and the passes do not.  The fields are kept as planes,
-so every reduction runs across them and none over a short trailing
-axis.  At N=255 on veronese_s4, one call takes about 130 ms against
-210 ms with stacked products, and its temporaries peak 40 MB above its
-fields against 54 MB; a flatness sweep takes 19 ms against 47 ms.
+passes on planes.  K is formed in the same loop: the block's rows of
+Q's u-stencil and of P's v-stencil (`chart.partial_rows`, bit for bit
+those rows of `d_u` and `d_v`, wrap rows included), then the
+commutator, next to the so-defects of the block's rows of P and Q.  So
+no grid-sized K, stencil of P or Q, or so-defect exists; only H's
+stencils, on the planes of the off-diagonal blocks, run over the grid.
+The planes of one row block stay in cache, and no planes copy of the
+whole P and Q is made (it would add about 35 MB to the call's peak).
+K's commutator stays a BLAS matmul per row block, so K, W and R+'s
+imaginary part have the bits of one stacked product; H, the A-lines
+and B1_line differ from it by roundoff, since BLAS fuses multiply-adds
+and the passes do not.  The fields are kept as planes, so every
+reduction runs across them and none over a short trailing axis.  At
+N=255 on veronese_s4, the call's temporaries peak 14.3 MB above its
+46.3 MB of fields (tracemalloc), against 40.3 MB with K, its stencils
+and the so-defects over the whole grid and 54 MB with stacked
+products.  On a shared 2-CPU Xeon with one BLAS thread, an N=256 call
+on veronese_s4 took 175-210 ms of process time against 210-235 ms with
+the whole-grid K (interleaved runs of both versions in one process);
+a flatness sweep took 20-40 ms.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import Chart, d_u, d_v, sup_norm
+from .chart import Chart, d_u, d_v, partial_rows, sup_norm
 from .gauss_frame import MCBlocks
 from .lorentz import gram, grid_first, product, row_blocks, to_planes
 
@@ -126,12 +136,15 @@ class LoopCurvature:
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
     """Laurent coefficients of the curvature of alpha_lambda.
 
-    K on every block, from one stencil of Q and one of P over the grid
-    and [P, Q] by stacked products per row block; H on the B1 and B2
-    blocks only, where [P_k, P] = P_k P_p - P_p P_k: its stencils act on
-    the planes of those blocks over the grid, and its products, like
-    those of the A-lines, run per row block (`row_blocks`) as per-entry
-    passes on the block's planes, written into planes outputs.
+    H on the B1 and B2 blocks only, where [P_k, P] = P_k P_p - P_p P_k:
+    its stencils act on the planes of those blocks over the grid.
+    Everything else runs per row block (`row_blocks`): K on every block,
+    from the block's rows of Q's u-stencil and P's v-stencil
+    (`partial_rows`) and [P, Q] by stacked products; the so-defects of P
+    and Q (`MCBlocks.so_defects`); and the products of H and of the
+    A-lines, as per-entry passes on the block's planes, written into
+    planes outputs.  No grid-sized K, stencil of P or Q, or so-defect is
+    allocated.
     """
     c = M.chart
     P, Q = M.P, M.Q
@@ -151,18 +164,17 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     for i, j, H, _ in blocks:
         np.add(d_u(_block_planes(P, i, j), c),
                d_v(_block_planes(Q, i, j), c), out=grid_first(H))
-    # K = Q_u - P_v + [P, Q], accumulated in place
-    K = d_u(Q, c)
-    K -= d_v(P, c)
-    # the so-defects B2 + B1^T I13 of P and of Q
-    DP, DQ = M.so_defects()
     for rows in row_blocks(c.shape):
-        Kr = K[rows]
-        PQ = np.matmul(P[rows], Q[rows])
-        Kr += PQ
-        Kr -= np.matmul(Q[rows], P[rows], out=PQ)
-        Pp, Qp, Kp, DPp, DQp = (to_planes(X[rows])
-                                for X in (P, Q, K, DP, DQ))
+        # K = Q_u - P_v + [P, Q] on the block, accumulated in place
+        K = partial_rows(Q, c, 0, rows)
+        K -= partial_rows(P, c, 1, rows)
+        Pr, Qr = P[rows], Q[rows]
+        PQ = np.matmul(Pr, Qr)
+        K += PQ
+        K -= np.matmul(Qr, Pr, out=PQ)
+        Pp, Qp, Kp = (to_planes(X) for X in (Pr, Qr, K))
+        # the so-defects B2 + B1^T I13 of P and of Q
+        DPp, DQp = (to_planes(D) for D in M.so_defects(rows))
         np.multiply(Kp[a, a], -0.25, out=W1[:, :, rows])
         np.multiply(Kp[b, b], -0.25, out=W2[:, :, rows])
         for i, j, H, I in blocks:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from willmorelab.chart import (TOPOLOGIES, Chart, d_u, d_v, d_z, d_zbar,
-                               integrate, residual_norms, sup_norm,
-                               wirtinger)
+                               integrate, partial_rows, residual_norms,
+                               sup_norm, wirtinger)
 
 import oracles
 
@@ -83,6 +83,29 @@ def test_stencils_match_roll_oracle(rng, topology, dtype, tail):
                       (d_zbar(f, c), wirtinger(fu, fv, 1))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("tail", [(), (4, 3)])
+def test_partial_rows_are_the_rows_of_the_whole_grid_stencil(rng, topology,
+                                                            tail):
+    """On every row range, from single rows at the edges (where a
+    periodic axis wraps and an open one is one-sided) to the whole grid
+    and `...`, `partial_rows` is bit for bit those rows of d_u and d_v,
+    of the same dtype, also on a field viewed from planes."""
+    c = Chart(0.0, 1.3, -0.7, 2.1, 9, 7, topology)
+    f = rng.normal(size=c.shape + tail)
+    planes = np.ascontiguousarray(np.moveaxis(f, (0, 1), (-2, -1)))
+    whole = (d_u(f, c), d_v(f, c))
+    ranges = [slice(i, j) for i in range(c.Nu) for j in range(i + 1,
+                                                               c.Nu + 1)]
+    for field in (f, np.moveaxis(planes, (-2, -1), (0, 1))):
+        for rows in ranges + [slice(None), ...]:
+            for axis in (0, 1):
+                got = partial_rows(field, c, axis, rows)
+                want = whole[axis][rows]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), (rows, axis)
 
 
 def test_second_order_convergence_on_trig():

@@ -3,12 +3,14 @@ import dataclasses
 import json
 import os
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from willmorelab import cli, gauss_frame, reconstruct, surface, zoo
+from willmorelab import (cli, gauss_frame, harmonic, lorentz, reconstruct,
+                         surface, zoo)
 
 CLIFF_CHART = "32,32,0,6.283185307179586,0,6.283185307179586,periodic-both"
 
@@ -339,6 +341,101 @@ def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
     assert not any(map(any, alive)), alive
 
 
+def test_verify_harmonic_releases_the_pair_before_the_sweep(monkeypatch):
+    """On every level, verify-harmonic takes strong conformality from the
+    Maurer-Cartan pair before the loop curvature is built, and drops the
+    pair once it is: it is dead when the flatness sweep and the
+    harmonicity lines run, and each level's curvature is dead when the
+    next level's pair is built."""
+    pairs, curvatures, events = [], [], []
+    blocks, loop = gauss_frame.maurer_cartan, harmonic.loop_curvature
+    sweep, lines = harmonic.flatness_sweep, harmonic.harmonic_residuals
+    strong = harmonic.strong_conformal_check
+
+    def alive(refs):
+        return [r() is not None for r in refs]
+
+    def mc(Ff):
+        events.append(("pair", alive(curvatures)))
+        M = blocks(Ff)
+        pairs.append(weakref.ref(M))
+        return M
+
+    def curvature(M):
+        K = loop(M)
+        curvatures.append(weakref.ref(K))
+        events.append(("curvature", None))
+        return K
+
+    def spy(name, fn):
+        def run_stage(*args):
+            events.append((name, alive(pairs)))
+            return fn(*args)
+        return run_stage
+
+    monkeypatch.setattr(gauss_frame, "maurer_cartan", mc)
+    monkeypatch.setattr(harmonic, "loop_curvature", curvature)
+    monkeypatch.setattr(harmonic, "flatness_sweep", spy("sweep", sweep))
+    monkeypatch.setattr(harmonic, "harmonic_residuals", spy("lines", lines))
+    monkeypatch.setattr(harmonic, "strong_conformal_check",
+                        spy("strong", strong))
+    assert run("verify-harmonic", "--surface", "clifford_torus",
+               "--chart", CLIFF_CHART, "--refine", "2") == 0
+    assert [name for name, _ in events] == [
+        "pair", "strong", "curvature", "sweep", "lines"] * 2
+    assert events[0][1] == [] and events[5][1] == [False]
+    assert events[1][1] == [True] and events[6][1] == [False, True]
+    for i in (3, 4, 8, 9):
+        assert not any(events[i][1]), events[i]
+
+
+def test_verify_harmonic_reports_observed_orders_of_every_check(tmp_path):
+    """The observed convergence orders of verify-harmonic cover every
+    flatness sample, each harmonicity line and strong conformality.  On
+    enneper, refined once from 48 x 48, each sits near 2 (1.95-1.99),
+    except A2_line, the 1 x 1 block of a surface in S^3, which falls
+    about twice as fast (3.9)."""
+    out = tmp_path / "vh.json"
+    code = run("verify-harmonic", "--surface", "enneper",
+               "--chart", "48,48,-0.8,0.8,-0.8,0.8,open", "--refine", "2",
+               "--out", str(out))
+    assert code == 0
+    level = json.loads(out.read_text())["residuals"]["levels"][-1]
+    orders = level["observed_orders"]
+    flat = [f"flatness[lambda={f['lambda']}]" for f in level["flatness"]]
+    assert len(flat) == 4
+    assert sorted(orders) == sorted(flat + ["A1_line", "A2_line", "B1_line",
+                                            "strong_conformality"])
+    for key, order in orders.items():
+        if key == "A2_line":
+            assert 3.5 <= order <= 4.5, (key, order)
+        else:
+            assert 1.9 <= order <= 2.1, (key, order)
+
+
+def test_verify_harmonic_memory_peak():
+    """The tracemalloc peak of one verify-harmonic op on veronese_s4,
+    refined once from its default 128 x 128 chart, stays below 115 MB:
+    102.2 MB with the loop curvature formed one row block at a time and
+    the Maurer-Cartan pair dropped once it is built, against 139.7 MB
+    with whole-grid K, stencils and so-defects and the pair held to the
+    end of each level."""
+    spec = zoo.SurfaceSpec("veronese_s4")
+    c = zoo.default_chart(spec, 128)
+    chart = ",".join([str(c.Nu), str(c.Nv)]
+                     + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
+                                                 c.v_max)] + [c.topology])
+    tracemalloc.start()
+    try:
+        code = run("verify-harmonic", "--surface", "veronese_s4",
+                   "--chart", chart, "--refine", "2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2            # flatness at lambda = i, as stored
+    assert peak < 115e6, peak
+
+
 @pytest.mark.parametrize("argv, calls", [(["analyze"], 1),
                                          (["verify-harmonic", "--refine",
                                            "2"], 0),
@@ -361,9 +458,10 @@ def test_invariants_are_derived_only_where_read(monkeypatch, argv, calls):
 
 
 @pytest.mark.parametrize("argv, reads, defects", [
-    (["analyze"], {"B1"}, 2),
-    (["verify-harmonic", "--refine", "2"], {"B1"}, 4),
-    (["reconstruct"], {"A1", "B1"}, 0)],
+    (["analyze"], {"B1"}, [(32, 32)] * 2),
+    (["verify-harmonic", "--refine", "2"], {"B1"},
+     [(32, 32)] * 2 + [(16, 64)] * 8),
+    (["reconstruct"], {"A1", "B1"}, [])],
     ids=["analyze", "verify-harmonic", "reconstruct"])
 def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
                                                defects):
@@ -372,9 +470,10 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     shape, and each builds only the complex blocks it reads: B1 for the
     rank, the strong-conformality check and the normalization, and in
     reconstruct A1 for the scale of h (a_ij are single entries).  The
-    so-defects of P and Q are derived once per form that reads them
-    (analyze's b2_residual, each level's harmonicity lines) and never
-    in reconstruct."""
+    so-defects of P and Q are derived once over the grid for analyze's
+    b2_residual, once per row block of each level's harmonicity lines
+    (with row blocks of 1024 points: the 32 x 32 level is one block, the
+    64 x 64 level four blocks of 16 rows), and never in reconstruct."""
     shapes, built, assembled, derived = set(), [], [], []
     blocks, block, wirt, defect = (gauss_frame.maurer_cartan,
                                    gauss_frame.MCBlocks._block,
@@ -410,6 +509,7 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     monkeypatch.setattr(gauss_frame.MCBlocks, "_block", spy_block)
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
     monkeypatch.setattr(gauss_frame, "wirtinger", spy_wirtinger)
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 1024)
     for name in ("full", "k_part", "p_part"):
         def forbidden(self, name=name):
             raise AssertionError(f"MCBlocks.{name} called")
@@ -420,7 +520,7 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     assert len(shapes) == levels
     assert not assembled
     assert set(built) == reads
-    assert len(derived) == defects
+    assert [shape[:2] for shape in derived] == defects
 
 
 def _matmul_sites(package) -> dict:

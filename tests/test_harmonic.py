@@ -161,19 +161,30 @@ def test_harmonic_lines_share_the_curvature_blocks(pipe):
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
 def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
                                                      kind):
-    """K starts from d_u(Q) and d_v(P) of M.Q and M.P themselves, and the
-    so-defects are taken once each from P and Q themselves.  H's
-    stencils read the off-diagonal blocks of P and Q laid out as planes,
-    one contiguous grid per entry viewed with the grid axes first, equal
-    to the block views entry for entry.  No complex form is assembled."""
-    _, _, _, M = pipe(kind)
-    args, defects = [], []
-    defect = gauss_frame._so_defect
+    """Per row block (five blocks here), K's stencils are Q's u-partial
+    and P's v-partial of that block's rows, read from M.Q and M.P
+    themselves, and the so-defects are taken from the block's rows of
+    M.P and M.Q as views, with no copy: no whole-grid stencil of P or Q
+    and no whole-grid so-defect is taken.  H's stencils read the
+    off-diagonal blocks of P and Q laid out as planes, one contiguous
+    grid per entry viewed with the grid axes first, equal to the block
+    views entry for entry.  No complex form is assembled."""
+    c, _, _, M = pipe(kind)
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 10 * c.Nv)
+    blocks = lorentz.row_blocks(c.shape)
+    assert len(blocks) == 5
+    args, partials, defects = [], [], []
+    defect, partial = gauss_frame._so_defect, harmonic.partial_rows
 
     def spy_defect(X):
         defects.append(X)
         return defect(X)
+
+    def spy_partial(f, chart, axis, rows):
+        partials.append((f, axis, rows))
+        return partial(f, chart, axis, rows)
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
+    monkeypatch.setattr(harmonic, "partial_rows", spy_partial)
     for name in ("d_u", "d_v"):
         def spy(f, c, stencil=getattr(harmonic, name), name=name):
             args.append((name, f))
@@ -184,16 +195,20 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
         raise AssertionError("loop_curvature assembled the complex form")
     monkeypatch.setattr(gauss_frame.MCBlocks, "full", no_full)
     harmonic.loop_curvature(M)
-    assert len(defects) == 2 and defects[0] is M.P and defects[1] is M.Q
-    assert len(args) == 6
-    whole = [(name, f) for name, f in args if f is M.P or f is M.Q]
-    assert [(name, f is M.Q) for name, f in whole] == [("d_u", True),
-                                                        ("d_v", False)]
+    assert len(partials) == 2 * len(blocks)
+    for (fu, axu, ru), (fv, axv, rv), rows in zip(partials[::2],
+                                                  partials[1::2], blocks):
+        assert fu is M.Q and axu == 0 and ru == rows
+        assert fv is M.P and axv == 1 and rv == rows
+    assert len(defects) == 2 * len(blocks)
+    for X, Y, rows in zip(defects[::2], defects[1::2], blocks):
+        for D, W in ((X, M.P), (Y, M.Q)):
+            assert D.shape == W[rows].shape
+            assert D.base is W and np.shares_memory(D, W[rows])
+    assert len(args) == 4
     a, b = slice(None, 4), slice(4, None)
-    stencils = [(name, f) for name, f in args if not any(
-        f is X for X in (M.P, M.Q))]
     for (name, f), want, X, (i, j) in zip(
-            stencils, ("d_u", "d_v") * 2, (M.P, M.Q) * 2,
+            args, ("d_u", "d_v") * 2, (M.P, M.Q) * 2,
             ((a, b), (a, b), (b, a), (b, a))):
         assert name == want
         assert f.shape == X[..., i, j].shape, name
@@ -213,13 +228,15 @@ def _curvature_fields(K):
             *(K.lines[name] for name in sorted(K.lines))]
 
 
-@pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
+@pytest.mark.parametrize("kind", ["enneper", "veronese_s4", "catenoid"])
 def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
                                                             kind):
     """On a 37 x 48 chart, every field of `loop_curvature` and every sup
     of `flatness_sweep` and `harmonic_residuals` is bit for bit the
     one-block result with row blocks of one row, of five rows (the last
-    block two rows short) and of one row longer than PLANE_BLOCK.  W and
+    block two rows short) and of one row longer than PLANE_BLOCK.  On
+    catenoid's chart, periodic in u, the wrap rows of K's u-stencil fall
+    in the first and the last block of each layout.  W and
     R+'s imaginary part are those of K from stacked products over the
     whole grid, and the sweep's sups those of the reduction over the
     trailing axis of the grid-first fields, bit for bit."""
@@ -261,9 +278,10 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
 
 def test_loop_curvature_keeps_its_temporaries_below_its_fields():
     """At 255^2 on veronese_s4, the tracemalloc peak of `loop_curvature`
-    exceeds the fields it returns (46.3 MB) by less than 52 MB: 40.3 MB
-    with the block products on the planes of each row block.  Stacked
-    products over the whole grid took 54.1 MB, and planes copies of the
+    exceeds the fields it returns (46.3 MB) by less than 20 MB: 14.3 MB
+    with K, its stencils and the so-defects formed one row block at a
+    time.  Whole-grid K, stencils and so-defects took 40.3 MB, stacked
+    products over the whole grid 54.1 MB, and planes copies of the
     whole P and Q take about 75 MB."""
     spec = zoo.SurfaceSpec("veronese_s4")
     M = _mc_blocks(spec, zoo.default_chart(spec, 255))
@@ -274,7 +292,7 @@ def test_loop_curvature_keeps_its_temporaries_below_its_fields():
     finally:
         tracemalloc.stop()
     assert K.plus_re.shape == M.chart.shape + (16,)
-    assert peak - held < 52e6, peak - held
+    assert peak - held < 20e6, peak - held
 
 
 def test_r0_max_is_the_per_point_max_of_R0(pipe):

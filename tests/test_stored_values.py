@@ -16,7 +16,8 @@ vanishes analytically, and roundoff in it is absolute (the stencils
 amplify last-bit moves of the O(1) invariants by up to 1/h^2).  The
 harmonic sups agree to 1e-12 relative.  Strings, booleans and integers
 agree exactly, the report holds exactly the stored keys, and each run
-exits with its stored code.
+exits with its stored code.  A harmonicity line whose stored sups are
+roundoff (`HARMONIC_ROUNDOFF`) is held to the analyze rule instead.
 """
 
 import json
@@ -121,7 +122,13 @@ ANALYZE = {
 # the fine level was re-recorded when its normal frame came to be swept
 # with rejections from the Gram-Schmidt of the sphere columns instead of
 # the closed-form Gram solve: psi moves by roundoff, and that sup by
-# 1.1e-12 relative.
+# 1.1e-12 relative.  catenoid (periodic in u) was recorded before K's
+# stencils and the so-defects ran per row block: its fine level, 96x95,
+# runs in three row blocks of 43, 43 and 10 rows, so the wrap rows of
+# K's u-stencil fall in the first and the last block.  Its A2_line (a
+# 1x1 block, identically zero for n = 1) is roundoff on both levels, so
+# that line alone is held to the analyze rule, 1e-12 relative or 1e-13
+# absolute (HARMONIC_ROUNDOFF).
 HARMONIC = {
     "veronese_s4": ("veronese_s4", CHART_S4, 2, (
         (0.14310614445433778, 0.1654664959039992, 0.18111691067262647,
@@ -137,7 +144,17 @@ HARMONIC = {
         (0.002308333034343276, 0.002506931796319253, 0.0034153113108559953,
          0.002308333034343276, 0.0014428019219362136,
          1.4045407931101244e-07, 0.0017076556554279977))),
+    "catenoid": ("catenoid", CHART_CAT, 0, (
+        (0.002387101027199913, 0.0028644031114529126, 0.004050877728381632,
+         0.002387101027199913, 0.0011935505135973403,
+         6.3173714229095116e-15, 0.002025438864190816),
+        (0.0006021359150882012, 0.0007223419722113204,
+         0.001021545813777669, 0.0006021359150882012,
+         0.0003010679575444957, 2.653103005496851e-14,
+         0.0005107729068888345))),
 }
+# the harmonicity lines of a case whose stored sups are roundoff
+HARMONIC_ROUNDOFF = {"catenoid": {"A2_line"}}
 
 _DUAL = {"classification.case": "a2", "classification.max_rank": 1,
          "classification.verdict":
@@ -229,13 +246,16 @@ def test_verify_harmonic_matches_stored_sups(tmp_path, case):
     code, report = _report(tmp_path, "verify-harmonic", surface, chart,
                            "--refine", "2")
     levels = report["residuals"]["levels"]
+    roundoff = HARMONIC_ROUNDOFF.get(case, set())
     assert len(levels) == len(want)
     for i, (lv, w) in enumerate(zip(levels, want)):
+        names = [None] * len(lv["flatness"]) + sorted(lv["harmonic"])
         got = [f["sup"] for f in lv["flatness"]] \
             + [lv["harmonic"][k] for k in sorted(lv["harmonic"])]
         assert len(got) == len(w), i
-        bad = [(j, x, y) for j, (x, y) in enumerate(zip(got, w))
-               if abs(x - y) > 1e-12 * max(abs(x), abs(y))]
+        bad = [(j, x, y) for j, (name, x, y) in enumerate(zip(names, got, w))
+               if not (_close(x, y) if name in roundoff
+                       else abs(x - y) <= 1e-12 * max(abs(x), abs(y)))]
         assert not bad, i
     assert code == want_code
 
