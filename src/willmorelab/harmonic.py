@@ -41,70 +41,43 @@ D = B2 + B1^T I13 of P and of Q (`MCBlocks.so_defects`, whose sup over
 alpha is `MCBlocks.b2_residual`).
 
 The arithmetic is real because a stacked product of small complex
-matrices costs several times its real counterpart: at N=256 on a 2-CPU
-Xeon with one BLAS thread, an (N, N, 4, 4) complex matmul takes about
-17 ms against 2.4 ms for the real one.  `loop_curvature` takes one real
-stencil per partial of K, stencils H only on the off-diagonal blocks,
-where R+ and B1_line read it, and accumulates both in place.
+matrices costs several times its real counterpart.  `loop_curvature`
+forms everything in one pass over the row blocks of the grid
+(`lorentz.row_blocks`).  Per block it takes the block's rows of the four
+partials Q_u, P_v, P_u and Q_v (`chart.partial_rows`, bit for bit those
+rows of `d_u` and `d_v`, wrap rows included), read from the whole P and
+Q, and sums them into the block's K and H; K's commutator [P, Q] is a
+stacked matmul, next to the so-defects of the block's rows of P and Q
+(`MCBlocks.so_defects`).  The block's P, Q, K and H are then laid out
+as planes (`lorentz.to_planes`), and the small block products of H_p
+and of the A-lines run as per-entry passes on them (`lorentz.product`):
+a stacked product of small real matrices is one BLAS call per grid
+point.  Each block's entries are written into the planes of the output
+fields, already scaled by 1/4, so no grid-sized K, H, stencil or
+so-defect exists and no pass over the grid follows the loop.  K, W and
+R+'s imaginary part have the bits of K formed by stacked products over
+the whole grid; H, the A-lines and B1_line differ from stacked products
+by roundoff, since BLAS fuses multiply-adds and the passes do not.  The
+results do not depend on the block layout, bit for bit.
+
 `flatness_sweep` and `harmonic_residuals` both read that one
 `LoopCurvature` and reduce each field to its interior sup, the number a
-report prints; each lambda sample costs a real axpy on the off-diagonal
-entries and a max.
-
-The small block products of H and of the A-lines run as per-entry
-passes on planes (`lorentz.product`), one row block of the grid at a
-time (`lorentz.row_blocks`), because a stacked product of small real
-matrices is one BLAS call per grid point: at N=255 on veronese_s4,
-P[..., :4, :4] @ P[..., :4, 4:] takes 5.7 ms that way against 2.6 ms as
-passes on planes.  K is formed in the same loop: the block's rows of
-Q's u-stencil and of P's v-stencil (`chart.partial_rows`, bit for bit
-those rows of `d_u` and `d_v`, wrap rows included), then the
-commutator, next to the so-defects of the block's rows of P and Q.  So
-no grid-sized K, stencil of P or Q, or so-defect exists; only H's
-stencils, on the planes of the off-diagonal blocks, run over the grid.
-The planes of one row block stay in cache, and no planes copy of the
-whole P and Q is made (it would add about 35 MB to the call's peak).
-K's commutator stays a BLAS matmul per row block, so K, W and R+'s
-imaginary part have the bits of one stacked product; H, the A-lines
-and B1_line differ from it by roundoff, since BLAS fuses multiply-adds
-and the passes do not.  The fields are kept as planes, so every
-reduction runs across them and none over a short trailing axis.  At
-N=255 on veronese_s4, the call's temporaries peak 14.3 MB above its
-46.3 MB of fields (tracemalloc), against 40.3 MB with K, its stencils
-and the so-defects over the whole grid and 54 MB with stacked
-products.  On a shared 2-CPU Xeon with one BLAS thread, an N=256 call
-on veronese_s4 took 175-210 ms of process time against 210-235 ms with
-the whole-grid K (interleaved runs of both versions in one process);
-a flatness sweep took 20-40 ms.
+report prints.  The fields are kept as planes, so every reduction runs
+across them and none over a short trailing axis; each lambda sample
+costs a real axpy on the off-diagonal entries and a max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import Chart, d_u, d_v, partial_rows, sup_norm
+from .chart import Chart, partial_rows, sup_norm
 from .gauss_frame import MCBlocks
 from .lorentz import gram, grid_first, product, row_blocks, to_planes
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
-
-
-def _max_abs(X: np.ndarray) -> np.ndarray:
-    """Per-point max |X| of a field (Nu, Nv, a, b): the max across the
-    planes of the fresh |X| (`to_planes`, a view of a field built on
-    planes)."""
-    return np.max(np.abs(to_planes(X)), axis=(0, 1))
-
-
-def _block_planes(X: np.ndarray, rows, cols) -> np.ndarray:
-    """The block X[..., rows, cols] of a grid field as contiguous planes,
-    viewed with the grid axes first.  One strided copy: for a block of a
-    few entries it takes about a fifth of the time of `to_planes`, which
-    first gathers the block into a contiguous field."""
-    planes = np.moveaxis(X[..., rows, cols], (0, 1), (-2, -1)).copy()
-    return grid_first(planes)
 
 
 @dataclass
@@ -117,34 +90,28 @@ class LoopCurvature:
     holds the three harmonicity fields of `harmonic_residuals`.  Every
     field has the grid axes first; `loop_curvature` stores them as
     planes, one contiguous (Nu, Nv) array per entry (`grid_first`
-    views), so that each reduction runs across the planes.  The
-    per-point max |R0|, the lambda-independent part of each flatness
-    sup, is reduced once, at construction.
+    views), so that each reduction runs across the planes.  Nothing is
+    derived from the fields here: each reader reduces what it reads.
     """
     W: tuple               # (W1, W2): (Nu, Nv, 4, 4), (Nu, Nv, n, n) real
     plus_re: np.ndarray    # (Nu, Nv, 8n) real
     plus_im: np.ndarray    # (Nu, Nv, 8n) real
     lines: dict
     chart: Chart
-    r0_max: np.ndarray = field(init=False, repr=False)   # per-point max |R0|
-
-    def __post_init__(self):
-        W1, W2 = self.W
-        self.r0_max = 2.0 * np.maximum(_max_abs(W1), _max_abs(W2))
 
 
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
-    """Laurent coefficients of the curvature of alpha_lambda.
+    """Laurent coefficients of the curvature of alpha_lambda, in one pass
+    over the row blocks of the grid (`row_blocks`).
 
-    H on the B1 and B2 blocks only, where [P_k, P] = P_k P_p - P_p P_k:
-    its stencils act on the planes of those blocks over the grid.
-    Everything else runs per row block (`row_blocks`): K on every block,
-    from the block's rows of Q's u-stencil and P's v-stencil
-    (`partial_rows`) and [P, Q] by stacked products; the so-defects of P
-    and Q (`MCBlocks.so_defects`); and the products of H and of the
-    A-lines, as per-entry passes on the block's planes, written into
-    planes outputs.  No grid-sized K, stencil of P or Q, or so-defect is
-    allocated.
+    Per block: K = Q_u - P_v + [P, Q] and the stencil part P_u + Q_v of
+    H, from the block's rows of the four partials of the whole P and Q
+    (`partial_rows`) and [P, Q] by stacked products; the so-defects of
+    the block's rows of P and Q (`MCBlocks.so_defects`); then, on the
+    block's planes, H_p = P_u + Q_v + [P_k, P] + [Q_k, Q] on the B1 and
+    B2 blocks, where [P_k, P] = P_k P_p - P_p P_k, and the A-lines, as
+    per-entry passes written into the planes outputs.  No grid-sized K,
+    H, stencil or so-defect is allocated.
     """
     c = M.chart
     P, Q = M.P, M.Q
@@ -155,34 +122,37 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     plus_im = np.empty_like(plus_re)
     W1, A1 = np.empty((2, 4, 4) + c.shape)
     W2, A2 = np.empty((2, n, n) + c.shape)
+    B1 = np.empty((4, n) + c.shape, dtype=complex)
     # (rows, columns, H's planes, K's planes) of the B1 and B2 blocks
     blocks = [(i, j) + tuple(X[k].reshape(shape + c.shape)
                              for X in (plus_re, plus_im))
               for i, j, k, shape in ((a, b, slice(None, m), (4, n)),
                                      (b, a, slice(m, None), (n, 4)))]
-    # H_p = P_u + Q_v + ...: the stencils of the blocks' planes
-    for i, j, H, _ in blocks:
-        np.add(d_u(_block_planes(P, i, j), c),
-               d_v(_block_planes(Q, i, j), c), out=grid_first(H))
     for rows in row_blocks(c.shape):
-        # K = Q_u - P_v + [P, Q] on the block, accumulated in place
+        # K = Q_u - P_v + [P, Q] and H's P_u + Q_v, accumulated in place
         K = partial_rows(Q, c, 0, rows)
         K -= partial_rows(P, c, 1, rows)
+        H = partial_rows(P, c, 0, rows)
+        H += partial_rows(Q, c, 1, rows)
         Pr, Qr = P[rows], Q[rows]
         PQ = np.matmul(Pr, Qr)
         K += PQ
         K -= np.matmul(Qr, Pr, out=PQ)
-        Pp, Qp, Kp = (to_planes(X) for X in (Pr, Qr, K))
+        Pp, Qp, Kp, Hp = (to_planes(X) for X in (Pr, Qr, K, H))
         # the so-defects B2 + B1^T I13 of P and of Q
         DPp, DQp = (to_planes(D) for D in M.so_defects(rows))
         np.multiply(Kp[a, a], -0.25, out=W1[:, :, rows])
         np.multiply(Kp[b, b], -0.25, out=W2[:, :, rows])
-        for i, j, H, I in blocks:
-            h = H[:, :, rows]
+        for i, j, Hb, Kb in blocks:
+            h = Hp[i, j]
             for X in (Pp, Qp):
                 h += product(X[i, i], X[i, j])
                 h -= product(X[i, j], X[j, j])
-            np.multiply(Kp[i, j], 0.25, out=I[:, :, rows])
+            np.multiply(h, 0.25, out=Hb[:, :, rows])
+            np.multiply(Kp[i, j], 0.25, out=Kb[:, :, rows])
+        # B1_line = (H - iK)/4 on the B1 block
+        np.multiply(Hp[a, b], 0.25, out=B1.real[:, :, rows])
+        np.multiply(Kp[a, b], -0.25, out=B1.imag[:, :, rows])
         P1, Q1 = Pp[a, b], Qp[a, b]
         np.add(W1[:, :, rows],
                0.25 * (product(P1, DQp) - product(Q1, DPp)),
@@ -190,12 +160,6 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
         np.add(W2[:, :, rows],
                0.25 * (product(DPp, Q1) - product(DQp, P1)),
                out=A2[:, :, rows])
-    plus_re *= 0.25
-    # B1_line = (H - iK)/4 on the B1 block
-    H1, K1 = blocks[0][2:]
-    B1 = np.empty(H1.shape, dtype=complex)
-    B1.real = H1
-    np.negative(K1, out=B1.imag)
     lines = {"A1_line": grid_first(A1), "A2_line": grid_first(A2),
              "B1_line": grid_first(B1)}
     return LoopCurvature(W=(grid_first(W1), grid_first(W2)),
@@ -231,9 +195,14 @@ def strong_conformal_check(B1: np.ndarray,
 def flatness_sweep(K: LoopCurvature,
                    lambdas=DEFAULT_LAMBDAS) -> list[dict]:
     """Interior sup of the curvature of alpha_lambda at each unit lambda
-    sample, from the Laurent coefficients of `loop_curvature`."""
+    sample, from the Laurent coefficients of `loop_curvature`: the
+    per-point max of 2 max(|W1|, |W2|) (|R0|, reduced once from `K.W`)
+    and 2 |Im(lambda R+)|."""
     lambdas = [_unit(lam) for lam in lambdas]
     mask = K.chart.interior
+    r0 = np.maximum(*(np.max(np.abs(to_planes(W)), axis=(0, 1))
+                      for W in K.W))
+    r0 *= 2.0
     re, im = (to_planes(x, values=1) for x in (K.plus_re, K.plus_im))
     X, T = np.empty((2,) + re.shape)
     out = []
@@ -244,6 +213,5 @@ def flatness_sweep(K: LoopCurvature,
         pmax = np.max(np.abs(X, out=X), axis=0)
         pmax *= 2.0
         out.append({"lambda": lam,
-                    "sup": sup_norm(np.maximum(K.r0_max, pmax, out=pmax),
-                                    mask)})
+                    "sup": sup_norm(np.maximum(r0, pmax, out=pmax), mask)})
     return out

@@ -29,27 +29,9 @@ not depend on the block size bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-
-__all__ = [
-    "metric_signs",
-    "inner",
-    "norm2",
-    "gram",
-    "to_planes",
-    "grid_first",
-    "row_blocks",
-    "pairings",
-    "product",
-    "minors",
-    "det",
-    "orthonormalize",
-    "rejection",
-    "check_lift_dimension",
-    "is_forward_lightlike",
-    "validate_group",
-]
 
 
 def metric_signs(dim: int) -> np.ndarray:
@@ -109,7 +91,7 @@ def row_blocks(grid: tuple) -> list:
     leading axis, max(1, PLANE_BLOCK // Nv) rows each, Nv the points per
     row.  A grid of at most PLANE_BLOCK points (a single point too) is one
     block, `...`, the whole."""
-    points = int(np.prod(grid))
+    points = math.prod(grid)
     if points <= PLANE_BLOCK:
         return [...]
     rows = max(1, PLANE_BLOCK // (points // grid[0]))
@@ -138,7 +120,7 @@ def to_planes(X: np.ndarray, values: int = 2) -> np.ndarray:
     lead = X.shape[:k]
     if cplx:
         X = X.view(X.real.dtype).reshape(X.shape + (2,))
-    rows = X.reshape(int(np.prod(lead)), -1)
+    rows = X.reshape(math.prod(lead), -1)
     out = np.empty(rows.shape[::-1], dtype=rows.dtype)
     for i in range(0, len(rows), PLANE_BLOCK):
         out[:, i:i + PLANE_BLOCK] = rows[i:i + PLANE_BLOCK].T

@@ -107,7 +107,17 @@ def test_reconstruct_clifford_exports_surface(tmp_path):
 ROUND_TRIP_STORED = {
     "clifford_torus": (19.626724057496666, 0.3525445816247156, 1),
     "torus_of_revolution:3": (31.22592404312485, 0.7493889070158901, 1),
-    "veronese_s4": (13.896551426476494, 1.0008527821557844, 2)}
+    "veronese_s4": (13.896551426476494, 1.0008527821557844, 2),
+    "enneper": (5.563337219073534, 0.995196020052018, 1),
+    "catenoid": (9.530874957867557, 0.49841992684653286, 1)}
+
+# the b2i export is not the input surface: reconstruct exits 0, but
+# analyze --input of its export exits 3 on enneper (group residual 2.44
+# against 0.579) and 2 on catenoid (integrability.gauss 1.72 against 1.71)
+B2I_EXPORT = pytest.mark.xfail(
+    strict=True, reason="the b2i export does not read back through "
+    "analyze: its frame fails the group test (enneper) or the Gauss "
+    "equation (catenoid)")
 
 
 @pytest.mark.parametrize("surface", [
@@ -116,7 +126,9 @@ ROUND_TRIP_STORED = {
         strict=True, reason="the non-Willmore control lies outside the "
         "reconstruction theorem: reconstruct exits 2 (case a2, dual "
         "orientation fails) and its export is another surface")),
-    "veronese_s4"])
+    "veronese_s4",
+    pytest.param("enneper", marks=B2I_EXPORT),
+    pytest.param("catenoid", marks=B2I_EXPORT)])
 def test_csv_export_reads_back_to_the_direct_invariants(tmp_path, surface):
     """reconstruct --format csv, then analyze --input of the export, at
     N=48: all three runs exit 0, and the export's Willmore energy and

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from willmorelab import gauss_frame, harmonic, lorentz, surface, zoo
+from willmorelab import chart, gauss_frame, harmonic, lorentz, surface, zoo
 from willmorelab.chart import d_u, d_v, sup_norm
 
 import helpers
@@ -161,61 +161,50 @@ def test_harmonic_lines_share_the_curvature_blocks(pipe):
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
 def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
                                                      kind):
-    """Per row block (five blocks here), K's stencils are Q's u-partial
-    and P's v-partial of that block's rows, read from M.Q and M.P
-    themselves, and the so-defects are taken from the block's rows of
-    M.P and M.Q as views, with no copy: no whole-grid stencil of P or Q
-    and no whole-grid so-defect is taken.  H's stencils read the
-    off-diagonal blocks of P and Q laid out as planes, one contiguous
-    grid per entry viewed with the grid axes first, equal to the block
-    views entry for entry.  No complex form is assembled."""
+    """Per row block (five blocks here), the four stencils are Q's
+    u-partial and P's v-partial (K), then P's u-partial and Q's
+    v-partial (H), of that block's rows, read from M.Q and M.P
+    themselves; the so-defects are taken from the block's rows of M.P
+    and M.Q as views, with no copy.  No whole-grid stencil and no
+    whole-grid so-defect is taken, and no complex form is assembled."""
     c, _, _, M = pipe(kind)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 10 * c.Nv)
     blocks = lorentz.row_blocks(c.shape)
     assert len(blocks) == 5
-    args, partials, defects = [], [], []
+    partials, defects = [], []
     defect, partial = gauss_frame._so_defect, harmonic.partial_rows
 
     def spy_defect(X):
         defects.append(X)
         return defect(X)
 
-    def spy_partial(f, chart, axis, rows):
+    def spy_partial(f, ch, axis, rows):
         partials.append((f, axis, rows))
-        return partial(f, chart, axis, rows)
+        return partial(f, ch, axis, rows)
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
     monkeypatch.setattr(harmonic, "partial_rows", spy_partial)
-    for name in ("d_u", "d_v"):
-        def spy(f, c, stencil=getattr(harmonic, name), name=name):
-            args.append((name, f))
-            return stencil(f, c)
-        monkeypatch.setattr(harmonic, name, spy)
+    assert not hasattr(harmonic, "d_u") and not hasattr(harmonic, "d_v")
+    diff = chart._diff_axis
+
+    def rows_only(f, h, axis, periodic, rows=None):
+        assert rows is not None, "a whole-grid stencil"
+        return diff(f, h, axis, periodic, rows)
+    monkeypatch.setattr(chart, "_diff_axis", rows_only)
 
     def no_full(self):
         raise AssertionError("loop_curvature assembled the complex form")
     monkeypatch.setattr(gauss_frame.MCBlocks, "full", no_full)
     harmonic.loop_curvature(M)
-    assert len(partials) == 2 * len(blocks)
-    for (fu, axu, ru), (fv, axv, rv), rows in zip(partials[::2],
-                                                  partials[1::2], blocks):
-        assert fu is M.Q and axu == 0 and ru == rows
-        assert fv is M.P and axv == 1 and rv == rows
+    assert len(partials) == 4 * len(blocks)
+    want = [(M.Q, 0), (M.P, 1), (M.P, 0), (M.Q, 1)]
+    for k, rows in enumerate(blocks):
+        for (f, axis, r), (X, ax) in zip(partials[4 * k:4 * k + 4], want):
+            assert f is X and axis == ax and r == rows, k
     assert len(defects) == 2 * len(blocks)
     for X, Y, rows in zip(defects[::2], defects[1::2], blocks):
         for D, W in ((X, M.P), (Y, M.Q)):
             assert D.shape == W[rows].shape
             assert D.base is W and np.shares_memory(D, W[rows])
-    assert len(args) == 4
-    a, b = slice(None, 4), slice(4, None)
-    for (name, f), want, X, (i, j) in zip(
-            args, ("d_u", "d_v") * 2, (M.P, M.Q) * 2,
-            ((a, b), (a, b), (b, a), (b, a))):
-        assert name == want
-        assert f.shape == X[..., i, j].shape, name
-        planes = np.moveaxis(f, (0, 1), (-2, -1))
-        assert planes.flags.c_contiguous, name
-        assert not np.shares_memory(f, X), name
-        assert np.array_equal(f, X[..., i, j]), name
 
 
 def _mc_blocks(spec, c):
@@ -224,7 +213,7 @@ def _mc_blocks(spec, c):
 
 
 def _curvature_fields(K):
-    return [*K.W, K.plus_re, K.plus_im, K.r0_max,
+    return [*K.W, K.plus_re, K.plus_im,
             *(K.lines[name] for name in sorted(K.lines))]
 
 
@@ -238,8 +227,11 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
     catenoid's chart, periodic in u, the wrap rows of K's u-stencil fall
     in the first and the last block of each layout.  W and
     R+'s imaginary part are those of K from stacked products over the
-    whole grid, and the sweep's sups those of the reduction over the
-    trailing axis of the grid-first fields, bit for bit."""
+    whole grid; R+'s real part and B1_line those of H_p from the
+    stencils of the off-diagonal blocks over the whole grid and the
+    per-entry products on its planes; and the sweep's sups those of the
+    reduction over the trailing axis of the grid-first fields, bit for
+    bit."""
     spec = zoo.SurfaceSpec(kind)
     c = replace(zoo.default_chart(spec, 48), Nu=37)
     M = _mc_blocks(spec, c)
@@ -268,21 +260,35 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
     assert np.array_equal(K0.plus_im, 0.25 * np.concatenate(
         [K[..., a, b].reshape(c.shape + (4 * n,)),
          K[..., b, a].reshape(c.shape + (4 * n,))], axis=-1))
+    Pp, Qp = lorentz.to_planes(M.P), lorentz.to_planes(M.Q)
+    H = []
+    for i, j in ((a, b), (b, a)):
+        h = lorentz.to_planes(d_u(M.P[..., i, j], c) + d_v(M.Q[..., i, j], c))
+        for X in (Pp, Qp):
+            h += lorentz.product(X[i, i], X[i, j])
+            h -= lorentz.product(X[i, j], X[j, j])
+        H.append(0.25 * lorentz.grid_first(h))
+    assert np.array_equal(K0.plus_re, np.concatenate(
+        [h.reshape(c.shape + (4 * n,)) for h in H], axis=-1))
+    B1 = K0.lines["B1_line"]
+    assert np.array_equal(B1.real, H[0])
+    assert np.array_equal(B1.imag, -0.25 * K[..., a, b])
     mask = c.interior
+    r0 = 2.0 * np.maximum(*(np.max(np.abs(W), axis=(-2, -1)) for W in K0.W))
     for r in sweep0:
         lam = r["lambda"]
         X = lam.real * K0.plus_im + lam.imag * K0.plus_re
-        pmax = np.maximum(K0.r0_max, 2.0 * np.max(np.abs(X), axis=-1))
+        pmax = np.maximum(r0, 2.0 * np.max(np.abs(X), axis=-1))
         assert r["sup"] == sup_norm(pmax, mask), lam
 
 
 def test_loop_curvature_keeps_its_temporaries_below_its_fields():
     """At 255^2 on veronese_s4, the tracemalloc peak of `loop_curvature`
-    exceeds the fields it returns (46.3 MB) by less than 20 MB: 14.3 MB
-    with K, its stencils and the so-defects formed one row block at a
-    time.  Whole-grid K, stencils and so-defects took 40.3 MB, stacked
-    products over the whole grid 54.1 MB, and planes copies of the
-    whole P and Q take about 75 MB."""
+    exceeds the fields it returns (45.8 MB) by at most 14 MB: 13.5 MB
+    with K, H, their stencils and the so-defects formed one row block at
+    a time.  H's stencils over the whole grid took 14.3 MB, whole-grid
+    K, stencils and so-defects 40.3 MB, and stacked products over the
+    whole grid 54.1 MB."""
     spec = zoo.SurfaceSpec("veronese_s4")
     M = _mc_blocks(spec, zoo.default_chart(spec, 255))
     tracemalloc.start()
@@ -292,19 +298,68 @@ def test_loop_curvature_keeps_its_temporaries_below_its_fields():
     finally:
         tracemalloc.stop()
     assert K.plus_re.shape == M.chart.shape + (16,)
-    assert peak - held < 20e6, peak - held
+    assert peak - held <= 14e6, peak - held
 
 
-def test_r0_max_is_the_per_point_max_of_R0(pipe):
-    """r0_max, reduced across the planes of W, is bit for bit
-    2 max(max |W1|, max |W2|) reduced over the two matrix axes."""
+def test_r0_max_is_the_per_point_max_of_R0(pipe, monkeypatch):
+    """The R0 term that `flatness_sweep` reads, the per-point max it
+    hands to `sup_norm` with R+ zeroed, is bit for bit
+    2 max(max |W1|, max |W2|) reduced from `K.W` over the two matrix
+    axes; so a W replaced on the curvature reaches the sweep."""
     _, _, _, M = pipe("veronese_s4")
     K = harmonic.loop_curvature(M)
-    W1, W2 = K.W
-    want = 2.0 * np.maximum(np.max(np.abs(W1), axis=(-2, -1)),
-                            np.max(np.abs(W2), axis=(-2, -1)))
-    assert K.r0_max.shape == M.chart.shape
-    assert np.array_equal(K.r0_max, want)
+    seen = []
+
+    def spy(f, mask=None):
+        seen.append(f.copy())
+        return sup_norm(f, mask)
+    monkeypatch.setattr(harmonic, "sup_norm", spy)
+    zero = np.zeros_like(K.plus_re)
+    for W1, W2 in (K.W, (K.W[0], 3.0 * K.W[1])):
+        seen.clear()
+        harmonic.flatness_sweep(replace(K, W=(W1, W2), plus_re=zero,
+                                        plus_im=zero), (1.0, 1j))
+        want = 2.0 * np.maximum(np.max(np.abs(W1), axis=(-2, -1)),
+                                np.max(np.abs(W2), axis=(-2, -1)))
+        assert len(seen) == 2
+        for r0 in seen:
+            assert r0.shape == M.chart.shape
+            assert np.array_equal(r0, want)
+
+
+@pytest.mark.parametrize("kind,param", [
+    ("round_sphere", None), ("torus_of_revolution", np.sqrt(2.0)),
+    ("veronese_s4", None), ("enneper", None), ("catenoid", None)])
+def test_harmonicity_meter_is_at_most_two_on_willmore_surfaces(pipe, kind,
+                                                               param):
+    """flatness(i)/flatness(1) on the default chart at N=64: the tension
+    adds at most the discretization floor's size on the Willmore zoo
+    (1.0, 1.0, 1.28, 1.48, 1.71)."""
+    _, _, _, M = pipe(kind, 64, param)
+    one, i = harmonic.flatness_sweep(harmonic.loop_curvature(M), (1, 1j))
+    assert i["sup"] <= 2.0 * one["sup"], (kind, i["sup"], one["sup"])
+
+
+def test_harmonicity_meter_on_the_clifford_torus_is_roundoff(pipe):
+    """On the Clifford torus both sups are roundoff at N=64 (1.5e-13 and
+    4.8e-13), so its ratio says nothing and is not read."""
+    _, _, _, M = pipe("clifford_torus", 64)
+    for r in harmonic.flatness_sweep(harmonic.loop_curvature(M), (1, 1j)):
+        assert r["sup"] < 1e-12, r
+
+
+def test_harmonicity_meter_grows_under_refinement_on_the_control(pipe):
+    """On the non-Willmore torus_of_revolution:3, flatness(i) stays O(1)
+    while flatness(1) falls as h^2: the ratio reads 338 at N=64 and 84 at
+    N=32, so it is at least 100 and at least 3x its N=32 value."""
+    ratio = {}
+    for N in (32, 64):
+        _, _, _, M = pipe("torus_of_revolution", N, 3.0)
+        one, i = harmonic.flatness_sweep(harmonic.loop_curvature(M),
+                                         (1, 1j))
+        ratio[N] = i["sup"] / one["sup"]
+    assert ratio[64] >= 100, ratio
+    assert ratio[64] >= 3 * ratio[32], ratio
 
 
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper"])
