@@ -256,30 +256,23 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return to_planes(a.reshape(a.shape[:2] + (-1,)), values=1)
 
 
-def _sup_of_planes(P: np.ndarray, mask: np.ndarray | None) -> float:
-    """Sup of the magnitudes P (k, Nu, Nv): the per-point max across the
-    planes, then the mask on the (Nu, Nv) result, so no masked copy of
-    the whole field is made.  Raises ValueError when the mask keeps no
-    grid point."""
-    a = np.max(P, axis=0)
-    if mask is not None:
-        if not np.any(mask):
-            raise ValueError("the residual mask keeps no grid point")
-        a = a[mask]
-    return float(np.max(a))
+def _sup_of_planes(P: np.ndarray, c: Chart) -> float:
+    """Sup of the magnitudes P (k, Nu, Nv) over the chart's interior: the
+    per-point max across the planes, then the mask on the (Nu, Nv)
+    result, so no masked copy of the whole field is made."""
+    return float(np.max(np.max(P, axis=0)[c.interior]))
 
 
-def sup_norm(f: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Pointwise-magnitude sup over the (unmasked) grid.
-
-    Trailing value axes are reduced with max |.|; mask has shape (Nu, Nv)
-    and True means "keep".
-    """
-    return _sup_of_planes(_planes(np.abs(np.asarray(f))), mask)
+def sup_norm(f: np.ndarray, c: Chart) -> float:
+    """Pointwise-magnitude sup of a field f (Nu, Nv, ...) over the
+    chart's interior (`Chart.interior`), the region of every residual
+    norm; trailing value axes are reduced with max |.|."""
+    return _sup_of_planes(_planes(np.abs(np.asarray(f))), c)
 
 
-def field_norms(f: np.ndarray, c: Chart, mask: np.ndarray) -> dict:
-    """{"sup", "l2"} of a residual field f (Nu, Nv, ...) over the mask.
+def field_norms(f: np.ndarray, c: Chart) -> dict:
+    """{"sup", "l2"} of a residual field f (Nu, Nv, ...) over the chart's
+    interior.
 
     Both come from one |f|, as contiguous planes (k, Nu, Nv): the sup
     from the per-point max across the planes, the L2 norm from the sum
@@ -289,13 +282,8 @@ def field_norms(f: np.ndarray, c: Chart, mask: np.ndarray) -> dict:
     from that by roundoff.
     """
     P = _planes(np.abs(np.asarray(f)))
-    sup = _sup_of_planes(P, mask)
+    sup = _sup_of_planes(P, c)
     np.square(P, out=P)      # P is |f| or a fresh transpose of it
     a = np.sum(P, axis=0)
-    return {"sup": sup, "l2": float(np.sqrt(integrate(np.where(mask, a, 0.0),
-                                                      c)))}
-
-
-def residual_norms(fields: dict, c: Chart, mask: np.ndarray) -> dict:
-    """{name: {"sup", "l2"}} of each field (`field_norms`)."""
-    return {name: field_norms(f, c, mask) for name, f in fields.items()}
+    return {"sup": sup, "l2": float(np.sqrt(integrate(
+        np.where(c.interior, a, 0.0), c)))}

@@ -164,7 +164,7 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     ir = surface.integrability_residuals(inv, W, c)
     for name, norms in ir.items():
         _check(checks, f"integrability.{name}", norms["sup"], rtol)
-    wres = sup_norm(W, c.interior)
+    wres = sup_norm(W, c)
     _check(checks, "willmore_residual", wres, rtol)
     energy = gauss_frame.willmore_energy(inv, c)
     kappa_max = float(np.max(np.abs(inv.kappa)))
@@ -172,10 +172,10 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     # the invariants go before the frame is built, and the frame is the
     # last reader of S: the blocks are the largest fields
     del inv, W
-    Ff = gauss_frame.build_frame(S)
+    F, group_residual = gauss_frame.build_frame(S)
     del S
-    M = gauss_frame.maurer_cartan(Ff)
-    _, max_rank = gauss_frame.s_willmore_rank(M.B1, mask=c.interior)
+    M = gauss_frame.maurer_cartan(F, c)
+    _, max_rank = gauss_frame.s_willmore_rank(M.B1, c)
 
     report = {
         "config": cfg,
@@ -189,7 +189,7 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
         "residuals": {
             "structure": sr, "integrability": ir,
             "willmore_residual_sup": wres,
-            "frame_group_residual": Ff.group_residual,
+            "frame_group_residual": group_residual,
             "b2_block_residual": M.b2_residual,
         },
         "classification": {},
@@ -239,9 +239,11 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         # conformality from its B1 block, the loop curvature K; then M is
         # released, so the flatness sweep and the harmonicity lines run
         # on K alone, and K is released before the next level's M
-        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
-            surface.build_surface_data(field, chart)))
-        strong = harmonic.strong_conformal_check(M.B1, chart.interior)
+        F, _ = gauss_frame.build_frame(
+            surface.build_surface_data(field, chart))
+        M = gauss_frame.maurer_cartan(F, chart)
+        del F
+        strong = harmonic.strong_conformal_check(M.B1, chart)
         K = harmonic.loop_curvature(M)
         del M
         levels.append({
@@ -279,10 +281,13 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
 def cmd_reconstruct(cfg) -> tuple[dict, int]:
     raw, c, spec = _load_field(cfg)
     S = surface.build_surface_data(raw, c)
-    Ff = gauss_frame.build_frame(S)
+    F, _ = gauss_frame.build_frame(S)
     Y = S.Y             # the round trip's reference; nothing else of S
     del S
-    NF = reconstruct.normalize(Ff, tol=cfg["tol"])
+    # normalize holds the only reference to the blocks, so it can drop
+    # them when it recomputes them in a new gauge
+    NF = reconstruct.normalize(F, gauss_frame.maurer_cartan(F, c),
+                               tol=cfg["tol"])
     cl = reconstruct.classify(NF)
 
     checks = []
@@ -300,9 +305,9 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
     roundtrip = {}
     out_map = None
     if cl.case in ("a1", "a2"):
-        out_map = reconstruct.to_sphere_map(NF.Y0, c)
-        yin = reconstruct.to_sphere_map(Y, c)
-        dist = out_map.distance(yin)
+        out_map = reconstruct.to_sphere_map(NF.Y0)
+        dist = reconstruct.sphere_distance(out_map,
+                                           reconstruct.to_sphere_map(Y))
         roundtrip["projected_vs_input"] = dist
         _check(checks, "roundtrip_distance", dist,
                1e-6 + 100.0 * c.h**2)
@@ -320,7 +325,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
         roundtrip["minimal_harmonic_residual"] = st["harmonic_residual"]
         _check(checks, "minimal.conformal", st["conformal_residual"], rtol)
         _check(checks, "minimal.harmonic", st["harmonic_residual"], rtol)
-        out_map = reconstruct.to_sphere_map(cl.Ymu, c)
+        out_map = reconstruct.to_sphere_map(cl.Ymu)
     else:
         # b1 / b2ii / ambiguous: a structured verdict, not a failure
         roundtrip["verdict"] = cl.verdict
@@ -336,7 +341,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
             _skip(report["skipped"], "export",
                   f"case {cl.case} has no surface to export")
         else:
-            zoo.save(cfg["out"], out_map.lift(), c, fmt="csv")
+            zoo.save(cfg["out"], out_map, c, fmt="csv")
     code = 0 if all(ch["pass"] for ch in checks) else 2
     return report, code
 

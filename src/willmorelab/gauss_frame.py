@@ -27,20 +27,16 @@ from .surface import Invariants, SurfaceData, sphere_columns
 S13 = metric_signs(4)
 
 
-@dataclass
-class FrameField:
-    """Moving frame with columns (phi1..phi4, psi_1..psi_n)."""
-    F: np.ndarray          # (Nu, Nv, dim, dim), real
-    chart: Chart
-    group_residual: float = 0.0
-
-
-def build_frame(S: SurfaceData) -> FrameField:
-    """Assemble the conformal Gauss frame from canonical surface data.
+def build_frame(S: SurfaceData) -> tuple:
+    """Assemble the conformal Gauss frame from canonical surface data:
+    (F, group residual), F (Nu, Nv, dim, dim) the moving frame with
+    columns (phi1..phi4, psi_1..psi_n) and the residual the sup of its
+    group defect (`lorentz.validate_group`).
 
     The validation tolerance scales with h^2, matching the stencil
     accuracy of the tangent columns (boundary stencils carry a large
-    constant, hence the generous factor).
+    constant, hence the generous factor); a frame beyond it raises
+    ValueError.
     """
     c = S.chart
     tol = max(1e-8, 500.0 * c.h**2)
@@ -52,7 +48,7 @@ def build_frame(S: SurfaceData) -> FrameField:
     if not np.all(ok):
         raise ValueError(
             f"frame fails group validation: residual {residual:.3e} > {tol:g}")
-    return FrameField(F=F, chart=c, group_residual=residual)
+    return F, residual
 
 
 def _so_defect(X: np.ndarray) -> np.ndarray:
@@ -144,14 +140,14 @@ class MCBlocks:
         return self._block(i - 1, j - 1)
 
 
-def maurer_cartan(Ff: FrameField) -> MCBlocks:
-    """The real pair P = F^{-1} F_u, Q = F^{-1} F_v of F^{-1} dF.
+def maurer_cartan(F: np.ndarray, c: Chart) -> MCBlocks:
+    """The real pair P = F^{-1} F_u, Q = F^{-1} F_v of F^{-1} dF for a
+    frame F (Nu, Nv, dim, dim) on the chart c.
 
     The stencils of F are taken over the whole grid; the inverse I F^T I
     and the two products run per row block (`row_blocks`), in place
     into the stencil outputs, so their temporaries are block-sized.
     """
-    c, F = Ff.chart, Ff.F
     P, Q = d_u(F, c), d_v(F, c)
     for rows in row_blocks(F.shape[:-2]):
         inv = lorentz_inverse(F[rows])
@@ -232,9 +228,9 @@ def _hermitian_eigvals(Hr: np.ndarray, Hi: np.ndarray) -> np.ndarray:
     return np.stack(d)
 
 
-def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,
-                    mask: np.ndarray | None = None):
-    """Pointwise numerical rank of B1 and its maximum over the mask.
+def s_willmore_rank(B1: np.ndarray, c: Chart, tol: float = 1e-6):
+    """Pointwise numerical rank of B1 and its maximum over the chart's
+    interior (`Chart.interior`).
 
     Rank counts singular values above tol times the largest singular
     value on the chart (global scale, so an O(h^2)-noisy zero block does
@@ -268,9 +264,5 @@ def s_willmore_rank(B1: np.ndarray, tol: float = 1e-6,
         RI - np.swapaxes(RI, 0, 1)), 0.0))
     scale = np.max(sv)
     rank = np.sum(sv > tol * (scale + 1e-300), axis=0)
-    if mask is not None:
-        mrank = int(np.max(rank[mask])) if np.any(mask) else 0
-    else:
-        mrank = int(np.max(rank))
-    return rank, mrank
+    return rank, int(np.max(rank[c.interior]))
 

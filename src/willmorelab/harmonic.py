@@ -34,11 +34,11 @@ map equation.  In these terms
 
 so lambda = +-1 measures only the discretization floor K, and lambda = i
 adds the tension H_p.  The harmonicity lines of `harmonic_residuals`
-come from the same fields: B1_line = (H - iK)/4 on the B1 block (the
-conjugate of R+ there), and A1_line, A2_line are W1, W2 with B2 written
-as -B1^T I13.  They differ from W by terms linear in the O(h^2) defect
-D = B2 + B1^T I13 of P and of Q (`MCBlocks.so_defects`, whose sup over
-alpha is `MCBlocks.b2_residual`).
+come from the same fields: B1_line = (H - iK)/4 on the B1 block is the
+conjugate of R+ there, read off its planes, and A1_line, A2_line are
+W1, W2 with B2 written as -B1^T I13.  They differ from W by terms
+linear in the O(h^2) defect D = B2 + B1^T I13 of P and of Q
+(`MCBlocks.so_defects`, whose sup over alpha is `MCBlocks.b2_residual`).
 
 The arithmetic is real because a stacked product of small complex
 matrices costs several times its real counterpart.  `loop_curvature`
@@ -56,8 +56,8 @@ point.  Each block's entries are written into the planes of the output
 fields, already scaled by 1/4, so no grid-sized K, H, stencil or
 so-defect exists and no pass over the grid follows the loop.  K, W and
 R+'s imaginary part have the bits of K formed by stacked products over
-the whole grid; H, the A-lines and B1_line differ from stacked products
-by roundoff, since BLAS fuses multiply-adds and the passes do not.  The
+the whole grid; H and the A-lines differ from stacked products by
+roundoff, since BLAS fuses multiply-adds and the passes do not.  The
 results do not depend on the block layout, bit for bit.
 
 `flatness_sweep` and `harmonic_residuals` both read that one
@@ -87,11 +87,12 @@ class LoopCurvature:
     R0 = -2i diag(W1, W2); R+ = `plus_re` + i `plus_im`, its off-diagonal
     entries (the B1 block, then the B2 block, each row by row) with
     `plus_re` = H_p/4 and `plus_im` = K_p/4; R- = -conj(R+).  `lines`
-    holds the three harmonicity fields of `harmonic_residuals`.  Every
-    field has the grid axes first; `loop_curvature` stores them as
-    planes, one contiguous (Nu, Nv) array per entry (`grid_first`
-    views), so that each reduction runs across the planes.  Nothing is
-    derived from the fields here: each reader reduces what it reads.
+    holds the A-lines of `harmonic_residuals` (its B1 line is the
+    conjugate of R+ on the B1 block).  Every field has the grid axes
+    first; `loop_curvature` stores them as planes, one contiguous
+    (Nu, Nv) array per entry (`grid_first` views), so that each
+    reduction runs across the planes.  Nothing is derived from the
+    fields here: each reader reduces what it reads.
     """
     W: tuple               # (W1, W2): (Nu, Nv, 4, 4), (Nu, Nv, n, n) real
     plus_re: np.ndarray    # (Nu, Nv, 8n) real
@@ -122,7 +123,6 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     plus_im = np.empty_like(plus_re)
     W1, A1 = np.empty((2, 4, 4) + c.shape)
     W2, A2 = np.empty((2, n, n) + c.shape)
-    B1 = np.empty((4, n) + c.shape, dtype=complex)
     # (rows, columns, H's planes, K's planes) of the B1 and B2 blocks
     blocks = [(i, j) + tuple(X[k].reshape(shape + c.shape)
                              for X in (plus_re, plus_im))
@@ -150,9 +150,6 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
                 h -= product(X[i, j], X[j, j])
             np.multiply(h, 0.25, out=Hb[:, :, rows])
             np.multiply(Kp[i, j], 0.25, out=Kb[:, :, rows])
-        # B1_line = (H - iK)/4 on the B1 block
-        np.multiply(Hp[a, b], 0.25, out=B1.real[:, :, rows])
-        np.multiply(Kp[a, b], -0.25, out=B1.imag[:, :, rows])
         P1, Q1 = Pp[a, b], Qp[a, b]
         np.add(W1[:, :, rows],
                0.25 * (product(P1, DQp) - product(Q1, DPp)),
@@ -160,8 +157,7 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
         np.add(W2[:, :, rows],
                0.25 * (product(DPp, Q1) - product(DQp, P1)),
                out=A2[:, :, rows])
-    lines = {"A1_line": grid_first(A1), "A2_line": grid_first(A2),
-             "B1_line": grid_first(B1)}
+    lines = {"A1_line": grid_first(A1), "A2_line": grid_first(A2)}
     return LoopCurvature(W=(grid_first(W1), grid_first(W2)),
                          plus_re=grid_first(plus_re),
                          plus_im=grid_first(plus_im), lines=lines, chart=c)
@@ -181,15 +177,25 @@ def harmonic_residuals(K: LoopCurvature) -> dict:
     Line 1: Im(A1_zbar + conj(A1) A1 - conj(B1) B1^T I13) = 0
     Line 2: Im(A2_zbar + conj(A2) A2 - conj(B1)^T I13 B1) = 0
     Line 3: B1_zbar + conj(A1) B1 - B1 conj(A2) = 0
+
+    Line 3's field is (H - iK)/4 on the B1 block, the conjugate of R+
+    there: `plus_re` less i `plus_im` on its first 4n entries, reduced
+    by the complex modulus.
     """
-    return {name: sup_norm(f, K.chart.interior)
-            for name, f in K.lines.items()}
+    c = K.chart
+    out = {name: sup_norm(f, c) for name, f in K.lines.items()}
+    re, im = (to_planes(x, values=1) for x in (K.plus_re, K.plus_im))
+    m = len(re) // 2
+    B1 = np.empty(re[:m].shape, dtype=complex)
+    B1.real, B1.imag = re[:m], -im[:m]
+    out["B1_line"] = sup_norm(grid_first(B1), c)
+    return out
 
 
-def strong_conformal_check(B1: np.ndarray,
-                           mask: np.ndarray | None = None) -> float:
-    """sup-norm of B1^T I13 B1, the strong-conformal-harmonicity defect."""
-    return sup_norm(gram(B1), mask)
+def strong_conformal_check(B1: np.ndarray, c: Chart) -> float:
+    """Interior sup-norm of B1^T I13 B1, the strong-conformal-harmonicity
+    defect."""
+    return sup_norm(gram(B1), c)
 
 
 def flatness_sweep(K: LoopCurvature,
@@ -199,7 +205,6 @@ def flatness_sweep(K: LoopCurvature,
     per-point max of 2 max(|W1|, |W2|) (|R0|, reduced once from `K.W`)
     and 2 |Im(lambda R+)|."""
     lambdas = [_unit(lam) for lam in lambdas]
-    mask = K.chart.interior
     r0 = np.maximum(*(np.max(np.abs(to_planes(W)), axis=(0, 1))
                       for W in K.W))
     r0 *= 2.0
@@ -213,5 +218,5 @@ def flatness_sweep(K: LoopCurvature,
         pmax = np.max(np.abs(X, out=X), axis=0)
         pmax *= 2.0
         out.append({"lambda": lam,
-                    "sup": sup_norm(np.maximum(r0, pmax, out=pmax), mask)})
+                    "sup": sup_norm(np.maximum(r0, pmax, out=pmax), K.chart)})
     return out

@@ -16,12 +16,10 @@ import numpy as np
 
 from . import spinor
 from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
-from .gauss_frame import FrameField, MCBlocks, maurer_cartan, \
-    s_willmore_rank
-from .lorentz import det, gram, inner, lorentz_inverse, orthonormalize, \
-    pairings, rejection, row_blocks, to_planes
-from .surface import canonical_lift, complement_basis, frame_N, \
-    sphere_columns, zzbar
+from .gauss_frame import MCBlocks, maurer_cartan, s_willmore_rank
+from .lorentz import det, gram, inner, lorentz_inverse, pairings, \
+    rejection, row_blocks, to_planes
+from .surface import complement_basis, sphere_columns, sphere_fields
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,7 +68,7 @@ class NormalizedFrame:
     def speccond_residual(self) -> float:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
         r = self.h - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
-        return sup_norm(r, self.chart.interior)
+        return sup_norm(r, self.chart)
 
 
 def _beta_k(B1: np.ndarray):
@@ -78,31 +76,26 @@ def _beta_k(B1: np.ndarray):
     return B1[..., 0, :] / SQRT2, -B1[..., 2, :]
 
 
-def normalize(Ff: FrameField, M: MCBlocks | None = None,
-              tol: float = 1e-6,
+def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
               orientation: str | None = None) -> NormalizedFrame:
-    """Gauge a frame so that its B1 block takes the canonical row shape.
+    """Gauge a frame F so that its B1 block takes the canonical row shape.
 
-    M, if given, must be maurer_cartan(Ff).  When B1 already has the
-    canonical shape, the frame is Ff.F and the blocks are M (conjugated
-    for orientation "conjugate"): the arrays are shared, not copied.
-    Otherwise the SO+(1,3) gauge comes from the pointwise rank-1
-    factorization of the columns in the 2x2-matrix model plus a
-    continuation sweep, so it is smooth wherever B1 is, and the frame and
-    all blocks are recomputed in the new gauge.
+    M must be maurer_cartan(F, c), whose chart c is the frame's.  When
+    B1 already has the canonical shape, the frame is F and the blocks
+    are M (conjugated for orientation "conjugate"): the arrays are
+    shared, not copied.  Otherwise the SO+(1,3) gauge comes from the
+    pointwise rank-1 factorization of the columns in the 2x2-matrix
+    model plus a continuation sweep, so it is smooth wherever B1 is, and
+    the frame and all blocks are recomputed in the new gauge.
     """
-    c = Ff.chart
-    if M is None:
-        M = maurer_cartan(Ff)
+    c = M.chart
     A, _, orient = spinor.canonicalize_B1(M.B1, c, tol=tol,
                                           orientation=orientation)
-    F = Ff.F
     if A is not None:
         del M           # the blocks are recomputed below; lowers the peak
         F = F.copy()    # the gauge acts on the four-column bundle only
         F[..., :, :4] = F[..., :, :4] @ lorentz_inverse(A)
-        M = maurer_cartan(FrameField(F=F, chart=c,
-                                     group_residual=Ff.group_residual))
+        M = maurer_cartan(F, c)
     if orient == "conjugate":
         M = M.conjugate()
     B1 = M.B1
@@ -166,31 +159,24 @@ def constant_lightlike_vector(F: np.ndarray):
     return None
 
 
-@dataclass
-class SphereMap:
-    """Grid of unit vectors in R^{n+3}, representatives of projective
-    light-cone points with the first coordinate scaled to 1."""
-    values: np.ndarray     # (Nu, Nv, n+3)
-    chart: Chart
-
-    def distance(self, other: "SphereMap") -> float:
-        return float(np.max(np.sqrt(np.sum(
-            (self.values - other.values) ** 2, axis=-1))))
-
-    def lift(self) -> np.ndarray:
-        one = np.ones(self.values.shape[:-1] + (1,))
-        return np.concatenate([one, self.values], axis=-1)
-
-
-def to_sphere_map(Y: np.ndarray, c: Chart) -> SphereMap:
-    """Scale a lightlike field to first coordinate 1; the rest is a unit
-    vector in R^{n+3}."""
+def to_sphere_map(Y: np.ndarray) -> np.ndarray:
+    """The sphere map of a lightlike field Y (Nu, Nv, n+4) as its lift
+    (1, y) (Nu, Nv, n+4): Y scaled to first coordinate 1, the rest
+    normalized to a unit vector y in R^{n+3}."""
     x0 = Y[..., 0]
     if np.min(np.abs(x0)) < 1e-12 * np.max(np.abs(Y)):
         raise ValueError("representative has a vanishing first coordinate")
     vals = Y[..., 1:] / x0[..., None]
     nrm = np.sqrt(np.sum(vals**2, axis=-1))
-    return SphereMap(values=vals / nrm[..., None], chart=c)
+    one = np.ones(vals.shape[:-1] + (1,))
+    return np.concatenate([one, vals / nrm[..., None]], axis=-1)
+
+
+def sphere_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest Euclidean distance between the points y of two sphere
+    maps, given as their lifts (1, y) (`to_sphere_map`)."""
+    return float(np.max(np.sqrt(np.sum((a[..., 1:] - b[..., 1:]) ** 2,
+                                       axis=-1))))
 
 
 def dual_mu(NF: NormalizedFrame) -> np.ndarray:
@@ -243,10 +229,9 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
     # the real and imaginary parts of Yd as two columns
     rej = rejection(NF.F[..., :, :4],
                     np.stack([Yd.real, Yd.imag], axis=-1))
-    c = NF.chart
     return {"duality_residual": sup_norm(np.hypot(rej[..., 0], rej[..., 1]),
-                                         c.interior),
-            "map": to_sphere_map(Ymu, c)}
+                                         NF.chart),
+            "map": to_sphere_map(Ymu)}
 
 
 def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
@@ -277,11 +262,10 @@ def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
     Gcoef = np.sum(xv * xv, axis=-1)
     Fcoef = np.sum(xu * xv, axis=-1)
     lap = d_u(xu, c) + d_v(xv, c)
-    mask = c.interior
     scale = float(np.max(Ecoef + Gcoef)) + 1e-300
-    conformal = max(sup_norm(Ecoef - Gcoef, mask), sup_norm(Fcoef, mask))
+    conformal = max(sup_norm(Ecoef - Gcoef, c), sup_norm(Fcoef, c))
     return {"conformal_residual": float(conformal / scale),
-            "harmonic_residual": sup_norm(lap, mask) / np.sqrt(scale)}
+            "harmonic_residual": sup_norm(lap, c) / np.sqrt(scale)}
 
 
 @dataclass
@@ -312,9 +296,7 @@ def classify(NF: NormalizedFrame) -> Classification:
     """
     c = NF.chart
     tol = 1e-6
-    mask = c.interior
-    _, maxrank = s_willmore_rank(NF.blocks.B1, tol=max(tol, 50 * c.h**2),
-                                 mask=mask)
+    _, maxrank = s_willmore_rank(NF.blocks.B1, c, tol=max(tol, 50 * c.h**2))
     L = constant_lightlike_vector(NF.F)
     h_sup = float(np.max(np.abs(NF.h)))
     speccond = NF.speccond_residual()
@@ -341,11 +323,10 @@ def classify(NF: NormalizedFrame) -> Classification:
     # NF.blocks are maurer_cartan(NF.F), conjugated with the orientation
     M0 = NF.blocks.conjugate() if NF.orientation == "conjugate" \
         else NF.blocks
-    NFc = normalize(FrameField(F=NF.F, chart=c), M0,
-                    orientation="conjugate")
+    NFc = normalize(NF.F, M0, orientation="conjugate")
     Ymu, Yd = build_Y_mu(NFc, dual_mu(NFc))
     mixed = np.real(inner(Yd, np.conj(Yd)))
-    pos_frac = float(np.mean(mixed[mask] > tol * np.max(np.abs(mixed))))
+    pos_frac = float(np.mean(mixed[c.interior] > tol * np.max(np.abs(mixed))))
 
     if pos_frac > 0.5:
         return Classification(
@@ -358,30 +339,35 @@ def classify(NF: NormalizedFrame) -> Classification:
         "conformal Gauss map", speccond, Ymu)
 
 
-def verify_gauss_match(y: SphereMap, NF: NormalizedFrame) -> dict:
+def verify_gauss_match(y: np.ndarray, NF: NormalizedFrame) -> dict:
     """Orientation of the four-column bundle of NF against the
-    central-sphere bundle rebuilt from the candidate surface y.
+    central-sphere bundle rebuilt from the candidate surface y, a sphere
+    map as its lift (1, y) (`to_sphere_map`).
 
     Returns "orientation" ("same" or "opposite"), the majority sign of
     the determinant of the change of basis over the interior, and
-    "orientation_votes", the mean of those signs.
+    "orientation_votes", the mean of those signs.  Raises
+    np.linalg.LinAlgError where a determinant is zero or not finite, so
+    a degenerate or NaN point casts no vote.
     """
     c = NF.chart
-    Y = canonical_lift(y.lift(), c)
-    Yu, Yv = d_u(Y, c), d_v(Y, c)
-    N = frame_N(Y, zzbar(d_u(Yu, c), d_v(Yv, c)))
-    phi = np.stack(sphere_columns(Y, N, Yu, Yv), axis=-2)   # (.., 4, dim)
-    del Y, N, Yu, Yv    # lowers the peak
+    phi = np.stack(sphere_columns(*sphere_fields(y, c)), axis=-2)
 
-    # sign of det(eps E I f^T) per row block, f the frame columns, E = T phi
-    # orthonormalized, eps = diag(-1, 1, 1, 1): det T > 0, so it is the sign
-    # of det(G^{-1} phi I f^T) = det(T^T eps E I f^T), G the Gram of phi
+    # sign of det(eps <phi_i, f_k>) per row block, phi the sphere columns
+    # (.., 4, dim) of y, f the frame columns, eps = diag(-1, 1, 1, 1): for
+    # E = T phi orthonormalized, T triangular with det T > 0, it is the
+    # sign of det(eps <E_i, f_k>) = det(eps T eps) det(eps <phi_i, f_k>)
     sgn = np.empty(c.shape)
     for rows in row_blocks(c.shape):
-        C = pairings(to_planes(orthonormalize(phi[rows])),
+        C = pairings(to_planes(phi[rows]),
                      np.swapaxes(to_planes(NF.F[rows][..., :, :4]), 0, 1))
         C[0] *= -1.0        # eps_0
-        sgn[rows] = np.sign(det(C))
+        d = det(C)
+        if not np.all(np.isfinite(d) & (d != 0)):
+            raise np.linalg.LinAlgError(
+                "the change of basis to the frame is singular or not "
+                "finite")
+        sgn[rows] = np.sign(d)
     votes = np.mean(sgn[c.interior])
     return {"orientation": "same" if votes > 0 else "opposite",
             "orientation_votes": float(votes)}

@@ -13,18 +13,23 @@ of the four fields, fixed pointwise with no gauge to choose.  For n >= 2
 the gauge of psi is chosen by a continuation sweep over the grid, so
 that it varies smoothly (`normal_frame`).
 
-`build_surface_data` stops at the fields of the conformal Gauss frame
-(Y, N, Y_u, Y_v and psi) and N's stencils Y_uu = d_u Y_u and
-Y_vv = d_v Y_v, so the commands that only read the frame
-(verify-harmonic, reconstruct) never derive more.  `invariants` is the
-forward stage, which only analyze runs: it takes the rest of what it
-reads as its own locals (the mixed partial Y_uv = d_u Y_v, psi's
-partials and N's), derives kappa, s, b, beta and D_z kappa, and norms
-the four structure residuals, dropping each partial after its last
-reader; it leaves its `SurfaceData` as it found it.
+`sphere_fields` is the one path from a lift to the fields of the
+central sphere bundle (Y, N, Y_u, Y_v); `build_surface_data` adds the
+normal frame psi and stops at the fields of the conformal Gauss frame,
+so the commands that only read the frame (verify-harmonic,
+reconstruct) never derive more, and `reconstruct.verify_gauss_match`
+rebuilds a candidate surface's sphere bundle through it.  `invariants`
+is the forward stage, which only analyze runs: it takes the rest of
+what it reads as its own locals (Y's second partials Y_uu = d_u Y_u,
+Y_vv = d_v Y_v and Y_uv = d_u Y_v, psi's partials and N's), derives
+kappa, s, b, beta and D_z kappa, and norms the four structure
+residuals, dropping each partial after its last reader; it leaves its
+`SurfaceData` as it found it.
 
-Each field is differentiated at most once along each axis.  Y's Hessian
-is real: Y_zzbar = (Y_uu + Y_vv)/4 is the W that N is built from, and
+Within a stage each field is differentiated at most once along each
+axis; `invariants` takes Y_uu and Y_vv again, the stencils of N, since
+`SurfaceData` does not carry them past the frame.  Y's Hessian is real:
+Y_zzbar = (Y_uu + Y_vv)/4 is the W that N is built from, and
 Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2.  kappa's one d_u/d_v pair gives both
 beta and D_z kappa.  The per-point algebra runs on contiguous planes,
 one (Nu, Nv) array per entry: the pairings of the invariants, and the
@@ -39,8 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart import (Chart, d_u, d_v, d_zbar, field_norms, residual_norms,
-                    sweep, wirtinger)
+from .chart import Chart, d_u, d_v, d_zbar, field_norms, sweep, wirtinger
 from .lorentz import check_lift_dimension, det, grid_first, inner, \
     metric_signs, minors, orthonormalize, pairings, rejection, row_blocks, \
     to_planes
@@ -222,17 +226,14 @@ class Invariants(NamedTuple):
 @dataclass
 class SurfaceData:
     """Canonical lift and its normal frame, the fields of the conformal
-    Gauss frame: Y, N, Y_u and Y_v give its sphere columns
-    (`gauss_frame.build_frame`) and psi gives its normal columns; Y_uu
-    and Y_vv are the stencils N is built from.  A command drops its
-    SurfaceData once the frame is built."""
+    Gauss frame: Y, N, Y_u and Y_v (`sphere_fields`) give its sphere
+    columns (`gauss_frame.build_frame`) and psi gives its normal columns.
+    A command drops its SurfaceData once the frame is built."""
     chart: Chart
     Y: np.ndarray          # (Nu, Nv, dim) canonical lift
     N: np.ndarray          # (Nu, Nv, dim)
     Yu: np.ndarray         # (Nu, Nv, dim) d_u Y
     Yv: np.ndarray         # (Nu, Nv, dim) d_v Y
-    Yuu: np.ndarray        # (Nu, Nv, dim) d_u Y_u
-    Yvv: np.ndarray        # (Nu, Nv, dim) d_v Y_v
     psi: np.ndarray        # (Nu, Nv, n, dim) normal frame
 
     @property
@@ -278,8 +279,9 @@ def invariants(S: SurfaceData) -> Invariants:
         normal   psi_j,z + 2 k_j conj(Y_z) - sum_l b_jl psi_l - 2 beta_j Y
 
     with Y_z = (Y_u - i Y_v)/2.  The partials that only this stage reads,
-    Y_uv and those of psi (on psi's planes) and of N, are its own locals,
-    each dropped after its last reader; S is left as it was.
+    Y's Hessian Y_uu = d_u Y_u, Y_vv = d_v Y_v, Y_uv = d_u Y_v and the
+    partials of psi (on psi's planes) and of N, are its own locals, each
+    dropped after its last reader; S is left as it was.
 
     The pairings with the real normal frame are real `pairings` on
     planes: k_j from those of the real and imaginary parts of kappa's
@@ -298,8 +300,8 @@ def invariants(S: SurfaceData) -> Invariants:
     (`field_norms`) and released before the next is built.
     """
     c, n = S.chart, S.n
-    Yuv = d_u(S.Yv, c)
-    Yzz = zz(S.Yuu, S.Yvv, Yuv)
+    Yuu, Yvv, Yuv = d_u(S.Yu, c), d_v(S.Yv, c), d_u(S.Yv, c)
+    Yzz = zz(Yuu, Yvv, Yuv)
     s = 2.0 * inner(Yzz, S.N)
     kap_raw = Yzz + 0.5 * s[..., None] * S.Y
     del Yzz             # lowers the peak
@@ -326,12 +328,11 @@ def invariants(S: SurfaceData) -> Invariants:
     del ku, kv
     k2 = np.sum(k.real ** 2 + k.imag ** 2, axis=-1)
 
-    mask = c.interior
     kr, ki = to_planes(k, values=1)                     # (n, Nu, Nv)
     br, bi = 2.0 * to_planes(beta, values=1)
     b_re, b_im = to_planes(b)                           # (n, n, Nu, Nv)
     Yuu, Yvv, Yuv = (np.moveaxis(x, -1, 0)              # (dim, Nu, Nv)
-                     for x in (S.Yuu, S.Yvv, Yuv))       # views
+                     for x in (Yuu, Yvv, Yuv))           # views
     Y = to_planes(S.Y, values=1)
     tmp = np.empty_like(Y)
 
@@ -362,7 +363,7 @@ def invariants(S: SurfaceData) -> Invariants:
             add(im, b_im[j, l], Psi[l], -1.0)
         add(re, br[j], Y, -1.0)
         add(im, bi[j], Y, -1.0)
-    structure["normal"] = field_norms(grid_first(r), c, mask)
+    structure["normal"] = field_norms(grid_first(r), c)
 
     r = zz(Yuu, Yvv, Yuv)
     del Yuv
@@ -370,14 +371,14 @@ def invariants(S: SurfaceData) -> Invariants:
         add(part, 0.5 * sx, Y)
         for j in range(n):
             add(part, kx[j], Psi[j], -1.0)
-    structure["lift"] = field_norms(grid_first(r), c, mask)
+    structure["lift"] = field_norms(grid_first(r), c)
 
     N = to_planes(S.N, values=1)
     r = zzbar(Yuu, Yvv)
     del Yuu, Yvv
     add(r, k2, Y)
     add(r, 0.5, N, -1.0)
-    structure["mixed"] = field_norms(grid_first(r), c, mask)
+    structure["mixed"] = field_norms(grid_first(r), c)
 
     r = np.empty(N.shape, dtype=complex)                 # N_z
     for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
@@ -391,22 +392,27 @@ def invariants(S: SurfaceData) -> Invariants:
     for part, bx in ((r.real, br), (r.imag, bi)):
         for j in range(n):
             add(part, bx[j], Psi[j], -1.0)
-    structure["N_deriv"] = field_norms(grid_first(r), c, mask)
+    structure["N_deriv"] = field_norms(grid_first(r), c)
     return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
                       dz_kappa=dz_kappa, k2=k2, structure=structure)
 
 
-def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
-    """Raw lift -> SurfaceData: the canonical lift Y, its partials, N
-    and the normal frame psi, the fields of the conformal Gauss frame,
-    with N's stencils Y_uu and Y_vv."""
+def sphere_fields(raw: np.ndarray, c: Chart) -> tuple:
+    """Raw lift -> (Y, N, Y_u, Y_v), the fields of the central sphere
+    bundle: the canonical lift Y, its partials, and N from Y's Hessian
+    (`frame_N`, with W = (d_u Y_u + d_v Y_v)/4)."""
     Y = canonical_lift(raw, c)
     Yu, Yv = d_u(Y, c), d_v(Y, c)
-    Yuu, Yvv = d_u(Yu, c), d_v(Yv, c)
-    N = frame_N(Y, zzbar(Yuu, Yvv))
-    psi = normal_frame(Y, N, Yu, Yv)
-    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv, Yuu=Yuu, Yvv=Yvv,
-                       psi=psi)
+    N = frame_N(Y, zzbar(d_u(Yu, c), d_v(Yv, c)))
+    return Y, N, Yu, Yv
+
+
+def build_surface_data(raw: np.ndarray, c: Chart) -> SurfaceData:
+    """Raw lift -> SurfaceData: the sphere fields (`sphere_fields`) and
+    the normal frame psi, the fields of the conformal Gauss frame."""
+    Y, N, Yu, Yv = sphere_fields(raw, c)
+    return SurfaceData(chart=c, Y=Y, N=N, Yu=Yu, Yv=Yv,
+                       psi=normal_frame(Y, N, Yu, Yv))
 
 
 def willmore_residual(inv: Invariants, c: Chart) -> np.ndarray:
@@ -460,5 +466,5 @@ def integrability_residuals(inv: Invariants, W: np.ndarray,
         - np.sum(inv.dz_kappa * np.conj(k), axis=-1)
     codazzi = np.imag(W)
     ricci = _ricci(inv, c)
-    return residual_norms(
-        {"gauss": gauss, "codazzi": codazzi, "ricci": ricci}, c, c.interior)
+    return {name: field_norms(f, c) for name, f in
+            (("gauss", gauss), ("codazzi", codazzi), ("ricci", ricci))}

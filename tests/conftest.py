@@ -13,9 +13,9 @@ def pipeline(kind, N=48, param=None):
         spec = zoo.SurfaceSpec(kind, param)
         c = zoo.default_chart(spec, N)
         S = surface.build_surface_data(zoo.generate(spec, c), c)
-        Ff = gauss_frame.build_frame(S)
-        M = gauss_frame.maurer_cartan(Ff)
-        _CACHE[key] = (c, S, Ff, M)
+        F, _ = gauss_frame.build_frame(S)
+        M = gauss_frame.maurer_cartan(F, c)
+        _CACHE[key] = (c, S, F, M)
     return _CACHE[key]
 
 

@@ -27,9 +27,8 @@ import numpy as np
 
 from willmorelab import spinor
 from willmorelab.chart import (Chart, DEFAULT_MARGIN, d_u, d_v, d_z, d_zbar,
-                               integrate, sup_norm, wirtinger)
-from willmorelab.gauss_frame import (S13, FrameField, MCBlocks,
-                                     maurer_cartan)
+                               integrate, wirtinger)
+from willmorelab.gauss_frame import S13, MCBlocks, maurer_cartan
 from willmorelab.lorentz import inner, lorentz_inverse, metric_signs
 from willmorelab.surface import build_surface_data
 
@@ -164,7 +163,8 @@ def flatness_residual(E: ExtendedForm, margin: int = DEFAULT_MARGIN) -> dict:
     alpha_lambda."""
     c = E.chart
     R = d_z(E.Q, c) - d_zbar(E.P, c) + (E.P @ E.Q - E.Q @ E.P)
-    return {"lambda": E.lam, "sup": sup_norm(R, c.interior_mask(margin))}
+    return {"lambda": E.lam,
+            "sup": sup_by_nested_max(np.abs(R), c.interior_mask(margin))}
 
 
 def loop_curvature_complex(M):
@@ -269,7 +269,7 @@ def conformality_residual(Y, c):
     return float(np.max(np.abs(inner(Yz, Yz))))
 
 
-def b_operator(Ff, M):
+def b_operator(F, M):
     """The sphere-congruence derivative operator F alpha_p(d_z) F^{-1}.
 
     Conjugating the off-diagonal Maurer-Cartan part back to the ambient
@@ -278,15 +278,14 @@ def b_operator(Ff, M):
     nilpotent on the complement exactly when the underlying map is a
     conformal Gauss map.
     """
-    Fi = lorentz_inverse(Ff.F).astype(complex)
-    return Ff.F.astype(complex) @ M.p_part() @ Fi
+    Fi = lorentz_inverse(F).astype(complex)
+    return F.astype(complex) @ M.p_part() @ Fi
 
 
-def maurer_cartan_complex(Ff):
+def maurer_cartan_complex(F, c):
     """F^{-1} d_z F as one complex product, d_z by the complex formula."""
-    c = Ff.chart
-    Fz = 0.5 * (d_u(Ff.F, c) - 1j * d_v(Ff.F, c))
-    return lorentz_inverse(Ff.F).astype(complex) @ Fz
+    Fz = 0.5 * (d_u(F, c) - 1j * d_v(F, c))
+    return lorentz_inverse(F).astype(complex) @ Fz
 
 
 def validate_group_against_metric(M, tol=1e-9):
@@ -372,7 +371,7 @@ def sup_by_nested_max(a, mask=None):
 def l2_by_nested_sum(a, c, mask):
     """The L2 norm of a = |f| over the mask, its squares reduced one
     trailing axis at a time (the last first) and then integrated, as
-    `chart.residual_norms` took it before it summed across planes."""
+    `chart.field_norms` took it before it summed across planes."""
     a = a ** 2
     while a.ndim > 2:
         a = np.sum(a, axis=-1)
@@ -514,7 +513,7 @@ def gauss_match_by_surface_data(y, NF, margin=DEFAULT_MARGIN,
     signs (M keeps them), a deliberately broken variant for the tests.
     """
     c = NF.chart
-    S = build_surface_data(y.lift(), c)
+    S = build_surface_data(y, c)
     r2 = np.sqrt(2.0)
     phi = np.stack([(S.Y + S.N) / r2, (-S.Y + S.N) / r2,
                     d_u(S.Y, c), d_v(S.Y, c)], axis=-2)
@@ -523,7 +522,7 @@ def gauss_match_by_surface_data(y, NF, margin=DEFAULT_MARGIN,
     Qf = np.linalg.qr(np.swapaxes(f, -1, -2))[0]
     D = Qp @ np.swapaxes(Qp, -1, -2) - Qf @ np.swapaxes(Qf, -1, -2)
     mask = c.interior_mask(margin)
-    dist = sup_norm(D, mask)
+    dist = sup_by_nested_max(np.abs(D), mask)
     if gram_metric:
         G = inner(phi[..., :, None, :], phi[..., None, :, :])
     else:
@@ -568,8 +567,9 @@ def surface_gauge_blocks(inv, c):
     return MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, c)
 
 
-def gauge(M, Ff, G, tol=1e-8):
-    """Apply a pointwise gauge F -> F G with G in SO+(1,3) x SO(n).
+def gauge(M, F, G, tol=1e-8):
+    """Apply a pointwise gauge F -> F G with G in SO+(1,3) x SO(n):
+    (F G, its Maurer-Cartan blocks) on M's chart.
 
     G is (.., n+4, n+4) (constant matrices broadcast); must be
     block-diagonal and Lorentz-orthogonal.  Blocks are recomputed from
@@ -577,7 +577,7 @@ def gauge(M, Ff, G, tol=1e-8):
     stencil consistency with it.
     """
     G = np.asarray(G, dtype=float)
-    dim = Ff.F.shape[-1]
+    dim = F.shape[-1]
     if G.shape[-1] != dim:
         raise ValueError("gauge has wrong dimension")
     if np.max(np.abs(G[..., :4, 4:])) > tol or \
@@ -587,9 +587,8 @@ def gauge(M, Ff, G, tol=1e-8):
     res = np.max(np.abs(np.swapaxes(G, -1, -2) @ I @ G - I))
     if res > tol:
         raise ValueError(f"gauge not in the group: residual {res:.3e}")
-    Ffh = FrameField(F=Ff.F @ G, chart=Ff.chart,
-                     group_residual=Ff.group_residual)
-    return Ffh, maurer_cartan(Ffh)
+    Fh = F @ G
+    return Fh, maurer_cartan(Fh, M.chart)
 
 
 def normalize_null_column(b, c, tol=1e-8):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab.chart import (TOPOLOGIES, Chart, d_u, d_v, d_z, d_zbar,
-                               integrate, partial_rows, residual_norms,
+                               field_norms, integrate, partial_rows,
                                sup_norm, wirtinger)
 
 import oracles
@@ -162,32 +162,38 @@ def test_interior_mask_margins():
 
 
 def test_norms_respect_mask():
+    """The norms run over the chart's interior: a spike in the trimmed
+    band of an open chart is not seen, and on a doubly periodic chart,
+    which trims nothing, it is."""
     c = open_chart(21)
     f = np.zeros(c.shape)
     f[0, 0] = 100.0
-    m = c.interior_mask(2)
-    assert sup_norm(f) == 100.0
-    assert sup_norm(f, m) == 0.0
-    assert residual_norms({"f": f}, c, m)["f"] == {"sup": 0.0, "l2": 0.0}
-    assert residual_norms({"f": f}, c, c.interior_mask())["f"]["l2"] > 0.0
+    assert sup_norm(f, c) == 0.0
+    assert field_norms(f, c) == {"sup": 0.0, "l2": 0.0}
+    cp = Chart(-1.0, 1.0, -1.0, 1.0, 21, 21, "periodic-both")
+    assert sup_norm(f, cp) == 100.0
+    assert field_norms(f, cp)["l2"] > 0.0
 
 
 @pytest.mark.parametrize("tail", [(), (3,), (4, 2)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_one_pass_sup_equals_nested_reduction(rng, tail, dtype):
-    """All trailing axes in one max, then the mask: equal (==) to one
-    axis at a time, with and without a mask.  A spike in the trimmed
-    band makes the masked and unmasked sups differ."""
+    """All trailing axes in one max, then the chart's interior: equal
+    (==) to one axis at a time, on an open chart and on a doubly
+    periodic one, whose interior is the whole grid.  A spike in the
+    trimmed band makes the two sups differ."""
     c = open_chart(21)
+    cp = Chart(-1.0, 1.0, -1.0, 1.0, 21, 21, "periodic-both")
     f = rng.normal(size=c.shape + tail).astype(dtype)
     if dtype is complex:
         f += 1j * rng.normal(size=f.shape)
     f[(0, 0) + (0,) * len(tail)] = 50.0
-    mask = c.interior_mask(3)
-    for m in (None, mask):
-        assert sup_norm(f, m) == oracles.sup_by_nested_max(np.abs(f), m)
-    assert residual_norms({"f": f}, c, mask)["f"]["sup"] \
-        == oracles.sup_by_nested_max(np.abs(f), mask) < 50.0 == sup_norm(f)
+    for ch in (c, cp):
+        assert sup_norm(f, ch) \
+            == oracles.sup_by_nested_max(np.abs(f), ch.interior)
+    assert field_norms(f, c)["sup"] \
+        == oracles.sup_by_nested_max(np.abs(f), c.interior) < 50.0 \
+        == sup_norm(f, cp)
 
 
 def _fields(rng, c, tail, dtype):
@@ -208,9 +214,9 @@ def test_l2_across_planes_matches_nested_reduction(rng, tail, dtype):
     one trailing axis at a time to roundoff, in both layouts, and the
     sup equals the nested max exactly in both."""
     c = open_chart(21)
-    mask = c.interior_mask(3)
+    mask = c.interior
     for f in _fields(rng, c, tail, dtype):
-        got = residual_norms({"f": f}, c, mask)["f"]
+        got = field_norms(f, c)
         want = oracles.l2_by_nested_sum(np.abs(f), c, mask)
         assert got["l2"] == pytest.approx(want, rel=1e-15, abs=0)
         assert got["sup"] == oracles.sup_by_nested_max(np.abs(f), mask)
@@ -233,12 +239,12 @@ def test_interior_mask_rejects_a_margin_that_leaves_no_point():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_norms_raise_on_an_empty_mask(rng, dtype):
-    """A mask that keeps no point is an error, never a sup of 0 or
-    -inf, in both layouts."""
-    c = open_chart(21)
-    empty = np.zeros(c.shape, dtype=bool)
+    """A chart whose interior keeps no point (an open axis of 12 points,
+    a margin of 6 at each edge) is an error for both norms, never a sup
+    of 0 or -inf, in both layouts."""
+    c = open_chart(12)
     for f in _fields(rng, c, (3,), dtype):
-        with pytest.raises(ValueError, match="keeps no grid point"):
-            residual_norms({"f": f}, c, empty)
-        with pytest.raises(ValueError, match="keeps no grid point"):
-            sup_norm(f, empty)
+        with pytest.raises(ValueError, match="open u-axis has 12 points"):
+            field_norms(f, c)
+        with pytest.raises(ValueError, match="open u-axis has 12 points"):
+            sup_norm(f, c)

@@ -339,9 +339,9 @@ def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
         refs.append(weakref.ref(S))
         return S
 
-    def checked(Ff):
+    def checked(*args):
         alive.append([r() is not None for r in refs])
-        return blocks(Ff)
+        return blocks(*args)
 
     monkeypatch.setattr(surface, "build_surface_data", tracked)
     monkeypatch.setattr(gauss_frame, "maurer_cartan", checked)
@@ -367,9 +367,9 @@ def test_verify_harmonic_releases_the_pair_before_the_sweep(monkeypatch):
     def alive(refs):
         return [r() is not None for r in refs]
 
-    def mc(Ff):
+    def mc(*args):
         events.append(("pair", alive(curvatures)))
-        M = blocks(Ff)
+        M = blocks(*args)
         pairs.append(weakref.ref(M))
         return M
 
@@ -492,8 +492,8 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
                                    gauss_frame.wirtinger,
                                    gauss_frame._so_defect)
 
-    def mc(Ff):
-        M = blocks(Ff)
+    def mc(*args):
+        M = blocks(*args)
         shapes.add(M.P.shape)
         return M
 

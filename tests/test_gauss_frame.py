@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from willmorelab import gauss_frame, surface, zoo
-from willmorelab.chart import d_u, d_v, sup_norm, wirtinger
+from willmorelab.chart import Chart, d_u, d_v, sup_norm, wirtinger
 from willmorelab.lorentz import lorentz_inverse, validate_group
 
 import helpers
@@ -11,21 +11,21 @@ from oracles import metric
 
 
 def test_frame_is_group_valued(pipe):
-    _, _, Ff, _ = pipe("clifford_torus")
-    ok, res = validate_group(Ff.F, 1e-9)
+    _, S, F, _ = pipe("clifford_torus")
+    ok, res = validate_group(F, 1e-9)
     assert np.all(ok)
-    assert Ff.group_residual < 1e-10
+    F2, residual = gauss_frame.build_frame(S)
+    assert np.array_equal(F2, F)
+    assert residual == float(np.max(res)) < 1e-10
 
 
 def test_frame_inverse(pipe):
-    c, _, Ff, _ = pipe("enneper")
-    err = np.max(np.abs(lorentz_inverse(Ff.F) @ Ff.F - np.eye(5)),
-                 axis=(-1, -2))
+    c, _, F, _ = pipe("enneper")
+    err = np.max(np.abs(lorentz_inverse(F) @ F - np.eye(5)), axis=(-1, -2))
     # exact wherever the columns are; boundary stencils degrade both alike
-    assert sup_norm(err, c.interior_mask(6)) < 100 * c.h**2
+    assert sup_norm(err, c) < 100 * c.h**2
     _, _, Fc, _ = pipe("clifford_torus")
-    assert np.max(np.abs(lorentz_inverse(Fc.F) @ Fc.F - np.eye(5))) \
-        < 1e-12
+    assert np.max(np.abs(lorentz_inverse(Fc) @ Fc - np.eye(5))) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["clifford_torus", "catenoid",
@@ -34,11 +34,10 @@ def test_maurer_cartan_matches_block_formulas(pipe, kind):
     """Numerical F^{-1} d_z F against the closed-form invariant blocks."""
     c, S, _, M = pipe(kind)
     P = oracles.surface_gauge_blocks(surface.invariants(S), c)
-    mask = S.chart.interior
     scale = np.max(np.abs(M.full()))
     for got, want in ((M.A1, P.A1), (M.A2, P.A2),
                       (M.B1, P.B1), (M.B2, P.B2)):
-        assert sup_norm(got - want, mask) < 100 * c.h**2 * scale, kind
+        assert sup_norm(got - want, c) < 100 * c.h**2 * scale, kind
 
 
 def test_b2_block_relation(pipe):
@@ -145,27 +144,30 @@ def test_willmore_energy_open_chart_is_flagged(pipe):
 
 def test_willmore_residual_zoo_vs_control(pipe):
     c, S, _, _ = pipe("clifford_torus")
-    r = sup_norm(surface.willmore_residual(surface.invariants(S), c),
-                 c.interior)
+    r = sup_norm(surface.willmore_residual(surface.invariants(S), c), c)
     assert r < 1e-10
     ct, St, _, _ = pipe("torus_of_revolution", 48, 3.0)
-    rt = sup_norm(surface.willmore_residual(surface.invariants(St), ct),
-                  ct.interior)
+    rt = sup_norm(surface.willmore_residual(surface.invariants(St), ct), ct)
     assert rt > 0.1
 
 
 def test_s_willmore_rank(pipe):
     c, S, _, M = pipe("clifford_torus")
-    rank, mrank = gauss_frame.s_willmore_rank(M.B1)
+    rank, mrank = gauss_frame.s_willmore_rank(M.B1, c)
     assert mrank == 1
     assert np.all(rank <= 1)
     c2, S2, _, M2 = pipe("round_sphere")
-    _, mr0 = gauss_frame.s_willmore_rank(
-        M2.B1, tol=max(1e-6, 50 * c2.h**2), mask=S2.chart.interior)
+    _, mr0 = gauss_frame.s_willmore_rank(M2.B1, c2,
+                                         tol=max(1e-6, 50 * c2.h**2))
     assert mr0 == 0
 
 
-def _threshold_B1(rng, n, factor, tol, shape=(6, 7)):
+# a doubly periodic chart of the threshold fields' shape: its interior
+# is the whole grid
+THRESHOLD_CHART = Chart(0.0, 1.0, 0.0, 1.0, 6, 7, "periodic-both")
+
+
+def _threshold_B1(rng, n, factor, tol, shape=THRESHOLD_CHART.shape):
     """B1 field with singular values (1, factor * tol, 0...) at every
     point, in random unitary bases."""
     def unitary(k):
@@ -179,23 +181,21 @@ def _threshold_B1(rng, n, factor, tol, shape=(6, 7)):
 
 
 def _rank_cases(pipe, rng, case):
-    """(B1, [(tol, mask, expected max rank or None)]) for one case."""
+    """(B1, chart, [(tol, expected max rank or None)]) for one case."""
     if case.startswith("threshold"):
         _, n, factor = case.split(":")
         tol = 1e-6
         B1 = _threshold_B1(rng, int(n), float(factor), tol)
-        return B1, [(tol, None, 2 if float(factor) > 1 else 1)]
+        return B1, THRESHOLD_CHART, [(tol, 2 if float(factor) > 1 else 1)]
     if case == "hexagonal_torus_s5":
         raw, c = helpers.hexagonal_torus_patch(48)
-        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
-            surface.build_surface_data(raw, c)))
+        F, _ = gauss_frame.build_frame(surface.build_surface_data(raw, c))
+        M = gauss_frame.maurer_cartan(F, c)
     else:
         kind, N = case.split(":")
         param = 3.0 if kind == "torus_of_revolution" else None
         c, _, _, M = pipe(kind, int(N), param)
-    mask = c.interior
-    return M.B1, [(tol, m, None) for tol in (1e-6, max(1e-6, 50 * c.h**2))
-                  for m in (None, mask)]
+    return M.B1, c, [(tol, None) for tol in (1e-6, max(1e-6, 50 * c.h**2))]
 
 
 @pytest.mark.parametrize(
@@ -207,12 +207,12 @@ def test_rank_matches_svd_oracle(pipe, rng, case):
     the same rank field and maximal rank, on the zoo at N=24 and 48 with
     the analyze and classify tolerances, on a surface in S^5 (n = 3),
     and where a second singular value sits 1% off the threshold."""
-    B1, checks = _rank_cases(pipe, rng, case)
-    for tol, mask, expected in checks:
-        rank, mrank = gauss_frame.s_willmore_rank(B1, tol=tol, mask=mask)
-        want, wmrank = oracles.svd_rank(B1, tol=tol, mask=mask)
-        assert np.array_equal(rank, want), (tol, mask is None)
-        assert mrank == wmrank, (tol, mask is None)
+    B1, c, checks = _rank_cases(pipe, rng, case)
+    for tol, expected in checks:
+        rank, mrank = gauss_frame.s_willmore_rank(B1, c, tol=tol)
+        want, wmrank = oracles.svd_rank(B1, tol=tol, mask=c.interior)
+        assert np.array_equal(rank, want), tol
+        assert mrank == wmrank, tol
         if expected is not None:
             assert mrank == expected and np.all(rank == expected)
 
@@ -222,10 +222,10 @@ def test_rank_raises_on_a_non_finite_B1(rng, bad):
     """One NaN or inf entry in a rank-2 field is a ValueError naming its
     point, not a rank-0 (totally umbilic) reading."""
     B1 = _threshold_B1(rng, 2, 1e5, 1e-6)       # singular values 1, 0.1
-    assert gauss_frame.s_willmore_rank(B1)[1] == 2
+    assert gauss_frame.s_willmore_rank(B1, THRESHOLD_CHART)[1] == 2
     B1[3, 5, 2, 1] = bad
     with pytest.raises(ValueError, match=r"not finite at grid point \(3, 5\)"):
-        gauss_frame.s_willmore_rank(B1)
+        gauss_frame.s_willmore_rank(B1, THRESHOLD_CHART)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
@@ -257,8 +257,8 @@ def test_hermitian_eigenvalues_match_lapack(rng, n, scale):
 
 def test_b_operator_exchanges_bundles(pipe):
     """F alpha_p F^{-1} maps the normal bundle into the sphere bundle."""
-    c, S, Ff, M = pipe("clifford_torus")
-    B = oracles.b_operator(Ff, M)
+    c, S, F, M = pipe("clifford_torus")
+    B = oracles.b_operator(F, M)
     img = np.einsum("...ij,...kj->...ki", B, S.psi.astype(complex))
     # the image must be Minkowski-orthogonal to every normal direction
     from willmorelab.lorentz import inner
@@ -269,8 +269,8 @@ def test_b_operator_exchanges_bundles(pipe):
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
 def test_maurer_cartan_is_the_complex_product(pipe, kind):
     """Two real products combined into d_z give F^{-1} d_z F bit for bit."""
-    _, _, Ff, M = pipe(kind)
-    assert np.array_equal(M.full(), oracles.maurer_cartan_complex(Ff))
+    c, _, F, M = pipe(kind)
+    assert np.array_equal(M.full(), oracles.maurer_cartan_complex(F, c))
 
 
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
@@ -280,11 +280,11 @@ def test_maurer_cartan_pair_matches_complex_oracle(pipe, kind):
     it equal the complex product F^{-1} d_z F bit for bit, as does
     b2_residual the sup of |B2 + B1^T I13| on that product; the
     so-defects of P and Q are X_B2 + X_B1^T I13 against the metric."""
-    _, _, Ff, M = pipe(kind)
-    want = oracles.maurer_cartan_complex(Ff)
-    inv = lorentz_inverse(Ff.F)
-    assert np.array_equal(M.P, inv @ d_u(Ff.F, M.chart))
-    assert np.array_equal(M.Q, inv @ d_v(Ff.F, M.chart))
+    c, _, F, M = pipe(kind)
+    want = oracles.maurer_cartan_complex(F, c)
+    inv = lorentz_inverse(F)
+    assert np.array_equal(M.P, inv @ d_u(F, c))
+    assert np.array_equal(M.Q, inv @ d_v(F, c))
     assert np.array_equal(M.full(), want)
     assert np.array_equal(M.k_part() + M.p_part(), want)
     for name, rows, cols in (("A1", slice(None, 4), slice(None, 4)),
@@ -307,7 +307,6 @@ def test_conformal_gauss_metric_is_round(pipe):
     c, S, _, _ = pipe("clifford_torus")
     g = oracles.conformal_gauss_metric(S)
     k2 = surface.invariants(S).k2
-    m = S.chart.interior
-    assert sup_norm(g["guu"] - k2, m) < 100 * c.h**2
-    assert sup_norm(g["gvv"] - k2, m) < 100 * c.h**2
-    assert sup_norm(g["guv"], m) < 100 * c.h**2
+    assert sup_norm(g["guu"] - k2, c) < 100 * c.h**2
+    assert sup_norm(g["gvv"] - k2, c) < 100 * c.h**2
+    assert sup_norm(g["guv"], c) < 100 * c.h**2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from willmorelab import chart, gauss_frame, harmonic, lorentz, surface, zoo
-from willmorelab.chart import d_u, d_v, sup_norm
+from willmorelab.chart import Chart, d_u, d_v, sup_norm
 
 import helpers
 import oracles
@@ -76,8 +76,8 @@ def _plus_blocks(K, M):
 def _oracle_case(pipe, case):
     if case == "hexagonal_torus_s5":
         raw, c = helpers.hexagonal_torus_patch(48)
-        return gauss_frame.maurer_cartan(gauss_frame.build_frame(
-            surface.build_surface_data(raw, c)))
+        F, _ = gauss_frame.build_frame(surface.build_surface_data(raw, c))
+        return gauss_frame.maurer_cartan(F, c)
     kind, _, param = case.partition(":")
     return pipe(kind, 48, float(param) if param else None)[3]
 
@@ -86,8 +86,10 @@ def _oracle_case(pipe, case):
                                   "torus_of_revolution:3",
                                   "hexagonal_torus_s5"])
 def test_real_curvature_matches_complex_block_oracle(pipe, case):
-    """W, both blocks of R+ and the three lines from (K, H) equal the
-    complex-block form, n = 1 (open, periodic, control), 2 and 3.
+    """W, both blocks of R+ and the two A-lines from (K, H) equal the
+    complex-block form, and so does each line's sup in
+    `harmonic_residuals`, B1_line's from R+'s planes, n = 1 (open,
+    periodic, control), 2 and 3.
 
     The tolerance is 1e-13 times the field's max, or times max |alpha|^2
     where that is larger: clifford_torus's fields are 1e-14 cancellations
@@ -98,12 +100,17 @@ def test_real_curvature_matches_complex_block_oracle(pipe, case):
     W, plus, lines = oracles.loop_curvature_complex(M)
     a2 = np.max(np.abs(M.full())) ** 2
     pairs = list(zip(K.W, W)) + list(zip(_plus_blocks(K, M), plus)) \
-        + [(K.lines[name], lines[name]) for name in lines]
-    assert sorted(K.lines) == sorted(lines)
+        + [(K.lines[name], lines[name]) for name in K.lines]
+    assert sorted(K.lines) == ["A1_line", "A2_line"]
     for got, ref in pairs:
         assert got.shape == ref.shape
         scale = max(np.max(np.abs(ref)), a2)
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale, case
+    sups = harmonic.harmonic_residuals(K)
+    assert list(sups) == list(lines)
+    for name, ref in lines.items():
+        want = oracles.sup_by_nested_max(np.abs(ref), M.chart.interior)
+        assert abs(sups[name] - want) <= 1e-13 * max(want, a2), (case, name)
 
 
 def test_flatness_oracle_rejects_broken_curvatures(pipe):
@@ -148,11 +155,12 @@ def test_lambda_one_reads_the_maurer_cartan_defect_alone(pipe):
 
 
 def test_harmonic_lines_share_the_curvature_blocks(pipe):
-    """B1_line is conj of R+'s B1 block; A1/A2 lines differ from R0 by
-    the O(h^2) so-defect of B2."""
+    """B1_line's sup is bit for bit that of conj of R+'s B1 block; A1/A2
+    lines differ from R0 by the O(h^2) so-defect of B2."""
     c, _, _, M = pipe("enneper")
     K = harmonic.loop_curvature(M)
-    assert np.array_equal(K.lines["B1_line"], np.conj(_plus_blocks(K, M)[0]))
+    assert harmonic.harmonic_residuals(K)["B1_line"] \
+        == sup_norm(np.conj(_plus_blocks(K, M)[0]), c)
     gap = max(np.max(np.abs(K.lines["A1_line"] - K.W[0])),
               np.max(np.abs(K.lines["A2_line"] - K.W[1])))
     assert gap <= 10 * M.b2_residual * np.max(np.abs(M.B1)) + 1e-14
@@ -208,8 +216,9 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
 
 
 def _mc_blocks(spec, c):
-    return gauss_frame.maurer_cartan(gauss_frame.build_frame(
-        surface.build_surface_data(zoo.generate(spec, c), c)))
+    F, _ = gauss_frame.build_frame(
+        surface.build_surface_data(zoo.generate(spec, c), c))
+    return gauss_frame.maurer_cartan(F, c)
 
 
 def _curvature_fields(K):
@@ -227,11 +236,11 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
     catenoid's chart, periodic in u, the wrap rows of K's u-stencil fall
     in the first and the last block of each layout.  W and
     R+'s imaginary part are those of K from stacked products over the
-    whole grid; R+'s real part and B1_line those of H_p from the
-    stencils of the off-diagonal blocks over the whole grid and the
-    per-entry products on its planes; and the sweep's sups those of the
-    reduction over the trailing axis of the grid-first fields, bit for
-    bit."""
+    whole grid; R+'s real part those of H_p from the stencils of the
+    off-diagonal blocks over the whole grid and the per-entry products
+    on its planes; B1_line's sup that of (H_p - iK)/4 on the B1 block;
+    and the sweep's sups those of the reduction over the trailing axis
+    of the grid-first fields, bit for bit."""
     spec = zoo.SurfaceSpec(kind)
     c = replace(zoo.default_chart(spec, 48), Nu=37)
     M = _mc_blocks(spec, c)
@@ -270,21 +279,22 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
         H.append(0.25 * lorentz.grid_first(h))
     assert np.array_equal(K0.plus_re, np.concatenate(
         [h.reshape(c.shape + (4 * n,)) for h in H], axis=-1))
-    B1 = K0.lines["B1_line"]
-    assert np.array_equal(B1.real, H[0])
-    assert np.array_equal(B1.imag, -0.25 * K[..., a, b])
-    mask = c.interior
+    B1 = np.empty(H[0].shape, dtype=complex)
+    B1.real, B1.imag = H[0], -0.25 * K[..., a, b]
+    assert lines0["B1_line"] == oracles.sup_by_nested_max(np.abs(B1),
+                                                          c.interior)
     r0 = 2.0 * np.maximum(*(np.max(np.abs(W), axis=(-2, -1)) for W in K0.W))
     for r in sweep0:
         lam = r["lambda"]
         X = lam.real * K0.plus_im + lam.imag * K0.plus_re
         pmax = np.maximum(r0, 2.0 * np.max(np.abs(X), axis=-1))
-        assert r["sup"] == sup_norm(pmax, mask), lam
+        assert r["sup"] == sup_norm(pmax, c), lam
 
 
 def test_loop_curvature_keeps_its_temporaries_below_its_fields():
     """At 255^2 on veronese_s4, the tracemalloc peak of `loop_curvature`
-    exceeds the fields it returns (45.8 MB) by at most 14 MB: 13.5 MB
+    exceeds the fields it returns (37.5 MB; 45.8 MB while they held
+    B1_line, a complex copy of R+'s B1 block) by at most 14 MB: 13.5 MB
     with K, H, their stencils and the so-defects formed one row block at
     a time.  H's stencils over the whole grid took 14.3 MB, whole-grid
     K, stencils and so-defects 40.3 MB, and stacked products over the
@@ -310,9 +320,9 @@ def test_r0_max_is_the_per_point_max_of_R0(pipe, monkeypatch):
     K = harmonic.loop_curvature(M)
     seen = []
 
-    def spy(f, mask=None):
+    def spy(f, c):
         seen.append(f.copy())
-        return sup_norm(f, mask)
+        return sup_norm(f, c)
     monkeypatch.setattr(harmonic, "sup_norm", spy)
     zero = np.zeros_like(K.plus_re)
     for W1, W2 in (K.W, (K.W[0], 3.0 * K.W[1])):
@@ -395,31 +405,32 @@ def test_harmonic_residuals_flag_the_control(pipe):
 
 def test_strong_conformality_zoo_vs_random(pipe, rng):
     c, S, _, M = pipe("veronese_s4")
-    sup = harmonic.strong_conformal_check(M.B1, S.chart.interior)
+    sup = harmonic.strong_conformal_check(M.B1, c)
     scale = np.max(np.abs(M.B1)) ** 2
     assert sup < 100 * c.h**2 * scale
     # a generic complex B1 is nowhere near null
     Brand = rng.normal(size=(8, 8, 4, 2)) + 1j * rng.normal(size=(8, 8, 4, 2))
-    assert harmonic.strong_conformal_check(Brand) > 0.1
+    torus = Chart(0.0, 1.0, 0.0, 1.0, 8, 8, "periodic-both")
+    assert harmonic.strong_conformal_check(Brand, torus) > 0.1
 
 
 def test_gauge_preserves_harmonicity(pipe, rng):
     """Residuals are gauge-covariant under SO+(1,3) x SO(n) changes."""
-    c, _, Ff, M = pipe("clifford_torus")
+    c, _, F, M = pipe("clifford_torus")
     G = np.zeros(c.shape + (5, 5))
     G[..., :4, :4] = helpers.random_so13_gauge(c, rng, amp=0.2)
     G[..., 4, 4] = 1.0
-    Fh, Mh = oracles.gauge(M, Ff, G)
+    Fh, Mh = oracles.gauge(M, F, G)
     res = harmonic.harmonic_residuals(harmonic.loop_curvature(Mh))
     for name, sup in res.items():
         assert sup < 200 * c.h**2, name
-    sup = harmonic.strong_conformal_check(Mh.B1)
+    sup = harmonic.strong_conformal_check(Mh.B1, c)
     assert sup < 100 * c.h**2 * (np.max(np.abs(Mh.B1))**2 + 1e-300)
 
 
 def test_gauge_rejects_off_block_matrices(pipe):
-    c, _, Ff, M = pipe("clifford_torus")
+    c, _, F, M = pipe("clifford_torus")
     G = np.zeros(c.shape + (5, 5)) + np.eye(5)
     G[..., 0, 4] = 0.3                      # mixes the two factors
     with pytest.raises(ValueError):
-        oracles.gauge(M, Ff, G)
+        oracles.gauge(M, F, G)

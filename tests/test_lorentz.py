@@ -81,8 +81,8 @@ def test_gram_of_B1_matches_the_complex_product_oracle(pipe, case):
     torus in S^5 (n = 3), to 1e-13 of max(sup, 1)."""
     if case == "hexagonal_torus_s5":
         raw, c = helpers.hexagonal_torus_patch(48)
-        M = gauss_frame.maurer_cartan(gauss_frame.build_frame(
-            surface.build_surface_data(raw, c)))
+        F, _ = gauss_frame.build_frame(surface.build_surface_data(raw, c))
+        M = gauss_frame.maurer_cartan(F, c)
     else:
         M = pipe(case, 48, 3.0 if case == "torus_of_revolution" else None)[3]
     B1 = M.B1
@@ -128,7 +128,7 @@ def _group_cases(pipe):
     """Zoo frames at N=24, a det -1 frame (a normal column flipped) and a
     frame with one NaN entry."""
     frames = {kind: pipe(kind, 24, 3.0 if kind == "torus_of_revolution"
-                         else None)[2].F for kind in zoo.KINDS}
+                         else None)[2] for kind in zoo.KINDS}
     F = frames["veronese_s4"].copy()
     F[..., -1] *= -1.0
     frames["det_minus_one"] = F
@@ -313,18 +313,18 @@ def test_orthonormalize_raises_on_a_degenerate_span(rng, defect):
             lorentz.orthonormalize(B)
 
 
-def _frame_path_kernels(B, Ff):
+def _frame_path_kernels(B, F, c):
     """The row-blocked kernels of the frame path on the rows
-    B = (Y, N, Y_u, Y_v) and the frame Ff: the Gram-Schmidt of the
-    sphere columns, the normal frame (the cross product in S^3, swept
-    rejections in S^4), the group test's ok and residual, and the
-    Maurer-Cartan pair."""
-    M = gauss_frame.maurer_cartan(Ff)
+    B = (Y, N, Y_u, Y_v) and the frame F on the chart c: the
+    Gram-Schmidt of the sphere columns, the normal frame (the cross
+    product in S^3, swept rejections in S^4), the group test's ok and
+    residual, and the Maurer-Cartan pair."""
+    M = gauss_frame.maurer_cartan(F, c)
     fields = np.moveaxis(B, -2, 0)
     return (lorentz.orthonormalize(np.stack(surface.sphere_columns(*fields),
                                             axis=-2)),
             surface.normal_frame(*fields),
-            *lorentz.validate_group(Ff.F, 1e-3), M.P, M.Q)
+            *lorentz.validate_group(F, 1e-3), M.P, M.Q)
 
 
 @pytest.mark.parametrize("kind", ["veronese_s4", "clifford_torus"])
@@ -339,14 +339,14 @@ def test_row_blocked_kernels_do_not_depend_on_the_block_layout(monkeypatch,
     spec = zoo.SurfaceSpec(kind)
     c = dataclasses.replace(zoo.default_chart(spec, 29), Nu=37)
     S = surface.build_surface_data(zoo.generate(spec, c), c)
-    Ff = gauss_frame.build_frame(S)
+    F, _ = gauss_frame.build_frame(S)
     B = np.stack([S.Y, S.N, S.Yu, S.Yv], axis=-2)
     assert lorentz.row_blocks(c.shape) == [...]
-    want = _frame_path_kernels(B, Ff)
+    want = _frame_path_kernels(B, F, c)
     for block, count in ((37 * 29, 1), (29, 37), (5 * 29, 8), (28, 37)):
         monkeypatch.setattr(lorentz, "PLANE_BLOCK", block)
         assert len(lorentz.row_blocks(c.shape)) == count, block
-        for got, ref in zip(_frame_path_kernels(B, Ff), want):
+        for got, ref in zip(_frame_path_kernels(B, F, c), want):
             assert np.array_equal(got, ref), block
         E = surface.complement_basis(want[0][3, 5])
         assert E.shape == (S.n, B.shape[-1])
@@ -366,15 +366,16 @@ def test_row_blocked_kernels_keep_their_temporaries_block_sized():
         return surface.build_surface_data(zoo.generate(spec, c), c)
 
     S = surface_data("veronese_s4")
-    Ff = gauss_frame.build_frame(S)
+    F, _ = gauss_frame.build_frame(S)
     phi = np.stack(surface.sphere_columns(S.Y, S.N, S.Yu, S.Yv), axis=-2)
     E = surface_data("enneper")
     for name, kernel in (
             ("orthonormalize", lambda: lorentz.orthonormalize(phi)),
             ("normal_frame", lambda: surface.normal_frame(E.Y, E.N, E.Yu,
                                                           E.Yv)),
-            ("validate_group", lambda: lorentz.validate_group(Ff.F, 1.0)),
-            ("maurer_cartan", lambda: gauss_frame.maurer_cartan(Ff))):
+            ("validate_group", lambda: lorentz.validate_group(F, 1.0)),
+            ("maurer_cartan", lambda: gauss_frame.maurer_cartan(F,
+                                                                S.chart))):
         tracemalloc.start()
         try:
             out = kernel()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from willmorelab import reconstruct, spinor, surface
+from willmorelab import cli, reconstruct, spinor, surface
 from willmorelab.chart import Chart
-from willmorelab.gauss_frame import FrameField, MCBlocks, maurer_cartan
+from willmorelab.gauss_frame import MCBlocks, maurer_cartan
 from willmorelab.lorentz import inner, rejection
 
 import helpers
@@ -12,8 +12,8 @@ from oracles import metric
 
 
 def normalized(pipe, kind, N=48, param=None, **kw):
-    c, S, Ff, M = pipe(kind, N, param)
-    return c, S, reconstruct.normalize(Ff, M, **kw)
+    c, S, F, M = pipe(kind, N, param)
+    return c, S, reconstruct.normalize(F, M, **kw)
 
 
 def test_normalize_reaches_canonical_shape(pipe):
@@ -21,25 +21,25 @@ def test_normalize_reaches_canonical_shape(pipe):
     assert NF.shape_residual < 1e-10
     assert NF.orientation == "same"
     # the four-column bundle is untouched: Y0 still the input surface
-    y0 = reconstruct.to_sphere_map(NF.Y0, c)
-    yin = reconstruct.to_sphere_map(S.Y, c)
-    assert y0.distance(yin) < 1e-10
+    y0 = reconstruct.to_sphere_map(NF.Y0)
+    yin = reconstruct.to_sphere_map(S.Y)
+    assert reconstruct.sphere_distance(y0, yin) < 1e-10
 
 
 def test_normalize_keeps_an_already_canonical_frame(pipe, monkeypatch):
     """A zoo Gauss frame already has the canonical B1 shape: normalize
-    runs maurer_cartan once and returns the input frame and its blocks."""
-    _, _, Ff, _ = pipe("clifford_torus")
+    runs no maurer_cartan and returns the input frame and its blocks."""
+    _, _, F, M = pipe("clifford_torus")
     made = []
 
-    def counting(Ff):
-        made.append(maurer_cartan(Ff))
-        return made[-1]
+    def counting(*args):
+        made.append(args)
+        return maurer_cartan(*args)
 
     monkeypatch.setattr(reconstruct, "maurer_cartan", counting)
-    NF = reconstruct.normalize(Ff)
-    assert len(made) == 1
-    assert NF.F is Ff.F and NF.blocks is made[0]
+    NF = reconstruct.normalize(F, M)
+    assert made == []
+    assert NF.F is F and NF.blocks is M
 
 
 def test_normalized_beta_k_match_invariants(pipe):
@@ -162,14 +162,13 @@ def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
     """The conjugate renormalization in classify starts from NF.blocks
     and matches a renormalization that recomputes maurer_cartan: same
     frame and blocks, and bit for bit the same Y_mu in classify."""
-    c, _, Ff, M = pipe(kind)
-    NF = reconstruct.normalize(Ff, M, orientation=orientation)
+    c, _, F, M = pipe(kind)
+    NF = reconstruct.normalize(F, M, orientation=orientation)
     assert NF.orientation == orientation
     M0 = NF.blocks.conjugate() if orientation == "conjugate" else NF.blocks
-    ref = reconstruct.normalize(FrameField(F=NF.F, chart=c),
+    ref = reconstruct.normalize(NF.F, maurer_cartan(NF.F, c),
                                 orientation="conjugate")
-    got = reconstruct.normalize(FrameField(F=NF.F, chart=c), M0,
-                                orientation="conjugate")
+    got = reconstruct.normalize(NF.F, M0, orientation="conjugate")
     assert np.array_equal(got.F, ref.F)
     for b in ("A1", "A2", "B1", "B2"):
         assert np.array_equal(getattr(got.blocks, b),
@@ -180,17 +179,17 @@ def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
 
 def test_sphere_map_representatives(pipe):
     c, S, _, _ = pipe("clifford_torus")
-    y = reconstruct.to_sphere_map(S.Y, c)
-    assert np.max(np.abs(np.sum(y.values**2, axis=-1) - 1.0)) < 1e-12
-    lifted = y.lift()
-    assert np.max(np.abs(inner(lifted, lifted))) < 1e-12
+    y = reconstruct.to_sphere_map(S.Y)
+    assert y.shape == S.Y.shape and np.all(y[..., 0] == 1.0)
+    assert np.max(np.abs(np.sum(y[..., 1:]**2, axis=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(inner(y, y))) < 1e-12
 
 
 def test_clifford_roundtrip_machine_exact(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
-    y0 = reconstruct.to_sphere_map(NF.Y0, c)
-    yin = reconstruct.to_sphere_map(S.Y, c)
-    assert y0.distance(yin) < 1e-12
+    y0 = reconstruct.to_sphere_map(NF.Y0)
+    yin = reconstruct.to_sphere_map(S.Y)
+    assert reconstruct.sphere_distance(y0, yin) < 1e-12
     # h never vanishes: [e0 - e0hat] immerses everywhere
     scale = np.max(np.abs(NF.blocks.A1)) + c.h
     assert not np.any(np.abs(NF.h) < 1e-6 * scale)
@@ -201,10 +200,10 @@ def test_veronese_roundtrip(pipe):
     # normalization is the identity gauge and projection returns the
     # input surface on the nose
     c, S, NF = normalized(pipe, "veronese_s4", 48)
-    y0 = reconstruct.to_sphere_map(NF.Y0, c)
-    yin = reconstruct.to_sphere_map(S.Y, c)
+    y0 = reconstruct.to_sphere_map(NF.Y0)
+    yin = reconstruct.to_sphere_map(S.Y)
     m = c.interior
-    d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
+    d = np.sqrt(np.sum((y0[..., 1:] - yin[..., 1:])**2, axis=-1))
     assert np.max(d[m]) < 1e-10
 
 
@@ -213,16 +212,16 @@ def test_scrambled_veronese_roundtrip_converges(pipe):
     rng = np.random.default_rng(7)
     dists = []
     for N in (48, 96):
-        c, S, Ff, M = pipe("veronese_s4", N)
+        c, S, F, M = pipe("veronese_s4", N)
         G = np.zeros(c.shape + (6, 6))
         G[..., :4, :4] = helpers.random_so13_gauge(c, rng, amp=0.3)
         G[..., 4, 4] = G[..., 5, 5] = 1.0
-        Fs = FrameField(F=Ff.F @ np.linalg.inv(G), chart=c)
-        NF = reconstruct.normalize(Fs)
-        y0 = reconstruct.to_sphere_map(NF.Y0, c)
-        yin = reconstruct.to_sphere_map(S.Y, c)
+        Fs = F @ np.linalg.inv(G)
+        NF = reconstruct.normalize(Fs, maurer_cartan(Fs, c))
+        y0 = reconstruct.to_sphere_map(NF.Y0)
+        yin = reconstruct.to_sphere_map(S.Y)
         m = c.interior
-        d = np.sqrt(np.sum((y0.values - yin.values)**2, axis=-1))
+        d = np.sqrt(np.sum((y0[..., 1:] - yin[..., 1:])**2, axis=-1))
         dists.append(float(np.max(d[m])))
     assert dists[0] < 0.5
     assert dists[0] / dists[1] > 2.5          # at least O(h^2)
@@ -246,8 +245,8 @@ def test_clifford_dual_surface(pipe):
         ds["map"], NF)["subspace_distance"] < 100 * c.h**2
     # the dual of the Clifford torus is again a Clifford-type torus,
     # distinct from the original
-    yin = reconstruct.to_sphere_map(S.Y, c)
-    assert ds["map"].distance(yin) > 0.5
+    yin = reconstruct.to_sphere_map(S.Y)
+    assert reconstruct.sphere_distance(ds["map"], yin) > 0.5
 
 
 def test_dual_surface_rejects_rank_two(pipe):
@@ -266,7 +265,7 @@ def _gauss_match_cases(pipe):
                                       reconstruct.classify(NF).max_rank)
         yield f"{kind}:dual", ds["map"], NF
     c, S, NF = normalized(pipe, "clifford_torus")
-    yield "clifford_torus:direct", reconstruct.to_sphere_map(S.Y, c), NF
+    yield "clifford_torus:direct", reconstruct.to_sphere_map(S.Y), NF
 
 
 def test_gauss_match_matches_surface_data_oracle(pipe):
@@ -295,9 +294,37 @@ def test_gauss_match_oracle_rejects_metric_free_gram(pipe):
             name
 
 
+def test_gauss_match_fails_closed_on_a_nan_point(pipe, monkeypatch,
+                                                 capsys):
+    """A NaN point of the candidate sphere map casts no vote: the match
+    raises np.linalg.LinAlgError (a ValueError) where NaN signs would
+    read "opposite", so reconstruct exits 3 on a dual map with a NaN
+    point instead of passing dual_orientation_opposite."""
+    for name, y, NF in _gauss_match_cases(pipe):
+        y = y.copy()
+        y[20, 24] = np.nan
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular or not finite"):
+            reconstruct.verify_gauss_match(y, NF)
+    dual = reconstruct.dual_surface
+
+    def nan_map(*args):
+        ds = dual(*args)
+        ds["map"][20, 24] = np.nan
+        return ds
+    monkeypatch.setattr(reconstruct, "dual_surface", nan_map)
+    c = pipe("clifford_torus")[0]
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    code = cli.main(["reconstruct", "--surface", "clifford_torus",
+                     "--chart", chart])
+    assert code == 3
+    assert "singular or not finite" in capsys.readouterr().err
+
+
 def test_direct_surface_gauss_match_is_same_oriented(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
-    yin = reconstruct.to_sphere_map(S.Y, c)
+    yin = reconstruct.to_sphere_map(S.Y)
     vg = reconstruct.verify_gauss_match(yin, NF)
     assert vg["orientation"] == "same"
     assert oracles.gauss_match_by_surface_data(
@@ -324,7 +351,7 @@ def test_enneper_recovers_a_minimal_immersion(pipe):
 def test_rank2_degenerate_classifies_b1():
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 96, 96, "periodic-both")
     F = helpers.rank2_degenerate_frame(c)
-    M = maurer_cartan(FrameField(F=F, chart=c))
+    M = maurer_cartan(F, c)
     NF = reconstruct.NormalizedFrame(F=F, blocks=M, orientation="same",
                                      chart=c)
     cl = reconstruct.classify(NF)
@@ -335,8 +362,8 @@ def test_rank2_degenerate_classifies_b1():
 
 def test_reduced_frame_classifies_b2ii():
     c = Chart(-1, 1, -1, 1, 64, 64, "open")
-    Ff = FrameField(F=helpers.reduced_frame_field(c), chart=c)
-    NF = reconstruct.normalize(Ff, tol=1e-3)
+    F = helpers.reduced_frame_field(c)
+    NF = reconstruct.normalize(F, maurer_cartan(F, c), tol=1e-3)
     cl = reconstruct.classify(NF)
     assert cl.case == "b2ii"
     assert not cl.has_willmore_surface
@@ -344,16 +371,16 @@ def test_reduced_frame_classifies_b2ii():
 
 
 def test_round_sphere_cannot_be_normalized(pipe):
-    c, S, Ff, M = pipe("round_sphere")
+    c, S, F, M = pipe("round_sphere")
     with pytest.raises(spinor.TotallyUmbilicError):
-        reconstruct.normalize(Ff, M)
+        reconstruct.normalize(F, M)
 
 
 def _degenerate_run(pipe, kind, monkeypatch, conjugate=None):
     """classify on the normalized zoo frame, with MCBlocks.conjugate
     replaced by `conjugate` if given: (classification, stereographic
     residuals, the conjugate renormalization's frame) at N=48."""
-    c, _, Ff, M = pipe(kind)
+    c, _, F, M = pipe(kind)
     with monkeypatch.context() as m:
         if conjugate is not None:
             m.setattr(MCBlocks, "conjugate", conjugate)
@@ -365,7 +392,7 @@ def _degenerate_run(pipe, kind, monkeypatch, conjugate=None):
             return renormalized[-1]
 
         m.setattr(reconstruct, "normalize", spy)
-        cl = reconstruct.classify(reconstruct.normalize(Ff, M))
+        cl = reconstruct.classify(reconstruct.normalize(F, M))
     st = reconstruct.stereographic(cl.Ymu, cl.constant_vector, c)
     return cl, st, renormalized[-1]
 
@@ -382,21 +409,21 @@ def test_degenerate_branch_matches_the_conjugated_complex_form(
     sign of the form (mu is a ratio of products of two B1 entries, h
     enters only as |h|), so only the renormalized blocks tell the two
     apart, and they are pinned here."""
-    c, _, Ff, M = pipe("enneper")
+    c, _, F, M = pipe("enneper")
     # the frame and orientation of every form the run builds
-    origin = {id(M): (Ff, False)}
+    origin = {id(M): (F, False)}
     keep, calls = [M], []
     build = reconstruct.maurer_cartan
 
-    def tracked(Fx):
-        out = build(Fx)
+    def tracked(Fx, cx):
+        out = build(Fx, cx)
         origin[id(out)] = (Fx, False)
         keep.append(out)
         return out
 
     def oracle_conjugate(self):
         Fx, conjugated = origin[id(self)]
-        alpha = oracles.maurer_cartan_complex(Fx)
+        alpha = oracles.maurer_cartan_complex(Fx, self.chart)
         if not conjugated:
             alpha = np.conj(alpha)
         out = MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, self.chart)

@@ -79,10 +79,10 @@ def _analyze_stencils(seen, kind):
     raw = zoo.generate(spec, c)
     S = surface.build_surface_data(raw, c)
     inv = surface.invariants(S)
-    Fr = gauss_frame.build_frame(S)
+    F, _ = gauss_frame.build_frame(S)
     names = {"raw": raw, "Y": S.Y, "Yu": S.Yu, "Yv": S.Yv, "N": S.N,
              "psi": S.psi, "kappa": inv.kappa, "beta": inv.beta,
-             "s": inv.schwarzian, "F": Fr.F}
+             "s": inv.schwarzian, "F": F}
     for j in range(S.n):
         for l in range(j + 1, S.n):
             names[f"b_r[{j},{l}]"] = inv.b.real[..., j, l]
@@ -99,16 +99,19 @@ def _analyze_stencils(seen, kind):
 
 
 def test_each_lift_is_differentiated_once(monkeypatch):
-    """Across the whole analyze command, each field takes at most one
-    stencil per axis: the raw lift, Y, N, psi, kappa, beta and s one
-    d_u/d_v pair each; Y_u only d_u (Y_uu, for N) and Y_v both (Y_uv for
-    the Hessian, Y_vv for N); the frame one pair, for its Maurer-Cartan
-    form; each entry of b one stencil, for the Ricci residual.  Six
-    stencils are complex (kappa, beta and s), and no complex field of
-    the ambient space is differentiated: 21 stencils on veronese_s4
-    (n = 2, one entry of b) and 19 on enneper (n = 1)."""
+    """Across the whole analyze command, each field but Y's partials
+    takes at most one stencil per axis: the raw lift, Y, N, psi, kappa,
+    beta and s one d_u/d_v pair each; the frame one pair, for its
+    Maurer-Cartan form; each entry of b one stencil, for the Ricci
+    residual.  Y_u takes d_u and Y_v takes d_v twice, the same stencils
+    of the same input (Y_uu and Y_vv for N in `sphere_fields`, then for
+    the Hessian in `invariants`, since `SurfaceData` keeps no Hessian),
+    and Y_v takes d_u once (Y_uv).  Six stencils are complex (kappa,
+    beta and s), and no complex field of the ambient space is
+    differentiated: 23 stencils on veronese_s4 (n = 2, one entry of b)
+    and 21 on enneper (n = 1)."""
     seen = _stencil_spy(monkeypatch)
-    for kind, total in (("veronese_s4", 21), ("enneper", 19)):
+    for kind, total in (("veronese_s4", 23), ("enneper", 21)):
         got = _analyze_stencils(seen, kind)
         assert len(got) == total, kind
         assert sum(cplx for _, _, cplx in got) == 6, kind
@@ -117,7 +120,7 @@ def test_each_lift_is_differentiated_once(monkeypatch):
             counts.setdefault(name, [0, 0])[axis] += 1
         want = {name: [1, 1] for name in ("raw", "Y", "Yv", "N", "psi",
                                           "kappa", "beta", "s", "F")}
-        want["Yu"] = [1, 0]
+        want["Yu"], want["Yv"] = [2, 0], [1, 2]
         if kind == "veronese_s4":
             want.update({"b_i[0,1]": [1, 0], "b_r[0,1]": [0, 1]})
         assert counts == want, kind
@@ -147,7 +150,8 @@ def test_invariants_leave_surface_data_untouched(monkeypatch):
     """The forward stage keeps what it derives to itself: after two
     `surface.invariants` calls S holds the same attributes, bound to the
     same arrays, the two results are equal, and each call takes the same
-    seven stencils (Y_uv and the d_u/d_v pairs of psi, kappa and N)."""
+    nine stencils (Y's Hessian Y_uu, Y_vv, Y_uv and the d_u/d_v pairs of
+    psi, kappa and N)."""
     spec = zoo.SurfaceSpec("veronese_s4")
     c = zoo.default_chart(spec, 24)
     S = surface.build_surface_data(zoo.generate(spec, c), c)
@@ -165,24 +169,25 @@ def test_invariants_leave_surface_data_untouched(monkeypatch):
         assert np.array_equal(getattr(first, name), getattr(second, name)), \
             name
     assert first.structure == second.structure
-    assert len(stencils[0]) == len(stencils[1]) == 7
+    assert len(stencils[0]) == len(stencils[1]) == 9
     for (f, axis), (g, axis2) in zip(*stencils):
         assert axis == axis2 and np.array_equal(f, g)
 
 
 def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
     """Y_zzbar is N's W bit for bit: `frame_N` rebuilds S.N exactly from
-    `zzbar` of the kept stencils Y_uu and Y_vv, and the "mixed" structure
-    residual is the real field W + |kappa|^2 Y - N/2 built from that W."""
+    `zzbar` of the stencils Y_uu = d_u Y_u and Y_vv = d_v Y_v, taken
+    again from S, and the "mixed" structure residual is the real field
+    W + |kappa|^2 Y - N/2 built from that W."""
     for kind in ("clifford_torus", "enneper", "veronese_s4"):
         c, S, _, _ = pipe(kind)
-        W = surface.zzbar(S.Yuu, S.Yvv)
+        W = surface.zzbar(d_u(S.Yu, c), d_v(S.Yv, c))
         assert W.dtype == float
         assert np.array_equal(surface.frame_N(S.Y, W), S.N), kind
         inv = surface.invariants(S)
         want = (W + inv.k2[..., None] * S.Y) - 0.5 * S.N
         got = inv.structure["mixed"]
-        assert got == chart.field_norms(want, c, c.interior), kind
+        assert got == chart.field_norms(want, c), kind
 
 
 def test_frame_N_pairings(pipe):
@@ -510,9 +515,9 @@ def test_structure_residuals_match_complex_oracle(pipe, case):
     S = _oracle_surface(pipe, case)
     inv = surface.invariants(S)
     got = inv.structure
-    want = chart.residual_norms(oracles.structure_fields_complex(S, inv),
-                                S.chart, S.chart.interior)
-    for name, norms in want.items():
+    fields = oracles.structure_fields_complex(S, inv)
+    for name, norms in ((name, chart.field_norms(f, S.chart))
+                        for name, f in fields.items()):
         for key, value in norms.items():
             assert _roundoff_miss(got[name][key], value) <= 1, (name, key)
 
@@ -534,9 +539,9 @@ def test_ricci_matches_complex_oracle(pipe, case):
     assert np.array_equal(R, -np.swapaxes(R, -1, -2))
     got = surface.integrability_residuals(
         inv, surface.willmore_residual(inv, c), c)
-    norms = chart.residual_norms({"ricci": want}, c, c.interior)
+    norms = chart.field_norms(want, c)
     for key in ("sup", "l2"):
-        assert _roundoff_miss(got["ricci"][key], norms["ricci"][key]) <= 1
+        assert _roundoff_miss(got["ricci"][key], norms[key]) <= 1
     b = inv.b
     comm = np.max(np.abs(b.imag @ b.real - b.real @ b.imag))
     if S.n <= 2:
