@@ -312,8 +312,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
         _check(checks, "roundtrip_distance", dist,
                1e-6 + 100.0 * c.h**2)
         if cl.case == "a2":
-            ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
-                                          cl.max_rank)
+            ds = reconstruct.dual_surface(NF, cl.max_rank)
             vg = reconstruct.verify_gauss_match(ds["map"], NF)
             roundtrip["dual_duality_residual"] = ds["duality_residual"]
             roundtrip["dual_orientation"] = vg["orientation"]

@@ -45,14 +45,8 @@ class NormalizedFrame:
     e0hat = property(lambda self: self.F[..., :, 1])
     e1 = property(lambda self: self.F[..., :, 2])
     e2 = property(lambda self: self.F[..., :, 3])
-
-    @property
-    def Y0(self) -> np.ndarray:
-        return (self.e0 - self.e0hat) / SQRT2
-
-    @property
-    def N0(self) -> np.ndarray:
-        return (self.e0 + self.e0hat) / SQRT2
+    Y0 = property(lambda self: (self.e0 - self.e0hat) / SQRT2)
+    N0 = property(lambda self: (self.e0 + self.e0hat) / SQRT2)
 
     @property
     def h(self) -> np.ndarray:
@@ -182,38 +176,58 @@ def sphere_distance(a: np.ndarray, b: np.ndarray) -> float:
 def dual_mu(NF: NormalizedFrame) -> np.ndarray:
     """The Moebius-coordinate field mu of the dual construction.
 
-    Solves beta_j = -(conj(mu)/2) k_j in the modulus-weighted least-squares
-    sense per point; at isolated common zeros of the canonical block the
-    shared monomial factor is divided out first.  mu is 0 where beta
-    vanishes and not finite where k does.
+    beta_j = -(conj(mu)/2) k_j on the canonical rows, so conj(mu) is the
+    ratio -2 <k, beta> / |k|^2 of B1's entries, in which a common factor
+    of beta and k cancels, also where B1 is near zero.  mu is 0 where
+    beta vanishes and k does not, and not finite where k alone vanishes.
+    Where B1 vanishes exactly (0/0), mu is the mean of the finite mu of
+    the 4-neighbours, periodic axes wrapping; ValueError if none is.
     """
     eps_rel = 1e-6
-    B1 = NF.blocks.B1
-    if np.min(np.sqrt(np.sum(np.abs(B1)**2, axis=(-2, -1)))) \
-            <= eps_rel * np.max(np.abs(B1)):
-        _, B1 = spinor.common_factor(B1, NF.chart)
-    beta, k = _beta_k(B1)
+    beta, k = _beta_k(NF.blocks.B1)
     k2 = np.sum(np.abs(k)**2, axis=-1)
     b2 = np.sum(np.abs(beta)**2, axis=-1)
-    scale2 = np.max(k2 + b2) + 1e-300
-    zero = b2 <= eps_rel**2 * scale2          # beta = 0, mu = 0
-
+    small = eps_rel**2 * (np.max(k2 + b2) + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         mubar = -2.0 * np.sum(np.conj(k) * beta, axis=-1) / k2
-    return np.where(zero, 0.0, np.conj(mubar))
+    mu = np.where((b2 <= small) & (k2 > small), 0.0, np.conj(mubar))
+    void = (b2 == 0) & (k2 == 0)
+    if np.any(void):
+        mu[void] = _neighbour_mean(mu, void, NF.chart)
+    return mu
 
 
-def build_Y_mu(NF: NormalizedFrame, mu: np.ndarray):
-    """The field Y_mu = N0 + mu1 e1 - mu2 e2 + (|mu|^2/2) Y0, lightlike
-    by construction, and its holomorphic derivative: (Y_mu, Y_mu')."""
-    mu1 = np.real(mu)
-    mu2 = np.imag(mu)
-    Ymu = NF.N0 + mu1[..., None] * NF.e1 - mu2[..., None] * NF.e2 \
+def _neighbour_mean(f: np.ndarray, at: np.ndarray, c: Chart) -> np.ndarray:
+    """Mean of the finite values of f over the 4-neighbours of each point
+    of the mask `at`, periodic axes wrapping; ValueError at a point with
+    no finite neighbour."""
+    g = f       # f with one line of wrapped (periodic) or NaN (open) cells
+    for axis, periodic in ((0, c.periodic_u), (1, c.periodic_v)):
+        pad = [(1, 1) if a == axis else (0, 0) for a in (0, 1)]
+        g = np.pad(g, pad, mode="wrap") if periodic \
+            else np.pad(g, pad, constant_values=np.nan)
+    i, j = np.nonzero(at)
+    nb = np.stack([g[i + 2, j + 1], g[i, j + 1], g[i + 1, j + 2], g[i + 1, j]])
+    ok = np.isfinite(nb)
+    count = np.sum(ok, axis=0)
+    if np.min(count) == 0:
+        n = np.argmin(count)
+        raise ValueError(f"dual mu: B1 vanishes at grid point ({i[n]}, "
+                         f"{j[n]}) and no neighbour has a finite mu")
+    return np.sum(np.where(ok, nb, 0.0), axis=0) / count
+
+
+def build_Y_mu(NF: NormalizedFrame):
+    """The field Y_mu = N0 + mu1 e1 - mu2 e2 + (|mu|^2/2) Y0, mu the field
+    of `dual_mu`, lightlike by construction, and its holomorphic
+    derivative: (Y_mu, Y_mu')."""
+    mu = dual_mu(NF)
+    Ymu = NF.N0 + mu.real[..., None] * NF.e1 - mu.imag[..., None] * NF.e2 \
         + 0.5 * (np.abs(mu)**2)[..., None] * NF.Y0
     return Ymu, NF.d_hol(Ymu)
 
 
-def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
+def dual_surface(NF: NormalizedFrame, max_rank: int) -> dict:
     """Dual-surface representative for a rank-1 (duality) frame.
 
     The sphere map ("map") of build_Y_mu's Y_mu, and the sup over the
@@ -225,7 +239,7 @@ def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
     if max_rank > 1:
         raise ValueError("dual surface needs max rank 1, got rank "
                          f"{max_rank}")
-    Ymu, Yd = build_Y_mu(NF, mu)
+    Ymu, Yd = build_Y_mu(NF)
     # the real and imaginary parts of Yd as two columns
     rej = rejection(NF.F[..., :, :4],
                     np.stack([Yd.real, Yd.imag], axis=-1))
@@ -324,7 +338,7 @@ def classify(NF: NormalizedFrame) -> Classification:
     M0 = NF.blocks.conjugate() if NF.orientation == "conjugate" \
         else NF.blocks
     NFc = normalize(NF.F, M0, orientation="conjugate")
-    Ymu, Yd = build_Y_mu(NFc, dual_mu(NFc))
+    Ymu, Yd = build_Y_mu(NFc)
     mixed = np.real(inner(Yd, np.conj(Yd)))
     pos_frac = float(np.mean(mixed[c.interior] > tol * np.max(np.abs(mixed))))
 

@@ -230,42 +230,3 @@ def _attempt_canonical_gauge(B: np.ndarray, thresh: float):
         return None
     return sl2_to_so13(_smooth_gauge(_gauge_from_w(ref)))
 
-
-def common_factor(B1: np.ndarray, c: Chart):
-    """Split B1 = h0 * Btilde with Btilde bounded below on the chart.
-
-    Desk-scale factorization: if no grid point has all entries below
-    1e-6 times the max, h0 is identically 1.  Otherwise the (assumed isolated)
-    common zero is located at the minimum of |B1|, its order fitted by a
-    log-log slope, and the monomial (z - z0)^order divided out.
-    """
-    B1 = np.asarray(B1, dtype=complex)
-    mag = np.sqrt(np.sum(np.abs(B1) ** 2, axis=(-1, -2)))
-    top = np.max(mag)
-    if np.min(mag) > 1e-6 * top:
-        return np.ones(B1.shape[:2], dtype=complex), B1.copy()
-
-    i0, j0 = np.unravel_index(np.argmin(mag), mag.shape)
-    Z = c.zgrid()
-    z0 = Z[i0, j0]
-    r = np.abs(Z - z0)
-    sel = (r > 3 * c.h) & (r < 12 * c.h) & (mag > 0)
-    if np.count_nonzero(sel) < 8:
-        raise ValueError("zero set not isolated at this grid resolution")
-    slope = np.polyfit(np.log(r[sel]), np.log(mag[sel]), 1)[0]
-    order = max(1, int(round(slope)))
-    h0 = (Z - z0) ** order
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Bt = B1 / h0[..., None, None]
-    # fill the zero cell by averaging its valid neighbours
-    bad = np.abs(h0) < (0.5 * c.h) ** order
-    if np.any(bad):
-        for (bi, bj) in zip(*np.nonzero(bad)):
-            neigh = []
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = bi + di, bj + dj
-                if 0 <= ii < mag.shape[0] and 0 <= jj < mag.shape[1] \
-                        and not bad[ii, jj]:
-                    neigh.append(Bt[ii, jj])
-            Bt[bi, bj] = np.mean(neigh, axis=0)
-    return h0, Bt

@@ -58,13 +58,17 @@ def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
     """Rescale a forward-lightlike lift so that <Y_z, Y_zbar> = 1/2.
 
     The scale rho = sqrt(2 <raw_z, raw_zbar>) is insensitive to the input
-    scaling because the lift is null.  Raises for non-null input (relative
-    defect above 1e-8), for a dimension below 5
-    (`lorentz.check_lift_dimension`) or where the immersion degenerates.
+    scaling because the lift is null.  Raises for a non-finite grid point,
+    for non-null input (relative defect above 1e-8), for a dimension
+    below 5 (`lorentz.check_lift_dimension`) or where the immersion
+    degenerates.
     """
     tol = 1e-8
     raw = np.asarray(raw, dtype=float)
     check_lift_dimension(raw)
+    if not np.all(np.isfinite(raw)):
+        i, j = np.argwhere(~np.isfinite(raw))[0][:2]
+        raise ValueError(f"input field is not finite at grid point ({i}, {j})")
     scale = np.sum(raw**2, axis=-1)
     if np.max(np.abs(inner(raw, raw))) > tol * np.max(scale):
         raise ValueError("input field is not lightlike")

@@ -303,8 +303,7 @@ def test_criterion_8_surface_roundtrip_and_dual():
         d = np.sqrt(np.sum((y0[..., 1:] - yin[..., 1:])**2, axis=-1))
         dist = float(np.max(d[m]))
         cl = reconstruct.classify(NF)
-        ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
-                                      cl.max_rank)
+        ds = reconstruct.dual_surface(NF, cl.max_rank)
         vg = reconstruct.verify_gauss_match(ds["map"], NF)
         tol = 1e-6 + 100 * c.h**2
         ok &= dist <= tol and vg["orientation"] == "opposite" \

@@ -160,6 +160,55 @@ def test_csv_export_reads_back_to_the_direct_invariants(tmp_path, surface):
     assert back[key] == direct[key] == stored[key]
 
 
+def _mobius(dim, r):
+    """T = B R in SO+(1, dim - 1), in closed form: B a boost of rapidity
+    r along a unit direction drawn with seed 0, R a rotation by 0.3 rad
+    in the (1, 2) plane."""
+    d = np.random.default_rng(0).standard_normal(dim - 1)
+    d /= np.linalg.norm(d)
+    B = np.eye(dim)
+    B[0, 0] = np.cosh(r)
+    B[0, 1:] = B[1:, 0] = np.sinh(r) * d
+    B[1:, 1:] += (np.cosh(r) - 1.0) * np.outer(d, d)
+    R = np.eye(dim)
+    R[1, 1] = R[2, 2] = np.cos(0.3)
+    R[2, 1] = np.sin(0.3)
+    R[1, 2] = -R[2, 1]
+    return B @ R
+
+
+MOBIUS_FAILS = "a strong boost moves the case: clifford_torus reads b2i " \
+    "and exits 2, veronese_s4 exits 3 (could not reach the canonical B1 " \
+    "shape)"
+
+
+@pytest.mark.parametrize("kind, r", [
+    ("clifford_torus", 1.5), ("veronese_s4", 1.5),
+    pytest.param("clifford_torus", 3.0, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=MOBIUS_FAILS)),
+    pytest.param("veronese_s4", 3.0, marks=pytest.mark.xfail(
+        strict=True, reason=MOBIUS_FAILS))])
+def test_reconstruct_is_mobius_invariant(tmp_path, kind, r):
+    """A constant Moebius transform T of the lift, applied as raw @ T.T
+    at N=64 and read through zoo.save and --input, is a congruent
+    surface: reconstruct keeps case a2 and exits 0."""
+    spec = zoo.SurfaceSpec(kind)
+    c = zoo.default_chart(spec, 64)
+    raw = zoo.generate(spec, c)
+    T = _mobius(raw.shape[-1], r)
+    I = np.diag(lorentz.metric_signs(raw.shape[-1]))
+    assert np.max(np.abs(T.T @ I @ T - I)) < 1e-9 and T[0, 0] > 0
+    lift, out = tmp_path / "lift.csv", tmp_path / "report.json"
+    zoo.save(str(lift), raw @ T.T, c, fmt="csv")
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    code = run("reconstruct", "--input", str(lift), "--chart", chart,
+               "--out", str(out))
+    assert out.exists()
+    assert json.loads(out.read_text())["classification"]["case"] == "a2"
+    assert code == 0
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify-harmonic"])
 def test_csv_export_without_a_surface_is_rejected(tmp_path, capsys, command):
     """Only reconstruct exports CSV; elsewhere --format csv --out would

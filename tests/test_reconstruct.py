@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
     for b in ("A1", "A2", "B1", "B2"):
         assert np.array_equal(getattr(got.blocks, b),
                               getattr(ref.blocks, b)), b
-    Ymu, _ = reconstruct.build_Y_mu(ref, reconstruct.dual_mu(ref))
+    Ymu, _ = reconstruct.build_Y_mu(ref)
     assert np.array_equal(reconstruct.classify(NF).Ymu, Ymu)
 
 
@@ -237,7 +239,7 @@ def test_clifford_dual_surface(pipe):
     scale = np.sqrt(np.max(np.sum(np.abs(beta)**2 + np.abs(k)**2, axis=-1)))
     assert np.max(np.abs(beta + 0.5 * np.conj(mu)[..., None] * k)) \
         < 1e-8 * scale
-    ds = reconstruct.dual_surface(NF, mu, cl.max_rank)
+    ds = reconstruct.dual_surface(NF, cl.max_rank)
     assert ds["duality_residual"] < 1e-10
     vg = reconstruct.verify_gauss_match(ds["map"], NF)
     assert vg["orientation"] == "opposite"
@@ -251,9 +253,108 @@ def test_clifford_dual_surface(pipe):
 
 def test_dual_surface_rejects_rank_two(pipe):
     _, _, NF = normalized(pipe, "clifford_torus")
-    mu = reconstruct.dual_mu(NF)
     with pytest.raises(ValueError, match="max rank 1, got rank 2"):
-        reconstruct.dual_surface(NF, mu, 2)
+        reconstruct.dual_surface(NF, 2)
+
+
+def _factored_B1(c, h0):
+    """A stand-in normalized frame whose canonical block is B1 = h0 Bt,
+    and the mu of Bt: Bt has rows (sqrt2 beta, -sqrt2 beta, -k, -ik) with
+    k (n = 2) and mu non-vanishing, mu not harmonic (so a neighbour mean
+    is off by O(h^2)), and beta = -(conj(mu)/2) k."""
+    U, V = c.grid()
+    mu = 1.5 + 0.5 * np.cos(U) + 0.4j * (V**2 + np.sin(U))
+    k = np.stack([1 + 0.3 * np.sin(U) * np.cos(V) + 0.2j * V,
+                  0.5 + 0.2j * np.cos(U) + 0.1 * V**2], axis=-1)
+    beta = -0.5 * np.conj(mu)[..., None] * k
+    r2 = np.sqrt(2.0)
+    Bt = np.stack([r2 * beta, -r2 * beta, -k, -1j * k], axis=-2)
+    B1 = h0[..., None, None] * Bt
+    return SimpleNamespace(blocks=SimpleNamespace(B1=B1), chart=c), mu
+
+
+def _mu_error(N, h0, z0, topology="open"):
+    """For B1 = h0(z) Bt: |dual_mu - mu| over the chart, and the grid
+    point nearest to z0 with h0 there.  The chart is [-1, 1]^2 with N by
+    N points, or [0, 2pi) x [-1, 1] with N by N + 1 points when periodic
+    in u."""
+    if topology == "open":
+        c = Chart(-1, 1, -1, 1, N, N)
+    else:
+        c = Chart(0, 2 * np.pi, -1, 1, N, N + 1, topology)
+    z = c.zgrid()
+    NF, mu = _factored_B1(c, h0(z))
+    at = np.unravel_index(np.argmin(np.abs(z - z0)), c.shape)
+    return np.abs(reconstruct.dual_mu(NF) - mu), at, h0(z)[at]
+
+
+def test_dual_mu_cancels_a_zero_within_roundoff_of_a_grid_point():
+    """B1 = (z - 0.1) Bt is 1e-16 of its size at z = 0.1, yet the ratio
+    of its entries is mu(Bt) to roundoff there and everywhere else."""
+    err, at, h = _mu_error(41, lambda z: z - 0.1, 0.1)
+    assert 0 < abs(h) < 1e-14
+    assert err[at] < 1e-12 and np.max(err) < 1e-12
+
+
+def test_dual_mu_handles_two_common_zeros():
+    """A zero within roundoff of a grid point (z = 0.1, the ratio) and
+    an exact one (z = -0.5 + 0.25i, the neighbour mean)."""
+    for z0, exact in ((0.1, False), (-0.5 + 0.25j, True)):
+        err, at, h = _mu_error(41, lambda z: (z - 0.1) * (z + 0.5 - 0.25j),
+                               z0)
+        assert (h == 0) == exact and abs(h) < 1e-14
+        assert err[at] < 2e-3
+    assert np.max(err) < 2e-3
+
+
+def test_dual_mu_fills_an_exact_zero_from_its_neighbours():
+    """B1 vanishes exactly at z = 0: mu there is the neighbour mean, off
+    by O(h^2)."""
+    errs = []
+    for N in (41, 81):
+        err, at, h = _mu_error(N, lambda z: z, 0.0)
+        assert h == 0
+        errs.append(err[at])
+    assert errs[0] / errs[1] > 3.0
+
+
+def test_dual_mu_fills_across_a_periodic_seam():
+    """B1 = (sin u + iv) Bt vanishes exactly on the seam u = 0: the fill
+    takes the wrapped neighbour at u = 2pi - h, so it is O(h^2); at u = pi
+    sin u is roundoff and the ratio is exact."""
+    errs = []
+    for N in (40, 80):
+        err, at, h = _mu_error(N, lambda z: np.sin(z.real) + 1j * z.imag,
+                               0.0, "periodic-u")
+        assert h == 0 and at == (0, N // 2)
+        assert err[N // 2, N // 2] < 1e-12
+        errs.append(err[at])
+    assert errs[0] / errs[1] > 3.0
+
+
+def test_dual_mu_zero_beta_and_zero_k():
+    """On a B1 bounded below, mu is the ratio; it is 0 where beta
+    vanishes and k does not, and not finite where k alone vanishes."""
+    c = Chart(-1, 1, -1, 1, 21, 21)
+    NF, want = _factored_B1(c, np.ones(c.shape))
+    NF.blocks.B1[3, 4, :2] = 0.0        # beta
+    NF.blocks.B1[9, 9, 2:] = 0.0        # k
+    mu = reconstruct.dual_mu(NF)
+    assert mu[3, 4] == 0
+    assert not np.isfinite(mu[9, 9])
+    rest = np.ones(c.shape, dtype=bool)
+    rest[3, 4] = rest[9, 9] = False
+    assert np.max(np.abs(mu - want)[rest]) < 1e-12
+
+
+def test_dual_mu_raises_without_a_finite_neighbour():
+    """B1 = 0 on a 3x3 patch: the fill gives its rim the mean of the
+    outer neighbours, but the centre has no finite neighbour."""
+    c = Chart(-1, 1, -1, 1, 41, 41)
+    NF, _ = _factored_B1(c, np.ones(c.shape))
+    NF.blocks.B1[19:22, 19:22] = 0.0
+    with pytest.raises(ValueError, match=r"grid point \(20, 20\)"):
+        reconstruct.dual_mu(NF)
 
 
 def _gauss_match_cases(pipe):
@@ -261,8 +362,7 @@ def _gauss_match_cases(pipe):
     the duals of clifford_torus and veronese_s4 and the direct surface."""
     for kind in ("clifford_torus", "veronese_s4"):
         c, S, NF = normalized(pipe, kind)
-        ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
-                                      reconstruct.classify(NF).max_rank)
+        ds = reconstruct.dual_surface(NF, reconstruct.classify(NF).max_rank)
         yield f"{kind}:dual", ds["map"], NF
     c, S, NF = normalized(pipe, "clifford_torus")
     yield "clifford_torus:direct", reconstruct.to_sphere_map(S.Y), NF
@@ -297,14 +397,15 @@ def test_gauss_match_oracle_rejects_metric_free_gram(pipe):
 def test_gauss_match_fails_closed_on_a_nan_point(pipe, monkeypatch,
                                                  capsys):
     """A NaN point of the candidate sphere map casts no vote: the match
-    raises np.linalg.LinAlgError (a ValueError) where NaN signs would
-    read "opposite", so reconstruct exits 3 on a dual map with a NaN
-    point instead of passing dual_orientation_opposite."""
+    raises a ValueError naming the point (from `surface.canonical_lift`)
+    where NaN signs would read "opposite", so reconstruct exits 3 on a
+    dual map with a NaN point instead of passing
+    dual_orientation_opposite."""
     for name, y, NF in _gauss_match_cases(pipe):
         y = y.copy()
         y[20, 24] = np.nan
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="singular or not finite"):
+        with pytest.raises(ValueError,
+                           match=r"not finite at grid point \(20, 24\)"):
             reconstruct.verify_gauss_match(y, NF)
     dual = reconstruct.dual_surface
 
@@ -319,7 +420,19 @@ def test_gauss_match_fails_closed_on_a_nan_point(pipe, monkeypatch,
     code = cli.main(["reconstruct", "--surface", "clifford_torus",
                      "--chart", chart])
     assert code == 3
-    assert "singular or not finite" in capsys.readouterr().err
+    assert "not finite at grid point (20, 24)" in capsys.readouterr().err
+
+
+def test_gauss_match_fails_closed_on_a_singular_change_of_basis(
+        pipe, monkeypatch):
+    """A zero determinant of the change of basis casts no vote either:
+    the match raises np.linalg.LinAlgError instead of counting sign 0."""
+    monkeypatch.setattr(reconstruct, "det",
+                        lambda X: np.zeros(X.shape[2:]))
+    for name, y, NF in _gauss_match_cases(pipe):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular or not finite"):
+            reconstruct.verify_gauss_match(y, NF)
 
 
 def test_direct_surface_gauss_match_is_same_oriented(pipe):

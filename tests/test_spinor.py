@@ -136,21 +136,3 @@ def test_canonicalize_detects_conjugate_branch(rng):
     assert orient == "conjugate"
     assert spinor.canonical_shape_residual(Bhat) < 1e-10
 
-
-def test_common_factor_trivial_when_bounded_below(rng):
-    c = chart()
-    B1 = helpers.canonical_B1_field(c, rng, n=1, rank=1)
-    h0, Bt = spinor.common_factor(B1, c)
-    assert np.allclose(h0, 1.0)
-    assert np.allclose(Bt, B1)
-
-
-def test_common_factor_divides_out_zero():
-    c = Chart(-1, 1, -1, 1, 41, 41, "open")
-    Z = c.zgrid()
-    base = np.stack([np.ones_like(Z), -np.ones_like(Z),
-                     1j + 0 * Z, 1.0 + 0 * Z], axis=-1)[..., :, None]
-    B1 = ((Z - 0.1) ** 2)[..., None, None] * base
-    h0, Bt = spinor.common_factor(B1, c)
-    mag = np.sqrt(np.sum(np.abs(Bt) ** 2, axis=(-2, -1)))
-    assert np.min(mag) > 0.1 * np.max(mag)

@@ -56,6 +56,27 @@ def test_canonical_lift_rejects_bad_input():
         surface.canonical_lift(np.broadcast_to(raw[0, 0], raw.shape), c)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", [surface.canonical_lift,
+                                   surface.sphere_fields])
+def test_a_non_finite_lift_point_is_named_before_any_stencil(
+        bad, stage, monkeypatch):
+    """One non-finite entry of the raw lift raises a ValueError naming
+    its grid point, with no stencil taken (it would spread the point to
+    its neighbours)."""
+    spec = zoo.SurfaceSpec("clifford_torus")
+    c = zoo.default_chart(spec, 24)
+    raw = zoo.generate(spec, c)
+    raw[5, 7, 2] = bad
+    raw[9, 3, 0] = bad
+    calls = _stencil_spy(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=r"not finite at grid point \(5, 7\)$"):
+        stage(raw, c)
+    assert calls == []
+
+
 def _stencil_spy(monkeypatch):
     """Record (a copy of the field, axis) of every stencil call."""
     seen = []
