@@ -87,13 +87,10 @@ class Chart:
         U, V = self.grid()
         return U + 1j * V
 
-    def refine(self, factor: int = 2) -> "Chart":
-        """Chart on the same domain with factor-times the resolution."""
-        if self.periodic_u:
-            Nu = self.Nu * factor
-        else:
-            Nu = (self.Nu - 1) * factor + 1
-        Nv = self.Nv * factor if self.periodic_v else (self.Nv - 1) * factor + 1
+    def refine(self) -> "Chart":
+        """Chart on the same domain with twice the resolution."""
+        Nu = 2 * self.Nu if self.periodic_u else 2 * self.Nu - 1
+        Nv = 2 * self.Nv if self.periodic_v else 2 * self.Nv - 1
         return Chart(self.u_min, self.u_max, self.v_min, self.v_max,
                      Nu, Nv, self.topology)
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import gauss_frame, harmonic, reconstruct, surface, zoo
 from .chart import Chart, sup_norm
-from .spinor import TotallyUmbilicError
+from .lorentz import gram
+from .spinor import canonical_shape_residual
 
 
 def _parse_chart(text: str) -> Chart:
@@ -124,9 +125,8 @@ def _load_field(cfg):
     return zoo.load(cfg["input"], c), c, None
 
 
-def _check(checks: list, name: str, value: float, tol: float,
-           passed: bool | None = None) -> bool:
-    ok = (value <= tol) if passed is None else passed
+def _check(checks: list, name: str, value: float, tol: float) -> bool:
+    ok = value <= tol
     checks.append({"name": name, "value": float(value), "tol": float(tol),
                    "pass": bool(ok)})
     print(f"{'PASS' if ok else 'FAIL'}  {name}: value={value:.3e} "
@@ -233,7 +233,7 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
     nlevels = cfg["refine"] if spec is not None else 1
     for level in range(nlevels):
         if level > 0:
-            chart = chart.refine(2)
+            chart = chart.refine()
             field = zoo.generate(spec, chart)
         # stage order per level: the Maurer-Cartan pair M, strong
         # conformality from its B1 block, the loop curvature K; then M is
@@ -288,6 +288,11 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
     # them when it recomputes them in a new gauge
     NF = reconstruct.normalize(F, gauss_frame.maurer_cartan(F, c),
                                tol=cfg["tol"])
+    # B1 is built on read (`MCBlocks`), and released before classify
+    B1 = NF.blocks.B1
+    normalization = {"normalization_shape": canonical_shape_residual(B1),
+                     "normalization_null": float(np.max(np.abs(gram(B1))))}
+    del B1
     cl = reconstruct.classify(NF)
 
     checks = []
@@ -329,9 +334,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
         # b1 / b2ii / ambiguous: a structured verdict, not a failure
         roundtrip["verdict"] = cl.verdict
 
-    report = {"config": cfg, "invariants": {},
-              "residuals": {"normalization_shape": NF.shape_residual,
-                            "normalization_null": NF.null_residual},
+    report = {"config": cfg, "invariants": {}, "residuals": normalization,
               "classification": classification, "roundtrip": roundtrip,
               "checks": checks}
     if cfg.get("out") and cfg["format"] == "csv":
@@ -380,8 +383,7 @@ def main(argv=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         cfg = build_config(args)
         report, code = COMMANDS[args.command](cfg)
-    except (ValueError, OSError, TotallyUmbilicError,
-            surface.DegenerateImmersionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if cfg.get("out") and cfg["format"] == "json":

@@ -53,11 +53,6 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
 
 
-def norm2(x: np.ndarray) -> np.ndarray:
-    """<x, x>."""
-    return inner(x, x)
-
-
 def gram(X: np.ndarray) -> np.ndarray:
     """X^T I X: the pairings <x_i, x_j> of the columns of a complex X
     (..., d, m), such as the block B1 of the Maurer-Cartan form.
@@ -230,20 +225,6 @@ def rejection(F: np.ndarray, X: np.ndarray) -> np.ndarray:
     IX = X * metric_signs(X.shape[-2])[:, None]
     return X - F @ ((np.swapaxes(F, -1, -2) @ IX)
                     * metric_signs(F.shape[-1])[:, None])
-
-
-def check_lift_dimension(x: np.ndarray) -> None:
-    """Raise ValueError unless x's last axis (R^{1,n+3}, n >= 1) is >= 5."""
-    if x.shape[-1] < 5:
-        raise ValueError("a lift needs dimension at least 5 (codimension "
-                         f"n >= 1, R^(1,n+3)), got dimension {x.shape[-1]}")
-
-
-def is_forward_lightlike(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """True where <x,x> ~ 0 (relative to |x|^2) and x0 > 0."""
-    x = np.asarray(x)
-    scale = np.sum(np.abs(x) ** 2, axis=-1) + 1e-300
-    return (np.abs(norm2(x)) <= tol * scale) & (np.real(x[..., 0]) > 0)
 
 
 def validate_group(M: np.ndarray, tol: float = 1e-9):

@@ -17,7 +17,7 @@ import numpy as np
 from . import spinor
 from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
 from .gauss_frame import MCBlocks, maurer_cartan, s_willmore_rank
-from .lorentz import det, gram, inner, lorentz_inverse, pairings, \
+from .lorentz import det, inner, lorentz_inverse, pairings, \
     rejection, row_blocks, to_planes
 from .surface import complement_basis, sphere_columns, sphere_fields
 
@@ -36,9 +36,8 @@ class NormalizedFrame:
     F: np.ndarray          # (Nu, Nv, dim, dim), real
     blocks: MCBlocks       # w.r.t. the orientation's holomorphic coordinate
     orientation: str
-    chart: Chart
-    shape_residual: float = 0.0
-    null_residual: float = 0.0
+
+    chart = property(lambda self: self.blocks.chart)
 
     # the frame columns (e0, e0hat, e1, e2) of the four-column bundle
     e0 = property(lambda self: self.F[..., :, 0])
@@ -92,11 +91,7 @@ def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
         M = maurer_cartan(F, c)
     if orient == "conjugate":
         M = M.conjugate()
-    B1 = M.B1
-    return NormalizedFrame(
-        F=F, blocks=M, orientation=orient, chart=c,
-        shape_residual=spinor.canonical_shape_residual(B1),
-        null_residual=float(np.max(np.abs(gram(B1)))))
+    return NormalizedFrame(F=F, blocks=M, orientation=orient)
 
 
 def _rejection_operator(F: np.ndarray) -> np.ndarray:

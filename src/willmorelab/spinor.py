@@ -39,11 +39,12 @@ def vec_to_mat(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def sl2_to_so13(g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def sl2_to_so13(g: np.ndarray) -> np.ndarray:
     """The Lorentz transform A with m(Ax) = g m(x) conj(g)^T for all x.
 
-    g must have det 1 (pointwise).  The result is real, orthochronous and
-    of determinant +1; the kernel of the covering is {+-I}.
+    g must have det 1 (pointwise, to 1e-9).  The result is real,
+    orthochronous and of determinant +1; the kernel of the covering is
+    {+-I}.
 
     Column j of A is m^{-1}(g m(e_j) g^H), written out entry by entry in
     the entries a, b (row 0) and c, d (row 1) of g, so that a grid of g
@@ -51,7 +52,7 @@ def sl2_to_so13(g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """
     g = np.asarray(g, dtype=complex)
     a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
-    if np.max(np.abs(a * d - b * c - 1.0)) > tol:
+    if np.max(np.abs(a * d - b * c - 1.0)) > 1e-9:
         raise ValueError("det g != 1")
     na, nb, nc, nd = (x.real**2 + x.imag**2 for x in (a, b, c, d))
     ab, cd = a * np.conj(b), c * np.conj(d)

@@ -45,9 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import Chart, d_u, d_v, d_zbar, field_norms, sweep, wirtinger
-from .lorentz import check_lift_dimension, det, grid_first, inner, \
-    metric_signs, minors, orthonormalize, pairings, rejection, row_blocks, \
-    to_planes
+from .lorentz import det, grid_first, inner, metric_signs, minors, \
+    orthonormalize, pairings, rejection, row_blocks, to_planes
 
 
 class DegenerateImmersionError(ValueError):
@@ -57,26 +56,30 @@ class DegenerateImmersionError(ValueError):
 def canonical_lift(raw: np.ndarray, c: Chart) -> np.ndarray:
     """Rescale a forward-lightlike lift so that <Y_z, Y_zbar> = 1/2.
 
-    The scale rho = sqrt(2 <raw_z, raw_zbar>) is insensitive to the input
-    scaling because the lift is null.  Raises for a non-finite grid point,
-    for non-null input (relative defect above 1e-8), for a dimension
-    below 5 (`lorentz.check_lift_dimension`) or where the immersion
-    degenerates.
+    The one test of a lift, in this order: ValueError for a dimension
+    below 5 (codimension n >= 1), for a non-finite grid point, and for a
+    grid point x that is not forward lightlike, |<x, x>| <= 1e-9 sum x_k^2
+    and x0 > 0, named by its row of a lift file (row-major); then
+    DegenerateImmersionError where the immersion degenerates.  The scale
+    rho = sqrt(2 <raw_z, raw_zbar>) is insensitive to the input scaling
+    because the lift is null.
     """
-    tol = 1e-8
     raw = np.asarray(raw, dtype=float)
-    check_lift_dimension(raw)
+    if raw.shape[-1] < 5:
+        raise ValueError("a lift needs dimension at least 5 (codimension "
+                         f"n >= 1, R^(1,n+3)), got dimension {raw.shape[-1]}")
     if not np.all(np.isfinite(raw)):
         i, j = np.argwhere(~np.isfinite(raw))[0][:2]
         raise ValueError(f"input field is not finite at grid point ({i}, {j})")
-    scale = np.sum(raw**2, axis=-1)
-    if np.max(np.abs(inner(raw, raw))) > tol * np.max(scale):
-        raise ValueError("input field is not lightlike")
-    if np.min(raw[..., 0]) <= 0:
-        raise ValueError("input field is not forward (x0 <= 0 somewhere)")
+    forward = (np.abs(inner(raw, raw)) <= 1e-9 * np.sum(raw**2, axis=-1)) \
+        & (raw[..., 0] > 0)
+    if not np.all(forward):
+        i, j = np.argwhere(~forward)[0]
+        raise ValueError(f"row {i * c.Nv + j} (grid point {i},{j}) is not "
+                         "forward lightlike")
     ru, rv = d_u(raw, c), d_v(raw, c)
     e = np.real(inner(wirtinger(ru, rv, -1), wirtinger(ru, rv, 1)))
-    if np.min(e) <= tol * np.max(e):
+    if np.min(e) <= 1e-8 * np.max(e):
         raise DegenerateImmersionError(
             f"immersion degenerates: min <raw_z, raw_zbar> = {np.min(e):.3e}")
     rho = np.sqrt(2.0 * e)

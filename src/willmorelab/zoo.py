@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart
-from .lorentz import check_lift_dimension, is_forward_lightlike
 
 KINDS = ("round_sphere", "clifford_torus", "torus_of_revolution",
          "catenoid", "enneper", "veronese_s4")
@@ -345,8 +344,8 @@ def save(path: str, field: np.ndarray, c: Chart, fmt: str = "csv") -> None:
                      + b"\r\n")
 
 
-def _read_csv(path: str) -> np.ndarray:
-    """The Y columns of a lift CSV, one row per grid point.
+def _read_table(path: str) -> np.ndarray:
+    """The columns u, v, Y0, ... of a lift CSV, one row per grid point.
 
     numpy's parser rounds each float correctly, so a file written by
     `save` reads back bit for bit.  Short, long and malformed rows raise
@@ -363,15 +362,20 @@ def _read_csv(path: str) -> np.ndarray:
     if len(table) and table.shape[1] != len(header):
         raise ValueError(f"rows have {table.shape[1]} columns, "
                          f"header has {len(header)}")
-    return np.ascontiguousarray(table[:, 2:])
+    return table
+
+
+def _read_csv(path: str) -> np.ndarray:
+    """The Y columns of a lift CSV (`_read_table`)."""
+    return np.ascontiguousarray(_read_table(path)[:, 2:])
 
 
 def load(path: str, c: Chart) -> np.ndarray:
-    """Read a lift field and validate it against the chart.
+    """Read a lift field on the chart c.
 
-    Rejects grids of the wrong size, lifts of dimension below 5 and rows
-    that are not forward lightlike within a relative null defect of 1e-9
-    (reported by row index).
+    Rejects grids of the wrong size and CSV rows whose u, v are not the
+    chart's grid point in C order (within 1e-6 h; reported by row index).
+    Whether the field is a lift is `surface.canonical_lift`'s test.
     """
     if path.endswith(".json"):
         with open(path) as fh:
@@ -388,18 +392,18 @@ def load(path: str, c: Chart) -> np.ndarray:
             raise ValueError(
                 f"grid mismatch: values have shape {field.shape}, "
                 f"chart wants ({c.Nu}, {c.Nv}, dim)")
-    else:
-        rows = _read_csv(path)
-        if len(rows) != c.Nu * c.Nv:
-            raise ValueError(
-                f"grid mismatch: file has {len(rows)} points, "
-                f"chart wants {c.Nu * c.Nv}")
-        field = rows.reshape(c.Nu, c.Nv, -1)
-    check_lift_dimension(field)
-    ok = is_forward_lightlike(field, 1e-9)
-    if not np.all(ok):
-        i, j = np.argwhere(~ok)[0]
+        return field
+    table = _read_table(path)
+    if len(table) != c.Nu * c.Nv:
         raise ValueError(
-            f"row {int(i) * c.Nv + int(j)} (grid point {int(i)},{int(j)}) "
-            "is not forward lightlike")
-    return field
+            f"grid mismatch: file has {len(table)} points, "
+            f"chart wants {c.Nu * c.Nv}")
+    uv = np.stack([g.ravel() for g in c.grid()], axis=-1)
+    off = ~np.all(np.abs(table[:, :2] - uv) <= 1e-6 * c.h, axis=-1)
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ValueError(
+            f"row {k} has (u, v) = {tuple(table[k, :2].tolist())}, the "
+            f"chart's grid point {k // c.Nv},{k % c.Nv} is "
+            f"{tuple(uv[k].tolist())}")
+    return np.ascontiguousarray(table[:, 2:]).reshape(c.Nu, c.Nv, -1)

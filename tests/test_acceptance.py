@@ -235,7 +235,7 @@ def test_criterion_6_matrix_model_sweeps():
     x = rng.normal(size=(n, 4))
     y = rng.normal(size=(n, 4))
     det_err = np.max(np.abs(np.linalg.det(spinor.vec_to_mat(x))
-                            + lorentz.norm2(x)))
+                            + lorentz.inner(x, x)))
     polar = -0.5 * (np.linalg.det(spinor.vec_to_mat(x + y))
                     - np.linalg.det(spinor.vec_to_mat(x))
                     - np.linalg.det(spinor.vec_to_mat(y)))
@@ -331,7 +331,7 @@ def test_criterion_9_degenerate_cases():
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 96, 96, "periodic-both")
     F = helpers.rank2_degenerate_frame(c)
     NF = reconstruct.NormalizedFrame(F=F, blocks=maurer_cartan(F, c),
-                                     orientation="same", chart=c)
+                                     orientation="same")
     cl = reconstruct.classify(NF)
     ok &= (cl.case == "b1" and not cl.has_willmore_surface
            and "no Willmore surface" in cl.verdict)

@@ -144,10 +144,10 @@ def test_integrate_open_trapezoid():
 
 def test_refine_preserves_domain():
     c = periodic_chart(16)
-    r = c.refine(2)
+    r = c.refine()
     assert r.Nu == 32 and r.hu == pytest.approx(c.hu / 2)
     co = open_chart(17)
-    ro = co.refine(2)
+    ro = co.refine()
     assert ro.Nu == 33 and ro.hu == pytest.approx(co.hu / 2)
     assert ro.u_max == co.u_max
 

@@ -22,7 +22,7 @@ def test_vec_mat_roundtrip(rng):
 def test_det_is_minus_norm(rng):
     x = rng.normal(size=(200, 4))
     assert np.allclose(np.linalg.det(spinor.vec_to_mat(x)),
-                       -lorentz.norm2(x), atol=1e-12)
+                       -lorentz.inner(x, x), atol=1e-12)
 
 
 def test_real_vectors_are_hermitian(rng):

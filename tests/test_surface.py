@@ -34,7 +34,7 @@ def test_canonical_lift_scale_invariance(rng):
     c = zoo.default_chart(spec, 24)
     raw = zoo.generate(spec, c)
     errs = []
-    for cc in (c, c.refine(2)):
+    for cc in (c, c.refine()):
         raw = zoo.generate(spec, cc)
         U, V = cc.grid()
         lam = np.exp(0.5 * np.sin(U) * np.cos(2 * V))
@@ -54,6 +54,53 @@ def test_canonical_lift_rejects_bad_input():
         surface.canonical_lift(raw + np.array([0, 1.0, 0, 0, 0]), c)
     with pytest.raises(surface.DegenerateImmersionError):
         surface.canonical_lift(np.broadcast_to(raw[0, 0], raw.shape), c)
+
+
+def _off_cone(point):
+    point[1:] *= 1 + 3e-9       # a relative null defect of 3.0e-9
+
+
+def _past_pointing(point):
+    point *= -1
+
+
+def _timelike(point):
+    point[1:] = 0
+
+
+@pytest.mark.parametrize("move", [_off_cone, _past_pointing, _timelike],
+                         ids=["off_cone", "past_pointing", "timelike"])
+def test_canonical_lift_names_the_first_point_off_the_forward_cone(move):
+    """Every grid point must be forward lightlike to 1e-9 relative: one
+    point moved off the cone by 3.0e-9, to the past cone or inside it
+    is named by its row, the first of two such points, though the field
+    as a whole is null to 1e-8 of its largest point."""
+    spec = zoo.SurfaceSpec("clifford_torus")
+    c = zoo.default_chart(spec, 24)
+    raw = zoo.generate(spec, c)
+    surface.canonical_lift(raw, c)      # forward lightlike: accepted
+    for i, j in ((5, 7), (9, 3)):
+        move(raw[i, j])
+    with pytest.raises(ValueError, match=r"^row 127 \(grid point 5,7\) is "
+                       "not forward lightlike$"):
+        surface.canonical_lift(raw, c)
+
+
+def test_a_point_off_the_cone_in_a_file_exits_3(tmp_path, capsys):
+    """The point moved off the cone by 3.0e-9, written by zoo.save and
+    read by analyze --input, is refused with the same message."""
+    spec = zoo.SurfaceSpec("clifford_torus")
+    c = zoo.default_chart(spec, 24)
+    raw = zoo.generate(spec, c)
+    _off_cone(raw[5, 7])
+    p = tmp_path / "lift.csv"
+    zoo.save(str(p), raw, c)
+    chart = ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min,
+                               c.v_max, c.topology)))
+    assert cli.main(["analyze", "--input", str(p), "--chart", chart]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: row 127 (grid point 5,7) is not forward lightlike\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from willmorelab import cli, surface, zoo
 from willmorelab.chart import Chart
-from willmorelab.lorentz import is_forward_lightlike
 
 import oracles
 
@@ -41,7 +40,7 @@ def test_generated_lifts_are_forward_lightlike(kind, param):
     c = zoo.default_chart(spec, 24)
     raw = zoo.generate(spec, c)
     assert raw.shape == c.shape + (spec.n + 4,)
-    assert np.all(is_forward_lightlike(raw, 1e-9))
+    surface.canonical_lift(raw, c)      # raises at a point off the cone
 
 
 @pytest.mark.parametrize("kind,param", [
@@ -279,14 +278,44 @@ def test_load_rejects_malformed_row(tmp_path, capsys, line, text):
 
 
 def test_load_rejects_spacelike_row_with_index(tmp_path):
+    """zoo.load reads a point off the cone as it is; canonical_lift, the
+    one test of a lift, names its row of the file."""
     spec = zoo.SurfaceSpec("round_sphere")
     c = zoo.default_chart(spec, 12)
     raw = zoo.generate(spec, c).copy()
     raw[3, 7, 1] += 0.5                       # knock one point off the cone
     p = tmp_path / "bad.csv"
     zoo.save(str(p), raw, c)
-    with pytest.raises(ValueError, match=str(3 * c.Nv + 7)):
-        zoo.load(str(p), c)
+    back = zoo.load(str(p), c)
+    assert np.array_equal(back, raw)
+    with pytest.raises(ValueError, match=f"^row {3 * c.Nv + 7} "):
+        surface.canonical_lift(back, c)
+
+
+ENNEPER_48 = "48,48,-0.8,0.8,-0.8,0.8,open"
+
+
+@pytest.mark.parametrize("chart, columns, row", [
+    ("48,48,-1.6,1.6,-1.6,1.6,open", [0, 1], 0),
+    (ENNEPER_48, [1, 0], 1)], ids=["wrong_chart", "u_v_swapped"])
+def test_load_rejects_u_v_off_the_chart_grid(tmp_path, capsys, chart,
+                                             columns, row):
+    """A CSV's u, v columns must be the chart's grid in C order: a file
+    read on another chart of the same size, or written v-major, is a
+    configuration error (exit 3) naming the first row off the grid, not
+    a run of the pipeline on a rescaled or transposed surface."""
+    c = cli._parse_chart(ENNEPER_48)
+    p = tmp_path / "enneper.csv"
+    zoo.save(str(p), zoo.generate(zoo.SurfaceSpec("enneper"), c), c)
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join(lines[:1] + [
+        ",".join([fields[i] for i in columns] + fields[2:])
+        for fields in (line.split(",") for line in lines[1:])]) + "\n")
+    with pytest.raises(ValueError, match=f"^row {row} has "):
+        zoo.load(str(p), cli._parse_chart(chart))
+    assert cli.main(["analyze", "--input", str(p), "--chart", chart]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: row {row} has ")
 
 
 def test_load_json_chart_mismatch(tmp_path):
@@ -294,7 +323,7 @@ def test_load_json_chart_mismatch(tmp_path):
     c = zoo.default_chart(spec, 12)
     zoo.save(str(tmp_path / "f.json"), zoo.generate(spec, c), c, fmt="json")
     with pytest.raises(ValueError, match="chart"):
-        zoo.load(str(tmp_path / "f.json"), c.refine(2))
+        zoo.load(str(tmp_path / "f.json"), c.refine())
 
 
 @pytest.mark.parametrize("reshape", [lambda v: v.reshape(-1).tolist(),
