@@ -175,6 +175,7 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     F, group_residual = gauss_frame.build_frame(S)
     del S
     M = gauss_frame.maurer_cartan(F, c)
+    del F           # its last reader: the rank and the report read M
     _, max_rank = gauss_frame.s_willmore_rank(M.B1, c)
 
     report = {
@@ -288,6 +289,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
     # them when it recomputes them in a new gauge
     NF = reconstruct.normalize(F, gauss_frame.maurer_cartan(F, c),
                                tol=cfg["tol"])
+    del F           # NF holds the frame in its gauge (F when it had it)
     # B1 is built on read (`MCBlocks`), and released before classify
     B1 = NF.blocks.B1
     normalization = {"normalization_shape": canonical_shape_residual(B1),

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import Chart, d_u, d_v, integrate, wirtinger
-from .lorentz import (lorentz_inverse, metric_signs, pairings, row_blocks,
+from .chart import Chart, integrate, partial_rows, wirtinger
+from .lorentz import (for_blocks, lorentz_inverse, metric_signs, pairings,
                       to_planes, validate_group)
 from .surface import Invariants, SurfaceData, sphere_columns
 
@@ -144,15 +144,21 @@ def maurer_cartan(F: np.ndarray, c: Chart) -> MCBlocks:
     """The real pair P = F^{-1} F_u, Q = F^{-1} F_v of F^{-1} dF for a
     frame F (Nu, Nv, dim, dim) on the chart c.
 
-    The stencils of F are taken over the whole grid; the inverse I F^T I
-    and the two products run per row block (`row_blocks`), in place
-    into the stencil outputs, so their temporaries are block-sized.
+    One row block at a time, on all the process's CPUs (`for_blocks`):
+    the block's rows of F's two stencils (`partial_rows`, bit for bit
+    those rows of `d_u` and `d_v`), the inverse I F^T I of its rows and
+    the two products, written into the block's rows of P and Q; so the
+    temporaries are block-sized and the result does not depend on the
+    block layout or the worker count.
     """
-    P, Q = d_u(F, c), d_v(F, c)
-    for rows in row_blocks(F.shape[:-2]):
+    P, Q = np.empty(F.shape), np.empty(F.shape)
+
+    def block(rows):
         inv = lorentz_inverse(F[rows])
-        for X in (P[rows], Q[rows]):
-            np.matmul(inv, X, out=X)
+        for X, axis in ((P, 0), (Q, 1)):
+            np.matmul(inv, partial_rows(F, c, axis, rows), out=X[rows])
+
+    for_blocks(block, F.shape[:-2])
     return MCBlocks(P, Q, c)
 
 

@@ -42,23 +42,25 @@ linear in the O(h^2) defect D = B2 + B1^T I13 of P and of Q
 
 The arithmetic is real because a stacked product of small complex
 matrices costs several times its real counterpart.  `loop_curvature`
-forms everything in one pass over the row blocks of the grid
-(`lorentz.row_blocks`).  Per block it takes the block's rows of the four
-partials Q_u, P_v, P_u and Q_v (`chart.partial_rows`, bit for bit those
-rows of `d_u` and `d_v`, wrap rows included), read from the whole P and
-Q, and sums them into the block's K and H; K's commutator [P, Q] is a
-stacked matmul, next to the so-defects of the block's rows of P and Q
-(`MCBlocks.so_defects`).  The block's P, Q, K and H are then laid out
-as planes (`lorentz.to_planes`), and the small block products of H_p
-and of the A-lines run as per-entry passes on them (`lorentz.product`):
-a stacked product of small real matrices is one BLAS call per grid
-point.  Each block's entries are written into the planes of the output
+forms everything in one pass over the row blocks of the grid, run on
+all the process's CPUs (`lorentz.for_blocks`).  Per block it takes the
+block's rows of the four partials Q_u, P_v, P_u and Q_v
+(`chart.partial_rows`, bit for bit those rows of `d_u` and `d_v`, wrap
+rows included), read from the whole P and Q, and sums them into the
+block's K and H; K's commutator [P, Q] is a stacked matmul, next to the
+so-defects of the block's rows of P and Q (`MCBlocks.so_defects`).  The
+block's P, Q, K and H are then laid out as planes
+(`lorentz.to_planes`), and the small block products of H_p and of the
+A-lines run as per-entry passes on them (`lorentz.product`): a stacked
+product of small real matrices is one BLAS call per grid point.  Each
+block's entries are written into its rows of the planes of the output
 fields, already scaled by 1/4, so no grid-sized K, H, stencil or
 so-defect exists and no pass over the grid follows the loop.  K, W and
 R+'s imaginary part have the bits of K formed by stacked products over
 the whole grid; H and the A-lines differ from stacked products by
 roundoff, since BLAS fuses multiply-adds and the passes do not.  The
-results do not depend on the block layout, bit for bit.
+results depend neither on the block layout nor on the worker count, bit
+for bit.
 
 `flatness_sweep` and `harmonic_residuals` both read that one
 `LoopCurvature` and reduce each field to its interior sup, the number a
@@ -75,7 +77,7 @@ import numpy as np
 
 from .chart import Chart, partial_rows, sup_norm
 from .gauss_frame import MCBlocks
-from .lorentz import gram, grid_first, product, row_blocks, to_planes
+from .lorentz import for_blocks, gram, grid_first, product, to_planes
 
 DEFAULT_LAMBDAS = (1.0, np.exp(1j * np.pi / 4), 1j, -1.0)
 
@@ -103,7 +105,8 @@ class LoopCurvature:
 
 def loop_curvature(M: MCBlocks) -> LoopCurvature:
     """Laurent coefficients of the curvature of alpha_lambda, in one pass
-    over the row blocks of the grid (`row_blocks`).
+    over the row blocks of the grid, on all the process's CPUs
+    (`for_blocks`).
 
     Per block: K = Q_u - P_v + [P, Q] and the stencil part P_u + Q_v of
     H, from the block's rows of the four partials of the whole P and Q
@@ -111,8 +114,8 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
     the block's rows of P and Q (`MCBlocks.so_defects`); then, on the
     block's planes, H_p = P_u + Q_v + [P_k, P] + [Q_k, Q] on the B1 and
     B2 blocks, where [P_k, P] = P_k P_p - P_p P_k, and the A-lines, as
-    per-entry passes written into the planes outputs.  No grid-sized K,
-    H, stencil or so-defect is allocated.
+    per-entry passes written into the block's rows of the planes
+    outputs.  No grid-sized K, H, stencil or so-defect is allocated.
     """
     c = M.chart
     P, Q = M.P, M.Q
@@ -128,7 +131,8 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
                              for X in (plus_re, plus_im))
               for i, j, k, shape in ((a, b, slice(None, m), (4, n)),
                                      (b, a, slice(m, None), (n, 4)))]
-    for rows in row_blocks(c.shape):
+
+    def block(rows):
         # K = Q_u - P_v + [P, Q] and H's P_u + Q_v, accumulated in place
         K = partial_rows(Q, c, 0, rows)
         K -= partial_rows(P, c, 1, rows)
@@ -157,6 +161,8 @@ def loop_curvature(M: MCBlocks) -> LoopCurvature:
         np.add(W2[:, :, rows],
                0.25 * (product(DPp, Q1) - product(DQp, P1)),
                out=A2[:, :, rows])
+
+    for_blocks(block, c.shape)
     lines = {"A1_line": grid_first(A1), "A2_line": grid_first(A2)}
     return LoopCurvature(W=(grid_first(W1), grid_first(W2)),
                          plus_re=grid_first(plus_re),

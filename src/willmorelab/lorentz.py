@@ -14,22 +14,32 @@ complement of their span by sign flips, `rejection`), the normal of a
 surface in S^3 from the maximal minors of its four sphere fields
 (`minors`, in `surface.normal_frame`), the group test (`validate_group`:
 the Gram defect from pairings of the column planes, the determinant by
-the Laplace expansion `det`, the d = m case of `minors`) and the inverse
-and products of the Maurer-Cartan form (`gauss_frame.maurer_cartan`).
+the Laplace expansion `det`, the d = m case of `minors`), the stencils,
+inverse and products of the Maurer-Cartan form
+(`gauss_frame.maurer_cartan`) and the loop curvature
+(`harmonic.loop_curvature`).
 No kernel calls LAPACK per grid point or solves a Gram matrix; LAPACK
 determinants and solves are oracles in the tests only.  Each block holds
 about PLANE_BLOCK points, so a kernel's temporaries are a few MB that
 stay in cache and are reused by the allocator, where grid-sized ones
 (38-46 MB per call at N=256) are handed back to the OS after each call
 and faulted in again on the next.
-Every point runs the same arithmetic in every layout, so the results do
-not depend on the block size bit for bit.
+The Maurer-Cartan form and the loop curvature run their row blocks on
+all the CPUs the process may use (`for_blocks`), each block writing only
+its own rows; the other kernels run theirs in order on the calling
+thread (threaded, the group test's many small per-block calls contend
+for the interpreter lock and ran slower).  Every point runs the same
+arithmetic in every layout and on every thread, so the results depend
+neither on the block size nor on the worker count, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -81,16 +91,92 @@ def gram(X: np.ndarray) -> np.ndarray:
 PLANE_BLOCK = 4096
 
 
-def row_blocks(grid: tuple) -> list:
+def row_blocks(grid: tuple, block: int | None = None) -> list:
     """Indices of the row blocks of a grid of shape `grid`: slices of its
-    leading axis, max(1, PLANE_BLOCK // Nv) rows each, Nv the points per
-    row.  A grid of at most PLANE_BLOCK points (a single point too) is one
-    block, `...`, the whole."""
+    leading axis, max(1, block // Nv) rows each, Nv the points per row
+    and `block` PLANE_BLOCK unless given.  A grid of at most `block`
+    points (a single point too) is one block, `...`, the whole."""
+    block = PLANE_BLOCK if block is None else block
     points = math.prod(grid)
-    if points <= PLANE_BLOCK:
+    if points <= block:
         return [...]
-    rows = max(1, PLANE_BLOCK // (points // grid[0]))
+    rows = max(1, block // (points // grid[0]))
     return [slice(i, i + rows) for i in range(0, grid[0], rows)]
+
+
+# the worker count of `for_blocks`, the process's CPUs, and its pool of
+# the workers other than the calling thread; both set on first use
+_workers = None
+_pool = None
+_pool_lock = threading.Lock()
+# marks a thread that is running a block of `for_blocks`
+_in_block = threading.local()
+
+
+def _worker_count() -> int:
+    global _workers
+    if _workers is None:
+        try:
+            _workers = len(os.sched_getaffinity(0))
+        except AttributeError:      # no CPU affinity off Linux
+            _workers = os.cpu_count() or 1
+    return _workers
+
+
+def _threads(count: int) -> ThreadPoolExecutor:
+    """The pool of `count` threads, made anew when the count changed (the
+    threads of a pool no caller holds exit once it is collected)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != count:
+            _pool = (count, ThreadPoolExecutor(
+                count, thread_name_prefix="willmorelab-blocks"))
+        return _pool[1]
+
+
+def for_blocks(fn, grid: tuple) -> None:
+    """Run fn(rows) once for each row block `rows` of a grid of shape
+    `grid`, on w workers, w the process's CPUs (its CPU affinity): the
+    calling thread and a pool of w - 1 threads, made on first use, take
+    the blocks in turn.  Each block holds PLANE_BLOCK // w points, so
+    the points in flight, and the temporaries, stay about PLANE_BLOCK.
+    A grid of at most PLANE_BLOCK points, and a call from inside a
+    block, run as on one worker: the calling thread alone, blocks of
+    PLANE_BLOCK points, so a small grid starts no thread and the pool
+    never waits on itself.  fn must write only the rows it is given;
+    numpy releases the interpreter lock in its loops, so the blocks
+    overlap.  Returns once every block has ended; after an exception
+    in a block no block starts, and the first exception is raised once
+    the running ones have ended."""
+    nested = getattr(_in_block, "active", False)
+    w = 1 if nested or math.prod(grid) <= PLANE_BLOCK else _worker_count()
+    todo = iter(row_blocks(grid, PLANE_BLOCK // w))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        _in_block.active = True
+        try:
+            while True:
+                with lock:
+                    rows = None if errors else next(todo, None)
+                if rows is None:
+                    return
+                try:
+                    fn(rows)
+                except BaseException as exc:    # raised by the caller
+                    with lock:
+                        errors.append(exc)
+        finally:
+            _in_block.active = nested
+
+    jobs = [_threads(w - 1).submit(work) for _ in range(w - 1)]
+    work()
+    for job in jobs:
+        if not job.cancel():        # started: wait for its blocks
+            job.result()
+    if errors:
+        raise errors[0]
 
 
 def to_planes(X: np.ndarray, values: int = 2) -> np.ndarray:

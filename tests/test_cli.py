@@ -428,6 +428,55 @@ def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
     assert not any(map(any, alive)), alive
 
 
+@pytest.mark.parametrize("argv, reader", [
+    (["analyze", "--surface", "veronese_s4", "--chart",
+      "32,32,-1,1,-1,1,open"], "s_willmore_rank"),
+    (["reconstruct", "--surface", "veronese_s4", "--chart",
+      "32,32,-1,1,-1,1,open"], "classify")], ids=["analyze", "reconstruct"])
+def test_commands_release_the_frame_after_its_last_reader(monkeypatch, argv,
+                                                          reader):
+    """analyze drops the frame once its Maurer-Cartan form is built, so
+    it is dead when the rank runs; reconstruct drops it once `normalize`
+    has run, so it is dead when `classify` runs (veronese_s4's frame at
+    32 x 32 is gauged, so the normalized frame is another array)."""
+    frames, seen = [], []
+    build = gauss_frame.build_frame
+
+    def spy_build(S):
+        F, residual = build(S)
+        frames.append(weakref.ref(F))
+        return F, residual
+
+    module = gauss_frame if reader == "s_willmore_rank" else reconstruct
+    stage = getattr(module, reader)
+
+    def spy_stage(*args, **kwargs):
+        seen.append(frames[-1]())
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(gauss_frame, "build_frame", spy_build)
+    monkeypatch.setattr(module, reader, spy_stage)
+    run(*argv)
+    assert len(frames) == 1 and seen == [None]
+
+
+def test_verify_harmonic_report_does_not_depend_on_the_worker_count(
+        monkeypatch):
+    """`verify-harmonic --refine 2` on catenoid's 96 x 96 chart, periodic
+    in u, gives the same report dict on one worker and on two: every
+    sup, order and verdict bit for bit on both levels, each larger than
+    PLANE_BLOCK points."""
+    cfg = cli.build_config(cli.parse_args(
+        ["verify-harmonic", "--surface", "catenoid", "--refine", "2",
+         "--chart", "96,96,0.0,6.283185307179586,-1.0,1.0,periodic-u"]))
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(lorentz, "_workers", workers)
+        reports.append(cli.cmd_verify_harmonic(cfg))
+    assert reports[0] == reports[1]
+    assert reports[0][1] == 0
+
+
 def test_verify_harmonic_releases_the_pair_before_the_sweep(monkeypatch):
     """On every level, verify-harmonic takes strong conformality from the
     Maurer-Cartan pair before the loop curvature is built, and drops the
@@ -547,7 +596,7 @@ def test_invariants_are_derived_only_where_read(monkeypatch, argv, calls):
 @pytest.mark.parametrize("argv, reads, defects", [
     (["analyze"], {"B1"}, [(32, 32)] * 2),
     (["verify-harmonic", "--refine", "2"], {"B1"},
-     [(32, 32)] * 2 + [(16, 64)] * 8),
+     [(32, 32)] * 2 + [(8, 64)] * 16),
     (["reconstruct"], {"A1", "B1"}, [])],
     ids=["analyze", "verify-harmonic", "reconstruct"])
 def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
@@ -559,8 +608,9 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     reconstruct A1 for the scale of h (a_ij are single entries).  The
     so-defects of P and Q are derived once over the grid for analyze's
     b2_residual, once per row block of each level's harmonicity lines
-    (with row blocks of 1024 points: the 32 x 32 level is one block, the
-    64 x 64 level four blocks of 16 rows), and never in reconstruct."""
+    (with row blocks of 1024 points on two workers: the 32 x 32 level is
+    one block, the 64 x 64 level eight blocks of 8 rows), and never in
+    reconstruct."""
     shapes, built, assembled, derived = set(), [], [], []
     blocks, block, wirt, defect = (gauss_frame.maurer_cartan,
                                    gauss_frame.MCBlocks._block,
@@ -597,6 +647,7 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
     monkeypatch.setattr(gauss_frame, "wirtinger", spy_wirtinger)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 1024)
+    monkeypatch.setattr(lorentz, "_workers", 2)
     for name in ("full", "k_part", "p_part"):
         def forbidden(self, name=name):
             raise AssertionError(f"MCBlocks.{name} called")

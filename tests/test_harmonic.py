@@ -169,25 +169,33 @@ def test_harmonic_lines_share_the_curvature_blocks(pipe):
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
 def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
                                                      kind):
-    """Per row block (five blocks here), the four stencils are Q's
-    u-partial and P's v-partial (K), then P's u-partial and Q's
-    v-partial (H), of that block's rows, read from M.Q and M.P
-    themselves; the so-defects are taken from the block's rows of M.P
-    and M.Q as views, with no copy.  No whole-grid stencil and no
+    """Per row block (ten blocks of five rows here, on two workers), the
+    four stencils are Q's u-partial and P's v-partial (K), then P's
+    u-partial and Q's v-partial (H), of that block's rows, read from M.Q
+    and M.P themselves; the so-defects are taken from the block's rows
+    of M.P and M.Q as views, with no copy.  The blocks run in any order,
+    so each call is keyed by its rows.  No whole-grid stencil and no
     whole-grid so-defect is taken, and no complex form is assembled."""
     c, _, _, M = pipe(kind)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 10 * c.Nv)
-    blocks = lorentz.row_blocks(c.shape)
-    assert len(blocks) == 5
-    partials, defects = [], []
+    monkeypatch.setattr(lorentz, "_workers", 2)
+    blocks = lorentz.row_blocks(c.shape, 5 * c.Nv)
+    assert len(blocks) == 10
+    partials, defects = {}, {}
     defect, partial = gauss_frame._so_defect, harmonic.partial_rows
 
+    def first_row(X, W):
+        """The row of W where its view X starts."""
+        return (X.__array_interface__["data"][0]
+                - W.__array_interface__["data"][0]) // W.strides[0]
+
     def spy_defect(X):
-        defects.append(X)
+        W = M.P if X.base is M.P else M.Q
+        defects.setdefault(first_row(X, W), []).append((X, W))
         return defect(X)
 
     def spy_partial(f, ch, axis, rows):
-        partials.append((f, axis, rows))
+        partials.setdefault((rows.start, rows.stop), []).append((f, axis))
         return partial(f, ch, axis, rows)
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
     monkeypatch.setattr(harmonic, "partial_rows", spy_partial)
@@ -203,14 +211,17 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
         raise AssertionError("loop_curvature assembled the complex form")
     monkeypatch.setattr(gauss_frame.MCBlocks, "full", no_full)
     harmonic.loop_curvature(M)
-    assert len(partials) == 4 * len(blocks)
+    assert sorted(partials) == [(r.start, r.stop) for r in blocks]
     want = [(M.Q, 0), (M.P, 1), (M.P, 0), (M.Q, 1)]
-    for k, rows in enumerate(blocks):
-        for (f, axis, r), (X, ax) in zip(partials[4 * k:4 * k + 4], want):
-            assert f is X and axis == ax and r == rows, k
-    assert len(defects) == 2 * len(blocks)
-    for X, Y, rows in zip(defects[::2], defects[1::2], blocks):
-        for D, W in ((X, M.P), (Y, M.Q)):
+    for rows, calls in partials.items():
+        assert len(calls) == 4, rows
+        for (f, axis), (X, ax) in zip(calls, want):
+            assert f is X and axis == ax, rows
+    assert sorted(defects) == [r.start for r in blocks]
+    for rows in blocks:
+        pair = defects[rows.start]
+        assert [W is X for (_, W), X in zip(pair, (M.P, M.Q))] == [True] * 2
+        for D, W in pair:
             assert D.shape == W[rows].shape
             assert D.base is W and np.shares_memory(D, W[rows])
 
@@ -291,16 +302,45 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
         assert r["sup"] == sup_norm(pmax, c), lam
 
 
-def test_loop_curvature_keeps_its_temporaries_below_its_fields():
-    """At 255^2 on veronese_s4, the tracemalloc peak of `loop_curvature`
-    exceeds the fields it returns (37.5 MB; 45.8 MB while they held
-    B1_line, a complex copy of R+'s B1 block) by at most 14 MB: 13.5 MB
-    with K, H, their stencils and the so-defects formed one row block at
-    a time.  H's stencils over the whole grid took 14.3 MB, whole-grid
-    K, stencils and so-defects 40.3 MB, and stacked products over the
-    whole grid 54.1 MB."""
+@pytest.mark.parametrize("kind,shape", [
+    ("enneper", (255, 255)), ("veronese_s4", (255, 255)),
+    ("catenoid", (96, 95)), ("clifford_torus", (128, 128))])
+def test_the_lambda_family_does_not_depend_on_the_worker_count(monkeypatch,
+                                                               kind, shape):
+    """The Maurer-Cartan pair P, Q and every field of `loop_curvature`
+    are bit for bit the same on one worker (row blocks of PLANE_BLOCK
+    points, in order) and on two (blocks of half as many, two at a
+    time).  Each grid exceeds PLANE_BLOCK points, so two workers run
+    threaded; on catenoid's 96 x 95 chart, periodic in u, the wrap rows
+    of the u-stencils fall in the first and the last block (21 rows each
+    on two workers, the last 12), and clifford_torus wraps both ways."""
+    spec = zoo.SurfaceSpec(kind)
+    c = replace(zoo.default_chart(spec, shape[0]), Nv=shape[1])
+    assert c.Nu * c.Nv > lorentz.PLANE_BLOCK
+    F, _ = gauss_frame.build_frame(
+        surface.build_surface_data(zoo.generate(spec, c), c))
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(lorentz, "_workers", workers)
+        M = gauss_frame.maurer_cartan(F, c)
+        runs.append([M.P, M.Q, *_curvature_fields(harmonic.loop_curvature(M))])
+    for got, want in zip(*runs):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_loop_curvature_keeps_its_temporaries_below_its_fields(monkeypatch):
+    """At 255^2 on veronese_s4, on two workers, the tracemalloc peak of
+    `loop_curvature` exceeds the fields it returns (37.5 MB; 45.8 MB
+    while they held B1_line, a complex copy of R+'s B1 block) by at most
+    14 MB: 13.5 MB with K, H, their stencils and the so-defects formed
+    one row block at a time on one worker, where two workers hold two
+    blocks of half the points.  H's stencils over the whole grid took
+    14.3 MB, whole-grid K, stencils and so-defects 40.3 MB, and stacked
+    products over the whole grid 54.1 MB."""
     spec = zoo.SurfaceSpec("veronese_s4")
     M = _mc_blocks(spec, zoo.default_chart(spec, 255))
+    monkeypatch.setattr(lorentz, "_workers", 2)
     tracemalloc.start()
     try:
         K = harmonic.loop_curvature(M)

@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -378,6 +381,129 @@ def test_row_blocked_kernels_keep_their_temporaries_block_sized():
             tracemalloc.stop()
         assert out is not None
         assert peak - held < 8e6, (name, peak - held)
+
+
+# 8192 points: on two workers, four row blocks of 16 rows run threaded
+BIG_GRID = (64, 128)
+
+
+def _for_blocks_bounded(fn, grid, timeout=30.0):
+    """lorentz.for_blocks(fn, grid) on a thread of its own, joined with a
+    timeout; returns the exception it raised, or None."""
+    raised = []
+
+    def call():
+        try:
+            lorentz.for_blocks(fn, grid)
+        except BaseException as exc:
+            raised.append(exc)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "for_blocks did not return"
+    return raised[0] if raised else None
+
+
+def _is_pool_thread():
+    return threading.current_thread().name.startswith("willmorelab-blocks")
+
+
+def test_for_blocks_raises_a_block_error_once_every_block_has_ended(
+        monkeypatch):
+    """An exception in one block reaches the caller as that exception,
+    after the block running beside it has ended; no block starts after
+    it.  The pool then serves the next call: its thread takes blocks and
+    every block runs once."""
+    monkeypatch.setattr(lorentz, "_workers", 2)
+    helper_busy = threading.Event()
+    ended, raised = [], []
+
+    def fail_beside_a_helper(rows):
+        if not _is_pool_thread():
+            assert helper_busy.wait(10)
+            raised.append(ValueError(f"block at row {rows.start}"))
+            raise raised[0]
+        helper_busy.set()
+        time.sleep(0.2)
+        ended.append(rows.start)
+
+    exc = _for_blocks_bounded(fail_beside_a_helper, BIG_GRID)
+    assert exc is raised[0]
+    assert len(ended) == 1
+    time.sleep(0.3)
+    assert len(ended) == 1
+
+    helper_busy.clear()
+    seen = []
+
+    def record(rows):
+        if _is_pool_thread():
+            helper_busy.set()
+        else:
+            assert helper_busy.wait(10)
+        seen.append((rows.start, _is_pool_thread()))
+
+    assert _for_blocks_bounded(record, BIG_GRID) is None
+    assert sorted(start for start, _ in seen) == [0, 16, 32, 48]
+    assert any(pool for _, pool in seen)
+
+
+def test_for_blocks_runs_a_nested_call_on_its_own_thread(monkeypatch):
+    """A call from inside a block returns, and runs all its blocks in
+    order on the thread that runs the outer block, with blocks of
+    PLANE_BLOCK points (two of 32 rows here)."""
+    monkeypatch.setattr(lorentz, "_workers", 2)
+    calls = []
+
+    def inner(rows):
+        calls.append((threading.get_ident(), "inner", rows.start))
+
+    def outer(rows):
+        calls.append((threading.get_ident(), "outer", rows.start))
+        lorentz.for_blocks(inner, BIG_GRID)
+
+    assert _for_blocks_bounded(outer, BIG_GRID) is None
+    assert sorted(start for _, kind, start in calls if kind == "outer") \
+        == [0, 16, 32, 48]
+    for thread in {ident for ident, _, _ in calls}:
+        mine = [(kind, start) for ident, kind, start in calls
+                if ident == thread]
+        for k in range(0, len(mine), 3):
+            assert mine[k][0] == "outer"
+            assert mine[k + 1:k + 3] == [("inner", 0), ("inner", 32)]
+
+
+def test_for_blocks_on_a_small_grid_creates_no_pool(monkeypatch):
+    """A grid of PLANE_BLOCK points runs as one block on the calling
+    thread, and no pool is made."""
+    monkeypatch.setattr(lorentz, "_workers", 2)
+    monkeypatch.setattr(lorentz, "_pool", None)
+    seen = []
+    lorentz.for_blocks(lambda rows: seen.append(
+        (rows, threading.current_thread())), (64, 64))
+    assert seen == [(..., threading.current_thread())]
+    assert lorentz._pool is None
+
+
+def test_for_blocks_runs_each_block_once_under_contention(monkeypatch):
+    """Four workers on a host with fewer CPUs, with a short switch
+    interval: every block runs exactly once, and all have ended when the
+    call returns."""
+    monkeypatch.setattr(lorentz, "_workers", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            hits = np.zeros(97, dtype=int)
+
+            def visit(rows):
+                time.sleep(0.001)
+                hits[rows] += 1
+
+            assert _for_blocks_bounded(visit, (97, 173)) is None
+            assert np.all(hits == 1)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

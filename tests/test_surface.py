@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from willmorelab import chart, cli, gauss_frame, surface, zoo
+from willmorelab import chart, cli, gauss_frame, lorentz, surface, zoo
 from willmorelab.chart import Chart, d_u, d_v, d_z, d_zbar
 from willmorelab.lorentz import inner, orthonormalize, rejection
 
@@ -125,13 +125,16 @@ def test_a_non_finite_lift_point_is_named_before_any_stencil(
 
 
 def _stencil_spy(monkeypatch):
-    """Record (a copy of the field, axis) of every stencil call."""
+    """Record (a copy of the field, axis, (start, stop)) of every stencil
+    call, start and stop the range of rows it computes: (0, Nu) for the
+    whole grid."""
     seen = []
     diff = chart._diff_axis
 
-    def counted(f, h, axis, periodic):
-        seen.append((np.array(f), axis))
-        return diff(f, h, axis, periodic)
+    def counted(f, h, axis, periodic, rows=None):
+        span = (0, len(f)) if rows is None else rows.indices(len(f))[:2]
+        seen.append((np.array(f), axis, span))
+        return diff(f, h, axis, periodic, rows)
 
     monkeypatch.setattr(chart, "_diff_axis", counted)
     return seen
@@ -141,7 +144,9 @@ def _analyze_stencils(seen, kind):
     """[(name, axis, complex)] of every stencil of `cli.cmd_analyze` on
     the zoo surface at N=24, as recorded by the spy list `seen`, each
     differentiated field named by its content among the fields of the
-    analyze path, or "other"."""
+    analyze path, or "other".  Stencils taken over row ranges count as
+    many times as their ranges cover every row of the grid; ranges that
+    cover some rows more often than others fail."""
     spec = zoo.SurfaceSpec(kind)
     c = zoo.default_chart(spec, 24)
     raw = zoo.generate(spec, c)
@@ -161,9 +166,17 @@ def _analyze_stencils(seen, kind):
                             c.topology)))]))
     seen.clear()
     cli.cmd_analyze(cfg)
-    return [(next((name for name, x in names.items()
-                   if f.shape == x.shape and np.array_equal(f, x)), "other"),
-             axis, np.iscomplexobj(f)) for f, axis in seen]
+    cover = {}
+    for f, axis, (start, stop) in seen:
+        key = (next((name for name, x in names.items()
+                     if f.shape == x.shape and np.array_equal(f, x)),
+                    "other"), axis, np.iscomplexobj(f))
+        cover.setdefault(key, np.zeros(c.Nu, dtype=int))[start:stop] += 1
+    got = []
+    for key, rows in cover.items():
+        assert np.all(rows == rows[0]), (key, rows)
+        got += [key] * int(rows[0])
+    return got
 
 
 def test_each_lift_is_differentiated_once(monkeypatch):
@@ -177,10 +190,17 @@ def test_each_lift_is_differentiated_once(monkeypatch):
     and Y_v takes d_u once (Y_uv).  Six stencils are complex (kappa,
     beta and s), and no complex field of the ambient space is
     differentiated: 23 stencils on veronese_s4 (n = 2, one entry of b)
-    and 21 on enneper (n = 1)."""
+    and 21 on enneper (n = 1).  With row blocks of 96 points on two
+    workers, the frame's stencils run over twelve row ranges of two rows
+    each, and count once per axis over the whole grid."""
     seen = _stencil_spy(monkeypatch)
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 96)
+    monkeypatch.setattr(lorentz, "_workers", 2)
     for kind, total in (("veronese_s4", 23), ("enneper", 21)):
         got = _analyze_stencils(seen, kind)
+        assert {rows for f, _, rows in seen if f.ndim == 4
+                and f.shape[-2] == f.shape[-1]} == {
+                    (i, i + 2) for i in range(0, 24, 2)}, kind
         assert len(got) == total, kind
         assert sum(cplx for _, _, cplx in got) == 6, kind
         counts = {}
@@ -209,7 +229,7 @@ def test_frame_path_takes_the_stencils_of_the_frame_only(monkeypatch):
     names = {"raw": raw, "Y": S.Y, "Yu": S.Yu, "Yv": S.Yv}
     got = [(next((name for name, x in names.items()
                   if f.shape == x.shape and np.array_equal(f, x)), "other"),
-            axis) for f, axis in seen]
+            axis) for f, axis, _ in seen]
     assert got == [("raw", 0), ("raw", 1), ("Y", 0), ("Y", 1),
                    ("Yu", 0), ("Yv", 1)]
 
@@ -238,8 +258,8 @@ def test_invariants_leave_surface_data_untouched(monkeypatch):
             name
     assert first.structure == second.structure
     assert len(stencils[0]) == len(stencils[1]) == 9
-    for (f, axis), (g, axis2) in zip(*stencils):
-        assert axis == axis2 and np.array_equal(f, g)
+    for (f, axis, rows), (g, axis2, rows2) in zip(*stencils):
+        assert axis == axis2 and rows == rows2 and np.array_equal(f, g)
 
 
 def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
