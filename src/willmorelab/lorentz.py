@@ -104,7 +104,7 @@ def row_blocks(grid: tuple, block: int | None = None) -> list:
     return [slice(i, i + rows) for i in range(0, grid[0], rows)]
 
 
-# the worker count of `for_blocks`, the process's CPUs, and its pool of
+# the process's CPUs, the most workers of `for_blocks`, and its pool of
 # the workers other than the calling thread; both set on first use
 _workers = None
 _pool = None
@@ -123,33 +123,35 @@ def _worker_count() -> int:
     return _workers
 
 
-def _threads(count: int) -> ThreadPoolExecutor:
-    """The pool of `count` threads, made anew when the count changed (the
-    threads of a pool no caller holds exit once it is collected)."""
+def _helpers() -> ThreadPoolExecutor:
+    """The pool of the workers other than the calling thread, made once."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] != count:
-            _pool = (count, ThreadPoolExecutor(
-                count, thread_name_prefix="willmorelab-blocks"))
-        return _pool[1]
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_worker_count() - 1,
+                                       thread_name_prefix="willmorelab-blocks")
+        return _pool
 
 
 def for_blocks(fn, grid: tuple) -> None:
     """Run fn(rows) once for each row block `rows` of a grid of shape
-    `grid`, on w workers, w the process's CPUs (its CPU affinity): the
-    calling thread and a pool of w - 1 threads, made on first use, take
-    the blocks in turn.  Each block holds PLANE_BLOCK // w points, so
-    the points in flight, and the temporaries, stay about PLANE_BLOCK.
-    A grid of at most PLANE_BLOCK points, and a call from inside a
-    block, run as on one worker: the calling thread alone, blocks of
-    PLANE_BLOCK points, so a small grid starts no thread and the pool
-    never waits on itself.  fn must write only the rows it is given;
-    numpy releases the interpreter lock in its loops, so the blocks
-    overlap.  Returns once every block has ended; after an exception
-    in a block no block starts, and the first exception is raised once
-    the running ones have ended."""
+    `grid`, on w workers: the calling thread and a pool of the process's
+    other CPUs (its CPU affinity), made on first use, take the blocks in
+    turn.  Each block holds PLANE_BLOCK // w points, so the points in
+    flight, and the temporaries, stay about PLANE_BLOCK; w is the CPU
+    count, or PLANE_BLOCK // Nv (Nv the points per row) if smaller, so
+    that each block is one whole row or more.  A grid of at most
+    PLANE_BLOCK points, and a call from inside a block, run as on one
+    worker: the calling thread alone, blocks of PLANE_BLOCK points, so a
+    small grid starts no thread and the pool never waits on itself.  fn
+    must write only the rows it is given; numpy releases the interpreter
+    lock in its loops, so the blocks overlap.  Returns once every block
+    has ended; after an exception in a block no block starts, and the
+    first exception is raised once the running ones have ended."""
     nested = getattr(_in_block, "active", False)
-    w = 1 if nested or math.prod(grid) <= PLANE_BLOCK else _worker_count()
+    points = math.prod(grid)
+    w = 1 if nested or points <= PLANE_BLOCK else min(
+        _worker_count(), max(1, PLANE_BLOCK // (points // grid[0])))
     todo = iter(row_blocks(grid, PLANE_BLOCK // w))
     lock = threading.Lock()
     errors = []
@@ -170,7 +172,7 @@ def for_blocks(fn, grid: tuple) -> None:
         finally:
             _in_block.active = nested
 
-    jobs = [_threads(w - 1).submit(work) for _ in range(w - 1)]
+    jobs = [_helpers().submit(work) for _ in range(w - 1)]
     work()
     for job in jobs:
         if not job.cancel():        # started: wait for its blocks

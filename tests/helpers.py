@@ -2,11 +2,20 @@
 
 import numpy as np
 
+from willmorelab import lorentz
 from willmorelab.chart import Chart
 from willmorelab.lorentz import orthonormalize, rejection
 
 import oracles
 from oracles import metric
+
+
+def force_workers(monkeypatch, workers, pool=None):
+    """Run `lorentz.for_blocks` as on a host of `workers` CPUs: that
+    worker count, and `pool` as the pool of the other workers (None: a
+    pool of workers - 1 threads, made on first use)."""
+    monkeypatch.setattr(lorentz, "_workers", workers)
+    monkeypatch.setattr(lorentz, "_pool", pool)
 
 
 def expm_field(A):

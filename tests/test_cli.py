@@ -12,6 +12,8 @@ import pytest
 from willmorelab import (cli, gauss_frame, harmonic, lorentz, reconstruct,
                          surface, zoo)
 
+import helpers
+
 CLIFF_CHART = "32,32,0,6.283185307179586,0,6.283185307179586,periodic-both"
 
 
@@ -471,7 +473,7 @@ def test_verify_harmonic_report_does_not_depend_on_the_worker_count(
          "--chart", "96,96,0.0,6.283185307179586,-1.0,1.0,periodic-u"]))
     reports = []
     for workers in (1, 2):
-        monkeypatch.setattr(lorentz, "_workers", workers)
+        helpers.force_workers(monkeypatch, workers)
         reports.append(cli.cmd_verify_harmonic(cfg))
     assert reports[0] == reports[1]
     assert reports[0][1] == 0
@@ -647,7 +649,7 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
     monkeypatch.setattr(gauss_frame, "wirtinger", spy_wirtinger)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 1024)
-    monkeypatch.setattr(lorentz, "_workers", 2)
+    helpers.force_workers(monkeypatch, 2)
     for name in ("full", "k_part", "p_part"):
         def forbidden(self, name=name):
             raise AssertionError(f"MCBlocks.{name} called")

@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -387,9 +388,10 @@ def test_row_blocked_kernels_keep_their_temporaries_block_sized():
 BIG_GRID = (64, 128)
 
 
-def _for_blocks_bounded(fn, grid, timeout=30.0):
+def _for_blocks_bounded(fn, grid, timeout=30.0, returned=None):
     """lorentz.for_blocks(fn, grid) on a thread of its own, joined with a
-    timeout; returns the exception it raised, or None."""
+    timeout; returns the exception it raised, or None.  Sets the event
+    `returned`, if given, once for_blocks has returned or raised."""
     raised = []
 
     def call():
@@ -397,6 +399,9 @@ def _for_blocks_bounded(fn, grid, timeout=30.0):
             lorentz.for_blocks(fn, grid)
         except BaseException as exc:
             raised.append(exc)
+        finally:
+            if returned is not None:
+                returned.set()
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(timeout)
@@ -408,51 +413,79 @@ def _is_pool_thread():
     return threading.current_thread().name.startswith("willmorelab-blocks")
 
 
+class _WatchedPool(ThreadPoolExecutor):
+    """A pool of one block thread whose jobs set `caller_done` when the
+    caller of `for_blocks` cancels or waits for them, which it does once
+    its own blocks have ended and their errors are recorded."""
+
+    def __init__(self):
+        super().__init__(1, thread_name_prefix="willmorelab-blocks")
+        self.caller_done = threading.Event()
+
+    def submit(self, fn, /, *args, **kwargs):
+        job = super().submit(fn, *args, **kwargs)
+        cancel = job.cancel
+
+        def watched_cancel():
+            self.caller_done.set()
+            return cancel()
+        job.cancel = watched_cancel
+        return job
+
+
 def test_for_blocks_raises_a_block_error_once_every_block_has_ended(
         monkeypatch):
     """An exception in one block reaches the caller as that exception,
     after the block running beside it has ended; no block starts after
-    it.  The pool then serves the next call: its thread takes blocks and
-    every block runs once."""
-    monkeypatch.setattr(lorentz, "_workers", 2)
-    helper_busy = threading.Event()
-    ended, raised = [], []
+    it.  The pool's block runs until the caller has recorded its error
+    and ended its own blocks, so the order is set by events, not by
+    timing; for_blocks has not returned 0.2 s later, while that block
+    still runs.  The pool then serves the next call: its thread takes
+    blocks and every block runs once."""
+    pool = _WatchedPool()
+    helpers.force_workers(monkeypatch, 2, pool)
+    helper_busy, returned = threading.Event(), threading.Event()
+    started, ended, raised = [], [], []
 
     def fail_beside_a_helper(rows):
+        started.append(rows.start)
         if not _is_pool_thread():
             assert helper_busy.wait(10)
             raised.append(ValueError(f"block at row {rows.start}"))
             raise raised[0]
         helper_busy.set()
-        time.sleep(0.2)
-        ended.append(rows.start)
+        assert pool.caller_done.wait(10)
+        ended.append((rows.start, returned.wait(0.2)))
 
-    exc = _for_blocks_bounded(fail_beside_a_helper, BIG_GRID)
-    assert exc is raised[0]
-    assert len(ended) == 1
-    time.sleep(0.3)
-    assert len(ended) == 1
+    try:
+        exc = _for_blocks_bounded(fail_beside_a_helper, BIG_GRID,
+                                  returned=returned)
+        assert exc is raised[0]
+        assert len(started) == 2
+        assert len(ended) == 1 and ended[0][1] is False
 
-    helper_busy.clear()
-    seen = []
+        helper_busy.clear()
+        seen = []
 
-    def record(rows):
-        if _is_pool_thread():
-            helper_busy.set()
-        else:
-            assert helper_busy.wait(10)
-        seen.append((rows.start, _is_pool_thread()))
+        def record(rows):
+            if _is_pool_thread():
+                helper_busy.set()
+            else:
+                assert helper_busy.wait(10)
+            seen.append((rows.start, _is_pool_thread()))
 
-    assert _for_blocks_bounded(record, BIG_GRID) is None
-    assert sorted(start for start, _ in seen) == [0, 16, 32, 48]
-    assert any(pool for _, pool in seen)
+        assert _for_blocks_bounded(record, BIG_GRID) is None
+        assert sorted(start for start, _ in seen) == [0, 16, 32, 48]
+        assert any(pool for _, pool in seen)
+    finally:
+        pool.shutdown()
 
 
 def test_for_blocks_runs_a_nested_call_on_its_own_thread(monkeypatch):
     """A call from inside a block returns, and runs all its blocks in
     order on the thread that runs the outer block, with blocks of
     PLANE_BLOCK points (two of 32 rows here)."""
-    monkeypatch.setattr(lorentz, "_workers", 2)
+    helpers.force_workers(monkeypatch, 2)
     calls = []
 
     def inner(rows):
@@ -476,8 +509,7 @@ def test_for_blocks_runs_a_nested_call_on_its_own_thread(monkeypatch):
 def test_for_blocks_on_a_small_grid_creates_no_pool(monkeypatch):
     """A grid of PLANE_BLOCK points runs as one block on the calling
     thread, and no pool is made."""
-    monkeypatch.setattr(lorentz, "_workers", 2)
-    monkeypatch.setattr(lorentz, "_pool", None)
+    helpers.force_workers(monkeypatch, 2)
     seen = []
     lorentz.for_blocks(lambda rows: seen.append(
         (rows, threading.current_thread())), (64, 64))
@@ -489,7 +521,7 @@ def test_for_blocks_runs_each_block_once_under_contention(monkeypatch):
     """Four workers on a host with fewer CPUs, with a short switch
     interval: every block runs exactly once, and all have ended when the
     call returns."""
-    monkeypatch.setattr(lorentz, "_workers", 4)
+    helpers.force_workers(monkeypatch, 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -504,6 +536,35 @@ def test_for_blocks_runs_each_block_once_under_contention(monkeypatch):
             assert np.all(hits == 1)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_for_blocks_keeps_whole_rows_and_plane_block_points_in_flight(
+        monkeypatch):
+    """On four workers, rows of 2048 points leave room for two blocks of
+    PLANE_BLOCK // 2 points: two workers run blocks of one whole row
+    each, every row once, and no more than PLANE_BLOCK points are in
+    flight at any time."""
+    helpers.force_workers(monkeypatch, 4)
+    grid = (16, lorentz.PLANE_BLOCK // 2)
+    lock = threading.Lock()
+    flight, most, threads, seen = [0], [0], set(), []
+
+    def visit(rows):
+        points = len(range(grid[0])[rows]) * grid[1]
+        with lock:
+            flight[0] += points
+            most[0] = max(most[0], flight[0])
+            threads.add(threading.get_ident())
+            seen.append(rows)
+        time.sleep(0.005)
+        with lock:
+            flight[0] -= points
+
+    assert _for_blocks_bounded(visit, grid) is None
+    assert sorted(r.start for r in seen) == list(range(16))
+    assert all(r.stop == r.start + 1 for r in seen)
+    assert most[0] <= lorentz.PLANE_BLOCK
+    assert len(threads) <= 2
 
 
 @pytest.mark.parametrize("d", range(1, 9))

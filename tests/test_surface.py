@@ -195,7 +195,7 @@ def test_each_lift_is_differentiated_once(monkeypatch):
     each, and count once per axis over the whole grid."""
     seen = _stencil_spy(monkeypatch)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 96)
-    monkeypatch.setattr(lorentz, "_workers", 2)
+    helpers.force_workers(monkeypatch, 2)
     for kind, total in (("veronese_s4", 23), ("enneper", 21)):
         got = _analyze_stencils(seen, kind)
         assert {rows for f, _, rows in seen if f.ndim == 4
