@@ -253,34 +253,40 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return to_planes(a.reshape(a.shape[:2] + (-1,)), values=1)
 
 
-def _sup_of_planes(P: np.ndarray, c: Chart) -> float:
-    """Sup of the magnitudes P (k, Nu, Nv) over the chart's interior: the
-    per-point max across the planes, then the mask on the (Nu, Nv)
-    result, so no masked copy of the whole field is made."""
-    return float(np.max(np.max(P, axis=0)[c.interior]))
-
-
 def sup_norm(f: np.ndarray, c: Chart) -> float:
     """Pointwise-magnitude sup of a field f (Nu, Nv, ...) over the
     chart's interior (`Chart.interior`), the region of every residual
     norm; trailing value axes are reduced with max |.|."""
-    return _sup_of_planes(_planes(np.abs(np.asarray(f))), c)
+    return float(np.max(np.max(_planes(np.abs(np.asarray(f))),
+                               axis=0)[c.interior]))
+
+
+def point_norms(f: np.ndarray) -> tuple:
+    """(max, sum of squares) of the magnitudes |f| of a field f
+    (rows, Nv, ...) across its trailing value entries, each a
+    (rows, Nv) array: from |f| as contiguous planes (k, rows, Nv), so no
+    reduction runs over a short trailing axis.  Pointwise, so a row
+    block's values are bit for bit those rows of the whole grid's."""
+    P = _planes(np.abs(np.asarray(f)))
+    top = np.max(P, axis=0)
+    np.square(P, out=P)      # P is |f| or a fresh transpose of it
+    return top, np.sum(P, axis=0)
+
+
+def interior_norms(top: np.ndarray, squares: np.ndarray, c: Chart) -> dict:
+    """{"sup", "l2"} over the chart's interior from the whole grid's
+    `point_norms`: the sup of the per-point max, the mask applied to the
+    (Nu, Nv) array so no masked copy of the field is made, and the L2
+    norm from the integral of the per-point sum of squares."""
+    return {"sup": float(np.max(top[c.interior])),
+            "l2": float(np.sqrt(integrate(
+                np.where(c.interior, squares, 0.0), c)))}
 
 
 def field_norms(f: np.ndarray, c: Chart) -> dict:
     """{"sup", "l2"} of a residual field f (Nu, Nv, ...) over the chart's
-    interior.
-
-    Both come from one |f|, as contiguous planes (k, Nu, Nv): the sup
-    from the per-point max across the planes, the L2 norm from the sum
-    of their squares, so no reduction runs over a short trailing axis.
-    The sup equals the nested per-axis max exactly; the L2 norm sums the
-    squares in another order than one axis at a time, so it may differ
-    from that by roundoff.
-    """
-    P = _planes(np.abs(np.asarray(f)))
-    sup = _sup_of_planes(P, c)
-    np.square(P, out=P)      # P is |f| or a fresh transpose of it
-    a = np.sum(P, axis=0)
-    return {"sup": sup, "l2": float(np.sqrt(integrate(
-        np.where(c.interior, a, 0.0), c)))}
+    interior (`point_norms`, then `interior_norms`).  The sup equals the
+    nested per-axis max exactly; the L2 norm sums the squares in another
+    order than one axis at a time, so it may differ from that by
+    roundoff."""
+    return interior_norms(*point_norms(f), c)

@@ -16,21 +16,32 @@ surface in S^3 from the maximal minors of its four sphere fields
 the Gram defect from pairings of the column planes, the determinant by
 the Laplace expansion `det`, the d = m case of `minors`), the stencils,
 inverse and products of the Maurer-Cartan form
-(`gauss_frame.maurer_cartan`) and the loop curvature
-(`harmonic.loop_curvature`).
+(`gauss_frame.maurer_cartan`) and its so-defect
+(`gauss_frame.MCBlocks.b2_residual`), the loop curvature
+(`harmonic.loop_curvature`) and the forward invariants with their
+structure residuals (`surface.invariants`, in two passes).
 No kernel calls LAPACK per grid point or solves a Gram matrix; LAPACK
 determinants and solves are oracles in the tests only.  Each block holds
-about PLANE_BLOCK points, so a kernel's temporaries are a few MB that
-stay in cache and are reused by the allocator, where grid-sized ones
-(38-46 MB per call at N=256) are handed back to the OS after each call
-and faulted in again on the next.
-The Maurer-Cartan form and the loop curvature run their row blocks on
-all the CPUs the process may use (`for_blocks`), each block writing only
-its own rows; the other kernels run theirs in order on the calling
-thread (threaded, the group test's many small per-block calls contend
-for the interpreter lock and ran slower).  Every point runs the same
-arithmetic in every layout and on every thread, so the results depend
-neither on the block size nor on the worker count, bit for bit.
+about PLANE_BLOCK points (4 PLANE_BLOCK for the invariants: with
+blocks of PLANE_BLOCK, their many small per-block calls contend for the
+interpreter lock and ran slower than on the whole grid), so a kernel's
+temporaries are a few MB that stay in cache and are reused by the
+allocator, where grid-sized ones (38-46 MB per call at N=256) are handed
+back to the OS after each call and faulted in again on the next.
+The Maurer-Cartan form, its so-defect, the loop curvature and the
+invariants run their row blocks on all the CPUs the process may use
+(`for_blocks`), each block writing only its own rows; the other kernels
+run theirs in order on the calling thread (threaded, the group test's
+many small per-block calls contend for the interpreter lock and ran
+slower).  Every point runs the same arithmetic in every layout and on
+every thread, so the results depend neither on the block size nor on
+the worker count, bit for bit.
+A block body calls neither `inner` nor `chart.d_u`/`chart.d_v`: it takes
+`inner_unchecked` and `chart.partial_rows`, the same arithmetic.  The
+benchmark's traced run (perfbench/tracer.py) counts the outermost calls
+of those three on one span stack that every thread shares, so a call
+from two threads at once could nest one under the other and the count
+would depend on how the threads interleave.
 """
 
 from __future__ import annotations
@@ -60,6 +71,13 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}"
         )
+    return inner_unchecked(x, y)
+
+
+def inner_unchecked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The kernel of `inner`, with no dimension check: the Lorentz
+    pairing a block body of `for_blocks` calls, since it must not call
+    `inner` (see the module docstring)."""
     return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
 
 
@@ -133,26 +151,27 @@ def _helpers() -> ThreadPoolExecutor:
         return _pool
 
 
-def for_blocks(fn, grid: tuple) -> None:
+def for_blocks(fn, grid: tuple, points: int | None = None) -> None:
     """Run fn(rows) once for each row block `rows` of a grid of shape
     `grid`, on w workers: the calling thread and a pool of the process's
     other CPUs (its CPU affinity), made on first use, take the blocks in
-    turn.  Each block holds PLANE_BLOCK // w points, so the points in
-    flight, and the temporaries, stay about PLANE_BLOCK; w is the CPU
-    count, or PLANE_BLOCK // Nv (Nv the points per row) if smaller, so
-    that each block is one whole row or more.  A grid of at most
-    PLANE_BLOCK points, and a call from inside a block, run as on one
-    worker: the calling thread alone, blocks of PLANE_BLOCK points, so a
-    small grid starts no thread and the pool never waits on itself.  fn
-    must write only the rows it is given; numpy releases the interpreter
-    lock in its loops, so the blocks overlap.  Returns once every block
-    has ended; after an exception in a block no block starts, and the
-    first exception is raised once the running ones have ended."""
+    turn.  With p = `points` (PLANE_BLOCK unless given), each block holds
+    p // w points, so the points in flight, and the temporaries, stay
+    about p; w is the CPU count, or p // Nv (Nv the points per row) if
+    smaller, so that each block is one whole row or more.  A grid of at
+    most p points, and a call from inside a block, run as on one worker:
+    the calling thread alone, blocks of p points, so a small grid starts
+    no thread and the pool never waits on itself.  fn must write only the
+    rows it is given; numpy releases the interpreter lock in its loops,
+    so the blocks overlap.  Returns once every block has ended; after an
+    exception in a block no block starts, and the first exception is
+    raised once the running ones have ended."""
+    points = PLANE_BLOCK if points is None else points
     nested = getattr(_in_block, "active", False)
-    points = math.prod(grid)
-    w = 1 if nested or points <= PLANE_BLOCK else min(
-        _worker_count(), max(1, PLANE_BLOCK // (points // grid[0])))
-    todo = iter(row_blocks(grid, PLANE_BLOCK // w))
+    size = math.prod(grid)
+    w = 1 if nested or size <= points else min(
+        _worker_count(), max(1, points // (size // grid[0])))
+    todo = iter(row_blocks(grid, points // w))
     lock = threading.Lock()
     errors = []
 

@@ -20,21 +20,22 @@ so the commands that only read the frame (verify-harmonic,
 reconstruct) never derive more, and `reconstruct.verify_gauss_match`
 rebuilds a candidate surface's sphere bundle through it.  `invariants`
 is the forward stage, which only analyze runs: it takes the rest of
-what it reads as its own locals (Y's second partials Y_uu = d_u Y_u,
-Y_vv = d_v Y_v and Y_uv = d_u Y_v, psi's partials and N's), derives
-kappa, s, b, beta and D_z kappa, and norms the four structure
-residuals, dropping each partial after its last reader; it leaves its
-`SurfaceData` as it found it.
+what it reads per row block of the grid (the block's rows of Y's second
+partials Y_uu = d_u Y_u, Y_vv = d_v Y_v and Y_uv = d_u Y_v, of psi's
+partials and of N's, by `chart.partial_rows`), derives kappa, s, b,
+beta and D_z kappa, and norms the four structure residuals, in two
+passes over the row blocks on all the process's CPUs
+(`lorentz.for_blocks`); it leaves its `SurfaceData` as it found it.
 
 Within a stage each field is differentiated at most once along each
-axis; `invariants` takes Y_uu and Y_vv again, the stencils of N, since
-`SurfaceData` does not carry them past the frame.  Y's Hessian is real:
-Y_zzbar = (Y_uu + Y_vv)/4 is the W that N is built from, and
-Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2.  kappa's one d_u/d_v pair gives both
-beta and D_z kappa.  The per-point algebra runs on contiguous planes,
-one (Nu, Nv) array per entry: the pairings of the invariants, and the
-structure residuals, which are built as real and imaginary planes and
-normed across them (`chart.field_norms`).
+axis, each row of it once; `invariants` takes Y_uu and Y_vv again, the
+stencils of N, since `SurfaceData` does not carry them past the frame.
+Y's Hessian is real: Y_zzbar = (Y_uu + Y_vv)/4 is the W that N is built
+from, and Y_zz = (Y_uu - Y_vv)/4 - i Y_uv/2.  kappa's one d_u/d_v pair
+gives both beta and D_z kappa.  The per-point algebra runs on
+contiguous planes, one array per entry: the pairings of the
+invariants, and the structure residuals, which are built as real and
+imaginary planes and normed across them (`chart.point_norms`).
 """
 
 from __future__ import annotations
@@ -44,9 +45,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chart import Chart, d_u, d_v, d_zbar, field_norms, sweep, wirtinger
-from .lorentz import det, grid_first, inner, metric_signs, minors, \
-    orthonormalize, pairings, rejection, row_blocks, to_planes
+from . import lorentz
+from .chart import Chart, d_u, d_v, d_zbar, field_norms, interior_norms, \
+    partial_rows, point_norms, sweep, wirtinger
+from .lorentz import det, for_blocks, grid_first, inner, inner_unchecked, \
+    metric_signs, minors, orthonormalize, pairings, rejection, row_blocks, \
+    to_planes
 
 
 class DegenerateImmersionError(ValueError):
@@ -266,14 +270,6 @@ def _subtract_connection(out: np.ndarray, b: np.ndarray, comps: np.ndarray,
     return out
 
 
-def _complex_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + i im for real planes (a, ..., Nu, Nv), as a complex field
-    (Nu, Nv, a, ...) whose entries are contiguous planes."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return grid_first(out)
-
-
 def invariants(S: SurfaceData) -> Invariants:
     """The forward stage: kappa, s, b, beta, D_z kappa and |kappa|^2 from
     the canonical data of S, and the residual norms of the four
@@ -285,123 +281,157 @@ def invariants(S: SurfaceData) -> Invariants:
                  - 2 sum_j beta_j psi_j
         normal   psi_j,z + 2 k_j conj(Y_z) - sum_l b_jl psi_l - 2 beta_j Y
 
-    with Y_z = (Y_u - i Y_v)/2.  The partials that only this stage reads,
-    Y's Hessian Y_uu = d_u Y_u, Y_vv = d_v Y_v, Y_uv = d_u Y_v and the
-    partials of psi (on psi's planes) and of N, are its own locals, each
-    dropped after its last reader; S is left as it was.
+    with Y_z = (Y_u - i Y_v)/2.  Two passes over the row blocks of the
+    grid, each on all the process's CPUs (`for_blocks`, blocks of about
+    4 PLANE_BLOCK points, whose temporaries stay in cache); every block
+    writes only its rows of the outputs.  Pass 1 takes the block's rows
+    of Y's Hessian Y_uu = d_u Y_u, Y_vv = d_v Y_v, Y_uv = d_u Y_v
+    (`partial_rows`, bit for bit those rows of `d_u` and `d_v`) and forms
+    s, kappa and |kappa|^2, then the "lift" and "mixed" residuals.
+    Pass 2 runs once kappa is complete, since its stencils read the
+    neighbour rows: from the block's rows of psi's partials it forms b,
+    from kappa's partials beta and D_z kappa, and from N's partials the
+    "normal" and "N_deriv" residuals.  S is left as it was.
 
     The pairings with the real normal frame are real `pairings` on
     planes: k_j from those of the real and imaginary parts of kappa's
     raw field, and b from U_jl = <psi_j,u, psi_l> and
     V_jl = <psi_j,v, psi_l>, since <psi_j,z, psi_l> = (U_jl - i V_jl)/2.
-    kappa and b come out with each entry a contiguous plane, which the
-    per-entry passes downstream read.  kappa's one d_u/d_v pair gives
-    both beta = D_zbar kappa and D_z kappa.
+    kappa, b, beta and D_z kappa come out with each entry a contiguous
+    plane, which the per-entry passes downstream read.
 
-    Each residual is built on planes: an array (entries, Nu, Nv) that
-    starts as Y_zz (`zz`), Y_zzbar (`zzbar`, N's W, so "mixed" is real),
-    N_z or psi_z, into whose real and imaginary planes the real products
-    of Y, Y_u, Y_v and psi with the real and imaginary parts of the
-    invariants are added, one plane of coefficients across all entries
-    at a time; no complex field is broadcast.  Each residual is normed
-    (`field_norms`) and released before the next is built.
+    Each residual is built on the block's planes: an array (entries,
+    rows, Nv) that starts as Y_zz (`zz`), Y_zzbar (`zzbar`, N's W, so
+    "mixed" is real), N_z or psi_z, into whose real and imaginary planes
+    the real products of Y, Y_u, Y_v and psi with the real and imaginary
+    parts of the invariants are added, one plane of coefficients across
+    all entries at a time; no complex field is broadcast.  The block's
+    per-point max and sum of squares of each residual (`point_norms`)
+    go into (Nu, Nv) arrays, reduced once at the end (`interior_norms`).
+    Every point runs the same arithmetic in every block layout and on
+    every thread, so the results depend neither on the block size nor on
+    the worker count, bit for bit.
     """
     c, n = S.chart, S.n
-    Yuu, Yvv, Yuv = d_u(S.Yu, c), d_v(S.Yv, c), d_u(S.Yv, c)
-    Yzz = zz(Yuu, Yvv, Yuv)
-    s = 2.0 * inner(Yzz, S.N)
-    kap_raw = Yzz + 0.5 * s[..., None] * S.Y
-    del Yzz             # lowers the peak
-    # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N, Y_u,
-    # Y_v) (d_z is the same linear stencil), so kappa's part in that
-    # bundle drops out of the pairing
-    Psi = to_planes(S.psi)                                  # (n, dim, ...)
-    Psi_u, Psi_v = (to_planes(d(grid_first(Psi), c)) for d in (d_u, d_v))
-    k = _complex_planes(*(pairings(part, Psi)[0]
-                          for part in to_planes(kap_raw[..., None, :])))
-    del kap_raw
+    grid = S.Y.shape[:-1]
+    s = np.empty(grid, dtype=complex)
+    k2 = np.empty(grid)
+    kappa, beta, dz_kappa = (np.empty((n,) + grid, dtype=complex)
+                             for _ in range(3))
+    b = np.empty((n, n) + grid, dtype=complex)
+    # per residual, its per-point max and sum of squares; the report
+    # keeps this order
+    norms = {name: (np.empty(grid), np.empty(grid))
+             for name in ("lift", "mixed", "N_deriv", "normal")}
 
-    # b = (b_raw - b_raw^T)/2, b_raw = <psi_z, psi> = (U - iV)/2
-    U = pairings(Psi_u, Psi)                                # (n, n, ...)
-    V = pairings(Psi_v, Psi)
-    b = _complex_planes(0.25 * (U - np.swapaxes(U, 0, 1)),
-                        -0.25 * (V - np.swapaxes(V, 0, 1)))
-    del U, V
-
-    ku, kv = d_u(k, c), d_v(k, c)
-    beta = _subtract_connection(wirtinger(ku, kv, 1), b, k, conjugate=True)
-    dz_kappa = _subtract_connection(wirtinger(ku, kv, -1), b, k,
-                                    conjugate=False)
-    del ku, kv
-    k2 = np.sum(k.real ** 2 + k.imag ** 2, axis=-1)
-
-    kr, ki = to_planes(k, values=1)                     # (n, Nu, Nv)
-    br, bi = 2.0 * to_planes(beta, values=1)
-    b_re, b_im = to_planes(b)                           # (n, n, Nu, Nv)
-    Yuu, Yvv, Yuv = (np.moveaxis(x, -1, 0)              # (dim, Nu, Nv)
-                     for x in (Yuu, Yvv, Yuv))           # views
-    Y = to_planes(S.Y, values=1)
-    tmp = np.empty_like(Y)
+    def planes(f, rows):
+        """The block's rows of a field (Nu, Nv, dim) as planes (dim, ...)"""
+        return to_planes(f[rows], values=1)
 
     def add(out, coef, vecs, sign=1.0):
         """out += sign * coef * vecs, coef one plane across the entries"""
-        np.multiply(coef, vecs, out=tmp)
+        tmp = coef * vecs
         if sign > 0:
             out += tmp
         else:
             out -= tmp
 
-    # psi_z first: psi's partials, the largest fields here, are released
-    # before the other residuals are built; the report keeps its order
-    structure = dict.fromkeys(("lift", "mixed", "N_deriv", "normal"))
-    Yu, Yv = (to_planes(x, values=1) for x in (S.Yu, S.Yv))
-    r = np.empty(Psi.shape, dtype=complex)               # psi_z
-    np.multiply(Psi_u, 0.5, out=r.real)
-    np.multiply(Psi_v, -0.5, out=r.imag)
-    del Psi_u, Psi_v
-    for j in range(n):
-        re, im = r.real[j], r.imag[j]
-        add(re, kr[j], Yu)
-        add(re, ki[j], Yv, -1.0)
-        add(im, ki[j], Yu)
-        add(im, kr[j], Yv)
-        for l in _others(n, j):       # b's zero diagonal is left out
-            add(re, b_re[j, l], Psi[l], -1.0)
-            add(im, b_im[j, l], Psi[l], -1.0)
-        add(re, br[j], Y, -1.0)
-        add(im, bi[j], Y, -1.0)
-    structure["normal"] = field_norms(grid_first(r), c)
+    def store(name, r, rows):
+        top, squares = norms[name]
+        top[rows], squares[rows] = point_norms(grid_first(r))
 
-    r = zz(Yuu, Yvv, Yuv)
-    del Yuv
-    for part, sx, kx in ((r.real, s.real, kr), (r.imag, s.imag, ki)):
-        add(part, 0.5 * sx, Y)
+    def first(rows):
+        Yuu, Yvv, Yuv = (partial_rows(f, c, axis, rows) for f, axis in
+                         ((S.Yu, 0), (S.Yv, 1), (S.Yv, 0)))
+        Yzz = zz(Yuu, Yvv, Yuv)
+        sb = s[rows]
+        np.multiply(2.0, inner_unchecked(Yzz, S.N[rows]), out=sb)
+        kap_raw = Yzz + 0.5 * sb[..., None] * S.Y[rows]
+        # psi spans the complement of span(Y, N, Y_z, Y_zbar) = span(Y, N,
+        # Y_u, Y_v) (d_z is the same linear stencil), so kappa's part in
+        # that bundle drops out of the pairing
+        Psi = to_planes(S.psi[rows])                    # (n, dim, ...)
+        k = kappa[:, rows]
+        k.real, k.imag = (pairings(part, Psi)[0]
+                          for part in to_planes(kap_raw[..., None, :]))
+        kg = grid_first(k)
+        k2[rows] = np.sum(kg.real ** 2 + kg.imag ** 2, axis=-1)
+
+        Y = planes(S.Y, rows)
+        Yuu, Yvv, Yuv = (np.moveaxis(x, -1, 0)        # (dim, ...) views
+                         for x in (Yuu, Yvv, Yuv))
+        r = zz(Yuu, Yvv, Yuv)
+        for part, sx, kx in ((r.real, sb.real, k.real),
+                             (r.imag, sb.imag, k.imag)):
+            add(part, 0.5 * sx, Y)
+            for j in range(n):
+                add(part, kx[j], Psi[j], -1.0)
+        store("lift", r, rows)
+
+        r = zzbar(Yuu, Yvv)
+        add(r, k2[rows], Y)
+        add(r, 0.5, planes(S.N, rows), -1.0)
+        store("mixed", r, rows)
+
+    def second(rows):
+        Psi = to_planes(S.psi[rows])                    # (n, dim, ...)
+        Psi_u, Psi_v = (to_planes(partial_rows(S.psi, c, axis, rows))
+                        for axis in (0, 1))
+        # b = (b_raw - b_raw^T)/2, b_raw = <psi_z, psi> = (U - iV)/2
+        U = pairings(Psi_u, Psi)                        # (n, n, ...)
+        V = pairings(Psi_v, Psi)
+        bb = b[:, :, rows]
+        bb.real = 0.25 * (U - np.swapaxes(U, 0, 1))
+        bb.imag = -0.25 * (V - np.swapaxes(V, 0, 1))
+
+        k, bg = kappa[:, rows], grid_first(bb)
+        ku, kv = (partial_rows(grid_first(kappa), c, axis, rows)
+                  for axis in (0, 1))
+        for out, sign in ((beta, 1), (dz_kappa, -1)):
+            out[:, rows] = np.moveaxis(_subtract_connection(
+                wirtinger(ku, kv, sign), bg, grid_first(k),
+                conjugate=sign > 0), -1, 0)
+
+        kr, ki = k.real, k.imag                         # (n, ...)
+        br, bi = 2.0 * beta.real[:, rows], 2.0 * beta.imag[:, rows]
+        Y, Yu, Yv = (planes(f, rows) for f in (S.Y, S.Yu, S.Yv))
+        r = np.empty(Psi.shape, dtype=complex)          # psi_z
+        np.multiply(Psi_u, 0.5, out=r.real)
+        np.multiply(Psi_v, -0.5, out=r.imag)
         for j in range(n):
-            add(part, kx[j], Psi[j], -1.0)
-    structure["lift"] = field_norms(grid_first(r), c)
+            re, im = r.real[j], r.imag[j]
+            add(re, kr[j], Yu)
+            add(re, ki[j], Yv, -1.0)
+            add(im, ki[j], Yu)
+            add(im, kr[j], Yv)
+            for l in _others(n, j):       # b's zero diagonal is left out
+                add(re, bb.real[j, l], Psi[l], -1.0)
+                add(im, bb.imag[j, l], Psi[l], -1.0)
+            add(re, br[j], Y, -1.0)
+            add(im, bi[j], Y, -1.0)
+        store("normal", r, rows)
 
-    N = to_planes(S.N, values=1)
-    r = zzbar(Yuu, Yvv)
-    del Yuu, Yvv
-    add(r, k2, Y)
-    add(r, 0.5, N, -1.0)
-    structure["mixed"] = field_norms(grid_first(r), c)
+        r = np.empty(Y.shape, dtype=complex)            # N_z
+        for axis, part, scale in ((0, r.real, 0.5), (1, r.imag, -0.5)):
+            np.multiply(to_planes(partial_rows(S.N, c, axis, rows),
+                                  values=1), scale, out=part)
+        sb, k2b = s[rows], k2[rows]
+        add(r.real, k2b + 0.5 * sb.real, Yu)
+        add(r.real, 0.5 * sb.imag, Yv, -1.0)
+        add(r.imag, 0.5 * sb.real - k2b, Yv)
+        add(r.imag, 0.5 * sb.imag, Yu)
+        for part, bx in ((r.real, br), (r.imag, bi)):
+            for j in range(n):
+                add(part, bx[j], Psi[j], -1.0)
+        store("N_deriv", r, rows)
 
-    r = np.empty(N.shape, dtype=complex)                 # N_z
-    for d, part, scale in ((d_u, r.real, 0.5), (d_v, r.imag, -0.5)):
-        np.multiply(to_planes(d(grid_first(N), c), values=1), scale,
-                    out=part)
-    del N
-    add(r.real, k2 + 0.5 * s.real, Yu)
-    add(r.real, 0.5 * s.imag, Yv, -1.0)
-    add(r.imag, 0.5 * s.real - k2, Yv)
-    add(r.imag, 0.5 * s.imag, Yu)
-    for part, bx in ((r.real, br), (r.imag, bi)):
-        for j in range(n):
-            add(part, bx[j], Psi[j], -1.0)
-    structure["N_deriv"] = field_norms(grid_first(r), c)
-    return Invariants(kappa=k, schwarzian=s, b=b, beta=beta,
-                      dz_kappa=dz_kappa, k2=k2, structure=structure)
+    for body in (first, second):
+        for_blocks(body, grid, points=4 * lorentz.PLANE_BLOCK)
+    return Invariants(
+        kappa=grid_first(kappa), schwarzian=s, b=grid_first(b),
+        beta=grid_first(beta), dz_kappa=grid_first(dz_kappa), k2=k2,
+        structure={name: interior_norms(*pair, c)
+                   for name, pair in norms.items()})
 
 
 def sphere_fields(raw: np.ndarray, c: Chart) -> tuple:

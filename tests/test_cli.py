@@ -608,11 +608,10 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
     shape, and each builds only the complex blocks it reads: B1 for the
     rank, the strong-conformality check and the normalization, and in
     reconstruct A1 for the scale of h (a_ij are single entries).  The
-    so-defects of P and Q are derived once over the grid for analyze's
-    b2_residual, once per row block of each level's harmonicity lines
-    (with row blocks of 1024 points on two workers: the 32 x 32 level is
-    one block, the 64 x 64 level eight blocks of 8 rows), and never in
-    reconstruct."""
+    so-defects of P and Q are derived once per row block for analyze's
+    b2_residual and of each level's harmonicity lines (with row blocks
+    of 1024 points on two workers: the 32 x 32 level is one block, the
+    64 x 64 level eight blocks of 8 rows), and never in reconstruct."""
     shapes, built, assembled, derived = set(), [], [], []
     blocks, block, wirt, defect = (gauss_frame.maurer_cartan,
                                    gauss_frame.MCBlocks._block,

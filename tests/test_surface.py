@@ -192,7 +192,9 @@ def test_each_lift_is_differentiated_once(monkeypatch):
     differentiated: 23 stencils on veronese_s4 (n = 2, one entry of b)
     and 21 on enneper (n = 1).  With row blocks of 96 points on two
     workers, the frame's stencils run over twelve row ranges of two rows
-    each, and count once per axis over the whole grid."""
+    each and the stencils of `invariants` (psi's among them) over three
+    ranges of eight rows, and each counts once per axis over the whole
+    grid."""
     seen = _stencil_spy(monkeypatch)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 96)
     helpers.force_workers(monkeypatch, 2)
@@ -201,6 +203,9 @@ def test_each_lift_is_differentiated_once(monkeypatch):
         assert {rows for f, _, rows in seen if f.ndim == 4
                 and f.shape[-2] == f.shape[-1]} == {
                     (i, i + 2) for i in range(0, 24, 2)}, kind
+        assert {rows for f, _, rows in seen if f.ndim == 4
+                and f.shape[-2] < f.shape[-1]} == {
+                    (i, i + 8) for i in range(0, 24, 8)}, kind
         assert len(got) == total, kind
         assert sum(cplx for _, _, cplx in got) == 6, kind
         counts = {}
@@ -239,11 +244,15 @@ def test_invariants_leave_surface_data_untouched(monkeypatch):
     `surface.invariants` calls S holds the same attributes, bound to the
     same arrays, the two results are equal, and each call takes the same
     nine stencils (Y's Hessian Y_uu, Y_vv, Y_uv and the d_u/d_v pairs of
-    psi, kappa and N)."""
+    psi, kappa and N), each over the whole grid: with row blocks of 96
+    points on two workers (blocks of eight rows), every row of each once,
+    in row ranges that both calls share."""
     spec = zoo.SurfaceSpec("veronese_s4")
     c = zoo.default_chart(spec, 24)
     S = surface.build_surface_data(zoo.generate(spec, c), c)
     before = dict(vars(S))
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 96)
+    helpers.force_workers(monkeypatch, 2)
     seen = _stencil_spy(monkeypatch)
     results, stencils = [], []
     for _ in range(2):
@@ -257,16 +266,38 @@ def test_invariants_leave_surface_data_untouched(monkeypatch):
         assert np.array_equal(getattr(first, name), getattr(second, name)), \
             name
     assert first.structure == second.structure
-    assert len(stencils[0]) == len(stencils[1]) == 9
-    for (f, axis, rows), (g, axis2, rows2) in zip(*stencils):
-        assert axis == axis2 and rows == rows2 and np.array_equal(f, g)
+
+    names = {"Yu": S.Yu, "Yv": S.Yv, "psi": S.psi, "N": S.N,
+             "kappa": first.kappa}
+    calls = []
+    for seen in stencils:
+        cover, got = {}, []
+        for f, axis, rows in seen:
+            name = next((name for name, x in names.items()
+                         if f.shape == x.shape and np.array_equal(f, x)),
+                        "other")
+            cover.setdefault((name, axis), np.zeros(c.Nu, dtype=int))[
+                slice(*rows)] += 1
+            got.append((name, axis, rows))
+        assert sorted(cover) == sorted(
+            [("Yu", 0), ("Yv", 1), ("Yv", 0)]
+            + [(name, axis) for name in ("psi", "kappa", "N")
+               for axis in (0, 1)])
+        assert all(np.all(rows == 1) for rows in cover.values()), cover
+        assert len(got) == 9 * 3
+        calls.append(sorted(got))
+    assert calls[0] == calls[1]
 
 
-def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
+def test_mixed_residual_reads_the_W_of_N_exactly(pipe, monkeypatch):
     """Y_zzbar is N's W bit for bit: `frame_N` rebuilds S.N exactly from
     `zzbar` of the stencils Y_uu = d_u Y_u and Y_vv = d_v Y_v, taken
     again from S, and the "mixed" structure residual is the real field
-    W + |kappa|^2 Y - N/2 built from that W."""
+    W + |kappa|^2 Y - N/2 built from that W, also with its rows taken in
+    row blocks of 96 points on two workers: its norms are those of the
+    whole field."""
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 96)
+    helpers.force_workers(monkeypatch, 2)
     for kind in ("clifford_torus", "enneper", "veronese_s4"):
         c, S, _, _ = pipe(kind)
         W = surface.zzbar(d_u(S.Yu, c), d_v(S.Yv, c))
@@ -276,6 +307,41 @@ def test_mixed_residual_reads_the_W_of_N_exactly(pipe):
         want = (W + inv.k2[..., None] * S.Y) - 0.5 * S.N
         got = inv.structure["mixed"]
         assert got == chart.field_norms(want, c), kind
+
+
+@pytest.mark.parametrize("kind, grid", [("enneper", (255, 255)),
+                                        ("veronese_s4", (255, 255)),
+                                        ("catenoid", (96, 95)),
+                                        ("clifford_torus", (128, 128))])
+def test_invariants_do_not_depend_on_the_blocks_or_the_workers(
+        monkeypatch, kind, grid):
+    """`surface.invariants` gives the same bits in one row block that
+    covers the whole grid, on one worker (the arithmetic of the stage
+    over the whole grid), as in blocks of 1024 points on two workers:
+    every field, byte for byte, and every structure norm; so does the
+    analyze report.  catenoid's chart is periodic in u, so the wrap rows
+    of its u-stencils fall in the first and the last block."""
+    spec = zoo.SurfaceSpec(kind)
+    c = zoo.default_chart(spec, grid[0])
+    c = Chart(c.u_min, c.u_max, c.v_min, c.v_max, *grid, c.topology)
+    S = surface.build_surface_data(zoo.generate(spec, c), c)
+    cfg = cli.build_config(cli.parse_args(
+        ["analyze", "--surface", kind, "--chart",
+         ",".join(map(str, (c.Nu, c.Nv, c.u_min, c.u_max, c.v_min, c.v_max,
+                            c.topology)))]))
+    results, reports = [], []
+    for block, workers in ((grid[0] * grid[1], 1), (512, 2)):
+        monkeypatch.setattr(lorentz, "PLANE_BLOCK", block)
+        helpers.force_workers(monkeypatch, workers)
+        results.append(surface.invariants(S))
+        reports.append(cli.cmd_analyze(cfg))
+    whole, blocks = results
+    for name in surface.Invariants._fields[:-1]:
+        a, b = getattr(whole, name), getattr(blocks, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert whole.structure == blocks.structure
+    assert reports[0] == reports[1]
 
 
 def test_frame_N_pairings(pipe):

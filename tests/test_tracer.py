@@ -10,10 +10,13 @@ import importlib.util
 import inspect
 import pathlib
 import sys
+import threading
 
 import pytest
 
-from willmorelab import cli  # imports every layer module
+from willmorelab import cli, lorentz  # cli imports every layer module
+
+import helpers
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
     / "tracer.py"
@@ -100,3 +103,48 @@ def test_tracer_wraps_every_layer_and_uninstalls_cleanly(tracing):
         moved = [n for n, val in names.items() if after[key][n] is not val]
         assert not moved, (key, moved)
     assert sys.modules["willmorelab.cli"].main is cli.main
+
+
+SPIED = (("lorentz", "inner"), ("chart", "d_u"), ("chart", "d_v"),
+         ("chart", "partial_rows"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "veronese_s4",
+     "--chart", "64,64,-1.0,1.0,-1.0,1.0,open"],
+    ["verify-harmonic", "--surface", "catenoid", "--refine", "2",
+     "--chart", "64,64,0.0,6.283185307179586,-1.0,1.0,periodic-u"],
+    ["reconstruct", "--surface", "clifford_torus", "--chart",
+     "64,64,0.0,6.283185307179586,0.0,6.283185307179586,periodic-both"]],
+    ids=["analyze", "verify-harmonic", "reconstruct"])
+def test_counted_calls_run_on_the_calling_thread_only(monkeypatch, argv):
+    """The traced run counts the outermost calls of `lorentz.inner`,
+    `chart.d_u` and `chart.d_v` on one span stack that all threads share,
+    so such a call from a block of `lorentz.for_blocks` on a pool thread
+    could nest under another thread's and move the count.  With two
+    workers and row blocks of 512 points, small enough that every kernel
+    run through `for_blocks` threads on these 64 x 64 grids, analyze,
+    verify-harmonic --refine 2 and reconstruct call the three only on
+    the thread that runs the command: each is spied at every package
+    module binding, as the tracer wraps it.  `chart.partial_rows`,
+    spied likewise, also runs on a pool thread, so blocks did run
+    there."""
+    monkeypatch.setattr(lorentz, "PLANE_BLOCK", 512)
+    helpers.force_workers(monkeypatch, 2)
+    calls = []
+    for layer, name in SPIED:
+        fn = getattr(sys.modules[f"willmorelab.{layer}"], name)
+
+        def spy(*args, fn=fn, name=name, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        for mod in _package_modules().values():
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, spy)
+    assert sys.modules["willmorelab.cli"].main(argv) in (0, 2)
+    here = threading.get_ident()
+    elsewhere = {name for name, ident in calls if ident != here}
+    assert elsewhere == {"partial_rows"}, elsewhere
+    assert {name for name, _ in calls} >= {"inner", "d_u", "d_v"}
