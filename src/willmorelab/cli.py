@@ -140,6 +140,21 @@ def _skip(skipped: list, name: str, reason: str) -> None:
     print(f"SKIP {name}: {reason}")
 
 
+def _report(cfg, checks: list, skipped: list, invariants=None,
+            residuals=None, classification=None, roundtrip=None) -> tuple:
+    """(report, exit code) of a command: the six sections in their order,
+    an empty dict for each one the command does not fill, then
+    "skipped" if a check could not run; the code is 0 if every check
+    passes, 2 otherwise."""
+    report = {"config": cfg, "invariants": invariants or {},
+              "residuals": residuals or {},
+              "classification": classification or {},
+              "roundtrip": roundtrip or {}, "checks": checks}
+    if skipped:
+        report["skipped"] = skipped
+    return report, 0 if all(ch["pass"] for ch in checks) else 2
+
+
 def _residual_tol(c: Chart, tol: float) -> float:
     """Scale-aware threshold for O(h^2) residuals.
 
@@ -178,27 +193,18 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     del F           # its last reader: the rank and the report read M
     _, max_rank = gauss_frame.s_willmore_rank(M.B1, c)
 
-    report = {
-        "config": cfg,
-        "invariants": {
-            "kappa_max": kappa_max,
-            "schwarzian_max": schwarzian_max,
-            "willmore_energy": energy["value"],
-            "energy_chart_local": energy["chart_local"],
-            "s_willmore_max_rank": max_rank,
-        },
-        "residuals": {
-            "structure": sr, "integrability": ir,
-            "willmore_residual_sup": wres,
-            "frame_group_residual": group_residual,
-            "b2_block_residual": M.b2_residual,
-        },
-        "classification": {},
-        "roundtrip": {},
-        "checks": checks,
-    }
-    code = 0 if all(ch["pass"] for ch in checks) else 2
-    return report, code
+    return _report(cfg, checks, [], invariants={
+        "kappa_max": kappa_max,
+        "schwarzian_max": schwarzian_max,
+        "willmore_energy": energy["value"],
+        "energy_chart_local": energy["chart_local"],
+        "s_willmore_max_rank": max_rank,
+    }, residuals={
+        "structure": sr, "integrability": ir,
+        "willmore_residual_sup": wres,
+        "frame_group_residual": group_residual,
+        "b2_block_residual": M.b2_residual,
+    })
 
 
 def _observed_orders(coarse: dict, fine: dict) -> dict:
@@ -270,13 +276,7 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         _skip(skipped, "convergence_order",
               "external input has no generator to refine")
 
-    report = {"config": cfg, "invariants": {}, "residuals": {
-        "levels": levels}, "classification": {}, "roundtrip": {},
-        "checks": checks}
-    if skipped:
-        report["skipped"] = skipped
-    code = 0 if all(ch["pass"] for ch in checks) else 2
-    return report, code
+    return _report(cfg, checks, skipped, residuals={"levels": levels})
 
 
 def cmd_reconstruct(cfg) -> tuple[dict, int]:
@@ -336,18 +336,15 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
         # b1 / b2ii / ambiguous: a structured verdict, not a failure
         roundtrip["verdict"] = cl.verdict
 
-    report = {"config": cfg, "invariants": {}, "residuals": normalization,
-              "classification": classification, "roundtrip": roundtrip,
-              "checks": checks}
+    skipped = []
     if cfg.get("out") and cfg["format"] == "csv":
         if out_map is None:
-            report["skipped"] = []
-            _skip(report["skipped"], "export",
-                  f"case {cl.case} has no surface to export")
+            _skip(skipped, "export", f"case {cl.case} has no surface to "
+                  "export")
         else:
             zoo.save(cfg["out"], out_map, c, fmt="csv")
-    code = 0 if all(ch["pass"] for ch in checks) else 2
-    return report, code
+    return _report(cfg, checks, skipped, residuals=normalization,
+                   classification=classification, roundtrip=roundtrip)
 
 
 COMMANDS = {"analyze": cmd_analyze,

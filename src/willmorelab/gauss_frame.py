@@ -14,7 +14,7 @@ lives in `surface`, next to the normal derivatives it is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,19 +67,22 @@ def _so_defect(X: np.ndarray) -> np.ndarray:
 class MCBlocks:
     """The Maurer-Cartan form F^{-1} dF = P du + Q dv, with complex blocks.
 
-    P = F^{-1} F_u and Q = F^{-1} F_v are real; the dz-coefficient is
-    alpha = (P - iQ)/2 and the dzbar-coefficient its conjugate.  A1, A2,
-    B1, B2 are the blocks of alpha, each built from the pair when read
-    and not kept, since a reconstruct op holds its normalized form to
-    the end.
+    P = F^{-1} F_u and Q = F^{-1} F_v are real.  The blocks are those of
+    alpha = (P + sign iQ)/2 (`wirtinger`): the dz-coefficient for sign -1
+    (`maurer_cartan`), the dzbar-coefficient, alpha's conjugate, for
+    sign +1 (`conjugate`).  A1, A2, B1, B2 are the blocks of alpha, each
+    built from the pair when read and not kept, since a reconstruct op
+    holds its normalized form to the end.
     """
     P: np.ndarray          # (Nu, Nv, n+4, n+4) real
     Q: np.ndarray          # (Nu, Nv, n+4, n+4) real
     chart: Chart
+    sign: int = -1         # the coordinate: -1 for z, +1 for zbar
 
     def _block(self, rows, cols) -> np.ndarray:
         """alpha[..., rows, cols] from the pair (a block, or an entry)."""
-        return wirtinger(self.P[..., rows, cols], self.Q[..., rows, cols], -1)
+        return wirtinger(self.P[..., rows, cols], self.Q[..., rows, cols],
+                         self.sign)
 
     @property
     def A1(self) -> np.ndarray:
@@ -98,8 +101,8 @@ class MCBlocks:
         return self._block(slice(4, None), slice(None, 4))
 
     def full(self) -> np.ndarray:
-        """The (n+4)x(n+4) dz-coefficient matrix field alpha."""
-        return wirtinger(self.P, self.Q, -1)
+        """The (n+4)x(n+4) matrix field alpha, in the coordinate `sign`."""
+        return wirtinger(self.P, self.Q, self.sign)
 
     def k_part(self) -> np.ndarray:
         """Block-diagonal part (A1, A2) embedded in the full matrix."""
@@ -117,8 +120,9 @@ class MCBlocks:
 
     def conjugate(self) -> "MCBlocks":
         """Entrywise conjugate blocks: the same form in the conjugate
-        holomorphic coordinate (dz and dzbar exchange, v -> -v)."""
-        return MCBlocks(self.P, -self.Q, self.chart)
+        holomorphic coordinate (dz and dzbar exchange), sharing P and Q
+        and flipping `sign`."""
+        return replace(self, sign=-self.sign)
 
     def so_defects(self, rows=...) -> tuple:
         """(D_P, D_Q), the so-defects X_B2 + X_B1^T I13 of P and of Q,
@@ -132,10 +136,11 @@ class MCBlocks:
     def b2_residual(self) -> float:
         """sup |B2 + B1^T I13| over alpha's blocks, bit for bit: the
         so-defect of alpha = (P - iQ)/2 is that of the pair halved, which
-        is exact.  One row block of the grid at a time, on all the
-        process's CPUs (`for_blocks`), each block writing the max of its
-        rows, so no grid-sized defect exists; the max of the rows' maxima
-        is the grid's max."""
+        is exact, and its modulus is that of the conjugate's (sign +1).
+        One row block of the grid at a time, on all the process's CPUs
+        (`for_blocks`), each block writing the max of its rows, so no
+        grid-sized defect exists; the max of the rows' maxima is the
+        grid's max."""
         top = np.empty(self.P.shape[0])
 
         def block(rows):

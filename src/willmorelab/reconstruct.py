@@ -10,7 +10,7 @@ surface seen through stereographic projection from that vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,16 +28,17 @@ SQRT2 = np.sqrt(2.0)
 class NormalizedFrame:
     """Frame with the B1 block in canonical row shape.
 
-    `orientation` records the holomorphic coordinate of the blocks:
-    "same" means d_z, "conjugate" means the blocks were canonicalized in
-    the conjugate coordinate and all dz-coefficients are stored with
-    respect to d_zbar.
+    The holomorphic coordinate of the blocks is `blocks.sign`: -1 for z,
+    +1 when the blocks were canonicalized in the conjugate coordinate
+    and are the dzbar-coefficients.  `orientation` reads it as "same" or
+    "conjugate".
     """
     F: np.ndarray          # (Nu, Nv, dim, dim), real
-    blocks: MCBlocks       # w.r.t. the orientation's holomorphic coordinate
-    orientation: str
+    blocks: MCBlocks       # in the coordinate blocks.sign
 
     chart = property(lambda self: self.blocks.chart)
+    orientation = property(
+        lambda self: "same" if self.blocks.sign < 0 else "conjugate")
 
     # the frame columns (e0, e0hat, e1, e2) of the four-column bundle
     e0 = property(lambda self: self.F[..., :, 0])
@@ -53,10 +54,8 @@ class NormalizedFrame:
         return self.blocks.a(1, 3) + self.blocks.a(2, 3)
 
     def d_hol(self, f: np.ndarray) -> np.ndarray:
-        """Derivative in the orientation's holomorphic coordinate."""
-        if self.orientation == "conjugate":
-            return d_zbar(f, self.chart)
-        return d_z(f, self.chart)
+        """Derivative in the blocks' holomorphic coordinate `blocks.sign`."""
+        return (d_zbar if self.blocks.sign > 0 else d_z)(f, self.chart)
 
     def speccond_residual(self) -> float:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
@@ -75,11 +74,12 @@ def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
 
     M must be maurer_cartan(F, c), whose chart c is the frame's.  When
     B1 already has the canonical shape, the frame is F and the blocks
-    are M (conjugated for orientation "conjugate"): the arrays are
-    shared, not copied.  Otherwise the SO+(1,3) gauge comes from the
-    pointwise rank-1 factorization of the columns in the 2x2-matrix
-    model plus a continuation sweep, so it is smooth wherever B1 is, and
-    the frame and all blocks are recomputed in the new gauge.
+    share M's P and Q (`MCBlocks.conjugate` for orientation "conjugate",
+    which sets `sign` to +1): no array is copied.  Otherwise the SO+(1,3)
+    gauge comes from the pointwise rank-1 factorization of the columns
+    in the 2x2-matrix model plus a continuation sweep, so it is smooth
+    wherever B1 is, and the frame and all blocks are recomputed in the
+    new gauge.
     """
     c = M.chart
     A, _, orient = spinor.canonicalize_B1(M.B1, c, tol=tol,
@@ -91,7 +91,7 @@ def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
         M = maurer_cartan(F, c)
     if orient == "conjugate":
         M = M.conjugate()
-    return NormalizedFrame(F=F, blocks=M, orientation=orient)
+    return NormalizedFrame(F=F, blocks=M)
 
 
 def _rejection_operator(F: np.ndarray) -> np.ndarray:
@@ -329,10 +329,10 @@ def classify(NF: NormalizedFrame) -> Classification:
             "conformal Gauss map of any surface", speccond)
 
     # degenerate rank-1: renormalize so the constant vector is [e0-e0hat];
-    # NF.blocks are maurer_cartan(NF.F), conjugated with the orientation
-    M0 = NF.blocks.conjugate() if NF.orientation == "conjugate" \
-        else NF.blocks
-    NFc = normalize(NF.F, M0, orientation="conjugate")
+    # NF.blocks are maurer_cartan(NF.F) in either coordinate, so its P and
+    # Q with sign -1 are that form in z
+    NFc = normalize(NF.F, replace(NF.blocks, sign=-1),
+                    orientation="conjugate")
     Ymu, Yd = build_Y_mu(NFc)
     mixed = np.real(inner(Yd, np.conj(Yd)))
     pos_frac = float(np.mean(mixed[c.interior] > tol * np.max(np.abs(mixed))))

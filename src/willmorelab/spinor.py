@@ -99,13 +99,13 @@ def _rank1_row_direction(X: np.ndarray) -> np.ndarray:
 
 
 def _gauge_from_w(w: np.ndarray) -> np.ndarray:
-    """g in SL(2,C) with (conj(g) w) parallel to e1, given unit w."""
-    gbar = np.empty(w.shape[:-1] + (2, 2), dtype=complex)
-    gbar[..., 0, 0] = np.conj(w[..., 0])
-    gbar[..., 0, 1] = np.conj(w[..., 1])
-    gbar[..., 1, 0] = -w[..., 1]
-    gbar[..., 1, 1] = w[..., 0]
-    return np.conj(gbar)
+    """g in SL(2,C) with (conj(g) w) parallel to e1, given unit w: the
+    rows (w0, w1) and (-conj(w1), conj(w0))."""
+    g = np.empty(w.shape[:-1] + (2, 2), dtype=complex)
+    g[..., 0, :] = w
+    g[..., 1, 0] = -np.conj(w[..., 1])
+    g[..., 1, 1] = np.conj(w[..., 0])
+    return g
 
 
 def _align_to_reference(g: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -328,14 +328,6 @@ def invariants(S: SurfaceData) -> Invariants:
         """The block's rows of a field (Nu, Nv, dim) as planes (dim, ...)"""
         return to_planes(f[rows], values=1)
 
-    def add(out, coef, vecs, sign=1.0):
-        """out += sign * coef * vecs, coef one plane across the entries"""
-        tmp = coef * vecs
-        if sign > 0:
-            out += tmp
-        else:
-            out -= tmp
-
     def store(name, r, rows):
         top, squares = norms[name]
         top[rows], squares[rows] = point_norms(grid_first(r))
@@ -363,14 +355,14 @@ def invariants(S: SurfaceData) -> Invariants:
         r = zz(Yuu, Yvv, Yuv)
         for part, sx, kx in ((r.real, sb.real, k.real),
                              (r.imag, sb.imag, k.imag)):
-            add(part, 0.5 * sx, Y)
+            part += 0.5 * sx * Y
             for j in range(n):
-                add(part, kx[j], Psi[j], -1.0)
+                part -= kx[j] * Psi[j]
         store("lift", r, rows)
 
         r = zzbar(Yuu, Yvv)
-        add(r, k2[rows], Y)
-        add(r, 0.5, planes(S.N, rows), -1.0)
+        r += k2[rows] * Y
+        r -= 0.5 * planes(S.N, rows)
         store("mixed", r, rows)
 
     def second(rows):
@@ -400,15 +392,15 @@ def invariants(S: SurfaceData) -> Invariants:
         np.multiply(Psi_v, -0.5, out=r.imag)
         for j in range(n):
             re, im = r.real[j], r.imag[j]
-            add(re, kr[j], Yu)
-            add(re, ki[j], Yv, -1.0)
-            add(im, ki[j], Yu)
-            add(im, kr[j], Yv)
+            re += kr[j] * Yu
+            re -= ki[j] * Yv
+            im += ki[j] * Yu
+            im += kr[j] * Yv
             for l in _others(n, j):       # b's zero diagonal is left out
-                add(re, bb.real[j, l], Psi[l], -1.0)
-                add(im, bb.imag[j, l], Psi[l], -1.0)
-            add(re, br[j], Y, -1.0)
-            add(im, bi[j], Y, -1.0)
+                re -= bb.real[j, l] * Psi[l]
+                im -= bb.imag[j, l] * Psi[l]
+            re -= br[j] * Y
+            im -= bi[j] * Y
         store("normal", r, rows)
 
         r = np.empty(Y.shape, dtype=complex)            # N_z
@@ -416,13 +408,14 @@ def invariants(S: SurfaceData) -> Invariants:
             np.multiply(to_planes(partial_rows(S.N, c, axis, rows),
                                   values=1), scale, out=part)
         sb, k2b = s[rows], k2[rows]
-        add(r.real, k2b + 0.5 * sb.real, Yu)
-        add(r.real, 0.5 * sb.imag, Yv, -1.0)
-        add(r.imag, 0.5 * sb.real - k2b, Yv)
-        add(r.imag, 0.5 * sb.imag, Yu)
-        for part, bx in ((r.real, br), (r.imag, bi)):
+        re, im = r.real, r.imag
+        re += (k2b + 0.5 * sb.real) * Yu
+        re -= 0.5 * sb.imag * Yv
+        im += (0.5 * sb.real - k2b) * Yv
+        im += 0.5 * sb.imag * Yu
+        for part, bx in ((re, br), (im, bi)):
             for j in range(n):
-                add(part, bx[j], Psi[j], -1.0)
+                part -= bx[j] * Psi[j]
         store("N_deriv", r, rows)
 
     for body in (first, second):

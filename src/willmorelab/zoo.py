@@ -365,11 +365,6 @@ def _read_table(path: str) -> np.ndarray:
     return table
 
 
-def _read_csv(path: str) -> np.ndarray:
-    """The Y columns of a lift CSV (`_read_table`)."""
-    return np.ascontiguousarray(_read_table(path)[:, 2:])
-
-
 def load(path: str, c: Chart) -> np.ndarray:
     """Read a lift field on the chart c.
 

@@ -330,8 +330,7 @@ def test_criterion_9_degenerate_cases():
 
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 96, 96, "periodic-both")
     F = helpers.rank2_degenerate_frame(c)
-    NF = reconstruct.NormalizedFrame(F=F, blocks=maurer_cartan(F, c),
-                                     orientation="same")
+    NF = reconstruct.NormalizedFrame(F=F, blocks=maurer_cartan(F, c))
     cl = reconstruct.classify(NF)
     ok &= (cl.case == "b1" and not cl.has_willmore_surface
            and "no Willmore surface" in cl.verdict)

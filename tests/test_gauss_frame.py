@@ -82,7 +82,7 @@ def test_mc_blocks_are_views_of_one_array(pipe, rng):
         assert np.array_equal(block, new), name
         assert np.array_equal(M.full()[..., rows, cols], new), name
     Mc = M.conjugate()
-    assert Mc.P is M.P
+    assert Mc.P is M.P and Mc.Q is M.Q
     for name in ("A1", "A2", "B1", "B2"):
         assert _same_bits(getattr(Mc, name), np.conj(getattr(M, name)))
     k, p = M.k_part(), M.p_part()
@@ -93,11 +93,13 @@ def test_mc_blocks_are_views_of_one_array(pipe, rng):
 
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
 def test_conjugate_shares_P_and_is_the_conjugate_bit_for_bit(pipe, kind):
-    """conjugate() is (P, -Q): it keeps P, and full(), every block and
-    a(i, j) equal np.conj of the form's own, signed zeros included."""
+    """conjugate() shares P and Q and flips the coordinate `sign`, and
+    full(), every block and a(i, j) equal np.conj of the form's own,
+    signed zeros included; conjugating twice gives the form back."""
     _, _, _, M = pipe(kind)
     Mc = M.conjugate()
-    assert Mc.P is M.P and np.shares_memory(Mc.P, M.P)
+    assert Mc.P is M.P and Mc.Q is M.Q
+    assert (M.sign, Mc.sign, Mc.conjugate().sign) == (-1, 1, -1)
     assert Mc.b2_residual == M.b2_residual
     assert _same_bits(Mc.full(), np.conj(M.full()))
     for name in ("A1", "A2", "B1", "B2"):

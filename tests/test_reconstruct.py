@@ -465,7 +465,7 @@ def test_rank2_degenerate_classifies_b1():
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 96, 96, "periodic-both")
     F = helpers.rank2_degenerate_frame(c)
     M = maurer_cartan(F, c)
-    NF = reconstruct.NormalizedFrame(F=F, blocks=M, orientation="same")
+    NF = reconstruct.NormalizedFrame(F=F, blocks=M)
     cl = reconstruct.classify(NF)
     assert cl.case == "b1"
     assert not cl.has_willmore_surface
@@ -516,11 +516,11 @@ def test_degenerate_branch_matches_the_conjugated_complex_form(
     whose MCBlocks.conjugate() is the conjugate of the complex product
     F^{-1} d_z F (`oracles.maurer_cartan_complex`).
 
-    A conjugate() returning (-P, Q), that is -conj(alpha), leaves Y_mu,
-    h_sup and the stereographic residuals unchanged: each is even in the
-    sign of the form (mu is a ratio of products of two B1 entries, h
-    enters only as |h|), so only the renormalized blocks tell the two
-    apart, and they are pinned here."""
+    A conjugate() returning (-P, -Q) with the sign flipped, that is
+    -conj(alpha), leaves Y_mu, h_sup and the stereographic residuals
+    unchanged: each is even in the sign of the form (mu is a ratio of
+    products of two B1 entries, h enters only as |h|), so only the
+    renormalized blocks tell the two apart, and they are pinned here."""
     c, _, F, M = pipe("enneper")
     # the frame and orientation of every form the run builds
     origin = {id(M): (F, False)}
@@ -535,17 +535,18 @@ def test_degenerate_branch_matches_the_conjugated_complex_form(
 
     def oracle_conjugate(self):
         Fx, conjugated = origin[id(self)]
+        # the pair of the complex form alpha = (P - iQ)/2, in the other
+        # coordinate: sign +1 reads it as conj(alpha)
         alpha = oracles.maurer_cartan_complex(Fx, self.chart)
-        if not conjugated:
-            alpha = np.conj(alpha)
-        out = MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, self.chart)
+        out = MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, self.chart,
+                       -self.sign)
         origin[id(out)] = (Fx, not conjugated)
         keep.append(out)
         calls.append(conjugated)
         return out
 
     def negated_conjugate(self):
-        return MCBlocks(-self.P, self.Q, self.chart)
+        return MCBlocks(-self.P, -self.Q, self.chart, -self.sign)
 
     got = _degenerate_run(pipe, "enneper", monkeypatch)
     monkeypatch.setattr(reconstruct, "maurer_cartan", tracked)

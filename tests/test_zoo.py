@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +209,60 @@ def test_float_text_matches_repr(patterns):
                                            for v in x.tolist()]
 
 
+def test_float_text_takes_the_fast_path(monkeypatch):
+    """repr formats at most 1% of a seeded sample of floats spanning
+    seven decades: the fast path is on, not only the bytes right (170 of
+    the 20,000 fall back here)."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1e3, 1e3, 20000) * 10.0 ** rng.integers(-4, 4, 20000)
+    slow = []
+
+    def spy(v):
+        slow.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(zoo, "repr", spy, raising=False)
+    got = zoo._float_text(x).tolist()
+    monkeypatch.undo()
+    assert got == [repr(v).encode() for v in x.tolist()]
+    assert 0 < len(slow) <= 0.01 * x.size
+
+
+def test_two_product_is_exact(rng):
+    """hi + lo is a 10^k exactly, with hi = fl(a 10^k), for every k the
+    formatter uses."""
+    a = rng.uniform(1, 10, 2000) * 10.0 ** rng.integers(-6, 16, 2000)
+    k = np.clip(16 - np.floor(np.log10(a)), 0, 22).astype(np.intp)
+    hi, lo = zoo._two_product(a, k)
+    assert np.array_equal(hi, a * 10.0 ** k)
+    for h, l, x, e in zip(hi.tolist(), lo.tolist(), a.tolist(), k.tolist()):
+        assert Fraction(h) + Fraction(l) == Fraction(x) * 10**e, (x, e)
+
+
+@pytest.mark.parametrize("kind,param,bounds,topology", [
+    ("round_sphere", None, (-1.0, 1.0, -1.0, 1.0), "open"),
+    ("clifford_torus", None, (0.0, 2 * np.pi, 0.0, 2 * np.pi),
+     "periodic-both"),
+    ("torus_of_revolution", 3.0, (0.0, 2 * np.pi, 0.0, np.pi / np.sqrt(2)),
+     "periodic-both"),
+    ("torus_of_revolution", 1.25, (0.0, 2 * np.pi, 0.0, 8 * np.pi / 3),
+     "periodic-both"),
+    ("catenoid", None, (0.0, 2 * np.pi, -1.0, 1.0), "periodic-u"),
+    ("enneper", None, (-0.8, 0.8, -0.8, 0.8), "open"),
+    ("veronese_s4", None, (-1.0, 1.0, -1.0, 1.0), "open")])
+def test_default_chart_bounds_size_and_topology(kind, param, bounds,
+                                                topology):
+    """Each kind's default chart: its bounds (a torus of revolution's v
+    period is 2 pi / sqrt(R^2 - 1)), N x N points, 64 by default, and
+    its topology."""
+    spec = zoo.SurfaceSpec(kind, param)
+    for N, c in ((64, zoo.default_chart(spec)),
+                 (24, zoo.default_chart(spec, 24))):
+        assert (c.Nu, c.Nv, c.topology) == (N, N, topology)
+        assert (c.u_min, c.u_max, c.v_min, c.v_max) \
+            == pytest.approx(bounds, rel=1e-15, abs=0.0)
+
+
 def test_json_roundtrip(tmp_path):
     spec = zoo.SurfaceSpec("round_sphere")
     c = zoo.default_chart(spec, 12)
@@ -243,14 +298,14 @@ def test_csv_reader_matches_float_reader(tmp_path, rng):
     c = zoo.default_chart(spec, 64)
     p = tmp_path / "enneper.csv"
     zoo.save(str(p), zoo.generate(spec, c), c)
-    assert np.array_equal(zoo._read_csv(str(p)),
+    assert np.array_equal(zoo._read_table(str(p))[:, 2:],
                           oracles.read_csv_per_float(str(p)))
     x = rng.uniform(1, 10, size=(4000, 7)) * rng.choice([-1, 1], (4000, 7)) \
         * 10.0 ** rng.integers(-300, 300, size=(4000, 7))
     p = tmp_path / "random.csv"
     p.write_text("u,v,Y0,Y1,Y2,Y3,Y4\r\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\r\n" for row in x))
-    got = zoo._read_csv(str(p))
+    got = zoo._read_table(str(p))[:, 2:]
     assert np.array_equal(got, x[:, 2:])
     assert np.array_equal(got, oracles.read_csv_per_float(str(p)))
 
