@@ -14,7 +14,7 @@ lives in `surface`, next to the normal derivatives it is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,9 @@ class MCBlocks:
     P = F^{-1} F_u and Q = F^{-1} F_v are real.  The blocks are those of
     alpha = (P + sign iQ)/2 (`wirtinger`): the dz-coefficient for sign -1
     (`maurer_cartan`), the dzbar-coefficient, alpha's conjugate, for
-    sign +1 (`conjugate`).  A1, A2, B1, B2 are the blocks of alpha, each
-    built from the pair when read and not kept, since a reconstruct op
-    holds its normalized form to the end.
+    sign +1.  A1, A2, B1 are the blocks of alpha, each built from the
+    pair when read and not kept, since a reconstruct op holds its
+    normalized form to the end.
     """
     P: np.ndarray          # (Nu, Nv, n+4, n+4) real
     Q: np.ndarray          # (Nu, Nv, n+4, n+4) real
@@ -96,10 +96,6 @@ class MCBlocks:
     def B1(self) -> np.ndarray:
         return self._block(slice(None, 4), slice(4, None))
 
-    @property
-    def B2(self) -> np.ndarray:
-        return self._block(slice(4, None), slice(None, 4))
-
     def full(self) -> np.ndarray:
         """The (n+4)x(n+4) matrix field alpha, in the coordinate `sign`."""
         return wirtinger(self.P, self.Q, self.sign)
@@ -117,12 +113,6 @@ class MCBlocks:
         out[..., :4, :4] = 0.0
         out[..., 4:, 4:] = 0.0
         return out
-
-    def conjugate(self) -> "MCBlocks":
-        """Entrywise conjugate blocks: the same form in the conjugate
-        holomorphic coordinate (dz and dzbar exchange), sharing P and Q
-        and flipping `sign`."""
-        return replace(self, sign=-self.sign)
 
     def so_defects(self, rows=...) -> tuple:
         """(D_P, D_Q), the so-defects X_B2 + X_B1^T I13 of P and of Q,

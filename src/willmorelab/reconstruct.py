@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spinor
-from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
+from .chart import Chart, d_u, d_v, sup_norm, wirtinger
 from .gauss_frame import MCBlocks, maurer_cartan, s_willmore_rank
 from .lorentz import det, inner, lorentz_inverse, pairings, \
     rejection, row_blocks, to_planes
@@ -28,17 +28,14 @@ SQRT2 = np.sqrt(2.0)
 class NormalizedFrame:
     """Frame with the B1 block in canonical row shape.
 
-    The holomorphic coordinate of the blocks is `blocks.sign`: -1 for z,
-    +1 when the blocks were canonicalized in the conjugate coordinate
-    and are the dzbar-coefficients.  `orientation` reads it as "same" or
-    "conjugate".
+    The holomorphic coordinate is `blocks.sign`, set by `normalize`: -1
+    for z, +1 when B1 was canonicalized in the conjugate coordinate and
+    the blocks are the dzbar-coefficients.
     """
     F: np.ndarray          # (Nu, Nv, dim, dim), real
     blocks: MCBlocks       # in the coordinate blocks.sign
 
     chart = property(lambda self: self.blocks.chart)
-    orientation = property(
-        lambda self: "same" if self.blocks.sign < 0 else "conjugate")
 
     # the frame columns (e0, e0hat, e1, e2) of the four-column bundle
     e0 = property(lambda self: self.F[..., :, 0])
@@ -55,7 +52,8 @@ class NormalizedFrame:
 
     def d_hol(self, f: np.ndarray) -> np.ndarray:
         """Derivative in the blocks' holomorphic coordinate `blocks.sign`."""
-        return (d_zbar if self.blocks.sign > 0 else d_z)(f, self.chart)
+        return wirtinger(d_u(f, self.chart), d_v(f, self.chart),
+                         self.blocks.sign)
 
     def speccond_residual(self) -> float:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
@@ -69,28 +67,30 @@ def _beta_k(B1: np.ndarray):
 
 
 def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
-              orientation: str | None = None) -> NormalizedFrame:
-    """Gauge a frame F so that its B1 block takes the canonical row shape.
+              sign: int | None = None) -> NormalizedFrame:
+    """Gauge a frame F so that its B1 block takes the canonical row shape
+    in the holomorphic coordinate `sign` (`spinor.canonicalize_B1`: -1
+    for z, +1 for zbar, by default the first that succeeds).
 
-    M must be maurer_cartan(F, c), whose chart c is the frame's.  When
-    B1 already has the canonical shape, the frame is F and the blocks
-    share M's P and Q (`MCBlocks.conjugate` for orientation "conjugate",
-    which sets `sign` to +1): no array is copied.  Otherwise the SO+(1,3)
-    gauge comes from the pointwise rank-1 factorization of the columns
-    in the 2x2-matrix model plus a continuation sweep, so it is smooth
-    wherever B1 is, and the frame and all blocks are recomputed in the
-    new gauge.
+    M must be maurer_cartan(F, c) in either coordinate, its chart c the
+    frame's; B1 is read in z whatever M's `sign`.  The returned blocks
+    carry the coordinate chosen as their `sign`.  When B1 already has
+    the canonical shape, the frame is F and the blocks share M's P and
+    Q: no array is copied.  Otherwise the SO+(1,3) gauge comes from the
+    pointwise rank-1 factorization of the columns in the 2x2-matrix
+    model plus a continuation sweep, so it is smooth wherever B1 is, and
+    the frame and all blocks are recomputed in the new gauge.
     """
     c = M.chart
-    A, _, orient = spinor.canonicalize_B1(M.B1, c, tol=tol,
-                                          orientation=orientation)
+    A, _, sign = spinor.canonicalize_B1(replace(M, sign=-1).B1, c, tol=tol,
+                                        sign=sign)
     if A is not None:
         del M           # the blocks are recomputed below; lowers the peak
         F = F.copy()    # the gauge acts on the four-column bundle only
         F[..., :, :4] = F[..., :, :4] @ lorentz_inverse(A)
         M = maurer_cartan(F, c)
-    if orient == "conjugate":
-        M = M.conjugate()
+    if M.sign != sign:
+        M = replace(M, sign=sign)
     return NormalizedFrame(F=F, blocks=M)
 
 
@@ -298,9 +298,9 @@ def classify(NF: NormalizedFrame) -> Classification:
     Non-degenerate branch (no constant lightlike vector in the bundle):
     the surface is [e0 - e0hat]; rank 1 means it has a dual.  Degenerate
     branch: rank 2 admits no surface at all; rank 1 leads, through the
-    conjugate-orientation renormalization, either to a minimal surface
-    in flat space (positive mixed pairing <Y_mu', conj Y_mu'>) or to a
-    further reduction.  The Y_mu of that renormalization is kept as
+    renormalization in the conjugate coordinate, either to a minimal
+    surface in flat space (positive mixed pairing <Y_mu', conj Y_mu'>)
+    or to a further reduction.  The Y_mu of that renormalization is kept as
     `Ymu`, the field the minimal surface is read off.
     """
     c = NF.chart
@@ -328,11 +328,8 @@ def classify(NF: NormalizedFrame) -> Classification:
             "no Willmore surface: degenerate with rank 2, not the "
             "conformal Gauss map of any surface", speccond)
 
-    # degenerate rank-1: renormalize so the constant vector is [e0-e0hat];
-    # NF.blocks are maurer_cartan(NF.F) in either coordinate, so its P and
-    # Q with sign -1 are that form in z
-    NFc = normalize(NF.F, replace(NF.blocks, sign=-1),
-                    orientation="conjugate")
+    # degenerate rank-1: renormalize so the constant vector is [e0-e0hat]
+    NFc = normalize(NF.F, NF.blocks, sign=1)
     Ymu, Yd = build_Y_mu(NFc)
     mixed = np.real(inner(Yd, np.conj(Yd)))
     pos_frac = float(np.mean(mixed[c.interior] > tol * np.max(np.abs(mixed))))

@@ -161,16 +161,18 @@ def _direction_consistency(dirs: np.ndarray, weights: np.ndarray):
 
 
 def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
-                    orientation: str | None = None):
+                    sign: int | None = None):
     """Gauge a null 4xn block field to the canonical row pattern.
 
-    Returns (A, Bhat, orientation) with A an SO+(1,3) field and Bhat
-    either A @ B1 (orientation "same") or A @ conj(B1) (orientation
-    "conjugate") of the shape with rows (sqrt2*beta, -sqrt2*beta, -k,
-    -ik).  When B1 (or conj(B1)) already has that shape, A is None and
-    Bhat is B1 (or conj(B1)) itself.  Passing orientation restricts the
-    attempt to that branch (a rank-1 field admits both, and they
-    normalize different things).
+    B1 is the block of the dz-coefficient; `sign` names the coordinate
+    the block is canonicalized in, as `MCBlocks.sign` does: -1 for z,
+    where the block is B1, +1 for zbar, where it is conj(B1).  Returns
+    (A, Bhat, sign) with A an SO+(1,3) field and Bhat A @ B1 (sign -1)
+    or A @ conj(B1) (sign +1) of the shape with rows (sqrt2*beta,
+    -sqrt2*beta, -k, -ik).  When the block already has that shape, A is
+    None and Bhat is the block itself.  Passing sign restricts the
+    attempt to that coordinate (a rank-1 field admits both, and they
+    normalize different things); by default z is tried first.
 
     Raises TotallyUmbilicError for identically vanishing B1 and ValueError
     when the nullity precondition fails.
@@ -184,15 +186,15 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
     if null_res > thresh:
         raise ValueError(f"B1^t I B1 != 0 (residual {null_res:.3e})")
 
-    branches = ("same", "conjugate") if orientation is None else (orientation,)
+    signs = (-1, 1) if sign is None else (sign,)
     results = []
-    for orient in branches:
-        B = B1 if orient == "same" else np.conj(B1)
+    for s in signs:
+        B = B1 if s < 0 else np.conj(B1)
         # already canonical (up to discretization): no gauge is needed,
         # and re-deriving one pointwise would only add grid noise whose
         # derivative pollutes the Maurer-Cartan blocks
         if canonical_shape_residual(B) <= min(thresh, 0.1):
-            return None, B, orient
+            return None, B, s
         A = _attempt_canonical_gauge(B, thresh)
         if A is None:
             continue
@@ -201,27 +203,27 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
         Bhat.real, Bhat.imag = A @ B.real, A @ B.imag
         res = canonical_shape_residual(Bhat)
         if res <= thresh:
-            results.append((res, orient, A, Bhat))
+            results.append((res, s, A, Bhat))
     if not results:
         raise ValueError("could not reach the canonical B1 shape "
-                         f"(orientations tried: {branches})")
-    # when both branches clear the threshold (rank one admits both), keep
-    # the earlier one unless the other is decisively sharper
+                         f"(coordinate signs tried: {signs})")
+    # when both coordinates clear the threshold (rank one admits both),
+    # keep the earlier one unless the other is decisively sharper
     best = results[0]
     for cand in results[1:]:
         if cand[0] < 0.1 * best[0]:
             best = cand
-    res, orient, A, Bhat = best
-    return A, Bhat, orient
+    res, s, A, Bhat = best
+    return A, Bhat, s
 
 
 def _attempt_canonical_gauge(B: np.ndarray, thresh: float):
-    """One orientation branch of canonicalize_B1.
+    """One coordinate of canonicalize_B1, B the block in it.
 
     The columns, viewed as rank-1 matrices m(b_j) = v_j w_j^T, admit a
-    same-orientation gauge exactly when the w_j are pointwise parallel;
-    then any g with conj(g) w ~ e1 sends every column into the vanishing
-    second-column plane.  Returns the SO+(1,3) gauge A, or None.
+    gauge exactly when the w_j are pointwise parallel; then any g with
+    conj(g) w ~ e1 sends every column into the vanishing second-column
+    plane.  Returns the SO+(1,3) gauge A, or None.
     """
     mats = vec_to_mat(np.moveaxis(B, -1, 0))          # (n, Nu, Nv, 2, 2)
     weights = np.moveaxis(np.sum(np.abs(mats) ** 2, axis=(-1, -2)), 0, -1)

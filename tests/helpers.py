@@ -10,6 +10,13 @@ import oracles
 from oracles import metric
 
 
+def same_bits(x, y):
+    """Equal arrays down to the sign of zero and the payload of NaN."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(
+        x.view(np.uint64), y.view(np.uint64))
+
+
 def force_workers(monkeypatch, workers, pool=None):
     """Run `lorentz.for_blocks` as on a host of `workers` CPUs: that
     worker count, and `pool` as the pool of the other workers (None: a
@@ -149,6 +156,63 @@ def hexagonal_torus_patch(N=48):
     y = np.stack([f(a) for a in angles for f in (np.cos, np.sin)],
                  axis=-1) / r3
     return np.concatenate([np.ones(c.shape + (1,)), y], axis=-1), c
+
+
+def qmul(p, q):
+    """Quaternion product pq of the components (w, x, y, z) of
+    w + x i + y j + z k, each a float or an array: a 4-tuple."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def hopf_cylinder(H0, mu, N, substeps=64):
+    """Raw lift (1, X) of a flat Hopf cylinder in S^3 on the N x N chart
+    [0, 3] x [0, 2pi), periodic in v, and the closed form of its energy
+    2pi int_0^3 (H^2 + 1) ds: (raw, chart, energy).
+
+    A unit-speed curve q(s) in S^3, the unit quaternions, horizontal for
+    the Hopf fibration q -> q i conj(q), solves q' = q w with
+    w = cos(a) j + sin(a) k.  X(s, t) = q(s) e^{it} has X_s = q w e^{it}
+    and X_t = q i e^{it}, orthonormal: (s, t) are isometric coordinates
+    of a flat cylinder.  Its unit normal in S^3 is nu = q u e^{it} with
+    u = w i = sin(a) j - cos(a) k, and w' = -a' u, so
+    X_ss = -X - a' nu, X_st = nu and X_tt = -X.  The second fundamental
+    form has h_ss = -a', h_st = 1, h_tt = 0: the fibres are asymptotic,
+    H = (h_ss + h_tt)/2 = -a'/2, and a' = 2H up to the sign of nu.  Its
+    determinant is -1, so the energy density is H^2 + 1 and the Willmore
+    equation Delta H + 2H(H^2 - det) = 0 reads H'' + 2H(H^2 + 1) = 0.
+
+    Here H'' = -2H^3 - mu H, H(0) = H0, H'(0) = 0, a(0) = 0, q(0) = 1,
+    by RK4 with `substeps` steps per grid step, the energy integrated as
+    one more component: mu = 2 is Willmore, any other mu is not.
+    """
+    c = Chart(0.0, 3.0, 0.0, 2 * np.pi, N, N, "periodic-v")
+
+    def rate(y):        # y = (q, a, H, H', energy / 2pi)
+        q0, q1, q2, q3, a, H, dH, _ = y.tolist()
+        w = (0.0, 0.0, np.cos(a), np.sin(a))
+        return np.array(qmul((q0, q1, q2, q3), w)
+                        + (2.0 * H, dH, -2.0 * H**3 - mu * H, H**2 + 1.0))
+
+    y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, H0, 0.0, 0.0])
+    dt = c.hu / substeps
+    q = [y[:4]]
+    for _ in range(N - 1):
+        for _ in range(substeps):
+            k1 = rate(y)
+            k2 = rate(y + 0.5 * dt * k1)
+            k3 = rate(y + 0.5 * dt * k2)
+            k4 = rate(y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        q.append(y[:4])
+    _, T = c.grid()
+    X = qmul(np.array(q).T[..., None], (np.cos(T), np.sin(T), 0.0, 0.0))
+    raw = np.stack((np.ones(c.shape),) + X, axis=-1)
+    return raw, c, 2 * np.pi * y[7]
 
 
 def reduced_frame_field(c: Chart):

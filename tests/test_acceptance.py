@@ -268,28 +268,26 @@ def test_criterion_6_matrix_model_sweeps():
 def test_criterion_7_synthetic_normalization_roundtrips():
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 24, 24, "periodic-both")
     rng = np.random.default_rng(11)
-    worst_shape, worst_jump, orients_ok = 0.0, 0.0, True
+    worst_shape, worst_jump, signs_ok = 0.0, 0.0, True
     for rank in (1, 2):
-        for orient in ("same", "conjugate"):
+        for sign in (-1, 1):
             B1can = helpers.canonical_B1_field(c, rng, n=2, rank=rank)
             Lam = helpers.random_so13_gauge(c, rng).astype(complex)
-            scrambled = Lam @ (np.conj(B1can) if orient == "conjugate"
-                               else B1can)
-            # rank one admits both branches, so that case names its branch
-            want = orient if rank == 1 else None
-            A, Bhat, got = spinor.canonicalize_B1(scrambled, c,
-                                                  orientation=want)
-            orients_ok &= (got == orient)
+            scrambled = Lam @ (np.conj(B1can) if sign > 0 else B1can)
+            # rank one admits both coordinates, so that case names its own
+            want = sign if rank == 1 else None
+            A, Bhat, got = spinor.canonicalize_B1(scrambled, c, sign=want)
+            signs_ok &= (got == sign)
             worst_shape = max(worst_shape,
                               spinor.canonical_shape_residual(Bhat))
             worst_jump = max(worst_jump, helpers.neighbor_jump(A))
             ok_grp, _ = lorentz.validate_group(A, 1e-8)
-            orients_ok &= bool(np.all(ok_grp))
-    ok = worst_shape <= 1e-8 and worst_jump <= 10 * c.h and orients_ok
+            signs_ok &= bool(np.all(ok_grp))
+    ok = worst_shape <= 1e-8 and worst_jump <= 10 * c.h and signs_ok
     verdict(7, "canonical-shape gauge recovery from scrambled blocks", ok,
             f"worst shape residual {worst_shape:.1e} (tol 1e-8), worst "
             f"gauge jump {worst_jump:.2f} (tol {10 * c.h:.2f} = 10h), "
-            f"branches detected correctly: {orients_ok}")
+            f"coordinates detected correctly: {signs_ok}")
 
 
 def test_criterion_8_surface_roundtrip_and_dual():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,8 @@ def test_maurer_cartan_matches_block_formulas(pipe, kind):
     c, S, _, M = pipe(kind)
     P = oracles.surface_gauge_blocks(surface.invariants(S), c)
     scale = np.max(np.abs(M.full()))
-    for got, want in ((M.A1, P.A1), (M.A2, P.A2),
-                      (M.B1, P.B1), (M.B2, P.B2)):
+    for name in ("A1", "A2", "B1", "B2"):
+        got, want = oracles.block(M, name), oracles.block(P, name)
         assert sup_norm(got - want, c) < 100 * c.h**2 * scale, kind
 
 
@@ -44,7 +46,8 @@ def test_b2_block_relation(pipe):
     _, _, _, M = pipe("veronese_s4")
     assert M.b2_residual < 1e-1
     want = -np.swapaxes(M.B1, -1, -2) @ metric(4)
-    assert np.max(np.abs(M.B2 - want)) == pytest.approx(M.b2_residual)
+    assert np.max(np.abs(oracles.block(M, "B2") - want)) == \
+        pytest.approx(M.b2_residual)
 
 
 def test_block_assembly_roundtrip(pipe):
@@ -55,21 +58,14 @@ def test_block_assembly_roundtrip(pipe):
     assert np.allclose(M.a(1, 3), M.A1[..., 0, 2])
 
 
-def _same_bits(x, y):
-    """Equal arrays down to the sign of zero and the payload of NaN."""
-    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(
-        x.view(np.uint64), y.view(np.uint64))
-
-
 def test_mc_blocks_are_views_of_one_array(pipe, rng):
     """Every block reads the one real pair (P, Q): writes to a block of P
-    and Q reach that block of alpha = (P - iQ)/2 and of full(),
-    conjugate() is the blockwise conjugate and k_part() + p_part()
-    rebuilds full() exactly."""
+    and Q reach that block of alpha = (P - iQ)/2 and of full(), the
+    form in the conjugate coordinate (sign +1) is the blockwise
+    conjugate and k_part() + p_part() rebuilds full() exactly."""
     c, _, _, M0 = pipe("veronese_s4")
     M = gauss_frame.MCBlocks(M0.P.copy(), M0.Q.copy(), c)
-    assert _same_bits(M.full(), wirtinger(M.P, M.Q, -1))
+    assert helpers.same_bits(M.full(), wirtinger(M.P, M.Q, -1))
     for name, rows, cols in (("A1", slice(0, 4), slice(0, 4)),
                              ("A2", slice(4, 6), slice(4, 6)),
                              ("B1", slice(0, 4), slice(4, 6)),
@@ -78,13 +74,13 @@ def test_mc_blocks_are_views_of_one_array(pipe, rng):
         p, q = rng.normal(size=shape), rng.normal(size=shape)
         M.P[..., rows, cols], M.Q[..., rows, cols] = p, q
         new = 0.5 * p - 0.5j * q
-        block = getattr(M, name)
-        assert np.array_equal(block, new), name
+        assert np.array_equal(oracles.block(M, name), new), name
         assert np.array_equal(M.full()[..., rows, cols], new), name
-    Mc = M.conjugate()
+    Mc = replace(M, sign=1)
     assert Mc.P is M.P and Mc.Q is M.Q
     for name in ("A1", "A2", "B1", "B2"):
-        assert _same_bits(getattr(Mc, name), np.conj(getattr(M, name)))
+        assert helpers.same_bits(oracles.block(Mc, name),
+                          np.conj(oracles.block(M, name)))
     k, p = M.k_part(), M.p_part()
     assert np.array_equal(k + p, M.full())
     assert not np.any(k[..., :4, 4:]) and not np.any(k[..., 4:, :4])
@@ -93,19 +89,22 @@ def test_mc_blocks_are_views_of_one_array(pipe, rng):
 
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
 def test_conjugate_shares_P_and_is_the_conjugate_bit_for_bit(pipe, kind):
-    """conjugate() shares P and Q and flips the coordinate `sign`, and
-    full(), every block and a(i, j) equal np.conj of the form's own,
-    signed zeros included; conjugating twice gives the form back."""
+    """The form set to the conjugate coordinate (sign +1, as `normalize`
+    sets it) shares P and Q, and full(), every block and a(i, j) equal
+    np.conj of the form's own, signed zeros included; setting sign -1
+    again gives the form back."""
     _, _, _, M = pipe(kind)
-    Mc = M.conjugate()
+    Mc = replace(M, sign=1)
     assert Mc.P is M.P and Mc.Q is M.Q
-    assert (M.sign, Mc.sign, Mc.conjugate().sign) == (-1, 1, -1)
+    assert (M.sign, Mc.sign) == (-1, 1)
+    assert helpers.same_bits(replace(Mc, sign=-1).full(), M.full())
     assert Mc.b2_residual == M.b2_residual
-    assert _same_bits(Mc.full(), np.conj(M.full()))
+    assert helpers.same_bits(Mc.full(), np.conj(M.full()))
     for name in ("A1", "A2", "B1", "B2"):
-        assert _same_bits(getattr(Mc, name), np.conj(getattr(M, name)))
+        assert helpers.same_bits(oracles.block(Mc, name),
+                          np.conj(oracles.block(M, name)))
     for i, j in ((1, 3), (2, 3), (1, 4), (2, 4)):
-        assert _same_bits(Mc.a(i, j), np.conj(M.a(i, j)))
+        assert helpers.same_bits(Mc.a(i, j), np.conj(M.a(i, j)))
 
 
 def test_willmore_energy_clifford_vs_quadrature_oracle(pipe):
@@ -153,7 +152,7 @@ def test_willmore_residual_zoo_vs_control(pipe):
     assert rt > 0.1
 
 
-def test_s_willmore_rank(pipe):
+def test_s_willmore_rank(pipe, rng):
     c, S, _, M = pipe("clifford_torus")
     rank, mrank = gauss_frame.s_willmore_rank(M.B1, c)
     assert mrank == 1
@@ -162,6 +161,10 @@ def test_s_willmore_rank(pipe):
     _, mr0 = gauss_frame.s_willmore_rank(M2.B1, c2,
                                          tol=max(1e-6, 50 * c2.h**2))
     assert mr0 == 0
+    # the default tolerance, analyze's, is 1e-6: a second singular value
+    # 1% above it counts
+    B1 = _threshold_B1(rng, 2, 1.01, 1e-6)
+    assert gauss_frame.s_willmore_rank(B1, THRESHOLD_CHART)[1] == 2
 
 
 # a doubly periodic chart of the threshold fields' shape: its interior
@@ -293,7 +296,8 @@ def test_maurer_cartan_pair_matches_complex_oracle(pipe, kind):
                              ("A2", slice(4, None), slice(4, None)),
                              ("B1", slice(None, 4), slice(4, None)),
                              ("B2", slice(4, None), slice(None, 4))):
-        assert np.array_equal(getattr(M, name), want[..., rows, cols]), name
+        assert np.array_equal(oracles.block(M, name),
+                              want[..., rows, cols]), name
     for i in range(1, 5):
         for j in range(1, 5):
             assert np.array_equal(M.a(i, j), want[..., i - 1, j - 1])

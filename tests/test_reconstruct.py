@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ def normalized(pipe, kind, N=48, param=None, **kw):
 def test_normalize_reaches_canonical_shape(pipe):
     c, S, NF = normalized(pipe, "clifford_torus")
     assert spinor.canonical_shape_residual(NF.blocks.B1) < 1e-10
-    assert NF.orientation == "same"
+    assert NF.blocks.sign == -1
     # the four-column bundle is untouched: Y0 still the input surface
     y0 = reconstruct.to_sphere_map(NF.Y0)
     yin = reconstruct.to_sphere_map(S.Y)
@@ -83,6 +84,22 @@ def test_constant_vector_found_for_reduced_frame():
     err = min(np.max(np.abs(L[1:] - s * np.array([1 / np.sqrt(2), 0, 0, 0])))
               for s in (1.0, -1.0))
     assert abs(L[0] - 1 / np.sqrt(2)) < 1e-6 and err < 1e-6
+
+
+def test_constant_vector_solves_a_two_dimensional_kernel(monkeypatch):
+    """Where the kernel of the rejection operator is a plane, the vector
+    is one of its two null directions: in span{e0, e1} rotated by 0.3,
+    whose basis vectors are not null and not orthogonal in the metric,
+    it is (e0 + e1)/sqrt2 or (e0 - e1)/sqrt2."""
+    dim, th = 5, 0.3
+    V = np.eye(dim)
+    V[:2, :2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+    op = V @ np.diag([0.0, 1e-9, 1.0, 2.0, 3.0]) @ V.T
+    monkeypatch.setattr(reconstruct, "_rejection_operator", lambda F: op)
+    L = reconstruct.constant_lightlike_vector(None)
+    assert L is not None
+    want = [np.array([1.0, s, 0, 0, 0]) / np.sqrt(2) for s in (1.0, -1.0)]
+    assert min(np.max(np.abs(L - w)) for w in want) < 1e-12
 
 
 def _lightlike_cases(pipe):
@@ -159,24 +176,52 @@ def test_bundle_projector_is_the_projection_onto_the_bundle(pipe):
 
 
 @pytest.mark.parametrize("kind", ["enneper", "catenoid"])
-@pytest.mark.parametrize("orientation", ["same", "conjugate"])
-def test_classify_reuses_the_normalized_blocks(pipe, kind, orientation):
-    """The conjugate renormalization in classify starts from NF.blocks
-    and matches a renormalization that recomputes maurer_cartan: same
-    frame and blocks, and bit for bit the same Y_mu in classify."""
+# ids: the coordinate of NF, the same as the input's (z) or its conjugate
+@pytest.mark.parametrize("sign", [-1, 1], ids=["same", "conjugate"])
+def test_classify_reuses_the_normalized_blocks(pipe, kind, sign):
+    """The renormalization in the conjugate coordinate in classify starts
+    from NF.blocks, in whichever coordinate normalize set them, and
+    matches a renormalization that recomputes maurer_cartan: same frame
+    and blocks, and bit for bit the same Y_mu in classify."""
     c, _, F, M = pipe(kind)
-    NF = reconstruct.normalize(F, M, orientation=orientation)
-    assert NF.orientation == orientation
-    M0 = NF.blocks.conjugate() if orientation == "conjugate" else NF.blocks
-    ref = reconstruct.normalize(NF.F, maurer_cartan(NF.F, c),
-                                orientation="conjugate")
-    got = reconstruct.normalize(NF.F, M0, orientation="conjugate")
+    NF = reconstruct.normalize(F, M, sign=sign)
+    assert NF.blocks.sign == sign
+    ref = reconstruct.normalize(NF.F, maurer_cartan(NF.F, c), sign=1)
+    got = reconstruct.normalize(NF.F, NF.blocks, sign=1)
     assert np.array_equal(got.F, ref.F)
+    assert got.blocks.sign == ref.blocks.sign == 1
     for b in ("A1", "A2", "B1", "B2"):
-        assert np.array_equal(getattr(got.blocks, b),
-                              getattr(ref.blocks, b)), b
+        assert np.array_equal(oracles.block(got.blocks, b),
+                              oracles.block(ref.blocks, b)), b
     Ymu, _ = reconstruct.build_Y_mu(ref)
     assert np.array_equal(reconstruct.classify(NF).Ymu, Ymu)
+
+
+@pytest.mark.parametrize("kind", ["clifford_torus", "enneper", "catenoid"])
+@pytest.mark.parametrize("sign", [None, -1, 1])
+def test_normalize_reads_B1_in_z_whatever_the_coordinate(pipe, kind, sign):
+    """normalize reads B1 in z whatever coordinate its blocks carry: the
+    form set to zbar gives the frame and blocks of the form in z, bit for
+    bit, for every choice of the coordinate to canonicalize in."""
+    _, _, F, M = pipe(kind)
+    want = reconstruct.normalize(F, M, sign=sign)
+    got = reconstruct.normalize(F, replace(M, sign=1), sign=sign)
+    assert got.blocks.sign == want.blocks.sign
+    for x, y in ((got.F, want.F), (got.blocks.P, want.blocks.P),
+                 (got.blocks.Q, want.blocks.Q)):
+        assert helpers.same_bits(x, y)
+
+
+@pytest.mark.parametrize("kind", ["enneper", "catenoid"])
+def test_classify_reads_the_frame_in_either_coordinate(pipe, kind):
+    """classify of a normalized frame whose blocks are set to zbar gives
+    the case and, bit for bit, the Y_mu of the same frame in z."""
+    _, _, NF = normalized(pipe, kind)
+    want = reconstruct.classify(NF)
+    got = reconstruct.classify(replace(NF, blocks=replace(NF.blocks,
+                                                          sign=1)))
+    assert got.case == want.case == "b2i"
+    assert helpers.same_bits(got.Ymu, want.Ymu)
 
 
 def test_sphere_map_representatives(pipe):
@@ -334,17 +379,21 @@ def test_dual_mu_fills_across_a_periodic_seam():
 
 def test_dual_mu_zero_beta_and_zero_k():
     """On a B1 bounded below, mu is the ratio; it is 0 where beta
-    vanishes and k does not, and not finite where k alone vanishes."""
+    vanishes, or is below 1e-6 of B1's largest entries, and k does not,
+    and not finite where k alone vanishes; at any scale of B1."""
     c = Chart(-1, 1, -1, 1, 21, 21)
     NF, want = _factored_B1(c, np.ones(c.shape))
     NF.blocks.B1[3, 4, :2] = 0.0        # beta
+    NF.blocks.B1[5, 6, :2] *= 1e-8      # beta under the bar
     NF.blocks.B1[9, 9, 2:] = 0.0        # k
-    mu = reconstruct.dual_mu(NF)
-    assert mu[3, 4] == 0
-    assert not np.isfinite(mu[9, 9])
     rest = np.ones(c.shape, dtype=bool)
-    rest[3, 4] = rest[9, 9] = False
-    assert np.max(np.abs(mu - want)[rest]) < 1e-12
+    rest[3, 4] = rest[5, 6] = rest[9, 9] = False
+    for scale in (1.0, 2.0**20):
+        mu = reconstruct.dual_mu(SimpleNamespace(
+            blocks=SimpleNamespace(B1=scale * NF.blocks.B1), chart=c))
+        assert mu[3, 4] == 0 and mu[5, 6] == 0, scale
+        assert not np.isfinite(mu[9, 9])
+        assert np.max(np.abs(mu - want)[rest]) < 1e-12, scale
 
 
 def test_dual_mu_raises_without_a_finite_neighbour():
@@ -453,6 +502,19 @@ def test_minimal_surfaces_classify_b2i(pipe, kind):
     assert cl.constant_vector is not None
 
 
+def test_stereographic_refuses_the_projection_center(pipe):
+    """A representative of Y_mu within 1e-14 of the line of the constant
+    vector, relative to its size, is a ValueError, at any scale."""
+    c, _, NF = normalized(pipe, "enneper")
+    cl = reconstruct.classify(NF)
+    L = cl.constant_vector
+    Ymu = cl.Ymu.copy()
+    Ymu[5, 5] = L + 1e-14 * np.eye(len(L))[0]
+    for scale in (1.0, 2.0**20):
+        with pytest.raises(ValueError, match="projection center"):
+            reconstruct.stereographic(scale * Ymu, L, c)
+
+
 def test_enneper_recovers_a_minimal_immersion(pipe):
     c, _, NF = normalized(pipe, "enneper")
     cl = reconstruct.classify(NF)
@@ -489,19 +551,21 @@ def test_round_sphere_cannot_be_normalized(pipe):
 
 
 def _degenerate_run(pipe, kind, monkeypatch, conjugate=None):
-    """classify on the normalized zoo frame, with MCBlocks.conjugate
-    replaced by `conjugate` if given: (classification, stereographic
+    """classify on the normalized zoo frame, with the blocks of every
+    frame that normalize returns in the conjugate coordinate (sign +1)
+    replaced by conjugate(frame) if given: (classification, stereographic
     residuals, the conjugate renormalization's frame) at N=48."""
     c, _, F, M = pipe(kind)
     with monkeypatch.context() as m:
-        if conjugate is not None:
-            m.setattr(MCBlocks, "conjugate", conjugate)
         renormalized = []
         normalize = reconstruct.normalize
 
         def spy(*args, **kwargs):
-            renormalized.append(normalize(*args, **kwargs))
-            return renormalized[-1]
+            NF = normalize(*args, **kwargs)
+            if conjugate is not None and NF.blocks.sign > 0:
+                NF = replace(NF, blocks=conjugate(NF))
+            renormalized.append(NF)
+            return NF
 
         m.setattr(reconstruct, "normalize", spy)
         cl = reconstruct.classify(reconstruct.normalize(F, M))
@@ -513,45 +577,30 @@ def test_degenerate_branch_matches_the_conjugated_complex_form(
         pipe, monkeypatch):
     """On enneper (case b2i) classify's Y_mu, h_sup, the stereographic
     residuals and the blocks of the conjugate renormalization match a run
-    whose MCBlocks.conjugate() is the conjugate of the complex product
-    F^{-1} d_z F (`oracles.maurer_cartan_complex`).
+    whose blocks in the conjugate coordinate are the conjugate of the
+    complex product F^{-1} d_z F of its frame
+    (`oracles.maurer_cartan_complex`).
 
-    A conjugate() returning (-P, -Q) with the sign flipped, that is
-    -conj(alpha), leaves Y_mu, h_sup and the stereographic residuals
-    unchanged: each is even in the sign of the form (mu is a ratio of
-    products of two B1 entries, h enters only as |h|), so only the
-    renormalized blocks tell the two apart, and they are pinned here."""
-    c, _, F, M = pipe("enneper")
-    # the frame and orientation of every form the run builds
-    origin = {id(M): (F, False)}
-    keep, calls = [M], []
-    build = reconstruct.maurer_cartan
+    Blocks (-P, -Q) in that coordinate, that is -conj(alpha), leave
+    Y_mu, h_sup and the stereographic residuals unchanged: each is even
+    in the sign of the form (mu is a ratio of products of two B1
+    entries, h enters only as |h|), so only the renormalized blocks tell
+    the two apart, and they are pinned here."""
+    c, _, _, _ = pipe("enneper")
+    calls = []
 
-    def tracked(Fx, cx):
-        out = build(Fx, cx)
-        origin[id(out)] = (Fx, False)
-        keep.append(out)
-        return out
+    def oracle_conjugate(NF):
+        # the pair of the complex form alpha = (P - iQ)/2: sign +1 reads
+        # it as conj(alpha)
+        alpha = oracles.maurer_cartan_complex(NF.F, c)
+        calls.append(NF)
+        return MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, c, 1)
 
-    def oracle_conjugate(self):
-        Fx, conjugated = origin[id(self)]
-        # the pair of the complex form alpha = (P - iQ)/2, in the other
-        # coordinate: sign +1 reads it as conj(alpha)
-        alpha = oracles.maurer_cartan_complex(Fx, self.chart)
-        out = MCBlocks(2.0 * alpha.real, -2.0 * alpha.imag, self.chart,
-                       -self.sign)
-        origin[id(out)] = (Fx, not conjugated)
-        keep.append(out)
-        calls.append(conjugated)
-        return out
-
-    def negated_conjugate(self):
-        return MCBlocks(-self.P, -self.Q, self.chart, -self.sign)
+    def negated_conjugate(NF):
+        return MCBlocks(-NF.blocks.P, -NF.blocks.Q, c, 1)
 
     got = _degenerate_run(pipe, "enneper", monkeypatch)
-    monkeypatch.setattr(reconstruct, "maurer_cartan", tracked)
     want = _degenerate_run(pipe, "enneper", monkeypatch, oracle_conjugate)
-    monkeypatch.undo()
     assert calls, "the oracle conjugate never ran"
     negated = _degenerate_run(pipe, "enneper", monkeypatch,
                               negated_conjugate)
@@ -567,9 +616,9 @@ def test_degenerate_branch_matches_the_conjugated_complex_form(
         assert close(got[0].h_sup, cl.h_sup)
         for key in ("conformal_residual", "harmonic_residual"):
             assert close(got[1][key], st[key]), key
-    assert got[2].orientation == "conjugate"
+    assert got[2].blocks.sign == 1
     for block in ("A1", "A2", "B1", "B2"):
-        mine = getattr(got[2].blocks, block)
-        assert close(mine, getattr(want[2].blocks, block)), block
-        assert close(-mine, getattr(negated[2].blocks, block)), block
+        mine = oracles.block(got[2].blocks, block)
+        assert close(mine, oracles.block(want[2].blocks, block)), block
+        assert close(-mine, oracles.block(negated[2].blocks, block)), block
     assert np.max(np.abs(got[2].blocks.B1)) > 0.1

@@ -118,9 +118,8 @@ def test_canonicalize_synthetic_roundtrip(rng, rank):
     c = chart()
     B1can = helpers.canonical_B1_field(c, rng, n=2, rank=rank)
     Lam = helpers.random_so13_gauge(c, rng).astype(complex)
-    A, Bhat, orient = spinor.canonicalize_B1(Lam @ B1can, c,
-                                             orientation="same")
-    assert orient == "same"
+    A, Bhat, sign = spinor.canonicalize_B1(Lam @ B1can, c, sign=-1)
+    assert sign == -1
     assert spinor.canonical_shape_residual(Bhat) < 1e-10
     ok, res = lorentz.validate_group(A, 1e-8)
     assert np.all(ok)
@@ -132,7 +131,7 @@ def test_canonicalize_detects_conjugate_branch(rng):
     c = chart()
     B1can = helpers.canonical_B1_field(c, rng, n=2, rank=2)
     Lam = helpers.random_so13_gauge(c, rng).astype(complex)
-    _, Bhat, orient = spinor.canonicalize_B1(Lam @ np.conj(B1can), c)
-    assert orient == "conjugate"
+    _, Bhat, sign = spinor.canonicalize_B1(Lam @ np.conj(B1can), c)
+    assert sign == 1
     assert spinor.canonical_shape_residual(Bhat) < 1e-10
 
