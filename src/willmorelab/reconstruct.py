@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spinor
-from .chart import Chart, d_u, d_v, sup_norm, wirtinger
+from .chart import Chart, d_u, d_v, d_z, d_zbar, sup_norm
 from .gauss_frame import MCBlocks, maurer_cartan, s_willmore_rank
 from .lorentz import det, inner, lorentz_inverse, pairings, \
     rejection, row_blocks, to_planes
@@ -52,8 +52,7 @@ class NormalizedFrame:
 
     def d_hol(self, f: np.ndarray) -> np.ndarray:
         """Derivative in the blocks' holomorphic coordinate `blocks.sign`."""
-        return wirtinger(d_u(f, self.chart), d_v(f, self.chart),
-                         self.blocks.sign)
+        return (d_zbar if self.blocks.sign > 0 else d_z)(f, self.chart)
 
     def speccond_residual(self) -> float:
         """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""

@@ -39,10 +39,10 @@ def metric(dim):
     return np.diag(metric_signs(dim))
 
 
-def block(M, name):
-    """The block `name` (A1, A2, B1 or B2) of the form M in its coordinate
-    `M.sign`: B2, which no package path reads, sliced from M.full()."""
-    return M.full()[..., 4:, :4] if name == "B2" else getattr(M, name)
+def B2(M):
+    """The B2 block of the form M in its coordinate `M.sign`, sliced from
+    M.full(): no package path reads it."""
+    return M.full()[..., 4:, :4]
 
 
 def _roll_diff(f, axis, h):
@@ -181,7 +181,7 @@ def loop_curvature_complex(M):
     d_z conj(f) = conj(d_zbar f) gives the d_z terms.
     """
     c = M.chart
-    A1, A2, B1, B2 = (block(M, name) for name in ("A1", "A2", "B1", "B2"))
+    A1, A2, B1, B2 = M.A1, M.A2, M.B1, M.full()[..., 4:, :4]
     cA1, cA2, cB1 = np.conj(A1), np.conj(A2), np.conj(B1)
     B1tI = np.swapaxes(B1, -1, -2) * S13          # -B2 up to the so-defect
     T1 = d_zbar(A1, c) + cA1 @ A1

@@ -15,12 +15,13 @@ One mutant runs at a time, and each costs up to one tier-1 run.
     python tools/mutants.py --modules spinor.py reconstruct.py --count 30
     python tools/mutants.py --control
 
-The sample is drawn from every site of the modules with a seeded
-random.Random (--seed, default 0).  Each line of the table gives module,
-line, mutation and outcome: killed (tier-1 fails), survived (it passes)
-or timed out.  --control runs tier-1 once with every chosen module
-rewritten by ast.unparse unmutated, and exits 1 unless it passes: a
-mutant's outcome means nothing if the round trip alone fails.
+The sample is drawn from every site of the modules with
+random.Random(SEED), so a given --count always draws the same mutants.
+Each line of the table gives module, line, mutation and outcome: killed
+(tier-1 fails), survived (it passes) or timed out.  --control runs
+tier-1 once with every chosen module rewritten by ast.unparse unmutated,
+and exits 1 unless it passes: a mutant's outcome means nothing if the
+round trip alone fails.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", ".bench_out")
 TIMEOUT = 300.0     # seconds per tier-1 run, about ten times its length
+SEED = 0
 
 
 def sites(tree: ast.AST) -> list:
@@ -105,7 +107,6 @@ def main(argv=None) -> int:
     p.add_argument("--modules", nargs="+", help="module file names of "
                    "src/willmorelab (default: all)")
     p.add_argument("--count", type=int, default=30, help="mutants to run")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--control", action="store_true",
                    help="run the unmutated round trip only")
     args = p.parse_args(argv)
@@ -136,9 +137,9 @@ def main(argv=None) -> int:
         pool = [(m, k, node.lineno, label) for m in modules
                 for k, (node, _, label) in enumerate(
                     sites(ast.parse(sources[m])))]
-        sample = random.Random(args.seed).sample(
+        sample = random.Random(SEED).sample(
             pool, min(args.count, len(pool)))
-        print(f"{len(sample)} of {len(pool)} sites, seed {args.seed}")
+        print(f"{len(sample)} of {len(pool)} sites, seed {SEED}")
         print(f"{'module':<16} {'line':>5}  {'mutation':<24} outcome")
         tally = {}
         for m, k, line, label in sorted(sample, key=lambda s: s[::2]):
