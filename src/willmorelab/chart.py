@@ -77,11 +77,15 @@ class Chart:
     def shape(self) -> tuple:
         return (self.Nu, self.Nv)
 
+    def axes(self) -> tuple:
+        """The grid's coordinates (u, v), of lengths Nu and Nv; periodic
+        axes omit the endpoint."""
+        return (self.u_min + self.hu * np.arange(self.Nu),
+                self.v_min + self.hv * np.arange(self.Nv))
+
     def grid(self):
-        """Meshgrid (U, V) of shape (Nu, Nv); periodic axes omit the endpoint."""
-        u = self.u_min + self.hu * np.arange(self.Nu)
-        v = self.v_min + self.hv * np.arange(self.Nv)
-        return np.meshgrid(u, v, indexing="ij")
+        """Meshgrid (U, V) of shape (Nu, Nv) of the `axes`."""
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     def zgrid(self):
         U, V = self.grid()

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import gauss_frame, harmonic, reconstruct, surface, zoo
 from .chart import Chart, sup_norm
-from .lorentz import gram
-from .spinor import canonical_shape_residual
+from .spinor import canonical_shape_residual, null_defect
 
 
 def _parse_chart(text: str) -> Chart:
@@ -280,22 +279,38 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
 
 
 def cmd_reconstruct(cfg) -> tuple[dict, int]:
+    """The backward direction: normalize the frame, classify it and build
+    the surface its case has.
+
+    At most one frame and one Maurer-Cartan pair (P, Q) live at a time.
+    S lives until the frame is built, its lift Y to the round trip.  The
+    frame's pair goes to `normalize` as its only reference.  The
+    normalized frame NF goes to `classify` the same way: on the
+    degenerate branch it is freed before the renormalization, and cases
+    a1 and a2 hand it back (`Classification.frame`).  Its B1 lives for the
+    normalization residuals, the rank, and on case a2 the dual's mu;
+    after mu the pair is dropped, and the dual, its orientation and the
+    export run on the frame alone.
+    """
     raw, c, spec = _load_field(cfg)
     S = surface.build_surface_data(raw, c)
+    del raw
     F, _ = gauss_frame.build_frame(S)
     Y = S.Y             # the round trip's reference; nothing else of S
     del S
-    # normalize holds the only reference to the blocks, so it can drop
-    # them when it recomputes them in a new gauge
     NF = reconstruct.normalize(F, gauss_frame.maurer_cartan(F, c),
                                tol=cfg["tol"])
     del F           # NF holds the frame in its gauge (F when it had it)
     # B1 is built on read (`MCBlocks`), and released before classify
     B1 = NF.blocks.B1
     normalization = {"normalization_shape": canonical_shape_residual(B1),
-                     "normalization_null": float(np.max(np.abs(gram(B1))))}
+                     "normalization_null": null_defect(B1)}
     del B1
-    cl = reconstruct.classify(NF)
+    # NF reaches classify through a list emptied as it is passed, so no
+    # reference to it stays here
+    frames = [NF]
+    del NF
+    cl = reconstruct.classify(frames.pop())
 
     checks = []
     rtol = _residual_tol(c, cfg["tol"])
@@ -312,6 +327,7 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
     roundtrip = {}
     out_map = None
     if cl.case in ("a1", "a2"):
+        NF, cl.frame = cl.frame, None
         out_map = reconstruct.to_sphere_map(NF.Y0)
         dist = reconstruct.sphere_distance(out_map,
                                            reconstruct.to_sphere_map(Y))
@@ -319,7 +335,9 @@ def cmd_reconstruct(cfg) -> tuple[dict, int]:
         _check(checks, "roundtrip_distance", dist,
                1e-6 + 100.0 * c.h**2)
         if cl.case == "a2":
-            ds = reconstruct.dual_surface(NF, cl.max_rank)
+            mu = reconstruct.dual_mu(NF)    # the pair's last reader
+            NF = NF.without_pair()
+            ds = reconstruct.dual_surface(NF, mu, cl.max_rank)
             vg = reconstruct.verify_gauss_match(ds["map"], NF)
             roundtrip["dual_duality_residual"] = ds["duality_residual"]
             roundtrip["dual_orientation"] = vg["orientation"]

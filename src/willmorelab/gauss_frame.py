@@ -261,6 +261,7 @@ def s_willmore_rank(B1: np.ndarray, c: Chart, tol: float = 1e-6):
     threshold and read as totally umbilic.
     """
     planes = to_planes(B1)                      # (2, 4, n, ...)
+    del B1      # freed here when the caller passed its only reference
     bad = ~np.all(np.isfinite(planes), axis=(0, 1, 2))
     if np.any(bad):
         point = tuple(int(i) for i in np.argwhere(bad)[0])

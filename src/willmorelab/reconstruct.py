@@ -54,10 +54,18 @@ class NormalizedFrame:
         """Derivative in the blocks' holomorphic coordinate `blocks.sign`."""
         return (d_zbar if self.blocks.sign > 0 else d_z)(f, self.chart)
 
-    def speccond_residual(self) -> float:
-        """sup |a13 + a23 - i(a14 + a24)|, forced by harmonicity."""
-        r = self.h - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4))
-        return sup_norm(r, self.chart)
+    def without_pair(self) -> NormalizedFrame:
+        """This frame with its blocks' pair (P, Q) dropped: the frame, the
+        chart and the coordinate stay, and no block can be read.  A stage
+        that holds the only reference frees the pair by rebinding to it."""
+        return replace(self, blocks=replace(self.blocks, P=None, Q=None))
+
+    def speccond_residual(self, h: np.ndarray) -> float:
+        """sup |h - i(a14 + a24)| for h = `self.h` = a13 + a23, forced to
+        vanish by harmonicity; h is passed in, so a caller that reads it
+        too builds it once."""
+        return sup_norm(h - 1j * (self.blocks.a(1, 4) + self.blocks.a(2, 4)),
+                        self.chart)
 
 
 def _beta_k(B1: np.ndarray):
@@ -81,12 +89,14 @@ def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
     the frame and all blocks are recomputed in the new gauge.
     """
     c = M.chart
-    A, _, sign = spinor.canonicalize_B1(replace(M, sign=-1).B1, c, tol=tol,
-                                        sign=sign)
+    A, Bhat, sign = spinor.canonicalize_B1(replace(M, sign=-1).B1, c,
+                                           tol=tol, sign=sign)
     if A is not None:
-        del M           # the blocks are recomputed below; lowers the peak
+        # the blocks are recomputed below, B1 with them; lowers the peak
+        del M, Bhat
         F = F.copy()    # the gauge acts on the four-column bundle only
         F[..., :, :4] = F[..., :, :4] @ lorentz_inverse(A)
+        del A
         M = maurer_cartan(F, c)
     if M.sign != sign:
         M = replace(M, sign=sign)
@@ -95,9 +105,15 @@ def normalize(F: np.ndarray, M: MCBlocks, tol: float = 1e-6,
 
 def _rejection_operator(F: np.ndarray) -> np.ndarray:
     """Grid mean of C^T C, C the `rejection` of Id from the first four
-    columns of F, as one product of the stacked rejections."""
+    columns of F, as one product of the stacked rejections.  C is filled
+    one row block (`row_blocks`) at a time, so the rejection's
+    temporaries are block-sized; the product stays one, since a sum of
+    per-block products would add in another order."""
     dim = F.shape[-1]
-    C = rejection(F[..., :, :4], np.eye(dim)).reshape(-1, dim)
+    C = np.empty(F.shape)
+    for rows in row_blocks(F.shape[:-2]):
+        C[rows] = rejection(F[rows][..., :, :4], np.eye(dim))
+    C = C.reshape(-1, dim)
     return (C.T @ C) / (F.shape[0] * F.shape[1])
 
 
@@ -211,35 +227,40 @@ def _neighbour_mean(f: np.ndarray, at: np.ndarray, c: Chart) -> np.ndarray:
     return np.sum(np.where(ok, nb, 0.0), axis=0) / count
 
 
-def build_Y_mu(NF: NormalizedFrame):
+def build_Y_mu(NF: NormalizedFrame, mu: np.ndarray):
     """The field Y_mu = N0 + mu1 e1 - mu2 e2 + (|mu|^2/2) Y0, mu the field
-    of `dual_mu`, lightlike by construction, and its holomorphic
-    derivative: (Y_mu, Y_mu')."""
-    mu = dual_mu(NF)
+    `dual_mu(NF)`, lightlike by construction, and its holomorphic
+    derivative: (Y_mu, Y_mu').  It reads no block, so NF may be
+    `without_pair`."""
     Ymu = NF.N0 + mu.real[..., None] * NF.e1 - mu.imag[..., None] * NF.e2 \
         + 0.5 * (np.abs(mu)**2)[..., None] * NF.Y0
     return Ymu, NF.d_hol(Ymu)
 
 
-def dual_surface(NF: NormalizedFrame, max_rank: int) -> dict:
+def dual_surface(NF: NormalizedFrame, mu: np.ndarray, max_rank: int) -> dict:
     """Dual-surface representative for a rank-1 (duality) frame.
 
     The sphere map ("map") of build_Y_mu's Y_mu, and the sup over the
     interior of the rejection of Y_mu' from the four-column bundle
     ("duality_residual"), which the duality condition forces to vanish.
-    `max_rank` is the maximal rank of NF.blocks.B1 that `classify`
-    reports.
+    mu is `dual_mu(NF)` and `max_rank` the maximal rank of NF.blocks.B1
+    that `classify` reports.  The dual reads no block, so NF may be
+    `without_pair` (cmd_reconstruct drops the pair once mu is read);
+    the rejection runs one row block (`row_blocks`) at a time, so of it
+    only the per-point max of its norms is grid-sized.
     """
     if max_rank > 1:
         raise ValueError("dual surface needs max rank 1, got rank "
                          f"{max_rank}")
-    Ymu, Yd = build_Y_mu(NF)
-    # the real and imaginary parts of Yd as two columns
-    rej = rejection(NF.F[..., :, :4],
-                    np.stack([Yd.real, Yd.imag], axis=-1))
-    return {"duality_residual": sup_norm(np.hypot(rej[..., 0], rej[..., 1]),
-                                         NF.chart),
-            "map": to_sphere_map(Ymu)}
+    Ymu, Yd = build_Y_mu(NF, mu)
+    c = NF.chart
+    norm = np.empty(c.shape)
+    for rows in row_blocks(c.shape):
+        # the real and imaginary parts of Yd as two columns
+        rej = rejection(NF.F[rows][..., :, :4],
+                        np.stack([Yd[rows].real, Yd[rows].imag], axis=-1))
+        norm[rows] = np.max(np.hypot(rej[..., 0], rej[..., 1]), axis=-1)
+    return {"duality_residual": sup_norm(norm, c), "map": to_sphere_map(Ymu)}
 
 
 def stereographic(Ymu: np.ndarray, Y0c: np.ndarray, c: Chart) -> dict:
@@ -285,10 +306,21 @@ class Classification:
     verdict: str
     speccond_residual: float
     Ymu: np.ndarray | None = None   # Y_mu of the conjugate renormalization
+    # the frame the surface [e0 - e0hat] is read off (a1, a2)
+    frame: NormalizedFrame | None = None
 
     @property
     def has_willmore_surface(self) -> bool:
         return self.case in ("a1", "a2", "b2i")
+
+
+def _max_abs_A1(M: MCBlocks) -> float:
+    """max |A1| over the grid, one row block (`row_blocks`) at a time: A1
+    of the pair's rows is those rows of A1, so no grid-sized block is
+    built; the max of the blocks' maxima is the grid's, NaN included."""
+    return float(np.max([np.max(np.abs(replace(M, P=M.P[rows],
+                                               Q=M.Q[rows]).A1))
+                         for rows in row_blocks(M.P.shape[:-2])]))
 
 
 def classify(NF: NormalizedFrame) -> Classification:
@@ -301,16 +333,27 @@ def classify(NF: NormalizedFrame) -> Classification:
     surface in flat space (positive mixed pairing <Y_mu', conj Y_mu'>)
     or to a further reduction.  The Y_mu of that renormalization is kept as
     `Ymu`, the field the minimal surface is read off.
+
+    Lifetimes: NF's B1 lives for the rank, h = a13 + a23 for h_sup and
+    the speccond residual, and A1 one row block at a time for the scale
+    of h.  Cases a1 and a2 return NF as `frame`.  The degenerate rank-1
+    branch hands NF's frame and pair to `normalize` and keeps no
+    reference to them, so when the caller handed NF over (as
+    cmd_reconstruct does) they are freed before the gauged frame's pair
+    is built; the renormalized frame's pair lives until its B1 has given
+    mu, and Y_mu and its derivative are built without it.
     """
     c = NF.chart
     tol = 1e-6
     _, maxrank = s_willmore_rank(NF.blocks.B1, c, tol=max(tol, 50 * c.h**2))
     L = constant_lightlike_vector(NF.F)
-    h_sup = float(np.max(np.abs(NF.h)))
-    speccond = NF.speccond_residual()
+    h = NF.h
+    h_sup = float(np.max(np.abs(h)))
+    speccond = NF.speccond_residual(h)
+    del h
 
     if L is None:
-        if h_sup < tol * (float(np.max(np.abs(NF.blocks.A1))) + c.h):
+        if h_sup < tol * (_max_abs_A1(NF.blocks) + c.h):
             # no constant vector yet h vanishes identically: borderline
             return Classification("ambiguous", maxrank, h_sup, None,
                                   "borderline data: h vanishes but no "
@@ -319,7 +362,8 @@ def classify(NF: NormalizedFrame) -> Classification:
         case = "a1" if maxrank >= 2 else "a2"
         verdict = "willmore surface [e0 - e0hat]" + \
             ("" if maxrank >= 2 else " (has a dual)")
-        return Classification(case, maxrank, h_sup, None, verdict, speccond)
+        return Classification(case, maxrank, h_sup, None, verdict, speccond,
+                              frame=NF)
 
     if maxrank >= 2:
         return Classification(
@@ -327,9 +371,16 @@ def classify(NF: NormalizedFrame) -> Classification:
             "no Willmore surface: degenerate with rank 2, not the "
             "conformal Gauss map of any surface", speccond)
 
-    # degenerate rank-1: renormalize so the constant vector is [e0-e0hat]
-    NFc = normalize(NF.F, NF.blocks, sign=1)
-    Ymu, Yd = build_Y_mu(NFc)
+    # degenerate rank-1: renormalize so the constant vector is [e0-e0hat];
+    # the frame and the pair reach normalize through a list emptied as
+    # they are passed, so no reference to them stays here
+    frame_and_pair = [NF.F, NF.blocks]
+    del NF
+    NFc = normalize(frame_and_pair.pop(0), frame_and_pair.pop(), sign=1)
+    mu = dual_mu(NFc)
+    NFc = NFc.without_pair()
+    Ymu, Yd = build_Y_mu(NFc, mu)
+    del NFc
     mixed = np.real(inner(Yd, np.conj(Yd)))
     pos_frac = float(np.mean(mixed[c.interior] > tol * np.max(np.abs(mixed))))
 

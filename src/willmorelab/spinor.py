@@ -145,6 +145,15 @@ def canonical_shape_residual(B: np.ndarray) -> float:
     return float(max(np.max(np.abs(r12)), np.max(np.abs(r34))) / scale)
 
 
+def null_defect(B: np.ndarray) -> float:
+    """max |B^T I B| over a complex 4xn block field B (`lorentz.gram`),
+    one row block of the grid (`lorentz.row_blocks`) at a time, so no
+    grid-sized Gram field is built; the max of the blocks' maxima is the
+    grid's, NaN included."""
+    return float(np.max([np.max(np.abs(lorentz.gram(B[rows])))
+                         for rows in lorentz.row_blocks(B.shape[:-2])]))
+
+
 def _direction_consistency(dirs: np.ndarray, weights: np.ndarray):
     """Weighted test that the 2-vectors dirs[..., j, :] are pairwise parallel.
 
@@ -182,7 +191,7 @@ def canonicalize_B1(B1: np.ndarray, c: Chart, tol: float = 1e-6,
     if scale < 1e-14:
         raise TotallyUmbilicError("B1 vanishes identically (round sphere)")
     thresh = max(tol, 50 * c.h**2)
-    null_res = np.max(np.abs(lorentz.gram(B1))) / scale**2
+    null_res = null_defect(B1) / scale**2
     if null_res > thresh:
         raise ValueError(f"B1^t I B1 != 0 (residual {null_res:.3e})")
 

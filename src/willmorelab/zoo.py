@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import Chart
+from .lorentz import row_blocks
 
 KINDS = ("round_sphere", "clifford_torus", "torus_of_revolution",
          "catenoid", "enneper", "veronese_s4")
@@ -309,39 +310,64 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     return text
 
 
+def _text_table(x: np.ndarray) -> np.ndarray:
+    """repr() of each float of the 1-D float64 array x (`_float_text`), as
+    NUL-padded rows of bytes (x.size, 24), formatted _TEXT_CHUNK floats at
+    a time."""
+    table = np.empty((x.size, 24), dtype=np.uint8)
+    for i in range(0, x.size, _TEXT_CHUNK):
+        table[i:i + _TEXT_CHUNK] = \
+            _float_text(x[i:i + _TEXT_CHUNK]).view(np.uint8).reshape(-1, 24)
+    return table
+
+
 def save(path: str, field: np.ndarray, c: Chart, fmt: str = "csv") -> None:
     """Write a lift field; csv has one row per grid point, json embeds the chart.
 
     The csv bytes are those of the csv module's writer fed repr() of each
-    float, with CRLF line ends.  Each distinct float (by bit pattern, so
-    -0.0 stays apart from 0.0) is formatted once, by `_float_text`; its
-    vectorized path takes 98.4-99.2% of the distinct floats of the N=256
-    reconstruct exports (92.8% of the 1447 of clifford_torus), and repr
-    the rest.
+    float, with CRLF line ends.  Each distinct float of the field (by bit
+    pattern, so -0.0 stays apart from 0.0) is formatted once, by
+    `_float_text`; its vectorized path takes 98.4-99.2% of the distinct
+    floats of the N=256 reconstruct exports (92.8% of the 1447 of
+    clifford_torus), and repr the rest.  u and v are formatted from the
+    chart's `axes`.
+
+    Lifetimes: the texts, NUL-padded byte rows, and each grid point's
+    index into them live for the whole export.  The bytes of one row
+    block of the grid (`lorentz.row_blocks`) at a time are gathered from
+    them, each text followed by its separator (',' or CRLF, NUL-padded),
+    and the NULs dropped, so no per-float object or per-row join exists.
     """
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump({"chart": chart_to_dict(c),
                        "values": field.tolist()}, fh)
         return
-    U, V = c.grid()
+    field = np.ascontiguousarray(field, dtype=float)
+    if field.ndim != 3 or field.shape[:2] != c.shape:
+        raise ValueError(f"field of shape {field.shape} is not a lift "
+                         f"field on the chart's {c.Nu} x {c.Nv} grid")
     dim = field.shape[-1]
-    table = np.concatenate([U[..., None], V[..., None], field], axis=-1,
-                           dtype=float)
-    bits, idx = np.unique(table.view(np.int64).ravel(), return_inverse=True)
-    values = bits.view(np.float64)
-    text = np.empty(values.size, dtype=object)
-    for i in range(0, values.size, _TEXT_CHUNK):
-        text[i:i + _TEXT_CHUNK] = \
-            _float_text(values[i:i + _TEXT_CHUNK]).tolist()
-    idx = idx.reshape(table.shape)
+    bits, idx = np.unique(field.view(np.int64).ravel(), return_inverse=True)
+    idx = idx.reshape(field.shape)
+    text = _text_table(bits.view(np.float64))
+    del bits
+    u_text, v_text = (_text_table(x) for x in c.axes())
+    # the separator after each column: a comma, or CRLF after the last
+    sep = np.zeros((2 + dim, 2), dtype=np.uint8)
+    sep[:, 0] = ord(",")
+    sep[-1] = np.frombuffer(b"\r\n", dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(",".join(["u", "v"] + [f"Y{i}" for i in range(dim)])
                  .encode() + b"\r\n")
-        # one grid row at a time bounds the bytes held at once
-        for i in range(c.Nu):
-            fh.write(b"\r\n".join(map(b",".join, text[idx[i]].tolist()))
-                     + b"\r\n")
+        for rows in row_blocks(c.shape):
+            block = np.empty(idx[rows].shape[:2] + (2 + dim, 26),
+                             dtype=np.uint8)
+            block[..., 0, :24] = u_text[rows][:, None]
+            block[..., 1, :24] = v_text
+            block[..., 2:, :24] = text[idx[rows]]
+            block[..., 24:] = sep
+            fh.write(block[block != 0].tobytes())
 
 
 def _read_table(path: str) -> np.ndarray:

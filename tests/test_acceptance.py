@@ -301,7 +301,8 @@ def test_criterion_8_surface_roundtrip_and_dual():
         d = np.sqrt(np.sum((y0[..., 1:] - yin[..., 1:])**2, axis=-1))
         dist = float(np.max(d[m]))
         cl = reconstruct.classify(NF)
-        ds = reconstruct.dual_surface(NF, cl.max_rank)
+        ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
+                                      cl.max_rank)
         vg = reconstruct.verify_gauss_match(ds["map"], NF)
         tol = 1e-6 + 100 * c.h**2
         ok &= dist <= tol and vg["orientation"] == "opposite" \
@@ -350,7 +351,7 @@ def test_criterion_10_normalized_frames_satisfy_the_trace_condition():
     for kind in ("clifford_torus", "catenoid", "enneper", "veronese_s4"):
         c, _, F, M = pipeline(kind, 96)
         NF = reconstruct.normalize(F, M)
-        worst_C = max(worst_C, NF.speccond_residual() / c.h**2)
+        worst_C = max(worst_C, NF.speccond_residual(NF.h) / c.h**2)
     ok = worst_C <= 50
     verdict(10, "a13+a23 = i(a14+a24) on every normalized zoo frame", ok,
             f"max sup/h^2 = {worst_C:.1f} (tol 50); round sphere excluded "

@@ -574,6 +574,101 @@ def test_verify_harmonic_memory_peak():
     assert peak < 115e6, peak
 
 
+def test_reconstruct_frees_the_first_frame_before_renormalizing(monkeypatch):
+    """On enneper at 48 x 48 (case b2i) classify renormalizes the frame in
+    the conjugate coordinate, gauging it, so a second Maurer-Cartan pair
+    is built (`reconstruct.maurer_cartan`, called once).  The first
+    normalized frame (F, not gauged at this size) and its pair P, Q are
+    dead by then: cmd_reconstruct hands the normalized frame to classify,
+    and classify hands its frame and pair to normalize, with no reference
+    kept."""
+    firsts, seen = [], []
+    build, blocks = gauss_frame.build_frame, gauss_frame.maurer_cartan
+
+    def spy_build(S):
+        F, residual = build(S)
+        firsts.append(weakref.ref(F))
+        return F, residual
+
+    def spy_blocks(F, c):
+        M = blocks(F, c)
+        firsts.extend([weakref.ref(M.P), weakref.ref(M.Q)])
+        return M
+
+    def spy_second(F, c):
+        seen.append([ref() is not None for ref in firsts])
+        return blocks(F, c)
+
+    monkeypatch.setattr(gauss_frame, "build_frame", spy_build)
+    monkeypatch.setattr(gauss_frame, "maurer_cartan", spy_blocks)
+    monkeypatch.setattr(reconstruct, "maurer_cartan", spy_second)
+    assert run("reconstruct", "--surface", "enneper",
+               "--chart", "48,48,-0.8,0.8,-0.8,0.8,open") == 0
+    assert len(firsts) == 3
+    assert seen == [[False] * 3]
+
+
+def test_reconstruct_drops_the_pair_before_the_dual_is_checked(
+        monkeypatch, tmp_path):
+    """On veronese_s4 at 32 x 32 (case a2, its frame gauged by normalize)
+    no Maurer-Cartan pair is alive once the dual's mu has read B1: P and
+    Q of every pair built (`gauss_frame.maurer_cartan`, then
+    `reconstruct.maurer_cartan` in the gauge) are dead when
+    `verify_gauss_match` and the CSV export run."""
+    pairs, seen = [], []
+    blocks = gauss_frame.maurer_cartan
+
+    def spy_blocks(F, c):
+        M = blocks(F, c)
+        pairs.extend([weakref.ref(M.P), weakref.ref(M.Q)])
+        return M
+
+    def spy(name, fn):
+        def stage(*args, **kwargs):
+            seen.append((name, [ref() is not None for ref in pairs]))
+            return fn(*args, **kwargs)
+        return stage
+
+    monkeypatch.setattr(gauss_frame, "maurer_cartan", spy_blocks)
+    monkeypatch.setattr(reconstruct, "maurer_cartan", spy_blocks)
+    monkeypatch.setattr(reconstruct, "verify_gauss_match",
+                        spy("verify_gauss_match",
+                            reconstruct.verify_gauss_match))
+    monkeypatch.setattr(zoo, "save", spy("save", zoo.save))
+    assert run("reconstruct", "--surface", "veronese_s4",
+               "--chart", "32,32,-1,1,-1,1,open", "--format", "csv",
+               "--out", str(tmp_path / "dual.csv")) == 0
+    assert len(pairs) == 4
+    assert seen == [("verify_gauss_match", [False] * 4),
+                    ("save", [False] * 4)]
+
+
+@pytest.mark.parametrize("kind, bound", [("enneper", 23.4e6),
+                                         ("veronese_s4", 25.9e6)])
+def test_reconstruct_memory_peak(tmp_path, kind, bound):
+    """The tracemalloc peak of one reconstruct op with its CSV export, on
+    the default 128 x 128 chart, stays below the bound: enneper (case
+    b2i) 20.5 MB with one frame and one pair alive at a time, against
+    26.2 MB with the first normalized frame held through the
+    renormalization; veronese_s4 (case a2) 22.3 MB with the pair dropped
+    once the dual has read B1 and the export gathered per row block,
+    against 29.5 MB with the pair held to the end and the export's texts
+    one Python object per float."""
+    c = zoo.default_chart(zoo.SurfaceSpec(kind), 128)
+    chart = ",".join([str(c.Nu), str(c.Nv)]
+                     + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
+                                                 c.v_max)] + [c.topology])
+    tracemalloc.start()
+    try:
+        code = run("reconstruct", "--surface", kind, "--chart", chart,
+                   "--format", "csv", "--out", str(tmp_path / "out.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < bound, peak
+
+
 @pytest.mark.parametrize("argv, calls", [(["analyze"], 1),
                                          (["verify-harmonic", "--refine",
                                            "2"], 0),

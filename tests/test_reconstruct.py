@@ -61,7 +61,7 @@ def test_normalized_beta_k_match_invariants(pipe):
 def test_speccond_residual_small(pipe):
     for kind in ("clifford_torus", "catenoid"):
         c, _, NF = normalized(pipe, kind)
-        assert NF.speccond_residual() < 100 * c.h**2, kind
+        assert NF.speccond_residual(NF.h) < 100 * c.h**2, kind
 
 
 def test_h_is_constant_for_direct_gauss_frames(pipe):
@@ -194,7 +194,7 @@ def test_classify_reuses_the_normalized_blocks(pipe, kind, sign):
         assert np.array_equal(getattr(got.blocks, b),
                               getattr(ref.blocks, b)), b
     assert np.array_equal(oracles.B2(got.blocks), oracles.B2(ref.blocks))
-    Ymu, _ = reconstruct.build_Y_mu(ref)
+    Ymu, _ = reconstruct.build_Y_mu(ref, reconstruct.dual_mu(ref))
     assert np.array_equal(reconstruct.classify(NF).Ymu, Ymu)
 
 
@@ -285,7 +285,7 @@ def test_clifford_dual_surface(pipe):
     scale = np.sqrt(np.max(np.sum(np.abs(beta)**2 + np.abs(k)**2, axis=-1)))
     assert np.max(np.abs(beta + 0.5 * np.conj(mu)[..., None] * k)) \
         < 1e-8 * scale
-    ds = reconstruct.dual_surface(NF, cl.max_rank)
+    ds = reconstruct.dual_surface(NF, mu, cl.max_rank)
     assert ds["duality_residual"] < 1e-10
     vg = reconstruct.verify_gauss_match(ds["map"], NF)
     assert vg["orientation"] == "opposite"
@@ -300,7 +300,7 @@ def test_clifford_dual_surface(pipe):
 def test_dual_surface_rejects_rank_two(pipe):
     _, _, NF = normalized(pipe, "clifford_torus")
     with pytest.raises(ValueError, match="max rank 1, got rank 2"):
-        reconstruct.dual_surface(NF, 2)
+        reconstruct.dual_surface(NF, reconstruct.dual_mu(NF), 2)
 
 
 def _factored_B1(c, h0):
@@ -412,7 +412,8 @@ def _gauss_match_cases(pipe):
     the duals of clifford_torus and veronese_s4 and the direct surface."""
     for kind in ("clifford_torus", "veronese_s4"):
         c, S, NF = normalized(pipe, kind)
-        ds = reconstruct.dual_surface(NF, reconstruct.classify(NF).max_rank)
+        ds = reconstruct.dual_surface(NF, reconstruct.dual_mu(NF),
+                                      reconstruct.classify(NF).max_rank)
         yield f"{kind}:dual", ds["map"], NF
     c, S, NF = normalized(pipe, "clifford_torus")
     yield "clifford_torus:direct", reconstruct.to_sphere_map(S.Y), NF

@@ -140,6 +140,63 @@ def test_csv_bytes_match_per_point_writer_on_special_values(tmp_path):
         assert text in got, text
 
 
+def _edge_field(shape, dim, rng):
+    """Floats at each edge of `zoo._float_text`'s vectorized path, laid
+    over a field of the given grid shape and dim: signed zeros, nan,
+    +-inf, subnormals, |x| at and next to 1e-6 and 1e16 (the path takes
+    1e-6 < |x| < 1e16), and repr's fallbacks (power-of-two mantissas and
+    short forms), among random floats of every scale."""
+    edges = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             2.225073858507201e-308, 2.2250738585072014e-308, 0.5,
+             2.0**-30, 1e22, 123.0, 0.1 + 0.2]
+    for x in (1e-6, 1e16):
+        edges += [x, -x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    field = rng.standard_normal(shape + (dim,)) \
+        * 10.0 ** rng.integers(-30, 30, shape + (dim,))
+    field.flat[:len(edges)] = edges
+    field.flat[-len(edges):] = edges[::-1]
+    return field
+
+
+def _edge_fields():
+    """(name, field) on a 70 x 64 grid, which makes row blocks of 64 rows
+    (`lorentz.row_blocks`), so the last block has 6."""
+    rng = np.random.default_rng(7)
+    shape = (70, 64)
+    transposed = _edge_field((64, 70), 10, rng).transpose(1, 0, 2)[..., ::2]
+    assert not transposed.flags.c_contiguous
+    return [("edges-dim5", _edge_field(shape, 5, rng)),
+            ("edges-dim7", _edge_field(shape, 7, rng)),
+            ("constant", np.full(shape + (5,), 0.1 + 0.2)),
+            ("float32", _edge_field(shape, 5, rng).astype(np.float32)),
+            ("non-contiguous", transposed)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _edge_fields()])
+def test_csv_bytes_match_per_point_writer_on_edge_fields(tmp_path, name):
+    """The export gathers each row block of the grid from the texts of
+    the distinct floats and of the chart's u and v, and drops the NUL
+    padding: its bytes are those of the per-point repr writer on fields
+    at every edge of the formatter, with one distinct float, of dim 5
+    and 7, on a grid whose rows are not a multiple of the row block, of
+    float32 and not contiguous."""
+    field = dict(_edge_fields())[name]
+    c = Chart(-1.0, 1.0, 0.0, 2 * np.pi, 70, 64, "periodic-v")
+    zoo.save(str(tmp_path / "got.csv"), field, c)
+    oracles.save_csv_per_point(str(tmp_path / "want.csv"), field, c)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert want.count(b"\r\n") == 70 * 64 + 1
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def test_csv_export_rejects_a_field_off_the_chart_grid(tmp_path):
+    """A field whose grid is not the chart's is refused, not written."""
+    c = Chart(0.0, 1.0, 0.0, 1.0, 5, 5, "open")
+    with pytest.raises(ValueError, match="not a lift field"):
+        zoo.save(str(tmp_path / "f.csv"), np.zeros((5, 4, 5)), c)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def _float_text_edges():
     """Bit patterns at every branch of `zoo._float_text` and next to it."""
     pow2 = [2.0**e for e in range(-1074, 1024)]
