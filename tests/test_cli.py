@@ -103,6 +103,20 @@ def test_reconstruct_clifford_exports_surface(tmp_path):
     assert back.shape == (32, 32, 5)
 
 
+def test_reconstruct_roundtrip_check_states_its_bar(tmp_path):
+    """The round trip compares the distance between the surface read off
+    the frame and the input with the bar 1e-6 + 100 h^2, and reports that
+    bar: on clifford_torus at 32 x 32 (case a2) the distance is at
+    roundoff, and the bar is the formula's to the last bit."""
+    out = tmp_path / "r.json"
+    assert run("reconstruct", "--surface", "clifford_torus",
+               "--chart", CLIFF_CHART, "--out", str(out)) == 0
+    checks = {ch["name"]: ch for ch in json.loads(out.read_text())["checks"]}
+    c = cli._parse_chart(CLIFF_CHART)
+    assert checks["roundtrip_distance"]["tol"] == 1e-6 + 100.0 * c.h**2
+    assert checks["roundtrip_distance"]["value"] < 1e-12
+
+
 # analyze at N=48 on the default chart: willmore_energy, kappa_max and
 # s_willmore_max_rank (for clifford_torus and veronese_s4 the values that
 # the tier-1 workflow's round trips store)
