@@ -71,8 +71,8 @@ class MCBlocks:
     alpha = (P + sign iQ)/2 (`wirtinger`): the dz-coefficient for sign -1
     (`maurer_cartan`), the dzbar-coefficient, alpha's conjugate, for
     sign +1.  A1, A2, B1 are the blocks of alpha, each built from the
-    pair when read and not kept, since a reconstruct op holds its
-    normalized form to the end.
+    pair when read and not kept, so a stage holds a block only while it
+    reads it.
     """
     P: np.ndarray          # (Nu, Nv, n+4, n+4) real
     Q: np.ndarray          # (Nu, Nv, n+4, n+4) real

@@ -117,6 +117,24 @@ def test_reconstruct_roundtrip_check_states_its_bar(tmp_path):
     assert checks["roundtrip_distance"]["value"] < 1e-12
 
 
+def test_reconstruct_fails_a_dual_of_the_same_orientation(monkeypatch,
+                                                          tmp_path):
+    """The dual of a rank-1 Willmore surface bounds the central-sphere
+    bundle with the opposite orientation: a dual that the match reads as
+    "same" fails dual_orientation_opposite, value 1 against 0.5, and
+    reconstruct exits 2."""
+    monkeypatch.setattr(reconstruct, "verify_gauss_match",
+                        lambda y, NF: {"orientation": "same",
+                                       "orientation_votes": 1.0})
+    out = tmp_path / "r.json"
+    assert run("reconstruct", "--surface", "clifford_torus",
+               "--chart", CLIFF_CHART, "--out", str(out)) == 2
+    checks = {ch["name"]: ch for ch in json.loads(out.read_text())["checks"]}
+    assert checks["dual_orientation_opposite"] == {
+        "name": "dual_orientation_opposite", "value": 1.0, "tol": 0.5,
+        "pass": False}
+
+
 # analyze at N=48 on the default chart: willmore_energy, kappa_max and
 # s_willmore_max_rank (for clifford_torus and veronese_s4 the values that
 # the tier-1 workflow's round trips store)

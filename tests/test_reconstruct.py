@@ -536,6 +536,86 @@ def test_rank2_degenerate_classifies_b1():
     assert "no Willmore surface" in cl.verdict
 
 
+def _stub_frame(c, dim, a12, h, B1=None):
+    """A stand-in normalized frame on the chart c: identity frames and
+    the pair (P, 0), so each block entry is half the entry of P, exactly.
+    A1 has a12 and a13 = a23 = h/2, so a13 + a23 = h and max |A1| is
+    max(a12, h/2); B1 is the constant (4, n) block given, zero if not."""
+    P = np.zeros(c.shape + (dim, dim))
+    P[..., 0, 1] = 2 * a12
+    P[..., 0, 2] = P[..., 1, 2] = h
+    if B1 is not None:
+        P[..., :4, 4:] = 2 * B1
+    F = np.broadcast_to(np.eye(dim), P.shape).copy()
+    return reconstruct.NormalizedFrame(F, MCBlocks(P, np.zeros_like(P), c))
+
+
+@pytest.mark.parametrize("factor, case", [(0.5, "ambiguous"), (1.0, "a2"),
+                                          (1.5, "a2")])
+def test_classify_reads_h_against_the_scale_of_A1(monkeypatch, factor,
+                                                  case):
+    """With no constant lightlike vector in the bundle, the frame is
+    borderline ("ambiguous") exactly when sup |h| < 1e-6 (max |A1| + h),
+    h the grid step: on a chart of step 1 with max |A1| = 1 (so the bar
+    is 2e-6), h = a13 + a23 a constant at half, at and one and a half
+    times the bar; B1 is zero, so the rank is 0 and the case otherwise
+    a2."""
+    monkeypatch.setattr(reconstruct, "constant_lightlike_vector",
+                        lambda F: None)
+    c = Chart(0.0, 15.0, 0.0, 15.0, 16, 16, "open")
+    bar = 1e-6 * (1.0 + c.h)
+    assert c.h == 1.0 and bar == 2e-6
+    cl = reconstruct.classify(_stub_frame(c, 5, 1.0, factor * bar))
+    assert cl.h_sup == factor * bar
+    assert cl.case == case
+
+
+def test_classify_reads_rank_two_without_a_constant_vector_as_a1(
+        monkeypatch):
+    """With no constant lightlike vector and B1 of rank 2 the case is a1:
+    the surface [e0 - e0hat], with no dual, read off the frame given."""
+    monkeypatch.setattr(reconstruct, "constant_lightlike_vector",
+                        lambda F: None)
+    c = Chart(0.0, 1.0, 0.0, 1.0, 16, 16, "open")
+    B1 = np.zeros((4, 2))
+    B1[0, 0] = B1[1, 1] = 1.0
+    NF = _stub_frame(c, 6, 1.0, 1.0, B1)
+    cl = reconstruct.classify(NF)
+    assert (cl.case, cl.max_rank) == ("a1", 2)
+    assert cl.verdict == "willmore surface [e0 - e0hat]"
+    assert cl.frame is NF
+
+
+@pytest.mark.parametrize("extra, case", [(0, "b2ii"), (1, "b2i")])
+def test_classify_b2i_needs_a_strict_majority(monkeypatch, extra, case):
+    """The degenerate rank-1 branch reads b2i (a minimal surface) when
+    the mixed pairing <Y_mu', conj Y_mu'> is positive on more than half
+    of the interior, and b2ii at exactly half: with the rank, the
+    constant vector, the renormalization and Y_mu' stubbed, Y_mu' = e1
+    (pairing +1) on half the interior points, plus `extra`, and e0
+    (pairing -1) elsewhere."""
+    c = Chart(0.0, 15.0, 0.0, 15.0, 16, 16, "open")
+    NF = _stub_frame(c, 5, 1.0, 1.0)
+    inside = np.flatnonzero(c.interior)
+    assert inside.size % 2 == 0
+    positive = np.zeros(c.shape, dtype=bool)
+    positive.flat[inside[:inside.size // 2 + extra]] = True
+    Yd = np.zeros(c.shape + (5,), dtype=complex)
+    Yd[..., 1] = positive
+    Yd[..., 0] = ~positive
+    monkeypatch.setattr(reconstruct, "s_willmore_rank",
+                        lambda B1, c, tol: (None, 1))
+    monkeypatch.setattr(reconstruct, "constant_lightlike_vector",
+                        lambda F: np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
+    monkeypatch.setattr(reconstruct, "normalize",
+                        lambda F, M, sign: NF)
+    monkeypatch.setattr(reconstruct, "dual_mu",
+                        lambda NF: np.zeros(c.shape, dtype=complex))
+    monkeypatch.setattr(reconstruct, "build_Y_mu",
+                        lambda NF, mu: (np.zeros_like(Yd), Yd))
+    assert reconstruct.classify(NF).case == case
+
+
 def test_reduced_frame_classifies_b2ii():
     c = Chart(-1, 1, -1, 1, 64, 64, "open")
     F = helpers.reduced_frame_field(c)
