@@ -5,6 +5,15 @@ verification suite, prints one PASS/FAIL line per check (with the
 tolerance used and the measured value) and optionally writes a JSON
 report / CSV field dump.
 
+A command keeps a grid-sized field only while a later stage reads it.
+analyze and verify-harmonic print only sups of their Maurer-Cartan
+diagnostics, so each reduces them inside one pass over the row blocks
+of the grid: analyze never builds the pair (P, Q)
+(`gauss_frame.frame_diagnostics` reads the frame), and verify-harmonic
+holds each level's pair but no loop curvature or B1
+(`harmonic.harmonicity`).  reconstruct holds at most one frame and one
+pair at a time.
+
 Exit codes: 0 all checks pass, 2 verification failures, 3 configuration
 or precondition errors.
 """
@@ -184,13 +193,13 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
     kappa_max = float(np.max(np.abs(inv.kappa)))
     schwarzian_max = float(np.max(np.abs(inv.schwarzian)))
     # the invariants go before the frame is built, and the frame is the
-    # last reader of S: the blocks are the largest fields
+    # last reader of S; the frame's one pass reduces its Maurer-Cartan
+    # form to the rank and the so-defect, so no pair is built
     del inv, W
     F, group_residual = gauss_frame.build_frame(S)
     del S
-    M = gauss_frame.maurer_cartan(F, c)
-    del F           # its last reader: the rank and the report read M
-    _, max_rank = gauss_frame.s_willmore_rank(M.B1, c)
+    max_rank, b2_residual = gauss_frame.frame_diagnostics(F, c)
+    del F
 
     return _report(cfg, checks, [], invariants={
         "kappa_max": kappa_max,
@@ -202,7 +211,7 @@ def cmd_analyze(cfg) -> tuple[dict, int]:
         "structure": sr, "integrability": ir,
         "willmore_residual_sup": wres,
         "frame_group_residual": group_residual,
-        "b2_block_residual": M.b2_residual,
+        "b2_block_residual": b2_residual,
     })
 
 
@@ -241,25 +250,22 @@ def cmd_verify_harmonic(cfg) -> tuple[dict, int]:
         if level > 0:
             chart = chart.refine()
             field = zoo.generate(spec, chart)
-        # stage order per level: the Maurer-Cartan pair M, strong
-        # conformality from its B1 block, the loop curvature K; then M is
-        # released, so the flatness sweep and the harmonicity lines run
-        # on K alone, and K is released before the next level's M
+        # per level: the Maurer-Cartan pair M, then one pass over its
+        # row blocks for every residual (`harmonic.harmonicity`); M is
+        # released before the next level's pair is built
         F, _ = gauss_frame.build_frame(
             surface.build_surface_data(field, chart))
         M = gauss_frame.maurer_cartan(F, chart)
         del F
-        strong = harmonic.strong_conformal_check(M.B1, chart)
-        K = harmonic.loop_curvature(M)
+        res = harmonic.harmonicity(M, lambdas)
         del M
         levels.append({
             "h": chart.h,
             "flatness": [{"lambda": str(r["lambda"]), "sup": r["sup"]}
-                         for r in harmonic.flatness_sweep(K, lambdas)],
-            "harmonic": harmonic.harmonic_residuals(K),
-            "strong_conformality": strong,
+                         for r in res["flatness"]],
+            "harmonic": res["harmonic"],
+            "strong_conformality": res["strong_conformality"],
         })
-        del K
 
     last = levels[-1]
     rtol = _residual_tol(chart, cfg["tol"])

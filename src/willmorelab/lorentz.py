@@ -16,10 +16,16 @@ surface in S^3 from the maximal minors of its four sphere fields
 the Gram defect from pairings of the column planes, the determinant by
 the Laplace expansion `det`, the d = m case of `minors`), the stencils,
 inverse and products of the Maurer-Cartan form
-(`gauss_frame.maurer_cartan`) and its so-defect
-(`gauss_frame.MCBlocks.b2_residual`), the loop curvature
-(`harmonic.loop_curvature`) and the forward invariants with their
-structure residuals (`surface.invariants`, in two passes).
+(`gauss_frame.maurer_cartan`), analyze's pass that reduces each block
+of it to the singular values of B1 and the max of its so-defect at
+each point (`gauss_frame.frame_diagnostics`; the rank
+`gauss_frame.s_willmore_rank` takes them from a whole pair),
+verify-harmonic's pass that reduces each block's loop curvature to
+per-point maxima (`harmonic.harmonicity`) and the forward invariants
+with their structure residuals (`surface.invariants`, in two passes).
+A pass that reduces writes only (Nu, Nv) planes of per-point values;
+what it reads whole are its inputs, the frame or the pair, whose
+stencils read neighbour rows.
 No kernel calls LAPACK per grid point or solves a Gram matrix; LAPACK
 determinants and solves are oracles in the tests only.  Each block holds
 about PLANE_BLOCK points (4 PLANE_BLOCK for the invariants: with
@@ -28,7 +34,7 @@ interpreter lock and ran slower than on the whole grid), so a kernel's
 temporaries are a few MB that stay in cache and are reused by the
 allocator, where grid-sized ones (38-46 MB per call at N=256) are handed
 back to the OS after each call and faulted in again on the next.
-The Maurer-Cartan form, its so-defect, the loop curvature and the
+The Maurer-Cartan form, the two diagnostic passes, the rank and the
 invariants run their row blocks on all the CPUs the process may use
 (`for_blocks`), each block writing only its own rows; the other kernels
 run theirs in order on the calling thread (threaded, the group test's

@@ -334,18 +334,19 @@ def classify(NF: NormalizedFrame) -> Classification:
     or to a further reduction.  The Y_mu of that renormalization is kept as
     `Ymu`, the field the minimal surface is read off.
 
-    Lifetimes: NF's B1 lives for the rank, h = a13 + a23 for h_sup and
-    the speccond residual, and A1 one row block at a time for the scale
-    of h.  Cases a1 and a2 return NF as `frame`.  The degenerate rank-1
-    branch hands NF's frame and pair to `normalize` and keeps no
-    reference to them, so when the caller handed NF over (as
-    cmd_reconstruct does) they are freed before the gauged frame's pair
-    is built; the renormalized frame's pair lives until its B1 has given
-    mu, and Y_mu and its derivative are built without it.
+    Lifetimes: NF's B1 is built one row block at a time for the rank
+    (`s_willmore_rank`), h = a13 + a23 lives for h_sup and the speccond
+    residual, and A1 one row block at a time for the scale of h.  Cases
+    a1 and a2 return NF as `frame`.  The degenerate rank-1 branch hands
+    NF's frame and pair to `normalize` and keeps no reference to them,
+    so when the caller handed NF over (as cmd_reconstruct does) they are
+    freed before the gauged frame's pair is built; the renormalized
+    frame's pair lives until its B1 has given mu, and Y_mu and its
+    derivative are built without it.
     """
     c = NF.chart
     tol = 1e-6
-    _, maxrank = s_willmore_rank(NF.blocks.B1, c, tol=max(tol, 50 * c.h**2))
+    _, maxrank = s_willmore_rank(NF.blocks, tol=max(tol, 50 * c.h**2))
     L = constant_lightlike_vector(NF.F)
     h = NF.h
     h_sup = float(np.max(np.abs(h)))

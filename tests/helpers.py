@@ -1,9 +1,12 @@
 """Shared builders for synthetic fields used across the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from willmorelab import lorentz
+from willmorelab import harmonic, lorentz
 from willmorelab.chart import Chart
+from willmorelab.gauss_frame import MCBlocks
 from willmorelab.lorentz import orthonormalize, rejection
 
 import oracles
@@ -23,6 +26,67 @@ def force_workers(monkeypatch, workers, pool=None):
     pool of workers - 1 threads, made on first use)."""
     monkeypatch.setattr(lorentz, "_workers", workers)
     monkeypatch.setattr(lorentz, "_pool", pool)
+
+
+def pair_with_B1(B1, c: Chart) -> MCBlocks:
+    """A form (sign -1) whose B1 block is the complex field B1
+    (Nu, Nv, 4, n) bit for bit, NaN and inf included, and whose other
+    blocks are zero: P = 2 Re B1 and Q = -2 Im B1 there, halved exactly
+    by alpha = (P - iQ)/2."""
+    n = B1.shape[-1]
+    P, Q = np.zeros((2,) + B1.shape[:-2] + (4 + n, 4 + n))
+    P[..., :4, 4:], Q[..., :4, 4:] = 2.0 * B1.real, -2.0 * B1.imag
+    return MCBlocks(P, Q, c)
+
+
+def loop_curvature(M: MCBlocks) -> harmonic.LoopCurvature:
+    """The Laurent coefficients of `harmonic.harmonicity`'s row-block
+    kernel over the whole grid: `harmonic._curvature` of each row block
+    of `lorentz.for_blocks` (so the block layout and the worker count
+    are those of the pass), written into whole-grid planes and returned
+    with the grid axes first: W1 (Nu, Nv, 4, 4), W2 (Nu, Nv, n, n),
+    plus_re and plus_im (Nu, Nv, 8n) and the A-lines as W1 and W2."""
+    n = M.P.shape[-1] - 4
+    shapes = {"W1": (4, 4), "W2": (n, n), "plus_re": (8 * n,),
+              "plus_im": (8 * n,), "A1_line": (4, 4), "A2_line": (n, n)}
+    out = {name: np.empty(shape + M.chart.shape)
+           for name, shape in shapes.items()}
+
+    def block(rows):
+        K = harmonic._curvature(M, rows)
+        for name, X in (("W1", K.W[0]), ("W2", K.W[1]),
+                        ("plus_re", K.plus_re), ("plus_im", K.plus_im),
+                        *K.lines.items()):
+            out[name][(slice(None),) * (X.ndim - 2) + (rows,)] = X
+
+    lorentz.for_blocks(block, M.chart.shape)
+    first = {name: lorentz.grid_first(X) for name, X in out.items()}
+    return harmonic.LoopCurvature(
+        W=(first["W1"], first["W2"]), plus_re=first["plus_re"],
+        plus_im=first["plus_im"],
+        lines={name: first[name] for name in ("A1_line", "A2_line")})
+
+
+def planes(K: harmonic.LoopCurvature) -> harmonic.LoopCurvature:
+    """Whole-grid coefficients with the grid axes first (as
+    `loop_curvature` returns them) as the kernel's planes: views where
+    the entries are contiguous planes (`lorentz.to_planes`)."""
+    return replace(K, W=tuple(lorentz.to_planes(W) for W in K.W),
+                   plus_re=lorentz.to_planes(K.plus_re, values=1),
+                   plus_im=lorentz.to_planes(K.plus_im, values=1),
+                   lines={name: lorentz.to_planes(X)
+                          for name, X in K.lines.items()})
+
+
+def sweep(K: harmonic.LoopCurvature, c: Chart, lambdas) -> list:
+    """The flatness sups of `harmonic.harmonicity` on whole-grid
+    coefficients K (grid axes first, possibly altered by a test): the
+    per-point maxima of the kernel's reduction (`harmonic._maxima`) over
+    the chart's interior, [{"lambda", "sup"}] per unit lambda."""
+    lambdas = [harmonic._unit(lam) for lam in lambdas]
+    top = harmonic._maxima(planes(K), lambdas)
+    return [{"lambda": lam, "sup": float(np.max(t[c.interior]))}
+            for lam, t in zip(lambdas, top)]
 
 
 def expm_field(A):

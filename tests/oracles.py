@@ -5,7 +5,7 @@ finite differences (np.roll on periodic grids), deliberately sharing no
 code with the package under test.  The loop-curvature oracle shares
 only the package's stencils and norms: it assembles the full
 (n+4)x(n+4) coefficients of alpha_lambda and differentiates them, where
-`harmonic.flatness_sweep` works on Laurent coefficients in blocks.  The
+`harmonic.harmonicity` works on Laurent coefficients in blocks.  The
 oracles after it, and `roll_diff_axis` beside the rolled difference it
 extends, are the reference forms of package code written otherwise
 (rolled stencil copies, the loop curvature in complex blocks, per-point
@@ -43,6 +43,15 @@ def B2(M):
     """The B2 block of the form M in its coordinate `M.sign`, sliced from
     M.full(): no package path reads it."""
     return M.full()[..., 4:, :4]
+
+
+def b2_residual(M):
+    """sup |B2 + B1^T I13| over the whole grid of the form M, from the
+    complex blocks of M.full() against the full metric: the so-defect
+    sup that analyze reports (`gauss_frame.frame_diagnostics`)."""
+    alpha = M.full()
+    return float(np.max(np.abs(alpha[..., 4:, :4] + np.swapaxes(
+        alpha[..., :4, 4:], -1, -2) @ metric(4))))
 
 
 def _roll_diff(f, axis, h):
@@ -174,7 +183,8 @@ def flatness_residual(E: ExtendedForm, margin: int = DEFAULT_MARGIN) -> dict:
 
 
 def loop_curvature_complex(M):
-    """`harmonic.loop_curvature` in complex blocks: (W, plus, lines).
+    """The loop curvature of `harmonic.harmonicity`'s row-block kernel
+    (`helpers.loop_curvature`) in complex blocks: (W, plus, lines).
 
     W = (W1, W2), plus = the (B1, B2) blocks of R+ and lines the three
     harmonicity fields, from one d_zbar stencil per block of alpha;

@@ -182,8 +182,8 @@ def test_criterion_4_extended_family_flatness():
         sweeps = {}
         for N in (48, 96):
             c, _, _, M = pipeline(kind, N)
-            sweeps[N] = (c.h, [r["sup"] for r in harmonic.flatness_sweep(
-                harmonic.loop_curvature(M))])
+            sweeps[N] = (c.h, [r["sup"] for r in
+                               harmonic.harmonicity(M)["flatness"]])
         h96, r96 = sweeps[96]
         for i, v in enumerate(r96):
             worst_C = max(worst_C, v / h96**2)
@@ -196,8 +196,7 @@ def test_criterion_4_extended_family_flatness():
     ctrl = {}
     for N in (48, 96):
         c, _, _, M = pipeline("torus_of_revolution", N, 3.0)
-        sweep = harmonic.flatness_sweep(harmonic.loop_curvature(M),
-                                        (1.0, 1j))
+        sweep = harmonic.harmonicity(M, (1.0, 1j))["flatness"]
         ctrl[N] = (c.h, sweep[0]["sup"], sweep[1]["sup"])
     at_one = ctrl[96][1] / ctrl[96][0]**2
     at_i = min(ctrl[48][2], ctrl[96][2])
@@ -214,14 +213,15 @@ def test_criterion_5_strong_conformality():
     worst_C = 0.0
     for kind in ZOO_WILLMORE:
         c, _, _, M = pipeline(kind, 96)
-        sup = harmonic.strong_conformal_check(M.B1, c)
+        sup = harmonic.harmonicity(M)["strong_conformality"]
         worst_C = max(worst_C, sup / c.h**2)
     c = Chart(0, 2 * np.pi, 0, 2 * np.pi, 32, 32, "periodic-both")
     rng = np.random.default_rng(5)
     B1 = np.stack([helpers.smooth_scalar_field(c, rng)
                    + 1j * helpers.smooth_scalar_field(c, rng)
                    for _ in range(8)], axis=-1).reshape(c.shape + (4, 2))
-    rand = harmonic.strong_conformal_check(B1, c) / (np.max(np.abs(B1))**2)
+    rand = harmonic.harmonicity(helpers.pair_with_B1(B1, c))[
+        "strong_conformality"] / (np.max(np.abs(B1))**2)
     ok = worst_C <= 100 and rand >= 0.1
     verdict(5, "B1^t I B1 vanishes exactly for Gauss maps", ok,
             f"zoo max sup/h^2 = {worst_C:.1f} (tol 100); random smooth "

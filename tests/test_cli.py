@@ -439,22 +439,28 @@ def test_chart_parser():
 def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
     """Each command drops its SurfaceData (on every refinement level)
     once its last reader has run, before the Maurer-Cartan blocks, the
-    largest fields of an op, are built."""
+    largest fields of an op, are built, or in analyze before the pass
+    that reduces them (`gauss_frame.frame_diagnostics`) runs."""
     refs, alive = [], []
-    build, blocks = surface.build_surface_data, gauss_frame.maurer_cartan
+    build = surface.build_surface_data
 
     def tracked(*args):
         S = build(*args)
         refs.append(weakref.ref(S))
         return S
 
-    def checked(*args):
-        alive.append([r() is not None for r in refs])
-        return blocks(*args)
+    def checked(stage):
+        def run_stage(*args):
+            alive.append([r() is not None for r in refs])
+            return stage(*args)
+        return run_stage
 
     monkeypatch.setattr(surface, "build_surface_data", tracked)
-    monkeypatch.setattr(gauss_frame, "maurer_cartan", checked)
-    monkeypatch.setattr(reconstruct, "maurer_cartan", checked)
+    for module, name in ((gauss_frame, "maurer_cartan"),
+                         (reconstruct, "maurer_cartan"),
+                         (gauss_frame, "frame_diagnostics")):
+        monkeypatch.setattr(module, name, checked(getattr(gauss_frame,
+                                                          name)))
     assert run(*argv, "--surface", "clifford_torus",
                "--chart", CLIFF_CHART) == 0
     levels = 2 if argv[0] == "verify-harmonic" else 1
@@ -462,26 +468,34 @@ def test_surface_data_is_dead_when_the_blocks_are_built(monkeypatch, argv):
     assert not any(map(any, alive)), alive
 
 
-@pytest.mark.parametrize("argv, reader", [
+@pytest.mark.parametrize("argv, module, reader", [
     (["analyze", "--surface", "veronese_s4", "--chart",
-      "32,32,-1,1,-1,1,open"], "s_willmore_rank"),
+      "32,32,-1,1,-1,1,open"], cli, "_report"),
     (["reconstruct", "--surface", "veronese_s4", "--chart",
-      "32,32,-1,1,-1,1,open"], "classify")], ids=["analyze", "reconstruct"])
+      "32,32,-1,1,-1,1,open"], reconstruct, "classify")],
+    ids=["analyze", "reconstruct"])
 def test_commands_release_the_frame_after_its_last_reader(monkeypatch, argv,
-                                                          reader):
-    """analyze drops the frame once its Maurer-Cartan form is built, so
-    it is dead when the rank runs; reconstruct drops it once `normalize`
-    has run, so it is dead when `classify` runs (veronese_s4's frame at
-    32 x 32 is gauged, so the normalized frame is another array)."""
+                                                          module, reader):
+    """analyze never builds the Maurer-Cartan pair (`maurer_cartan` is
+    not called): its one pass over the frame reduces the form to the
+    rank and the so-defect, and the frame is dead once that pass has
+    run, when the report is assembled; reconstruct drops the frame once
+    `normalize` has run, so it is dead when `classify` runs
+    (veronese_s4's frame at 32 x 32 is gauged, so the normalized frame
+    is another array)."""
     frames, seen = [], []
-    build = gauss_frame.build_frame
+    build, blocks = gauss_frame.build_frame, gauss_frame.maurer_cartan
+    calls = []
 
     def spy_build(S):
         F, residual = build(S)
         frames.append(weakref.ref(F))
         return F, residual
 
-    module = gauss_frame if reader == "s_willmore_rank" else reconstruct
+    def spy_blocks(*args):
+        calls.append(None)
+        return blocks(*args)
+
     stage = getattr(module, reader)
 
     def spy_stage(*args, **kwargs):
@@ -489,9 +503,11 @@ def test_commands_release_the_frame_after_its_last_reader(monkeypatch, argv,
         return stage(*args, **kwargs)
 
     monkeypatch.setattr(gauss_frame, "build_frame", spy_build)
+    monkeypatch.setattr(gauss_frame, "maurer_cartan", spy_blocks)
     monkeypatch.setattr(module, reader, spy_stage)
     run(*argv)
     assert len(frames) == 1 and seen == [None]
+    assert len(calls) == (0 if argv[0] == "analyze" else 1)
 
 
 def test_verify_harmonic_report_does_not_depend_on_the_worker_count(
@@ -511,52 +527,41 @@ def test_verify_harmonic_report_does_not_depend_on_the_worker_count(
     assert reports[0][1] == 0
 
 
-def test_verify_harmonic_releases_the_pair_before_the_sweep(monkeypatch):
-    """On every level, verify-harmonic takes strong conformality from the
-    Maurer-Cartan pair before the loop curvature is built, and drops the
-    pair once it is: it is dead when the flatness sweep and the
-    harmonicity lines run, and each level's curvature is dead when the
-    next level's pair is built."""
-    pairs, curvatures, events = [], [], []
-    blocks, loop = gauss_frame.maurer_cartan, harmonic.loop_curvature
-    sweep, lines = harmonic.flatness_sweep, harmonic.harmonic_residuals
-    strong = harmonic.strong_conformal_check
+def test_verify_harmonic_releases_each_level_pair_before_the_next(
+        monkeypatch):
+    """On every level, verify-harmonic builds the Maurer-Cartan pair and
+    runs one pass over it for every residual (`harmonic.harmonicity`,
+    its only harmonic stage); P and Q of each level are dead when the
+    next level's pair is built, so at most one pair is alive at a
+    time."""
+    pairs, events = [], []
+    blocks, residuals = gauss_frame.maurer_cartan, harmonic.harmonicity
 
-    def alive(refs):
-        return [r() is not None for r in refs]
+    def alive():
+        return [r() is not None for r in pairs]
 
     def mc(*args):
-        events.append(("pair", alive(curvatures)))
+        events.append(("pair", alive()))
         M = blocks(*args)
-        pairs.append(weakref.ref(M))
+        pairs.extend([weakref.ref(M.P), weakref.ref(M.Q)])
         return M
 
-    def curvature(M):
-        K = loop(M)
-        curvatures.append(weakref.ref(K))
-        events.append(("curvature", None))
-        return K
-
-    def spy(name, fn):
-        def run_stage(*args):
-            events.append((name, alive(pairs)))
-            return fn(*args)
-        return run_stage
+    def spy(M, lambdas):
+        events.append(("pass", alive()))
+        return residuals(M, lambdas)
 
     monkeypatch.setattr(gauss_frame, "maurer_cartan", mc)
-    monkeypatch.setattr(harmonic, "loop_curvature", curvature)
-    monkeypatch.setattr(harmonic, "flatness_sweep", spy("sweep", sweep))
-    monkeypatch.setattr(harmonic, "harmonic_residuals", spy("lines", lines))
-    monkeypatch.setattr(harmonic, "strong_conformal_check",
-                        spy("strong", strong))
+    monkeypatch.setattr(harmonic, "harmonicity", spy)
+    for name in ("_curvature", "_point_maxima"):
+        assert hasattr(harmonic, name)
+    assert not any(hasattr(harmonic, name) for name in (
+        "loop_curvature", "flatness_sweep", "harmonic_residuals",
+        "strong_conformal_check"))
     assert run("verify-harmonic", "--surface", "clifford_torus",
                "--chart", CLIFF_CHART, "--refine", "2") == 0
-    assert [name for name, _ in events] == [
-        "pair", "strong", "curvature", "sweep", "lines"] * 2
-    assert events[0][1] == [] and events[5][1] == [False]
-    assert events[1][1] == [True] and events[6][1] == [False, True]
-    for i in (3, 4, 8, 9):
-        assert not any(events[i][1]), events[i]
+    assert events == [("pair", []), ("pass", [True] * 2),
+                      ("pair", [False] * 2), ("pass", [False] * 2
+                                              + [True] * 2)]
 
 
 def test_verify_harmonic_reports_observed_orders_of_every_check(tmp_path):
@@ -583,18 +588,42 @@ def test_verify_harmonic_reports_observed_orders_of_every_check(tmp_path):
             assert 1.9 <= order <= 2.1, (key, order)
 
 
+def _default_chart_arg(kind, N):
+    """The --chart argument of the surface's default chart at size N."""
+    c = zoo.default_chart(zoo.SurfaceSpec(kind), N)
+    return ",".join([str(c.Nu), str(c.Nv)]
+                    + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
+                                                c.v_max)] + [c.topology])
+
+
+def test_analyze_memory_peak(monkeypatch):
+    """The tracemalloc peak of one analyze op on veronese_s4 on its
+    default 256 x 256 chart, on one worker, stays below 59 MB: 54.5 MB
+    with the Maurer-Cartan form reduced to the rank and the so-defect in
+    one pass over the frame's row blocks, against 64.0 MB with the whole
+    pair P, Q and then a whole complex B1 and its Gram built for the
+    rank."""
+    helpers.force_workers(monkeypatch, 1)
+    chart = _default_chart_arg("veronese_s4", 256)
+    tracemalloc.start()
+    try:
+        code = run("analyze", "--surface", "veronese_s4", "--chart", chart)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 59e6, peak
+
+
 def test_verify_harmonic_memory_peak():
     """The tracemalloc peak of one verify-harmonic op on veronese_s4,
-    refined once from its default 128 x 128 chart, stays below 115 MB:
-    102.2 MB with the loop curvature formed one row block at a time and
-    the Maurer-Cartan pair dropped once it is built, against 139.7 MB
-    with whole-grid K, stencils and so-defects and the pair held to the
-    end of each level."""
-    spec = zoo.SurfaceSpec("veronese_s4")
-    c = zoo.default_chart(spec, 128)
-    chart = ",".join([str(c.Nu), str(c.Nv)]
-                     + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
-                                                 c.v_max)] + [c.topology])
+    refined once from its default 128 x 128 chart, stays below 70 MB:
+    63.0 MB with every residual reduced to per-point maxima in one pass
+    over the pair's row blocks, against 89.0 MB with the whole loop
+    curvature (40 planes) and B1's Gram built only to be reduced to
+    their sups (and 139.7 MB before the loop curvature was formed one
+    row block at a time)."""
+    chart = _default_chart_arg("veronese_s4", 128)
     tracemalloc.start()
     try:
         code = run("verify-harmonic", "--surface", "veronese_s4",
@@ -603,7 +632,7 @@ def test_verify_harmonic_memory_peak():
     finally:
         tracemalloc.stop()
     assert code == 2            # flatness at lambda = i, as stored
-    assert peak < 115e6, peak
+    assert peak < 70e6, peak
 
 
 def test_reconstruct_frees_the_first_frame_before_renormalizing(monkeypatch):
@@ -686,10 +715,7 @@ def test_reconstruct_memory_peak(tmp_path, kind, bound):
     once the dual has read B1 and the export gathered per row block,
     against 29.5 MB with the pair held to the end and the export's texts
     one Python object per float."""
-    c = zoo.default_chart(zoo.SurfaceSpec(kind), 128)
-    chart = ",".join([str(c.Nu), str(c.Nv)]
-                     + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
-                                                 c.v_max)] + [c.topology])
+    chart = _default_chart_arg(kind, 128)
     tracemalloc.start()
     try:
         code = run("reconstruct", "--surface", kind, "--chart", chart,
@@ -723,41 +749,43 @@ def test_invariants_are_derived_only_where_read(monkeypatch, argv, calls):
 
 
 @pytest.mark.parametrize("argv, reads, defects", [
-    (["analyze"], {"B1"}, [(32, 32)] * 2),
+    (["analyze"], set(), [(32, 32)] * 2),
     (["verify-harmonic", "--refine", "2"], {"B1"},
      [(32, 32)] * 2 + [(8, 64)] * 16),
     (["reconstruct"], {"A1", "B1"}, [])],
     ids=["analyze", "verify-harmonic", "reconstruct"])
 def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
                                                defects):
-    """The Maurer-Cartan form stays the real pair (P, Q): no command calls
-    full(), k_part() or p_part() or builds a complex field of the pair's
-    shape, and each builds only the complex blocks it reads: B1 for the
-    rank, the strong-conformality check and the normalization, and in
-    reconstruct A1 for the scale of h (a_ij are single entries).  The
+    """The Maurer-Cartan form stays real: no command calls full(),
+    k_part() or p_part() or builds a complex field of the pair's shape
+    (the frame's), and each builds only the complex blocks it reads: in
+    verify-harmonic B1 per row block for strong conformality, in
+    reconstruct B1 for the rank and the normalization and A1 for the
+    scale of h (a_ij are single entries); analyze reads no block of a
+    form, its pass forms B1 from each block's rows of the pair.  The
     so-defects of P and Q are derived once per row block for analyze's
-    b2_residual and of each level's harmonicity lines (with row blocks
-    of 1024 points on two workers: the 32 x 32 level is one block, the
+    so-defect sup and each level's harmonicity lines (with row blocks of
+    1024 points on two workers: the 32 x 32 level is one block, the
     64 x 64 level eight blocks of 8 rows), and never in reconstruct."""
     shapes, built, assembled, derived = set(), [], [], []
-    blocks, block, wirt, defect = (gauss_frame.maurer_cartan,
-                                   gauss_frame.MCBlocks._block,
-                                   gauss_frame.wirtinger,
-                                   gauss_frame._so_defect)
+    build, block, wirt, defect = (gauss_frame.build_frame,
+                                  gauss_frame.MCBlocks._block,
+                                  gauss_frame.wirtinger,
+                                  gauss_frame._so_defect)
 
-    def mc(*args):
-        M = blocks(*args)
-        shapes.add(M.P.shape)
-        return M
+    def spy_build(S):
+        F, residual = build(S)
+        shapes.add(F.shape)
+        return F, residual
 
     # a block by the (start, stop) of its row and column slices
     names = {(None, 4, None, 4): "A1", (4, None, 4, None): "A2",
              (None, 4, 4, None): "B1", (4, None, None, 4): "B2"}
 
-    def spy_block(self, rows, cols):
+    def spy_block(self, rows, cols, grid=...):
         if isinstance(rows, slice):
             built.append(names[rows.start, rows.stop, cols.start, cols.stop])
-        return block(self, rows, cols)
+        return block(self, rows, cols, grid)
 
     def spy_wirtinger(fu, fv, sign):
         out = wirt(fu, fv, sign)
@@ -769,8 +797,7 @@ def test_complex_form_is_built_only_where_read(monkeypatch, argv, reads,
         derived.append(X.shape)
         return defect(X)
 
-    monkeypatch.setattr(gauss_frame, "maurer_cartan", mc)
-    monkeypatch.setattr(reconstruct, "maurer_cartan", mc)
+    monkeypatch.setattr(gauss_frame, "build_frame", spy_build)
     monkeypatch.setattr(gauss_frame.MCBlocks, "_block", spy_block)
     monkeypatch.setattr(gauss_frame, "_so_defect", spy_defect)
     monkeypatch.setattr(gauss_frame, "wirtinger", spy_wirtinger)
@@ -884,11 +911,7 @@ def _spied_run(argv, kind):
         return trace
 
     # at N=32 enneper is case b2i (at N=24 classify reads it as a2)
-    spec = zoo.SurfaceSpec(kind)
-    c = zoo.default_chart(spec, 32)
-    chart = ",".join([str(c.Nu), str(c.Nv)]
-                     + [repr(float(x)) for x in (c.u_min, c.u_max, c.v_min,
-                                                 c.v_max)] + [c.topology])
+    chart = _default_chart_arg(kind, 32)
     with pytest.MonkeyPatch.context() as monkeypatch:
         for name in dir(np.linalg):
             fn = getattr(np.linalg, name)

@@ -20,8 +20,9 @@ def test_default_lambda_samples_on_unit_circle():
 
 def test_flatness_sweep_rejects_off_circle_lambda(pipe):
     _, _, _, M = pipe("clifford_torus")
-    with pytest.raises(ValueError):
-        harmonic.flatness_sweep(harmonic.loop_curvature(M), (0.5,))
+    for lam in (0.5, np.nan):
+        with pytest.raises(ValueError):
+            harmonic.harmonicity(M, (1.0, lam))
 
 
 def test_extend_at_lambda_one_is_alpha(pipe):
@@ -58,7 +59,7 @@ def test_flatness_sweep_matches_full_matrix_oracle(pipe, kind, param):
     lambda samples include ones with no symmetry under conjugation.
     """
     _, _, _, M = pipe(kind, 48, param)
-    got = harmonic.flatness_sweep(harmonic.loop_curvature(M), ORACLE_LAMBDAS)
+    got = harmonic.harmonicity(M, ORACLE_LAMBDAS)["flatness"]
     ref = _oracle_sweep(M)
     assert [r["lambda"] for r in got] == [complex(lam)
                                           for lam in ORACLE_LAMBDAS]
@@ -86,9 +87,10 @@ def _oracle_case(pipe, case):
                                   "torus_of_revolution:3",
                                   "hexagonal_torus_s5"])
 def test_real_curvature_matches_complex_block_oracle(pipe, case):
-    """W, both blocks of R+ and the two A-lines from (K, H) equal the
-    complex-block form, and so does each line's sup in
-    `harmonic_residuals`, B1_line's from R+'s planes, n = 1 (open,
+    """W, both blocks of R+ and the two A-lines from (K, H), the row-block
+    kernel's coefficients over the whole grid (`helpers.loop_curvature`),
+    equal the complex-block form, and so does each line's sup in
+    `harmonic.harmonicity`, B1_line's from R+'s planes, n = 1 (open,
     periodic, control), 2 and 3.
 
     The tolerance is 1e-13 times the field's max, or times max |alpha|^2
@@ -96,7 +98,7 @@ def test_real_curvature_matches_complex_block_oracle(pipe, case):
     of O(1) products, and both forms round them differently.
     """
     M = _oracle_case(pipe, case)
-    K = harmonic.loop_curvature(M)
+    K = helpers.loop_curvature(M)
     W, plus, lines = oracles.loop_curvature_complex(M)
     a2 = np.max(np.abs(M.full())) ** 2
     pairs = list(zip(K.W, W)) + list(zip(_plus_blocks(K, M), plus)) \
@@ -106,7 +108,7 @@ def test_real_curvature_matches_complex_block_oracle(pipe, case):
         assert got.shape == ref.shape
         scale = max(np.max(np.abs(ref)), a2)
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale, case
-    sups = harmonic.harmonic_residuals(K)
+    sups = harmonic.harmonicity(M)["harmonic"]
     assert list(sups) == list(lines)
     for name, ref in lines.items():
         want = oracles.sup_by_nested_max(np.abs(ref), M.chart.interior)
@@ -117,12 +119,13 @@ def test_flatness_oracle_rejects_broken_curvatures(pipe):
     """A wrong sign on R- or a dropped [p, conj p] misses by O(1).
 
     On the control torus at N=48 the two mutants miss the oracle's sup
-    by 1.8 and 1.1, against 2.2e-16 for the sweep.
+    by 1.8 and 1.1, against 2.2e-16 for the sweep (the kernel's
+    reduction on its whole-grid coefficients, `helpers.sweep`).
     """
-    _, _, _, M = pipe("torus_of_revolution", 48, 3.0)
-    K = harmonic.loop_curvature(M)
+    c, _, _, M = pipe("torus_of_revolution", 48, 3.0)
+    K = helpers.loop_curvature(M)
     ref = _oracle_sweep(M)
-    assert _miss(harmonic.flatness_sweep(K, ORACLE_LAMBDAS), ref) <= 1e-12
+    assert _miss(helpers.sweep(K, c, ORACLE_LAMBDAS), ref) <= 1e-12
     # R- = +conj(R+) turns 2i Im(lam R+) into 2 Re(lam R+) = 2 Im(lam iR+):
     # R+ -> iR+ swaps the roles of H and K
     wrong_sign = replace(K, plus_re=-K.plus_im, plus_im=K.plus_re)
@@ -135,8 +138,7 @@ def test_flatness_oracle_rejects_broken_curvatures(pipe):
     no_pp = replace(K, W=(W1 + 0.25 * (P1 @ Q2 - Q1 @ P2),
                           W2 + 0.25 * (P2 @ Q1 - Q2 @ P1)))
     for mutant in (wrong_sign, no_pp):
-        assert _miss(harmonic.flatness_sweep(mutant, ORACLE_LAMBDAS),
-                     ref) > 0.1
+        assert _miss(helpers.sweep(mutant, c, ORACLE_LAMBDAS), ref) > 0.1
 
 
 def test_lambda_one_reads_the_maurer_cartan_defect_alone(pipe):
@@ -144,11 +146,12 @@ def test_lambda_one_reads_the_maurer_cartan_defect_alone(pipe):
     and on the control torus lambda = i falls to at most lambda = 1: the
     flatness(i)/flatness(1) harmonicity meter."""
     c, _, _, M = pipe("torus_of_revolution", 48, 3.0)
-    K = harmonic.loop_curvature(M)
+    K = helpers.loop_curvature(M)
     lams = (1.0, -1.0, 1j)
-    full = harmonic.flatness_sweep(K, lams)
-    no_h = harmonic.flatness_sweep(
-        replace(K, plus_re=np.zeros_like(K.plus_re)), lams)
+    full = helpers.sweep(K, c, lams)
+    assert full == harmonic.harmonicity(M, lams)["flatness"]
+    no_h = helpers.sweep(replace(K, plus_re=np.zeros_like(K.plus_re)), c,
+                         lams)
     assert full[:2] == no_h[:2]
     assert full[2]["sup"] > 0.1                # the control's tension
     assert no_h[2]["sup"] <= no_h[0]["sup"] < 100 * c.h**2
@@ -158,12 +161,12 @@ def test_harmonic_lines_share_the_curvature_blocks(pipe):
     """B1_line's sup is bit for bit that of conj of R+'s B1 block; A1/A2
     lines differ from R0 by the O(h^2) so-defect of B2."""
     c, _, _, M = pipe("enneper")
-    K = harmonic.loop_curvature(M)
-    assert harmonic.harmonic_residuals(K)["B1_line"] \
+    K = helpers.loop_curvature(M)
+    assert harmonic.harmonicity(M)["harmonic"]["B1_line"] \
         == sup_norm(np.conj(_plus_blocks(K, M)[0]), c)
     gap = max(np.max(np.abs(K.lines["A1_line"] - K.W[0])),
               np.max(np.abs(K.lines["A2_line"] - K.W[1])))
-    assert gap <= 10 * M.b2_residual * np.max(np.abs(M.B1)) + 1e-14
+    assert gap <= 10 * oracles.b2_residual(M) * np.max(np.abs(M.B1)) + 1e-14
 
 
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4"])
@@ -173,9 +176,10 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
     four stencils are Q's u-partial and P's v-partial (K), then P's
     u-partial and Q's v-partial (H), of that block's rows, read from M.Q
     and M.P themselves; the so-defects are taken from the block's rows
-    of M.P and M.Q as views, with no copy, one of each, P's first.  The
-    blocks run in any order, so each call is keyed by its rows.  No whole-grid stencil and no
-    whole-grid so-defect is taken, and no complex form is assembled."""
+    of M.P and M.Q as views, with no copy, one of each, P's first, by
+    `harmonic.harmonicity`'s pass.  The blocks run in any order, so each
+    call is keyed by its rows.  No whole-grid stencil and no whole-grid
+    so-defect is taken, and no complex form is assembled."""
     c, _, _, M = pipe(kind)
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 10 * c.Nv)
     helpers.force_workers(monkeypatch, 2)
@@ -208,9 +212,9 @@ def test_loop_curvature_reads_P_and_Q_without_copies(pipe, monkeypatch,
     monkeypatch.setattr(chart, "_diff_axis", rows_only)
 
     def no_full(self):
-        raise AssertionError("loop_curvature assembled the complex form")
+        raise AssertionError("harmonicity assembled the complex form")
     monkeypatch.setattr(gauss_frame.MCBlocks, "full", no_full)
-    harmonic.loop_curvature(M)
+    harmonic.harmonicity(M)
     assert sorted(partials) == [(r.start, r.stop) for r in blocks]
     want = [(M.Q, 0), (M.P, 1), (M.P, 0), (M.Q, 1)]
     for rows, calls in partials.items():
@@ -241,10 +245,12 @@ def _curvature_fields(K):
 @pytest.mark.parametrize("kind", ["enneper", "veronese_s4", "catenoid"])
 def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
                                                             kind):
-    """On a 37 x 48 chart, every field of `loop_curvature` and every sup
-    of `flatness_sweep` and `harmonic_residuals` is bit for bit the
-    one-block result with row blocks of one row, of five rows (the last
-    block two rows short) and of one row longer than PLANE_BLOCK.  On
+    """On a 37 x 48 chart, every whole-grid coefficient of the row-block
+    kernel (`helpers.loop_curvature`), every per-point maximum of
+    `harmonic.harmonicity`'s pass and every sup it reports is bit for
+    bit the one-block result with row blocks of one row, of five rows
+    (the last block two rows short) and of one row longer than
+    PLANE_BLOCK.  On
     catenoid's chart, periodic in u, the wrap rows of K's u-stencil fall
     in the first and the last block of each layout.  W and
     R+'s imaginary part are those of K from stacked products over the
@@ -257,22 +263,23 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
     c = replace(zoo.default_chart(spec, 48), Nu=37)
     M = _mc_blocks(spec, c)
 
+    lams = [complex(lam) for lam in ORACLE_LAMBDAS]
+
     def run():
-        K = harmonic.loop_curvature(M)
-        return (K, harmonic.flatness_sweep(K, ORACLE_LAMBDAS),
-                harmonic.harmonic_residuals(K))
+        return (helpers.loop_curvature(M), harmonic._point_maxima(M, lams),
+                harmonic.harmonicity(M, ORACLE_LAMBDAS))
 
     monkeypatch.setattr(lorentz, "PLANE_BLOCK", 37 * 48)
     assert lorentz.row_blocks(c.shape) == [...]
-    K0, sweep0, lines0 = run()
+    K0, top0, res0 = run()
     for block, count in ((48, 37), (5 * 48, 8), (16, 37)):
         monkeypatch.setattr(lorentz, "PLANE_BLOCK", block)
         assert len(lorentz.row_blocks(c.shape)) == count, block
-        K, sweep, lines = run()
+        K, top, res = run()
         for got, want in zip(_curvature_fields(K), _curvature_fields(K0)):
             assert got.shape == want.shape, block
             assert np.array_equal(got, want), block
-        assert sweep == sweep0 and lines == lines0, block
+        assert np.array_equal(top, top0) and res == res0, block
     K = d_u(M.Q, c) - d_v(M.P, c) + M.P @ M.Q - M.Q @ M.P
     a, b = slice(None, 4), slice(4, None)
     assert np.array_equal(K0.W[0], -0.25 * K[..., a, a])
@@ -293,10 +300,10 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
         [h.reshape(c.shape + (4 * n,)) for h in H], axis=-1))
     B1 = np.empty(H[0].shape, dtype=complex)
     B1.real, B1.imag = H[0], -0.25 * K[..., a, b]
-    assert lines0["B1_line"] == oracles.sup_by_nested_max(np.abs(B1),
-                                                          c.interior)
+    assert res0["harmonic"]["B1_line"] == oracles.sup_by_nested_max(
+        np.abs(B1), c.interior)
     r0 = 2.0 * np.maximum(*(np.max(np.abs(W), axis=(-2, -1)) for W in K0.W))
-    for r in sweep0:
+    for r in res0["flatness"]:
         lam = r["lambda"]
         X = lam.real * K0.plus_im + lam.imag * K0.plus_re
         pmax = np.maximum(r0, 2.0 * np.max(np.abs(X), axis=-1))
@@ -308,8 +315,10 @@ def test_loop_curvature_does_not_depend_on_the_block_layout(monkeypatch,
     ("catenoid", (96, 95)), ("clifford_torus", (128, 128))])
 def test_the_lambda_family_does_not_depend_on_the_worker_count(monkeypatch,
                                                                kind, shape):
-    """The Maurer-Cartan pair P, Q and every field of `loop_curvature`
-    are bit for bit the same on one worker (row blocks of PLANE_BLOCK
+    """The Maurer-Cartan pair P, Q, every whole-grid coefficient of the
+    row-block kernel (`helpers.loop_curvature`) and every per-point
+    maximum of `harmonic.harmonicity`'s pass are bit for bit the same on
+    one worker (row blocks of PLANE_BLOCK
     points, in order) and on two (blocks of half as many, two at a
     time).  Each grid exceeds PLANE_BLOCK points, so two workers run
     threaded; on catenoid's 96 x 95 chart, periodic in u, the wrap rows
@@ -324,57 +333,51 @@ def test_the_lambda_family_does_not_depend_on_the_worker_count(monkeypatch,
     for workers in (1, 2):
         helpers.force_workers(monkeypatch, workers)
         M = gauss_frame.maurer_cartan(F, c)
-        runs.append([M.P, M.Q, *_curvature_fields(harmonic.loop_curvature(M))])
+        runs.append([M.P, M.Q, *_curvature_fields(helpers.loop_curvature(M)),
+                     harmonic._point_maxima(M, [1.0, 1j])])
     for got, want in zip(*runs):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
 
-def test_loop_curvature_keeps_its_temporaries_below_its_fields(monkeypatch):
+def test_harmonicity_pass_peaks_a_few_MB_above_the_pair(monkeypatch):
     """At 255^2 on veronese_s4, on two workers, the tracemalloc peak of
-    `loop_curvature` exceeds the fields it returns (37.5 MB; 45.8 MB
-    while they held B1_line, a complex copy of R+'s B1 block) by at most
-    14 MB: 13.5 MB with K, H, their stencils and the so-defects formed
-    one row block at a time on one worker, where two workers hold two
-    blocks of half the points.  H's stencils over the whole grid took
-    14.3 MB, whole-grid K, stencils and so-defects 40.3 MB, and stacked
-    products over the whole grid 54.1 MB."""
+    `harmonic.harmonicity` above the Maurer-Cartan pair it reads (built
+    before tracing starts) is at most 16 MB: 12.6 MB (12.5 MB on one
+    worker) with the coefficients of each row block reduced to per-point
+    maxima at once (the 8 max planes take 4.2 MB), against 56.3 MB for
+    the whole-grid loop curvature with its flatness sweep, harmonicity
+    lines and strong-conformality check, each reducing a grid-sized
+    field."""
     spec = zoo.SurfaceSpec("veronese_s4")
     M = _mc_blocks(spec, zoo.default_chart(spec, 255))
     helpers.force_workers(monkeypatch, 2)
     tracemalloc.start()
     try:
-        K = harmonic.loop_curvature(M)
-        held, peak = tracemalloc.get_traced_memory()
+        res = harmonic.harmonicity(M)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert K.plus_re.shape == M.chart.shape + (16,)
-    assert peak - held <= 14e6, peak - held
+    assert len(res["flatness"]) == 4
+    assert peak <= 16e6, peak
 
 
-def test_r0_max_is_the_per_point_max_of_R0(pipe, monkeypatch):
-    """The R0 term that `flatness_sweep` reads, the per-point max it
-    hands to `sup_norm` with R+ zeroed, is bit for bit
+def test_r0_max_is_the_per_point_max_of_R0(pipe):
+    """The per-point flatness maxima of the kernel's reduction
+    (`harmonic._maxima`) with R+ zeroed are bit for bit
     2 max(max |W1|, max |W2|) reduced from `K.W` over the two matrix
-    axes; so a W replaced on the curvature reaches the sweep."""
+    axes, at every lambda; so a W replaced on the coefficients reaches
+    the flatness."""
     _, _, _, M = pipe("veronese_s4")
-    K = harmonic.loop_curvature(M)
-    seen = []
-
-    def spy(f, c):
-        seen.append(f.copy())
-        return sup_norm(f, c)
-    monkeypatch.setattr(harmonic, "sup_norm", spy)
+    K = helpers.loop_curvature(M)
     zero = np.zeros_like(K.plus_re)
     for W1, W2 in (K.W, (K.W[0], 3.0 * K.W[1])):
-        seen.clear()
-        harmonic.flatness_sweep(replace(K, W=(W1, W2), plus_re=zero,
-                                        plus_im=zero), (1.0, 1j))
+        top = harmonic._maxima(helpers.planes(replace(
+            K, W=(W1, W2), plus_re=zero, plus_im=zero)), [1.0, 1j])
         want = 2.0 * np.maximum(np.max(np.abs(W1), axis=(-2, -1)),
                                 np.max(np.abs(W2), axis=(-2, -1)))
-        assert len(seen) == 2
-        for r0 in seen:
-            assert r0.shape == M.chart.shape
+        assert top.shape == (2 + len(harmonic.LINES),) + M.chart.shape
+        for r0 in top[:2]:
             assert np.array_equal(r0, want)
 
 
@@ -387,7 +390,7 @@ def test_harmonicity_meter_is_at_most_two_on_willmore_surfaces(pipe, kind,
     adds at most the discretization floor's size on the Willmore zoo
     (1.0, 1.0, 1.28, 1.48, 1.71)."""
     _, _, _, M = pipe(kind, 64, param)
-    one, i = harmonic.flatness_sweep(harmonic.loop_curvature(M), (1, 1j))
+    one, i = harmonic.harmonicity(M, (1, 1j))["flatness"]
     assert i["sup"] <= 2.0 * one["sup"], (kind, i["sup"], one["sup"])
 
 
@@ -395,7 +398,7 @@ def test_harmonicity_meter_on_the_clifford_torus_is_roundoff(pipe):
     """On the Clifford torus both sups are roundoff at N=64 (1.5e-13 and
     4.8e-13), so its ratio says nothing and is not read."""
     _, _, _, M = pipe("clifford_torus", 64)
-    for r in harmonic.flatness_sweep(harmonic.loop_curvature(M), (1, 1j)):
+    for r in harmonic.harmonicity(M, (1, 1j))["flatness"]:
         assert r["sup"] < 1e-12, r
 
 
@@ -406,8 +409,7 @@ def test_harmonicity_meter_grows_under_refinement_on_the_control(pipe):
     ratio = {}
     for N in (32, 64):
         _, _, _, M = pipe("torus_of_revolution", N, 3.0)
-        one, i = harmonic.flatness_sweep(harmonic.loop_curvature(M),
-                                         (1, 1j))
+        one, i = harmonic.harmonicity(M, (1, 1j))["flatness"]
         ratio[N] = i["sup"] / one["sup"]
     assert ratio[64] >= 100, ratio
     assert ratio[64] >= 3 * ratio[32], ratio
@@ -416,7 +418,7 @@ def test_harmonicity_meter_grows_under_refinement_on_the_control(pipe):
 @pytest.mark.parametrize("kind", ["clifford_torus", "enneper"])
 def test_flatness_across_the_family(pipe, kind):
     c, _, _, M = pipe(kind)
-    for r in harmonic.flatness_sweep(harmonic.loop_curvature(M)):
+    for r in harmonic.harmonicity(M)["flatness"]:
         assert r["sup"] < 100 * c.h**2, (kind, r["lambda"], r["sup"])
 
 
@@ -424,7 +426,7 @@ def test_flatness_control_fails_off_lambda_one(pipe):
     """A non-Willmore Gauss map has flat alpha but a non-flat family."""
     c, _, _, M = pipe("torus_of_revolution", 48, 3.0)
     by_lam = {r["lambda"]: r["sup"]
-              for r in harmonic.flatness_sweep(harmonic.loop_curvature(M))}
+              for r in harmonic.harmonicity(M)["flatness"]}
     assert by_lam[1.0] < 100 * c.h**2
     assert by_lam[-1.0] < 100 * c.h**2      # lambda^2 = 1 keeps flatness
     assert by_lam[1j] > 0.1
@@ -433,26 +435,27 @@ def test_flatness_control_fails_off_lambda_one(pipe):
 @pytest.mark.parametrize("kind", ["clifford_torus", "catenoid"])
 def test_harmonic_block_residuals(pipe, kind):
     c, _, _, M = pipe(kind)
-    res = harmonic.harmonic_residuals(harmonic.loop_curvature(M))
+    res = harmonic.harmonicity(M)["harmonic"]
     for name, sup in res.items():
         assert sup < 100 * c.h**2, (kind, name)
 
 
 def test_harmonic_residuals_flag_the_control(pipe):
     _, _, _, M = pipe("torus_of_revolution", 48, 3.0)
-    res = harmonic.harmonic_residuals(harmonic.loop_curvature(M))
+    res = harmonic.harmonicity(M)["harmonic"]
     assert res["B1_line"] > 0.1
 
 
 def test_strong_conformality_zoo_vs_random(pipe, rng):
     c, S, _, M = pipe("veronese_s4")
-    sup = harmonic.strong_conformal_check(M.B1, c)
+    sup = harmonic.harmonicity(M)["strong_conformality"]
     scale = np.max(np.abs(M.B1)) ** 2
     assert sup < 100 * c.h**2 * scale
     # a generic complex B1 is nowhere near null
     Brand = rng.normal(size=(8, 8, 4, 2)) + 1j * rng.normal(size=(8, 8, 4, 2))
     torus = Chart(0.0, 1.0, 0.0, 1.0, 8, 8, "periodic-both")
-    assert harmonic.strong_conformal_check(Brand, torus) > 0.1
+    assert harmonic.harmonicity(helpers.pair_with_B1(Brand, torus))[
+        "strong_conformality"] > 0.1
 
 
 def test_gauge_preserves_harmonicity(pipe, rng):
@@ -462,10 +465,10 @@ def test_gauge_preserves_harmonicity(pipe, rng):
     G[..., :4, :4] = helpers.random_so13_gauge(c, rng, amp=0.2)
     G[..., 4, 4] = 1.0
     Fh, Mh = oracles.gauge(M, F, G)
-    res = harmonic.harmonic_residuals(harmonic.loop_curvature(Mh))
-    for name, sup in res.items():
+    res = harmonic.harmonicity(Mh)
+    for name, sup in res["harmonic"].items():
         assert sup < 200 * c.h**2, name
-    sup = harmonic.strong_conformal_check(Mh.B1, c)
+    sup = res["strong_conformality"]
     assert sup < 100 * c.h**2 * (np.max(np.abs(Mh.B1))**2 + 1e-300)
 
 
@@ -475,3 +478,67 @@ def test_gauge_rejects_off_block_matrices(pipe):
     G[..., 0, 4] = 0.3                      # mixes the two factors
     with pytest.raises(ValueError):
         oracles.gauge(M, F, G)
+
+
+# a 37 x 48 open chart (one block at PLANE_BLOCK, four of ten rows at 1024
+# points on two workers) and a 96 x 96 chart periodic in u (three blocks of
+# 42, 42 and 12 rows at PLANE_BLOCK on one worker), whose u-stencils wrap
+INVARIANCE_CHARTS = [("enneper", (37, 48)), ("catenoid", (96, 96))]
+
+
+@pytest.mark.parametrize("kind,shape", INVARIANCE_CHARTS)
+def test_harmonicity_does_not_depend_on_workers_or_blocks(monkeypatch, kind,
+                                                          shape):
+    """Every per-point maximum of `harmonic.harmonicity`'s pass and every
+    sup it reports are bit for bit the same on one worker and on two,
+    with blocks of 1024 points and of PLANE_BLOCK."""
+    spec = zoo.SurfaceSpec(kind)
+    c = replace(zoo.default_chart(spec, shape[0]), Nv=shape[1])
+    M = _mc_blocks(spec, c)
+    lams = [complex(lam) for lam in ORACLE_LAMBDAS]
+    runs = []
+    for workers in (1, 2):
+        for block in (1024, lorentz.PLANE_BLOCK):
+            helpers.force_workers(monkeypatch, workers)
+            monkeypatch.setattr(lorentz, "PLANE_BLOCK", block)
+            runs.append((harmonic._point_maxima(M, lams),
+                         harmonic.harmonicity(M, ORACLE_LAMBDAS)))
+            monkeypatch.undo()
+    top0, res0 = runs[0]
+    assert top0.shape == (len(lams) + 4,) + c.shape
+    for top, res in runs[1:]:
+        assert np.array_equal(top, top0)
+        assert res == res0
+
+
+@pytest.mark.parametrize("kind,point,moves", [
+    ("enneper", (0, 20), False), ("enneper", (18, 47), False),
+    ("enneper", (18, 20), True), ("catenoid", (0, 20), True),
+    ("catenoid", (18, 0), False)])
+def test_harmonicity_sups_read_the_interior_only(kind, point, moves):
+    """A spike of 1e3 on every entry of P at one grid point leaves every
+    sup of `harmonic.harmonicity` bit for bit unchanged when the point
+    lies on an open edge line (rows 0 and 36, columns 0 and 47 of
+    enneper's open 37 x 48 chart; columns 0 and 47 of catenoid's, open
+    in v only): its stencils reach one point in, inside the margin of
+    `Chart.interior`.  The same spike inside the interior, or on
+    catenoid's row 0, which its periodic u-axis makes interior, raises
+    every sup: each flatness sample, the three lines and strong
+    conformality.  A pass that reduced the whole grid would move them
+    all in every case."""
+    spec = zoo.SurfaceSpec(kind)
+    c = replace(zoo.default_chart(spec, 37), Nv=48)
+    M = _mc_blocks(spec, c)
+    base = harmonic.harmonicity(M)
+    P = M.P.copy()
+    P[point] += 1e3
+    got = harmonic.harmonicity(replace(M, P=P))
+
+    def sups(res):
+        return [r["sup"] for r in res["flatness"]] \
+            + list(res["harmonic"].values()) + [res["strong_conformality"]]
+    assert c.interior[point] == moves
+    if moves:
+        assert all(g > 10 * b for g, b in zip(sups(got), sups(base)))
+    else:
+        assert got == base

@@ -604,7 +604,7 @@ def test_classify_b2i_needs_a_strict_majority(monkeypatch, extra, case):
     Yd[..., 1] = positive
     Yd[..., 0] = ~positive
     monkeypatch.setattr(reconstruct, "s_willmore_rank",
-                        lambda B1, c, tol: (None, 1))
+                        lambda M, tol: (None, 1))
     monkeypatch.setattr(reconstruct, "constant_lightlike_vector",
                         lambda F: np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
     monkeypatch.setattr(reconstruct, "normalize",

@@ -13,10 +13,13 @@ bytecode and a per-mutant timeout; the checkout itself is only read.
 One mutant runs at a time, and each costs up to one tier-1 run.
 
     python tools/mutants.py --modules spinor.py reconstruct.py --count 30
+    python tools/mutants.py --modules harmonic.py --functions _maxima
     python tools/mutants.py --control
 
 The sample is drawn from every site of the modules with
-random.Random(SEED), so a given --count always draws the same mutants.
+random.Random(SEED), so a given --count always draws the same mutants;
+--functions keeps only the sites whose innermost enclosing function has
+one of the given names.
 Each line of the table gives module, line, mutation and outcome: killed
 (tier-1 fails), survived (it passes) or timed out.  --control runs
 tier-1 once with every chosen module rewritten by ast.unparse unmutated,
@@ -71,6 +74,20 @@ def sites(tree: ast.AST) -> list:
     return out
 
 
+def owners(tree: ast.AST) -> dict:
+    """{id(node): name of the innermost function that encloses it}."""
+    out = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            out[id(child)] = inner
+            visit(child, inner)
+    visit(tree, None)
+    return out
+
+
 def mutant_source(source: str, k: int) -> str:
     """The module source with its k-th site mutated, by ast.unparse."""
     tree = ast.parse(source)
@@ -107,6 +124,8 @@ def main(argv=None) -> int:
     p.add_argument("--modules", nargs="+", help="module file names of "
                    "src/willmorelab (default: all)")
     p.add_argument("--count", type=int, default=30, help="mutants to run")
+    p.add_argument("--functions", nargs="+", help="names of the functions "
+                   "whose sites to draw from (default: all sites)")
     p.add_argument("--control", action="store_true",
                    help="run the unmutated round trip only")
     args = p.parse_args(argv)
@@ -134,9 +153,14 @@ def main(argv=None) -> int:
                   f"{'passed' if outcome == 'survived' else outcome}")
             return 0 if outcome == "survived" else 1
 
-        pool = [(m, k, node.lineno, label) for m in modules
-                for k, (node, _, label) in enumerate(
-                    sites(ast.parse(sources[m])))]
+        pool = []
+        for m in modules:
+            tree = ast.parse(sources[m])
+            owner = owners(tree)
+            pool += [(m, k, node.lineno, label)
+                     for k, (node, _, label) in enumerate(sites(tree))
+                     if not args.functions
+                     or owner[id(node)] in args.functions]
         sample = random.Random(SEED).sample(
             pool, min(args.count, len(pool)))
         print(f"{len(sample)} of {len(pool)} sites, seed {SEED}")
